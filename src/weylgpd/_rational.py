@@ -37,8 +37,10 @@ def rat(value) -> "Rat":
     if isinstance(value, str):
         text = value.strip()
         if "/" in text:
-            p, q = text.split("/")
-            return Rat(int(p), int(q))
+            p, q = (int(part) for part in text.split("/"))
+            if q == 0:
+                raise ValueError(f"zero denominator in {value!r}")
+            return Rat(p, q)
         return Rat(int(text))
     if isinstance(value, float):
         raise TypeError("floating-point input is not accepted; pass a rational")

@@ -6,13 +6,24 @@ imaginary-root functional gamma (an open halfspace), or Truncated (a finite
 slice of an infinite system, cone unknown).  Chambers are the open simplicial
 cones cut out by the table; adjacency, Cartan matrices per chamber, and the
 crystallographic/additive checks are all exact.
+
+The chamber kernel decides on integers.  Scaling every root by one positive
+integer L (the lcm of the root denominators) moves no hyperplane and changes
+no chamber coordinate, so each table keeps its roots as integer covectors
+L*root.  A chamber's integer data is its integer basis B with an adjugate A and
+determinant D > 0 (B . A = D * I, from Bareiss elimination); root k's chamber
+coordinates are the numerators int_root_k . A[:, j] over D.  Sign, integrality
+and wall-crossing predicates compare those numerators; Fractions are built
+only for values that leave the kernel.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import gcd
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from ._rational import ONE, ZERO, Rat
@@ -29,23 +40,25 @@ from .errors import (
     NotSimplicial,
     OnHyperplane,
     OutsideCone,
+    SingularBasis,
     Unreachable,
     Unsupported,
     WallOnBoundary,
 )
 from .exactlin import (
+    clear_denominators,
+    denominator_lcm,
     dual_basis,
+    int_adjugate,
+    int_det,
     is_zero,
     nullspace,
-    primitive_normalize,
     primitive_ray,
     rank as mat_rank,
     sign_at,
     vdot,
     vec,
     vneg,
-    vscale,
-    vsub,
 )
 
 Covector = tuple
@@ -86,7 +99,12 @@ ConeSpec = Spherical | Affine | Truncated
 
 
 class RootSystemTable:
-    """Finite set of roots with cone data; immutable after construction."""
+    """Finite set of roots with cone data; immutable after construction.
+
+    Besides the roots (sorted), it keeps only data derived from them once:
+    `scale` L, the integer roots `int_roots` (L*root, in root order), the
+    root -> position map `index`, and each root's primitive ray `primitive`.
+    """
 
     def __init__(
         self,
@@ -108,13 +126,20 @@ class RootSystemTable:
                 raise InvalidTable(f"root {r} does not have rank {self.rank}")
             if is_zero(r):
                 raise InvalidTable("0 is not a root")
-        root_set = set(self.roots)
+        self.index = {r: k for k, r in enumerate(self.roots)}
         for r in self.roots:
-            if vneg(r) not in root_set:
+            if vneg(r) not in self.index:
                 raise InvalidTable(f"table is not negation-closed: missing {vneg(r)}")
+        self.scale = scale = denominator_lcm(c for r in self.roots for c in r)
+        self.int_roots = tuple(
+            tuple(int(c.numerator) * (scale // int(c.denominator)) for c in r) for r in self.roots
+        )
+        self.primitive = tuple(primitive_ray(r) for r in self.roots)
         lines: dict[Covector, list] = {}
-        for r in self.roots:
-            lines.setdefault(primitive_normalize(r), []).append(r)
+        for r, p in zip(self.roots, self.primitive):
+            # The line key is the primitive ray with first nonzero entry positive.
+            key = p if next(c for c in p if c) > 0 else vneg(p)
+            lines.setdefault(key, []).append(r)
         self.lines: dict[Covector, tuple] = {k: tuple(v) for k, v in lines.items()}
         derived_reduced = all(len(v) == 2 for v in self.lines.values())
         if reduced is not None and bool(reduced) != derived_reduced:
@@ -132,7 +157,6 @@ class RootSystemTable:
         # For truncated tables produced by a realization: the chamber keys known
         # to be interior (in-memory metadata, not part of the wire format).
         self.certified_keys = certified_keys
-        self._coords_cache: dict = {}
 
     def __repr__(self) -> str:
         return f"RootSystemTable(rank={self.rank}, n_roots={len(self.roots)}, cone={self.cone})"
@@ -148,23 +172,12 @@ class RootSystemTable:
     def __hash__(self) -> int:
         return hash((self.rank, self.roots, self.cone))
 
-    @property
-    def hyperplane_keys(self) -> tuple:
-        return tuple(sorted(self.lines))
-
     def contains(self, root) -> bool:
-        return vec(root) in set(self.roots)
+        return vec(root) in self.index
 
     def positive_on(self, x: Vector) -> list:
         """One representative per line, the element positive at x (reduced tables)."""
-        out = []
-        for key, elems in sorted(self.lines.items()):
-            s = sign_at(key, x)
-            if s == 0:
-                raise OnHyperplane(elems[0], x)
-            rep = elems[0] if sign_at(elems[0], x) > 0 else vneg(elems[0])
-            out.append((key, rep))
-        return out
+        return [(key, self.roots[k]) for key, k in _positive_lines(self, vec(x))]
 
     def require_reduced(self) -> None:
         if not self.reduced:
@@ -184,6 +197,8 @@ class Chamber:
     basis: tuple  # indexed root basis alpha_0..alpha_{r-1} (table elements)
     rays: tuple  # dual basis: alpha_i(rays[j]) = delta_ij
     witness: Vector
+    # Integer data in the table that produced the chamber; see IntegerFrame.
+    frame: "IntegerFrame | None" = field(default=None, compare=False)
 
     @property
     def rank(self) -> int:
@@ -193,15 +208,79 @@ class Chamber:
     def key(self) -> tuple:
         return canonical_basis_key(self.basis)
 
-    def sign_key(self, table: RootSystemTable) -> dict:
-        return {k: sign_at(k, self.witness) for k in table.lines}
-
     def __repr__(self) -> str:
         return f"Chamber(basis={self.basis})"
 
 
-def make_chamber(basis: Sequence, witness: Vector) -> Chamber:
-    return Chamber(tuple(basis), tuple(dual_basis(basis)), vec(witness))
+@dataclass(frozen=True, eq=False)
+class IntegerFrame:
+    """A chamber's integer data in one table.
+
+    B is the integer basis (the table's int_roots at `index`); the columns
+    `cols` of A and `det` D > 0 satisfy B . A = D * I.  Ray j is
+    table.scale * A[:, j] / D, and root k has chamber coordinates
+    num[k][j] / D with num[k][j] = int_roots[k] . A[:, j].
+    """
+
+    table: RootSystemTable
+    index: tuple
+    cols: tuple
+    det: int
+    num: tuple
+
+    def coords(self, k: int) -> tuple:
+        return tuple(Rat(n, self.det) for n in self.num[k])
+
+
+def _dot(u: tuple, v: tuple) -> int:
+    return sum(map(mul, u, v))
+
+
+def _frame_at(table: RootSystemTable, index: tuple) -> IntegerFrame:
+    adj, det = int_adjugate([table.int_roots[k] for k in index])
+    if adj is None:
+        raise SingularBasis("matrix is singular")
+    if det < 0:
+        adj, det = tuple(tuple(-a for a in row) for row in adj), -det
+    cols = tuple(zip(*adj))
+    # num = int_roots . A, one column of A at a time: a column is a
+    # combination of the roots' coordinate columns, skipping zero entries.
+    coordinates = tuple(zip(*table.int_roots))
+    num_cols = []
+    for col in cols:
+        acc = [0] * len(table.int_roots)
+        for a, xs in zip(col, coordinates):
+            if a:
+                acc = [s + a * x for s, x in zip(acc, xs)]
+        num_cols.append(acc)
+    return IntegerFrame(table, index, cols, det, tuple(zip(*num_cols)))
+
+
+def _frame(table: RootSystemTable, chamber: Chamber) -> IntegerFrame:
+    """The chamber's integer data in `table`, computed from its basis when it
+    carries none for this table object (hand-built chambers, equal rebuilt tables)."""
+    frame = chamber.frame
+    if frame is not None and frame.table is table:
+        return frame
+    index = []
+    for b in chamber.basis:
+        k = table.index.get(b)
+        if k is None:
+            raise InvalidTable(f"basis element {b} is not a root of the table")
+        index.append(k)
+    return _frame_at(table, tuple(index))
+
+
+def _chamber_id(table: RootSystemTable, chamber: Chamber) -> tuple:
+    return tuple(sorted(_frame(table, chamber).index))
+
+
+def _chamber(table: RootSystemTable, index: tuple, witness: Vector) -> Chamber:
+    """The chamber on the table roots at `index`, with its rays and integer data."""
+    frame = _frame_at(table, index)
+    scale, det = table.scale, frame.det
+    rays = tuple(tuple(Rat(scale * a, det) for a in col) for col in frame.cols)
+    return Chamber(tuple(table.roots[k] for k in index), rays, witness, frame)
 
 
 @dataclass(frozen=True)
@@ -265,13 +344,17 @@ class ChamberCartanData:
 
 
 def coords_in_chamber(table: RootSystemTable, chamber: Chamber, root) -> tuple:
-    """Coordinates of a root in the chamber's basis, memoized per chamber."""
-    cache = table._coords_cache.setdefault(chamber.basis, {})
-    got = cache.get(root)
-    if got is None:
-        got = tuple(vdot(root, ray) for ray in chamber.rays)
-        cache[root] = got
-    return got
+    """Coordinates of a covector in the chamber's basis, exactly.
+
+    The chamber's basis must consist of roots of `table` (InvalidTable otherwise).
+    """
+    frame = _frame(table, chamber)
+    covector = vec(root)
+    if len(covector) != table.rank:
+        raise InvalidTable(f"covector {covector} does not have rank {table.rank}")
+    ints, m = clear_denominators(covector)
+    den = m * frame.det
+    return tuple(Rat(table.scale * _dot(ints, col), den) for col in frame.cols)
 
 
 def chamber_from_point(table: RootSystemTable, x) -> Chamber:
@@ -282,67 +365,104 @@ def chamber_from_point(table: RootSystemTable, x) -> Chamber:
         raise InvalidTable(f"point {x} does not have rank {table.rank}")
     if isinstance(table.cone, Affine) and sign_at(table.cone.gamma, x) <= 0:
         raise OutsideCone(f"gamma({x}) <= 0")
-    positives = table.positive_on(x)  # raises OnHyperplane when not generic
-    basis = _extreme_basis(table.rank, positives)
-    return make_chamber(basis, x)
+    positives = _positive_lines(table, x)  # raises OnHyperplane when not generic
+    return _chamber(table, _extreme_basis(table, positives), x)
 
 
 def walls_and_root_basis(table: RootSystemTable, x) -> tuple:
     """The indexed root basis (irredundant positive constraints) at a generic x."""
     table.require_reduced()
-    x = vec(x)
-    return _extreme_basis(table.rank, table.positive_on(x))
+    return tuple(table.roots[k] for k in _extreme_basis(table, _positive_lines(table, vec(x))))
 
 
-def _extreme_basis(rank: int, positives: Sequence[tuple]) -> tuple:
+def _positive_lines(table: RootSystemTable, x: Vector) -> list:
+    """(line key, index of the line's root positive at x) per line, by key."""
+    if len(x) != table.rank:
+        raise InvalidTable(f"point {x} does not have rank {table.rank}")
+    xs, _ = clear_denominators(x)
+    out = []
+    for key, elems in sorted(table.lines.items()):
+        k = table.index[elems[0]]
+        s = _dot(table.int_roots[k], xs)
+        if s == 0:
+            raise OnHyperplane(elems[0], x)
+        out.append((key, k if s > 0 else table.index[vneg(elems[0])]))
+    return out
+
+
+def _kernel_line(rows: Sequence[tuple]) -> tuple | None:
+    """Primitive generator of the kernel of r-1 integer rows in Z^r, or None
+    when the kernel is not a line.
+
+    The signed maximal minors span the kernel when the rows are independent;
+    the generator is oriented with its last nonzero entry positive.
+    """
+    r = len(rows) + 1
+    gen = [
+        (-1) ** m * int_det([row[:m] + row[m + 1:] for row in rows])
+        for m in range(r)
+    ]
+    g = 0
+    last = 0
+    for v in gen:
+        if v:
+            g = gcd(g, v)
+            last = v
+    if not g:
+        return None
+    if last < 0:
+        g = -g
+    return tuple(v // g for v in gen)
+
+
+def _extreme_basis(table: RootSystemTable, positives: Sequence[tuple]) -> tuple:
     """Facet-defining representatives among positive constraints of a simplicial cone.
 
-    Rays are found as oriented nullspace lines of (rank-1)-subsets of the
-    constraint hyperplanes; the cone must have exactly `rank` of them, and each
-    wall is the unique constraint line vanishing on the other rank-1 rays.
+    `positives` holds (line key, root index) pairs.  Rays are found as oriented
+    kernel lines of (rank-1)-subsets of the constraint hyperplanes; the cone
+    must have exactly `rank` of them, and each wall is the unique constraint
+    line vanishing on the other rank-1 rays.  Returns root indices.
     """
+    rank = table.rank
     if len(positives) < rank:
         raise NotSimplicial(f"only {len(positives)} lines in rank {rank}")
-    keys = [k for k, _ in positives]
-    reps = [r for _, r in positives]
-    rays: list = []
-    seen: set = set()
     if rank == 1:
         if len(positives) != 1:
             raise NotSimplicial("rank-1 tables have a single hyperplane line")
-        return (reps[0],)
-    for subset in itertools.combinations(range(len(keys)), rank - 1):
-        rows = [keys[s] for s in subset]
-        kernel = nullspace(rows)
-        if len(kernel) != 1:
+        return (positives[0][1],)
+    keys = [tuple(int(c) for c in key) for key, _ in positives]
+    reps = [table.int_roots[k] for _, k in positives]
+    rays: list = []
+    seen: set = set()
+    for subset in itertools.combinations(keys, rank - 1):
+        gen = _kernel_line(subset)
+        if gen is None:
             continue
-        gen = primitive_ray(kernel[0])
-        signs = [sign_at(rep, gen) for rep in reps]
-        if all(s >= 0 for s in signs):
+        values = [_dot(rep, gen) for rep in reps]
+        if all(v >= 0 for v in values):
             ray = gen
-        elif all(s <= 0 for s in signs):
-            ray = vneg(gen)
+        elif all(v <= 0 for v in values):
+            ray = tuple(-c for c in gen)
         else:
             continue
         if ray not in seen:
             seen.add(ray)
             rays.append(ray)
-    if len(rays) != rank or mat_rank(rays) != rank:
+    if len(rays) != rank or int_det(rays) == 0:
         raise NotSimplicial(f"chamber has {len(rays)} extreme rays, expected {rank}")
     basis = []
     for m in range(rank):
-        others = [rays[t] for t in range(rank) if t != m]
-        wall = None
-        for key, rep in positives:
-            if all(vdot(key, d) == 0 for d in others):
-                wall = rep
-                break
+        others = rays[:m] + rays[m + 1:]
+        wall = next(
+            (k for key, (_, k) in zip(keys, positives) if all(_dot(key, d) == 0 for d in others)),
+            None,
+        )
         if wall is None:
             raise NotSimplicial("a facet of the chamber lies on no table hyperplane")
-        if vdot(wall, rays[m]) <= 0:
+        if _dot(table.int_roots[wall], rays[m]) <= 0:
             raise NotSimplicial("wall orientation inconsistent with chamber rays")
         basis.append(wall)
-    basis.sort(key=primitive_ray)
+    basis.sort(key=table.primitive.__getitem__)
     return tuple(basis)
 
 
@@ -367,72 +487,63 @@ def adjacent_chamber(table: RootSystemTable, chamber: Chamber, i: int, verify: b
     r = chamber.rank
     if not wall_is_crossable(table, chamber, i):
         raise WallOnBoundary(f"wall {i} of chamber {chamber.key} does not meet the cone")
-    alpha_i = chamber.basis[i]
-    neg_i = vneg(alpha_i)
-    if neg_i not in set(table.roots):
+    neg_i = vneg(chamber.basis[i])
+    if neg_i not in table.index:
         raise InvalidTable(f"missing negation {neg_i}")
     if r == 1:
-        return make_chamber((neg_i,), vneg(chamber.witness))
+        return _chamber(table, (table.index[neg_i],), vneg(chamber.witness))
 
-    # Classify table roots by their support in the chamber basis.
-    plane: dict[int, list] = {j: [] for j in range(r) if j != i}
-    axis: list = []
-    for root in table.roots:
-        coords = coords_in_chamber(table, chamber, root)
-        support = [k for k, c in enumerate(coords) if c != 0]
-        if support == [i]:
-            axis.append((coords[i], root))
-        elif len(support) == 1 and support[0] != i:
-            plane[support[0]].append((coords[i], coords[support[0]], root))
-        elif len(support) == 2 and i in support:
-            j = support[0] if support[1] == i else support[1]
-            plane[j].append((coords[i], coords[j], root))
-
-    new_basis = list(chamber.basis)
-    new_basis[i] = neg_i
-    for j, cands in plane.items():
-        # Positivity just across the facet: d > 0, or d = 0 with c < 0.
-        pos = [(c, d, root) for c, d, root in cands if d > 0] + [
-            (c, ZERO, root) for c, root in axis if c < 0
-        ]
-        best = None
-        for c, d, root in pos:
-            if d == 0:
-                continue  # the -alpha_i axis is the other extreme
-            if best is None or c * best[1] - best[0] * d > 0:
-                best = (c, d, root)
-        if best is None:
+    # In the plane of indices i and j, the roots positive just across the facet
+    # have coordinates (c, d) there with d > 0; the new wall j maximizes c/d.
+    frame = _frame(table, chamber)
+    best: dict = {}
+    for k, row in enumerate(frame.num):
+        support = [t for t, v in enumerate(row) if v and t != i]
+        if len(support) != 1:
+            continue
+        j = support[0]
+        c, d = row[i], row[j]
+        if d <= 0:
+            continue
+        got = best.get(j)
+        if got is None or c * got[1] > got[0] * d:
+            best[j] = (c, d, k)
+    index = list(frame.index)
+    index[i] = table.index[neg_i]
+    for j in range(r):
+        if j == i:
+            continue
+        if j not in best:
             raise NotSimplicial(f"no wall found in the plane of indices {i},{j}")
-        # best maximizes c/d: the extreme ray of the positive cone away from -alpha_i.
-        new_basis[j] = best[2]
-    new_chamber_basis = tuple(new_basis)
+        index[j] = best[j][2]
 
-    witness = _witness_across(table, chamber, i)
-    neighbor = make_chamber(new_chamber_basis, witness)
+    neighbor = _chamber(table, tuple(index), _witness_across(table, frame, i))
     if verify:
         _verify_chamber_basis(table, neighbor)
     return neighbor
 
 
-def _witness_across(table: RootSystemTable, chamber: Chamber, i: int) -> Vector:
-    """An interior point of the neighbor across wall i, found exactly."""
-    r = chamber.rank
-    if r == 1:
-        return vneg(chamber.witness)
-    facet_point = tuple(
-        sum((chamber.rays[j][k] for j in range(r) if j != i), start=ZERO) for k in range(r)
+def _witness_across(table: RootSystemTable, frame: IntegerFrame, i: int) -> Vector:
+    """An interior point of the neighbor across wall i, found exactly.
+
+    It is the facet point (the sum of the rays other than ray i) minus half
+    of the largest step eps along ray i that no root hyperplane interrupts:
+    eps is the least |root(facet point)| / |root(ray i)|, a ratio of numerators.
+    """
+    eps = None  # (p, q) for p / q
+    for row in frame.num:
+        q = abs(row[i])
+        p = abs(sum(row) - row[i])
+        if p and q and (eps is None or p * eps[1] < eps[0] * q):
+            eps = (p, q)
+    sp, sq = (eps[0], 2 * eps[1]) if eps is not None else (1, 1)
+    ray_i = frame.cols[i]
+    others = [col for j, col in enumerate(frame.cols) if j != i]
+    den = sq * frame.det
+    return tuple(
+        Rat(table.scale * (sq * sum(col[m] for col in others) - sp * ray_i[m]), den)
+        for m in range(len(ray_i))
     )
-    d_i = chamber.rays[i]
-    eps = None
-    for root in table.roots:
-        num = vdot(root, facet_point)
-        den = vdot(root, d_i)
-        if num != 0 and den != 0:
-            bound = abs(num) / abs(den)
-            if eps is None or bound < eps:
-                eps = bound
-    step = eps / 2 if eps is not None else ONE
-    return vsub(facet_point, vscale(step, d_i))
 
 
 def _verify_chamber_basis(table: RootSystemTable, chamber: Chamber) -> None:
@@ -441,14 +552,41 @@ def _verify_chamber_basis(table: RootSystemTable, chamber: Chamber) -> None:
     Together with the basis elements being table roots this pins the claimed
     simplicial cone to an actual chamber of the table's arrangement.
     """
-    for root in table.roots:
-        coords = coords_in_chamber(table, chamber, root)
-        if all(c == 0 for c in coords):
-            raise NotSimplicial(f"root {root} vanishes on the claimed chamber")
-        if not (all(c >= 0 for c in coords) or all(c <= 0 for c in coords)):
+    frame = _frame(table, chamber)
+    for k, row in enumerate(frame.num):
+        if not any(row):
+            raise NotSimplicial(f"root {table.roots[k]} vanishes on the claimed chamber")
+        if min(row) < 0 < max(row):
             raise NotSimplicial(
-                f"root {root} separates the claimed chamber {chamber.key}: coords {coords}"
+                f"root {table.roots[k]} separates the claimed chamber {chamber.key}: "
+                f"coords {frame.coords(k)}"
             )
+
+
+def _wall_coefficients(table: RootSystemTable, chamber: Chamber, neighbor: Chamber, i: int) -> tuple:
+    """The crossing of wall i as coefficients: c_j with neighbor.basis[j] =
+    c_j * a_i + a_j for j != i, and -2 at i.
+
+    The crystallographic rule: each c_j is a nonnegative integer, the a_j
+    coefficient is 1 and no other basis element appears.  Raises
+    NotCrystallographicAt with the offending relation otherwise.
+    """
+    frame = _frame(table, chamber)
+    det = frame.det
+    out = []
+    for j, k in enumerate(_frame(table, neighbor).index):
+        if j == i:
+            out.append(-2)
+            continue
+        row = frame.num[k]
+        c, d = row[i], row[j]
+        off_support = any(v for t, v in enumerate(row) if t != i and t != j)
+        if off_support or d != det or c % det or c < 0:
+            raise NotCrystallographicAt(
+                chamber.key, CoefficientWitness(i, j, table.roots[k], Rat(c, det), Rat(d, det))
+            )
+        out.append(c // det)
+    return tuple(out)
 
 
 def cartan_matrix_at(table: RootSystemTable, chamber: Chamber) -> ChamberCartanData:
@@ -458,32 +596,12 @@ def cartan_matrix_at(table: RootSystemTable, chamber: Chamber) -> ChamberCartanD
     coefficient is non-integral, negative, or the j-slot coefficient is not 1.
     """
     neighbors = []
-    rows = []
     coeff_rows = []
     for i in range(chamber.rank):
         neighbor = adjacent_chamber(table, chamber, i)
         neighbors.append(neighbor)
-        row = []
-        coeffs = []
-        for j in range(chamber.rank):
-            if j == i:
-                row.append(2)
-                coeffs.append(-2)
-                continue
-            beta = neighbor.basis[j]
-            coords = coords_in_chamber(table, chamber, beta)
-            c, d = coords[i], coords[j]
-            off_support = [k for k, v in enumerate(coords) if v != 0 and k not in (i, j)]
-            if off_support or d != 1 or c.denominator != 1 or c < 0:
-                raise NotCrystallographicAt(
-                    chamber.key, CoefficientWitness(i, j, beta, c, d)
-                )
-            c_int = int(c)
-            row.append(-c_int)
-            coeffs.append(c_int)
-        rows.append(tuple(row))
-        coeff_rows.append(tuple(coeffs))
-    matrix = GeneralizedCartanMatrix.from_rows(rows)
+        coeff_rows.append(_wall_coefficients(table, chamber, neighbor, i))
+    matrix = GeneralizedCartanMatrix.from_rows(tuple(-c for c in row) for row in coeff_rows)
     return ChamberCartanData(chamber, matrix, tuple(neighbors), tuple(coeff_rows))
 
 
@@ -521,22 +639,25 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
     """
     table.require_reduced()
     spherical = isinstance(table.cone, Spherical)
-    chambers = {seed.key: seed}
-    order = [seed.key]
-    edges: dict = {}
-    queue = deque([seed.key])
+    # Chambers are tracked by their sorted basis positions in the table: in a
+    # reduced table these identify the key, and ints hash far faster.
+    seed_id = _chamber_id(table, seed)
+    found = {seed_id: seed}
+    ids = [seed_id]
+    links: dict = {}  # (id, i) -> id
+    queue = deque([seed_id])
     budget_exceeded = False
     while queue:
-        if len(order) > budget:
+        if len(ids) > budget:
             budget_exceeded = True
             break
-        key = queue.popleft()
-        chamber = chambers[key]
+        cid = queue.popleft()
+        chamber = found[cid]
         expand = chamber_is_true(table, chamber)
         if expand is False:
             continue
         for i in range(chamber.rank):
-            if (key, i) in edges:
+            if (cid, i) in links:
                 continue
             if not wall_is_crossable(table, chamber, i):
                 continue
@@ -546,31 +667,28 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
                 if spherical:
                     raise
                 continue
-            nkey = neighbor.key
-            stored = chambers.get(nkey)
+            nid = _chamber_id(table, neighbor)
+            stored = found.get(nid)
             if stored is None:
-                chambers[nkey] = neighbor
-                order.append(nkey)
-                queue.append(nkey)
-                stored = neighbor
+                found[nid] = neighbor
+                ids.append(nid)
+                queue.append(nid)
             elif stored.basis != neighbor.basis:
                 raise NotSimplicial(
-                    f"chamber {nkey} reached with conflicting compatible indexings"
+                    f"chamber {neighbor.key} reached with conflicting compatible indexings"
                 )
-            edges[(key, i)] = nkey
-            edges[(nkey, i)] = key
-    true_chambers = {k for k in order if chamber_is_true(table, chambers[k])}
-    certified = set()
-    for k in true_chambers:
-        chamber = chambers[k]
-        ok = True
-        for i in range(chamber.rank):
-            nkey = edges.get((k, i))
-            if nkey is None or nkey not in true_chambers:
-                ok = False
-                break
-        if ok:
-            certified.add(k)
+            links[(cid, i)] = nid
+            links[(nid, i)] = cid
+    true_ids = {c for c in ids if chamber_is_true(table, found[c])}
+    certified_ids = {
+        c for c in true_ids if all(links.get((c, i)) in true_ids for i in range(table.rank))
+    }
+    keys = {c: found[c].key for c in ids}
+    order = [keys[c] for c in ids]
+    chambers = {keys[c]: found[c] for c in ids}
+    edges = {(keys[a], i): keys[b] for (a, i), b in links.items()}
+    true_chambers = {keys[c] for c in true_ids}
+    certified = {keys[c] for c in certified_ids}
     if isinstance(table.cone, Truncated):
         # Certification must come from the producing realization; without it no
         # chamber of a bare truncation can be trusted as interior.
@@ -658,13 +776,10 @@ def _checkable_keys(table: RootSystemTable, atlas: ChamberAtlas) -> set:
     return set(atlas.certified)
 
 
-def _root_scan_order(coords_of, roots):
-    """Scan roots smallest first: by l1-size of chamber coordinates, then lexicographically."""
-    def sort_key(root):
-        coords = coords_of(root)
-        return (sum(abs(c) for c in coords), coords)
-
-    return sorted(roots, key=sort_key)
+def _scan_order(frame: IntegerFrame, indices: list) -> list:
+    """Roots smallest first: by l1-size of chamber coordinates, then lexicographically."""
+    num = frame.num
+    return sorted(indices, key=lambda k: (sum(map(abs, num[k])), num[k]))
 
 
 def check_crystallographic(
@@ -681,20 +796,21 @@ def check_crystallographic(
         if key not in checked:
             continue
         chamber = atlas.chambers[key]
-        coords_of = lambda root: coords_in_chamber(table, chamber, root)
-        for root in _root_scan_order(coords_of, table.roots):
-            coords = coords_of(root)
-            kind = None
-            if not (all(c >= 0 for c in coords) or all(c <= 0 for c in coords)):
-                kind = "sign"
-            elif any(c.denominator != 1 for c in coords):
-                kind = "integrality"
-            if kind:
-                if all(c <= 0 for c in coords):
-                    root, coords = vneg(root), vneg(coords)
-                witnesses.append(IntegralityWitness(key, chamber.basis, root, coords, kind))
-                if len(witnesses) >= max_witnesses:
-                    break
+        frame = _frame(table, chamber)
+        det = frame.det
+        kinds = {}
+        for k, row in enumerate(frame.num):
+            if min(row) < 0 < max(row):
+                kinds[k] = "sign"
+            elif any(n % det for n in row):
+                kinds[k] = "integrality"
+        for k in _scan_order(frame, list(kinds)):
+            root, coords = table.roots[k], frame.coords(k)
+            if all(c <= 0 for c in coords):
+                root, coords = vneg(root), vneg(coords)
+            witnesses.append(IntegralityWitness(key, chamber.basis, root, coords, kinds[k]))
+            if len(witnesses) >= max_witnesses:
+                break
         if len(witnesses) >= max_witnesses:
             break
     return CheckReport(
@@ -733,16 +849,15 @@ def check_additive(
         if key not in checked:
             continue
         chamber = atlas.chambers[key]
-        positives = [r for r in table.roots if sign_at(r, chamber.witness) > 0]
-        positive_set = set(positives)
-        basis_set = set(chamber.basis)
-        coords_of = lambda root: coords_in_chamber(table, chamber, root)
-        for root in _root_scan_order(coords_of, positives):
-            if root in basis_set:
-                continue
-            if any(vsub(root, a) in positive_set for a in positives):
-                continue
-            witnesses.append(AdditiveWitness(key, chamber.basis, root, coords_of(root)))
+        frame = _frame(table, chamber)
+        witness, _ = clear_denominators(chamber.witness)
+        positives = [k for k, root in enumerate(table.int_roots) if _dot(root, witness) > 0]
+        ints = [table.int_roots[k] for k in positives]
+        sums = {tuple(map(add, a, b)) for a, b in itertools.combinations_with_replacement(ints, 2)}
+        basis_set = set(frame.index)
+        lonely = [k for k in positives if k not in basis_set and table.int_roots[k] not in sums]
+        for k in _scan_order(frame, lonely):
+            witnesses.append(AdditiveWitness(key, chamber.basis, table.roots[k], frame.coords(k)))
             if len(witnesses) >= max_witnesses:
                 break
         if len(witnesses) >= max_witnesses:
@@ -801,16 +916,15 @@ def extract_cartan_graph(
         chamber = atlas.chambers[key]
         matrices[key] = _matrix_from_atlas(table, atlas, key)
         chambers[key] = chamber
-        phi = []
-        for root in table.roots:
-            coords = coords_in_chamber(table, chamber, root)
-            if any(c.denominator != 1 for c in coords):
+        frame = _frame(table, chamber)
+        det = frame.det
+        for k, row in enumerate(frame.num):
+            if any(n % det for n in row):
                 raise NotCrystallographicAt(
                     key,
-                    IntegralityWitness(key, chamber.basis, root, coords, "integrality"),
+                    IntegralityWitness(key, chamber.basis, table.roots[k], frame.coords(k), "integrality"),
                 )
-            phi.append(tuple(int(c) for c in coords))
-        root_sets[key] = frozenset(phi)
+        root_sets[key] = frozenset(tuple(n // det for n in row) for row in frame.num)
     edges = {
         (a, i): b
         for (a, i), b in atlas.edges.items()
@@ -834,20 +948,8 @@ def _matrix_from_atlas(table: RootSystemTable, atlas: ChamberAtlas, key: tuple) 
         nkey = atlas.edges.get((key, i))
         if nkey is None:
             raise BudgetExceeded(f"wall {i} of chamber {key} was not crossed", partial=atlas)
-        neighbor = atlas.chambers[nkey]
-        row = []
-        for j in range(chamber.rank):
-            if j == i:
-                row.append(2)
-                continue
-            beta = neighbor.basis[j]
-            coords = coords_in_chamber(table, chamber, beta)
-            c, d = coords[i], coords[j]
-            off_support = [k for k, v in enumerate(coords) if v != 0 and k not in (i, j)]
-            if off_support or d != 1 or c.denominator != 1 or c < 0:
-                raise NotCrystallographicAt(key, CoefficientWitness(i, j, beta, c, d))
-            row.append(-int(c))
-        rows.append(tuple(row))
+        coeffs = _wall_coefficients(table, chamber, atlas.chambers[nkey], i)
+        rows.append(tuple(-c for c in coeffs))
     return GeneralizedCartanMatrix.from_rows(rows)
 
 

@@ -12,14 +12,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from ._rational import ONE, ZERO, Rat
+from ._rational import ONE, ZERO
 from .errors import (
     BudgetExceeded,
     InvalidCartanMatrix,
     NonSquare,
     NotSimplyConnected,
 )
-from .exactlin import primitive_ray
+from .exactlin import int_det, primitive_ray
 
 IntVec = tuple  # tuple of ints
 ObjectId = Hashable
@@ -117,20 +117,6 @@ def reflection_matrix(C: GeneralizedCartanMatrix, i: int) -> tuple[tuple[int, ..
 def int_mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)) for i in range(n))
-
-
-def int_mat_vec(a, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
-def int_det(a) -> int:
-    n = len(a)
-    rows = [[Rat(x) for x in row] for row in a]
-    from .exactlin import det
-
-    d = det(rows)
-    assert d.denominator == 1
-    return int(d)
 
 
 def identity_matrix(n: int):
@@ -309,9 +295,6 @@ class RealRootSet:
 
     def at(self, obj: ObjectId) -> frozenset:
         return self.roots[obj]
-
-    def positive_at(self, obj: ObjectId) -> frozenset:
-        return frozenset(v for v in self.roots[obj] if all(x >= 0 for x in v))
 
     def interior_objects(self) -> set:
         """Objects whose whole neighborhood was generated."""

@@ -124,42 +124,73 @@ def inverse(matrix: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(rows[i][n:]) for i in range(n))
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(k)), start=ZERO) for j in range(m))
-        for i in range(n)
-    )
+def int_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[Matrix | None, int]:
+    """Adjugate and determinant of a square integer matrix, fraction-free.
 
-
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> tuple:
-    return tuple(vdot(row, v) for row in a)
-
-
-def det(matrix: Sequence[Sequence]):
-    """Exact determinant by fraction elimination."""
+    Bareiss's integer-preserving Gauss-Jordan elimination of [M | I] ("Sylvester's
+    identity and multistep integer-preserving Gaussian elimination", Math. Comp.
+    22, 1968): every division is exact, so all entries stay plain ints and the
+    left block ends as d * I.  Returns (adj, det) with M . adj = det * I, and
+    (None, 0) when M is singular.
+    """
     n = len(matrix)
-    rows = [list(map(rat, row)) for row in matrix]
-    result = ONE
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if rows[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            result = -result
-        pv = rows[col][col]
-        result *= pv
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / pv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return result
+    rows = [[int(a) for a in row] + [int(j == i) for j in range(n)] for i, row in enumerate(matrix)]
+    prev = 1
+    sign = 1
+    for k in range(n):
+        p = next((t for t in range(k, n) if rows[t][k]), None)
+        if p is None:
+            return None, 0
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pv = pivot_row[k]
+        for t in range(n):
+            if t != k:
+                f = rows[t][k]
+                rows[t] = [(pv * a - f * b) // prev for a, b in zip(rows[t], pivot_row)]
+        prev = pv
+    return tuple(tuple(sign * a for a in row[n:]) for row in rows), sign * prev
+
+
+def int_det(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    rows = [list(row) for row in matrix]
+    n = len(rows)
+    prev = 1
+    sign = 1
+    for k in range(n - 1):
+        p = next((t for t in range(k, n) if rows[t][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pv = pivot_row[k]
+        for t in range(k + 1, n):
+            f = rows[t][k]
+            rows[t] = [(pv * a - f * b) // prev for a, b in zip(rows[t], pivot_row)]
+        prev = pv
+    return sign * rows[-1][-1] if rows else 1
+
+
+def denominator_lcm(values: Iterable) -> int:
+    """Least common multiple of the denominators of some rationals (1 for none)."""
+    out = 1
+    for a in values:
+        d = int(a.denominator)
+        out = out * d // gcd(out, d)
+    return out
+
+
+def clear_denominators(x: Iterable) -> tuple[IntVec, int]:
+    """(m * x, m) for m the least common denominator of the rationals x: the
+    least positive multiple of x with integer coordinates, as plain ints."""
+    x = tuple(x)
+    m = denominator_lcm(x)
+    return tuple(int(c.numerator) * (m // int(c.denominator)) for c in x), m
 
 
 def dual_basis(basis: Sequence[Covector]) -> list[Vector]:
@@ -186,12 +217,6 @@ def nullspace(rows: Sequence[tuple]) -> list[tuple]:
     return basis
 
 
-def nullspace_dim(rows: Sequence[tuple], ambient: int) -> int:
-    if not rows:
-        return ambient
-    return ambient - rank(rows)
-
-
 def primitive_normalize(alpha: Covector) -> Covector:
     """Hyperplane key: the positive multiple with coprime integer coordinates and
     first nonzero coordinate positive.  Identifies alpha up to sign and scale."""
@@ -209,14 +234,8 @@ def primitive_ray(alpha: Covector) -> Covector:
     coprime integer coordinates."""
     if all(a == 0 for a in alpha):
         raise ZeroCovector("cannot normalize the zero covector")
-    denom_lcm = 1
-    for a in alpha:
-        d = int(a.denominator)
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(a * denom_lcm) for a in alpha]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    ints, _ = clear_denominators(alpha)
+    g = gcd(*ints)
     return tuple(Rat(v // g) for v in ints)
 
 

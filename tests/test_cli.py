@@ -35,6 +35,14 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "no-such-file.json")
         assert code == 2
 
+    def test_zero_denominator_table(self, capsys, tmp_path):
+        path = tmp_path / "zero_den.json"
+        path.write_text(json.dumps({"rank": 2, "roots": [["3/0", "1"], ["-3/0", "-1"]]}))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert "zero denominator" in err
+        assert "Traceback" not in out + err
+
 
 class TestCheck:
     def test_rescaled_fails_with_witness(self, capsys):

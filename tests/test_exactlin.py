@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -13,6 +14,9 @@ from weylgpd._rational import rat
 from weylgpd.errors import SingularBasis, ZeroCovector
 from weylgpd.exactlin import (
     dual_basis,
+    int_adjugate,
+    int_det,
+    inverse,
     nullspace,
     primitive_normalize,
     primitive_ray,
@@ -153,3 +157,41 @@ class TestSpanAndKernel:
         for v in kernel:
             for row in rows:
                 assert vdot(row, v) == 0
+
+
+def _leibniz_det(matrix) -> int:
+    n = len(matrix)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= matrix[i][j]
+        total += term
+    return total
+
+
+class TestBareiss:
+    def test_examples(self):
+        assert int_adjugate(((2, 1), (7, 4))) == (((4, -1), (-7, 2)), 1)
+        assert int_det(((0, 1), (1, 0))) == -1
+        assert int_det(()) == 1
+        assert int_adjugate(((1, 2), (2, 4))) == (None, 0)
+
+    def test_matches_fraction_inverse_randomized(self):
+        rng = random.Random(1968)
+        done = 0
+        while done < 400:
+            n = rng.choice((1, 2, 3, 4, 5))
+            # Zeros are common so that pivoting (row swaps) is exercised.
+            matrix = tuple(tuple(rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)) for _ in range(n))
+            adj, det = int_adjugate(matrix)
+            assert det == _leibniz_det(matrix)
+            try:
+                inv = inverse([vec(row) for row in matrix])
+            except SingularBasis:
+                assert (adj, det) == (None, 0)
+                continue
+            done += 1
+            assert all(isinstance(a, int) for row in adj for a in row)
+            assert adj == tuple(tuple(det * a for a in row) for row in inv)

@@ -1,0 +1,125 @@
+"""The integer chamber kernel against recorded answers and the Fraction oracle."""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from weylgpd.arrangement import (
+    Chamber,
+    RootSystemTable,
+    adjacent_chamber,
+    cartan_matrix_at,
+    chamber_bfs,
+    coords_in_chamber,
+    default_seed_chamber,
+)
+from weylgpd.builtins import TABLE_NAMES, builtin_table
+from weylgpd.errors import InvalidTable, WeylgpdError
+from weylgpd.exactlin import primitive_ray, vec
+
+from _kernel_digest import table_digest
+from _oracles import gauss_solve
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "kernel_digest.json").read_text()
+)
+
+
+@pytest.mark.parametrize("name", TABLE_NAMES)
+def test_kernel_digest_matches_golden(name):
+    """Atlas, reports and extraction are the ones recorded before the integer kernel."""
+    assert table_digest(builtin_table(name)) == GOLDEN[name]
+
+
+def rescaled_lines(table: RootSystemTable, rng: random.Random) -> RootSystemTable:
+    """The table with each line {r, -r} scaled by its own positive rational."""
+    roots = []
+    for elems in table.lines.values():
+        s = F(rng.randint(1, 12), rng.randint(1, 12))
+        roots.extend(tuple(s * c for c in r) for r in elems)
+    return RootSystemTable(table.rank, roots, cone=table.cone, seed_hint=table.seed_hint)
+
+
+@pytest.mark.parametrize("name,seed,sampled", [("b3", 1, 48), ("b3", 2, 48), ("f4", 3, 24)])
+def test_rescaled_lines_keep_chambers_and_match_oracle(name, seed, sampled):
+    """Clearing mixed denominators changes no chamber, key or coordinate.
+
+    The rescaled tables are not crystallographic, so their chamber
+    coordinates are genuinely rational.
+    """
+    table = builtin_table(name)
+    rng = random.Random(seed)
+    scaled = rescaled_lines(table, rng)
+    assert scaled.scale > 1
+    atlas = chamber_bfs(table, default_seed_chamber(table), 10_000)
+    got = chamber_bfs(scaled, default_seed_chamber(scaled), 10_000)
+    assert got.order == atlas.order
+    assert got.edges == atlas.edges
+    assert got.certified == atlas.certified
+    for key in atlas.order:
+        chamber = got.chambers[key]
+        assert chamber.key == key
+        assert tuple(map(primitive_ray, chamber.basis)) == tuple(map(primitive_ray, atlas.chambers[key].basis))
+    for key in rng.sample(got.order, min(sampled, len(got.order))):
+        chamber = got.chambers[key]
+        for root in scaled.roots:
+            expected = gauss_solve(chamber.basis, root)
+            assert coords_in_chamber(scaled, chamber, root) == expected
+        off_table = vec((F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(scaled.rank)))
+        assert coords_in_chamber(scaled, chamber, off_table) == gauss_solve(chamber.basis, off_table)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the library error it raises."""
+    try:
+        return fn(*args)
+    except WeylgpdError as exc:
+        return type(exc), str(exc)
+
+
+def chamber_answers(table: RootSystemTable, chamber: Chamber) -> tuple:
+    """Everything the kernel says about one chamber: coordinates of every root,
+    each neighbor (basis, rays and witness) and the Cartan data."""
+    coords = [coords_in_chamber(table, chamber, root) for root in table.roots]
+    neighbors = [outcome(adjacent_chamber, table, chamber, i) for i in range(chamber.rank)]
+    data = outcome(cartan_matrix_at, table, chamber)
+    if not isinstance(data, tuple):
+        data = (data.chamber, data.matrix, data.neighbors, data.coefficients)
+    return coords, neighbors, data
+
+
+@pytest.mark.parametrize("name", ["b3", "aff-a1", "aff-a1-rescaled"])
+def test_chambers_without_their_tables_integer_data_agree(name):
+    """Frameless chambers, and chambers handed to an equal but rebuilt table,
+    get the same answers as the chambers the table itself produced."""
+    table = builtin_table(name)
+    rebuilt = RootSystemTable(table.rank, table.roots, cone=table.cone, seed_hint=table.seed_hint)
+    assert rebuilt == table and rebuilt is not table
+    atlas = chamber_bfs(table, default_seed_chamber(table), 64)
+    for key in atlas.order:
+        framed = atlas.chambers[key]
+        frameless = Chamber(framed.basis, framed.rays, framed.witness)
+        assert frameless.frame is None and frameless.key == key
+        expected = chamber_answers(table, framed)
+        assert chamber_answers(table, frameless) == expected
+        assert chamber_answers(rebuilt, framed) == expected
+        assert chamber_answers(rebuilt, frameless) == expected
+
+
+def test_chamber_basis_outside_the_table_is_rejected():
+    table = builtin_table("b3")
+    scaled = rescaled_lines(table, random.Random(4))
+    chamber = default_seed_chamber(scaled)
+    assert not all(table.contains(b) for b in chamber.basis)
+    for fn, args in [
+        (coords_in_chamber, (table, chamber, table.roots[0])),
+        (adjacent_chamber, (table, chamber, 0)),
+        (cartan_matrix_at, (table, chamber)),
+    ]:
+        with pytest.raises(InvalidTable):
+            fn(*args)
