@@ -275,12 +275,16 @@ def _chamber_id(table: RootSystemTable, chamber: Chamber) -> tuple:
     return tuple(sorted(_frame(table, chamber).index))
 
 
+def _frame_rays(frame: IntegerFrame) -> tuple:
+    """The chamber's rays, scale * A[:, j] / D: the basis dual to its roots."""
+    scale, det = frame.table.scale, frame.det
+    return tuple(tuple(Rat(scale * a, det) for a in col) for col in frame.cols)
+
+
 def _chamber(table: RootSystemTable, index: tuple, witness: Vector) -> Chamber:
     """The chamber on the table roots at `index`, with its rays and integer data."""
     frame = _frame_at(table, index)
-    scale, det = table.scale, frame.det
-    rays = tuple(tuple(Rat(scale * a, det) for a in col) for col in frame.cols)
-    return Chamber(tuple(table.roots[k] for k in index), rays, witness, frame)
+    return Chamber(tuple(table.roots[k] for k in index), _frame_rays(frame), witness, frame)
 
 
 @dataclass(frozen=True)
@@ -768,6 +772,15 @@ class CheckReport:
         }
 
 
+def _survey(table: RootSystemTable, seed: Chamber | None, budget: int) -> ChamberAtlas:
+    """The chamber atlas an analysis reads: BFS from `seed` (the default seed
+    chamber when None), with BudgetExceeded when the budget runs out."""
+    atlas = chamber_bfs(table, seed if seed is not None else default_seed_chamber(table), budget)
+    if atlas.budget_exceeded:
+        raise BudgetExceeded("chamber budget exhausted", partial=atlas)
+    return atlas
+
+
 def _checkable_keys(table: RootSystemTable, atlas: ChamberAtlas) -> set:
     """Chambers whose data is trustworthy: the certified set when certification
     is available, every visited chamber for bare truncated tables."""
@@ -782,20 +795,35 @@ def _scan_order(frame: IntegerFrame, indices: list) -> list:
     return sorted(indices, key=lambda k: (sum(map(abs, num[k])), num[k]))
 
 
-def check_crystallographic(
-    table: RootSystemTable, budget: int = 10_000, seed: Chamber | None = None, max_witnesses: int = 64
+def _report(
+    check: str, table: RootSystemTable, atlas: ChamberAtlas, chamber_witnesses, max_witnesses: int
 ) -> CheckReport:
-    """Integral, sign-coherent coordinates of every root at every certified chamber."""
-    seed = seed if seed is not None else default_seed_chamber(table)
-    atlas = chamber_bfs(table, seed, budget)
-    if atlas.budget_exceeded:
-        raise BudgetExceeded("chamber budget exhausted", partial=atlas)
-    witnesses: list[IntegralityWitness] = []
+    """The report of `chamber_witnesses(key, chamber)` over the checkable
+    chambers in BFS order, keeping the first max_witnesses witnesses; even
+    max_witnesses <= 0 keeps the first one, so a failure is never a pass."""
     checked = _checkable_keys(table, atlas)
-    for key in atlas.order:
-        if key not in checked:
-            continue
-        chamber = atlas.chambers[key]
+    found = (
+        witness
+        for key in atlas.order
+        if key in checked
+        for witness in chamber_witnesses(key, atlas.chambers[key])
+    )
+    witnesses = list(itertools.islice(found, max(max_witnesses, 1)))
+    return CheckReport(
+        check,
+        not witnesses,
+        tuple(witnesses),
+        len(atlas.order),
+        len(atlas.certified),
+        len(atlas.order) - len(checked),
+        False,
+    )
+
+
+def _crystallographic_report(table: RootSystemTable, atlas: ChamberAtlas, max_witnesses: int) -> CheckReport:
+    """The crystallographic check on an atlas already surveyed."""
+
+    def witnesses(key, chamber):
         frame = _frame(table, chamber)
         det = frame.det
         kinds = {}
@@ -808,20 +836,16 @@ def check_crystallographic(
             root, coords = table.roots[k], frame.coords(k)
             if all(c <= 0 for c in coords):
                 root, coords = vneg(root), vneg(coords)
-            witnesses.append(IntegralityWitness(key, chamber.basis, root, coords, kinds[k]))
-            if len(witnesses) >= max_witnesses:
-                break
-        if len(witnesses) >= max_witnesses:
-            break
-    return CheckReport(
-        "crystallographic",
-        not witnesses,
-        tuple(witnesses),
-        len(atlas.order),
-        len(atlas.certified),
-        len(atlas.order) - len(checked),
-        False,
-    )
+            yield IntegralityWitness(key, chamber.basis, root, coords, kinds[k])
+
+    return _report("crystallographic", table, atlas, witnesses, max_witnesses)
+
+
+def check_crystallographic(
+    table: RootSystemTable, budget: int = 10_000, seed: Chamber | None = None, max_witnesses: int = 64
+) -> CheckReport:
+    """Integral, sign-coherent coordinates of every root at every certified chamber."""
+    return _crystallographic_report(table, _survey(table, seed, budget), max_witnesses)
 
 
 @dataclass(frozen=True)
@@ -839,38 +863,19 @@ def check_additive(
     table: RootSystemTable, budget: int = 10_000, seed: Chamber | None = None, max_witnesses: int = 64
 ) -> CheckReport:
     """Every positive root is a basis element or a sum of two positive roots."""
-    seed = seed if seed is not None else default_seed_chamber(table)
-    atlas = chamber_bfs(table, seed, budget)
-    if atlas.budget_exceeded:
-        raise BudgetExceeded("chamber budget exhausted", partial=atlas)
-    witnesses: list[AdditiveWitness] = []
-    checked = _checkable_keys(table, atlas)
-    for key in atlas.order:
-        if key not in checked:
-            continue
-        chamber = atlas.chambers[key]
+
+    def witnesses(key, chamber):
         frame = _frame(table, chamber)
-        witness, _ = clear_denominators(chamber.witness)
-        positives = [k for k, root in enumerate(table.int_roots) if _dot(root, witness) > 0]
+        point, _ = clear_denominators(chamber.witness)
+        positives = [k for k, root in enumerate(table.int_roots) if _dot(root, point) > 0]
         ints = [table.int_roots[k] for k in positives]
         sums = {tuple(map(add, a, b)) for a, b in itertools.combinations_with_replacement(ints, 2)}
         basis_set = set(frame.index)
         lonely = [k for k in positives if k not in basis_set and table.int_roots[k] not in sums]
         for k in _scan_order(frame, lonely):
-            witnesses.append(AdditiveWitness(key, chamber.basis, table.roots[k], frame.coords(k)))
-            if len(witnesses) >= max_witnesses:
-                break
-        if len(witnesses) >= max_witnesses:
-            break
-    return CheckReport(
-        "additive",
-        not witnesses,
-        tuple(witnesses),
-        len(atlas.order),
-        len(atlas.certified),
-        len(atlas.order) - len(checked),
-        False,
-    )
+            yield AdditiveWitness(key, chamber.basis, table.roots[k], frame.coords(k))
+
+    return _report("additive", table, _survey(table, seed, budget), witnesses, max_witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -901,10 +906,7 @@ def extract_cartan_graph(
     interior); by default certified chambers are used when certification is
     available, else all visited chambers.
     """
-    seed = seed if seed is not None else default_seed_chamber(table)
-    atlas = chamber_bfs(table, seed, budget)
-    if atlas.budget_exceeded:
-        raise BudgetExceeded("chamber budget exhausted", partial=atlas)
+    atlas = _survey(table, seed, budget)
     if object_keys is None:
         object_keys = _checkable_keys(table, atlas)
     matrices = {}
@@ -935,7 +937,7 @@ def extract_cartan_graph(
         for key in matrices
         for i in range(table.rank)
     )
-    base = seed.key if seed.key in matrices else next(iter(matrices))
+    base = atlas.seed_key if atlas.seed_key in matrices else next(iter(matrices))
     graph = CartanGraph.explicit(matrices, edges, base, truncated=truncated)
     return ExtractionResult(graph, root_sets, chambers, atlas)
 
@@ -1028,10 +1030,7 @@ def check_k_spherical(
     if isinstance(table.cone, Spherical):
         return CheckReport("k-spherical", True, (), 0, 0, 0, False)
     gamma = table.cone.gamma
-    seed = seed if seed is not None else default_seed_chamber(table)
-    atlas = chamber_bfs(table, seed, budget)
-    if atlas.budget_exceeded:
-        raise BudgetExceeded("chamber budget exhausted", partial=atlas)
+    atlas = _survey(table, seed, budget)
     witnesses = []
     for key in atlas.order:
         if key not in atlas.true_chambers:

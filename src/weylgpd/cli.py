@@ -34,12 +34,12 @@ EXIT_BUDGET = 3
 
 def _default_budget() -> int:
     raw = os.environ.get("WEYLGPD_BUDGET", "").strip()
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return 10_000
+    if not raw:
+        return 10_000
+    try:
+        return max(0, int(raw))
+    except ValueError:
+        raise ParseError(f"WEYLGPD_BUDGET must be an integer, not {raw!r}") from None
 
 
 def _load_json(path: str):
@@ -69,8 +69,15 @@ def load_table(spec: str, depth: int) -> RootSystemTable:
     return jsonio.table_from_json(_load_json(spec))
 
 
-def _parse_covector(text: str) -> tuple:
-    return vec([part.strip() for part in text.split(",")])
+def _parse_covector(text: str, rank: int) -> tuple:
+    """Comma-separated rationals ("1/2,-1,0"), exactly `rank` of them."""
+    try:
+        covector = vec(part.strip() for part in text.split(","))
+    except ValueError as exc:
+        raise ParseError(f"malformed covector {text!r}: {exc}") from None
+    if len(covector) != rank:
+        raise ParseError(f"{text!r} has {len(covector)} entries; the table has rank {rank}")
+    return covector
 
 
 def _emit(payload, fmt: str, table_lines=None) -> None:
@@ -189,7 +196,7 @@ def cmd_restrict(args) -> int:
     table = load_table(args.input, args.depth)
     if not args.root:
         raise ParseError("at least one --root is required")
-    roots = [_parse_covector(r) for r in args.root]
+    roots = [_parse_covector(r, table.rank) for r in args.root]
     if len(roots) == 1:
         rst = restrict(table, roots[0])
     elif len(roots) == 2:
@@ -215,7 +222,7 @@ def cmd_restrict(args) -> int:
 
 def cmd_localize(args) -> int:
     table = load_table(args.input, args.depth)
-    point = _parse_covector(args.point)
+    point = _parse_covector(args.point, table.rank)
     loc = localize(table, point)
     payload = {
         "point": jsonio.covector_to_json(point),
@@ -292,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "table"), default="table")
     parser.add_argument("--depth", type=int, default=8, help="generation depth")
     parser.add_argument(
-        "--budget", type=int, default=_default_budget(), help="exploration budget"
+        "--budget", type=int, help="exploration budget (default: WEYLGPD_BUDGET, else 10000)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -346,6 +353,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.budget is None:
+            args.budget = _default_budget()
         return args.func(args)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)

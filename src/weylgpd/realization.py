@@ -17,6 +17,8 @@ from .arrangement import (
     RootSystemTable,
     Spherical,
     Truncated,
+    _frame_at,
+    _frame_rays,
     chamber_from_point,
     extract_cartan_graph,
 )
@@ -123,7 +125,6 @@ def realize(graph: CartanGraph, base: ObjectId | None = None, depth: int = 8) ->
             roots.add(vneg(beta))
     cone = Spherical() if closed else Truncated(depth)
 
-    rays = {obj: tuple(dual_basis(basis)) for obj, basis in bases.items()}
     certified = frozenset(
         obj
         for obj in order
@@ -133,21 +134,25 @@ def realize(graph: CartanGraph, base: ObjectId | None = None, depth: int = 8) ->
         rank,
         roots,
         cone=cone,
-        seed_hint=_interior_point(rays[base]),
+        # The base basis is the standard basis, which is its own dual.
+        seed_hint=_interior_point(bases[base]),
         certified_keys=frozenset(canon[obj] for obj in certified),
     )
+    # Each chamber's rays and root coordinates come from its integer frame.
+    rays = {}
     for obj, basis in bases.items():
-        for root in table.roots:
-            coords = [vdot(root, ray) for ray in rays[obj]]
-            if all(c == 0 for c in coords):
+        frame = _frame_at(table, tuple(table.index[b] for b in basis))
+        rays[obj] = _frame_rays(frame)
+        for k, (root, row) in enumerate(zip(table.roots, frame.num)):
+            if not any(row):
                 raise AxiomViolation(f"root {root} vanishes on chamber of {obj}")
-            if not (all(c >= 0 for c in coords) or all(c <= 0 for c in coords)):
+            if min(row) < 0 < max(row):
                 raise AxiomViolation(
-                    f"root {root} is not sign-coherent at {obj}: coords {coords}"
+                    f"root {root} is not sign-coherent at {obj}: coords {list(frame.coords(k))}"
                 )
-            if any(c.denominator != 1 for c in coords):
+            if any(n % frame.det for n in row):
                 raise AxiomViolation(
-                    f"root {root} has non-integral coordinates at {obj}: coords {coords}"
+                    f"root {root} has non-integral coordinates at {obj}: coords {list(frame.coords(k))}"
                 )
     gamma = _derive_affine_functional(rank, rays.values())
     return Realization(

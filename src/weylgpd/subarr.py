@@ -22,17 +22,19 @@ from .arrangement import (
     RootSystemTable,
     Spherical,
     Truncated,
+    _crystallographic_report,
+    _survey,
+    _wall_coefficients,
+    adjacent_chamber,
     cartan_matrix_at,
     chamber_from_point,
     check_crystallographic,
-    chamber_bfs,
     default_seed_chamber,
 )
 from .cartan import CartanGraph, GeneralizedCartanMatrix
 from .errors import (
     BudgetExceeded,
     InvalidTable,
-    NotCrystallographicAt,
     NotReducible,
     OnHyperplane,
     RootNotInSystem,
@@ -43,7 +45,6 @@ from .exactlin import (
     nullspace,
     primitive_normalize,
     primitive_ray,
-    sign_at,
     solve_in_span,
     vdot,
     vec,
@@ -154,10 +155,7 @@ def local_to_global_check(table: RootSystemTable, budget: int = 10_000) -> dict:
             "rank-2 tables admit locally-crystallographic non-crystallographic scalings;"
             " the local-to-global inference needs rank != 2"
         )
-    seed = default_seed_chamber(table)
-    atlas = chamber_bfs(table, seed, budget)
-    if atlas.budget_exceeded:
-        raise BudgetExceeded("chamber budget exhausted", partial=atlas)
+    atlas = _survey(table, None, budget)
     local_witnesses = []
     points_checked = 0
     keys = atlas.certified if not isinstance(table.cone, Truncated) else set(atlas.order)
@@ -177,7 +175,7 @@ def local_to_global_check(table: RootSystemTable, budget: int = 10_000) -> dict:
             points_checked += 1
             report = check_localization_crystallographic(loc, chamber)
             local_witnesses.extend(report.witnesses)
-    global_report = check_crystallographic(table, budget, seed=seed)
+    global_report = _crystallographic_report(table, atlas, max_witnesses=64)
     locally_ok = not local_witnesses
     consistent = (not locally_ok) or global_report.passed
     return {
@@ -443,67 +441,29 @@ def _direction_with_value(alpha0) -> tuple:
 # Rank-2 identification
 
 
-def _cyclic_rays(table: RootSystemTable) -> list:
-    rays = set()
-    for key in table.lines:
-        a, b = key
-        gen = primitive_ray((-b, a))
-        rays.add(gen)
-        rays.add(vneg(gen))
-
-    def half(u) -> int:
-        x, y = u
-        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-    def cmp(u, v) -> int:
-        hu, hv = half(u), half(v)
-        if hu != hv:
-            return -1 if hu < hv else 1
-        cross = u[0] * v[1] - u[1] * v[0]
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(rays, key=functools.cmp_to_key(cmp))
-
-
 def fan_edge_sequence(table: RootSystemTable) -> tuple[int, ...]:
-    """Crossing coefficients read cyclically around a reduced rank-2 fan."""
+    """Crossing coefficients read cyclically around a reduced rank-2 fan.
+
+    The reading starts at the default seed chamber and crosses walls 0, 1,
+    0, 1, ... once around the fan; entry k is the coefficient c of the k-th
+    crossing, beta_j = c * alpha_i + alpha_j.  Another start or direction
+    gives a rotation or reversal of the same cycle.
+    """
     if table.rank != 2:
         raise Unsupported("fan signatures are defined for rank-2 tables")
     if not isinstance(table.cone, Spherical):
         raise Unsupported("fan signatures need a spherical table")
     table.require_reduced()
-    rays = _cyclic_rays(table)
-    n = len(rays)
-
-    def wall_root(ray, point) -> tuple:
-        for key, elems in table.lines.items():
-            if vdot(key, ray) == 0:
-                rep = elems[0] if sign_at(elems[0], point) > 0 else vneg(elems[0])
-                return rep
-        raise InvalidTable(f"no table line vanishes on ray {ray}")
-
+    seed = chamber = default_seed_chamber(table)
     seq = []
-    for k in range(n):
-        r_prev, r_mid, r_next = rays[k], rays[(k + 1) % n], rays[(k + 2) % n]
-        inside_k = vadd(r_prev, r_mid)
-        inside_k1 = vadd(r_mid, r_next)
-        alpha = wall_root(r_mid, inside_k)  # crossed wall
-        beta = wall_root(r_prev, inside_k)  # kept wall of sector k
-        delta = wall_root(r_next, inside_k1)  # new wall of sector k+1
-        coeffs = solve_in_span((alpha, beta), delta)
-        if coeffs is None:
-            raise InvalidTable("fan walls do not span")
-        c, d = coeffs
-        if d != 1 or c.denominator != 1 or c < 0:
-            raise NotCrystallographicAt(
-                ("fan-sector", k), f"{delta} = ({c})*{alpha} + ({d})*{beta}"
-            )
-        seq.append(int(c))
-    return tuple(seq)
+    for step in range(len(table.roots)):
+        i = step % 2
+        neighbor = adjacent_chamber(table, chamber, i)
+        seq.append(_wall_coefficients(table, chamber, neighbor, i)[1 - i])
+        chamber = neighbor
+        if chamber.key == seed.key:
+            return tuple(seq)
+    raise InvalidTable(f"the fan does not close after {len(table.roots)} crossings")
 
 
 def canonical_cycle(seq: Sequence[int]) -> tuple[int, ...]:

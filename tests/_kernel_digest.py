@@ -3,9 +3,12 @@
 For each builtin table it records, per section, a SHA-256 of a canonical JSON
 rendering: the chamber atlas (BFS order, bases, rays, witnesses, edges, true
 and certified keys), the crystallographic and additive reports, and the
-extracted Cartan graph (matrices, edges, root sets).  An analysis that raises
-is recorded by its exception type and message.  `tests/test_kernel.py`
-recomputes the digest and compares it with `tests/golden/kernel_digest.json`.
+extracted Cartan graph (matrices, edges, root sets).  Three more sections
+cover the analyses built on the kernel: `realize` of every builtin graph at
+depth 8, the canonical signatures of the six F4 double restrictions, and
+`local_to_global_check` on a3 and b3.  An analysis that raises is recorded by
+its exception type and message.  `tests/test_kernel.py` recomputes the digest
+and compares it with `tests/golden/kernel_digest.json`.
 
 Regenerate the golden file only when an answer is meant to change:
 
@@ -25,8 +28,20 @@ from weylgpd.arrangement import (
     default_seed_chamber,
     extract_cartan_graph,
 )
-from weylgpd.builtins import TABLE_NAMES, builtin_table
+from weylgpd.builtins import (
+    BUILTIN_GCMS,
+    F4_SIMPLE_ROOTS,
+    TABLE_NAMES,
+    builtin_graph,
+    builtin_table,
+    f4_table,
+)
 from weylgpd.errors import WeylgpdError
+from weylgpd.realization import realize
+from weylgpd.subarr import canonical_cycle, double_restriction, fan_edge_sequence, local_to_global_check
+
+F4_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+LOCAL_TO_GLOBAL_TABLES = ("a3", "b3")
 
 
 def _strs(vectors) -> list:
@@ -90,8 +105,56 @@ def table_digest(table) -> dict:
     return out
 
 
+def realize_digest(name: str, depth: int = 8) -> str:
+    """SHA-256 of everything `realize` returns for a builtin graph."""
+
+    def payload():
+        re = realize(builtin_graph(name), depth=depth)
+        objects = [str(obj) for obj in re.order]
+        return {
+            "order": objects,
+            "bases": [_strs(re.bases[obj]) for obj in re.order],
+            "rays": [_strs(re.rays[obj]) for obj in re.order],
+            "canon": [_strs(re.canon[obj]) for obj in re.order],
+            "edges": sorted([str(a), i, str(b)] for (a, i), b in re.edges.items()),
+            "roots": _strs(re.table.roots),
+            "cone": re.table.cone.to_json(),
+            "seed_hint": [str(c) for c in re.table.seed_hint],
+            "certified": sorted(str(obj) for obj in re.certified),
+            "certified_keys": sorted(_strs(key) for key in re.table.certified_keys),
+            "gamma": None if re.gamma is None else [str(c) for c in re.gamma],
+            "complete": re.complete,
+        }
+
+    return _sha(_guarded(payload))
+
+
+def f4_signatures() -> dict:
+    """Canonical fan signature of each double restriction of F4 by two simple roots."""
+    table = f4_table()
+    out = {}
+    for i, j in F4_PAIRS:
+        rst = double_restriction(table, F4_SIMPLE_ROOTS[i - 1], F4_SIMPLE_ROOTS[j - 1])
+        out[f"pi_{i}{j}"] = list(canonical_cycle(fan_edge_sequence(rst.reduced_table)))
+    return out
+
+
+def local_to_global_digest(name: str) -> dict:
+    result = local_to_global_check(builtin_table(name))
+    return {
+        "points_checked": result["points_checked"],
+        "local_passed": result["local_passed"],
+        "global_passed": result["global_passed"],
+        "global_report": _sha(result["global_report"].to_json()),
+    }
+
+
 def kernel_digest(names=TABLE_NAMES) -> dict:
-    return {name: table_digest(builtin_table(name)) for name in names}
+    out = {name: table_digest(builtin_table(name)) for name in names}
+    out["realize"] = {name: realize_digest(name) for name in BUILTIN_GCMS}
+    out["f4-demo"] = f4_signatures()
+    out["local-to-global"] = {name: local_to_global_digest(name) for name in LOCAL_TO_GLOBAL_TABLES}
+    return out
 
 
 if __name__ == "__main__":

@@ -175,6 +175,16 @@ class TestChecks:
         assert coeff_of[vec((2, 4))] == Rat(1, 2)
         assert coeff_of[vec((0, -1))] == 2
 
+    @pytest.mark.parametrize("max_witnesses", [1, 0, -3])
+    def test_witness_cap_keeps_the_first_witness(self, max_witnesses):
+        # A capped report still fails: the first witness is kept even when the
+        # cap is zero or negative.
+        full = check_crystallographic(affine_a1_table(8, rescaled=True))
+        report = check_crystallographic(affine_a1_table(8, rescaled=True), max_witnesses=max_witnesses)
+        assert len(full.witnesses) > 1
+        assert not report.passed
+        assert report.witnesses == full.witnesses[:1]
+
     def test_a2_additive(self):
         report = check_additive(a2_table())
         assert report.passed

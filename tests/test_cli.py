@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from weylgpd.cli import main
 
 
@@ -42,6 +46,50 @@ class TestValidate:
         assert code == 2
         assert "zero denominator" in err
         assert "Traceback" not in out + err
+
+
+class TestCovectorInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("restrict", "f4", "--root", "1.5,0,0,0"),
+            ("restrict", "f4", "--root", "0,0,1,-1", "--root", "1,2"),
+            ("localize", "a2", "--point", "1,2,3"),
+            ("localize", "a2", "--point", "1,x"),
+            ("localize", "f4", "--point", "1/0,0,0,0"),
+        ],
+    )
+    def test_bad_covector_is_an_input_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert "Traceback" not in out + err
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.text(max_size=24), command=st.sampled_from(["restrict", "localize"]))
+    def test_arbitrary_text_keeps_the_exit_code_contract(self, capsys, text, command):
+        option = "--root" if command == "restrict" else "--point"
+        try:
+            code = main([command, "a2", f"{option}={text}"])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in captured.out + captured.err
+
+
+class TestBudgetVariable:
+    def test_malformed_budget_is_an_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("WEYLGPD_BUDGET", "abc")
+        code, out, err = run(capsys, "check", "b3", "--property", "cryst")
+        assert code == 2
+        assert err.startswith("input error:") and "WEYLGPD_BUDGET" in err
+        assert err.count("\n") == 1 and out == ""
+
+    def test_budget_variable_sets_the_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("WEYLGPD_BUDGET", "3")
+        code, _, err = run(capsys, "check", "b3", "--property", "cryst")
+        assert code == 3 and "budget exceeded" in err
 
 
 class TestCheck:
@@ -104,6 +152,14 @@ class TestPipelines:
         )
         assert code == 0
         assert "restricted rank: 2" in out
+
+    def test_identify_rank2_non_crystallographic_table(self, capsys, tmp_path):
+        path = tmp_path / "a2_doubled_line.json"
+        path.write_text(json.dumps({"rank": 2, "roots": [[1, 0], [-1, 0], [0, 1], [0, -1], [2, 2], [-2, -2]]}))
+        code, out, err = run(capsys, "identify-rank2", str(path))
+        assert code == 1
+        assert "check failed" in err
+        assert "Traceback" not in out + err
 
     def test_identify_rank2_builtin(self, capsys):
         code, out, _ = run(capsys, "identify-rank2", "b2")

@@ -18,11 +18,17 @@ from weylgpd.arrangement import (
     coords_in_chamber,
     default_seed_chamber,
 )
-from weylgpd.builtins import TABLE_NAMES, builtin_table
+from weylgpd.builtins import BUILTIN_GCMS, TABLE_NAMES, builtin_table
 from weylgpd.errors import InvalidTable, WeylgpdError
 from weylgpd.exactlin import primitive_ray, vec
 
-from _kernel_digest import table_digest
+from _kernel_digest import (
+    LOCAL_TO_GLOBAL_TABLES,
+    f4_signatures,
+    local_to_global_digest,
+    realize_digest,
+    table_digest,
+)
 from _oracles import gauss_solve
 
 GOLDEN = json.loads(
@@ -34,6 +40,21 @@ GOLDEN = json.loads(
 def test_kernel_digest_matches_golden(name):
     """Atlas, reports and extraction are the ones recorded before the integer kernel."""
     assert table_digest(builtin_table(name)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GCMS))
+def test_realize_digest_matches_golden(name):
+    """Everything realize returns at depth 8 is the recorded answer."""
+    assert realize_digest(name) == GOLDEN["realize"][name]
+
+
+def test_f4_double_restriction_signatures_match_golden():
+    assert f4_signatures() == GOLDEN["f4-demo"]
+
+
+@pytest.mark.parametrize("name", LOCAL_TO_GLOBAL_TABLES)
+def test_local_to_global_matches_golden(name):
+    assert local_to_global_digest(name) == GOLDEN["local-to-global"][name]
 
 
 def rescaled_lines(table: RootSystemTable, rng: random.Random) -> RootSystemTable:

@@ -8,7 +8,7 @@ import pytest
 
 from weylgpd.builtins import builtin_graph
 from weylgpd.cartan import CartanGraph, GeneralizedCartanMatrix
-from weylgpd.errors import NotSimplyConnected
+from weylgpd.errors import AxiomViolation, NotSimplyConnected
 from weylgpd.exactlin import vec, vneg
 from weylgpd.realization import (
     adjacency_equivalences_test,
@@ -53,6 +53,14 @@ class TestRealize:
             expected.add(frozenset(b_neg(n)))
         assert found == expected
         assert re.gamma == gamma
+
+    def test_sign_incoherent_root_is_an_axiom_violation(self):
+        # (1,1,1,1,1,2) is no quiddity cycle: at depth 2 a realized root has
+        # mixed signs at object 2.
+        from weylgpd.subarr import rank2_graph_from_edge_sequence
+
+        with pytest.raises(AxiomViolation, match="not sign-coherent at 2"):
+            realize(rank2_graph_from_edge_sequence((1, 1, 1, 1, 1, 2)), depth=2)
 
     def test_not_simply_connected_detected(self):
         gcm = GeneralizedCartanMatrix.from_rows([[2, -1], [-1, 2]])

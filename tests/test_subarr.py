@@ -10,13 +10,14 @@ import pytest
 
 from weylgpd._rational import rat
 from weylgpd.arrangement import (
+    CoefficientWitness,
     RootSystemTable,
     chamber_bfs,
     chamber_from_point,
     default_seed_chamber,
 )
 from weylgpd.builtins import F4_SIMPLE_ROOTS, affine_a1_table, builtin_table, f4_table
-from weylgpd.errors import NotReducible, RootNotInSystem, Unsupported
+from weylgpd.errors import NotCrystallographicAt, NotReducible, RootNotInSystem, Unsupported
 from weylgpd.exactlin import primitive_normalize, primitive_ray, vec, vneg
 from weylgpd.realization import realize
 from weylgpd.subarr import (
@@ -308,6 +309,19 @@ class TestIdentifyRank2:
         two = double_restriction(table, F4_SIMPLE_ROOTS[0], F4_SIMPLE_ROOTS[2])
         assert identify_rank2(one.reduced_table).label == identify_rank2(two.reduced_table).label
 
+    def test_non_crystallographic_fan_names_its_chamber(self):
+        # +-(2,2) makes the lines of A2 non-crystallographic: some crossing has
+        # the coefficient 1/2.
+        table = RootSystemTable(2, [(1, 0), (-1, 0), (0, 1), (0, -1), (2, 2), (-2, -2)])
+        assert table.reduced
+        with pytest.raises(NotCrystallographicAt) as err:
+            fan_edge_sequence(table)
+        atlas = chamber_bfs(table, default_seed_chamber(table), 100)
+        assert err.value.chamber_id in atlas.chambers
+        witness = err.value.witness
+        assert isinstance(witness, CoefficientWitness)
+        assert rat("1/2") in (witness.c, witness.d)
+
     def test_canonical_cycle(self):
         assert canonical_cycle((2, 1, 3)) == canonical_cycle((3, 2, 1)) == canonical_cycle((1, 2, 3))
         assert canonical_cycle((1, 2, 2)) == (1, 2, 2)
@@ -317,7 +331,10 @@ class TestIdentifyRank2:
         graph = rank2_graph_from_edge_sequence(seq)
         re = realize(graph, depth=16)
         assert re.complete
-        assert canonical_cycle(fan_edge_sequence(re.table)) == canonical_cycle(seq)
+        raw = fan_edge_sequence(re.table)
+        assert canonical_cycle(raw) == canonical_cycle(seq)
+        rotations = {seq[s:] + seq[:s] for s in range(len(seq))}
+        assert raw in rotations | {tuple(reversed(r)) for r in rotations}
 
 
 class TestResidueCorrespondence:
