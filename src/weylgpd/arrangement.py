@@ -937,6 +937,8 @@ def extract_cartan_graph(
         for key in matrices
         for i in range(table.rank)
     )
+    if not matrices:
+        raise BudgetExceeded("no certified chamber to extract", partial=atlas)
     base = atlas.seed_key if atlas.seed_key in matrices else next(iter(matrices))
     graph = CartanGraph.explicit(matrices, edges, base, truncated=truncated)
     return ExtractionResult(graph, root_sets, chambers, atlas)

@@ -19,6 +19,7 @@ from .arrangement import (
     check_crystallographic,
     check_k_spherical,
     extract_cartan_graph,
+    is_nondegenerate,
 )
 from .cartan import CartanGraph, generate_real_roots, validate_gcm
 from .errors import BudgetExceeded, ParseError, WeylgpdError
@@ -59,14 +60,33 @@ def load_graph(spec: str, depth: int) -> CartanGraph:
     if isinstance(data, list):  # bare matrix: the standard graph
         from .cartan import GeneralizedCartanMatrix
 
-        return CartanGraph.standard(GeneralizedCartanMatrix.from_rows(data))
+        return CartanGraph.standard(GeneralizedCartanMatrix.from_rows(_matrix_rows(data)))
     return jsonio.graph_from_json(data)
+
+
+def _matrix_rows(data: list) -> tuple:
+    """The integer rows of a bare matrix JSON; an empty matrix is bad input."""
+    try:
+        rows = tuple(tuple(int(x) for x in row) for row in data)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed matrix JSON: {exc}") from None
+    if not rows:
+        raise ParseError("the matrix is empty")
+    return rows
 
 
 def load_table(spec: str, depth: int) -> RootSystemTable:
     if spec in builtin_data.TABLE_NAMES:
         return builtin_data.builtin_table(spec, depth)
     return jsonio.table_from_json(_load_json(spec))
+
+
+def _load_spanning_table(spec: str, depth: int) -> RootSystemTable:
+    """A table for a chamber survey: its roots must span, or it has no chambers."""
+    table = load_table(spec, depth)
+    if not is_nondegenerate(table):
+        raise ParseError(f"the roots of {spec} do not span Q^{table.rank}; the table has no chambers")
+    return table
 
 
 def _parse_covector(text: str, rank: int) -> tuple:
@@ -112,7 +132,7 @@ def cmd_validate(args) -> int:
     else:
         data = _load_json(args.input)
     if isinstance(data, list):
-        report = validate_gcm(data)
+        report = validate_gcm(_matrix_rows(data))
         payload = {
             "kind": "gcm",
             "valid": report.valid,
@@ -175,12 +195,14 @@ def cmd_realize(args) -> int:
 
 
 def cmd_check(args) -> int:
-    table = load_table(args.input, args.depth)
     if args.property == "cryst":
-        report = check_crystallographic(table, args.budget)
+        report = check_crystallographic(_load_spanning_table(args.input, args.depth), args.budget)
     elif args.property == "additive":
-        report = check_additive(table, args.budget)
+        report = check_additive(_load_spanning_table(args.input, args.depth), args.budget)
     elif args.property == "k-spherical":
+        table = load_table(args.input, args.depth)
+        if not 0 <= args.k <= table.rank:
+            raise ParseError(f"--k must be between 0 and the rank {table.rank}, not {args.k}")
         report = check_k_spherical(table, args.k, args.budget)
     else:
         raise ParseError(f"unknown property {args.property!r}")
@@ -237,7 +259,7 @@ def cmd_localize(args) -> int:
 
 
 def cmd_extract_graph(args) -> int:
-    table = load_table(args.input, args.depth)
+    table = _load_spanning_table(args.input, args.depth)
     result = extract_cartan_graph(table, budget=args.budget)
     payload = jsonio.graph_to_json(result.graph)
     lines = [f"objects: {len(result.graph.objects)}"]
@@ -263,7 +285,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_identify_rank2(args) -> int:
-    table = load_table(args.input, args.depth)
+    table = _load_spanning_table(args.input, args.depth)
     result = identify_rank2(table)
     payload = {"label": result.label, "signature": list(result.signature)}
     _emit(payload, args.format, [f"label: {result.label or 'unclassified'}  signature: {result.signature}"])
@@ -355,6 +377,8 @@ def main(argv=None) -> int:
     try:
         if args.budget is None:
             args.budget = _default_budget()
+        if args.depth < 0:
+            raise ParseError(f"--depth must be >= 0, not {args.depth}")
         return args.func(args)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)

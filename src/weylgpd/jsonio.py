@@ -43,6 +43,8 @@ def table_to_json(table: RootSystemTable) -> dict:
 def table_from_json(data: dict) -> RootSystemTable:
     try:
         rank = int(data["rank"])
+        if rank < 1:
+            raise ParseError(f"table rank must be positive, not {rank}")
         cone_data = data.get("cone", "spherical")
         if cone_data == "spherical":
             cone = Spherical()
@@ -99,9 +101,15 @@ def graph_from_json(data: dict) -> CartanGraph:
         }
         edges = {(e["from"], int(e["i"])): e["to"] for e in data["edges"]}
         base = data.get("base") or data["objects"][0]["id"]
-        return CartanGraph.explicit(matrices, edges, base, truncated=bool(data.get("truncated")))
+        graph = CartanGraph.explicit(matrices, edges, base, truncated=bool(data.get("truncated")))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"malformed graph JSON: {exc}") from exc
+    if graph.rank < 1:
+        raise ParseError("a Cartan graph needs rank >= 1")
+    for _, i in edges:
+        if not 0 <= i < graph.rank:
+            raise ParseError(f"edge label {i} is outside 0..{graph.rank - 1}")
+    return graph
 
 
 def realization_to_json(re: Realization) -> dict:

@@ -19,8 +19,8 @@ from .arrangement import (
     Truncated,
     _frame_at,
     _frame_rays,
-    chamber_from_point,
     extract_cartan_graph,
+    separating_keys,
 )
 from .cartan import (
     CartanGraph,
@@ -36,6 +36,7 @@ from .errors import (
 )
 from .exactlin import (
     dual_basis,
+    primitive_normalize,
     primitive_ray,
     solve_unique,
     vdot,
@@ -91,16 +92,11 @@ def realize(graph: CartanGraph, base: ObjectId | None = None, depth: int = 8) ->
     order = sorted(dist, key=lambda o: (dist[o], str(o)))
     bases: dict = {base: standard_dual_basis(rank)}
     for obj in order:
-        if obj not in bases:
-            continue
         for i in range(rank):
             nxt = edges.get((obj, i))
             if nxt is None or nxt in bases or dist[nxt] != dist[obj] + 1:
                 continue
             bases[nxt] = apply_reflection_to_basis(bases[obj], graph.matrix(obj), i)
-    missing = [o for o in order if o not in bases]
-    if missing:
-        raise AxiomViolation(f"objects unreachable by tree edges: {missing[:3]}")
     # Every non-tree edge must reproduce the stored basis: loops act trivially.
     for (obj, i), nxt in edges.items():
         expect = apply_reflection_to_basis(bases[obj], graph.matrix(obj), i)
@@ -200,23 +196,9 @@ class SeparatingSet:
         return len(self.keys)
 
 
-def side_of(re: Realization, obj: ObjectId, root) -> int:
-    """+1/-1 side of the chamber K^obj relative to a realized root's hyperplane."""
-    coords = [vdot(root, ray) for ray in re.rays[obj]]
-    if all(c >= 0 for c in coords) and any(c > 0 for c in coords):
-        return 1
-    if all(c <= 0 for c in coords) and any(c < 0 for c in coords):
-        return -1
-    raise AxiomViolation(f"root {root} is not sign-coherent at {obj}")
-
-
 def separating_set(re: Realization, b: ObjectId, b2: ObjectId) -> SeparatingSet:
     """Hyperplanes with the two chambers on opposite sides."""
-    keys = set()
-    for key in re.table.lines:
-        rep = re.table.lines[key][0]
-        if side_of(re, b, rep) != side_of(re, b2, rep):
-            keys.add(key)
+    keys = separating_keys(re.table, re.chamber_of(b), re.chamber_of(b2))
     return SeparatingSet((b, b2), frozenset(keys))
 
 
@@ -297,14 +279,8 @@ def adjacency_equivalences_test(
         sandwich = False
 
     sep = separating_set(re, b, b2)
-    separating_singleton = sep.keys == {_line_key(wall)}
+    separating_singleton = sep.keys == {primitive_normalize(wall)}
     return AdjacencyEquivalence(i_adjacent, rho_matches, sandwich, separating_singleton)
-
-
-def _line_key(covector):
-    from .exactlin import primitive_normalize
-
-    return primitive_normalize(covector)
 
 
 @dataclass(frozen=True)
@@ -425,10 +401,9 @@ def roundtrip_check(
     needed.  Comparison is restricted to the certified interior.
     """
     re = realize(graph, base, depth)
-    table = re.table
-    seed = chamber_from_point(table, _interior_point(re.rays[re.base]))
     wanted = {re.canon[obj] for obj in re.certified}
-    extraction = extract_cartan_graph(table, seed, budget, object_keys=wanted)
+    # The table's seed hint is the interior point of the base object's chamber.
+    extraction = extract_cartan_graph(re.table, None, budget, object_keys=wanted)
     mismatches = []
 
     base_chamber = extraction.chambers.get(re.canon[re.base])

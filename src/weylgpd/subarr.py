@@ -22,6 +22,7 @@ from .arrangement import (
     RootSystemTable,
     Spherical,
     Truncated,
+    _checkable_keys,
     _crystallographic_report,
     _survey,
     _wall_coefficients,
@@ -37,6 +38,7 @@ from .errors import (
     InvalidTable,
     NotReducible,
     OnHyperplane,
+    OutsideCone,
     RootNotInSystem,
     Unsupported,
 )
@@ -158,7 +160,7 @@ def local_to_global_check(table: RootSystemTable, budget: int = 10_000) -> dict:
     atlas = _survey(table, None, budget)
     local_witnesses = []
     points_checked = 0
-    keys = atlas.certified if not isinstance(table.cone, Truncated) else set(atlas.order)
+    keys = _checkable_keys(table, atlas)  # the chambers the global report reads
     seen_points = set()
     for key in atlas.order:
         if key not in keys:
@@ -263,8 +265,10 @@ def restrict(table: RootSystemTable, alpha0) -> Restriction:
         projected[image] = None
     kept = []
     dropped = []
+    # ker(image) meets gamma > 0 unless gamma vanishes on it, i.e. is parallel to image.
+    gamma_line = primitive_normalize(intrinsic_gamma) if intrinsic_gamma is not None else None
     for image in projected:
-        if intrinsic_gamma is not None and not _kernel_meets_halfspace(image, intrinsic_gamma):
+        if primitive_normalize(image) == gamma_line:
             dropped.append(image)
         else:
             kept.append(image)
@@ -285,24 +289,11 @@ def _integer_kernel(key) -> list[tuple]:
     return integer_kernel_basis(ints)
 
 
-def _kernel_meets_halfspace(alpha: tuple, gamma: tuple) -> bool:
-    """Does ker(alpha) contain a point with gamma > 0?  True iff gamma is not
-    identically zero on the kernel (a subspace argument, decided exactly)."""
-    for v in nullspace([alpha]):
-        if vdot(gamma, v) != 0:
-            return True
-    return False
-
-
 def reduce(table: RootSystemTable) -> RootSystemTable:
     """Keep per line the +/- pair of the minimal element (the common divisor)."""
     kept = []
     for key, elems in sorted(table.lines.items()):
-        lambdas = []
-        for e in elems:
-            coeffs = solve_in_span((key,), e)
-            assert coeffs is not None
-            lambdas.append(coeffs[0])
+        lambdas = [_multiple(e, key) for e in elems]
         positive = sorted(lam for lam in lambdas if lam > 0)
         lam_min = positive[0]
         for lam in lambdas:
@@ -312,6 +303,12 @@ def reduce(table: RootSystemTable) -> RootSystemTable:
         kept.append(vscale(lam_min, key))
         kept.append(vscale(-lam_min, key))
     return RootSystemTable(table.rank, kept, cone=table.cone, seed_hint=table.seed_hint)
+
+
+def _multiple(e: Covector, base: Covector):
+    """The c with e = c * base, for e on the line of base."""
+    k = next(k for k, b in enumerate(base) if b != 0)
+    return e[k] / base[k]
 
 
 def double_restriction(table: RootSystemTable, root_a, root_b) -> Restriction:
@@ -357,13 +354,11 @@ def check_restriction_crystallographic(rst: Restriction, budget: int = 10_000) -
     witnesses = list(report.witnesses)
     # Integral-multiple structure of the non-reduced table over its reduced one.
     for key, elems in rst.table.lines.items():
-        base = next(r for r in rst.reduced_table.lines[key] if True)
+        base = rst.reduced_table.lines[key][0]
         for e in elems:
-            coeffs = solve_in_span((base,), e)
-            if coeffs is None or coeffs[0].denominator != 1:
-                witnesses.append(
-                    RestrictionIntegralityWitness(base, e, None if coeffs is None else coeffs[0])
-                )
+            ratio = _multiple(e, base)
+            if ratio.denominator != 1:
+                witnesses.append(RestrictionIntegralityWitness(base, e, ratio))
     return CheckReport(
         "restriction-crystallographic",
         not witnesses,
@@ -395,6 +390,9 @@ def chamber_with_wall(table: RootSystemTable, alpha0) -> Chamber:
     key = primitive_normalize(alpha0)
     lattice = _integer_kernel(key)
     q = len(lattice)
+    # A direction with alpha0 = 1 on it, along a coordinate axis.
+    first = next(j for j, a in enumerate(alpha0) if a != 0)
+    direction = tuple(ONE / a if j == first else ZERO for j, a in enumerate(alpha0))
     # A generic point of H, then a small push to the positive side of alpha0.
     for m in (2, 3, 5, 7, 11, 13, 17):
         weights = [Rat(m) ** t for t in range(q)]
@@ -408,33 +406,26 @@ def chamber_with_wall(table: RootSystemTable, alpha0) -> Chamber:
             z = vneg(z)
             if vdot(table.cone.gamma, z) <= 0:
                 continue
-        direction = _direction_with_value(alpha0)
-        eps = None
-        for r in table.roots:
-            num, den = vdot(r, z), vdot(r, direction)
-            if num != 0 and den != 0:
-                bound = abs(num) / abs(den)
-                if eps is None or bound < eps:
-                    eps = bound
-        step = (eps / 2) if eps is not None else ONE
-        point = vadd(z, vscale(step, direction))
-        try:
-            chamber = chamber_from_point(table, point)
-        except OnHyperplane:
-            continue
-        if any(primitive_normalize(b) == key for b in chamber.basis):
+        chamber = _push_chamber(table, z, direction, table.roots)
+        if chamber is not None and any(primitive_normalize(b) == key for b in chamber.basis):
             return chamber
     raise InvalidTable(f"no chamber with wall {alpha0} found")
 
 
-def _direction_with_value(alpha0) -> tuple:
-    n = len(alpha0)
-    for k in range(n):
-        if alpha0[k] != 0:
-            unit = [ZERO] * n
-            unit[k] = ONE / alpha0[k]
-            return tuple(unit)
-    raise InvalidTable("zero covector")
+def _push_chamber(table: RootSystemTable, z, d, guards) -> Chamber | None:
+    """The chamber containing z + (eps/2) d, where eps is the least |g(z)|/|g(d)|
+    over the guards g vanishing at neither z nor d (a unit step when none is
+    left); None when that point lies on a hyperplane."""
+    bounds = []
+    for g in guards:
+        gz, gd = vdot(g, z), vdot(g, d)
+        if gz != 0 and gd != 0:
+            bounds.append(abs(gz) / abs(gd))
+    step = min(bounds) / 2 if bounds else ONE
+    try:
+        return chamber_from_point(table, vadd(z, vscale(step, d)))
+    except OnHyperplane:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -619,24 +610,16 @@ def residue_correspondence_check(
 
 def _chamber_at_face(table: RootSystemTable, x, loc: Localization) -> Chamber:
     """A chamber whose closure contains x, found by an exact generic push."""
+    guards = list(table.roots)
+    if isinstance(table.cone, Affine):
+        if vdot(table.cone.gamma, x) == 0:  # x is on the boundary of the cone
+            raise OutsideCone(f"gamma({x}) <= 0")
+        guards.append(table.cone.gamma)
     for m in (2, 3, 5, 7, 11, 13):
         w = tuple(Rat(m) ** k for k in range(table.rank))
         if any(vdot(r, w) == 0 for r in loc.roots):
             continue
-        eps = None
-        guards = [r for r in table.roots if vdot(r, x) != 0]
-        if isinstance(table.cone, Affine):
-            guards.append(table.cone.gamma)
-        for r in guards:
-            num, den = vdot(r, x), vdot(r, w)
-            if den != 0:
-                bound = abs(num) / abs(den)
-                if eps is None or bound < eps:
-                    eps = bound
-        step = (eps / 2) if eps is not None else ONE
-        point = vadd(x, vscale(step, w))
-        try:
-            return chamber_from_point(table, point)
-        except OnHyperplane:
-            continue
+        chamber = _push_chamber(table, x, w, guards)
+        if chamber is not None:
+            return chamber
     raise InvalidTable("no generic push direction found at the face point")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -180,3 +181,178 @@ class TestF4Demo:
         assert out1 == out2
         payload = json.loads(out1)
         assert set(payload) == {"pi_12", "pi_13", "pi_14", "pi_23", "pi_24", "pi_34"}
+
+
+class TestDepthAndK:
+    @pytest.mark.parametrize("name", ["g2", "aff-a1"])
+    def test_roundtrip_at_depth_zero_is_a_budget_error(self, capsys, name):
+        code, out, err = run(capsys, "--depth", "0", "roundtrip", name)
+        assert code == 3
+        assert err.startswith("budget exceeded:") and err.count("\n") == 1
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--depth", "-1", "roundtrip", "a2"),
+            ("--depth", "-1", "roots", "a2"),
+            ("--depth", "-1", "check", "aff-a1", "--property", "cryst"),
+            ("check", "b3", "--property", "k-spherical", "--k", "9"),
+            ("check", "b3", "--property", "k-spherical", "--k", "-1"),
+        ],
+    )
+    def test_out_of_range_numbers_are_input_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert "Traceback" not in out + err
+
+
+def _write(tmp_path, payload) -> str:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+A2_GCM = [[2, -1], [-1, 2]]
+LINE = {"rank": 2, "roots": [["1", "0"], ["-1", "0"]]}
+FLAT = {"rank": 3, "roots": [["1", "0", "0"], ["-1", "0", "0"], ["0", "1", "0"], ["0", "-1", "0"]]}
+
+
+class TestJsonInputBoundary:
+    @pytest.mark.parametrize(
+        "payload,argv",
+        [
+            ({"rank": 0, "roots": []}, ("check", "{}", "--property", "cryst")),
+            ({"rank": -1, "roots": []}, ("validate", "{}")),
+            (
+                {
+                    "rank": 2,
+                    "objects": [{"id": "0", "cartan": A2_GCM}, {"id": "1", "cartan": A2_GCM}],
+                    "edges": [
+                        {"i": 0, "from": "0", "to": "1"},
+                        {"i": 0, "from": "1", "to": "0"},
+                        {"i": 2, "from": "0", "to": "1"},
+                    ],
+                },
+                ("realize", "{}"),
+            ),
+            (
+                {"rank": 2, "objects": [{"id": "0", "cartan": A2_GCM}], "edges": [{"i": -1, "from": "0", "to": "0"}]},
+                ("roundtrip", "{}"),
+            ),
+            ({"rank": 0, "objects": [{"id": "0", "cartan": []}], "edges": []}, ("realize", "{}")),
+            ([], ("roundtrip", "{}")),
+            ([1, 2], ("roots", "{}")),
+            ([[2, "x"], [1, "y"]], ("validate", "{}")),
+            (LINE, ("check", "{}", "--property", "cryst")),
+            (FLAT, ("check", "{}", "--property", "additive")),
+            (FLAT, ("extract-graph", "{}")),
+            (LINE, ("identify-rank2", "{}")),
+        ],
+    )
+    def test_bad_json_is_an_input_error(self, capsys, tmp_path, payload, argv):
+        path = _write(tmp_path, payload)
+        code, out, err = run(capsys, *(path if a == "{}" else a for a in argv))
+        assert code == 2
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize(
+        "argv,stdout",
+        [
+            (("validate", "{}"), "table: valid, 4 roots"),
+            (("localize", "{}", "--point", "0,1,1"), "localized roots: 2"),
+            (("restrict", "{}", "--root", "1,0,0"), "restricted rank: 2"),
+        ],
+    )
+    def test_non_spanning_table_keeps_its_answers_elsewhere(self, capsys, tmp_path, argv, stdout):
+        path = _write(tmp_path, FLAT)
+        code, out, err = run(capsys, *(path if a == "{}" else a for a in argv))
+        assert code == 0 and stdout in out and err == ""
+
+
+ENTRIES = st.sampled_from([0, 0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2)])
+
+
+@st.composite
+def table_case(draw):
+    """A table JSON (rank -1..3, negation closed or not, any cone) and a command on it."""
+    rank = draw(st.integers(-1, 3))
+    width = draw(st.sampled_from([max(rank, 1)] * 4 + [max(rank, 1) + 1]))
+    vector = st.lists(ENTRIES, min_size=width, max_size=width)
+    roots = draw(st.lists(vector, max_size=5))
+    if draw(st.booleans()) or not roots:
+        roots += [[-c for c in r] for r in roots]
+    payload = {"rank": rank, "roots": [[str(c) for c in r] for r in roots]}
+    cone = draw(st.sampled_from(["spherical", "affine", "truncated", None]))
+    if cone == "affine":
+        payload["cone"] = {"affine": [str(c) for c in draw(vector)]}
+    elif cone is not None:
+        payload["cone"] = cone if cone == "spherical" else {"truncated": 3}
+    if draw(st.booleans()):
+        payload["seed"] = [str(c) for c in draw(vector)]
+    covector = ",".join(str(c) for c in draw(vector))
+    argv = draw(
+        st.sampled_from(
+            [
+                ("validate",),
+                ("check", "--property", "cryst"),
+                ("check", "--property", "additive"),
+                ("check", "--property", "k-spherical", "--k", str(draw(st.integers(-1, 4)))),
+                ("extract-graph",),
+                ("identify-rank2",),
+                ("localize", f"--point={covector}"),
+                ("restrict", f"--root={covector}"),
+            ]
+        )
+    )
+    return payload, argv
+
+
+@st.composite
+def graph_case(draw):
+    """A graph JSON (1..3 objects, rank 0..3, edges with labels -1..rank, an end
+    that may be no object) or a bare matrix, and a command on it."""
+    rank = draw(st.integers(0, 3))
+    count = draw(st.integers(1, 3))
+
+    def gcm():
+        rows = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                a = draw(st.integers(0, 3))
+                rows[i][j] = -a
+                rows[j][i] = -draw(st.integers(1, 3)) if a else 0
+        return rows
+
+    objects = [{"id": str(k), "cartan": gcm()} for k in range(count)]
+    edges = []
+    for i, a, b in draw(
+        st.lists(st.tuples(st.integers(-1, rank), st.integers(0, count - 1), st.integers(0, count)), max_size=5)
+    ):
+        edges.append({"i": i, "from": str(a), "to": str(b)})
+        if draw(st.booleans()) or draw(st.booleans()):
+            edges.append({"i": i, "from": str(b), "to": str(a)})
+    payload = {"rank": rank, "objects": objects, "edges": edges}
+    if draw(st.booleans()):
+        payload = objects[0]["cartan"]  # a bare matrix: the standard graph
+    argv = draw(st.sampled_from([("validate",), ("roots",), ("realize",), ("roundtrip",)]))
+    return payload, argv
+
+
+class TestJsonFuzz:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.one_of(table_case(), graph_case()), depth=st.integers(0, 3))
+    def test_random_json_keeps_the_exit_code_contract(self, capsys, tmp_path, case, depth):
+        payload, (command, *options) = case
+        path = _write(tmp_path, payload)
+        argv = ["--depth", str(depth), "--budget", "200", command, path, *options]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2, 3)
+        assert captured.err.count("\n") <= 1
+        assert "Traceback" not in captured.out + captured.err

@@ -92,8 +92,8 @@ class TestSeparatingSet:
         assert len(separating_set(re, re.base, opposite)) == 3
 
     def test_distance_equals_separation_everywhere(self):
-        for name in ("a2", "b2", "g2", "a3"):
-            re = realize(builtin_graph(name), depth=16)
+        for name, depth in (("a2", 16), ("b2", 16), ("g2", 16), ("a3", 16), ("aff-a1", 8)):
+            re = realize(builtin_graph(name), depth=depth)
             for b, b2 in itertools.combinations(re.order, 2):
                 assert gallery_distance(re, b, b2) == len(separating_set(re, b, b2)), name
 

@@ -10,6 +10,7 @@ import pytest
 
 from weylgpd._rational import rat
 from weylgpd.arrangement import (
+    Affine,
     CoefficientWitness,
     RootSystemTable,
     chamber_bfs,
@@ -17,7 +18,8 @@ from weylgpd.arrangement import (
     default_seed_chamber,
 )
 from weylgpd.builtins import F4_SIMPLE_ROOTS, affine_a1_table, builtin_table, f4_table
-from weylgpd.errors import NotCrystallographicAt, NotReducible, RootNotInSystem, Unsupported
+from weylgpd.cartan import CartanGraph, GeneralizedCartanMatrix
+from weylgpd.errors import NotCrystallographicAt, NotReducible, OutsideCone, RootNotInSystem, Unsupported
 from weylgpd.exactlin import primitive_normalize, primitive_ray, vec, vneg
 from weylgpd.realization import realize
 from weylgpd.subarr import (
@@ -133,6 +135,14 @@ class TestLocalToGlobal:
     def test_rank2_unsupported(self):
         with pytest.raises(Unsupported):
             local_to_global_check(affine_a1_table(4, rescaled=True))
+
+    def test_truncated_realization_reads_certified_chambers_on_both_sides(self):
+        # Affine A2 at depth 2: the BFS visits 22 chambers, 4 of them certified.
+        gcm = GeneralizedCartanMatrix.from_rows(((2, -1, -1), (-1, 2, -1), (-1, -1, 2)))
+        result = local_to_global_check(realize(CartanGraph.standard(gcm), depth=2).table)
+        assert result["points_checked"] == 6
+        assert result["global_report"].certified == 4
+        assert result["consistent"] and result["local_passed"] and result["global_passed"]
 
 
 class TestRestrict:
@@ -364,3 +374,15 @@ class TestResidueCorrespondence:
         report = residue_correspondence_check(table, x)
         assert report.equivalent
         assert report.objects_compared == 8  # B2-type residue
+
+    def test_affine_rays(self):
+        table = builtin_table("aff-a1")
+        for ray in default_seed_chamber(table).rays:
+            report = residue_correspondence_check(table, ray)
+            assert report.equivalent and report.objects_compared == 2
+
+    def test_point_on_the_cone_boundary_is_outside_the_cone(self):
+        roots = [vec(r) for r in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 1, 1), (2, 1, 1))]
+        table = RootSystemTable(3, roots + [vneg(r) for r in roots], cone=Affine(vec((1, 1, 1))))
+        with pytest.raises(OutsideCone):
+            residue_correspondence_check(table, (1, 1, -2))  # gamma = 0 and (1,-1,0) = 0 there
