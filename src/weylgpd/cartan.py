@@ -70,13 +70,26 @@ def validate_gcm(rows: Sequence[Sequence[int]]) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
+def _integer_entry(x) -> int:
+    """A matrix entry as an int.  Integer strings are read; a number that is not
+    an integer (2.5, infinity, NaN) is refused, never truncated."""
+    try:
+        n = int(x)
+    except (OverflowError, ValueError):
+        n = None
+    if n is None or (n != x and not isinstance(x, str)):
+        raise ValueError(f"matrix entry {x!r} is not an integer")
+    return n
+
+
 @dataclass(frozen=True)
 class GeneralizedCartanMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "GeneralizedCartanMatrix":
-        frozen = tuple(tuple(int(x) for x in row) for row in rows)
+        """The matrix of `rows`; raises ValueError on an entry that is not an integer."""
+        frozen = tuple(tuple(_integer_entry(x) for x in row) for row in rows)
         report = validate_gcm(frozen)
         if not report.valid:
             raise InvalidCartanMatrix(report.violations)

@@ -21,8 +21,8 @@ from .arrangement import (
     extract_cartan_graph,
     is_nondegenerate,
 )
-from .cartan import CartanGraph, generate_real_roots, validate_gcm
-from .errors import BudgetExceeded, ParseError, WeylgpdError
+from .cartan import CartanGraph, GeneralizedCartanMatrix, generate_real_roots
+from .errors import BudgetExceeded, InvalidCartanMatrix, ParseError, WeylgpdError
 from .exactlin import vec
 from .realization import realize, roundtrip_check
 from .subarr import double_restriction, identify_rank2, localize, restrict
@@ -58,21 +58,19 @@ def load_graph(spec: str, depth: int) -> CartanGraph:
         return builtin_data.builtin_graph(spec)
     data = _load_json(spec)
     if isinstance(data, list):  # bare matrix: the standard graph
-        from .cartan import GeneralizedCartanMatrix
-
-        return CartanGraph.standard(GeneralizedCartanMatrix.from_rows(_matrix_rows(data)))
+        return CartanGraph.standard(_bare_matrix(data))
     return jsonio.graph_from_json(data)
 
 
-def _matrix_rows(data: list) -> tuple:
-    """The integer rows of a bare matrix JSON; an empty matrix is bad input."""
+def _bare_matrix(data: list) -> GeneralizedCartanMatrix:
+    """The GCM of a bare matrix JSON; an empty matrix or a non-integer entry is bad
+    input, and a matrix breaking (M1)/(M2) raises InvalidCartanMatrix."""
+    if not data:
+        raise ParseError("the matrix is empty")
     try:
-        rows = tuple(tuple(int(x) for x in row) for row in data)
+        return GeneralizedCartanMatrix.from_rows(data)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed matrix JSON: {exc}") from None
-    if not rows:
-        raise ParseError("the matrix is empty")
-    return rows
 
 
 def load_table(spec: str, depth: int) -> RootSystemTable:
@@ -132,17 +130,21 @@ def cmd_validate(args) -> int:
     else:
         data = _load_json(args.input)
     if isinstance(data, list):
-        report = validate_gcm(_matrix_rows(data))
+        try:
+            _bare_matrix(data)
+            violations = []
+        except InvalidCartanMatrix as exc:
+            violations = exc.violations
         payload = {
             "kind": "gcm",
-            "valid": report.valid,
-            "violations": [str(v) for v in report.violations],
+            "valid": not violations,
+            "violations": [str(v) for v in violations],
         }
         _emit(payload, args.format, [
-            f"gcm: {'valid' if report.valid else 'invalid'}",
-            *[f"  {v}" for v in report.violations],
+            f"gcm: {'invalid' if violations else 'valid'}",
+            *[f"  {v}" for v in violations],
         ])
-        return EXIT_OK if report.valid else EXIT_FAIL
+        return EXIT_FAIL if violations else EXIT_OK
     if isinstance(data, dict) and "objects" in data:
         graph = jsonio.graph_from_json(data)  # construction enforces (C1)(C2) and (M1)(M2)
         payload = {"kind": "graph", "valid": True, "objects": len(graph.objects)}

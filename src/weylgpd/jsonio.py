@@ -59,7 +59,7 @@ def table_from_json(data: dict) -> RootSystemTable:
         seed_hint = covector_from_json(seed) if seed else None
         reduced = data.get("reduced")
         return RootSystemTable(rank, roots, cone=cone, reduced=reduced, seed_hint=seed_hint)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed table JSON: {exc}") from exc
 
 
@@ -102,7 +102,7 @@ def graph_from_json(data: dict) -> CartanGraph:
         edges = {(e["from"], int(e["i"])): e["to"] for e in data["edges"]}
         base = data.get("base") or data["objects"][0]["id"]
         graph = CartanGraph.explicit(matrices, edges, base, truncated=bool(data.get("truncated")))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ParseError(f"malformed graph JSON: {exc}") from exc
     if graph.rank < 1:
         raise ParseError("a Cartan graph needs rank >= 1")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -50,6 +51,12 @@ class TestValidateGcm:
     def test_constructor_enforces(self):
         with pytest.raises(InvalidCartanMatrix):
             GeneralizedCartanMatrix.from_rows([[1, 0], [0, 2]])
+
+    def test_constructor_refuses_non_integer_entries(self):
+        for entry in (2.5, Fraction(5, 2), float("inf"), float("nan"), "2.5"):
+            with pytest.raises(ValueError, match="not an integer"):
+                GeneralizedCartanMatrix.from_rows([[entry]])
+        assert GeneralizedCartanMatrix.from_rows([[2.0, Fraction(-1)], ["-1", 2]]).rows == ((2, -1), (-1, 2))
 
 
 class TestReflect:

@@ -245,6 +245,12 @@ class TestJsonInputBoundary:
             ([], ("roundtrip", "{}")),
             ([1, 2], ("roots", "{}")),
             ([[2, "x"], [1, "y"]], ("validate", "{}")),
+            ([[2.5]], ("validate", "{}")),
+            ([[2.5]], ("roundtrip", "{}")),
+            ([[2, 0.5], [0, 2]], ("validate", "{}")),
+            ([[float("inf")]], ("roots", "{}")),
+            ({"rank": 1, "objects": [{"id": "0", "cartan": [[2.5]]}], "edges": []}, ("validate", "{}")),
+            ({"rank": float("inf"), "roots": []}, ("check", "{}", "--property", "cryst")),
             (LINE, ("check", "{}", "--property", "cryst")),
             (FLAT, ("check", "{}", "--property", "additive")),
             (FLAT, ("extract-graph", "{}")),
@@ -257,6 +263,11 @@ class TestJsonInputBoundary:
         assert code == 2
         assert err.startswith("input error:") and err.count("\n") == 1
         assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("matrix", [[[2.0]], [["2"]], [[2, -1], [-1, 2.0]]])
+    def test_integral_matrix_entries_are_read(self, capsys, tmp_path, matrix):
+        code, out, err = run(capsys, "validate", _write(tmp_path, matrix))
+        assert code == 0 and "gcm: valid" in out and err == ""
 
     @pytest.mark.parametrize(
         "argv,stdout",
@@ -324,6 +335,9 @@ def graph_case(draw):
                 a = draw(st.integers(0, 3))
                 rows[i][j] = -a
                 rows[j][i] = -draw(st.integers(1, 3)) if a else 0
+        if rank and draw(st.booleans()):  # one float entry, integral or not
+            i, j = draw(st.integers(0, rank - 1)), draw(st.integers(0, rank - 1))
+            rows[i][j] = draw(st.sampled_from([2.5, -0.5, -1.0, 2.0, float("inf"), float("nan")]))
         return rows
 
     objects = [{"id": str(k), "cartan": gcm()} for k in range(count)]
