@@ -1,39 +1,17 @@
-"""Exact rational arithmetic backend.
-
-gmpy2's mpq is used when available (C-speed bigint rationals); otherwise
-fractions.Fraction.  Both hash and compare identically and print as "p/q",
-so the choice never affects results, only speed.  Set WEYLGPD_RATIONAL=fractions
-to force the pure-Python backend.
-"""
+"""Exact rational arithmetic: every rational is a fractions.Fraction."""
 
 from __future__ import annotations
 
-import os
+from fractions import Fraction as Rat
 
-_FORCED = os.environ.get("WEYLGPD_RATIONAL", "").strip().lower()
-
-if _FORCED in ("", "gmpy2"):
-    try:
-        from gmpy2 import mpq as Rat
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        from fractions import Fraction as Rat
-
-        BACKEND = "fractions"
-elif _FORCED == "fractions":
-    from fractions import Fraction as Rat
-
-    BACKEND = "fractions"
-else:
-    raise RuntimeError(f"unknown WEYLGPD_RATIONAL backend {_FORCED!r}")
+BACKEND = "fractions"
 
 ZERO = Rat(0)
 ONE = Rat(1)
 
 
 def rat(value) -> "Rat":
-    """Coerce ints, strings like "p/q" or "p", and rationals to the backend type."""
+    """Coerce ints, strings like "p/q" or "p", and rationals to Rat."""
     if isinstance(value, str):
         text = value.strip()
         if "/" in text:
@@ -45,8 +23,3 @@ def rat(value) -> "Rat":
     if isinstance(value, float):
         raise TypeError("floating-point input is not accepted; pass a rational")
     return Rat(value)
-
-
-def rat_str(value) -> str:
-    """Render as "p/q", or "p" when the denominator is 1."""
-    return str(value)

@@ -123,16 +123,16 @@ class RootSystemTable:
             self.roots = tuple(normalized)
         for r in self.roots:
             if len(r) != self.rank:
-                raise InvalidTable(f"root {r} does not have rank {self.rank}")
+                raise InvalidTable(f"root {fmt_covector(r)} does not have rank {self.rank}")
             if is_zero(r):
                 raise InvalidTable("0 is not a root")
         self.index = {r: k for k, r in enumerate(self.roots)}
         for r in self.roots:
             if vneg(r) not in self.index:
-                raise InvalidTable(f"table is not negation-closed: missing {vneg(r)}")
+                raise InvalidTable(f"table is not negation-closed: missing {fmt_covector(vneg(r))}")
         self.scale = scale = denominator_lcm(c for r in self.roots for c in r)
         self.int_roots = tuple(
-            tuple(int(c.numerator) * (scale // int(c.denominator)) for c in r) for r in self.roots
+            tuple(c.numerator * (scale // c.denominator) for c in r) for r in self.roots
         )
         self.primitive = tuple(primitive_ray(r) for r in self.roots)
         lines: dict[Covector, list] = {}
@@ -478,14 +478,13 @@ def wall_is_crossable(table: RootSystemTable, chamber: Chamber, i: int) -> bool:
     return any(vdot(gamma, chamber.rays[j]) > 0 for j in range(chamber.rank) if j != i)
 
 
-def adjacent_chamber(table: RootSystemTable, chamber: Chamber, i: int, verify: bool = True) -> Chamber:
+def adjacent_chamber(table: RootSystemTable, chamber: Chamber, i: int) -> Chamber:
     """The chamber across wall i, with compatible indexing.
 
     Index i receives -alpha_i; every other index j receives the unique wall of
-    the neighbor inside the plane spanned by alpha_i and alpha_j.  With
-    verify=True the claimed basis is checked against the whole table: every
-    root's coordinates must be nonzero and sign-coherent, which pins the claimed
-    cone to a genuine chamber.
+    the neighbor inside the plane spanned by alpha_i and alpha_j.  The claimed
+    basis is checked against the whole table: every root's coordinates must be
+    nonzero and sign-coherent, which pins the claimed cone to a genuine chamber.
     """
     table.require_reduced()
     r = chamber.rank
@@ -522,8 +521,7 @@ def adjacent_chamber(table: RootSystemTable, chamber: Chamber, i: int, verify: b
         index[j] = best[j][2]
 
     neighbor = _chamber(table, tuple(index), _witness_across(table, frame, i))
-    if verify:
-        _verify_chamber_basis(table, neighbor)
+    _verify_chamber_basis(table, neighbor)
     return neighbor
 
 
@@ -772,10 +770,10 @@ class CheckReport:
         }
 
 
-def _survey(table: RootSystemTable, seed: Chamber | None, budget: int) -> ChamberAtlas:
-    """The chamber atlas an analysis reads: BFS from `seed` (the default seed
-    chamber when None), with BudgetExceeded when the budget runs out."""
-    atlas = chamber_bfs(table, seed if seed is not None else default_seed_chamber(table), budget)
+def _survey(table: RootSystemTable, budget: int) -> ChamberAtlas:
+    """The chamber atlas an analysis reads: BFS from the default seed chamber,
+    with BudgetExceeded when the budget runs out."""
+    atlas = chamber_bfs(table, default_seed_chamber(table), budget)
     if atlas.budget_exceeded:
         raise BudgetExceeded("chamber budget exhausted", partial=atlas)
     return atlas
@@ -841,11 +839,9 @@ def _crystallographic_report(table: RootSystemTable, atlas: ChamberAtlas, max_wi
     return _report("crystallographic", table, atlas, witnesses, max_witnesses)
 
 
-def check_crystallographic(
-    table: RootSystemTable, budget: int = 10_000, seed: Chamber | None = None, max_witnesses: int = 64
-) -> CheckReport:
+def check_crystallographic(table: RootSystemTable, budget: int = 10_000, max_witnesses: int = 64) -> CheckReport:
     """Integral, sign-coherent coordinates of every root at every certified chamber."""
-    return _crystallographic_report(table, _survey(table, seed, budget), max_witnesses)
+    return _crystallographic_report(table, _survey(table, budget), max_witnesses)
 
 
 @dataclass(frozen=True)
@@ -859,9 +855,7 @@ class AdditiveWitness:
         return f"positive root {self.root} (coords {self.coords}) is neither in the basis nor a sum of two positive roots"
 
 
-def check_additive(
-    table: RootSystemTable, budget: int = 10_000, seed: Chamber | None = None, max_witnesses: int = 64
-) -> CheckReport:
+def check_additive(table: RootSystemTable, budget: int = 10_000, max_witnesses: int = 64) -> CheckReport:
     """Every positive root is a basis element or a sum of two positive roots."""
 
     def witnesses(key, chamber):
@@ -875,7 +869,7 @@ def check_additive(
         for k in _scan_order(frame, lonely):
             yield AdditiveWitness(key, chamber.basis, table.roots[k], frame.coords(k))
 
-    return _report("additive", table, _survey(table, seed, budget), witnesses, max_witnesses)
+    return _report("additive", table, _survey(table, budget), witnesses, max_witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -895,10 +889,7 @@ class ExtractionResult:
 
 
 def extract_cartan_graph(
-    table: RootSystemTable,
-    seed: Chamber | None = None,
-    budget: int = 10_000,
-    object_keys: set | None = None,
+    table: RootSystemTable, budget: int = 10_000, object_keys: set | None = None
 ) -> ExtractionResult:
     """Chambers as objects, wall crossings as edges, Cartan matrix per chamber.
 
@@ -906,7 +897,7 @@ def extract_cartan_graph(
     interior); by default certified chambers are used when certification is
     available, else all visited chambers.
     """
-    atlas = _survey(table, seed, budget)
+    atlas = _survey(table, budget)
     if object_keys is None:
         object_keys = _checkable_keys(table, atlas)
     matrices = {}
@@ -1021,9 +1012,7 @@ class KSphericalWitness:
         return f"codim-{len(self.face_indices)} face {self.face_indices} of chamber {self.chamber_key} misses the cone"
 
 
-def check_k_spherical(
-    table: RootSystemTable, k: int, budget: int = 10_000, seed: Chamber | None = None
-) -> CheckReport:
+def check_k_spherical(table: RootSystemTable, k: int, budget: int = 10_000) -> CheckReport:
     """Does every codimension-k face of a chamber meet the open cone?"""
     if isinstance(table.cone, Truncated):
         raise Unsupported("k-sphericity is undefined for truncated tables (no cone)")
@@ -1032,7 +1021,7 @@ def check_k_spherical(
     if isinstance(table.cone, Spherical):
         return CheckReport("k-spherical", True, (), 0, 0, 0, False)
     gamma = table.cone.gamma
-    atlas = _survey(table, seed, budget)
+    atlas = _survey(table, budget)
     witnesses = []
     for key in atlas.order:
         if key not in atlas.true_chambers:

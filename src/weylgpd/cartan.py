@@ -71,14 +71,15 @@ def validate_gcm(rows: Sequence[Sequence[int]]) -> ValidationReport:
 
 
 def _integer_entry(x) -> int:
-    """A matrix entry as an int.  Integer strings are read; a number that is not
-    an integer (2.5, infinity, NaN) is refused, never truncated."""
+    """An integer read from input (a matrix entry, a table rank, a truncation
+    depth, an edge label) as an int.  Integer strings are read; a number that
+    is not an integer (2.5, infinity, NaN) is refused, never truncated."""
     try:
         n = int(x)
     except (OverflowError, ValueError):
         n = None
     if n is None or (n != x and not isinstance(x, str)):
-        raise ValueError(f"matrix entry {x!r} is not an integer")
+        raise ValueError(f"{x!r} is not an integer")
     return n
 
 
@@ -106,9 +107,6 @@ class GeneralizedCartanMatrix:
         return GeneralizedCartanMatrix(
             tuple(tuple(self.rows[i][j] for j in indices) for i in indices)
         )
-
-
-GCM = GeneralizedCartanMatrix
 
 
 def reflect(C: GeneralizedCartanMatrix, i: int, v: IntVec) -> IntVec:
@@ -235,9 +233,7 @@ class CartanGraph:
                 )
             return key
 
-        graph = cls(rank, base, lambda _: gcm, rho, objects=None)
-        graph._basis_cache = bases
-        return graph
+        return cls(rank, base, lambda _: gcm, rho, objects=None)
 
     # -- axiom checks ------------------------------------------------------
 
@@ -472,7 +468,6 @@ def check_root_system_axioms(
     graph: CartanGraph,
     roots: RealRootSet | Mapping[ObjectId, Iterable],
     depth: int,
-    residue_budget: int | None = None,
 ) -> AxiomReport:
     """Verify (R1)-(R4) per visited object on the given (possibly truncated) sets.
 
@@ -490,7 +485,7 @@ def check_root_system_axioms(
         last_layer = {obj: set() for obj in per_object}
         interior = set(per_object)
     rank = graph.rank
-    budget = residue_budget if residue_budget is not None else max(2 * depth, 16)
+    budget = max(2 * depth, 16)
     findings: list[AxiomFinding] = []
     skipped = tuple(obj for obj in per_object if obj not in interior)
 

@@ -22,7 +22,7 @@ from .arrangement import (
     is_nondegenerate,
 )
 from .cartan import CartanGraph, GeneralizedCartanMatrix, generate_real_roots
-from .errors import BudgetExceeded, InvalidCartanMatrix, ParseError, WeylgpdError
+from .errors import BudgetExceeded, InvalidCartanMatrix, NonSquare, ParseError, WeylgpdError
 from .exactlin import vec
 from .realization import realize, roundtrip_check
 from .subarr import double_restriction, identify_rank2, localize, restrict
@@ -63,13 +63,13 @@ def load_graph(spec: str, depth: int) -> CartanGraph:
 
 
 def _bare_matrix(data: list) -> GeneralizedCartanMatrix:
-    """The GCM of a bare matrix JSON; an empty matrix or a non-integer entry is bad
-    input, and a matrix breaking (M1)/(M2) raises InvalidCartanMatrix."""
+    """The GCM of a bare matrix JSON; an empty or ragged matrix or a non-integer
+    entry is bad input, and a matrix breaking (M1)/(M2) raises InvalidCartanMatrix."""
     if not data:
         raise ParseError("the matrix is empty")
     try:
         return GeneralizedCartanMatrix.from_rows(data)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, NonSquare) as exc:
         raise ParseError(f"malformed matrix JSON: {exc}") from None
 
 
@@ -315,8 +315,28 @@ def cmd_f4_demo(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors raise ParseError, so that `main` reports them
+    in one `input error:` line; argparse itself prints the usage, then the error."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
+def _join_option_values(argv: list[str]) -> list[str]:
+    """`--root -1,0` as `--root=-1,0`: argparse takes a separate value that
+    starts with "-" for an option, and covectors and points may start with one."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--root", "--point"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weylgpd",
         description="Cartan graphs, root systems, and exact chamber geometry",
     )
@@ -374,9 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(_join_option_values(sys.argv[1:] if argv is None else argv))
         if args.budget is None:
             args.budget = _default_budget()
         if args.depth < 0:

@@ -28,10 +28,6 @@ def vadd(u: tuple, v: tuple) -> tuple:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vsub(u: tuple, v: tuple) -> tuple:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vneg(u: tuple) -> tuple:
     return tuple(-a for a in u)
 
@@ -180,8 +176,7 @@ def denominator_lcm(values: Iterable) -> int:
     """Least common multiple of the denominators of some rationals (1 for none)."""
     out = 1
     for a in values:
-        d = int(a.denominator)
-        out = out * d // gcd(out, d)
+        out = out * a.denominator // gcd(out, a.denominator)
     return out
 
 
@@ -190,7 +185,7 @@ def clear_denominators(x: Iterable) -> tuple[IntVec, int]:
     least positive multiple of x with integer coordinates, as plain ints."""
     x = tuple(x)
     m = denominator_lcm(x)
-    return tuple(int(c.numerator) * (m // int(c.denominator)) for c in x), m
+    return tuple(c.numerator * (m // c.denominator) for c in x), m
 
 
 def dual_basis(basis: Sequence[Covector]) -> list[Vector]:

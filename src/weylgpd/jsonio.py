@@ -10,24 +10,20 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from ._rational import rat, rat_str
 from .arrangement import Affine, RootSystemTable, Spherical, Truncated
-from .cartan import CartanGraph, GeneralizedCartanMatrix
-from .errors import ParseError
+from .cartan import CartanGraph, GeneralizedCartanMatrix, _integer_entry
+from .errors import InvalidTable, NonSquare, ParseError
+from .exactlin import vec
 from .realization import Realization
 
 
 def covector_to_json(cov) -> list[str]:
-    return [rat_str(c) for c in cov]
-
-
-def covector_from_json(data) -> tuple:
-    return tuple(rat(c) for c in data)
+    return [str(c) for c in cov]
 
 
 def key_to_str(key) -> str:
     if isinstance(key, tuple) and key and isinstance(key[0], tuple):
-        return ";".join(",".join(rat_str(c) for c in cov) for cov in key)
+        return ";".join(",".join(str(c) for c in cov) for cov in key)
     return str(key)
 
 
@@ -42,24 +38,24 @@ def table_to_json(table: RootSystemTable) -> dict:
 
 def table_from_json(data: dict) -> RootSystemTable:
     try:
-        rank = int(data["rank"])
+        rank = _integer_entry(data["rank"])
         if rank < 1:
             raise ParseError(f"table rank must be positive, not {rank}")
         cone_data = data.get("cone", "spherical")
         if cone_data == "spherical":
             cone = Spherical()
         elif isinstance(cone_data, dict) and "affine" in cone_data:
-            cone = Affine(covector_from_json(cone_data["affine"]))
+            cone = Affine(vec(cone_data["affine"]))
         elif isinstance(cone_data, dict) and "truncated" in cone_data:
-            cone = Truncated(int(cone_data["truncated"]))
+            cone = Truncated(_integer_entry(cone_data["truncated"]))
         else:
             raise ParseError(f"unknown cone spec {cone_data!r}")
-        roots = [covector_from_json(r) for r in data["roots"]]
+        roots = [vec(r) for r in data["roots"]]
         seed = data.get("seed")
-        seed_hint = covector_from_json(seed) if seed else None
+        seed_hint = vec(seed) if seed else None
         reduced = data.get("reduced")
         return RootSystemTable(rank, roots, cone=cone, reduced=reduced, seed_hint=seed_hint)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidTable) as exc:
         raise ParseError(f"malformed table JSON: {exc}") from exc
 
 
@@ -99,10 +95,10 @@ def graph_from_json(data: dict) -> CartanGraph:
             entry["id"]: GeneralizedCartanMatrix.from_rows(entry["cartan"])
             for entry in data["objects"]
         }
-        edges = {(e["from"], int(e["i"])): e["to"] for e in data["edges"]}
+        edges = {(e["from"], _integer_entry(e["i"])): e["to"] for e in data["edges"]}
         base = data.get("base") or data["objects"][0]["id"]
         graph = CartanGraph.explicit(matrices, edges, base, truncated=bool(data.get("truncated")))
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, NonSquare) as exc:
         raise ParseError(f"malformed graph JSON: {exc}") from exc
     if graph.rank < 1:
         raise ParseError("a Cartan graph needs rank >= 1")

@@ -66,9 +66,6 @@ class Realization:
     def rank(self) -> int:
         return self.graph.rank
 
-    def basis_of(self, obj: ObjectId) -> tuple:
-        return self.bases[obj]
-
     def chamber_of(self, obj: ObjectId) -> Chamber:
         return Chamber(self.bases[obj], self.rays[obj], _interior_point(self.rays[obj]))
 
@@ -79,14 +76,15 @@ def _interior_point(rays: Sequence) -> tuple:
     return tuple(sum((weights[i] * rays[i][k] for i in range(r)), start=ZERO) for k in range(r))
 
 
-def realize(graph: CartanGraph, base: ObjectId | None = None, depth: int = 8) -> Realization:
-    """Generate chambers and roots to the given depth and assemble the table.
+def realize(graph: CartanGraph, depth: int = 8) -> Realization:
+    """Generate chambers and roots from `graph.base` to the given depth and
+    assemble the table.
 
     Raises NotSimplyConnected when two words reach one object with different
     bases or two objects with the same chamber, and AxiomViolation when a
     realized root fails to be sign-coherent at some generated chamber.
     """
-    base = base if base is not None else graph.base
+    base = graph.base
     rank = graph.rank
     dist, edges, closed = graph.ball(base, depth)
     order = sorted(dist, key=lambda o: (dist[o], str(o)))
@@ -391,19 +389,17 @@ class RoundTripReport:
         return "pass" if self.equivalent else "fail"
 
 
-def roundtrip_check(
-    graph: CartanGraph, base: ObjectId | None = None, depth: int = 8, budget: int = 10_000
-) -> RoundTripReport:
+def roundtrip_check(graph: CartanGraph, depth: int = 8, budget: int = 10_000) -> RoundTripReport:
     """realize, re-extract, and compare matrices and edges object-by-object.
 
     Objects are matched through their canonical chamber keys, and indices by
     matching the base object's basis covectors, so no combinatorial search is
     needed.  Comparison is restricted to the certified interior.
     """
-    re = realize(graph, base, depth)
+    re = realize(graph, depth)
     wanted = {re.canon[obj] for obj in re.certified}
     # The table's seed hint is the interior point of the base object's chamber.
-    extraction = extract_cartan_graph(re.table, None, budget, object_keys=wanted)
+    extraction = extract_cartan_graph(re.table, budget, object_keys=wanted)
     mismatches = []
 
     base_chamber = extraction.chambers.get(re.canon[re.base])

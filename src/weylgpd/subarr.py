@@ -44,6 +44,7 @@ from .errors import (
 )
 from .exactlin import (
     _echelon,
+    integer_kernel_basis,
     nullspace,
     primitive_normalize,
     primitive_ray,
@@ -157,7 +158,7 @@ def local_to_global_check(table: RootSystemTable, budget: int = 10_000) -> dict:
             "rank-2 tables admit locally-crystallographic non-crystallographic scalings;"
             " the local-to-global inference needs rank != 2"
         )
-    atlas = _survey(table, None, budget)
+    atlas = _survey(table, budget)
     local_witnesses = []
     points_checked = 0
     keys = _checkable_keys(table, atlas)  # the chambers the global report reads
@@ -249,7 +250,7 @@ def restrict(table: RootSystemTable, alpha0) -> Restriction:
     if not table.contains(alpha0):
         raise RootNotInSystem(f"{alpha0} is not in the table")
     key = primitive_normalize(alpha0)
-    lattice = tuple(_integer_kernel(key))
+    lattice = tuple(integer_kernel_basis(key))
     intrinsic_gamma = None
     if isinstance(table.cone, Affine):
         intrinsic_gamma = tuple(vdot(table.cone.gamma, b) for b in lattice)
@@ -280,13 +281,6 @@ def restrict(table: RootSystemTable, alpha0) -> Restriction:
         cone = Truncated(table.cone.depth)
     sub = RootSystemTable(len(lattice), kept, cone=cone)
     return Restriction(table, alpha0, lattice, sub, reduce(sub), tuple(sorted(dropped)))
-
-
-def _integer_kernel(key) -> list[tuple]:
-    from .exactlin import integer_kernel_basis
-
-    ints = [int(c) for c in key]
-    return integer_kernel_basis(ints)
 
 
 def reduce(table: RootSystemTable) -> RootSystemTable:
@@ -388,7 +382,7 @@ def chamber_with_wall(table: RootSystemTable, alpha0) -> Chamber:
     """Some chamber having the hyperplane of alpha0 among its walls."""
     alpha0 = vec(alpha0)
     key = primitive_normalize(alpha0)
-    lattice = _integer_kernel(key)
+    lattice = integer_kernel_basis(key)
     q = len(lattice)
     # A direction with alpha0 = 1 on it, along a coordinate axis.
     first = next(j for j, a in enumerate(alpha0) if a != 0)

@@ -12,7 +12,8 @@ from fractions import Fraction as F
 
 
 def _F(c) -> F:
-    """Backend-agnostic conversion (handles gmpy2 mpq via its string form)."""
+    """A fresh Fraction read from the string form of c, so the oracle takes no
+    arithmetic object from the library."""
     return F(str(c))
 
 

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import weylgpd
 from weylgpd.cli import main
 
 
@@ -40,6 +45,15 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "no-such-file.json")
         assert code == 2
 
+    def test_rational_variable_is_not_read(self):
+        env = dict(os.environ, WEYLGPD_RATIONAL="bogus")
+        src = str(Path(weylgpd.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "weylgpd.cli", "validate", "a2"], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0 and "gcm: valid" in proc.stdout and proc.stderr == ""
+
     def test_zero_denominator_table(self, capsys, tmp_path):
         path = tmp_path / "zero_den.json"
         path.write_text(json.dumps({"rank": 2, "roots": [["3/0", "1"], ["-3/0", "-1"]]}))
@@ -66,6 +80,15 @@ class TestCovectorInput:
         assert err.startswith("input error:") and err.count("\n") == 1
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize(
+        "argv", [("restrict", "f4", "--root", "-1,0,0,0"), ("localize", "a2", "--point", "-1,2")]
+    )
+    def test_value_starting_with_minus_is_read_as_a_separate_argument(self, capsys, argv):
+        *head, option, value = argv
+        assert run(capsys, *argv) == run(capsys, *head, f"{option}={value}")
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=st.text(max_size=24), command=st.sampled_from(["restrict", "localize"]))
     def test_arbitrary_text_keeps_the_exit_code_contract(self, capsys, text, command):
@@ -77,6 +100,28 @@ class TestCovectorInput:
         captured = capsys.readouterr()
         assert code in (0, 1, 2)
         assert "Traceback" not in captured.out + captured.err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("no-such-command",),
+            ("--depth", "deep", "roots", "a2"),
+            ("check", "b3", "--property", "nonsense"),
+            ("validate",),
+            ("restrict", "f4", "--root"),
+        ],
+    )
+    def test_usage_error_is_one_input_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("input error:") and err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0 and "usage: weylgpd" in capsys.readouterr().out
 
 
 class TestBudgetVariable:
@@ -251,6 +296,18 @@ class TestJsonInputBoundary:
             ([[float("inf")]], ("roots", "{}")),
             ({"rank": 1, "objects": [{"id": "0", "cartan": [[2.5]]}], "edges": []}, ("validate", "{}")),
             ({"rank": float("inf"), "roots": []}, ("check", "{}", "--property", "cryst")),
+            ([[2, -1], [0]], ("validate", "{}")),
+            ({"rank": 2, "objects": [{"id": "0", "cartan": [[2, -1], [0]]}], "edges": []}, ("validate", "{}")),
+            ({"rank": 2, "roots": [["0", "0"], ["1", "0"], ["-1", "0"]]}, ("validate", "{}")),
+            ({"rank": 2, "roots": [["1"], ["-1"]]}, ("validate", "{}")),
+            ({"rank": 1, "roots": [["1"], ["-1"]], "reduced": False}, ("validate", "{}")),
+            ({"rank": 1, "roots": [["1"], ["-1"]], "cone": {"affine": ["0"]}}, ("validate", "{}")),
+            ({"rank": 2.5, "roots": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]]}, ("validate", "{}")),
+            ({"rank": 1, "roots": [["1"], ["-1"]], "cone": {"truncated": 2.5}}, ("validate", "{}")),
+            (
+                {"rank": 2, "objects": [{"id": "0", "cartan": A2_GCM}], "edges": [{"i": 1.5, "from": "0", "to": "0"}]},
+                ("validate", "{}"),
+            ),
             (LINE, ("check", "{}", "--property", "cryst")),
             (FLAT, ("check", "{}", "--property", "additive")),
             (FLAT, ("extract-graph", "{}")),
@@ -263,6 +320,25 @@ class TestJsonInputBoundary:
         assert code == 2
         assert err.startswith("input error:") and err.count("\n") == 1
         assert "Traceback" not in out + err
+
+    def test_covectors_in_errors_read_as_rationals(self, capsys, tmp_path):
+        path = _write(tmp_path, {"rank": 2, "roots": [["1", "0"], ["0", "1"], ["-1", "0"]]})
+        code, _, err = run(capsys, "check", path, "--property", "cryst")
+        assert code == 2
+        assert err == "input error: malformed table JSON: table is not negation-closed: missing (0, -1)\n"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"rank": 2.0, "roots": [["1", "0"], ["-1", "0"]]},
+            {"rank": "2", "roots": [["1", "0"], ["-1", "0"]]},
+            {"rank": 1, "roots": [["1"], ["-1"]], "cone": {"truncated": 3.0}},
+            {"rank": 1, "objects": [{"id": "0", "cartan": [[2]]}], "edges": [{"i": 0.0, "from": "0", "to": "0"}]},
+        ],
+    )
+    def test_integral_json_numbers_are_read(self, capsys, tmp_path, payload):
+        code, out, err = run(capsys, "validate", _write(tmp_path, payload))
+        assert code == 0 and ": valid" in out and err == ""
 
     @pytest.mark.parametrize("matrix", [[[2.0]], [["2"]], [[2, -1], [-1, 2.0]]])
     def test_integral_matrix_entries_are_read(self, capsys, tmp_path, matrix):
@@ -288,19 +364,20 @@ ENTRIES = st.sampled_from([0, 0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2
 
 @st.composite
 def table_case(draw):
-    """A table JSON (rank -1..3, negation closed or not, any cone) and a command on it."""
+    """A table JSON (rank -1..3 or at times a half-integer rank, negation closed or
+    not, any cone, at times a half-integer truncation depth) and a command on it."""
     rank = draw(st.integers(-1, 3))
     width = draw(st.sampled_from([max(rank, 1)] * 4 + [max(rank, 1) + 1]))
     vector = st.lists(ENTRIES, min_size=width, max_size=width)
     roots = draw(st.lists(vector, max_size=5))
     if draw(st.booleans()) or not roots:
         roots += [[-c for c in r] for r in roots]
-    payload = {"rank": rank, "roots": [[str(c) for c in r] for r in roots]}
+    payload = {"rank": draw(st.sampled_from([rank] * 4 + [rank + 0.5])), "roots": [[str(c) for c in r] for r in roots]}
     cone = draw(st.sampled_from(["spherical", "affine", "truncated", None]))
     if cone == "affine":
         payload["cone"] = {"affine": [str(c) for c in draw(vector)]}
     elif cone is not None:
-        payload["cone"] = cone if cone == "spherical" else {"truncated": 3}
+        payload["cone"] = cone if cone == "spherical" else {"truncated": draw(st.sampled_from([3, 3, 2.5]))}
     if draw(st.booleans()):
         payload["seed"] = [str(c) for c in draw(vector)]
     covector = ",".join(str(c) for c in draw(vector))
@@ -323,8 +400,8 @@ def table_case(draw):
 
 @st.composite
 def graph_case(draw):
-    """A graph JSON (1..3 objects, rank 0..3, edges with labels -1..rank, an end
-    that may be no object) or a bare matrix, and a command on it."""
+    """A graph JSON (1..3 objects, rank 0..3, edges with labels -1..rank or 0.5, an
+    end that may be no object) or a bare matrix, and a command on it."""
     rank = draw(st.integers(0, 3))
     count = draw(st.integers(1, 3))
 
@@ -343,7 +420,10 @@ def graph_case(draw):
     objects = [{"id": str(k), "cartan": gcm()} for k in range(count)]
     edges = []
     for i, a, b in draw(
-        st.lists(st.tuples(st.integers(-1, rank), st.integers(0, count - 1), st.integers(0, count)), max_size=5)
+        st.lists(
+            st.tuples(st.one_of(st.integers(-1, rank), st.just(0.5)), st.integers(0, count - 1), st.integers(0, count)),
+            max_size=5,
+        )
     ):
         edges.append({"i": i, "from": str(a), "to": str(b)})
         if draw(st.booleans()) or draw(st.booleans()):
