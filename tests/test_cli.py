@@ -85,8 +85,8 @@ class TestCovectorInput:
     )
     def test_value_starting_with_minus_is_read_as_a_separate_argument(self, capsys, argv):
         *head, option, value = argv
-        assert run(capsys, *argv) == run(capsys, *head, f"{option}={value}")
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == run(capsys, *head, f"{option}={value}")
         assert code == 0 and err == ""
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
