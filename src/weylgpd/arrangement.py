@@ -1060,11 +1060,8 @@ def verify_combinatorial_equivalence(
     table_a: RootSystemTable, table_b: RootSystemTable, g: Sequence[Sequence]
 ) -> EquivalenceReport:
     """Check that the linear map g sends table_a's data onto table_b's exactly."""
-    from .exactlin import inverse
-
-    g_rows = tuple(vec(row) for row in g)
-    g_inv = inverse(g_rows)
-    image = {tuple(vdot(alpha, tuple(g_inv[k][j] for k in range(table_a.rank))) for j in range(table_a.rank)) for alpha in table_a.roots}
+    g_inv = dual_basis(tuple(vec(row) for row in g))  # the columns of g^-1
+    image = {tuple(vdot(alpha, col) for col in g_inv) for alpha in table_a.roots}
     if image != set(table_b.roots):
         return EquivalenceReport(False, "g does not map the root set onto the target root set")
     ca, cb = table_a.cone, table_b.cone
@@ -1073,10 +1070,7 @@ def verify_combinatorial_equivalence(
     if isinstance(ca, Affine):
         if not isinstance(cb, Affine):
             return EquivalenceReport(False, "cone types differ")
-        gamma_image = tuple(
-            vdot(ca.gamma, tuple(g_inv[k][j] for k in range(table_a.rank)))
-            for j in range(table_a.rank)
-        )
+        gamma_image = tuple(vdot(ca.gamma, col) for col in g_inv)
         if primitive_ray(gamma_image) != primitive_ray(cb.gamma):
             return EquivalenceReport(False, "g does not map the cone onto the target cone")
     return EquivalenceReport(True, None)

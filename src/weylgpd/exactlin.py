@@ -3,6 +3,13 @@
 Covectors (elements of the dual space) and vectors are both plain tuples of
 rationals; which one a tuple means is determined by how it is used.  All
 operations are pure and exact, so every downstream predicate is decidable.
+
+There is one elimination, on integers: `int_row_reduce`, Bareiss's
+fraction-free Gauss-Jordan.  `int_adjugate` is it applied to [M | I], and
+every rational solver (`rank`, `solve_coordinates`, `solve_in_span`,
+`dual_basis`, `nullspace`) clears each row's denominators, calls it, and
+reads its Fraction answers off the integer result.  `int_det` runs only the
+forward half of the same step.
 """
 
 from __future__ import annotations
@@ -59,99 +66,64 @@ def sign_at(alpha: Covector, x: Vector) -> int:
     return 0
 
 
-def _echelon(rows: list[list]) -> tuple[list[list], list[int]]:
-    """In-place fraction-free-ish Gaussian elimination; returns (rows, pivot columns)."""
+def int_row_reduce(rows: list[Sequence[int]]) -> tuple[list[list[int]], int, list[int]]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
+
+    Bareiss's integer-preserving elimination ("Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 22, 1968): every
+    division is exact, so all entries stay plain ints.  A column with no pivot
+    is skipped.  Returns (rows, d, pivot columns): the first len(pivots) rows
+    hold d * the reduced row echelon form, the rest are zero, and d is the
+    determinant when the matrix is square and invertible.
+    """
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    piv_r = 0
+    prev = 1
+    sign = 1
+    k = 0
     for col in range(n_cols):
-        pivot_row = None
-        for r in range(piv_r, n_rows):
-            if rows[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
+        p = next((t for t in range(k, n_rows) if rows[t][col]), None)
+        if p is None:
             continue
-        rows[piv_r], rows[pivot_row] = rows[pivot_row], rows[piv_r]
-        pv = rows[piv_r][col]
-        rows[piv_r] = [a / pv for a in rows[piv_r]]
-        for r in range(n_rows):
-            if r != piv_r and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[piv_r])]
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pv = pivot_row[col]
+        for t in range(n_rows):
+            if t != k:
+                f = rows[t][col]
+                rows[t] = [(pv * a - f * b) // prev for a, b in zip(rows[t], pivot_row)]
+        prev = pv
         pivots.append(col)
-        piv_r += 1
-        if piv_r == n_rows:
+        k += 1
+        if k == n_rows:
             break
-    return rows, pivots
-
-
-def rank(vectors: Sequence[tuple]) -> int:
-    if not vectors:
-        return 0
-    _, pivots = _echelon([list(v) for v in vectors])
-    return len(pivots)
-
-
-def solve_coordinates(basis: Sequence[Covector], target: Covector) -> tuple:
-    """Coefficients lam with target = sum(lam_i * basis_i), exact.
-
-    Raises SingularBasis when the claimed basis is dependent.
-    """
-    r = len(target)
-    if len(basis) != r:
-        raise SingularBasis(f"need {r} basis covectors, got {len(basis)}")
-    # Augmented system: columns are the basis elements, rhs is the target.
-    rows = [[basis[j][k] for j in range(r)] + [target[k]] for k in range(r)]
-    rows, pivots = _echelon(rows)
-    if pivots != list(range(r)):
-        raise SingularBasis("basis is linearly dependent")
-    return tuple(rows[i][r] for i in range(r))
-
-
-def inverse(matrix: Sequence[Sequence]) -> Matrix:
-    """Exact inverse of a square rational matrix."""
-    n = len(matrix)
-    rows = [list(matrix[i]) + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    rows, pivots = _echelon(rows)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
-        raise SingularBasis("matrix is singular")
-    return tuple(tuple(rows[i][n:]) for i in range(n))
+    if sign < 0:
+        rows[:] = [[-a for a in row] for row in rows]
+    return rows, sign * prev, pivots
 
 
 def int_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[Matrix | None, int]:
     """Adjugate and determinant of a square integer matrix, fraction-free.
 
-    Bareiss's integer-preserving Gauss-Jordan elimination of [M | I] ("Sylvester's
-    identity and multistep integer-preserving Gaussian elimination", Math. Comp.
-    22, 1968): every division is exact, so all entries stay plain ints and the
-    left block ends as d * I.  Returns (adj, det) with M . adj = det * I, and
+    int_row_reduce of [M | I]: the left block ends as det * I and the right
+    block as the adjugate.  Returns (adj, det) with M . adj = det * I, and
     (None, 0) when M is singular.
     """
     n = len(matrix)
-    rows = [[int(a) for a in row] + [int(j == i) for j in range(n)] for i, row in enumerate(matrix)]
-    prev = 1
-    sign = 1
-    for k in range(n):
-        p = next((t for t in range(k, n) if rows[t][k]), None)
-        if p is None:
-            return None, 0
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-            sign = -sign
-        pivot_row = rows[k]
-        pv = pivot_row[k]
-        for t in range(n):
-            if t != k:
-                f = rows[t][k]
-                rows[t] = [(pv * a - f * b) // prev for a, b in zip(rows[t], pivot_row)]
-        prev = pv
-    return tuple(tuple(sign * a for a in row[n:]) for row in rows), sign * prev
+    rows, det, pivots = int_row_reduce(
+        [[int(a) for a in row] + [int(j == i) for j in range(n)] for i, row in enumerate(matrix)]
+    )
+    if pivots != list(range(n)):
+        return None, 0
+    return tuple(tuple(row[n:]) for row in rows), det
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    """Exact determinant of a square integer matrix: the forward half of
+    int_row_reduce's Bareiss step, with no back-substitution."""
     rows = [list(row) for row in matrix]
     n = len(rows)
     prev = 1
@@ -188,11 +160,57 @@ def clear_denominators(x: Iterable) -> tuple[IntVec, int]:
     return tuple(c.numerator * (m // c.denominator) for c in x), m
 
 
+def _reduce_augmented(columns: Sequence[tuple], target: tuple) -> tuple[list[list[int]], int, list[int]]:
+    """int_row_reduce of [columns | target], the system sum(lam_t * columns_t) = target,
+    with each row's denominators cleared."""
+    return int_row_reduce(
+        [clear_denominators([c[k] for c in columns] + [target[k]])[0] for k in range(len(target))]
+    )
+
+
+def rank(vectors: Sequence[tuple]) -> int:
+    if not vectors:
+        return 0
+    return len(int_row_reduce([clear_denominators(v)[0] for v in vectors])[2])
+
+
+def solve_coordinates(basis: Sequence[Covector], target: Covector) -> tuple:
+    """Coefficients lam with target = sum(lam_i * basis_i), exact.
+
+    Raises SingularBasis when the claimed basis is dependent.
+    """
+    r = len(target)
+    if len(basis) != r:
+        raise SingularBasis(f"need {r} basis covectors, got {len(basis)}")
+    rows, den, pivots = _reduce_augmented(basis, target)
+    if pivots != list(range(r)):
+        raise SingularBasis("basis is linearly dependent")
+    return tuple(Rat(rows[i][r], den) for i in range(r))
+
+
+def solve_in_span(spanning: Sequence[tuple], target: tuple) -> tuple | None:
+    """Coefficients expressing target over a (not necessarily square) independent
+    family, or None when target lies outside the span."""
+    m = len(spanning)
+    if m == 0:
+        return () if is_zero(target) else None
+    reduced, den, pivots = _reduce_augmented(spanning, target)
+    if pivots and pivots[-1] == m:
+        return None  # inconsistent
+    coeffs = [ZERO] * m
+    for i, p in enumerate(pivots):
+        coeffs[p] = Rat(reduced[i][m], den)
+    return tuple(coeffs)
+
+
 def dual_basis(basis: Sequence[Covector]) -> list[Vector]:
     """Vectors C with basis_i(C_j) = delta_ij; raises SingularBasis if dependent."""
-    inv = inverse([list(b) for b in basis])
-    n = len(basis)
-    return [tuple(inv[i][j] for i in range(n)) for j in range(n)]
+    # Rows scaled by their denominators m_i: B^-1 = (M B)^-1 M, column j scaled by m_j.
+    cleared = [clear_denominators(b) for b in basis]
+    adj, det = int_adjugate([row for row, _ in cleared])
+    if adj is None:
+        raise SingularBasis("matrix is singular")
+    return [tuple(Rat(row[j] * m, det) for row in adj) for j, (_, m) in enumerate(cleared)]
 
 
 def nullspace(rows: Sequence[tuple]) -> list[tuple]:
@@ -200,14 +218,15 @@ def nullspace(rows: Sequence[tuple]) -> list[tuple]:
     if not rows:
         raise ValueError("nullspace needs the ambient dimension; pass at least one row")
     n = len(rows[0])
-    reduced, pivots = _echelon([list(r) for r in rows])
-    free = [c for c in range(n) if c not in pivots]
+    reduced, den, pivots = int_row_reduce([clear_denominators(r)[0] for r in rows])
     basis = []
-    for f in free:
+    for f in range(n):
+        if f in pivots:
+            continue
         x = [ZERO] * n
         x[f] = ONE
         for i, p in enumerate(pivots):
-            x[p] = -reduced[i][f]
+            x[p] = Rat(-reduced[i][f], den)
         basis.append(tuple(x))
     return basis
 
@@ -288,38 +307,3 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def solve_in_span(spanning: Sequence[tuple], target: tuple) -> tuple | None:
-    """Coefficients expressing target over a (not necessarily square) independent
-    family, or None when target lies outside the span."""
-    m = len(spanning)
-    if m == 0:
-        return () if is_zero(target) else None
-    r = len(target)
-    aug = [[spanning[t][k] for t in range(m)] + [target[k]] for k in range(r)]
-    reduced, pivots = _echelon(aug)
-    if any(p == m for p in pivots):
-        return None  # inconsistent
-    coeffs = [ZERO] * m
-    for i, p in enumerate(pivots):
-        coeffs[p] = reduced[i][m]
-    return tuple(coeffs)
-
-
-def solve_unique(rows: Sequence[tuple], rhs: Sequence) -> tuple | None:
-    """The unique solution x of rows . x = rhs, or None if inconsistent or non-unique."""
-    if not rows:
-        return None
-    n = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs, strict=True)]
-    reduced, pivots = _echelon(aug)
-    pivots_main = [p for p in pivots if p < n]
-    if len(pivots_main) != len(pivots):
-        return None  # pivot in the rhs column: inconsistent
-    if len(pivots_main) < n:
-        return None  # underdetermined
-    x = [ZERO] * n
-    for i, p in enumerate(pivots_main):
-        x[p] = reduced[i][n]
-    return tuple(x)

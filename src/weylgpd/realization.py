@@ -38,7 +38,8 @@ from .exactlin import (
     dual_basis,
     primitive_normalize,
     primitive_ray,
-    solve_unique,
+    rank as mat_rank,
+    solve_in_span,
     vdot,
     vec,
     vneg,
@@ -166,10 +167,11 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
 
 
 def _derive_affine_functional(rank: int, ray_families) -> tuple | None:
-    """A covector h with h(ray) = 1 on every primitive chamber ray, if unique.
+    """A covector h with h(ray) = 1 on every primitive chamber ray, if one exists.
 
     Affine arrangements place all chamber rays on one affine hyperplane, which
-    h recovers; spherical data admits no such h.
+    h recovers; spherical data admits no such h.  The rays of one chamber
+    already span, so h is unique when it exists.
     """
     points = set()
     for rays in ray_families:
@@ -178,7 +180,7 @@ def _derive_affine_functional(rank: int, ray_families) -> tuple | None:
     if len(points) <= rank:
         return None
     rows = sorted(points)
-    return solve_unique(rows, [ONE] * len(rows))
+    return solve_in_span(tuple(zip(*rows)), (ONE,) * len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +250,6 @@ def adjacency_equivalences_test(
 
     shared = [ray for ray in rays_b if in_closure(ray, basis_b2)]
     shared += [ray for ray in rays_b2 if in_closure(ray, basis_b) and ray not in shared]
-    from .exactlin import rank as mat_rank
-
     if b == b2:
         i_adjacent = False
     else:

@@ -43,7 +43,8 @@ from .errors import (
     Unsupported,
 )
 from .exactlin import (
-    _echelon,
+    clear_denominators,
+    int_row_reduce,
     integer_kernel_basis,
     nullspace,
     primitive_normalize,
@@ -102,7 +103,7 @@ def localize(table: RootSystemTable, x) -> Localization:
         return Localization(x, (), (), 0, (), None)
     support = tuple(nullspace(list(roots)))
     # Pivot columns of the root matrix give a complement of the support.
-    _, pivots = _echelon([list(r) for r in roots])
+    _, _, pivots = int_row_reduce([clear_denominators(r)[0] for r in roots])
     q = len(pivots)
     intrinsic_roots = [tuple(r[c] for c in pivots) for r in roots]
     intrinsic = RootSystemTable(q, intrinsic_roots, cone=Spherical())
@@ -217,15 +218,8 @@ class Restriction:
     def ambient_of(self, intrinsic) -> tuple:
         """Orthogonal-projection representative (standard inner product) of an
         intrinsic covector, as an ambient tuple."""
-        v = vec(intrinsic)
-        m = len(self.lattice_basis)
-        gram = [
-            [vdot(self.lattice_basis[a], self.lattice_basis[b]) for b in range(m)]
-            for a in range(m)
-        ]
-        from .exactlin import solve_unique
-
-        coeffs = solve_unique([tuple(row) for row in gram], v)
+        gram = tuple(tuple(vdot(a, b) for b in self.lattice_basis) for a in self.lattice_basis)
+        coeffs = solve_in_span(gram, vec(intrinsic))  # gram is symmetric: its rows are its columns
         if coeffs is None:
             raise InvalidTable("degenerate lattice basis")
         n = len(self.alpha0)

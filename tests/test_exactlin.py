@@ -16,10 +16,10 @@ from weylgpd.exactlin import (
     dual_basis,
     int_adjugate,
     int_det,
-    inverse,
     nullspace,
     primitive_normalize,
     primitive_ray,
+    rank,
     sign_at,
     solve_coordinates,
     solve_in_span,
@@ -158,6 +158,48 @@ class TestSpanAndKernel:
             for row in rows:
                 assert vdot(row, v) == 0
 
+    def test_rank_nullspace_and_span_match_oracle_randomized(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            m, n = rng.randint(1, 5), rng.randint(1, 6)
+            # Rank-deficient and non-square: rows are combinations of fewer generators.
+            gens = [_random_rationals(rng, n) for _ in range(rng.randint(1, m))]
+            rows = [_combination(rng, gens, n) for _ in range(m)]
+            independent = _oracle_independent(rows)
+            assert rank(rows) == len(independent)
+            kernel = nullspace(rows)
+            assert len(kernel) == n - len(independent)
+            assert len(_oracle_independent(kernel)) == len(kernel)
+            assert all(vdot(row, v) == 0 for row in rows for v in kernel)
+            inside = _combination(rng, independent, n)
+            for target in (inside, _random_rationals(rng, n)):
+                got = solve_in_span(independent, target)
+                expected = gauss_solve(independent, target)
+                if expected is None:
+                    assert got is None
+                else:
+                    assert tuple(map(F, map(str, got))) == expected
+
+
+def _random_rationals(rng, n) -> tuple:
+    return vec([F(rng.choice((0, rng.randint(-6, 6))), rng.randint(1, 4)) for _ in range(n)])
+
+
+def _combination(rng, vectors, n) -> tuple:
+    return tuple(
+        sum((F(rng.randint(-3, 3)) * v[k] for v in vectors), start=rat(0)) for k in range(n)
+    )
+
+
+def _oracle_independent(vectors) -> list:
+    """A maximal independent subfamily, chosen greedily with the oracle: a vector
+    joins when it is not a combination of those already chosen."""
+    chosen = []
+    for v in vectors:
+        if any(c != 0 for c in v) and (not chosen or gauss_solve(chosen, v) is None):
+            chosen.append(v)
+    return chosen
+
 
 def _leibniz_det(matrix) -> int:
     n = len(matrix)
@@ -187,11 +229,12 @@ class TestBareiss:
             matrix = tuple(tuple(rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)) for _ in range(n))
             adj, det = int_adjugate(matrix)
             assert det == _leibniz_det(matrix)
-            try:
-                inv = inverse([vec(row) for row in matrix])
-            except SingularBasis:
+            # Column j of M^-1 solves M x = e_j.
+            columns = tuple(zip(*matrix))
+            inv_columns = [gauss_solve(columns, tuple(int(i == j) for i in range(n))) for j in range(n)]
+            if inv_columns[0] is None:
                 assert (adj, det) == (None, 0)
                 continue
             done += 1
             assert all(isinstance(a, int) for row in adj for a in row)
-            assert adj == tuple(tuple(det * a for a in row) for row in inv)
+            assert adj == tuple(tuple(det * inv_columns[j][i] for j in range(n)) for i in range(n))
