@@ -852,7 +852,10 @@ class AdditiveWitness:
     coords: tuple
 
     def __str__(self) -> str:
-        return f"positive root {self.root} (coords {self.coords}) is neither in the basis nor a sum of two positive roots"
+        return (
+            f"positive root {fmt_covector(self.root)} (coords {fmt_covector(self.coords)})"
+            " is neither in the basis nor a sum of two positive roots"
+        )
 
 
 def check_additive(table: RootSystemTable, budget: int = 10_000, max_witnesses: int = 64) -> CheckReport:
@@ -1009,7 +1012,8 @@ class KSphericalWitness:
     face_indices: tuple
 
     def __str__(self) -> str:
-        return f"codim-{len(self.face_indices)} face {self.face_indices} of chamber {self.chamber_key} misses the cone"
+        key = fmt_covector(map(fmt_covector, self.chamber_key))
+        return f"codim-{len(self.face_indices)} face {self.face_indices} of chamber {key} misses the cone"
 
 
 def check_k_spherical(table: RootSystemTable, k: int, budget: int = 10_000) -> CheckReport:

@@ -22,7 +22,7 @@ from .arrangement import (
     is_nondegenerate,
 )
 from .cartan import CartanGraph, GeneralizedCartanMatrix, generate_real_roots
-from .errors import BudgetExceeded, InvalidCartanMatrix, NonSquare, ParseError, WeylgpdError
+from .errors import BudgetExceeded, InvalidCartanMatrix, NonSquare, ParseError, RootNotInSystem, WeylgpdError
 from .exactlin import vec
 from .realization import realize, roundtrip_check
 from .subarr import double_restriction, identify_rank2, localize, restrict
@@ -221,12 +221,12 @@ def cmd_restrict(args) -> int:
     if not args.root:
         raise ParseError("at least one --root is required")
     roots = [_parse_covector(r, table.rank) for r in args.root]
-    if len(roots) == 1:
-        rst = restrict(table, roots[0])
-    elif len(roots) == 2:
-        rst = double_restriction(table, roots[0], roots[1])
-    else:
+    if len(roots) > 2:
         raise ParseError("at most two --root arguments are supported")
+    try:  # a covector that is not a root, or does not survive the first restriction
+        rst = restrict(table, roots[0]) if len(roots) == 1 else double_restriction(table, *roots)
+    except RootNotInSystem as exc:
+        raise ParseError(str(exc)) from None
     ambient = sorted(rst.ambient_table(reduced=False))
     ambient_reduced = sorted(rst.ambient_table(reduced=True))
     payload = {

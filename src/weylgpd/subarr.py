@@ -31,6 +31,7 @@ from .arrangement import (
     chamber_from_point,
     check_crystallographic,
     default_seed_chamber,
+    fmt_covector,
 )
 from .cartan import CartanGraph, GeneralizedCartanMatrix
 from .errors import (
@@ -117,8 +118,8 @@ class LocalizationWitness:
     coords: tuple
 
     def __str__(self) -> str:
-        terms = " + ".join(f"({c})*({b})" for c, b in zip(self.coords, self.basis))
-        return f"{self.root} = {terms}"
+        terms = " + ".join(f"({c})*{fmt_covector(b)}" for c, b in zip(self.coords, self.basis))
+        return f"{fmt_covector(self.root)} = {terms}"
 
 
 def check_localization_crystallographic(loc: Localization, chamber: Chamber) -> CheckReport:
@@ -242,7 +243,7 @@ def restrict(table: RootSystemTable, alpha0) -> Restriction:
     """
     alpha0 = vec(alpha0)
     if not table.contains(alpha0):
-        raise RootNotInSystem(f"{alpha0} is not in the table")
+        raise RootNotInSystem(f"{fmt_covector(alpha0)} is not in the table")
     key = primitive_normalize(alpha0)
     lattice = tuple(integer_kernel_basis(key))
     intrinsic_gamma = None
@@ -305,7 +306,7 @@ def double_restriction(table: RootSystemTable, root_a, root_b) -> Restriction:
     first = restrict(table, root_a)
     image_b = first.intrinsic_of(root_b)
     if not first.table.contains(image_b):
-        raise RootNotInSystem(f"{vec(root_b)} does not survive the first restriction")
+        raise RootNotInSystem(f"{fmt_covector(vec(root_b))} does not survive the first restriction")
     second = restrict(first.table, image_b)
     n = len(first.alpha0)
     composed = tuple(
@@ -332,7 +333,7 @@ class RestrictionIntegralityWitness:
     ratio: object
 
     def __str__(self) -> str:
-        return f"{self.other} = ({self.ratio}) * {self.basis_image} with non-integral ratio"
+        return f"{fmt_covector(self.other)} = ({self.ratio}) * {fmt_covector(self.basis_image)} with non-integral ratio"
 
 
 def check_restriction_crystallographic(rst: Restriction, budget: int = 10_000) -> CheckReport:

@@ -162,6 +162,23 @@ class TestCheck:
         code, _, _ = run(capsys, "--depth", "5", "check", "aff-a1", "--property", "k-spherical", "--k", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize(
+        "argv, expected_code, fragment",
+        [
+            (("--depth", "5", "check", "aff-a1", "--property", "additive"), 1, "positive root (2, 1) (coords (1, 2))"),
+            (("--depth", "5", "check", "aff-a1", "--property", "k-spherical", "--k", "2"), 1, "chamber ((0, 1), (1, 0))"),
+            (("restrict", "f4", "--root", "1,1,1,1"), 2, "(1, 1, 1, 1) is not in the table"),
+            (("restrict", "f4", "--root", "0,0,0,1", "--root", "0,0,0,1"), 2, "(0, 0, 0, 1) does not survive"),
+        ],
+        ids=["additive", "k-spherical", "not-a-root", "not-surviving"],
+    )
+    def test_covectors_print_without_fraction_reprs(self, capsys, fmt, argv, expected_code, fragment):
+        code, out, err = run(capsys, "--format", fmt, *argv)
+        assert code == expected_code
+        assert fragment in out + err
+        assert "Fraction(" not in out + err
+
 
 class TestPipelines:
     def test_roundtrip_g2(self, capsys):

@@ -16,12 +16,13 @@ from weylgpd.arrangement import (
     chamber_bfs,
     chamber_from_point,
     default_seed_chamber,
+    extract_cartan_graph,
 )
 from weylgpd.builtins import F4_SIMPLE_ROOTS, affine_a1_table, builtin_table, f4_table
 from weylgpd.cartan import CartanGraph, GeneralizedCartanMatrix
 from weylgpd.errors import NotCrystallographicAt, NotReducible, OutsideCone, RootNotInSystem, Unsupported
 from weylgpd.exactlin import primitive_normalize, primitive_ray, vec, vneg
-from weylgpd.realization import realize
+from weylgpd.realization import realize, roundtrip_check
 from weylgpd.subarr import (
     canonical_cycle,
     chamber_with_wall,
@@ -242,6 +243,14 @@ class TestRestrictionCrystallographic:
         table = builtin_table("b2")
         report = check_restriction_crystallographic(restrict(table, table.roots[0]))
         assert report.passed
+
+    @pytest.mark.parametrize("root", [(0, 0, 0, 1), (0, 1, -1, 0)], ids=["short", "long"])
+    def test_f4_restriction_groupoid_round_trips(self, root):
+        # A rank-3 Weyl groupoid whose Cartan matrix varies between objects.
+        graph = extract_cartan_graph(reduce(restrict(f4_table(), root).table)).graph
+        assert len(graph.objects) == 96
+        assert len({graph.matrix(obj) for obj in graph.objects}) == 2
+        assert roundtrip_check(graph, depth=40).equivalent
 
 
 class TestProjectedBasisStructure:
