@@ -7,9 +7,9 @@ operations are pure and exact, so every downstream predicate is decidable.
 There is one elimination, on integers: `int_row_reduce`, Bareiss's
 fraction-free Gauss-Jordan.  `int_adjugate` is it applied to [M | I], and
 every rational solver (`rank`, `solve_coordinates`, `solve_in_span`,
-`dual_basis`, `nullspace`) clears each row's denominators, calls it, and
-reads its Fraction answers off the integer result.  `int_det` runs only the
-forward half of the same step.
+`dual_basis`, `nullspace`) clears each row's denominators, calls it
+(directly or through `int_adjugate`), and reads its Fraction answers off the
+integer result.  `int_det` runs only the forward half of the same step.
 """
 
 from __future__ import annotations
@@ -160,14 +160,6 @@ def clear_denominators(x: Iterable) -> tuple[IntVec, int]:
     return tuple(c.numerator * (m // c.denominator) for c in x), m
 
 
-def _reduce_augmented(columns: Sequence[tuple], target: tuple) -> tuple[list[list[int]], int, list[int]]:
-    """int_row_reduce of [columns | target], the system sum(lam_t * columns_t) = target,
-    with each row's denominators cleared."""
-    return int_row_reduce(
-        [clear_denominators([c[k] for c in columns] + [target[k]])[0] for k in range(len(target))]
-    )
-
-
 def rank(vectors: Sequence[tuple]) -> int:
     if not vectors:
         return 0
@@ -182,10 +174,8 @@ def solve_coordinates(basis: Sequence[Covector], target: Covector) -> tuple:
     r = len(target)
     if len(basis) != r:
         raise SingularBasis(f"need {r} basis covectors, got {len(basis)}")
-    rows, den, pivots = _reduce_augmented(basis, target)
-    if pivots != list(range(r)):
-        raise SingularBasis("basis is linearly dependent")
-    return tuple(Rat(rows[i][r], den) for i in range(r))
+    # target(C_j) = lam_j for the dual basis C.
+    return tuple(vdot(target, c) for c in dual_basis(basis))
 
 
 def solve_in_span(spanning: Sequence[tuple], target: tuple) -> tuple | None:
@@ -194,7 +184,9 @@ def solve_in_span(spanning: Sequence[tuple], target: tuple) -> tuple | None:
     m = len(spanning)
     if m == 0:
         return () if is_zero(target) else None
-    reduced, den, pivots = _reduce_augmented(spanning, target)
+    # Row k of [spanning | target] is coordinate k of the system, denominators cleared.
+    aug = [clear_denominators([s[k] for s in spanning] + [target[k]])[0] for k in range(len(target))]
+    reduced, den, pivots = int_row_reduce(aug)
     if pivots and pivots[-1] == m:
         return None  # inconsistent
     coeffs = [ZERO] * m
@@ -219,10 +211,9 @@ def nullspace(rows: Sequence[tuple]) -> list[tuple]:
         raise ValueError("nullspace needs the ambient dimension; pass at least one row")
     n = len(rows[0])
     reduced, den, pivots = int_row_reduce([clear_denominators(r)[0] for r in rows])
+    free = [c for c in range(n) if c not in pivots]
     basis = []
-    for f in range(n):
-        if f in pivots:
-            continue
+    for f in free:
         x = [ZERO] * n
         x[f] = ONE
         for i, p in enumerate(pivots):
