@@ -3,9 +3,11 @@
 For each builtin table it records, per section, a SHA-256 of a canonical JSON
 rendering: the chamber atlas (BFS order, bases, rays, witnesses, edges, true
 and certified keys), the crystallographic and additive reports, and the
-extracted Cartan graph (matrices, edges, root sets).  Three more sections
+extracted Cartan graph (matrices, edges, root sets).  Four more sections
 cover the analyses built on the kernel: `realize` of every builtin graph at
-depth 8, the canonical signatures of the six F4 double restrictions, and
+depth 8, `roundtrip_check` of every builtin graph at depths 1 to 6 (its
+outcome and objects compared in clear, beside the hash of the whole report),
+the canonical signatures of the six F4 double restrictions, and
 `local_to_global_check` on a3 and b3.  An analysis that raises is recorded by
 its exception type and message.  `tests/test_kernel.py` recomputes the digest
 and compares it with `tests/golden/kernel_digest.json`.
@@ -37,11 +39,12 @@ from weylgpd.builtins import (
     f4_table,
 )
 from weylgpd.errors import WeylgpdError
-from weylgpd.realization import realize
+from weylgpd.realization import realize, roundtrip_check
 from weylgpd.subarr import canonical_cycle, double_restriction, fan_edge_sequence, local_to_global_check
 
 F4_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 LOCAL_TO_GLOBAL_TABLES = ("a3", "b3")
+ROUNDTRIP_DEPTHS = range(1, 7)
 
 
 def _strs(vectors) -> list:
@@ -129,6 +132,23 @@ def realize_digest(name: str, depth: int = 8) -> str:
     return _sha(_guarded(payload))
 
 
+def roundtrip_digest(name: str, depth: int) -> dict:
+    """Outcome, objects compared and SHA-256 of `roundtrip_check` on a builtin graph."""
+
+    def payload():
+        report = roundtrip_check(builtin_graph(name), depth=depth)
+        return {
+            "equivalent": report.equivalent,
+            "objects_compared": report.objects_compared,
+            "index_map": report.index_map,
+            "mismatches": list(report.mismatches),
+        }
+
+    result = _guarded(payload)
+    outcome = result.get("error") or ("pass" if result["equivalent"] else "fail")
+    return {"outcome": outcome, "objects_compared": result.get("objects_compared"), "sha": _sha(result)}
+
+
 def f4_signatures() -> dict:
     """Canonical fan signature of each double restriction of F4 by two simple roots."""
     table = f4_table()
@@ -152,6 +172,10 @@ def local_to_global_digest(name: str) -> dict:
 def kernel_digest(names=TABLE_NAMES) -> dict:
     out = {name: table_digest(builtin_table(name)) for name in names}
     out["realize"] = {name: realize_digest(name) for name in BUILTIN_GCMS}
+    out["roundtrip"] = {
+        name: {str(depth): roundtrip_digest(name, depth) for depth in ROUNDTRIP_DEPTHS}
+        for name in BUILTIN_GCMS
+    }
     out["f4-demo"] = f4_signatures()
     out["local-to-global"] = {name: local_to_global_digest(name) for name in LOCAL_TO_GLOBAL_TABLES}
     return out

@@ -24,9 +24,11 @@ from weylgpd.exactlin import primitive_ray, vec
 
 from _kernel_digest import (
     LOCAL_TO_GLOBAL_TABLES,
+    ROUNDTRIP_DEPTHS,
     f4_signatures,
     local_to_global_digest,
     realize_digest,
+    roundtrip_digest,
     table_digest,
 )
 from _oracles import gauss_solve
@@ -46,6 +48,13 @@ def test_kernel_digest_matches_golden(name):
 def test_realize_digest_matches_golden(name):
     """Everything realize returns at depth 8 is the recorded answer."""
     assert realize_digest(name) == GOLDEN["realize"][name]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GCMS))
+def test_roundtrip_digest_matches_golden(name):
+    """roundtrip_check at depths 1 to 6 gives the recorded outcome and report."""
+    got = {str(depth): roundtrip_digest(name, depth) for depth in ROUNDTRIP_DEPTHS}
+    assert got == GOLDEN["roundtrip"][name]
 
 
 def test_f4_double_restriction_signatures_match_golden():
