@@ -623,9 +623,16 @@ class ChamberAtlas:
 
 
 def chamber_is_true(table: RootSystemTable, chamber: Chamber) -> bool | None:
-    """Strict cone membership of all chamber rays; None when undecidable."""
+    """Whether the chamber is a chamber of the system the table describes.
+
+    Spherical: always.  A table with `certified_keys` (a realization): exactly
+    when the chamber's key is certified.  Affine: when all its rays lie
+    strictly inside the cone.  None for a bare truncation, which cannot tell.
+    """
     if isinstance(table.cone, Spherical):
         return True
+    if table.certified_keys is not None:
+        return chamber.key in table.certified_keys
     if isinstance(table.cone, Affine):
         gamma = table.cone.gamma
         return all(vdot(gamma, ray) > 0 for ray in chamber.rays)
@@ -635,9 +642,11 @@ def chamber_is_true(table: RootSystemTable, chamber: Chamber) -> bool | None:
 def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAtlas:
     """Breadth-first chamber exploration from a seed chamber.
 
-    For affine tables only chambers strictly inside the cone are expanded;
-    crossings into non-simplicial frontier regions of truncations are recorded
-    as missing edges instead of errors.
+    Only chambers that `chamber_is_true` does not reject are expanded: inside
+    the cone of an affine table, inside the certified region of a realized
+    truncation (its border chambers are visited but not crossed).  Crossings
+    into non-simplicial frontier regions of bare truncations are recorded as
+    missing edges instead of errors.
     """
     table.require_reduced()
     spherical = isinstance(table.cone, Spherical)
@@ -701,12 +710,20 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
     return ChamberAtlas(seed.key, chambers, edges, order, true_chambers, certified, budget_exceeded)
 
 
-def default_seed_chamber(table: RootSystemTable) -> Chamber:
-    """Deterministic seed: weighted dual basis of the first independent root subset.
+def interior_point(rays: Sequence) -> Vector:
+    """The point sum_i (1 + (i+1)/(r+1)) * rays[i] of the open cone on r rays;
+    the distinct weights break symmetry."""
+    r = len(rays)
+    weights = [ONE + Rat(i + 1, r + 1) for i in range(r)]
+    return tuple(sum((weights[i] * rays[i][k] for i in range(r)), start=ZERO) for k in range(r))
 
-    Weights 1 + (i+1)/(r+1) break symmetry; if the point is non-generic or
-    outside the cone, deterministic fallbacks (geometric weights, both signs)
-    are tried.
+
+def default_seed_chamber(table: RootSystemTable) -> Chamber:
+    """Deterministic seed: `interior_point` of the dual basis of the first
+    independent root subset.
+
+    If that point is non-generic or outside the cone, deterministic fallbacks
+    (geometric weights, both signs) are tried.
     """
     if table.seed_hint is not None:
         return chamber_from_point(table, table.seed_hint)
@@ -720,9 +737,7 @@ def default_seed_chamber(table: RootSystemTable) -> Chamber:
     if len(subset) < r:
         raise InvalidTable("table does not span; chamber geometry is degenerate")
     duals = dual_basis(subset)
-    candidates = []
-    weights = [ONE + Rat(i + 1, r + 1) for i in range(r)]
-    candidates.append(tuple(sum((weights[i] * duals[i][k] for i in range(r)), start=ZERO) for k in range(r)))
+    candidates = [interior_point(duals)]
     for m in (2, 3, 5, 7, 11, 13):
         w = [Rat(m) ** i for i in range(r)]
         candidates.append(tuple(sum((w[i] * duals[i][k] for i in range(r)), start=ZERO) for k in range(r)))
@@ -891,23 +906,20 @@ class ExtractionResult:
         return set(self.atlas.certified)
 
 
-def extract_cartan_graph(
-    table: RootSystemTable, budget: int = 10_000, object_keys: set | None = None
-) -> ExtractionResult:
+def extract_cartan_graph(table: RootSystemTable, budget: int = 10_000) -> ExtractionResult:
     """Chambers as objects, wall crossings as edges, Cartan matrix per chamber.
 
-    `object_keys` restricts the object set (e.g. to a realization's certified
-    interior); by default certified chambers are used when certification is
-    available, else all visited chambers.
+    The objects are the certified chambers when certification is available
+    (for a realized table, the realization's certified region), else all
+    visited chambers of a bare truncation.
     """
     atlas = _survey(table, budget)
-    if object_keys is None:
-        object_keys = _checkable_keys(table, atlas)
+    checked = _checkable_keys(table, atlas)
     matrices = {}
     root_sets = {}
     chambers = {}
     for key in atlas.order:
-        if key not in object_keys:
+        if key not in checked:
             continue
         chamber = atlas.chambers[key]
         matrices[key] = _matrix_from_atlas(table, atlas, key)
@@ -924,7 +936,7 @@ def extract_cartan_graph(
     edges = {
         (a, i): b
         for (a, i), b in atlas.edges.items()
-        if a in object_keys and b in object_keys
+        if a in checked and b in checked
     }
     truncated = any(
         (key, i) not in edges

@@ -261,8 +261,10 @@ class CartanGraph:
         """Objects within graph distance `depth` of start.
 
         Returns (distances, edges, closed) where edges maps (obj, i) -> neighbor
-        for every edge with both ends visited, and closed means no edge leaves
-        the visited set.
+        for every edge with both ends visited, in the order the edges are
+        found, and closed means every edge of every visited object is known
+        and stays in the visited set.  A missing edge (rho is None, as in a
+        truncated table) is frontier: the region past it is unknown.
         """
         dist = {start: 0}
         edges: dict[tuple[ObjectId, int], ObjectId] = {}
@@ -273,12 +275,10 @@ class CartanGraph:
             d = dist[a]
             for i in range(self.rank):
                 b = self.rho(i, a)
-                if b is None:
-                    continue
                 if b in dist:
                     edges[(a, i)] = b
                     continue
-                if d + 1 > depth:
+                if b is None or d + 1 > depth:
                     frontier_open = True
                     continue
                 dist[b] = d + 1

@@ -8,10 +8,12 @@ negation closure of all basis elements found within the generation depth.
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable
 
-from ._rational import ONE, ZERO, Rat
+from ._rational import ONE
 from .arrangement import (
     Chamber,
     RootSystemTable,
@@ -20,6 +22,7 @@ from .arrangement import (
     _frame_at,
     _frame_rays,
     extract_cartan_graph,
+    interior_point,
     separating_keys,
 )
 from .cartan import (
@@ -68,13 +71,7 @@ class Realization:
         return self.graph.rank
 
     def chamber_of(self, obj: ObjectId) -> Chamber:
-        return Chamber(self.bases[obj], self.rays[obj], _interior_point(self.rays[obj]))
-
-
-def _interior_point(rays: Sequence) -> tuple:
-    r = len(rays)
-    weights = [ONE + Rat(i + 1, r + 1) for i in range(r)]
-    return tuple(sum((weights[i] * rays[i][k] for i in range(r)), start=ZERO) for k in range(r))
+        return Chamber(self.bases[obj], self.rays[obj], interior_point(self.rays[obj]))
 
 
 def realize(graph: CartanGraph, depth: int = 8) -> Realization:
@@ -90,16 +87,12 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
     dist, edges, closed = graph.ball(base, depth)
     order = sorted(dist, key=lambda o: (dist[o], str(o)))
     bases: dict = {base: standard_dual_basis(rank)}
-    for obj in order:
-        for i in range(rank):
-            nxt = edges.get((obj, i))
-            if nxt is None or nxt in bases or dist[nxt] != dist[obj] + 1:
-                continue
-            bases[nxt] = apply_reflection_to_basis(bases[obj], graph.matrix(obj), i)
-    # Every non-tree edge must reproduce the stored basis: loops act trivially.
+    # The ball lists edges in BFS order, so each edge's source already has its
+    # basis.  The first edge into an object sets its basis; every later one
+    # must reproduce it: loops act trivially.
     for (obj, i), nxt in edges.items():
-        expect = apply_reflection_to_basis(bases[obj], graph.matrix(obj), i)
-        if expect != bases[nxt]:
+        image = apply_reflection_to_basis(bases[obj], graph.matrix(obj), i)
+        if bases.setdefault(nxt, image) != image:
             raise NotSimplyConnected(
                 f"edge {i} at {obj} reaches {nxt} with a conflicting basis"
             )
@@ -130,7 +123,7 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
         roots,
         cone=cone,
         # The base basis is the standard basis, which is its own dual.
-        seed_hint=_interior_point(bases[base]),
+        seed_hint=interior_point(bases[base]),
         certified_keys=frozenset(canon[obj] for obj in certified),
     )
     # Each chamber's rays and root coordinates come from its integer frame.
@@ -206,8 +199,6 @@ def gallery_distance(re: Realization, b: ObjectId, b2: ObjectId) -> int:
     """Graph distance between the two objects inside the generated region."""
     if b == b2:
         return 0
-    from collections import deque
-
     seen = {b: 0}
     queue = deque([b])
     while queue:
@@ -266,7 +257,7 @@ def adjacency_equivalences_test(
     expected = {b, b2}
     sandwich: bool | None = True
     for obj in re.order:
-        centroid = _interior_point(re.rays[obj])
+        centroid = interior_point(re.rays[obj])
         inside = all(vdot(c, centroid) > 0 for c in constraints)
         if inside != (obj in expected):
             sandwich = False
@@ -345,21 +336,16 @@ def local_cartan_graph_at(re: Realization, x, budget: int = 10_000) -> LocalGrap
         return LocalGraphResult((), (), None, b, {})
     sub = graph_residue(re.graph, b, indices, budget)
     # Bases of residue objects, propagated from b along residue edges so that
-    # they stay consistent with the ambient realization even past its depth.
+    # they stay consistent with the ambient realization even past its depth;
+    # the residue lists its objects in BFS order from b.
     local_bases = {b: re.bases[b]}
-    from collections import deque
-
-    queue = deque([b])
-    while queue:
-        cur = queue.popleft()
+    for cur in sub.objects:
         for k, amb_i in enumerate(indices):
             nxt = sub.rho(k, cur)
-            if nxt is None or nxt in local_bases:
-                continue
-            local_bases[nxt] = apply_reflection_to_basis(
-                local_bases[cur], re.graph.matrix(cur), amb_i
-            )
-            queue.append(nxt)
+            if nxt not in local_bases:
+                local_bases[nxt] = apply_reflection_to_basis(
+                    local_bases[cur], re.graph.matrix(cur), amb_i
+                )
     integer_roots = {}
     for obj in sub.objects:
         rays = dual_basis(local_bases[obj])
@@ -394,12 +380,12 @@ def roundtrip_check(graph: CartanGraph, depth: int = 8, budget: int = 10_000) ->
 
     Objects are matched through their canonical chamber keys, and indices by
     matching the base object's basis covectors, so no combinatorial search is
-    needed.  Comparison is restricted to the certified interior.
+    needed.  Comparison is restricted to the certified interior, which the
+    realized table carries as its certified keys.
     """
     re = realize(graph, depth)
-    wanted = {re.canon[obj] for obj in re.certified}
     # The table's seed hint is the interior point of the base object's chamber.
-    extraction = extract_cartan_graph(re.table, budget, object_keys=wanted)
+    extraction = extract_cartan_graph(re.table, budget)
     mismatches = []
 
     base_chamber = extraction.chambers.get(re.canon[re.base])
@@ -426,25 +412,15 @@ def roundtrip_check(graph: CartanGraph, depth: int = 8, budget: int = 10_000) ->
         if expected_basis != actual_basis:
             mismatches.append(f"object {obj}: basis indexing differs")
             continue
-        gm = graph.matrix(obj)
-        ext_matrix = None
-        try:
-            ext_matrix = extraction.graph.matrix(key)
-        except KeyError:
-            mismatches.append(f"object {obj}: no extracted matrix")
-            continue
-        for i in range(re.rank):
-            for j in range(re.rank):
-                a = gm.rows[i][j]
-                bb = ext_matrix.rows[phi0[i]][phi0[j]]
-                if a != bb:
-                    mismatches.append(
-                        f"object {obj}: matrix entry ({i},{j}) is {a} in the graph, {bb} extracted"
-                    )
-                    break
-            else:
-                continue
-            break
+        gm, ext = graph.matrix(obj).rows, extraction.graph.matrix(key).rows
+        entries = itertools.product(range(re.rank), repeat=2)
+        differ = next(((i, j) for i, j in entries if gm[i][j] != ext[phi0[i]][phi0[j]]), None)
+        if differ is not None:
+            i, j = differ
+            mismatches.append(
+                f"object {obj}: matrix entry ({i},{j}) is {gm[i][j]} in the graph, "
+                f"{ext[phi0[i]][phi0[j]]} extracted"
+            )
         for i in range(re.rank):
             nxt = re.edges.get((obj, i))
             ext_next = extraction.graph.rho(phi0[i], key)

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 import weylgpd
 from weylgpd.cli import main
 
+from test_realization import A2_PATH_JSON
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -192,6 +194,18 @@ class TestPipelines:
         assert out1 == out2
         payload = json.loads(out1)
         assert payload["complete"] is True
+
+    def test_roots_of_a_truncated_graph_are_incomplete(self, capsys, tmp_path):
+        path = tmp_path / "a2_path.json"
+        path.write_text(json.dumps(A2_PATH_JSON))
+        code, out, _ = run(capsys, "roots", str(path))
+        assert code == 0
+        assert out.splitlines()[0] == "complete: False"
+
+    @pytest.mark.parametrize("depth,name", [("1", "a3"), ("3", "f4")])
+    def test_roundtrip_of_a_shallow_truncation_passes(self, capsys, depth, name):
+        code, out, err = run(capsys, "--depth", depth, "roundtrip", name)
+        assert code == 0 and out.startswith("roundtrip: pass") and err == ""
 
     def test_realize_table_output(self, capsys):
         code, out, _ = run(capsys, "--depth", "6", "realize", "aff-a1")

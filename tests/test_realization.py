@@ -6,10 +6,12 @@ import itertools
 
 import pytest
 
+from weylgpd.arrangement import Truncated
 from weylgpd.builtins import builtin_graph
-from weylgpd.cartan import CartanGraph, GeneralizedCartanMatrix
+from weylgpd.cartan import CartanGraph, GeneralizedCartanMatrix, generate_real_roots
 from weylgpd.errors import AxiomViolation, NotSimplyConnected
 from weylgpd.exactlin import vec, vneg
+from weylgpd.jsonio import graph_from_json
 from weylgpd.realization import (
     adjacency_equivalences_test,
     gallery_distance,
@@ -19,6 +21,32 @@ from weylgpd.realization import (
     roundtrip_check,
     separating_set,
 )
+
+
+A2 = ((2, -1), (-1, 2))
+
+#: The A2 path 0 -(0)- 1 -(1)- 2 with base 1, a truncation of the A2 hexagon:
+#: edge 1 at 0 and edge 0 at 2 are missing.
+A2_PATH_JSON = {
+    "rank": 2,
+    "base": "1",
+    "truncated": True,
+    "objects": [{"id": str(k), "cartan": [list(row) for row in A2]} for k in range(3)],
+    "edges": [
+        {"i": 0, "from": "0", "to": "1"},
+        {"i": 0, "from": "1", "to": "0"},
+        {"i": 1, "from": "1", "to": "2"},
+        {"i": 1, "from": "2", "to": "1"},
+    ],
+}
+
+
+def a2_path(build: str) -> CartanGraph:
+    if build == "json":
+        return graph_from_json(A2_PATH_JSON)
+    gcm = GeneralizedCartanMatrix.from_rows(A2)
+    edges = {(0, 0): 1, (1, 0): 0, (1, 1): 2, (2, 1): 1}
+    return CartanGraph.explicit({k: gcm for k in range(3)}, edges, 1, truncated=True)
 
 
 class TestRealize:
@@ -61,6 +89,15 @@ class TestRealize:
 
         with pytest.raises(AxiomViolation, match="not sign-coherent at 2"):
             realize(rank2_graph_from_edge_sequence((1, 1, 1, 1, 1, 2)), depth=2)
+
+    @pytest.mark.parametrize("build", ["explicit", "json"])
+    def test_missing_edge_leaves_the_region_open(self, build):
+        graph = a2_path(build)
+        re = realize(graph, depth=8)
+        assert re.complete is False
+        assert isinstance(re.table.cone, Truncated)
+        assert re.certified == {graph.base}
+        assert generate_real_roots(graph, graph.base, 8).complete is False
 
     def test_not_simply_connected_detected(self):
         gcm = GeneralizedCartanMatrix.from_rows([[2, -1], [-1, 2]])
