@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .arrangement import Affine, RootSystemTable, Spherical, Truncated
+from .arrangement import Affine, RootSystemTable, Spherical, Truncated, fmt_covector
 from .cartan import CartanGraph, GeneralizedCartanMatrix, _integer_entry
 from .errors import InvalidTable, NonSquare, ParseError
-from .exactlin import vec
+from .exactlin import vdot, vec
 from .realization import Realization
 
 
@@ -54,9 +54,27 @@ def table_from_json(data: dict) -> RootSystemTable:
         seed = data.get("seed")
         seed_hint = vec(seed) if seed else None
         reduced = data.get("reduced")
-        return RootSystemTable(rank, roots, cone=cone, reduced=reduced, seed_hint=seed_hint)
+        table = RootSystemTable(rank, roots, cone=cone, reduced=reduced, seed_hint=seed_hint)
     except (KeyError, TypeError, ValueError, OverflowError, InvalidTable) as exc:
         raise ParseError(f"malformed table JSON: {exc}") from exc
+    if table.seed_hint is not None:
+        _check_seed(table)
+    return table
+
+
+def _check_seed(table: RootSystemTable) -> None:
+    """A table's seed starts its chamber surveys, so it must be a generic point
+    of the cone: of the table's rank, on no root hyperplane, gamma positive."""
+    seed = table.seed_hint
+    if len(seed) != table.rank:
+        raise ParseError(f"seed {fmt_covector(seed)} does not have rank {table.rank}")
+    if isinstance(table.cone, Affine) and vdot(table.cone.gamma, seed) <= 0:
+        raise ParseError(
+            f"seed {fmt_covector(seed)} is outside the cone of gamma = {fmt_covector(table.cone.gamma)}"
+        )
+    for line in table.lines:
+        if vdot(line, seed) == 0:
+            raise ParseError(f"seed {fmt_covector(seed)} lies on the hyperplane of {fmt_covector(line)}")
 
 
 def graph_to_json(graph: CartanGraph, depth: int | None = None) -> dict:

@@ -14,7 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import weylgpd
+from weylgpd.builtins import builtin_table
 from weylgpd.cli import main
+from weylgpd.jsonio import table_to_json
 
 from test_realization import A2_PATH_JSON
 
@@ -351,6 +353,24 @@ class TestJsonInputBoundary:
         assert code == 2
         assert err.startswith("input error:") and err.count("\n") == 1
         assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("argv", [("check", "{}", "--property", "cryst"), ("extract-graph", "{}")])
+    @pytest.mark.parametrize(
+        "table,seed,fragment",
+        [
+            ("a2", ["0", "1"], "seed (0, 1) lies on the hyperplane of (1, 0)"),
+            ("aff-a1", ["-1", "-3"], "seed (-1, -3) is outside the cone of gamma = (1, 1)"),
+            ("a2", ["1", "2", "3"], "seed (1, 2, 3) does not have rank 2"),
+        ],
+        ids=["on-hyperplane", "outside-cone", "wrong-rank"],
+    )
+    def test_bad_seed_is_an_input_error(self, capsys, tmp_path, table, seed, fragment, argv):
+        payload = dict(table_to_json(builtin_table(table)), seed=seed)
+        path = _write(tmp_path, payload)
+        code, out, err = run(capsys, *(path if a == "{}" else a for a in argv))
+        assert code == 2
+        assert err == f"input error: {fragment}\n"
+        assert "Fraction(" not in out + err
 
     def test_covectors_in_errors_read_as_rationals(self, capsys, tmp_path):
         path = _write(tmp_path, {"rank": 2, "roots": [["1", "0"], ["0", "1"], ["-1", "0"]]})
