@@ -10,6 +10,12 @@ ZERO = Rat(0)
 ONE = Rat(1)
 
 
+def fmt_covector(cov) -> str:
+    """A covector, point or coordinate list as "(1, -1/2)", and a chamber key
+    (a tuple of covectors) as "((0, 1), (1, 0))": never a Fraction repr."""
+    return "(" + ", ".join(fmt_covector(c) if isinstance(c, tuple) else str(c) for c in cov) + ")"
+
+
 def rat(value) -> "Rat":
     """Coerce ints, strings like "p/q" or "p", and rationals to Rat."""
     if isinstance(value, str):

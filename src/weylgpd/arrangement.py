@@ -26,7 +26,7 @@ from math import gcd
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from ._rational import ONE, ZERO, Rat
+from ._rational import ONE, ZERO, Rat, fmt_covector
 from .cartan import (
     CartanGraph,
     GeneralizedCartanMatrix,
@@ -266,7 +266,7 @@ def _frame(table: RootSystemTable, chamber: Chamber) -> IntegerFrame:
     for b in chamber.basis:
         k = table.index.get(b)
         if k is None:
-            raise InvalidTable(f"basis element {b} is not a root of the table")
+            raise InvalidTable(f"basis element {fmt_covector(b)} is not a root of the table")
         index.append(k)
     return _frame_at(table, tuple(index))
 
@@ -294,10 +294,6 @@ class Gallery:
 
     def __len__(self) -> int:
         return len(self.crossings)
-
-
-def fmt_covector(cov) -> str:
-    return "(" + ", ".join(str(c) for c in cov) + ")"
 
 
 @dataclass(frozen=True)
@@ -355,7 +351,7 @@ def coords_in_chamber(table: RootSystemTable, chamber: Chamber, root) -> tuple:
     frame = _frame(table, chamber)
     covector = vec(root)
     if len(covector) != table.rank:
-        raise InvalidTable(f"covector {covector} does not have rank {table.rank}")
+        raise InvalidTable(f"covector {fmt_covector(covector)} does not have rank {table.rank}")
     ints, m = clear_denominators(covector)
     den = m * frame.det
     return tuple(Rat(table.scale * _dot(ints, col), den) for col in frame.cols)
@@ -366,9 +362,9 @@ def chamber_from_point(table: RootSystemTable, x) -> Chamber:
     table.require_reduced()
     x = vec(x)
     if len(x) != table.rank:
-        raise InvalidTable(f"point {x} does not have rank {table.rank}")
+        raise InvalidTable(f"point {fmt_covector(x)} does not have rank {table.rank}")
     if isinstance(table.cone, Affine) and sign_at(table.cone.gamma, x) <= 0:
-        raise OutsideCone(f"gamma({x}) <= 0")
+        raise OutsideCone(f"gamma({fmt_covector(x)}) <= 0")
     positives = _positive_lines(table, x)  # raises OnHyperplane when not generic
     return _chamber(table, _extreme_basis(table, positives), x)
 
@@ -382,7 +378,7 @@ def walls_and_root_basis(table: RootSystemTable, x) -> tuple:
 def _positive_lines(table: RootSystemTable, x: Vector) -> list:
     """(line key, index of the line's root positive at x) per line, by key."""
     if len(x) != table.rank:
-        raise InvalidTable(f"point {x} does not have rank {table.rank}")
+        raise InvalidTable(f"point {fmt_covector(x)} does not have rank {table.rank}")
     xs, _ = clear_denominators(x)
     out = []
     for key, elems in sorted(table.lines.items()):
@@ -489,10 +485,10 @@ def adjacent_chamber(table: RootSystemTable, chamber: Chamber, i: int) -> Chambe
     table.require_reduced()
     r = chamber.rank
     if not wall_is_crossable(table, chamber, i):
-        raise WallOnBoundary(f"wall {i} of chamber {chamber.key} does not meet the cone")
+        raise WallOnBoundary(f"wall {i} of chamber {fmt_covector(chamber.key)} does not meet the cone")
     neg_i = vneg(chamber.basis[i])
     if neg_i not in table.index:
-        raise InvalidTable(f"missing negation {neg_i}")
+        raise InvalidTable(f"missing negation {fmt_covector(neg_i)}")
     if r == 1:
         return _chamber(table, (table.index[neg_i],), vneg(chamber.witness))
 
@@ -557,11 +553,11 @@ def _verify_chamber_basis(table: RootSystemTable, chamber: Chamber) -> None:
     frame = _frame(table, chamber)
     for k, row in enumerate(frame.num):
         if not any(row):
-            raise NotSimplicial(f"root {table.roots[k]} vanishes on the claimed chamber")
+            raise NotSimplicial(f"root {fmt_covector(table.roots[k])} vanishes on the claimed chamber")
         if min(row) < 0 < max(row):
             raise NotSimplicial(
-                f"root {table.roots[k]} separates the claimed chamber {chamber.key}: "
-                f"coords {frame.coords(k)}"
+                f"root {fmt_covector(table.roots[k])} separates the claimed chamber "
+                f"{fmt_covector(chamber.key)}: coords {fmt_covector(frame.coords(k))}"
             )
 
 
@@ -686,7 +682,7 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
                 queue.append(nid)
             elif stored.basis != neighbor.basis:
                 raise NotSimplicial(
-                    f"chamber {neighbor.key} reached with conflicting compatible indexings"
+                    f"chamber {fmt_covector(neighbor.key)} reached with conflicting compatible indexings"
                 )
             links[(cid, i)] = nid
             links[(nid, i)] = cid
@@ -957,7 +953,7 @@ def _matrix_from_atlas(table: RootSystemTable, atlas: ChamberAtlas, key: tuple) 
     for i in range(chamber.rank):
         nkey = atlas.edges.get((key, i))
         if nkey is None:
-            raise BudgetExceeded(f"wall {i} of chamber {key} was not crossed", partial=atlas)
+            raise BudgetExceeded(f"wall {i} of chamber {fmt_covector(key)} was not crossed", partial=atlas)
         coeffs = _wall_coefficients(table, chamber, atlas.chambers[nkey], i)
         rows.append(tuple(-c for c in coeffs))
     return GeneralizedCartanMatrix.from_rows(rows)
@@ -1000,7 +996,7 @@ def distance_and_gallery(table: RootSystemTable, start: Chamber, goal: Chamber) 
                 moved = True
                 break
         if not moved:
-            raise Unreachable(f"no crossable separating wall at {cur.key}")
+            raise Unreachable(f"no crossable separating wall at {fmt_covector(cur.key)}")
     return total, Gallery(tuple(chambers), tuple(crossings))
 
 
@@ -1024,8 +1020,10 @@ class KSphericalWitness:
     face_indices: tuple
 
     def __str__(self) -> str:
-        key = fmt_covector(map(fmt_covector, self.chamber_key))
-        return f"codim-{len(self.face_indices)} face {self.face_indices} of chamber {key} misses the cone"
+        return (
+            f"codim-{len(self.face_indices)} face {self.face_indices} of chamber "
+            f"{fmt_covector(self.chamber_key)} misses the cone"
+        )
 
 
 def check_k_spherical(table: RootSystemTable, k: int, budget: int = 10_000) -> CheckReport:

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from ._rational import ONE, ZERO
+from ._rational import ONE, ZERO, fmt_covector
 from .errors import (
     BudgetExceeded,
     InvalidCartanMatrix,
@@ -23,6 +23,12 @@ from .exactlin import int_det, primitive_ray
 
 IntVec = tuple  # tuple of ints
 ObjectId = Hashable
+
+
+def fmt_object(obj: ObjectId) -> str:
+    """An object id for messages: ids that are chamber keys (the standard
+    graph's) print through fmt_covector, any other id through str."""
+    return fmt_covector(obj) if isinstance(obj, tuple) else str(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +235,7 @@ class CartanGraph:
                 bases[key] = new_basis
             elif stored != new_basis:
                 raise NotSimplyConnected(
-                    f"object {key} reached with conflicting indexed bases"
+                    f"object {fmt_covector(key)} reached with conflicting indexed bases"
                 )
             return key
 
@@ -248,11 +254,11 @@ class CartanGraph:
                     continue
                 back = self.rho(i, b)
                 if back != a:
-                    raise NotSimplyConnected(f"(C1) fails: rho_{i}^2({a}) = {back}")
+                    raise NotSimplyConnected(f"(C1) fails: rho_{i}^2({fmt_object(a)}) = {fmt_object(back)}")
                 Cb = self.matrix(b)
                 if Ca.rows[i] != Cb.rows[i]:
                     raise InvalidCartanMatrix(
-                        [GcmViolation("C2", (i, 0), f"row {i} differs across edge {a} -- {b}")]
+                        [GcmViolation("C2", (i, 0), f"row {i} differs across edge {fmt_object(a)} -- {fmt_object(b)}")]
                     )
 
     # -- traversal ---------------------------------------------------------
@@ -599,7 +605,7 @@ class Morphism:
             mat = int_mat_mul(step, mat)
             nxt = graph.rho(i, cur)
             if nxt is None:
-                raise BudgetExceeded(f"edge {i} missing at {cur}")
+                raise BudgetExceeded(f"edge {i} missing at {fmt_object(cur)}")
             cur = nxt
         return cls(start, cur, tuple(word), mat)
 

@@ -13,6 +13,7 @@ import sys
 
 from . import builtins as builtin_data
 from . import jsonio
+from ._rational import fmt_covector
 from .arrangement import (
     RootSystemTable,
     check_additive,
@@ -119,7 +120,7 @@ def _pair_table_lines(covectors) -> list[str]:
         pairs.add(rep)
     lines = []
     for rep in sorted(pairs):
-        lines.append("+-(" + ", ".join(str(c) for c in rep) + ")")
+        lines.append("+-" + fmt_covector(rep))
     return lines
 
 
@@ -190,7 +191,7 @@ def cmd_realize(args) -> int:
     payload = jsonio.realization_to_json(re)
     lines = [f"objects: {len(re.order)}  complete: {re.complete}"]
     for obj in re.order:
-        basis = ", ".join("(" + ", ".join(str(c) for c in b) + ")" for b in re.bases[obj])
+        basis = ", ".join(map(fmt_covector, re.bases[obj]))
         lines.append(f"B[{jsonio.key_to_str(re.canon[obj])}] = {{ {basis} }}")
     _emit(payload, args.format, lines)
     return EXIT_OK

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from ._rational import fmt_covector
+
 
 class WeylgpdError(Exception):
     """Base class for all library errors."""
@@ -41,7 +43,7 @@ class OnHyperplane(WeylgpdError):
     def __init__(self, root, point):
         self.root = root
         self.point = point
-        super().__init__(f"point {point} lies on the hyperplane of {root}")
+        super().__init__(f"point {fmt_covector(point)} lies on the hyperplane of {fmt_covector(root)}")
 
 
 class OutsideCone(WeylgpdError):
@@ -62,7 +64,7 @@ class NotCrystallographicAt(WeylgpdError):
     def __init__(self, chamber_id, witness):
         self.chamber_id = chamber_id
         self.witness = witness
-        super().__init__(f"at chamber {chamber_id}: {witness}")
+        super().__init__(f"at chamber {fmt_covector(chamber_id)}: {witness}")
 
 
 class NotSimplyConnected(WeylgpdError):
@@ -91,7 +93,9 @@ class NotReducible(WeylgpdError):
     def __init__(self, line_key, elements):
         self.line_key = line_key
         self.elements = tuple(elements)
-        super().__init__(f"line {line_key} has no common divisor among {self.elements}")
+        super().__init__(
+            f"line {fmt_covector(line_key)} has no common divisor among {fmt_covector(self.elements)}"
+        )
 
 
 class RootNotInSystem(WeylgpdError):

@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .arrangement import Affine, RootSystemTable, Spherical, Truncated, fmt_covector
+from ._rational import fmt_covector
+from .arrangement import Affine, RootSystemTable, Spherical, Truncated
 from .cartan import CartanGraph, GeneralizedCartanMatrix, _integer_entry
 from .errors import InvalidTable, NonSquare, ParseError
 from .exactlin import vdot, vec

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Hashable
 
-from ._rational import ONE
+from ._rational import ONE, fmt_covector
 from .arrangement import (
     Chamber,
     RootSystemTable,
@@ -29,6 +29,7 @@ from .cartan import (
     CartanGraph,
     apply_reflection_to_basis,
     canonical_basis_key,
+    fmt_object,
     residue as graph_residue,
     standard_dual_basis,
 )
@@ -94,7 +95,7 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
         image = apply_reflection_to_basis(bases[obj], graph.matrix(obj), i)
         if bases.setdefault(nxt, image) != image:
             raise NotSimplyConnected(
-                f"edge {i} at {obj} reaches {nxt} with a conflicting basis"
+                f"edge {i} at {fmt_object(obj)} reaches {fmt_object(nxt)} with a conflicting basis"
             )
     canon: dict = {}
     seen_keys: dict = {}
@@ -102,7 +103,9 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
         key = canonical_basis_key(basis)
         other = seen_keys.get(key)
         if other is not None and other != obj:
-            raise NotSimplyConnected(f"objects {other} and {obj} realize the same chamber")
+            raise NotSimplyConnected(
+                f"objects {fmt_object(other)} and {fmt_object(obj)} realize the same chamber"
+            )
         seen_keys[key] = obj
         canon[obj] = key
 
@@ -133,14 +136,16 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
         rays[obj] = _frame_rays(frame)
         for k, (root, row) in enumerate(zip(table.roots, frame.num)):
             if not any(row):
-                raise AxiomViolation(f"root {root} vanishes on chamber of {obj}")
+                raise AxiomViolation(f"root {fmt_covector(root)} vanishes on chamber of {fmt_object(obj)}")
             if min(row) < 0 < max(row):
                 raise AxiomViolation(
-                    f"root {root} is not sign-coherent at {obj}: coords {list(frame.coords(k))}"
+                    f"root {fmt_covector(root)} is not sign-coherent at {fmt_object(obj)}: "
+                    f"coords {fmt_covector(frame.coords(k))}"
                 )
             if any(n % frame.det for n in row):
                 raise AxiomViolation(
-                    f"root {root} has non-integral coordinates at {obj}: coords {list(frame.coords(k))}"
+                    f"root {fmt_covector(root)} has non-integral coordinates at {fmt_object(obj)}: "
+                    f"coords {fmt_covector(frame.coords(k))}"
                 )
     gamma = _derive_affine_functional(rank, rays.values())
     return Realization(
@@ -211,7 +216,7 @@ def gallery_distance(re: Realization, b: ObjectId, b2: ObjectId) -> int:
             if nxt == b2:
                 return seen[nxt]
             queue.append(nxt)
-    raise BudgetExceeded(f"{b2} not reachable from {b} in the generated region")
+    raise BudgetExceeded(f"{fmt_object(b2)} not reachable from {fmt_object(b)} in the generated region")
 
 
 @dataclass(frozen=True)
@@ -353,7 +358,7 @@ def local_cartan_graph_at(re: Realization, x, budget: int = 10_000) -> LocalGrap
         for root in roots_x:
             coords = tuple(vdot(root, ray) for ray in rays)
             if any(c.denominator != 1 for c in coords):
-                raise AxiomViolation(f"localized root {root} non-integral at {obj}")
+                raise AxiomViolation(f"localized root {fmt_covector(root)} non-integral at {fmt_object(obj)}")
             per.add(tuple(int(coords[i]) for i in indices))
         integer_roots[obj] = frozenset(per)
     return LocalGraphResult(indices, roots_x, sub, b, integer_roots)
@@ -396,7 +401,7 @@ def roundtrip_check(graph: CartanGraph, depth: int = 8, budget: int = 10_000) ->
         beta = re.bases[re.base][i]
         matches = [k for k, alpha in enumerate(base_chamber.basis) if alpha == beta]
         if len(matches) != 1:
-            return RoundTripReport(False, 0, None, (f"basis covector {beta} unmatched",))
+            return RoundTripReport(False, 0, None, (f"basis covector {fmt_covector(beta)} unmatched",))
         phi0.append(matches[0])
     phi0 = tuple(phi0)
 
@@ -405,12 +410,12 @@ def roundtrip_check(graph: CartanGraph, depth: int = 8, budget: int = 10_000) ->
         key = re.canon[obj]
         ext_chamber = extraction.chambers.get(key)
         if ext_chamber is None:
-            mismatches.append(f"chamber {key} missing from extraction")
+            mismatches.append(f"chamber {fmt_covector(key)} missing from extraction")
             continue
         expected_basis = tuple(re.bases[obj][i] for i in range(re.rank))
         actual_basis = tuple(ext_chamber.basis[phi0[i]] for i in range(re.rank))
         if expected_basis != actual_basis:
-            mismatches.append(f"object {obj}: basis indexing differs")
+            mismatches.append(f"object {fmt_object(obj)}: basis indexing differs")
             continue
         gm, ext = graph.matrix(obj).rows, extraction.graph.matrix(key).rows
         entries = itertools.product(range(re.rank), repeat=2)
@@ -418,13 +423,13 @@ def roundtrip_check(graph: CartanGraph, depth: int = 8, budget: int = 10_000) ->
         if differ is not None:
             i, j = differ
             mismatches.append(
-                f"object {obj}: matrix entry ({i},{j}) is {gm[i][j]} in the graph, "
+                f"object {fmt_object(obj)}: matrix entry ({i},{j}) is {gm[i][j]} in the graph, "
                 f"{ext[phi0[i]][phi0[j]]} extracted"
             )
         for i in range(re.rank):
             nxt = re.edges.get((obj, i))
             ext_next = extraction.graph.rho(phi0[i], key)
             if nxt is not None and ext_next is not None and re.canon[nxt] != ext_next:
-                mismatches.append(f"object {obj}: edge {i} disagrees")
+                mismatches.append(f"object {fmt_object(obj)}: edge {i} disagrees")
         compared += 1
     return RoundTripReport(not mismatches, compared, phi0, tuple(mismatches))

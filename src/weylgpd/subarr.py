@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._rational import ONE, ZERO, Rat
+from ._rational import ONE, ZERO, Rat, fmt_covector
 from .arrangement import (
     Affine,
     Chamber,
@@ -31,7 +31,6 @@ from .arrangement import (
     chamber_from_point,
     check_crystallographic,
     default_seed_chamber,
-    fmt_covector,
 )
 from .cartan import CartanGraph, GeneralizedCartanMatrix
 from .errors import (
@@ -398,7 +397,7 @@ def chamber_with_wall(table: RootSystemTable, alpha0) -> Chamber:
         chamber = _push_chamber(table, z, direction, table.roots)
         if chamber is not None and any(primitive_normalize(b) == key for b in chamber.basis):
             return chamber
-    raise InvalidTable(f"no chamber with wall {alpha0} found")
+    raise InvalidTable(f"no chamber with wall {fmt_covector(alpha0)} found")
 
 
 def _push_chamber(table: RootSystemTable, z, d, guards) -> Chamber | None:
@@ -585,7 +584,7 @@ def residue_correspondence_check(
                 rhs = intr_data.matrix.rows[phi[a_pos]][phi[b_pos]]
                 if lhs != rhs:
                     mismatches.append(
-                        f"chamber {amb.key}: restricted entry ({i},{j}) is {lhs}, localized {rhs}"
+                        f"chamber {fmt_covector(amb.key)}: restricted entry ({i},{j}) is {lhs}, localized {rhs}"
                     )
         compared += 1
         for a_pos, i in enumerate(ambient_J):
@@ -602,7 +601,7 @@ def _chamber_at_face(table: RootSystemTable, x, loc: Localization) -> Chamber:
     guards = list(table.roots)
     if isinstance(table.cone, Affine):
         if vdot(table.cone.gamma, x) == 0:  # x is on the boundary of the cone
-            raise OutsideCone(f"gamma({x}) <= 0")
+            raise OutsideCone(f"gamma({fmt_covector(x)}) <= 0")
         guards.append(table.cone.gamma)
     for m in (2, 3, 5, 7, 11, 13):
         w = tuple(Rat(m) ** k for k in range(table.rank))

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import weylgpd
 from weylgpd.builtins import builtin_table
 from weylgpd.cli import main
-from weylgpd.jsonio import table_to_json
+from weylgpd.jsonio import graph_to_json, table_to_json
+from weylgpd.subarr import rank2_graph_from_edge_sequence
 
 from test_realization import A2_PATH_JSON
 
@@ -174,10 +175,16 @@ class TestCheck:
             (("--depth", "5", "check", "aff-a1", "--property", "k-spherical", "--k", "2"), 1, "chamber ((0, 1), (1, 0))"),
             (("restrict", "f4", "--root", "1,1,1,1"), 2, "(1, 1, 1, 1) is not in the table"),
             (("restrict", "f4", "--root", "0,0,0,1", "--root", "0,0,0,1"), 2, "(0, 0, 0, 1) does not survive"),
+            (("extract-graph", "aff-a1-rescaled"), 1, "at chamber ((0, 1), (1, 0)): crossing wall 0"),
+            (("--depth", "2", "realize", "{}"), 1, "root (-1, -2) is not sign-coherent at 2: coords (-1, 1)"),
+            (("--depth", "2", "roundtrip", "{}"), 1, "root (-1, -2) is not sign-coherent at 2: coords (-1, 1)"),
         ],
-        ids=["additive", "k-spherical", "not-a-root", "not-surviving"],
+        ids=["additive", "k-spherical", "not-a-root", "not-surviving", "extraction", "realize", "roundtrip"],
     )
-    def test_covectors_print_without_fraction_reprs(self, capsys, fmt, argv, expected_code, fragment):
+    def test_covectors_print_without_fraction_reprs(self, capsys, tmp_path, fmt, argv, expected_code, fragment):
+        # "{}" is a graph whose realization meets a root that is not sign-coherent.
+        graph = graph_to_json(rank2_graph_from_edge_sequence((1, 1, 1, 1, 1, 2)))
+        argv = [_write(tmp_path, graph) if a == "{}" else a for a in argv]
         code, out, err = run(capsys, "--format", fmt, *argv)
         assert code == expected_code
         assert fragment in out + err
