@@ -47,6 +47,7 @@ from .errors import (
 )
 from .exactlin import (
     clear_denominators,
+    combination,
     denominator_lcm,
     dual_basis,
     int_adjugate,
@@ -710,8 +711,7 @@ def interior_point(rays: Sequence) -> Vector:
     """The point sum_i (1 + (i+1)/(r+1)) * rays[i] of the open cone on r rays;
     the distinct weights break symmetry."""
     r = len(rays)
-    weights = [ONE + Rat(i + 1, r + 1) for i in range(r)]
-    return tuple(sum((weights[i] * rays[i][k] for i in range(r)), start=ZERO) for k in range(r))
+    return combination([ONE + Rat(i + 1, r + 1) for i in range(r)], rays)
 
 
 def default_seed_chamber(table: RootSystemTable) -> Chamber:
@@ -735,8 +735,7 @@ def default_seed_chamber(table: RootSystemTable) -> Chamber:
     duals = dual_basis(subset)
     candidates = [interior_point(duals)]
     for m in (2, 3, 5, 7, 11, 13):
-        w = [Rat(m) ** i for i in range(r)]
-        candidates.append(tuple(sum((w[i] * duals[i][k] for i in range(r)), start=ZERO) for k in range(r)))
+        candidates.append(combination([Rat(m) ** i for i in range(r)], duals))
     for cand in candidates:
         for point in (cand, vneg(cand)):
             try:

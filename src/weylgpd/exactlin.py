@@ -15,6 +15,7 @@ integer result.  `int_det` runs only the forward half of the same step.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from ._rational import ONE, ZERO, Rat, rat
@@ -50,6 +51,11 @@ def vdot(alpha: tuple, x: tuple):
     for a, b in zip(alpha, x, strict=True):
         total += a * b
     return total
+
+
+def combination(coeffs: Sequence, vectors: Sequence[tuple]) -> tuple:
+    """The vector sum_i coeffs[i] * vectors[i], exactly."""
+    return tuple(sum(map(mul, coeffs, column), ZERO) for column in zip(*vectors))
 
 
 def is_zero(u: tuple) -> bool:
@@ -206,7 +212,13 @@ def dual_basis(basis: Sequence[Covector]) -> list[Vector]:
 
 
 def nullspace(rows: Sequence[tuple]) -> list[tuple]:
-    """Basis of {x : row . x = 0 for every row}; the full space for no rows."""
+    """Basis of {x : row . x = 0 for every row}."""
+    return nullspace_and_pivots(rows)[0]
+
+
+def nullspace_and_pivots(rows: Sequence[tuple]) -> tuple[list[tuple], list[int]]:
+    """The nullspace basis, and the pivot columns of the same elimination: the
+    coordinates on those columns complement the nullspace."""
     if not rows:
         raise ValueError("nullspace needs the ambient dimension; pass at least one row")
     n = len(rows[0])
@@ -219,7 +231,7 @@ def nullspace(rows: Sequence[tuple]) -> list[tuple]:
         for i, p in enumerate(pivots):
             x[p] = Rat(-reduced[i][f], den)
         basis.append(tuple(x))
-    return basis
+    return basis, pivots
 
 
 def primitive_normalize(alpha: Covector) -> Covector:

@@ -43,10 +43,10 @@ from .errors import (
     Unsupported,
 )
 from .exactlin import (
-    clear_denominators,
-    int_row_reduce,
+    combination,
+    dual_basis,
     integer_kernel_basis,
-    nullspace,
+    nullspace_and_pivots,
     primitive_normalize,
     primitive_ray,
     solve_in_span,
@@ -101,13 +101,12 @@ def localize(table: RootSystemTable, x) -> Localization:
     roots = tuple(r for r in table.roots if vdot(r, x) == 0)
     if not roots:
         return Localization(x, (), (), 0, (), None)
-    support = tuple(nullspace(list(roots)))
     # Pivot columns of the root matrix give a complement of the support.
-    _, _, pivots = int_row_reduce([clear_denominators(r)[0] for r in roots])
+    support, pivots = nullspace_and_pivots(roots)
     q = len(pivots)
     intrinsic_roots = [tuple(r[c] for c in pivots) for r in roots]
     intrinsic = RootSystemTable(q, intrinsic_roots, cone=Spherical())
-    return Localization(x, roots, support, q, tuple(pivots), intrinsic)
+    return Localization(x, roots, tuple(support), q, tuple(pivots), intrinsic)
 
 
 @dataclass(frozen=True)
@@ -215,19 +214,18 @@ class Restriction:
         alpha = vec(alpha)
         return tuple(vdot(alpha, b) for b in self.lattice_basis)
 
+    @functools.cached_property
+    def _ambient_units(self) -> tuple:
+        """The ambient representatives of the intrinsic unit covectors: with G
+        the Gram matrix of the lattice basis, unit j maps to the combination of
+        the lattice basis by column j of G^-1."""
+        gram = tuple(tuple(vdot(a, b) for b in self.lattice_basis) for a in self.lattice_basis)
+        return tuple(combination(col, self.lattice_basis) for col in dual_basis(gram))
+
     def ambient_of(self, intrinsic) -> tuple:
         """Orthogonal-projection representative (standard inner product) of an
         intrinsic covector, as an ambient tuple."""
-        gram = tuple(tuple(vdot(a, b) for b in self.lattice_basis) for a in self.lattice_basis)
-        coeffs = solve_in_span(gram, vec(intrinsic))  # gram is symmetric: its rows are its columns
-        if coeffs is None:
-            raise InvalidTable("degenerate lattice basis")
-        n = len(self.alpha0)
-        out = [ZERO] * n
-        for c, b in zip(coeffs, self.lattice_basis):
-            for k in range(n):
-                out[k] += c * b[k]
-        return tuple(out)
+        return combination(vec(intrinsic), self._ambient_units)
 
     def ambient_table(self, reduced: bool = False) -> frozenset:
         src = self.reduced_table if reduced else self.table
@@ -307,14 +305,7 @@ def double_restriction(table: RootSystemTable, root_a, root_b) -> Restriction:
     if not first.table.contains(image_b):
         raise RootNotInSystem(f"{fmt_covector(vec(root_b))} does not survive the first restriction")
     second = restrict(first.table, image_b)
-    n = len(first.alpha0)
-    composed = tuple(
-        tuple(
-            sum((inner[k] * first.lattice_basis[k][t] for k in range(len(inner))), start=ZERO)
-            for t in range(n)
-        )
-        for inner in second.lattice_basis
-    )
+    composed = tuple(combination(inner, first.lattice_basis) for inner in second.lattice_basis)
     return Restriction(
         source=table,
         alpha0=vec(root_a),
@@ -383,11 +374,7 @@ def chamber_with_wall(table: RootSystemTable, alpha0) -> Chamber:
     direction = tuple(ONE / a if j == first else ZERO for j, a in enumerate(alpha0))
     # A generic point of H, then a small push to the positive side of alpha0.
     for m in (2, 3, 5, 7, 11, 13, 17):
-        weights = [Rat(m) ** t for t in range(q)]
-        z = tuple(
-            sum((weights[t] * lattice[t][k] for t in range(q)), start=ZERO)
-            for k in range(len(alpha0))
-        )
+        z = combination([Rat(m) ** t for t in range(q)], lattice)
         if any(vdot(r, z) == 0 and primitive_normalize(r) != key for r in table.roots):
             continue
         if isinstance(table.cone, Affine) and vdot(table.cone.gamma, z) <= 0:
