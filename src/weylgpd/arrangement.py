@@ -1019,10 +1019,8 @@ class KSphericalWitness:
     face_indices: tuple
 
     def __str__(self) -> str:
-        return (
-            f"codim-{len(self.face_indices)} face {self.face_indices} of chamber "
-            f"{fmt_covector(self.chamber_key)} misses the cone"
-        )
+        key = fmt_covector(self.chamber_key)
+        return f"codim-{len(self.face_indices)} face {self.face_indices} of chamber {key} misses the cone"
 
 
 def check_k_spherical(table: RootSystemTable, k: int, budget: int = 10_000) -> CheckReport:

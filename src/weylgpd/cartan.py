@@ -270,7 +270,7 @@ class CartanGraph:
         for every edge with both ends visited, in the order the edges are
         found, and closed means every edge of every visited object is known
         and stays in the visited set.  A missing edge (rho is None, as in a
-        truncated table) is frontier: the region past it is unknown.
+        truncated graph) is frontier: the region past it is unknown.
         """
         dist = {start: 0}
         edges: dict[tuple[ObjectId, int], ObjectId] = {}
