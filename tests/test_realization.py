@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from weylgpd.arrangement import Truncated
+from weylgpd.arrangement import Truncated, check_additive, check_crystallographic
 from weylgpd.builtins import builtin_graph
 from weylgpd.cartan import CartanGraph, GeneralizedCartanMatrix, generate_real_roots
 from weylgpd.errors import AxiomViolation, NotSimplyConnected
@@ -233,6 +233,15 @@ class TestRoundTrip:
         report = roundtrip_check(builtin_graph(name), depth=16)
         assert report.equivalent, report.mismatches[:3]
         assert report.objects_compared == objects
+
+    @pytest.mark.parametrize("name,depth,certified,visited", [("b3", 3, 9, 16), ("a3", 1, 1, 4), ("f4", 3, 14, 30)])
+    def test_checks_of_a_realized_truncation_stay_in_its_certified_region(self, name, depth, certified, visited):
+        # The certified region plus its border; a3 at depth 1 and f4 at depth 3
+        # used to walk past the border into chambers of missing roots.
+        table = realize(builtin_graph(name), depth=depth).table
+        for report in (check_crystallographic(table), check_additive(table)):
+            assert report.passed
+            assert (report.certified, report.chambers_visited) == (certified, visited)
 
     def test_affine_certified_interior(self):
         report = roundtrip_check(builtin_graph("aff-a1"), depth=8)
