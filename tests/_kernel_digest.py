@@ -3,12 +3,15 @@
 For each builtin table it records, per section, a SHA-256 of a canonical JSON
 rendering: the chamber atlas (BFS order, bases, rays, witnesses, edges, true
 and certified keys), the crystallographic and additive reports, and the
-extracted Cartan graph (matrices, edges, root sets).  Four more sections
-cover the analyses built on the kernel: `realize` of every builtin graph at
-depth 8, `roundtrip_check` of every builtin graph at depths 1 to 6 (its
-outcome and objects compared in clear, beside the hash of the whole report),
-the canonical signatures of the six F4 double restrictions, and
-`local_to_global_check` on a3 and b3.  An analysis that raises is recorded by
+extracted Cartan graph (matrices, edges, root sets).  The `bare_truncation`
+section records the same table digest for every truncated table that
+`realize` makes from a builtin graph at depths 2 and 3, read back through its
+JSON form, which drops the realization's certified keys: a bare truncation.
+Four more sections cover the analyses built on the kernel: `realize` of every
+builtin graph at depth 8, `roundtrip_check` of every builtin graph at depths
+1 to 6 (its outcome and objects compared in clear, beside the hash of the
+whole report), the canonical signatures of the six F4 double restrictions,
+and `local_to_global_check` on a3 and b3.  An analysis that raises is recorded by
 its exception type and message.  `tests/test_kernel.py` recomputes the digest
 and compares it with `tests/golden/kernel_digest.json`.
 
@@ -24,6 +27,7 @@ import json
 import sys
 
 from weylgpd.arrangement import (
+    Truncated,
     chamber_bfs,
     check_additive,
     check_crystallographic,
@@ -39,12 +43,14 @@ from weylgpd.builtins import (
     f4_table,
 )
 from weylgpd.errors import WeylgpdError
+from weylgpd.jsonio import table_from_json, table_to_json
 from weylgpd.realization import realize, roundtrip_check
 from weylgpd.subarr import canonical_cycle, double_restriction, fan_edge_sequence, local_to_global_check
 
 F4_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 LOCAL_TO_GLOBAL_TABLES = ("a3", "b3")
 ROUNDTRIP_DEPTHS = range(1, 7)
+BARE_TRUNCATION_DEPTHS = (2, 3)
 
 
 def _strs(vectors) -> list:
@@ -132,6 +138,19 @@ def realize_digest(name: str, depth: int = 8) -> str:
     return _sha(_guarded(payload))
 
 
+def bare_truncation_digests() -> dict:
+    """`table_digest` of each truncated realization of a builtin graph at
+    depths 2 and 3, after a JSON round trip that drops its certified keys."""
+    out = {}
+    for name in BUILTIN_GCMS:
+        for depth in BARE_TRUNCATION_DEPTHS:
+            re = realize(builtin_graph(name), depth=depth)
+            if isinstance(re.table.cone, Truncated):
+                bare = table_from_json(table_to_json(re.table))
+                out.setdefault(name, {})[str(depth)] = _guarded(lambda: table_digest(bare))
+    return out
+
+
 def roundtrip_digest(name: str, depth: int) -> dict:
     """Outcome, objects compared and SHA-256 of `roundtrip_check` on a builtin graph."""
 
@@ -171,6 +190,7 @@ def local_to_global_digest(name: str) -> dict:
 
 def kernel_digest(names=TABLE_NAMES) -> dict:
     out = {name: table_digest(builtin_table(name)) for name in names}
+    out["bare_truncation"] = bare_truncation_digests()
     out["realize"] = {name: realize_digest(name) for name in BUILTIN_GCMS}
     out["roundtrip"] = {
         name: {str(depth): roundtrip_digest(name, depth) for depth in ROUNDTRIP_DEPTHS}

@@ -24,6 +24,7 @@ from weylgpd.exactlin import primitive_ray, vec
 
 from _kernel_digest import (
     LOCAL_TO_GLOBAL_TABLES,
+    bare_truncation_digests,
     ROUNDTRIP_DEPTHS,
     f4_signatures,
     local_to_global_digest,
@@ -42,6 +43,12 @@ GOLDEN = json.loads(
 def test_kernel_digest_matches_golden(name):
     """Atlas, reports and extraction are the ones recorded before the integer kernel."""
     assert table_digest(builtin_table(name)) == GOLDEN[name]
+
+
+def test_bare_truncation_digest_matches_golden():
+    """Surveys of truncated tables without certified keys (every visited
+    chamber is read) give the recorded atlas, reports and extraction."""
+    assert bare_truncation_digests() == GOLDEN["bare_truncation"]
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_GCMS))
