@@ -52,6 +52,7 @@ from .exactlin import (
     dual_basis,
     int_adjugate,
     int_det,
+    int_row_reduce,
     is_zero,
     nullspace,
     primitive_ray,
@@ -395,23 +396,21 @@ def _kernel_line(rows: Sequence[tuple]) -> tuple | None:
     """Primitive generator of the kernel of r-1 integer rows in Z^r, or None
     when the kernel is not a line.
 
-    The signed maximal minors span the kernel when the rows are independent;
-    the generator is oriented with its last nonzero entry positive.
+    One elimination: the kernel is a line exactly when one column has no
+    pivot.  Its generator is d on that column and -row[free] on each pivot
+    column, oriented with its last nonzero entry positive.
     """
+    reduced, d, pivots = int_row_reduce(list(rows))
     r = len(rows) + 1
-    gen = [
-        (-1) ** m * int_det([row[:m] + row[m + 1:] for row in rows])
-        for m in range(r)
-    ]
-    g = 0
-    last = 0
-    for v in gen:
-        if v:
-            g = gcd(g, v)
-            last = v
-    if not g:
+    if len(pivots) != r - 1:
         return None
-    if last < 0:
+    free = next(c for c in range(r) if c not in pivots)
+    gen = [0] * r
+    gen[free] = d
+    for row, p in zip(reduced, pivots):
+        gen[p] = -row[free]
+    g = gcd(*gen)
+    if next(v for v in reversed(gen) if v) < 0:
         g = -g
     return tuple(v // g for v in gen)
 
@@ -562,6 +561,20 @@ def _verify_chamber_basis(table: RootSystemTable, chamber: Chamber) -> None:
             )
 
 
+def _root_defects(frame: IntegerFrame):
+    """(k, kind) for every root k, in root order, whose chamber coordinates
+    are not integral and sign-coherent.  The kind is the first of "vanish"
+    (all zero), "sign" (both signs) and "integrality" that applies."""
+    det = frame.det
+    for k, row in enumerate(frame.num):
+        if not any(row):
+            yield k, "vanish"
+        elif min(row) < 0 < max(row):
+            yield k, "sign"
+        elif any(n % det for n in row):
+            yield k, "integrality"
+
+
 def _wall_coefficients(table: RootSystemTable, chamber: Chamber, neighbor: Chamber, i: int) -> tuple:
     """The crossing of wall i as coefficients: c_j with neighbor.basis[j] =
     c_j * a_i + a_j for j != i, and -2 at i.
@@ -614,8 +627,11 @@ class ChamberAtlas:
     chambers: dict  # key -> Chamber
     edges: dict  # (key, i) -> key
     order: list  # BFS order of keys
-    true_chambers: set  # keys whose rays all lie strictly inside the cone
+    true_chambers: set  # keys that chamber_is_true accepts
     certified: set  # true chambers all of whose neighbors are true
+    # The chambers analyses read: the certified set, except on a bare
+    # truncation, where nothing is certified and every visited chamber is read.
+    checked: set
     budget_exceeded: bool
 
 
@@ -639,11 +655,13 @@ def chamber_is_true(table: RootSystemTable, chamber: Chamber) -> bool | None:
 def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAtlas:
     """Breadth-first chamber exploration from a seed chamber.
 
-    Only chambers that `chamber_is_true` does not reject are expanded: inside
+    `chamber_is_true` gives each chamber its verdict once, when the chamber
+    is discovered, and only chambers it does not reject are expanded: inside
     the cone of an affine table, inside the certified region of a realized
     truncation (its border chambers are visited but not crossed).  Crossings
     into non-simplicial frontier regions of bare truncations are recorded as
-    missing edges instead of errors.
+    missing edges instead of errors.  The certified set of a realized
+    truncation is its true set; a bare truncation has none.
     """
     table.require_reduced()
     spherical = isinstance(table.cone, Spherical)
@@ -651,6 +669,7 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
     # reduced table these identify the key, and ints hash far faster.
     seed_id = _chamber_id(table, seed)
     found = {seed_id: seed}
+    verdict = {seed_id: chamber_is_true(table, seed)}
     ids = [seed_id]
     links: dict = {}  # (id, i) -> id
     queue = deque([seed_id])
@@ -660,10 +679,9 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
             budget_exceeded = True
             break
         cid = queue.popleft()
-        chamber = found[cid]
-        expand = chamber_is_true(table, chamber)
-        if expand is False:
+        if verdict[cid] is False:
             continue
+        chamber = found[cid]
         for i in range(chamber.rank):
             if (cid, i) in links:
                 continue
@@ -679,6 +697,7 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
             stored = found.get(nid)
             if stored is None:
                 found[nid] = neighbor
+                verdict[nid] = chamber_is_true(table, neighbor)
                 ids.append(nid)
                 queue.append(nid)
             elif stored.basis != neighbor.basis:
@@ -687,24 +706,22 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
                 )
             links[(cid, i)] = nid
             links[(nid, i)] = cid
-    true_ids = {c for c in ids if chamber_is_true(table, found[c])}
-    certified_ids = {
-        c for c in true_ids if all(links.get((c, i)) in true_ids for i in range(table.rank))
-    }
     keys = {c: found[c].key for c in ids}
     order = [keys[c] for c in ids]
     chambers = {keys[c]: found[c] for c in ids}
     edges = {(keys[a], i): keys[b] for (a, i), b in links.items()}
+    true_ids = {c for c in ids if verdict[c]}
     true_chambers = {keys[c] for c in true_ids}
-    certified = {keys[c] for c in certified_ids}
-    if isinstance(table.cone, Truncated):
-        # Certification must come from the producing realization; without it no
-        # chamber of a bare truncation can be trusted as interior.
-        if table.certified_keys is not None:
-            certified = {k for k in order if k in table.certified_keys}
-        else:
-            certified = set()
-    return ChamberAtlas(seed.key, chambers, edges, order, true_chambers, certified, budget_exceeded)
+    if not isinstance(table.cone, Truncated):
+        certified = {
+            keys[c] for c in true_ids if all(links.get((c, i)) in true_ids for i in range(table.rank))
+        }
+        checked = set(certified)
+    elif table.certified_keys is not None:
+        certified, checked = set(true_chambers), set(true_chambers)
+    else:
+        certified, checked = set(), set(order)
+    return ChamberAtlas(seed.key, chambers, edges, order, true_chambers, certified, checked, budget_exceeded)
 
 
 def interior_point(rays: Sequence) -> Vector:
@@ -789,14 +806,6 @@ def _survey(table: RootSystemTable, budget: int) -> ChamberAtlas:
     return atlas
 
 
-def _checkable_keys(table: RootSystemTable, atlas: ChamberAtlas) -> set:
-    """Chambers whose data is trustworthy: the certified set when certification
-    is available, every visited chamber for bare truncated tables."""
-    if isinstance(table.cone, Truncated) and table.certified_keys is None:
-        return set(atlas.order)
-    return set(atlas.certified)
-
-
 def _scan_order(frame: IntegerFrame, indices: list) -> list:
     """Roots smallest first: by l1-size of chamber coordinates, then lexicographically."""
     num = frame.num
@@ -806,10 +815,10 @@ def _scan_order(frame: IntegerFrame, indices: list) -> list:
 def _report(
     check: str, table: RootSystemTable, atlas: ChamberAtlas, chamber_witnesses, max_witnesses: int
 ) -> CheckReport:
-    """The report of `chamber_witnesses(key, chamber)` over the checkable
+    """The report of `chamber_witnesses(key, chamber)` over the checked
     chambers in BFS order, keeping the first max_witnesses witnesses; even
     max_witnesses <= 0 keeps the first one, so a failure is never a pass."""
-    checked = _checkable_keys(table, atlas)
+    checked = atlas.checked
     found = (
         witness
         for key in atlas.order
@@ -833,13 +842,7 @@ def _crystallographic_report(table: RootSystemTable, atlas: ChamberAtlas, max_wi
 
     def witnesses(key, chamber):
         frame = _frame(table, chamber)
-        det = frame.det
-        kinds = {}
-        for k, row in enumerate(frame.num):
-            if min(row) < 0 < max(row):
-                kinds[k] = "sign"
-            elif any(n % det for n in row):
-                kinds[k] = "integrality"
+        kinds = dict(_root_defects(frame))
         for k in _scan_order(frame, list(kinds)):
             root, coords = table.roots[k], frame.coords(k)
             if all(c <= 0 for c in coords):
@@ -909,7 +912,7 @@ def extract_cartan_graph(table: RootSystemTable, budget: int = 10_000) -> Extrac
     visited chambers of a bare truncation.
     """
     atlas = _survey(table, budget)
-    checked = _checkable_keys(table, atlas)
+    checked = atlas.checked
     matrices = {}
     root_sets = {}
     chambers = {}
@@ -920,13 +923,15 @@ def extract_cartan_graph(table: RootSystemTable, budget: int = 10_000) -> Extrac
         matrices[key] = _matrix_from_atlas(table, atlas, key)
         chambers[key] = chamber
         frame = _frame(table, chamber)
+        # A surveyed chamber's roots are nonzero and sign-coherent, so the
+        # first defect, if any, is one of integrality.
+        defect = next(_root_defects(frame), None)
+        if defect is not None:
+            k, kind = defect
+            raise NotCrystallographicAt(
+                key, IntegralityWitness(key, chamber.basis, table.roots[k], frame.coords(k), kind)
+            )
         det = frame.det
-        for k, row in enumerate(frame.num):
-            if any(n % det for n in row):
-                raise NotCrystallographicAt(
-                    key,
-                    IntegralityWitness(key, chamber.basis, table.roots[k], frame.coords(k), "integrality"),
-                )
         root_sets[key] = frozenset(tuple(n // det for n in row) for row in frame.num)
     edges = {
         (a, i): b

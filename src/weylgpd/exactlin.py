@@ -5,11 +5,11 @@ rationals; which one a tuple means is determined by how it is used.  All
 operations are pure and exact, so every downstream predicate is decidable.
 
 There is one elimination, on integers: `int_row_reduce`, Bareiss's
-fraction-free Gauss-Jordan.  `int_adjugate` is it applied to [M | I], and
-every rational solver (`rank`, `solve_coordinates`, `solve_in_span`,
-`dual_basis`, `nullspace`) clears each row's denominators, calls it
-(directly or through `int_adjugate`), and reads its Fraction answers off the
-integer result.  `int_det` runs only the forward half of the same step.
+fraction-free Gauss-Jordan.  `int_det` reads its determinant, `int_adjugate`
+is it applied to [M | I], and every rational solver (`rank`,
+`solve_coordinates`, `solve_in_span`, `dual_basis`, `nullspace`) clears each
+row's denominators, calls it (directly or through `int_adjugate`), and reads
+its Fraction answers off the integer result.
 """
 
 from __future__ import annotations
@@ -128,26 +128,10 @@ def int_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[Matrix | None, int]:
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix: the forward half of
-    int_row_reduce's Bareiss step, with no back-substitution."""
-    rows = [list(row) for row in matrix]
-    n = len(rows)
-    prev = 1
-    sign = 1
-    for k in range(n - 1):
-        p = next((t for t in range(k, n) if rows[t][k]), None)
-        if p is None:
-            return 0
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-            sign = -sign
-        pivot_row = rows[k]
-        pv = pivot_row[k]
-        for t in range(k + 1, n):
-            f = rows[t][k]
-            rows[t] = [(pv * a - f * b) // prev for a, b in zip(rows[t], pivot_row)]
-        prev = pv
-    return sign * rows[-1][-1] if rows else 1
+    """Exact determinant of a square integer matrix: int_row_reduce's d when
+    every column has a pivot, else 0."""
+    _, d, pivots = int_row_reduce(list(matrix))
+    return d if len(pivots) == len(matrix) else 0
 
 
 def denominator_lcm(values: Iterable) -> int:

@@ -21,6 +21,7 @@ from .arrangement import (
     Truncated,
     _frame_at,
     _frame_rays,
+    _root_defects,
     extract_cartan_graph,
     interior_point,
     separating_keys,
@@ -73,6 +74,14 @@ class Realization:
 
     def chamber_of(self, obj: ObjectId) -> Chamber:
         return Chamber(self.bases[obj], self.rays[obj], interior_point(self.rays[obj]))
+
+
+# The AxiomViolation text of each kind of `_root_defects`, after "root <root> ".
+_DEFECT_TEXT = {
+    "vanish": "vanishes on chamber of {obj}",
+    "sign": "is not sign-coherent at {obj}: coords {coords}",
+    "integrality": "has non-integral coordinates at {obj}: coords {coords}",
+}
 
 
 def realize(graph: CartanGraph, depth: int = 8) -> Realization:
@@ -134,19 +143,11 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
     for obj, basis in bases.items():
         frame = _frame_at(table, tuple(table.index[b] for b in basis))
         rays[obj] = _frame_rays(frame)
-        for k, (root, row) in enumerate(zip(table.roots, frame.num)):
-            if not any(row):
-                raise AxiomViolation(f"root {fmt_covector(root)} vanishes on chamber of {fmt_object(obj)}")
-            if min(row) < 0 < max(row):
-                raise AxiomViolation(
-                    f"root {fmt_covector(root)} is not sign-coherent at {fmt_object(obj)}: "
-                    f"coords {fmt_covector(frame.coords(k))}"
-                )
-            if any(n % frame.det for n in row):
-                raise AxiomViolation(
-                    f"root {fmt_covector(root)} has non-integral coordinates at {fmt_object(obj)}: "
-                    f"coords {fmt_covector(frame.coords(k))}"
-                )
+        defect = next(_root_defects(frame), None)
+        if defect is not None:
+            k, kind = defect
+            text = _DEFECT_TEXT[kind].format(obj=fmt_object(obj), coords=fmt_covector(frame.coords(k)))
+            raise AxiomViolation(f"root {fmt_covector(table.roots[k])} {text}")
     gamma = _derive_affine_functional(rank, rays.values())
     return Realization(
         graph=graph,

@@ -22,7 +22,6 @@ from .arrangement import (
     RootSystemTable,
     Spherical,
     Truncated,
-    _checkable_keys,
     _crystallographic_report,
     _survey,
     _wall_coefficients,
@@ -161,10 +160,9 @@ def local_to_global_check(table: RootSystemTable, budget: int = 10_000) -> dict:
     atlas = _survey(table, budget)
     local_witnesses = []
     points_checked = 0
-    keys = _checkable_keys(table, atlas)  # the chambers the global report reads
     seen_points = set()
     for key in atlas.order:
-        if key not in keys:
+        if key not in atlas.checked:  # the chambers the global report reads
             continue
         chamber = atlas.chambers[key]
         for ray in chamber.rays:
