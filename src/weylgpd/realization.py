@@ -134,8 +134,7 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
         rank,
         roots,
         cone=cone,
-        # The base basis is the standard basis, which is its own dual.
-        seed_hint=interior_point(bases[base]),
+        seed_hint=interior_point(dual_basis(bases[_anchor(order, certified, base)])),
         certified_keys=frozenset(canon[obj] for obj in certified),
     )
     # Each chamber's rays and root coordinates come from its integer frame.
@@ -163,6 +162,12 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
         canon=canon,
         gamma=gamma,
     )
+
+
+def _anchor(order: list, certified: frozenset, base: ObjectId) -> ObjectId:
+    """The first certified object in BFS order, or the base when none is: the
+    realized table's surveys start at its chamber."""
+    return next((obj for obj in order if obj in certified), base)
 
 
 def _derive_affine_functional(rank: int, ray_families) -> tuple | None:
@@ -385,22 +390,24 @@ def roundtrip_check(graph: CartanGraph, depth: int = 8, budget: int = 10_000) ->
     """realize, re-extract, and compare matrices and edges object-by-object.
 
     Objects are matched through their canonical chamber keys, and indices by
-    matching the base object's basis covectors, so no combinatorial search is
-    needed.  Comparison is restricted to the certified interior, which the
-    realized table carries as its certified keys.
+    matching the basis covectors at the first certified object, where the
+    survey starts, so no combinatorial search is needed.  Comparison is
+    restricted to the certified interior, which the realized table carries
+    as its certified keys.
     """
     re = realize(graph, depth)
-    # The table's seed hint is the interior point of the base object's chamber.
+    # The table's seed hint is the interior point of the anchor's chamber.
     extraction = extract_cartan_graph(re.table, budget)
     mismatches = []
 
-    base_chamber = extraction.chambers.get(re.canon[re.base])
-    if base_chamber is None:
+    anchor = _anchor(re.order, re.certified, re.base)
+    anchor_chamber = extraction.chambers.get(re.canon[anchor])
+    if anchor_chamber is None:
         return RoundTripReport(False, 0, None, ("base chamber not extracted",))
     phi0 = []
     for i in range(re.rank):
-        beta = re.bases[re.base][i]
-        matches = [k for k, alpha in enumerate(base_chamber.basis) if alpha == beta]
+        beta = re.bases[anchor][i]
+        matches = [k for k, alpha in enumerate(anchor_chamber.basis) if alpha == beta]
         if len(matches) != 1:
             return RoundTripReport(False, 0, None, (f"basis covector {fmt_covector(beta)} unmatched",))
         phi0.append(matches[0])

@@ -211,6 +211,12 @@ class TestPipelines:
         assert code == 0
         assert out.splitlines()[0] == "complete: False"
 
+    def test_roundtrip_of_a_path_whose_base_has_a_missing_edge_passes(self, capsys, tmp_path):
+        path = tmp_path / "a2_path.json"
+        path.write_text(json.dumps({**A2_PATH_JSON, "base": "0"}))
+        code, out, err = run(capsys, "roundtrip", str(path))
+        assert code == 0 and out.startswith("roundtrip: pass") and err == ""
+
     @pytest.mark.parametrize("depth,name", [("1", "a3"), ("3", "f4")])
     def test_roundtrip_of_a_shallow_truncation_passes(self, capsys, depth, name):
         code, out, err = run(capsys, "--depth", depth, "roundtrip", name)

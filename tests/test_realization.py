@@ -243,6 +243,15 @@ class TestRoundTrip:
             assert report.passed
             assert (report.certified, report.chambers_visited) == (certified, visited)
 
+    def test_survey_starts_at_the_first_certified_object(self):
+        # The base object 0 of this path has a missing edge, so only object 1
+        # is certified; the survey and the index map start there.
+        graph = graph_from_json({**A2_PATH_JSON, "base": "0"})
+        report = roundtrip_check(graph, depth=8)
+        assert report.equivalent, report.mismatches
+        assert report.objects_compared == 1
+        assert check_crystallographic(realize(graph, depth=8).table).certified == 1
+
     def test_affine_certified_interior(self):
         report = roundtrip_check(builtin_graph("aff-a1"), depth=8)
         assert report.equivalent, report.mismatches[:3]
