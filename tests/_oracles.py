@@ -190,3 +190,57 @@ def irredundant_constraints(positives, witness) -> set:
         if fm_feasible_strict(rows):
             out.add(_line_key(cand))
     return out
+
+
+def _rank(vectors) -> int:
+    """Rank of some Fraction vectors by plain row elimination."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def zaslavsky_chamber_count(lines) -> int:
+    """Number of chambers of the central arrangement of the hyperplanes with
+    the given normals, by Zaslavsky's theorem: the sum of |mu(V, X)| over the
+    flats X of the intersection lattice.
+
+    A flat is stored as the set of hyperplanes containing it, built rank by
+    rank as the closure of a flat one rank lower and one more hyperplane; mu
+    is the lattice's Moebius function from the whole space V.
+    """
+    normals = [tuple(_F(c) for c in line) for line in lines]
+
+    def closure(flat) -> frozenset:
+        vectors = [normals[i] for i in flat]
+        r = _rank(vectors)
+        return frozenset(j for j in range(len(normals)) if _rank(vectors + [normals[j]]) == r)
+
+    layers = [{frozenset()}]
+    while True:
+        above = set()
+        for flat in layers[-1]:
+            # Each flat covering `flat` is the closure of any one of its
+            # hyperplanes outside `flat`, so one closure per cover suffices.
+            covered = set(flat)
+            for j in range(len(normals)):
+                if j not in covered:
+                    cover = closure(flat | {j})
+                    above.add(cover)
+                    covered |= cover
+        if not above:
+            break
+        layers.append(above)
+    mu = {}
+    for layer in layers:
+        for flat in layer:
+            mu[flat] = -sum(m for lower, m in mu.items() if lower < flat) if flat else 1
+    return sum(abs(m) for m in mu.values())

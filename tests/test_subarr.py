@@ -15,6 +15,7 @@ from weylgpd.arrangement import (
     RootSystemTable,
     chamber_bfs,
     chamber_from_point,
+    check_crystallographic,
     default_seed_chamber,
     extract_cartan_graph,
 )
@@ -40,6 +41,8 @@ from weylgpd.subarr import (
     residue_correspondence_check,
     restrict,
 )
+
+from _oracles import zaslavsky_chamber_count
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "f4_projection_tables.json").read_text()
@@ -251,6 +254,29 @@ class TestRestrictionCrystallographic:
         assert len(graph.objects) == 96
         assert len({graph.matrix(obj) for obj in graph.objects}) == 2
         assert roundtrip_check(graph, depth=40).equivalent
+
+
+def assert_chambers_match_zaslavsky(table: RootSystemTable) -> None:
+    atlas = chamber_bfs(table, default_seed_chamber(table), 10_000)
+    assert len(atlas.order) == zaslavsky_chamber_count(list(table.lines))
+    assert check_crystallographic(table).passed
+
+
+class TestChamberCountOracle:
+    """Chamber counts of Weyl tables and of their restrictions (which are
+    crystallographic again) against Zaslavsky's theorem, an oracle that
+    shares no code with the chamber kernel."""
+
+    @pytest.mark.parametrize("name", ["a3", "b3"])
+    def test_table_and_its_restriction_at_every_positive_root(self, name):
+        table = builtin_table(name)
+        assert_chambers_match_zaslavsky(table)
+        for elems in table.lines.values():
+            assert_chambers_match_zaslavsky(restrict(table, max(elems)).reduced_table)
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_f4_restriction_at_a_simple_root(self, i):
+        assert_chambers_match_zaslavsky(restrict(f4_table(), F4_SIMPLE_ROOTS[i]).reduced_table)
 
 
 class TestProjectedBasisStructure:
