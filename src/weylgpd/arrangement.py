@@ -118,11 +118,7 @@ class RootSystemTable:
         certified_keys: frozenset | None = None,
     ):
         self.rank = int(rank)
-        normalized = sorted({vec(r) for r in roots})
-        if not normalized:
-            self.roots: tuple = ()
-        else:
-            self.roots = tuple(normalized)
+        self.roots = tuple(sorted({vec(r) for r in roots}))
         for r in self.roots:
             if len(r) != self.rank:
                 raise InvalidTable(f"root {fmt_covector(r)} does not have rank {self.rank}")

@@ -407,9 +407,8 @@ def m_ij_certified(
     """m_ij computed on the rank-2 residue closure; certified iff it stabilizes."""
     sub = _residue_view(graph, obj, (i, j))
     rrs = generate_real_roots(sub, obj, budget)
-    cone = {v for v in rrs.at(obj) if all(x >= 0 for x in v) and any(x > 0 for x in v)}
     if rrs.complete:
-        return len(cone), True
+        return len(_cone_roots(rrs.at(obj), 0, 1)), True
     return Infinite(budget), False
 
 

@@ -54,7 +54,7 @@ def _load_json(path: str):
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def load_graph(spec: str, depth: int) -> CartanGraph:
+def load_graph(spec: str) -> CartanGraph:
     if spec in builtin_data.BUILTIN_GCMS:
         return builtin_data.builtin_graph(spec)
     data = _load_json(spec)
@@ -125,7 +125,6 @@ def _pair_table_lines(covectors) -> list[str]:
 
 
 def cmd_validate(args) -> int:
-    data = None
     if args.input in builtin_data.BUILTIN_GCMS:
         data = [list(r) for r in builtin_data.BUILTIN_GCMS[args.input]]
     else:
@@ -165,7 +164,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    graph = load_graph(args.input, args.depth)
+    graph = load_graph(args.input)
     rrs = generate_real_roots(graph, graph.base, args.depth)
     payload = {
         "depth": rrs.depth,
@@ -186,7 +185,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    graph = load_graph(args.input, args.depth)
+    graph = load_graph(args.input)
     re = realize(graph, depth=args.depth)
     payload = jsonio.realization_to_json(re)
     lines = [f"objects: {len(re.order)}  complete: {re.complete}"]
@@ -273,7 +272,7 @@ def cmd_extract_graph(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    graph = load_graph(args.input, args.depth)
+    graph = load_graph(args.input)
     report = roundtrip_check(graph, depth=args.depth, budget=args.budget)
     payload = {
         "status": report.status,
