@@ -903,9 +903,9 @@ class ExtractionResult:
 def extract_cartan_graph(table: RootSystemTable, budget: int = 10_000) -> ExtractionResult:
     """Chambers as objects, wall crossings as edges, Cartan matrix per chamber.
 
-    The objects are the certified chambers when certification is available
-    (for a realized table, the realization's certified region), else all
-    visited chambers of a bare truncation.
+    The objects are the atlas's checked chambers: the certified ones (for a
+    realized table, the realization's certified region), or every visited
+    chamber of a bare truncation.
     """
     atlas = _survey(table, budget)
     checked = atlas.checked
