@@ -11,10 +11,16 @@ The chamber kernel decides on integers.  Scaling every root by one positive
 integer L (the lcm of the root denominators) moves no hyperplane and changes
 no chamber coordinate, so each table keeps its roots as integer covectors
 L*root.  A chamber's integer data is its integer basis B with an adjugate A and
-determinant D > 0 (B . A = D * I, from Bareiss elimination); root k's chamber
-coordinates are the numerators int_root_k . A[:, j] over D.  Sign, integrality
-and wall-crossing predicates compare those numerators; Fractions are built
-only for values that leave the kernel.
+determinant D > 0 (B . A = D * I); root k's chamber coordinates are the
+numerators int_root_k . A[:, j] over D.  Sign, integrality and wall-crossing
+predicates compare those numerators; Fractions are built only for values that
+leave the kernel.
+
+Bareiss elimination builds A only for a seed chamber and across a wall whose
+coefficients are not integers.  A crystallographic crossing is the Weyl
+groupoid's change of object, B' = T . B for an integer involution T, so the
+neighbor's A' = A . T is carried over with one column update.  Chamber keys
+and line keys are tuples of primitive integer rays.
 """
 
 from __future__ import annotations
@@ -22,16 +28,13 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 from operator import add, mul
 from typing import Iterable, Sequence
 
 from ._rational import ONE, ZERO, Rat, fmt_covector
-from .cartan import (
-    CartanGraph,
-    GeneralizedCartanMatrix,
-    canonical_basis_key,
-)
+from .cartan import CartanGraph, GeneralizedCartanMatrix
 from .errors import (
     BudgetExceeded,
     InvalidTable,
@@ -44,6 +47,7 @@ from .errors import (
     Unreachable,
     Unsupported,
     WallOnBoundary,
+    ZeroCovector,
 )
 from .exactlin import (
     clear_denominators,
@@ -105,7 +109,8 @@ class RootSystemTable:
 
     Besides the roots (sorted), it keeps only data derived from them once:
     `scale` L, the integer roots `int_roots` (L*root, in root order), the
-    root -> position map `index`, and each root's primitive ray `primitive`.
+    root -> position map `index`, and each root's primitive ray `primitive`
+    (an int tuple).  Line keys are primitive rays too.
     """
 
     def __init__(
@@ -132,7 +137,7 @@ class RootSystemTable:
         self.int_roots = tuple(
             tuple(c.numerator * (scale // c.denominator) for c in r) for r in self.roots
         )
-        self.primitive = tuple(primitive_ray(r) for r in self.roots)
+        self.primitive = tuple(_int_primitive(r) for r in self.int_roots)
         lines: dict[Covector, list] = {}
         for r, p in zip(self.roots, self.primitive):
             # The line key is the primitive ray with first nonzero entry positive.
@@ -202,9 +207,13 @@ class Chamber:
     def rank(self) -> int:
         return len(self.basis)
 
-    @property
+    @cached_property
     def key(self) -> tuple:
-        return canonical_basis_key(self.basis)
+        """The sorted primitive integer rays of the basis, built once: equal
+        and hash-equal to canonical_basis_key(basis), whose rays are Fractions."""
+        if self.frame is not None:
+            return tuple(sorted(self.frame.table.primitive[k] for k in self.frame.index))
+        return tuple(sorted(_int_primitive(clear_denominators(b)[0]) for b in self.basis))
 
     def __repr__(self) -> str:
         return f"Chamber(basis={self.basis})"
@@ -217,7 +226,9 @@ class IntegerFrame:
     B is the integer basis (the table's int_roots at `index`); the columns
     `cols` of A and `det` D > 0 satisfy B . A = D * I.  Ray j is
     table.scale * A[:, j] / D, and root k has chamber coordinates
-    num[k][j] / D with num[k][j] = int_roots[k] . A[:, j].
+    num[k][j] / D with num[k][j] = int_roots[k] . A[:, j].  `_frame_at`
+    builds a frame by elimination; `_carry_frame` carries one across a
+    crystallographic wall.
     """
 
     table: RootSystemTable
@@ -232,6 +243,14 @@ class IntegerFrame:
 
 def _dot(u: tuple, v: tuple) -> int:
     return sum(map(mul, u, v))
+
+
+def _int_primitive(ints: tuple) -> tuple:
+    """The primitive integer ray of a nonzero integer covector."""
+    g = gcd(*ints)
+    if g == 0:
+        raise ZeroCovector("cannot normalize the zero covector")
+    return tuple(v // g for v in ints)
 
 
 def _frame_at(table: RootSystemTable, index: tuple) -> IntegerFrame:
@@ -252,6 +271,22 @@ def _frame_at(table: RootSystemTable, index: tuple) -> IntegerFrame:
                 acc = [s + a * x for s, x in zip(acc, xs)]
         num_cols.append(acc)
     return IntegerFrame(table, index, cols, det, tuple(zip(*num_cols)))
+
+
+def _carry_frame(frame: IntegerFrame, i: int, coeffs: Sequence[int], index: tuple) -> IntegerFrame:
+    """The frame at `index`, whose integer basis is T . B for the integer T
+    with row i = -e_i and row j = e_j + coeffs[j] * e_i (coeffs[i] is unused).
+
+    As T^2 = I and det T = -1, the neighbor's A' = A . T with the same D: only
+    column i of A and of num changes, to sum_{j != i} coeffs[j] * x_j - x_i.
+    """
+    weights = tuple(-1 if j == i else c for j, c in enumerate(coeffs))
+
+    def across(row: tuple) -> tuple:
+        return row[:i] + (sum(map(mul, weights, row)),) + row[i + 1:]
+
+    cols = tuple(zip(*map(across, zip(*frame.cols))))
+    return IntegerFrame(frame.table, index, cols, frame.det, tuple(map(across, frame.num)))
 
 
 def _frame(table: RootSystemTable, chamber: Chamber) -> IntegerFrame:
@@ -279,10 +314,10 @@ def _frame_rays(frame: IntegerFrame) -> tuple:
     return tuple(tuple(Rat(scale * a, det) for a in col) for col in frame.cols)
 
 
-def _chamber(table: RootSystemTable, index: tuple, witness: Vector) -> Chamber:
-    """The chamber on the table roots at `index`, with its rays and integer data."""
-    frame = _frame_at(table, index)
-    return Chamber(tuple(table.roots[k] for k in index), _frame_rays(frame), witness, frame)
+def _chamber(frame: IntegerFrame, witness: Vector) -> Chamber:
+    """The chamber on the frame's table roots, with its rays and integer data."""
+    roots = frame.table.roots
+    return Chamber(tuple(roots[k] for k in frame.index), _frame_rays(frame), witness, frame)
 
 
 @dataclass(frozen=True)
@@ -364,7 +399,7 @@ def chamber_from_point(table: RootSystemTable, x) -> Chamber:
     if isinstance(table.cone, Affine) and sign_at(table.cone.gamma, x) <= 0:
         raise OutsideCone(f"gamma({fmt_covector(x)}) <= 0")
     positives = _positive_lines(table, x)  # raises OnHyperplane when not generic
-    return _chamber(table, _extreme_basis(table, positives), x)
+    return _chamber(_frame_at(table, _extreme_basis(table, positives)), x)
 
 
 def walls_and_root_basis(table: RootSystemTable, x) -> tuple:
@@ -426,7 +461,7 @@ def _extreme_basis(table: RootSystemTable, positives: Sequence[tuple]) -> tuple:
         if len(positives) != 1:
             raise NotSimplicial("rank-1 tables have a single hyperplane line")
         return (positives[0][1],)
-    keys = [tuple(int(c) for c in key) for key, _ in positives]
+    keys = [key for key, _ in positives]
     reps = [table.int_roots[k] for _, k in positives]
     rays: list = []
     seen: set = set()
@@ -474,9 +509,11 @@ def adjacent_chamber(table: RootSystemTable, chamber: Chamber, i: int) -> Chambe
     """The chamber across wall i, with compatible indexing.
 
     Index i receives -alpha_i; every other index j receives the unique wall of
-    the neighbor inside the plane spanned by alpha_i and alpha_j.  The claimed
+    the neighbor inside the plane spanned by alpha_i and alpha_j.  When every
+    new wall is alpha_j plus an integer multiple of alpha_i, the neighbor's
+    frame is carried across; otherwise it is eliminated afresh.  The claimed
     basis is checked against the whole table: every root's coordinates must be
-    nonzero and sign-coherent, which pins the claimed cone to a genuine chamber.
+    sign-coherent, which pins the claimed cone to a genuine chamber.
     """
     table.require_reduced()
     r = chamber.rank
@@ -486,17 +523,17 @@ def adjacent_chamber(table: RootSystemTable, chamber: Chamber, i: int) -> Chambe
     if neg_i not in table.index:
         raise InvalidTable(f"missing negation {fmt_covector(neg_i)}")
     if r == 1:
-        return _chamber(table, (table.index[neg_i],), vneg(chamber.witness))
+        return _chamber(_frame_at(table, (table.index[neg_i],)), vneg(chamber.witness))
 
     # In the plane of indices i and j, the roots positive just across the facet
     # have coordinates (c, d) there with d > 0; the new wall j maximizes c/d.
     frame = _frame(table, chamber)
     best: dict = {}
     for k, row in enumerate(frame.num):
-        support = [t for t, v in enumerate(row) if v and t != i]
-        if len(support) != 1:
+        # The root lies in such a plane when r - 2 of its coordinates off i are 0.
+        if row.count(0) - (row[i] == 0) != r - 2:
             continue
-        j = support[0]
+        j = next(t for t, v in enumerate(row) if v and t != i)
         c, d = row[i], row[j]
         if d <= 0:
             continue
@@ -505,14 +542,20 @@ def adjacent_chamber(table: RootSystemTable, chamber: Chamber, i: int) -> Chambe
             best[j] = (c, d, k)
     index = list(frame.index)
     index[i] = table.index[neg_i]
+    coeffs = [0] * r
+    det = frame.det
+    integral = True
     for j in range(r):
         if j == i:
             continue
         if j not in best:
             raise NotSimplicial(f"no wall found in the plane of indices {i},{j}")
-        index[j] = best[j][2]
-
-    neighbor = _chamber(table, tuple(index), _witness_across(table, frame, i))
+        c, d, index[j] = best[j]
+        integral = integral and d == det and c % det == 0
+        coeffs[j] = c // det
+    index = tuple(index)
+    across = _carry_frame(frame, i, coeffs, index) if integral else _frame_at(table, index)
+    neighbor = _chamber(across, _witness_across(table, frame, i))
     _verify_chamber_basis(table, neighbor)
     return neighbor
 
@@ -541,15 +584,15 @@ def _witness_across(table: RootSystemTable, frame: IntegerFrame, i: int) -> Vect
 
 
 def _verify_chamber_basis(table: RootSystemTable, chamber: Chamber) -> None:
-    """Every root must have nonzero, sign-coherent coordinates in the basis.
+    """Every root must have sign-coherent coordinates in the basis.
 
     Together with the basis elements being table roots this pins the claimed
-    simplicial cone to an actual chamber of the table's arrangement.
+    simplicial cone to an actual chamber of the table's arrangement.  No
+    root's coordinates all vanish: its row of num is int_root . A with A
+    invertible, and the table has no zero root.
     """
     frame = _frame(table, chamber)
     for k, row in enumerate(frame.num):
-        if not any(row):
-            raise NotSimplicial(f"root {fmt_covector(table.roots[k])} vanishes on the claimed chamber")
         if min(row) < 0 < max(row):
             raise NotSimplicial(
                 f"root {fmt_covector(table.roots[k])} separates the claimed chamber "
@@ -559,13 +602,11 @@ def _verify_chamber_basis(table: RootSystemTable, chamber: Chamber) -> None:
 
 def _root_defects(frame: IntegerFrame):
     """(k, kind) for every root k, in root order, whose chamber coordinates
-    are not integral and sign-coherent.  The kind is the first of "vanish"
-    (all zero), "sign" (both signs) and "integrality" that applies."""
+    are not integral and sign-coherent.  The kind is "sign" (both signs) or,
+    failing that, "integrality"."""
     det = frame.det
     for k, row in enumerate(frame.num):
-        if not any(row):
-            yield k, "vanish"
-        elif min(row) < 0 < max(row):
+        if min(row) < 0 < max(row):
             yield k, "sign"
         elif any(n % det for n in row):
             yield k, "integrality"
@@ -919,8 +960,8 @@ def extract_cartan_graph(table: RootSystemTable, budget: int = 10_000) -> Extrac
         matrices[key] = _matrix_from_atlas(table, atlas, key)
         chambers[key] = chamber
         frame = _frame(table, chamber)
-        # A surveyed chamber's roots are nonzero and sign-coherent, so the
-        # first defect, if any, is one of integrality.
+        # A surveyed chamber's roots are sign-coherent, so the first defect,
+        # if any, is one of integrality.
         defect = next(_root_defects(frame), None)
         if defect is not None:
             k, kind = defect

@@ -19,6 +19,7 @@ from .arrangement import (
     RootSystemTable,
     Spherical,
     Truncated,
+    _carry_frame,
     _frame_at,
     _frame_rays,
     _root_defects,
@@ -78,7 +79,6 @@ class Realization:
 
 # The AxiomViolation text of each kind of `_root_defects`, after "root <root> ".
 _DEFECT_TEXT = {
-    "vanish": "vanishes on chamber of {obj}",
     "sign": "is not sign-coherent at {obj}: coords {coords}",
     "integrality": "has non-integral coordinates at {obj}: coords {coords}",
 }
@@ -97,12 +97,16 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
     dist, edges, closed = graph.ball(base, depth)
     order = sorted(dist, key=lambda o: (dist[o], str(o)))
     bases: dict = {base: standard_dual_basis(rank)}
+    first_edge: dict = {}  # object other than the base -> the edge that set its basis
     # The ball lists edges in BFS order, so each edge's source already has its
     # basis.  The first edge into an object sets its basis; every later one
     # must reproduce it: loops act trivially.
     for (obj, i), nxt in edges.items():
         image = apply_reflection_to_basis(bases[obj], graph.matrix(obj), i)
-        if bases.setdefault(nxt, image) != image:
+        if nxt not in bases:
+            bases[nxt] = image
+            first_edge[nxt] = (obj, i)
+        elif bases[nxt] != image:
             raise NotSimplyConnected(
                 f"edge {i} at {fmt_object(obj)} reaches {fmt_object(nxt)} with a conflicting basis"
             )
@@ -138,9 +142,15 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
         certified_keys=frozenset(canon[obj] for obj in certified),
     )
     # Each chamber's rays and root coordinates come from its integer frame.
+    # The base's frame is eliminated; every other one is carried across its
+    # first edge by the same integer reflection that gave its basis.
+    frames = {base: _frame_at(table, tuple(table.index[b] for b in bases[base]))}
+    for nxt, (obj, i) in first_edge.items():
+        coeffs = [-c for c in graph.matrix(obj).rows[i]]
+        frames[nxt] = _carry_frame(frames[obj], i, coeffs, tuple(table.index[b] for b in bases[nxt]))
     rays = {}
-    for obj, basis in bases.items():
-        frame = _frame_at(table, tuple(table.index[b] for b in basis))
+    for obj in bases:
+        frame = frames[obj]
         rays[obj] = _frame_rays(frame)
         defect = next(_root_defects(frame), None)
         if defect is not None:
@@ -400,10 +410,10 @@ def roundtrip_check(graph: CartanGraph, depth: int = 8, budget: int = 10_000) ->
     extraction = extract_cartan_graph(re.table, budget)
     mismatches = []
 
+    # The anchor is certified, so extracted, or no object is and the
+    # extraction has raised BudgetExceeded.
     anchor = _anchor(re.order, re.certified, re.base)
-    anchor_chamber = extraction.chambers.get(re.canon[anchor])
-    if anchor_chamber is None:
-        return RoundTripReport(False, 0, None, ("base chamber not extracted",))
+    anchor_chamber = extraction.chambers[re.canon[anchor]]
     phi0 = []
     for i in range(re.rank):
         beta = re.bases[anchor][i]
