@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 import random
@@ -9,18 +10,31 @@ from fractions import Fraction as F
 
 import pytest
 
+from weylgpd import arrangement, realization
 from weylgpd.arrangement import (
     Chamber,
     RootSystemTable,
+    _carry_frame,
+    _frame_at,
     adjacent_chamber,
     cartan_matrix_at,
     chamber_bfs,
     coords_in_chamber,
     default_seed_chamber,
 )
-from weylgpd.builtins import BUILTIN_GCMS, TABLE_NAMES, builtin_table
+from weylgpd.builtins import (
+    BUILTIN_GCMS,
+    F4_SIMPLE_ROOTS,
+    TABLE_NAMES,
+    builtin_graph,
+    builtin_table,
+    f4_table,
+)
+from weylgpd.cartan import canonical_basis_key
 from weylgpd.errors import InvalidTable, WeylgpdError
 from weylgpd.exactlin import primitive_ray, vec
+from weylgpd.realization import realize
+from weylgpd.subarr import restrict
 
 from _kernel_digest import (
     LOCAL_TO_GLOBAL_TABLES,
@@ -160,3 +174,93 @@ def test_chamber_basis_outside_the_table_is_rejected():
     ]:
         with pytest.raises(InvalidTable):
             fn(*args)
+
+
+def frame_data(frame) -> tuple:
+    return frame.index, frame.cols, frame.det, frame.num
+
+
+def counted_survey(table: RootSystemTable) -> tuple:
+    """chamber_bfs from the default seed, with the calls it makes to
+    adjacent_chamber, _frame_at and _carry_frame counted."""
+    calls = dict.fromkeys(["adjacent_chamber", "_frame_at", "_carry_frame"], 0)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+            original = getattr(arrangement, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            patch.setattr(arrangement, name, counting)
+        atlas = chamber_bfs(table, default_seed_chamber(table), 10_000)
+    return atlas, calls
+
+
+DIFFERENTIAL_TABLES = {
+    **{name: lambda name=name: builtin_table(name) for name in TABLE_NAMES},
+    **{
+        f"f4-restricted-at-{i}": lambda i=i: restrict(f4_table(), F4_SIMPLE_ROOTS[i]).reduced_table
+        for i in range(4)
+    },
+    "b3-rescaled": lambda: rescaled_lines(builtin_table("b3"), random.Random(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TABLES))
+def test_carried_frames_and_integer_keys_match_the_elimination(name):
+    """Every chamber's frame, carried or eliminated, is the one Bareiss
+    elimination gives for its basis, and its integer key is equal and
+    hash-equal to the Fraction key of its basis."""
+    table = DIFFERENTIAL_TABLES[name]()
+    atlas, calls = counted_survey(table)
+    for chamber in atlas.chambers.values():
+        assert frame_data(chamber.frame) == frame_data(_frame_at(table, chamber.frame.index))
+        fraction_key = canonical_basis_key(chamber.basis)
+        assert chamber.key == fraction_key and hash(chamber.key) == hash(fraction_key)
+        assert all(type(c) is int for ray in chamber.key for c in ray)
+    crossings = calls["adjacent_chamber"]
+    assert calls["_frame_at"] + calls["_carry_frame"] == 1 + crossings
+    if name == "f4":
+        assert (calls["_frame_at"], calls["_carry_frame"]) == (1, crossings)
+    if name == "aff-a1-rescaled":
+        assert calls["_carry_frame"] == 0
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GCMS))
+def test_realize_carries_every_frame_but_the_base(monkeypatch, name):
+    carried = []
+
+    def recording(*args):
+        carried.append(_carry_frame(*args))
+        return carried[-1]
+
+    monkeypatch.setattr(realization, "_carry_frame", recording)
+    re = realize(builtin_graph(name), depth=8)
+    assert len(carried) == len(re.bases) - 1
+    for frame in carried:
+        assert frame_data(frame) == frame_data(_frame_at(frame.table, frame.index))
+
+
+def test_chamber_bfs_builds_each_key_once(monkeypatch):
+    table = realize(builtin_graph("f4"), depth=5).table
+    seed = default_seed_chamber(table)
+    builds = []
+    build = Chamber.__dict__["key"].func
+
+    def counting(chamber):
+        builds.append(chamber)
+        return build(chamber)
+
+    key = functools.cached_property(counting)
+    key.__set_name__(Chamber, "key")
+    monkeypatch.setattr(Chamber, "key", key)
+    atlas = chamber_bfs(table, seed, 10_000)
+    assert len(atlas.order) == 91
+    assert len(builds) == 91
+
+
+def test_zero_root_is_rejected():
+    """No chamber coordinate row vanishes because no table holds a zero root."""
+    with pytest.raises(InvalidTable, match="0 is not a root"):
+        RootSystemTable(2, [(1, 0), (-1, 0), (0, 0)])
