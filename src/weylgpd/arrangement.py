@@ -703,7 +703,8 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
     table.require_reduced()
     spherical = isinstance(table.cone, Spherical)
     # Chambers are tracked by their sorted basis positions in the table: in a
-    # reduced table these identify the key, and ints hash far faster.
+    # reduced table these identify the key, which is then built only for the
+    # chambers found, not for every neighbor crossed into.
     seed_id = _chamber_id(table, seed)
     found = {seed_id: seed}
     verdict = {seed_id: chamber_is_true(table, seed)}

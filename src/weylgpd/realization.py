@@ -149,8 +149,7 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
         coeffs = [-c for c in graph.matrix(obj).rows[i]]
         frames[nxt] = _carry_frame(frames[obj], i, coeffs, tuple(table.index[b] for b in bases[nxt]))
     rays = {}
-    for obj in bases:
-        frame = frames[obj]
+    for obj, frame in frames.items():
         rays[obj] = _frame_rays(frame)
         defect = next(_root_defects(frame), None)
         if defect is not None:

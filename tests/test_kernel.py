@@ -236,8 +236,8 @@ def test_realize_carries_every_frame_but_the_base(monkeypatch, name):
         return carried[-1]
 
     monkeypatch.setattr(realization, "_carry_frame", recording)
-    re = realize(builtin_graph(name), depth=8)
-    assert len(carried) == len(re.bases) - 1
+    realized = realize(builtin_graph(name), depth=8)
+    assert len(carried) == len(realized.bases) - 1
     for frame in carried:
         assert frame_data(frame) == frame_data(_frame_at(frame.table, frame.index))
 
