@@ -16,11 +16,14 @@ numerators int_root_k . A[:, j] over D.  Sign, integrality and wall-crossing
 predicates compare those numerators; Fractions are built only for values that
 leave the kernel.
 
-Bareiss elimination builds A only for a seed chamber and across a wall whose
-coefficients are not integers.  A crystallographic crossing is the Weyl
-groupoid's change of object, B' = T . B for an integer involution T, so the
-neighbor's A' = A . T is carried over with one column update.  Chamber keys
-and line keys are tuples of primitive integer rays.
+A wall crossing (`_cross`) maps a frame to its neighbor's, and
+`_wall_coefficients`, the one statement of the crystallographic rule, reads
+it: when every coefficient is an integer the crossing is the Weyl groupoid's
+change of object, B' = T . B for an integer involution T, and A' = A . T is
+carried over with one column update; otherwise, and at a seed chamber,
+Bareiss elimination builds A.  Chamber keys and line keys are tuples of
+primitive integer rays.  `chamber_bfs` walks frames under chamber keys and
+builds a chamber's rays and witness point once, when it finds the chamber.
 """
 
 from __future__ import annotations
@@ -109,8 +112,8 @@ class RootSystemTable:
 
     Besides the roots (sorted), it keeps only data derived from them once:
     `scale` L, the integer roots `int_roots` (L*root, in root order), the
-    root -> position map `index`, and each root's primitive ray `primitive`
-    (an int tuple).  Line keys are primitive rays too.
+    root -> position map `index`, the positions `negation` of the negated
+    roots, and the primitive rays `primitive` (int tuples), as are line keys.
     """
 
     def __init__(
@@ -133,6 +136,7 @@ class RootSystemTable:
         for r in self.roots:
             if vneg(r) not in self.index:
                 raise InvalidTable(f"table is not negation-closed: missing {fmt_covector(vneg(r))}")
+        self.negation = tuple(self.index[vneg(r)] for r in self.roots)
         self.scale = scale = denominator_lcm(c for r in self.roots for c in r)
         self.int_roots = tuple(
             tuple(c.numerator * (scale // c.denominator) for c in r) for r in self.roots
@@ -212,7 +216,7 @@ class Chamber:
         """The sorted primitive integer rays of the basis, built once: equal
         and hash-equal to canonical_basis_key(basis), whose rays are Fractions."""
         if self.frame is not None:
-            return tuple(sorted(self.frame.table.primitive[k] for k in self.frame.index))
+            return _frame_key(self.frame)
         return tuple(sorted(_int_primitive(clear_denominators(b)[0]) for b in self.basis))
 
     def __repr__(self) -> str:
@@ -227,8 +231,7 @@ class IntegerFrame:
     `cols` of A and `det` D > 0 satisfy B . A = D * I.  Ray j is
     table.scale * A[:, j] / D, and root k has chamber coordinates
     num[k][j] / D with num[k][j] = int_roots[k] . A[:, j].  `_frame_at`
-    builds a frame by elimination; `_carry_frame` carries one across a
-    crystallographic wall.
+    builds a frame by elimination; `_cross` finds the frame across a wall.
     """
 
     table: RootSystemTable
@@ -239,6 +242,11 @@ class IntegerFrame:
 
     def coords(self, k: int) -> tuple:
         return tuple(Rat(n, self.det) for n in self.num[k])
+
+
+def _frame_key(frame: IntegerFrame) -> tuple:
+    """The chamber key of a frame: its basis's sorted primitive integer rays."""
+    return tuple(sorted(frame.table.primitive[k] for k in frame.index))
 
 
 def _dot(u: tuple, v: tuple) -> int:
@@ -295,17 +303,10 @@ def _frame(table: RootSystemTable, chamber: Chamber) -> IntegerFrame:
     frame = chamber.frame
     if frame is not None and frame.table is table:
         return frame
-    index = []
-    for b in chamber.basis:
-        k = table.index.get(b)
-        if k is None:
-            raise InvalidTable(f"basis element {fmt_covector(b)} is not a root of the table")
-        index.append(k)
-    return _frame_at(table, tuple(index))
-
-
-def _chamber_id(table: RootSystemTable, chamber: Chamber) -> tuple:
-    return tuple(sorted(_frame(table, chamber).index))
+    missing = [b for b in chamber.basis if b not in table.index]
+    if missing:
+        raise InvalidTable(f"basis element {fmt_covector(missing[0])} is not a root of the table")
+    return _frame_at(table, tuple(table.index[b] for b in chamber.basis))
 
 
 def _frame_rays(frame: IntegerFrame) -> tuple:
@@ -419,7 +420,7 @@ def _positive_lines(table: RootSystemTable, x: Vector) -> list:
         s = _dot(table.int_roots[k], xs)
         if s == 0:
             raise OnHyperplane(elems[0], x)
-        out.append((key, k if s > 0 else table.index[vneg(elems[0])]))
+        out.append((key, k if s > 0 else table.negation[k]))
     return out
 
 
@@ -497,37 +498,41 @@ def _extreme_basis(table: RootSystemTable, positives: Sequence[tuple]) -> tuple:
     return tuple(basis)
 
 
+def _rays_in_cone(gamma: Covector, chamber: Chamber) -> list:
+    """For each ray of the chamber, whether it lies inside the open cone gamma > 0."""
+    return [vdot(gamma, ray) > 0 for ray in chamber.rays]
+
+
 def wall_is_crossable(table: RootSystemTable, chamber: Chamber, i: int) -> bool:
     """Whether the facet on wall i meets the open cone."""
     if not isinstance(table.cone, Affine):
         return True
-    gamma = table.cone.gamma
-    return any(vdot(gamma, chamber.rays[j]) > 0 for j in range(chamber.rank) if j != i)
+    inside = _rays_in_cone(table.cone.gamma, chamber)
+    return any(inside[:i] + inside[i + 1:])
 
 
 def adjacent_chamber(table: RootSystemTable, chamber: Chamber, i: int) -> Chamber:
-    """The chamber across wall i, with compatible indexing.
-
-    Index i receives -alpha_i; every other index j receives the unique wall of
-    the neighbor inside the plane spanned by alpha_i and alpha_j.  When every
-    new wall is alpha_j plus an integer multiple of alpha_i, the neighbor's
-    frame is carried across; otherwise it is eliminated afresh.  The claimed
-    basis is checked against the whole table: every root's coordinates must be
-    sign-coherent, which pins the claimed cone to a genuine chamber.
-    """
+    """The chamber across wall i, with compatible indexing (see `_cross`)."""
     table.require_reduced()
-    r = chamber.rank
     if not wall_is_crossable(table, chamber, i):
         raise WallOnBoundary(f"wall {i} of chamber {fmt_covector(chamber.key)} does not meet the cone")
-    neg_i = vneg(chamber.basis[i])
-    if neg_i not in table.index:
-        raise InvalidTable(f"missing negation {fmt_covector(neg_i)}")
-    if r == 1:
-        return _chamber(_frame_at(table, (table.index[neg_i],)), vneg(chamber.witness))
+    frame = _frame(table, chamber)
+    return _chamber(_cross(table, frame, i), _witness_across(frame, i, chamber.witness))
 
+
+def _cross(table: RootSystemTable, frame: IntegerFrame, i: int) -> IntegerFrame:
+    """The frame of the chamber across wall i, with compatible indexing.
+
+    Index i receives -alpha_i; every other index j receives the unique wall of
+    the neighbor inside the plane spanned by alpha_i and alpha_j.  When
+    `_wall_coefficients` reads the crossing as crystallographic, the frame is
+    carried across; otherwise it is eliminated afresh.  The claimed basis is
+    checked against the whole table: every root's coordinates must be
+    sign-coherent, which pins the claimed cone to a genuine chamber.
+    """
     # In the plane of indices i and j, the roots positive just across the facet
     # have coordinates (c, d) there with d > 0; the new wall j maximizes c/d.
-    frame = _frame(table, chamber)
+    r = len(frame.index)
     best: dict = {}
     for k, row in enumerate(frame.num):
         # The root lies in such a plane when r - 2 of its coordinates off i are 0.
@@ -540,33 +545,27 @@ def adjacent_chamber(table: RootSystemTable, chamber: Chamber, i: int) -> Chambe
         got = best.get(j)
         if got is None or c * got[1] > got[0] * d:
             best[j] = (c, d, k)
-    index = list(frame.index)
-    index[i] = table.index[neg_i]
-    coeffs = [0] * r
-    det = frame.det
-    integral = True
-    for j in range(r):
-        if j == i:
-            continue
-        if j not in best:
-            raise NotSimplicial(f"no wall found in the plane of indices {i},{j}")
-        c, d, index[j] = best[j]
-        integral = integral and d == det and c % det == 0
-        coeffs[j] = c // det
-    index = tuple(index)
-    across = _carry_frame(frame, i, coeffs, index) if integral else _frame_at(table, index)
-    neighbor = _chamber(across, _witness_across(table, frame, i))
-    _verify_chamber_basis(table, neighbor)
-    return neighbor
+    missing = [j for j in range(r) if j != i and j not in best]
+    if missing:
+        raise NotSimplicial(f"no wall found in the plane of indices {i},{missing[0]}")
+    index = tuple(table.negation[frame.index[i]] if j == i else best[j][2] for j in range(r))
+    coeffs = _wall_coefficients(frame, i, index)
+    carried = not isinstance(coeffs, CoefficientWitness)
+    across = _carry_frame(frame, i, coeffs, index) if carried else _frame_at(table, index)
+    _verify_chamber_basis(across)
+    return across
 
 
-def _witness_across(table: RootSystemTable, frame: IntegerFrame, i: int) -> Vector:
+def _witness_across(frame: IntegerFrame, i: int, witness: Vector) -> Vector:
     """An interior point of the neighbor across wall i, found exactly.
 
     It is the facet point (the sum of the rays other than ray i) minus half
     of the largest step eps along ray i that no root hyperplane interrupts:
     eps is the least |root(facet point)| / |root(ray i)|, a ratio of numerators.
+    In rank 1 it is -witness, the chamber's own witness point negated.
     """
+    if len(frame.index) == 1:
+        return vneg(witness)
     eps = None  # (p, q) for p / q
     for row in frame.num:
         q = abs(row[i])
@@ -577,26 +576,26 @@ def _witness_across(table: RootSystemTable, frame: IntegerFrame, i: int) -> Vect
     ray_i = frame.cols[i]
     others = [col for j, col in enumerate(frame.cols) if j != i]
     den = sq * frame.det
+    scale = frame.table.scale
     return tuple(
-        Rat(table.scale * (sq * sum(col[m] for col in others) - sp * ray_i[m]), den)
+        Rat(scale * (sq * sum(col[m] for col in others) - sp * ray_i[m]), den)
         for m in range(len(ray_i))
     )
 
 
-def _verify_chamber_basis(table: RootSystemTable, chamber: Chamber) -> None:
-    """Every root must have sign-coherent coordinates in the basis.
+def _verify_chamber_basis(frame: IntegerFrame) -> None:
+    """Every root must have sign-coherent coordinates in the frame's basis.
 
     Together with the basis elements being table roots this pins the claimed
     simplicial cone to an actual chamber of the table's arrangement.  No
     root's coordinates all vanish: its row of num is int_root . A with A
     invertible, and the table has no zero root.
     """
-    frame = _frame(table, chamber)
     for k, row in enumerate(frame.num):
         if min(row) < 0 < max(row):
             raise NotSimplicial(
-                f"root {fmt_covector(table.roots[k])} separates the claimed chamber "
-                f"{fmt_covector(chamber.key)}: coords {fmt_covector(frame.coords(k))}"
+                f"root {fmt_covector(frame.table.roots[k])} separates the claimed chamber "
+                f"{fmt_covector(_frame_key(frame))}: coords {fmt_covector(frame.coords(k))}"
             )
 
 
@@ -612,28 +611,25 @@ def _root_defects(frame: IntegerFrame):
             yield k, "integrality"
 
 
-def _wall_coefficients(table: RootSystemTable, chamber: Chamber, neighbor: Chamber, i: int) -> tuple:
-    """The crossing of wall i as coefficients: c_j with neighbor.basis[j] =
-    c_j * a_i + a_j for j != i, and -2 at i.
+def _wall_coefficients(frame: IntegerFrame, i: int, index: tuple) -> tuple | CoefficientWitness:
+    """The crystallographic rule: the crossing of wall i to the neighbor on
+    root positions `index` as c_j with basis'[j] = c_j * a_i + a_j (-2 at i),
+    or the CoefficientWitness of the first wall j whose coordinates (c, d) / D
+    have d != D or c not divisible by D.
 
-    The crystallographic rule: each c_j is a nonnegative integer, the a_j
-    coefficient is 1 and no other basis element appears.  Raises
-    NotCrystallographicAt with the offending relation otherwise.
+    Wall j lies in the plane of a_i and a_j with c >= 0, since a_j itself, with
+    c = 0, competes for it; on the reverse crossing a_j = (c/d)(-a_i) + (D/d) b_j.
     """
-    frame = _frame(table, chamber)
     det = frame.det
     out = []
-    for j, k in enumerate(_frame(table, neighbor).index):
+    for j, k in enumerate(index):
         if j == i:
             out.append(-2)
             continue
         row = frame.num[k]
         c, d = row[i], row[j]
-        off_support = any(v for t, v in enumerate(row) if t != i and t != j)
-        if off_support or d != det or c % det or c < 0:
-            raise NotCrystallographicAt(
-                chamber.key, CoefficientWitness(i, j, table.roots[k], Rat(c, det), Rat(d, det))
-            )
+        if d != det or c % det:
+            return CoefficientWitness(i, j, frame.table.roots[k], Rat(c, det), Rat(d, det))
         out.append(c // det)
     return tuple(out)
 
@@ -642,14 +638,17 @@ def cartan_matrix_at(table: RootSystemTable, chamber: Chamber) -> ChamberCartanD
     """The generalized Cartan matrix read off from all wall crossings at a chamber.
 
     Raises NotCrystallographicAt with the offending relation when a transition
-    coefficient is non-integral, negative, or the j-slot coefficient is not 1.
+    coefficient is non-integral or the j-slot coefficient is not 1.
     """
     neighbors = []
     coeff_rows = []
     for i in range(chamber.rank):
         neighbor = adjacent_chamber(table, chamber, i)
+        coeffs = _wall_coefficients(_frame(table, chamber), i, neighbor.frame.index)
+        if isinstance(coeffs, CoefficientWitness):
+            raise NotCrystallographicAt(chamber.key, coeffs)
         neighbors.append(neighbor)
-        coeff_rows.append(_wall_coefficients(table, chamber, neighbor, i))
+        coeff_rows.append(coeffs)
     matrix = GeneralizedCartanMatrix.from_rows(tuple(-c for c in row) for row in coeff_rows)
     return ChamberCartanData(chamber, matrix, tuple(neighbors), tuple(coeff_rows))
 
@@ -684,82 +683,74 @@ def chamber_is_true(table: RootSystemTable, chamber: Chamber) -> bool | None:
     if table.certified_keys is not None:
         return chamber.key in table.certified_keys
     if isinstance(table.cone, Affine):
-        gamma = table.cone.gamma
-        return all(vdot(gamma, ray) > 0 for ray in chamber.rays)
+        return all(_rays_in_cone(table.cone.gamma, chamber))
     return None
 
 
 def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAtlas:
     """Breadth-first chamber exploration from a seed chamber.
 
-    `chamber_is_true` gives each chamber its verdict once, when the chamber
-    is discovered, and only chambers it does not reject are expanded: inside
-    the cone of an affine table, inside the certified region of a realized
-    truncation (its border chambers are visited but not crossed).  Crossings
-    into non-simplicial frontier regions of bare truncations are recorded as
+    Walls are crossed on integer frames (`_cross`), kept under chamber keys;
+    a Chamber and its `chamber_is_true` verdict are made once, when the key is
+    found.  Only chambers not rejected are expanded: inside the cone of an
+    affine table, inside the certified region of a realized truncation (its
+    border chambers are visited but not crossed).  Crossings into
+    non-simplicial frontier regions of bare truncations are recorded as
     missing edges instead of errors.  The certified set of a realized
     truncation is its true set; a bare truncation has none.
     """
     table.require_reduced()
     spherical = isinstance(table.cone, Spherical)
-    # Chambers are tracked by their sorted basis positions in the table: in a
-    # reduced table these identify the key, which is then built only for the
-    # chambers found, not for every neighbor crossed into.
-    seed_id = _chamber_id(table, seed)
-    found = {seed_id: seed}
-    verdict = {seed_id: chamber_is_true(table, seed)}
-    ids = [seed_id]
-    links: dict = {}  # (id, i) -> id
-    queue = deque([seed_id])
+    seed_key = seed.key
+    chambers = {seed_key: seed}
+    frames = {seed_key: _frame(table, seed)}
+    verdict = {seed_key: chamber_is_true(table, seed)}
+    order = [seed_key]
+    edges: dict = {}
+    queue = deque([seed_key])
     budget_exceeded = False
     while queue:
-        if len(ids) > budget:
+        if len(order) > budget:
             budget_exceeded = True
             break
-        cid = queue.popleft()
-        if verdict[cid] is False:
+        key = queue.popleft()
+        if verdict[key] is False:
             continue
-        chamber = found[cid]
-        for i in range(chamber.rank):
-            if (cid, i) in links:
-                continue
-            if not wall_is_crossable(table, chamber, i):
+        chamber, frame = chambers[key], frames[key]
+        for i in range(table.rank):
+            if (key, i) in edges or not wall_is_crossable(table, chamber, i):
                 continue
             try:
-                neighbor = adjacent_chamber(table, chamber, i)
+                across = _cross(table, frame, i)
             except NotSimplicial:
                 if spherical:
                     raise
                 continue
-            nid = _chamber_id(table, neighbor)
-            stored = found.get(nid)
+            nkey = _frame_key(across)
+            stored = frames.get(nkey)
             if stored is None:
-                found[nid] = neighbor
-                verdict[nid] = chamber_is_true(table, neighbor)
-                ids.append(nid)
-                queue.append(nid)
-            elif stored.basis != neighbor.basis:
+                neighbor = _chamber(across, _witness_across(frame, i, chamber.witness))
+                chambers[nkey], frames[nkey] = neighbor, across
+                verdict[nkey] = chamber_is_true(table, neighbor)
+                order.append(nkey)
+                queue.append(nkey)
+            elif stored.index != across.index:
                 raise NotSimplicial(
-                    f"chamber {fmt_covector(neighbor.key)} reached with conflicting compatible indexings"
+                    f"chamber {fmt_covector(nkey)} reached with conflicting compatible indexings"
                 )
-            links[(cid, i)] = nid
-            links[(nid, i)] = cid
-    keys = {c: found[c].key for c in ids}
-    order = [keys[c] for c in ids]
-    chambers = {keys[c]: found[c] for c in ids}
-    edges = {(keys[a], i): keys[b] for (a, i), b in links.items()}
-    true_ids = {c for c in ids if verdict[c]}
-    true_chambers = {keys[c] for c in true_ids}
+            edges[(key, i)] = nkey
+            edges[(nkey, i)] = key
+    true_chambers = {key for key in order if verdict[key]}
     if not isinstance(table.cone, Truncated):
         certified = {
-            keys[c] for c in true_ids if all(links.get((c, i)) in true_ids for i in range(table.rank))
+            key for key in true_chambers if all(edges.get((key, i)) in true_chambers for i in range(table.rank))
         }
         checked = set(certified)
     elif table.certified_keys is not None:
         certified, checked = set(true_chambers), set(true_chambers)
     else:
         certified, checked = set(), set(order)
-    return ChamberAtlas(seed.key, chambers, edges, order, true_chambers, certified, checked, budget_exceeded)
+    return ChamberAtlas(seed_key, chambers, edges, order, true_chambers, certified, checked, budget_exceeded)
 
 
 def interior_point(rays: Sequence) -> Vector:
@@ -990,13 +981,15 @@ def extract_cartan_graph(table: RootSystemTable, budget: int = 10_000) -> Extrac
 
 def _matrix_from_atlas(table: RootSystemTable, atlas: ChamberAtlas, key: tuple) -> GeneralizedCartanMatrix:
     """Cartan matrix at a chamber from crossings already discovered by the BFS."""
-    chamber = atlas.chambers[key]
+    frame = _frame(table, atlas.chambers[key])
     rows = []
-    for i in range(chamber.rank):
+    for i in range(table.rank):
         nkey = atlas.edges.get((key, i))
         if nkey is None:
             raise BudgetExceeded(f"wall {i} of chamber {fmt_covector(key)} was not crossed", partial=atlas)
-        coeffs = _wall_coefficients(table, chamber, atlas.chambers[nkey], i)
+        coeffs = _wall_coefficients(frame, i, _frame(table, atlas.chambers[nkey]).index)
+        if isinstance(coeffs, CoefficientWitness):
+            raise NotCrystallographicAt(key, coeffs)
         rows.append(tuple(-c for c in coeffs))
     return GeneralizedCartanMatrix.from_rows(rows)
 
@@ -1074,16 +1067,14 @@ def check_k_spherical(table: RootSystemTable, k: int, budget: int = 10_000) -> C
         raise ValueError(f"k must be between 0 and {table.rank}")
     if isinstance(table.cone, Spherical):
         return CheckReport("k-spherical", True, (), 0, 0, 0, False)
-    gamma = table.cone.gamma
     atlas = _survey(table, budget)
     witnesses = []
     for key in atlas.order:
         if key not in atlas.true_chambers:
             continue
-        chamber = atlas.chambers[key]
-        for face in itertools.combinations(range(chamber.rank), k):
-            spanning = [j for j in range(chamber.rank) if j not in face]
-            if not any(vdot(gamma, chamber.rays[j]) > 0 for j in spanning):
+        inside = _rays_in_cone(table.cone.gamma, atlas.chambers[key])
+        for face in itertools.combinations(range(table.rank), k):
+            if not any(v for j, v in enumerate(inside) if j not in face):
                 witnesses.append(KSphericalWitness(key, face))
     return CheckReport(
         "k-spherical",

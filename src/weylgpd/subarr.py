@@ -19,6 +19,7 @@ from .arrangement import (
     Affine,
     Chamber,
     CheckReport,
+    CoefficientWitness,
     RootSystemTable,
     Spherical,
     Truncated,
@@ -35,6 +36,7 @@ from .cartan import CartanGraph, GeneralizedCartanMatrix
 from .errors import (
     BudgetExceeded,
     InvalidTable,
+    NotCrystallographicAt,
     NotReducible,
     OnHyperplane,
     OutsideCone,
@@ -423,7 +425,10 @@ def fan_edge_sequence(table: RootSystemTable) -> tuple[int, ...]:
     for step in range(len(table.roots)):
         i = step % 2
         neighbor = adjacent_chamber(table, chamber, i)
-        seq.append(_wall_coefficients(table, chamber, neighbor, i)[1 - i])
+        coeffs = _wall_coefficients(chamber.frame, i, neighbor.frame.index)
+        if isinstance(coeffs, CoefficientWitness):
+            raise NotCrystallographicAt(chamber.key, coeffs)
+        seq.append(coeffs[1 - i])
         chamber = neighbor
         if chamber.key == seed.key:
             return tuple(seq)
