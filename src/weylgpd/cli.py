@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success / property holds, 1 property fails, 2 input error,
-3 budget exhausted.  WEYLGPD_BUDGET sets the default exploration budget.
+Exit codes: 0 success / property holds, 1 property fails, 2 input error
+(an unsupported operation too), 3 budget exhausted.  WEYLGPD_BUDGET sets the default exploration budget.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .arrangement import (
     is_nondegenerate,
 )
 from .cartan import CartanGraph, GeneralizedCartanMatrix, generate_real_roots
-from .errors import BudgetExceeded, InvalidCartanMatrix, NonSquare, ParseError, RootNotInSystem, WeylgpdError
+from .errors import BudgetExceeded, InvalidCartanMatrix, NonSquare, ParseError, RootNotInSystem, Unsupported
+from .errors import WeylgpdError
 from .exactlin import vec
 from .realization import realize, roundtrip_check
 from .subarr import double_restriction, identify_rank2, localize, restrict
@@ -401,7 +402,7 @@ def main(argv=None) -> int:
         if args.depth < 0:
             raise ParseError(f"--depth must be >= 0, not {args.depth}")
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, Unsupported) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceeded as exc:

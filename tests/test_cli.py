@@ -257,6 +257,23 @@ class TestPipelines:
         code, out, _ = run(capsys, "identify-rank2", "b2")
         assert code == 0 and "B2" in out
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("identify-rank2", "a3"), "fan signatures are defined for rank-2 tables"),
+            (("identify-rank2", "aff-a1"), "fan signatures need a spherical table"),
+            (("identify-rank2", "{}"), "rank-2 identification needs a spherical table"),
+            (("check", "{}", "--property", "k-spherical"), "k-sphericity is undefined for truncated tables (no cone)"),
+        ],
+        ids=["rank-3", "affine", "truncated", "k-spherical-truncated"],
+    )
+    def test_unsupported_input_is_an_input_error(self, capsys, tmp_path, argv, message):
+        path = _write(tmp_path, TRUNCATED_A2)
+        code, out, err = run(capsys, *(path if a == "{}" else a for a in argv))
+        assert code == 2
+        assert err == f"input error: {message}\n"
+        assert "Traceback" not in out + err
+
 
 class TestF4Demo:
     def test_labels_line_up(self, capsys):
@@ -308,6 +325,11 @@ def _write(tmp_path, payload) -> str:
 A2_GCM = [[2, -1], [-1, 2]]
 LINE = {"rank": 2, "roots": [["1", "0"], ["-1", "0"]]}
 FLAT = {"rank": 3, "roots": [["1", "0", "0"], ["-1", "0", "0"], ["0", "1", "0"], ["0", "-1", "0"]]}
+TRUNCATED_A2 = {
+    "rank": 2,
+    "roots": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"], ["1", "1"], ["-1", "-1"]],
+    "cone": {"truncated": 3},
+}
 
 
 class TestJsonInputBoundary:
