@@ -2,7 +2,9 @@
 
 Everything here is deliberately written against plain fractions.Fraction with
 its own elimination / enumeration code, so results cross-check the library
-through a different computational path.
+through a different computational path.  The one exception is
+`reference_wall_coefficients`, a former statement of the library's
+wall-crossing rule kept as a differential reference.
 """
 
 from __future__ import annotations
@@ -244,3 +246,31 @@ def zaslavsky_chamber_count(lines) -> int:
         for flat in layer:
             mu[flat] = -sum(m for lower, m in mu.items() if lower < flat) if flat else 1
     return sum(abs(m) for m in mu.values())
+
+
+def reference_wall_coefficients(table, chamber, neighbor, i):
+    """The wall-crossing rule as the library stated it before it was written
+    once: c_j with neighbor.basis[j] = c_j * a_i + a_j for j != i and -2 at
+    i, or the fields (i, j, root, c, d) of the first relation
+    beta_j = c * a_i + d * a_j that is not crystallographic.
+
+    It reads the library's integer frames of both chambers, and it also
+    rejects a new wall off the plane of a_i and a_j and a negative c, two
+    branches the library dropped as unreachable.
+    """
+    from weylgpd.arrangement import _frame
+
+    frame = _frame(table, chamber)
+    det = frame.det
+    out = []
+    for j, k in enumerate(_frame(table, neighbor).index):
+        if j == i:
+            out.append(-2)
+            continue
+        row = frame.num[k]
+        c, d = row[i], row[j]
+        off_support = any(v for t, v in enumerate(row) if t != i and t != j)
+        if off_support or d != det or c % det or c < 0:
+            return i, j, table.roots[k], F(c, det), F(d, det)
+        out.append(c // det)
+    return tuple(out)

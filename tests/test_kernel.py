@@ -13,9 +13,11 @@ import pytest
 from weylgpd import arrangement, realization
 from weylgpd.arrangement import (
     Chamber,
+    CoefficientWitness,
     RootSystemTable,
     _carry_frame,
     _frame_at,
+    _wall_coefficients,
     adjacent_chamber,
     cartan_matrix_at,
     chamber_bfs,
@@ -33,6 +35,7 @@ from weylgpd.builtins import (
 from weylgpd.cartan import canonical_basis_key
 from weylgpd.errors import InvalidTable, WeylgpdError
 from weylgpd.exactlin import primitive_ray, vec
+from weylgpd.jsonio import table_from_json, table_to_json
 from weylgpd.realization import realize
 from weylgpd.subarr import restrict
 
@@ -46,7 +49,7 @@ from _kernel_digest import (
     roundtrip_digest,
     table_digest,
 )
-from _oracles import gauss_solve
+from _oracles import gauss_solve, reference_wall_coefficients
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "kernel_digest.json").read_text()
@@ -181,9 +184,10 @@ def frame_data(frame) -> tuple:
 
 
 def counted_survey(table: RootSystemTable) -> tuple:
-    """chamber_bfs from the default seed, with the calls it makes to
-    adjacent_chamber, _frame_at and _carry_frame counted."""
-    calls = dict.fromkeys(["adjacent_chamber", "_frame_at", "_carry_frame"], 0)
+    """chamber_bfs from the default seed, with the calls that it and the seed
+    make to _cross, _frame_at, _carry_frame, _witness_across and _frame_rays
+    counted."""
+    calls = dict.fromkeys(["_cross", "_frame_at", "_carry_frame", "_witness_across", "_frame_rays"], 0)
     with pytest.MonkeyPatch.context() as patch:
         for name in calls:
             original = getattr(arrangement, name)
@@ -204,7 +208,15 @@ DIFFERENTIAL_TABLES = {
         for i in range(4)
     },
     "b3-rescaled": lambda: rescaled_lines(builtin_table("b3"), random.Random(5)),
+    # A bare truncation: its frontier chambers are visited but not all crossed.
+    "b3-bare-truncation": lambda: table_from_json(table_to_json(realize(builtin_graph("b3"), depth=3).table)),
 }
+
+
+@functools.cache
+def surveyed(name: str) -> tuple:
+    table = DIFFERENTIAL_TABLES[name]()
+    return (table, *counted_survey(table))
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TABLES))
@@ -212,19 +224,46 @@ def test_carried_frames_and_integer_keys_match_the_elimination(name):
     """Every chamber's frame, carried or eliminated, is the one Bareiss
     elimination gives for its basis, and its integer key is equal and
     hash-equal to the Fraction key of its basis."""
-    table = DIFFERENTIAL_TABLES[name]()
-    atlas, calls = counted_survey(table)
+    table, atlas, calls = surveyed(name)
     for chamber in atlas.chambers.values():
         assert frame_data(chamber.frame) == frame_data(_frame_at(table, chamber.frame.index))
         fraction_key = canonical_basis_key(chamber.basis)
         assert chamber.key == fraction_key and hash(chamber.key) == hash(fraction_key)
         assert all(type(c) is int for ray in chamber.key for c in ray)
-    crossings = calls["adjacent_chamber"]
+    crossings = calls["_cross"]
     assert calls["_frame_at"] + calls["_carry_frame"] == 1 + crossings
     if name == "f4":
         assert (calls["_frame_at"], calls["_carry_frame"]) == (1, crossings)
     if name == "aff-a1-rescaled":
         assert calls["_carry_frame"] == 0
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TABLES))
+def test_survey_builds_each_chambers_fraction_data_once(name):
+    """Rays and a witness point are built for the seed and each chamber found,
+    not for each crossing: F4 crosses 2,304 walls and finds 1,151 chambers."""
+    _, atlas, calls = surveyed(name)
+    assert calls["_frame_rays"] == len(atlas.order)
+    assert calls["_witness_across"] == len(atlas.order) - 1
+    if name == "f4":
+        assert (calls["_cross"], calls["_witness_across"], calls["_frame_rays"]) == (2304, 1151, 1152)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TABLES))
+def test_wall_coefficients_match_the_reference_rule(name):
+    """On every directed atlas edge the rule written once gives the
+    coefficients, or the witness, that the former rule gives."""
+    table, atlas, _ = surveyed(name)
+    witnesses = 0
+    for (key, i), nkey in atlas.edges.items():
+        chamber, neighbor = atlas.chambers[key], atlas.chambers[nkey]
+        got = _wall_coefficients(chamber.frame, i, neighbor.frame.index)
+        if isinstance(got, CoefficientWitness):
+            witnesses += 1
+            got = (got.i, got.j, got.root, got.c, got.d)
+        assert got == reference_wall_coefficients(table, chamber, neighbor, i)
+    if "rescaled" in name:
+        assert witnesses
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_GCMS))

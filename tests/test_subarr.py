@@ -247,6 +247,18 @@ class TestRestrictionCrystallographic:
         report = check_restriction_crystallographic(restrict(table, table.roots[0]))
         assert report.passed
 
+    @pytest.mark.parametrize("name,label,count", [("a3", "A2", 6), ("b3", "B2", 9)])
+    def test_single_restrictions_identify_and_round_trip(self, name, label, count):
+        # Each restriction at a positive root (the larger root of each line)
+        # is a rank-2 Weyl groupoid of one type, and its extracted graph
+        # round-trips through realize.
+        table = builtin_table(name)
+        assert len(table.lines) == count
+        for elems in table.lines.values():
+            restricted = restrict(table, max(elems)).reduced_table
+            assert identify_rank2(restricted).label == label
+            assert roundtrip_check(extract_cartan_graph(restricted).graph).equivalent
+
     @pytest.mark.parametrize("root", [(0, 0, 0, 1), (0, 1, -1, 0)], ids=["short", "long"])
     def test_f4_restriction_groupoid_round_trips(self, root):
         # A rank-3 Weyl groupoid whose Cartan matrix varies between objects.
