@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / property holds, 1 property fails, 2 input error
-(an unsupported operation too), 3 budget exhausted.  WEYLGPD_BUDGET sets the default exploration budget.
+(an unsupported operation too), 3 budget exhausted.  WEYLGPD_BUDGET sets
+the default exploration budget.
 """
 
 from __future__ import annotations

@@ -208,7 +208,7 @@ DIFFERENTIAL_TABLES = {
         for i in range(4)
     },
     "b3-rescaled": lambda: rescaled_lines(builtin_table("b3"), random.Random(5)),
-    # A bare truncation: its frontier chambers are visited but not all crossed.
+    # A bare truncation: a realized table read back without its certified region.
     "b3-bare-truncation": lambda: table_from_json(table_to_json(realize(builtin_graph("b3"), depth=3).table)),
 }
 
@@ -241,7 +241,8 @@ def test_carried_frames_and_integer_keys_match_the_elimination(name):
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TABLES))
 def test_survey_builds_each_chambers_fraction_data_once(name):
     """Rays and a witness point are built for the seed and each chamber found,
-    not for each crossing: F4 crosses 2,304 walls and finds 1,151 chambers."""
+    not for each crossing: F4 crosses 2,304 walls and finds 1,151 chambers
+    besides its seed."""
     _, atlas, calls = surveyed(name)
     assert calls["_frame_rays"] == len(atlas.order)
     assert calls["_witness_across"] == len(atlas.order) - 1
