@@ -16,14 +16,17 @@ numerators int_root_k . A[:, j] over D.  Sign, integrality and wall-crossing
 predicates compare those numerators; Fractions are built only for values that
 leave the kernel.
 
-A wall crossing (`_cross`) maps a frame to its neighbor's, and
-`_wall_coefficients`, the one statement of the crystallographic rule, reads
-it: when every coefficient is an integer the crossing is the Weyl groupoid's
-change of object, B' = T . B for an integer involution T, and A' = A . T is
-carried over with one column update; otherwise, and at a seed chamber,
-Bareiss elimination builds A.  Chamber keys and line keys are tuples of
-primitive integer rays.  `chamber_bfs` walks frames under chamber keys and
-builds a chamber's rays and witness point once, when it finds the chamber.
+A seed chamber's walls come from its extreme rays, found by double
+description.  A wall crossing (`_cross`) is a wall scan, which names the
+neighbor's basis, then a frame step that `_wall_coefficients`, the one
+statement of the crystallographic rule, reads: when every coefficient is an
+integer the crossing is the Weyl groupoid's change of object, B' = T . B for
+an integer involution T, and A' = A . T is carried over with one column
+update; otherwise, and at a seed chamber, Bareiss elimination builds A.
+Chamber keys and line keys are tuples of primitive integer rays.
+`chamber_bfs` pays the frame step, its check, and a chamber's rays and
+witness point once per chamber found; a crossing into a known chamber costs
+only the wall scan.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from operator import add, mul
+from operator import itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from ._rational import ONE, ZERO, Rat, fmt_covector
@@ -112,8 +115,9 @@ class RootSystemTable:
 
     Besides the roots (sorted), it keeps only data derived from them once:
     `scale` L, the integer roots `int_roots` (L*root, in root order), the
-    root -> position map `index`, the positions `negation` of the negated
-    roots, and the primitive rays `primitive` (int tuples), as are line keys.
+    root -> position maps `index` and `int_index` (of the integer roots), the
+    positions `negation` of the negated roots, and the primitive rays
+    `primitive` (int tuples), as are line keys.
     """
 
     def __init__(
@@ -141,6 +145,7 @@ class RootSystemTable:
         self.int_roots = tuple(
             tuple(c.numerator * (scale // c.denominator) for c in r) for r in self.roots
         )
+        self.int_index = {r: k for k, r in enumerate(self.int_roots)}
         self.primitive = tuple(_int_primitive(r) for r in self.int_roots)
         lines: dict[Covector, list] = {}
         for r, p in zip(self.roots, self.primitive):
@@ -216,7 +221,7 @@ class Chamber:
         """The sorted primitive integer rays of the basis, built once: equal
         and hash-equal to canonical_basis_key(basis), whose rays are Fractions."""
         if self.frame is not None:
-            return _frame_key(self.frame)
+            return _key_at(self.frame.table, self.frame.index)
         return tuple(sorted(_int_primitive(clear_denominators(b)[0]) for b in self.basis))
 
     def __repr__(self) -> str:
@@ -244,9 +249,9 @@ class IntegerFrame:
         return tuple(Rat(n, self.det) for n in self.num[k])
 
 
-def _frame_key(frame: IntegerFrame) -> tuple:
-    """The chamber key of a frame: its basis's sorted primitive integer rays."""
-    return tuple(sorted(frame.table.primitive[k] for k in frame.index))
+def _key_at(table: RootSystemTable, index: tuple) -> tuple:
+    """The chamber key of the basis at root positions `index`: its sorted primitive integer rays."""
+    return tuple(sorted(table.primitive[k] for k in index))
 
 
 def _dot(u: tuple, v: tuple) -> int:
@@ -424,37 +429,50 @@ def _positive_lines(table: RootSystemTable, x: Vector) -> list:
     return out
 
 
-def _kernel_line(rows: Sequence[tuple]) -> tuple | None:
-    """Primitive generator of the kernel of r-1 integer rows in Z^r, or None
-    when the kernel is not a line.
-
-    One elimination: the kernel is a line exactly when one column has no
-    pivot.  Its generator is d on that column and -row[free] on each pivot
-    column, oriented with its last nonzero entry positive.
-    """
-    reduced, d, pivots = int_row_reduce(list(rows))
-    r = len(rows) + 1
-    if len(pivots) != r - 1:
-        return None
-    free = next(c for c in range(r) if c not in pivots)
-    gen = [0] * r
-    gen[free] = d
-    for row, p in zip(reduced, pivots):
-        gen[p] = -row[free]
-    g = gcd(*gen)
-    if next(v for v in reversed(gen) if v) < 0:
-        g = -g
-    return tuple(v // g for v in gen)
+def _cone_rays(reps: Sequence[tuple], rank: int) -> list:
+    """The extreme rays (primitive int tuples) of the cone {reps >= 0}, by
+    double description (Fukuda and Prodon, "Double description method
+    revisited", 1996): one elimination of [reps^T | I] gives the dual rays of
+    the first `rank` independent lines, and each further line keeps the rays
+    on its nonnegative side and joins each adjacent pair on opposite sides.
+    Two rays are adjacent when they share >= rank-2 zero lines (line
+    positions) and no third ray vanishes on all of those.  Lines that do not
+    span leave the kernel line, if the kernel is one, and no ray otherwise."""
+    n = len(reps)
+    reduced, d, pivots = int_row_reduce(
+        [[rep[t] for rep in reps] + [int(j == t) for j in range(rank)] for t in range(rank)]
+    )
+    if pivots[-1] >= n:
+        kernel = [row[n:] for row, p in zip(reduced, pivots) if p >= n]
+        return [_int_primitive(kernel[0])] if len(kernel) == 1 else []
+    # Row j is d times the ray dual to line pivots[j]; it vanishes on the others.
+    rays = [_int_primitive(row[n:] if d > 0 else [-a for a in row[n:]]) for row in reduced]
+    zeros = [frozenset(pivots[:j] + pivots[j + 1:]) for j in range(rank)]
+    for m in sorted(set(range(n)) - set(pivots)):
+        values = [_dot(reps[m], ray) for ray in rays]
+        keep = [t for t, v in enumerate(values) if v >= 0]
+        new_rays = [rays[t] for t in keep]
+        new_zeros = [zeros[t] | {m} if values[t] == 0 else zeros[t] for t in keep]
+        positive = [t for t in keep if values[t] > 0]
+        for a, b in itertools.product(positive, [t for t, v in enumerate(values) if v < 0]):
+            shared = zeros[a] & zeros[b]
+            if len(shared) < rank - 2 or any(shared <= z for t, z in enumerate(zeros) if t != a and t != b):
+                continue
+            # values[a] * ray_b - values[b] * ray_a lies on line m and in the cone.
+            va, vb = values[a], values[b]
+            new_rays.append(_int_primitive(tuple(va * y - vb * x for x, y in zip(rays[a], rays[b]))))
+            new_zeros.append(shared | {m})
+        rays, zeros = new_rays, new_zeros
+    return rays
 
 
 def _extreme_basis(table: RootSystemTable, positives: Sequence[tuple]) -> tuple:
     """Facet-defining representatives among positive constraints of a simplicial cone.
 
-    `positives` holds (line key, root index) pairs.  Rays are found as oriented
-    kernel lines of (rank-1)-subsets of the constraint hyperplanes; the cone
-    must have exactly `rank` of them, and each wall is the unique constraint
-    line vanishing on the other rank-1 rays.  Returns root indices.
-    """
+    `positives` holds (line key, root index) pairs.  The cone they cut out
+    must have exactly `rank` extreme rays (`_cone_rays`), and each wall is the
+    unique constraint line vanishing on the other rank-1 rays.  Returns root
+    indices."""
     rank = table.rank
     if len(positives) < rank:
         raise NotSimplicial(f"only {len(positives)} lines in rank {rank}")
@@ -463,23 +481,7 @@ def _extreme_basis(table: RootSystemTable, positives: Sequence[tuple]) -> tuple:
             raise NotSimplicial("rank-1 tables have a single hyperplane line")
         return (positives[0][1],)
     keys = [key for key, _ in positives]
-    reps = [table.int_roots[k] for _, k in positives]
-    rays: list = []
-    seen: set = set()
-    for subset in itertools.combinations(keys, rank - 1):
-        gen = _kernel_line(subset)
-        if gen is None:
-            continue
-        values = [_dot(rep, gen) for rep in reps]
-        if all(v >= 0 for v in values):
-            ray = gen
-        elif all(v <= 0 for v in values):
-            ray = tuple(-c for c in gen)
-        else:
-            continue
-        if ray not in seen:
-            seen.add(ray)
-            rays.append(ray)
+    rays = _cone_rays([table.int_roots[k] for _, k in positives], rank)
     if len(rays) != rank or int_det(rays) == 0:
         raise NotSimplicial(f"chamber has {len(rays)} extreme rays, expected {rank}")
     basis = []
@@ -521,14 +523,18 @@ def adjacent_chamber(table: RootSystemTable, chamber: Chamber, i: int) -> Chambe
 
 
 def _cross(table: RootSystemTable, frame: IntegerFrame, i: int) -> IntegerFrame:
-    """The frame of the chamber across wall i, with compatible indexing.
+    """The frame of the chamber across wall i, with compatible indexing: the
+    wall scan, the frame step, and the full check of the claimed basis."""
+    across, _ = _frame_across(table, frame, i, _walls_across(table, frame, i))
+    _verify_chamber_basis(across)
+    return across
+
+
+def _walls_across(table: RootSystemTable, frame: IntegerFrame, i: int) -> tuple:
+    """The root positions of the neighbor's basis across wall i.
 
     Index i receives -alpha_i; every other index j receives the unique wall of
-    the neighbor inside the plane spanned by alpha_i and alpha_j.  When
-    `_wall_coefficients` reads the crossing as crystallographic, the frame is
-    carried across; otherwise it is eliminated afresh.  The claimed basis is
-    checked against the whole table: every root's coordinates must be
-    sign-coherent, which pins the claimed cone to a genuine chamber.
+    the neighbor inside the plane spanned by alpha_i and alpha_j.
     """
     # In the plane of indices i and j, the roots positive just across the facet
     # have coordinates (c, d) there with d > 0; the new wall j maximizes c/d.
@@ -548,12 +554,16 @@ def _cross(table: RootSystemTable, frame: IntegerFrame, i: int) -> IntegerFrame:
     missing = [j for j in range(r) if j != i and j not in best]
     if missing:
         raise NotSimplicial(f"no wall found in the plane of indices {i},{missing[0]}")
-    index = tuple(table.negation[frame.index[i]] if j == i else best[j][2] for j in range(r))
+    return tuple(table.negation[frame.index[i]] if j == i else best[j][2] for j in range(r))
+
+
+def _frame_across(table: RootSystemTable, frame: IntegerFrame, i: int, index: tuple) -> tuple:
+    """(frame at `index`, i), carried across wall i when `_wall_coefficients`
+    reads the crossing as crystallographic, else (eliminated frame, None)."""
     coeffs = _wall_coefficients(frame, i, index)
-    carried = not isinstance(coeffs, CoefficientWitness)
-    across = _carry_frame(frame, i, coeffs, index) if carried else _frame_at(table, index)
-    _verify_chamber_basis(across)
-    return across
+    if isinstance(coeffs, CoefficientWitness):
+        return _frame_at(table, index), None
+    return _carry_frame(frame, i, coeffs, index), i
 
 
 def _witness_across(frame: IntegerFrame, i: int, witness: Vector) -> Vector:
@@ -583,19 +593,28 @@ def _witness_across(frame: IntegerFrame, i: int, witness: Vector) -> Vector:
     )
 
 
-def _verify_chamber_basis(frame: IntegerFrame) -> None:
+def _verify_chamber_basis(frame: IntegerFrame, column: int | None = None) -> None:
     """Every root must have sign-coherent coordinates in the frame's basis.
 
     Together with the basis elements being table roots this pins the claimed
     simplicial cone to an actual chamber of the table's arrangement.  No
     root's coordinates all vanish: its row of num is int_root . A with A
     invertible, and the table has no zero root.
+
+    A frame carried from a verified one is new in `column` only: a row is
+    coherent exactly when that entry does not disagree in sign with the rest.
     """
-    for k, row in enumerate(frame.num):
+    num = frame.num
+    if column is not None:
+        # The sum of the rest of a row has the rest's sign.
+        new = list(map(itemgetter(column), num))
+        if min(map(mul, new, map(sub, map(sum, num), new))) >= 0:
+            return
+    for k, row in enumerate(num):
         if min(row) < 0 < max(row):
             raise NotSimplicial(
                 f"root {fmt_covector(frame.table.roots[k])} separates the claimed chamber "
-                f"{fmt_covector(_frame_key(frame))}: coords {fmt_covector(frame.coords(k))}"
+                f"{fmt_covector(_key_at(frame.table, frame.index))}: coords {fmt_covector(frame.coords(k))}"
             )
 
 
@@ -690,20 +709,25 @@ def chamber_is_true(table: RootSystemTable, chamber: Chamber) -> bool | None:
 def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAtlas:
     """Breadth-first chamber exploration from a seed chamber.
 
-    Walls are crossed on integer frames (`_cross`), kept under chamber keys;
-    a Chamber and its `chamber_is_true` verdict are made once, when the key is
-    found.  Only chambers not rejected are expanded: inside the cone of an
-    affine table, inside the certified region of a realized truncation (its
-    border chambers are visited but not crossed).  Crossings into
-    non-simplicial frontier regions of bare truncations are recorded as
-    missing edges instead of errors.  The certified set of a realized
-    truncation is its true set; a bare truncation has none.
+    Frames are kept under chamber keys.  The wall scan (`_walls_across`) gives
+    the neighbor's basis positions and key; a known key only has its indexing
+    compared (frames on the same positions are equal: A = D * B^-1, and a
+    carry keeps D = |det B|).  A new key gets the frame step (`_frame_across`),
+    its check (in full for the seed, which must be a chamber, and for an
+    eliminated frame; on the new column for a carried one), its Chamber and
+    its `chamber_is_true` verdict.  Only chambers not rejected are expanded:
+    inside the cone of an affine table, inside the certified region of a
+    realized truncation (its border is visited but not crossed).  Crossings
+    into non-simplicial frontier regions of bare truncations are recorded as
+    missing edges.  A realized truncation's certified set is its true set; a
+    bare truncation has none.
     """
     table.require_reduced()
     spherical = isinstance(table.cone, Spherical)
     seed_key = seed.key
     chambers = {seed_key: seed}
     frames = {seed_key: _frame(table, seed)}
+    _verify_chamber_basis(frames[seed_key])
     verdict = {seed_key: chamber_is_true(table, seed)}
     order = [seed_key]
     edges: dict = {}
@@ -721,20 +745,23 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
             if (key, i) in edges or not wall_is_crossable(table, chamber, i):
                 continue
             try:
-                across = _cross(table, frame, i)
+                index = _walls_across(table, frame, i)
+                nkey = _key_at(table, index)
+                stored = frames.get(nkey)
+                if stored is None:
+                    across, column = _frame_across(table, frame, i, index)
+                    _verify_chamber_basis(across, column)
             except NotSimplicial:
                 if spherical:
                     raise
                 continue
-            nkey = _frame_key(across)
-            stored = frames.get(nkey)
             if stored is None:
                 neighbor = _chamber(across, _witness_across(frame, i, chamber.witness))
                 chambers[nkey], frames[nkey] = neighbor, across
                 verdict[nkey] = chamber_is_true(table, neighbor)
                 order.append(nkey)
                 queue.append(nkey)
-            elif stored.index != across.index:
+            elif stored.index != index:
                 raise NotSimplicial(
                     f"chamber {fmt_covector(nkey)} reached with conflicting compatible indexings"
                 )
@@ -905,16 +932,26 @@ def check_additive(table: RootSystemTable, budget: int = 10_000, max_witnesses: 
 
     def witnesses(key, chamber):
         frame = _frame(table, chamber)
-        point, _ = clear_denominators(chamber.witness)
-        positives = [k for k, root in enumerate(table.int_roots) if _dot(root, point) > 0]
-        ints = [table.int_roots[k] for k in positives]
-        sums = {tuple(map(add, a, b)) for a, b in itertools.combinations_with_replacement(ints, 2)}
-        basis_set = set(frame.index)
-        lonely = [k for k in positives if k not in basis_set and table.int_roots[k] not in sums]
-        for k in _scan_order(frame, lonely):
+        for k in _scan_order(frame, _lonely_roots(frame)):
             yield AdditiveWitness(key, chamber.basis, table.roots[k], frame.coords(k))
 
     return _report("additive", table, _survey(table, budget), witnesses, max_witnesses)
+
+
+def _lonely_roots(frame: IntegerFrame) -> list:
+    """The positive roots of a verified frame (rows of num are sign-coherent
+    and nonzero) that are neither basis elements nor sums of two positive
+    roots: beta - alpha is a positive root for no positive alpha, trying the
+    basis elements first."""
+    ints, position = frame.table.int_roots, frame.table.int_index
+    positive = [max(row) > 0 for row in frame.num]
+    tries = [*frame.index, *(k for k, p in enumerate(positive) if p and k not in frame.index)]
+
+    def is_sum(beta: tuple) -> bool:
+        diffs = (position.get(tuple(map(sub, beta, ints[a]))) for a in tries)
+        return any(m is not None and positive[m] for m in diffs)
+
+    return [k for k in tries[len(frame.index):] if not is_sum(ints[k])]
 
 
 # ---------------------------------------------------------------------------

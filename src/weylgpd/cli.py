@@ -41,7 +41,7 @@ def _default_budget() -> int:
     if not raw:
         return 10_000
     try:
-        return max(0, int(raw))
+        return int(raw)
     except ValueError:
         raise ParseError(f"WEYLGPD_BUDGET must be an integer, not {raw!r}") from None
 
@@ -398,8 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_join_option_values(sys.argv[1:] if argv is None else argv))
+        source = "WEYLGPD_BUDGET" if args.budget is None else "--budget"
         if args.budget is None:
             args.budget = _default_budget()
+        if args.budget < 0:
+            raise ParseError(f"{source} must be >= 0, not {args.budget}")
         if args.depth < 0:
             raise ParseError(f"--depth must be >= 0, not {args.depth}")
         return args.func(args)

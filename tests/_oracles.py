@@ -2,9 +2,11 @@
 
 Everything here is deliberately written against plain fractions.Fraction with
 its own elimination / enumeration code, so results cross-check the library
-through a different computational path.  The one exception is
-`reference_wall_coefficients`, a former statement of the library's
-wall-crossing rule kept as a differential reference.
+through a different computational path.  The exceptions are former
+statements of library rules kept as differential references:
+`reference_wall_coefficients` (the wall-crossing rule),
+`reference_extreme_basis` with `reference_kernel_line` (the seed rule) and
+`reference_lonely_roots` (the additive rule).
 """
 
 from __future__ import annotations
@@ -274,3 +276,99 @@ def reference_wall_coefficients(table, chamber, neighbor, i):
             return i, j, table.roots[k], F(c, det), F(d, det)
         out.append(c // det)
     return tuple(out)
+
+
+def reference_kernel_line(rows):
+    """Primitive generator of the kernel of r-1 integer rows in Z^r, or None
+    when the kernel is not a line; the library's former seed helper, kept
+    with `reference_extreme_basis` as a differential reference.
+
+    One elimination: the kernel is a line exactly when one column has no
+    pivot.  Its generator is d on that column and -row[free] on each pivot
+    column, oriented with its last nonzero entry positive.
+    """
+    from math import gcd
+
+    from weylgpd.exactlin import int_row_reduce
+
+    reduced, d, pivots = int_row_reduce(list(rows))
+    r = len(rows) + 1
+    if len(pivots) != r - 1:
+        return None
+    free = next(c for c in range(r) if c not in pivots)
+    gen = [0] * r
+    gen[free] = d
+    for row, p in zip(reduced, pivots):
+        gen[p] = -row[free]
+    g = gcd(*gen)
+    if next(v for v in reversed(gen) if v) < 0:
+        g = -g
+    return tuple(v // g for v in gen)
+
+
+def reference_extreme_basis(table, positives):
+    """The seed rule as the library stated it before double description:
+    the extreme rays are the oriented kernel lines of the (rank-1)-subsets of
+    the positive lines, one elimination per subset.  `positives` holds
+    (line key, root index) pairs; returns root indices or raises the
+    library's NotSimplicial with the same texts."""
+    from weylgpd.errors import NotSimplicial
+    from weylgpd.exactlin import int_det
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    rank = table.rank
+    if len(positives) < rank:
+        raise NotSimplicial(f"only {len(positives)} lines in rank {rank}")
+    if rank == 1:
+        if len(positives) != 1:
+            raise NotSimplicial("rank-1 tables have a single hyperplane line")
+        return (positives[0][1],)
+    keys = [key for key, _ in positives]
+    reps = [table.int_roots[k] for _, k in positives]
+    rays = []
+    seen = set()
+    for subset in itertools.combinations(keys, rank - 1):
+        gen = reference_kernel_line(subset)
+        if gen is None:
+            continue
+        values = [dot(rep, gen) for rep in reps]
+        if all(v >= 0 for v in values):
+            ray = gen
+        elif all(v <= 0 for v in values):
+            ray = tuple(-c for c in gen)
+        else:
+            continue
+        if ray not in seen:
+            seen.add(ray)
+            rays.append(ray)
+    if len(rays) != rank or int_det(rays) == 0:
+        raise NotSimplicial(f"chamber has {len(rays)} extreme rays, expected {rank}")
+    basis = []
+    for m in range(rank):
+        others = rays[:m] + rays[m + 1:]
+        wall = next(
+            (k for key, (_, k) in zip(keys, positives) if all(dot(key, d) == 0 for d in others)),
+            None,
+        )
+        if wall is None:
+            raise NotSimplicial("a facet of the chamber lies on no table hyperplane")
+        if dot(table.int_roots[wall], rays[m]) <= 0:
+            raise NotSimplicial("wall orientation inconsistent with chamber rays")
+        basis.append(wall)
+    basis.sort(key=table.primitive.__getitem__)
+    return tuple(basis)
+
+
+def reference_lonely_roots(table, chamber):
+    """The positions of the roots positive at the chamber's witness point
+    that are neither basis elements nor sums of two positive roots, by the
+    library's former additive rule: the set of all pairwise sums of positive
+    roots, built for the chamber."""
+    point = [_F(c) for c in chamber.witness]
+    positives = [k for k, root in enumerate(table.int_roots) if sum(a * x for a, x in zip(root, point)) > 0]
+    ints = [table.int_roots[k] for k in positives]
+    sums = {tuple(a + b for a, b in zip(u, v)) for u, v in itertools.combinations_with_replacement(ints, 2)}
+    basis = {table.index[b] for b in chamber.basis}
+    return [k for k in positives if k not in basis and table.int_roots[k] not in sums]

@@ -137,6 +137,24 @@ class TestBudgetVariable:
         assert err.startswith("input error:") and "WEYLGPD_BUDGET" in err
         assert err.count("\n") == 1 and out == ""
 
+    def test_negative_budget_variable_is_an_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("WEYLGPD_BUDGET", "-5")
+        code, out, err = run(capsys, "check", "b3", "--property", "cryst")
+        assert code == 2 and out == ""
+        assert err == "input error: WEYLGPD_BUDGET must be >= 0, not -5\n"
+
+    def test_negative_budget_flag_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "--budget", "-3", "check", "b3", "--property", "cryst")
+        assert code == 2 and out == ""
+        assert err == "input error: --budget must be >= 0, not -3\n"
+
+    def test_zero_budget_is_exhausted(self, capsys, monkeypatch):
+        monkeypatch.setenv("WEYLGPD_BUDGET", "0")
+        code, _, err = run(capsys, "check", "b3", "--property", "cryst")
+        assert code == 3 and err.startswith("budget exceeded:")
+        code, _, err = run(capsys, "--budget", "0", "check", "b3", "--property", "cryst")
+        assert code == 3 and err.startswith("budget exceeded:")
+
     def test_budget_variable_sets_the_default(self, capsys, monkeypatch):
         monkeypatch.setenv("WEYLGPD_BUDGET", "3")
         code, _, err = run(capsys, "check", "b3", "--property", "cryst")

@@ -6,18 +6,25 @@ import functools
 import json
 import pathlib
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from weylgpd import arrangement, realization
+from weylgpd._rational import fmt_covector
 from weylgpd.arrangement import (
     Chamber,
     CoefficientWitness,
     RootSystemTable,
     _carry_frame,
+    _extreme_basis,
     _frame_at,
+    _lonely_roots,
+    _positive_lines,
+    _verify_chamber_basis,
     _wall_coefficients,
+    _walls_across,
     adjacent_chamber,
     cartan_matrix_at,
     chamber_bfs,
@@ -28,13 +35,14 @@ from weylgpd.builtins import (
     BUILTIN_GCMS,
     F4_SIMPLE_ROOTS,
     TABLE_NAMES,
+    affine_a1_table,
     builtin_graph,
     builtin_table,
     f4_table,
 )
 from weylgpd.cartan import canonical_basis_key
-from weylgpd.errors import InvalidTable, WeylgpdError
-from weylgpd.exactlin import primitive_ray, vec
+from weylgpd.errors import InvalidTable, NotSimplicial, WeylgpdError
+from weylgpd.exactlin import dual_basis, primitive_ray, vec
 from weylgpd.jsonio import table_from_json, table_to_json
 from weylgpd.realization import realize
 from weylgpd.subarr import restrict
@@ -49,7 +57,12 @@ from _kernel_digest import (
     roundtrip_digest,
     table_digest,
 )
-from _oracles import gauss_solve, reference_wall_coefficients
+from _oracles import (
+    gauss_solve,
+    reference_extreme_basis,
+    reference_lonely_roots,
+    reference_wall_coefficients,
+)
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "kernel_digest.json").read_text()
@@ -185,9 +198,9 @@ def frame_data(frame) -> tuple:
 
 def counted_survey(table: RootSystemTable) -> tuple:
     """chamber_bfs from the default seed, with the calls that it and the seed
-    make to _cross, _frame_at, _carry_frame, _witness_across and _frame_rays
-    counted."""
-    calls = dict.fromkeys(["_cross", "_frame_at", "_carry_frame", "_witness_across", "_frame_rays"], 0)
+    make to _walls_across, _frame_at, _carry_frame, _witness_across and
+    _frame_rays counted."""
+    calls = dict.fromkeys(["_walls_across", "_frame_at", "_carry_frame", "_witness_across", "_frame_rays"], 0)
     with pytest.MonkeyPatch.context() as patch:
         for name in calls:
             original = getattr(arrangement, name)
@@ -223,17 +236,17 @@ def surveyed(name: str) -> tuple:
 def test_carried_frames_and_integer_keys_match_the_elimination(name):
     """Every chamber's frame, carried or eliminated, is the one Bareiss
     elimination gives for its basis, and its integer key is equal and
-    hash-equal to the Fraction key of its basis."""
+    hash-equal to the Fraction key of its basis.  A frame is built for the
+    seed and for each chamber found, not for each crossing."""
     table, atlas, calls = surveyed(name)
     for chamber in atlas.chambers.values():
         assert frame_data(chamber.frame) == frame_data(_frame_at(table, chamber.frame.index))
         fraction_key = canonical_basis_key(chamber.basis)
         assert chamber.key == fraction_key and hash(chamber.key) == hash(fraction_key)
         assert all(type(c) is int for ray in chamber.key for c in ray)
-    crossings = calls["_cross"]
-    assert calls["_frame_at"] + calls["_carry_frame"] == 1 + crossings
+    assert calls["_frame_at"] + calls["_carry_frame"] == len(atlas.order)
     if name == "f4":
-        assert (calls["_frame_at"], calls["_carry_frame"]) == (1, crossings)
+        assert (calls["_frame_at"], calls["_carry_frame"]) == (1, 1151)
     if name == "aff-a1-rescaled":
         assert calls["_carry_frame"] == 0
 
@@ -241,13 +254,13 @@ def test_carried_frames_and_integer_keys_match_the_elimination(name):
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TABLES))
 def test_survey_builds_each_chambers_fraction_data_once(name):
     """Rays and a witness point are built for the seed and each chamber found,
-    not for each crossing: F4 crosses 2,304 walls and finds 1,151 chambers
-    besides its seed."""
+    not for each crossing: F4 scans the walls of 2,304 crossings and finds
+    1,151 chambers besides its seed."""
     _, atlas, calls = surveyed(name)
     assert calls["_frame_rays"] == len(atlas.order)
     assert calls["_witness_across"] == len(atlas.order) - 1
     if name == "f4":
-        assert (calls["_cross"], calls["_witness_across"], calls["_frame_rays"]) == (2304, 1151, 1152)
+        assert (calls["_walls_across"], calls["_witness_across"], calls["_frame_rays"]) == (2304, 1151, 1152)
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TABLES))
@@ -265,6 +278,143 @@ def test_wall_coefficients_match_the_reference_rule(name):
         assert got == reference_wall_coefficients(table, chamber, neighbor, i)
     if "rescaled" in name:
         assert witnesses
+
+
+def closure_table(gcm: list) -> RootSystemTable:
+    """The finite root system of a Cartan matrix, in simple-root coordinates,
+    by closing the simple roots under s_i(b) = b - (sum_j a_ij b_j) a_i."""
+    r = len(gcm)
+    roots = {tuple(int(k == j) for k in range(r)) for j in range(r)}
+    todo = list(roots)
+    while todo:
+        b = todo.pop()
+        for i in range(r):
+            c = sum(a * v for a, v in zip(gcm[i], b))
+            image = tuple(v - c * (k == i) for k, v in enumerate(b))
+            if image not in roots:
+                roots.add(image)
+                todo.append(image)
+    return RootSystemTable(r, [*roots, *(tuple(-v for v in b) for b in roots)])
+
+
+def seed_positives(table: RootSystemTable) -> list:
+    """The (line key, root index) pairs that default_seed_chamber hands to
+    _extreme_basis, whether or not a chamber comes of them."""
+    seen = []
+
+    def recording(table, positives):
+        seen.append(positives)
+        return _extreme_basis(table, positives)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arrangement, "_extreme_basis", recording)
+        outcome(default_seed_chamber, table)
+    return seen[0]
+
+
+SEED_TABLES = {
+    **{name: DIFFERENTIAL_TABLES[name] for name in TABLE_NAMES},
+    **{f"f4-restricted-at-{i}": DIFFERENTIAL_TABLES[f"f4-restricted-at-{i}"] for i in range(4)},
+    # Its seed chamber has 5 extreme rays; the digest records the text.
+    "f4-bare-truncation-3": lambda: table_from_json(table_to_json(realize(builtin_graph("f4"), depth=3).table)),
+    # From rank 5 on, two rays sharing rank-2 zero lines need not be adjacent.
+    "a5": lambda: closure_table([[2 if i == j else -(abs(i - j) == 1) for j in range(5)] for i in range(5)]),
+    "d5": lambda: closure_table([[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1], [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]]),
+}
+# Random generic points besides the seed point; the former rule costs
+# C(lines, 4) eliminations per point in rank 5.
+RANDOM_SEED_POINTS = {**dict.fromkeys(TABLE_NAMES, 15), "a5": 6, "d5": 2}
+# Roots in a plane, which default_seed_chamber refuses, at a generic point:
+# in rank 3 the cone holds a line, which the former rule counted as one ray;
+# in rank 4 it holds a plane and there is no ray.
+PLANAR_LINES = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (1, 2, 0, 0)]
+PLANAR_TABLES = {
+    rank: RootSystemTable(rank, [tuple(s * c for c in r[:rank]) for s in (1, -1) for r in PLANAR_LINES])
+    for rank in (3, 4)
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_TABLES))
+def test_seed_walls_match_the_former_rule(name):
+    """Double description gives the basis, or the NotSimplicial text, that one
+    elimination per (rank-1)-subset of lines gives: at the seed point and,
+    on the builtins, at 15 seeded random generic points."""
+    table = SEED_TABLES[name]()
+    positives = [seed_positives(table)]
+    if name in RANDOM_SEED_POINTS:
+        rng = random.Random(name)
+        while len(positives) <= RANDOM_SEED_POINTS[name]:
+            x = vec(F(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(table.rank))
+            if all(sum(a * b for a, b in zip(key, x)) for key in table.lines):
+                positives.append(_positive_lines(table, x))
+    for pos in positives:
+        assert outcome(_extreme_basis, table, pos) == outcome(reference_extreme_basis, table, pos)
+    if name == "f4-bare-truncation-3":
+        expected = (NotSimplicial, "chamber has 5 extreme rays, expected 4")
+        assert outcome(_extreme_basis, table, positives[0]) == expected
+
+
+@pytest.mark.parametrize("rank,rays", [(3, 1), (4, 0)])
+def test_seed_walls_of_planar_roots_match_the_former_rule(rank, rays):
+    table = PLANAR_TABLES[rank]
+    positives = _positive_lines(table, vec(range(1, rank + 1)))
+    expected = (NotSimplicial, f"chamber has {rays} extreme rays, expected {rank}")
+    assert outcome(_extreme_basis, table, positives) == expected
+    assert outcome(reference_extreme_basis, table, positives) == expected
+
+
+@pytest.mark.parametrize("name", [*sorted(DIFFERENTIAL_TABLES), "affine-a1-5"])
+def test_lonely_roots_match_the_pair_sum_rule(name):
+    """On every checked chamber, the roots the additive check reports are
+    the ones the pair-sum set leaves; affine_a1_table(5) is not additive."""
+    if name == "affine-a1-5":
+        table = affine_a1_table(5)
+        atlas = chamber_bfs(table, default_seed_chamber(table), 10_000)
+    else:
+        table, atlas, _ = surveyed(name)
+    lonely = 0
+    for key in atlas.order:
+        if key in atlas.checked:
+            chamber = atlas.chambers[key]
+            got = _lonely_roots(chamber.frame)
+            assert sorted(got) == sorted(reference_lonely_roots(table, chamber))
+            lonely += len(got)
+    if name == "affine-a1-5":
+        assert lonely
+
+
+@pytest.mark.parametrize("name", ["b3", "aff-a1"])
+def test_new_column_check_agrees_with_full_verification(name):
+    """A frame carried from a verified frame, with the true coefficients or
+    with one lowered by 1 (its new ray then leaves the neighbor), passes or
+    fails the check of its new column exactly as it passes or fails full
+    verification."""
+    table, atlas, _ = surveyed(name)
+    verdicts = []
+    for (key, i) in atlas.edges:
+        frame = atlas.chambers[key].frame
+        index = _walls_across(table, frame, i)
+        coeffs = _wall_coefficients(frame, i, index)
+        if isinstance(coeffs, CoefficientWitness):
+            continue
+        for j in range(table.rank):
+            lowered = tuple(c - (t == j != i) for t, c in enumerate(coeffs))
+            carried = _carry_frame(frame, i, lowered, index)
+            full = outcome(_verify_chamber_basis, carried)
+            assert outcome(_verify_chamber_basis, carried, i) == full
+            verdicts.append(full is None)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_chamber_bfs_rejects_a_seed_that_is_not_a_chamber():
+    """The seed frame is verified in full before the first crossing: the
+    root a_1 = (a_1 + a_2) - a_2 separates the cone on a_1, a_1 + a_2, a_3."""
+    table = builtin_table("b3")
+    basis = tuple(vec(b) for b in [(1, 0, 0), (1, 1, 0), (0, 0, 1)])
+    rays = dual_basis(basis)
+    seed = Chamber(basis, rays, tuple(sum(c) for c in zip(*rays)))
+    with pytest.raises(NotSimplicial, match=f"separates the claimed chamber {re.escape(fmt_covector(seed.key))}"):
+        chamber_bfs(table, seed, 10_000)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_GCMS))
