@@ -337,8 +337,8 @@ PLANAR_TABLES = {
 @pytest.mark.parametrize("name", sorted(SEED_TABLES))
 def test_seed_walls_match_the_former_rule(name):
     """Double description gives the basis, or the NotSimplicial text, that one
-    elimination per (rank-1)-subset of lines gives: at the seed point and,
-    on the builtins, at 15 seeded random generic points."""
+    elimination per (rank-1)-subset of lines gives: at the seed point and at
+    seeded random generic points (15 per builtin, fewer in rank 5)."""
     table = SEED_TABLES[name]()
     positives = [seed_positives(table)]
     if name in RANDOM_SEED_POINTS:
@@ -408,7 +408,7 @@ def test_new_column_check_agrees_with_full_verification(name):
 
 def test_chamber_bfs_rejects_a_seed_that_is_not_a_chamber():
     """The seed frame is verified in full before the first crossing: the
-    root a_1 = (a_1 + a_2) - a_2 separates the cone on a_1, a_1 + a_2, a_3."""
+    root a_2 = (a_1 + a_2) - a_1 separates the cone on a_1, a_1 + a_2, a_3."""
     table = builtin_table("b3")
     basis = tuple(vec(b) for b in [(1, 0, 0), (1, 1, 0), (0, 0, 1)])
     rays = dual_basis(basis)
