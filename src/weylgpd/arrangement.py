@@ -24,19 +24,22 @@ integer the crossing is the Weyl groupoid's change of object, B' = T . B for
 an integer involution T, and A' = A . T is carried over with one column
 update; otherwise, and at a seed chamber, Bareiss elimination builds A.
 Chamber keys and line keys are tuples of primitive integer rays.
-`chamber_bfs` pays the frame step, its check, and a chamber's rays and
-witness point once per chamber found; a crossing into a known chamber costs
-only the wall scan.
+`chamber_bfs` pays the frame step and its check once per chamber found; a
+crossing into a known chamber costs only the wall scan.  A frame records
+whether every root has integer coordinates in its basis, and a carried frame
+inherits that from its parent, since T is an integer matrix.  A chamber's
+Fraction data, its rays and witness point, is built when it is first read;
+a survey that only decides on integers builds none.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from math import gcd
-from operator import itemgetter, mul, sub
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from ._rational import ONE, ZERO, Rat, fmt_covector
@@ -202,15 +205,44 @@ class RootSystemTable:
 # Chambers
 
 
-@dataclass(frozen=True)
 class Chamber:
-    """An open simplicial chamber: indexed root basis, dual rays, and a witness point."""
+    """An open simplicial chamber: indexed root basis, dual rays, and a witness point.
 
-    basis: tuple  # indexed root basis alpha_0..alpha_{r-1} (table elements)
-    rays: tuple  # dual basis: alpha_i(rays[j]) = delta_ij
-    witness: Vector
-    # Integer data in the table that produced the chamber; see IntegerFrame.
-    frame: "IntegerFrame | None" = field(default=None, compare=False)
+    `basis` is the indexed root basis alpha_0..alpha_{r-1} (table elements),
+    `rays` its dual basis (alpha_i(rays[j]) = delta_ij) and `witness` an
+    interior point.  `frame` is the integer data in the table that produced
+    the chamber (see IntegerFrame), or None.  A chamber is immutable, and
+    equal and hash-equal to another exactly when (basis, rays, witness) are.
+
+    `Chamber(basis, rays, witness, frame)` holds the values given.  A chamber
+    the kernel finds (`_chamber`) builds its rays from its frame, and its
+    witness across the crossing that found it, when they are first read.
+    """
+
+    def __init__(self, basis: tuple, rays: tuple, witness: Vector, frame: IntegerFrame | None = None):
+        self.__dict__.update(basis=basis, rays=rays, witness=witness, frame=frame)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.basis, self.rays, self.witness) == (other.basis, other.rays, other.witness)
+
+    def __hash__(self) -> int:
+        return hash((self.basis, self.rays, self.witness))
+
+    @cached_property
+    def rays(self) -> tuple:
+        return _frame_rays(self.frame)
+
+    @cached_property
+    def witness(self) -> Vector:
+        return _witness_across(*self._crossing)
 
     @property
     def rank(self) -> int:
@@ -235,15 +267,23 @@ class IntegerFrame:
     B is the integer basis (the table's int_roots at `index`); the columns
     `cols` of A and `det` D > 0 satisfy B . A = D * I.  Ray j is
     table.scale * A[:, j] / D, and root k has chamber coordinates
-    num[k][j] / D with num[k][j] = int_roots[k] . A[:, j].  `_frame_at`
-    builds a frame by elimination; `_cross` finds the frame across a wall.
+    num[k][j] / D with num[k][j] = int_roots[k] . A[:, j].  The frame holds
+    num by column (`num_cols`); its rows `num` are built on first read.
+    `integral` says whether D divides every entry of num, that is, whether
+    every root has integer coordinates in the basis.  `_frame_at` builds a
+    frame by elimination; `_cross` finds the frame across a wall.
     """
 
     table: RootSystemTable
     index: tuple
     cols: tuple
     det: int
-    num: tuple
+    num_cols: tuple
+    integral: bool
+
+    @cached_property
+    def num(self) -> tuple:
+        return tuple(zip(*self.num_cols))
 
     def coords(self, k: int) -> tuple:
         return tuple(Rat(n, self.det) for n in self.num[k])
@@ -273,17 +313,22 @@ def _frame_at(table: RootSystemTable, index: tuple) -> IntegerFrame:
     if det < 0:
         adj, det = tuple(tuple(-a for a in row) for row in adj), -det
     cols = tuple(zip(*adj))
-    # num = int_roots . A, one column of A at a time: a column is a
-    # combination of the roots' coordinate columns, skipping zero entries.
+    # num = int_roots . A: column j of num combines the roots' coordinate
+    # columns with the entries of column j of A.
     coordinates = tuple(zip(*table.int_roots))
-    num_cols = []
-    for col in cols:
-        acc = [0] * len(table.int_roots)
-        for a, xs in zip(col, coordinates):
-            if a:
-                acc = [s + a * x for s, x in zip(acc, xs)]
-        num_cols.append(acc)
-    return IntegerFrame(table, index, cols, det, tuple(zip(*num_cols)))
+    num_cols = tuple(_combine(col, coordinates) for col in cols)
+    integral = not any(n % det for col in num_cols for n in col)
+    return IntegerFrame(table, index, cols, det, num_cols, integral)
+
+
+def _combine(weights: Sequence[int], vectors: Sequence[tuple]) -> tuple:
+    """sum_j weights[j] * vectors[j] on integers, skipping zero weights; at
+    least one weight is nonzero."""
+    acc = None
+    for w, v in zip(weights, vectors):
+        if w:
+            acc = [w * x for x in v] if acc is None else [s + w * x for s, x in zip(acc, v)]
+    return tuple(acc)
 
 
 def _carry_frame(frame: IntegerFrame, i: int, coeffs: Sequence[int], index: tuple) -> IntegerFrame:
@@ -292,14 +337,14 @@ def _carry_frame(frame: IntegerFrame, i: int, coeffs: Sequence[int], index: tupl
 
     As T^2 = I and det T = -1, the neighbor's A' = A . T with the same D: only
     column i of A and of num changes, to sum_{j != i} coeffs[j] * x_j - x_i.
+    num' = num . T is integral exactly when num is, so the flag carries over.
     """
     weights = tuple(-1 if j == i else c for j, c in enumerate(coeffs))
 
-    def across(row: tuple) -> tuple:
-        return row[:i] + (sum(map(mul, weights, row)),) + row[i + 1:]
+    def across(columns: tuple) -> tuple:
+        return columns[:i] + (_combine(weights, columns),) + columns[i + 1:]
 
-    cols = tuple(zip(*map(across, zip(*frame.cols))))
-    return IntegerFrame(frame.table, index, cols, frame.det, tuple(map(across, frame.num)))
+    return IntegerFrame(frame.table, index, across(frame.cols), frame.det, across(frame.num_cols), frame.integral)
 
 
 def _frame(table: RootSystemTable, chamber: Chamber) -> IntegerFrame:
@@ -320,10 +365,17 @@ def _frame_rays(frame: IntegerFrame) -> tuple:
     return tuple(tuple(Rat(scale * a, det) for a in col) for col in frame.cols)
 
 
-def _chamber(frame: IntegerFrame, witness: Vector) -> Chamber:
-    """The chamber on the frame's table roots, with its rays and integer data."""
+def _chamber(frame: IntegerFrame, witness: Vector | None = None, crossing: tuple | None = None) -> Chamber:
+    """The chamber on the frame's table roots, with its integer data.  It
+    builds its rays from the frame when they are first read.  Its witness is
+    `witness`, or else `_witness_across(*crossing)`, built on first read:
+    `crossing` is (frame, wall, chamber) of the crossing that found it."""
+    chamber = object.__new__(Chamber)
     roots = frame.table.roots
-    return Chamber(tuple(roots[k] for k in frame.index), _frame_rays(frame), witness, frame)
+    chamber.__dict__.update(basis=tuple(roots[k] for k in frame.index), frame=frame, _crossing=crossing)
+    if witness is not None:
+        chamber.__dict__["witness"] = witness
+    return chamber
 
 
 @dataclass(frozen=True)
@@ -519,7 +571,7 @@ def adjacent_chamber(table: RootSystemTable, chamber: Chamber, i: int) -> Chambe
     if not wall_is_crossable(table, chamber, i):
         raise WallOnBoundary(f"wall {i} of chamber {fmt_covector(chamber.key)} does not meet the cone")
     frame = _frame(table, chamber)
-    return _chamber(_cross(table, frame, i), _witness_across(frame, i, chamber.witness))
+    return _chamber(_cross(table, frame, i), crossing=(frame, i, chamber))
 
 
 def _cross(table: RootSystemTable, frame: IntegerFrame, i: int) -> IntegerFrame:
@@ -535,26 +587,26 @@ def _walls_across(table: RootSystemTable, frame: IntegerFrame, i: int) -> tuple:
 
     Index i receives -alpha_i; every other index j receives the unique wall of
     the neighbor inside the plane spanned by alpha_i and alpha_j.
+
+    In that plane, the roots positive just across the facet have
+    coordinates (c, d) there with d > 0, and the new wall j maximizes c/d.
+    The scan starts plane j at alpha_j itself (c = 0, d = D), so only a root
+    with c > 0 and exactly one other nonzero coordinate can replace it; the
+    maximum is unique in a reduced table.
     """
-    # In the plane of indices i and j, the roots positive just across the facet
-    # have coordinates (c, d) there with d > 0; the new wall j maximizes c/d.
     r = len(frame.index)
-    best: dict = {}
+    best = [(0, frame.det, k) for k in frame.index]
     for k, row in enumerate(frame.num):
-        # The root lies in such a plane when r - 2 of its coordinates off i are 0.
-        if row.count(0) - (row[i] == 0) != r - 2:
+        c = row[i]
+        if c <= 0 or row.count(0) != r - 2:
             continue
         j = next(t for t, v in enumerate(row) if v and t != i)
-        c, d = row[i], row[j]
-        if d <= 0:
-            continue
-        got = best.get(j)
-        if got is None or c * got[1] > got[0] * d:
+        d = row[j]
+        if d > 0 and c * best[j][1] > best[j][0] * d:
             best[j] = (c, d, k)
-    missing = [j for j in range(r) if j != i and j not in best]
-    if missing:
-        raise NotSimplicial(f"no wall found in the plane of indices {i},{missing[0]}")
-    return tuple(table.negation[frame.index[i]] if j == i else best[j][2] for j in range(r))
+    walls = [k for _, _, k in best]
+    walls[i] = table.negation[frame.index[i]]
+    return tuple(walls)
 
 
 def _frame_across(table: RootSystemTable, frame: IntegerFrame, i: int, index: tuple) -> tuple:
@@ -566,16 +618,17 @@ def _frame_across(table: RootSystemTable, frame: IntegerFrame, i: int, index: tu
     return _carry_frame(frame, i, coeffs, index), i
 
 
-def _witness_across(frame: IntegerFrame, i: int, witness: Vector) -> Vector:
-    """An interior point of the neighbor across wall i, found exactly.
+def _witness_across(frame: IntegerFrame, i: int, chamber: Chamber) -> Vector:
+    """An interior point of the neighbor across wall i of `chamber`, whose
+    frame is `frame`, found exactly.
 
     It is the facet point (the sum of the rays other than ray i) minus half
     of the largest step eps along ray i that no root hyperplane interrupts:
     eps is the least |root(facet point)| / |root(ray i)|, a ratio of numerators.
-    In rank 1 it is -witness, the chamber's own witness point negated.
+    In rank 1 it is the chamber's own witness point negated.
     """
     if len(frame.index) == 1:
-        return vneg(witness)
+        return vneg(chamber.witness)
     eps = None  # (p, q) for p / q
     for row in frame.num:
         q = abs(row[i])
@@ -604,13 +657,12 @@ def _verify_chamber_basis(frame: IntegerFrame, column: int | None = None) -> Non
     A frame carried from a verified one is new in `column` only: a row is
     coherent exactly when that entry does not disagree in sign with the rest.
     """
-    num = frame.num
     if column is not None:
         # The sum of the rest of a row has the rest's sign.
-        new = list(map(itemgetter(column), num))
-        if min(map(mul, new, map(sub, map(sum, num), new))) >= 0:
+        rest = map(sum, zip(*(col for j, col in enumerate(frame.num_cols) if j != column)))
+        if min(map(mul, frame.num_cols[column], rest), default=0) >= 0:
             return
-    for k, row in enumerate(num):
+    for k, row in enumerate(frame.num):
         if min(row) < 0 < max(row):
             raise NotSimplicial(
                 f"root {fmt_covector(frame.table.roots[k])} separates the claimed chamber "
@@ -621,12 +673,12 @@ def _verify_chamber_basis(frame: IntegerFrame, column: int | None = None) -> Non
 def _root_defects(frame: IntegerFrame):
     """(k, kind) for every root k, in root order, whose chamber coordinates
     are not integral and sign-coherent.  The kind is "sign" (both signs) or,
-    failing that, "integrality"."""
-    det = frame.det
+    failing that, "integrality", which an integral frame never has."""
+    det, integral = frame.det, frame.integral
     for k, row in enumerate(frame.num):
         if min(row) < 0 < max(row):
             yield k, "sign"
-        elif any(n % det for n in row):
+        elif not integral and any(n % det for n in row):
             yield k, "integrality"
 
 
@@ -639,14 +691,13 @@ def _wall_coefficients(frame: IntegerFrame, i: int, index: tuple) -> tuple | Coe
     Wall j lies in the plane of a_i and a_j with c >= 0, since a_j itself, with
     c = 0, competes for it; on the reverse crossing a_j = (c/d)(-a_i) + (D/d) b_j.
     """
-    det = frame.det
+    det, num_cols = frame.det, frame.num_cols
     out = []
     for j, k in enumerate(index):
         if j == i:
             out.append(-2)
             continue
-        row = frame.num[k]
-        c, d = row[i], row[j]
+        c, d = num_cols[i][k], num_cols[j][k]
         if d != det or c % det:
             return CoefficientWitness(i, j, frame.table.roots[k], Rat(c, det), Rat(d, det))
         out.append(c // det)
@@ -714,8 +765,9 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
     compared (frames on the same positions are equal: A = D * B^-1, and a
     carry keeps D = |det B|).  A new key gets the frame step (`_frame_across`),
     its check (in full for the seed, which must be a chamber, and for an
-    eliminated frame; on the new column for a carried one), its Chamber and
-    its `chamber_is_true` verdict.  Only chambers not rejected are expanded:
+    eliminated frame; on the new column for a carried one), its Chamber
+    (whose rays and witness are built on first read) and its
+    `chamber_is_true` verdict.  Only chambers not rejected are expanded:
     inside the cone of an affine table, inside the certified region of a
     realized truncation (its border is visited but not crossed).  Crossings
     into non-simplicial frontier regions of bare truncations are recorded as
@@ -756,7 +808,7 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
                     raise
                 continue
             if stored is None:
-                neighbor = _chamber(across, _witness_across(frame, i, chamber.witness))
+                neighbor = _chamber(across, crossing=(frame, i, chamber))
                 chambers[nkey], frames[nkey] = neighbor, across
                 verdict[nkey] = chamber_is_true(table, neighbor)
                 order.append(nkey)

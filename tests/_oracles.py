@@ -5,8 +5,9 @@ its own elimination / enumeration code, so results cross-check the library
 through a different computational path.  The exceptions are former
 statements of library rules kept as differential references:
 `reference_wall_coefficients` (the wall-crossing rule),
-`reference_extreme_basis` with `reference_kernel_line` (the seed rule) and
-`reference_lonely_roots` (the additive rule).
+`reference_extreme_basis` with `reference_kernel_line` (the seed rule),
+`reference_lonely_roots` (the additive rule) and `reference_walls_across`
+(the wall scan).
 """
 
 from __future__ import annotations
@@ -372,3 +373,29 @@ def reference_lonely_roots(table, chamber):
     sums = {tuple(a + b for a, b in zip(u, v)) for u, v in itertools.combinations_with_replacement(ints, 2)}
     basis = {table.index[b] for b in chamber.basis}
     return [k for k in positives if k not in basis and table.int_roots[k] not in sums]
+
+
+def reference_walls_across(table, frame, i):
+    """The wall scan as the library stated it before it started each plane
+    at the basis element itself: the root positions of the neighbor's basis
+    across wall i, scanning every root's row of the frame's numerators for
+    the roots in the plane of a_i and a_j, or the library's NotSimplicial
+    when a plane holds none."""
+    from weylgpd.errors import NotSimplicial
+
+    r = len(frame.index)
+    best = {}
+    for k, row in enumerate(frame.num):
+        if row.count(0) - (row[i] == 0) != r - 2:
+            continue
+        j = next(t for t, v in enumerate(row) if v and t != i)
+        c, d = row[i], row[j]
+        if d <= 0:
+            continue
+        got = best.get(j)
+        if got is None or c * got[1] > got[0] * d:
+            best[j] = (c, d, k)
+    missing = [j for j in range(r) if j != i and j not in best]
+    if missing:
+        raise NotSimplicial(f"no wall found in the plane of indices {i},{missing[0]}")
+    return tuple(table.negation[frame.index[i]] if j == i else best[j][2] for j in range(r))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import functools
 import json
 import pathlib
@@ -14,22 +16,28 @@ import pytest
 from weylgpd import arrangement, realization
 from weylgpd._rational import fmt_covector
 from weylgpd.arrangement import (
+    Affine,
     Chamber,
     CoefficientWitness,
     RootSystemTable,
     _carry_frame,
     _extreme_basis,
     _frame_at,
+    _frame_rays,
     _lonely_roots,
     _positive_lines,
     _verify_chamber_basis,
     _wall_coefficients,
     _walls_across,
+    _witness_across,
     adjacent_chamber,
     cartan_matrix_at,
     chamber_bfs,
+    chamber_is_true,
+    check_crystallographic,
     coords_in_chamber,
     default_seed_chamber,
+    wall_is_crossable,
 )
 from weylgpd.builtins import (
     BUILTIN_GCMS,
@@ -42,7 +50,7 @@ from weylgpd.builtins import (
 )
 from weylgpd.cartan import canonical_basis_key
 from weylgpd.errors import InvalidTable, NotSimplicial, WeylgpdError
-from weylgpd.exactlin import dual_basis, primitive_ray, vec
+from weylgpd.exactlin import dual_basis, primitive_ray, vdot, vec
 from weylgpd.jsonio import table_from_json, table_to_json
 from weylgpd.realization import realize
 from weylgpd.subarr import restrict
@@ -62,6 +70,7 @@ from _oracles import (
     reference_extreme_basis,
     reference_lonely_roots,
     reference_wall_coefficients,
+    reference_walls_across,
 )
 
 GOLDEN = json.loads(
@@ -196,20 +205,27 @@ def frame_data(frame) -> tuple:
     return frame.index, frame.cols, frame.det, frame.num
 
 
+@contextlib.contextmanager
+def counting(calls: dict):
+    """Count, into `calls`, the calls made to the arrangement functions it names."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+            original = getattr(arrangement, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            patch.setattr(arrangement, name, counted)
+        yield calls
+
+
 def counted_survey(table: RootSystemTable) -> tuple:
     """chamber_bfs from the default seed, with the calls that it and the seed
     make to _walls_across, _frame_at, _carry_frame, _witness_across and
     _frame_rays counted."""
     calls = dict.fromkeys(["_walls_across", "_frame_at", "_carry_frame", "_witness_across", "_frame_rays"], 0)
-    with pytest.MonkeyPatch.context() as patch:
-        for name in calls:
-            original = getattr(arrangement, name)
-
-            def counting(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            patch.setattr(arrangement, name, counting)
+    with counting(calls):
         atlas = chamber_bfs(table, default_seed_chamber(table), 10_000)
     return atlas, calls
 
@@ -251,16 +267,49 @@ def test_carried_frames_and_integer_keys_match_the_elimination(name):
         assert calls["_carry_frame"] == 0
 
 
+def discovering_crossing(table: RootSystemTable, atlas, key: tuple) -> tuple:
+    """(chamber, wall) of the crossing that found the chamber at `key`: the
+    first chamber in BFS order that was expanded and has an edge to it."""
+    for parent in atlas.order:
+        chamber = atlas.chambers[parent]
+        if chamber_is_true(table, chamber) is not False:
+            wall = next((i for i in range(table.rank) if atlas.edges.get((parent, i)) == key), None)
+            if wall is not None:
+                return chamber, wall
+    raise AssertionError(f"no crossing found {key}")
+
+
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TABLES))
 def test_survey_builds_each_chambers_fraction_data_once(name):
-    """Rays and a witness point are built for the seed and each chamber found,
-    not for each crossing: F4 scans the walls of 2,304 crossings and finds
-    1,151 chambers besides its seed."""
-    _, atlas, calls = surveyed(name)
-    assert calls["_frame_rays"] == len(atlas.order)
-    assert calls["_witness_across"] == len(atlas.order) - 1
+    """A survey builds no witness point, and rays only where it reads them:
+    the affine cone test (`wall_is_crossable`, `chamber_is_true`) does, a
+    spherical or truncated survey does not.  F4 scans the walls of 2,304
+    crossings and builds no rays and no witness.  Reading every chamber's
+    rays and witness builds each once; each equals the one built eagerly
+    from its frame and from the crossing that found it, and the witness lies
+    inside the chamber."""
+    table = DIFFERENTIAL_TABLES[name]()
+    atlas, calls = counted_survey(table)
+    affine = isinstance(table.cone, Affine)
+    assert calls["_frame_rays"] == (len(atlas.order) if affine else 0)
+    assert calls["_witness_across"] == 0
     if name == "f4":
-        assert (calls["_walls_across"], calls["_witness_across"], calls["_frame_rays"]) == (2304, 1151, 1152)
+        assert (calls["_walls_across"], calls["_witness_across"], calls["_frame_rays"]) == (2304, 0, 0)
+    reads = dict.fromkeys(["_witness_across", "_frame_rays"], 0)
+    with counting(reads):
+        for _ in range(2):
+            for chamber in atlas.chambers.values():
+                chamber.rays, chamber.witness
+    assert reads["_frame_rays"] == (0 if affine else len(atlas.order))
+    assert reads["_witness_across"] == len(atlas.order) - 1
+    for key in atlas.order:
+        chamber = atlas.chambers[key]
+        assert chamber.rays == _frame_rays(chamber.frame)
+        assert all(vdot(b, ray) == (j == m) for j, b in enumerate(chamber.basis) for m, ray in enumerate(chamber.rays))
+        assert all(vdot(b, chamber.witness) > 0 for b in chamber.basis)
+        if key != atlas.seed_key:
+            parent, wall = discovering_crossing(table, atlas, key)
+            assert chamber.witness == _witness_across(parent.frame, wall, parent)
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TABLES))
@@ -278,6 +327,143 @@ def test_wall_coefficients_match_the_reference_rule(name):
         assert got == reference_wall_coefficients(table, chamber, neighbor, i)
     if "rescaled" in name:
         assert witnesses
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TABLES))
+def test_wall_scan_matches_the_reference_scan(name):
+    """On every directed atlas edge the scan that starts each plane at the
+    basis element gives the root positions the full scan gives."""
+    table, atlas, _ = surveyed(name)
+    for key, i in atlas.edges:
+        frame = atlas.chambers[key].frame
+        assert _walls_across(table, frame, i) == reference_walls_across(table, frame, i)
+
+
+def test_adjacent_chamber_on_affine_a1_matches_the_reference_scan():
+    """adjacent_chamber, along the atlas and from frameless chambers, reaches
+    the basis the full scan names, on every wall that meets the cone; on
+    every wall the two scans agree."""
+    table = builtin_table("aff-a1")
+    atlas = chamber_bfs(table, default_seed_chamber(table), 64)
+    crossed = 0
+    for key in atlas.order:
+        framed = atlas.chambers[key]
+        frameless = Chamber(framed.basis, framed.rays, framed.witness)
+        for i in range(table.rank):
+            expected = reference_walls_across(table, framed.frame, i)
+            assert _walls_across(table, framed.frame, i) == expected
+            if not wall_is_crossable(table, framed, i):
+                continue
+            for chamber in (framed, frameless):
+                neighbor = adjacent_chamber(table, chamber, i)
+                assert neighbor.frame.index == expected
+                assert neighbor.basis == tuple(table.roots[k] for k in expected)
+            crossed += 1
+    assert crossed
+
+
+def integral_by_scan(frame) -> bool:
+    return all(n % frame.det == 0 for row in frame.num for n in row)
+
+
+def realized_frames(graph, depth: int) -> list:
+    """The frames realize builds, eliminated and carried."""
+    frames = []
+
+    def recording(fn):
+        def recorded(*args):
+            frames.append(fn(*args))
+            return frames[-1]
+
+        return recorded
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_frame_at", "_carry_frame"):
+            patch.setattr(realization, name, recording(getattr(realization, name)))
+        realize(graph, depth=depth)
+    return frames
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TABLES))
+def test_integral_flag_matches_a_full_scan_on_surveys(name):
+    """Every frame's integral flag, set at elimination and carried across
+    walls, is what a scan of every numerator gives.  aff-a1-rescaled has
+    eliminated frames that are not integral, and its crystallographic report
+    still names integrality witnesses."""
+    table, atlas, _ = surveyed(name)
+    flags = [chamber.frame.integral for chamber in atlas.chambers.values()]
+    assert flags == [integral_by_scan(chamber.frame) for chamber in atlas.chambers.values()]
+    if name == "aff-a1-rescaled":
+        assert not all(flags)
+        report = check_crystallographic(table)
+        assert not report.passed
+        assert any(w.kind == "integrality" for w in report.witnesses)
+    if name == "f4":
+        assert all(flags)
+
+
+@pytest.mark.parametrize("name,depth", [*((name, 8) for name in sorted(BUILTIN_GCMS)), ("aff-a1", 5)])
+def test_integral_flag_matches_a_full_scan_in_realize(name, depth):
+    frames = realized_frames(builtin_graph(name), depth)
+    assert frames
+    assert [frame.integral for frame in frames] == [integral_by_scan(frame) for frame in frames]
+
+
+def test_carried_frames_keep_a_false_integral_flag():
+    """A3 in simple-root coordinates with the line of its highest root
+    halved: some crossings stay crystallographic and carry a frame in which
+    the halved root has coordinates 1/2, and the flag stays false there."""
+    a3 = closure_table([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    table = RootSystemTable(3, [tuple(c / F(2) if abs(sum(r)) == 3 else c for c in r) for r in a3.roots])
+    carried = []
+
+    def recording(*args):
+        carried.append(_carry_frame(*args))
+        return carried[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arrangement, "_carry_frame", recording)
+        atlas = chamber_bfs(table, default_seed_chamber(table), 10_000)
+    frames = [chamber.frame for chamber in atlas.chambers.values()]
+    assert not all(frame.integral for frame in carried)
+    assert [frame.integral for frame in frames] == [integral_by_scan(frame) for frame in frames]
+    report = check_crystallographic(table)
+    assert not report.passed and report.first_witness.kind == "integrality"
+
+
+@pytest.mark.parametrize("name", ["b3", "aff-a1", "b3-bare-truncation"])
+def test_chambers_built_on_read_equal_eager_chambers(name):
+    """A chamber the survey found, whose rays and witness are built on first
+    read, equals and hashes like Chamber(basis, rays, witness) built from the
+    same values, with or without its frame; chambers are immutable."""
+    table, atlas, _ = surveyed(name)
+    for chamber in atlas.chambers.values():
+        eager = Chamber(chamber.basis, chamber.rays, chamber.witness)
+        framed = Chamber(chamber.basis, chamber.rays, chamber.witness, chamber.frame)
+        assert chamber == eager == framed and eager == chamber
+        assert hash(chamber) == hash(eager) == hash(framed)
+        assert chamber.key == eager.key
+    seed = atlas.chambers[atlas.seed_key]
+    other = atlas.chambers[atlas.order[1]]
+    assert seed != other and Chamber(seed.basis, seed.rays, other.witness) != seed
+    assert len({*atlas.chambers.values(), *(Chamber(c.basis, c.rays, c.witness) for c in atlas.chambers.values())}) == len(atlas.order)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        seed.witness = other.witness
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del seed.basis
+
+
+@pytest.mark.parametrize("name", ["b3", "aff-a1"])
+def test_realization_chambers_seed_a_survey(name):
+    """realization.chamber_of builds a chamber from its values; a survey
+    from it visits the chambers a survey from the default seed visits."""
+    re = realize(builtin_graph(name), depth=6)
+    seed = re.chamber_of(re.base)
+    assert seed.frame is None and seed.rays == re.rays[re.base]
+    atlas = chamber_bfs(re.table, seed, 10_000)
+    expected = chamber_bfs(re.table, default_seed_chamber(re.table), 10_000)
+    assert set(atlas.order) == set(expected.order)
+    assert atlas.certified == expected.certified
 
 
 def closure_table(gcm: list) -> RootSystemTable:
