@@ -299,7 +299,7 @@ def test_survey_builds_each_chambers_fraction_data_once(name):
     with counting(reads):
         for _ in range(2):
             for chamber in atlas.chambers.values():
-                chamber.rays, chamber.witness
+                assert chamber.rays and chamber.witness
     assert reads["_frame_rays"] == (0 if affine else len(atlas.order))
     assert reads["_witness_across"] == len(atlas.order) - 1
     for key in atlas.order:
