@@ -8,7 +8,8 @@ section records the same table digest for every truncated table that
 `realize` makes from a builtin graph at depths 2 and 3, read back through its
 JSON form, which drops the realization's certified keys: a bare truncation.
 Four more sections cover the analyses built on the kernel: `realize` of every
-builtin graph at depth 8, `roundtrip_check` of every builtin graph at depths
+builtin graph at depth 8 (object ids in their wire form, `jsonio.key_to_str`,
+so the digest does not depend on the number type of an id), `roundtrip_check` of every builtin graph at depths
 1 to 6 (its outcome and objects compared in clear, beside the hash of the
 whole report), the canonical signatures of the six F4 double restrictions,
 and `local_to_global_check` on a3 and b3.  An analysis that raises is recorded by
@@ -43,7 +44,7 @@ from weylgpd.builtins import (
     f4_table,
 )
 from weylgpd.errors import WeylgpdError
-from weylgpd.jsonio import table_from_json, table_to_json
+from weylgpd.jsonio import key_to_str, table_from_json, table_to_json
 from weylgpd.realization import realize, roundtrip_check
 from weylgpd.subarr import canonical_cycle, double_restriction, fan_edge_sequence, local_to_global_check
 
@@ -119,17 +120,17 @@ def realize_digest(name: str, depth: int = 8) -> str:
 
     def payload():
         re = realize(builtin_graph(name), depth=depth)
-        objects = [str(obj) for obj in re.order]
+        objects = [key_to_str(obj) for obj in re.order]
         return {
             "order": objects,
             "bases": [_strs(re.bases[obj]) for obj in re.order],
             "rays": [_strs(re.rays[obj]) for obj in re.order],
             "canon": [_strs(re.canon[obj]) for obj in re.order],
-            "edges": sorted([str(a), i, str(b)] for (a, i), b in re.edges.items()),
+            "edges": sorted([key_to_str(a), i, key_to_str(b)] for (a, i), b in re.edges.items()),
             "roots": _strs(re.table.roots),
             "cone": re.table.cone.to_json(),
             "seed_hint": [str(c) for c in re.table.seed_hint],
-            "certified": sorted(str(obj) for obj in re.certified),
+            "certified": sorted(key_to_str(obj) for obj in re.certified),
             "certified_keys": sorted(_strs(key) for key in re.table.certified_keys),
             "gamma": None if re.gamma is None else [str(c) for c in re.gamma],
             "complete": re.complete,
