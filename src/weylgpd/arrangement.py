@@ -38,12 +38,11 @@ import itertools
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from math import gcd
 from operator import mul, sub
 from typing import Iterable, Sequence
 
 from ._rational import ONE, ZERO, Rat, fmt_covector
-from .cartan import CartanGraph, GeneralizedCartanMatrix
+from .cartan import CartanGraph, GeneralizedCartanMatrix, canonical_basis_key
 from .errors import (
     BudgetExceeded,
     InvalidTable,
@@ -56,7 +55,6 @@ from .errors import (
     Unreachable,
     Unsupported,
     WallOnBoundary,
-    ZeroCovector,
 )
 from .exactlin import (
     clear_denominators,
@@ -65,8 +63,10 @@ from .exactlin import (
     dual_basis,
     int_adjugate,
     int_det,
+    int_primitive,
     int_row_reduce,
     is_zero,
+    line_key,
     nullspace,
     primitive_ray,
     rank as mat_rank,
@@ -149,12 +149,10 @@ class RootSystemTable:
             tuple(c.numerator * (scale // c.denominator) for c in r) for r in self.roots
         )
         self.int_index = {r: k for k, r in enumerate(self.int_roots)}
-        self.primitive = tuple(_int_primitive(r) for r in self.int_roots)
+        self.primitive = tuple(int_primitive(r) for r in self.int_roots)
         lines: dict[Covector, list] = {}
         for r, p in zip(self.roots, self.primitive):
-            # The line key is the primitive ray with first nonzero entry positive.
-            key = p if next(c for c in p if c) > 0 else vneg(p)
-            lines.setdefault(key, []).append(r)
+            lines.setdefault(line_key(p), []).append(r)
         self.lines: dict[Covector, tuple] = {k: tuple(v) for k, v in lines.items()}
         derived_reduced = all(len(v) == 2 for v in self.lines.values())
         if reduced is not None and bool(reduced) != derived_reduced:
@@ -250,11 +248,11 @@ class Chamber:
 
     @cached_property
     def key(self) -> tuple:
-        """The sorted primitive integer rays of the basis, built once: equal
-        and hash-equal to canonical_basis_key(basis), whose rays are Fractions."""
+        """canonical_basis_key(basis), built once; read through the table's
+        primitive rays when the chamber has a frame."""
         if self.frame is not None:
             return _key_at(self.frame.table, self.frame.index)
-        return tuple(sorted(_int_primitive(clear_denominators(b)[0]) for b in self.basis))
+        return canonical_basis_key(self.basis)
 
     def __repr__(self) -> str:
         return f"Chamber(basis={self.basis})"
@@ -290,20 +288,13 @@ class IntegerFrame:
 
 
 def _key_at(table: RootSystemTable, index: tuple) -> tuple:
-    """The chamber key of the basis at root positions `index`: its sorted primitive integer rays."""
+    """canonical_basis_key of the basis at root positions `index`, read
+    through the table's primitive rays."""
     return tuple(sorted(table.primitive[k] for k in index))
 
 
 def _dot(u: tuple, v: tuple) -> int:
     return sum(map(mul, u, v))
-
-
-def _int_primitive(ints: tuple) -> tuple:
-    """The primitive integer ray of a nonzero integer covector."""
-    g = gcd(*ints)
-    if g == 0:
-        raise ZeroCovector("cannot normalize the zero covector")
-    return tuple(v // g for v in ints)
 
 
 def _frame_at(table: RootSystemTable, index: tuple) -> IntegerFrame:
@@ -496,9 +487,9 @@ def _cone_rays(reps: Sequence[tuple], rank: int) -> list:
     )
     if pivots[-1] >= n:
         kernel = [row[n:] for row, p in zip(reduced, pivots) if p >= n]
-        return [_int_primitive(kernel[0])] if len(kernel) == 1 else []
+        return [int_primitive(kernel[0])] if len(kernel) == 1 else []
     # Row j is d times the ray dual to line pivots[j]; it vanishes on the others.
-    rays = [_int_primitive(row[n:] if d > 0 else [-a for a in row[n:]]) for row in reduced]
+    rays = [int_primitive(row[n:] if d > 0 else [-a for a in row[n:]]) for row in reduced]
     zeros = [frozenset(pivots[:j] + pivots[j + 1:]) for j in range(rank)]
     for m in sorted(set(range(n)) - set(pivots)):
         values = [_dot(reps[m], ray) for ray in rays]
@@ -512,7 +503,7 @@ def _cone_rays(reps: Sequence[tuple], rank: int) -> list:
                 continue
             # values[a] * ray_b - values[b] * ray_a lies on line m and in the cone.
             va, vb = values[a], values[b]
-            new_rays.append(_int_primitive(tuple(va * y - vb * x for x, y in zip(rays[a], rays[b]))))
+            new_rays.append(int_primitive(tuple(va * y - vb * x for x, y in zip(rays[a], rays[b]))))
             new_zeros.append(shared | {m})
         rays, zeros = new_rays, new_zeros
     return rays

@@ -3,7 +3,9 @@
 A Cartan graph is a set of objects with involutions rho_i and one generalized
 Cartan matrix per object; its reflections sigma_i act on Z^I by
 sigma_i(alpha_j) = alpha_j - c_ij * alpha_i.  Real roots at an object are the
-images of the standard basis under composed reflections ending there.
+images of the standard basis under composed reflections ending there.  The
+graph side is integral: bases, real roots, reflection matrices and the
+standard graph's object ids (chamber keys) are int tuples.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from ._rational import ONE, ZERO, fmt_covector
+from ._rational import fmt_covector
 from .errors import (
     BudgetExceeded,
     InvalidCartanMatrix,
@@ -136,16 +138,14 @@ def int_mat_mul(a, b):
     return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)) for i in range(n))
 
 
-def identity_matrix(n: int):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 # ---------------------------------------------------------------------------
 # Cartan graphs
 
 
 def standard_dual_basis(rank: int) -> tuple:
-    return tuple(tuple(ONE if j == i else ZERO for j in range(rank)) for i in range(rank))
+    """The standard basis of Z^I as int rows: the base object's covectors, the
+    simple roots, and the rows of the identity matrix."""
+    return tuple(tuple(int(j == i) for j in range(rank)) for i in range(rank))
 
 
 def apply_reflection_to_basis(basis: Sequence, C: GeneralizedCartanMatrix, i: int) -> tuple:
@@ -157,7 +157,8 @@ def apply_reflection_to_basis(basis: Sequence, C: GeneralizedCartanMatrix, i: in
 
 
 def canonical_basis_key(basis: Sequence) -> tuple:
-    """Order-free identity of a chamber: the sorted primitive rays of its basis."""
+    """Order-free identity of a chamber, the one chamber-key rule: the sorted
+    primitive integer rays of its basis."""
     return tuple(sorted(primitive_ray(b) for b in basis))
 
 
@@ -328,9 +329,8 @@ def generate_real_roots(graph: CartanGraph, start: ObjectId, depth: int) -> Real
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    rank = graph.rank
     dist, edges, closed = graph.ball(start, depth)
-    basis = tuple(tuple(1 if k == j else 0 for k in range(rank)) for j in range(rank))
+    basis = standard_dual_basis(graph.rank)
     sets: dict[ObjectId, set] = {obj: set(basis) for obj in dist}
     fresh: dict[ObjectId, set] = {obj: set(basis) for obj in dist}
 
@@ -598,7 +598,7 @@ class Morphism:
     def from_word(cls, graph: CartanGraph, start: ObjectId, word: Sequence[int]) -> "Morphism":
         """Cross edges in word order starting at `start`; matrices compose left to right."""
         cur = start
-        mat = identity_matrix(graph.rank)
+        mat = standard_dual_basis(graph.rank)
         for i in word:
             step = reflection_matrix(graph.matrix(cur), i)
             mat = int_mat_mul(step, mat)
@@ -630,7 +630,7 @@ def check_simply_connected(graph: CartanGraph, word_budget: int) -> SimpleConnec
     certifies simple connectedness outright; if the budget truncates the walk,
     the certificate only covers words up to that length.
     """
-    ident = identity_matrix(graph.rank)
+    ident = standard_dual_basis(graph.rank)
     seen: dict[ObjectId, tuple] = {}
     parent_word: dict[ObjectId, tuple[int, ...]] = {}
     truncated = False

@@ -9,7 +9,8 @@ fraction-free Gauss-Jordan.  `int_det` reads its determinant, `int_adjugate`
 is it applied to [M | I], and every rational solver (`rank`,
 `solve_coordinates`, `solve_in_span`, `dual_basis`, `nullspace`) clears each
 row's denominators, calls it (directly or through `int_adjugate`), and reads
-its Fraction answers off the integer result.
+its Fraction answers off the integer result.  Primitive rays are int tuples,
+built by one rule, `int_primitive`.
 """
 
 from __future__ import annotations
@@ -218,26 +219,30 @@ def nullspace_and_pivots(rows: Sequence[tuple]) -> tuple[list[tuple], list[int]]
     return basis, pivots
 
 
-def primitive_normalize(alpha: Covector) -> Covector:
+def primitive_normalize(alpha: Covector) -> IntVec:
     """Hyperplane key: the positive multiple with coprime integer coordinates and
     first nonzero coordinate positive.  Identifies alpha up to sign and scale."""
-    key = primitive_ray(alpha)
-    for a in key:
-        if a != 0:
-            if a < 0:
-                key = vneg(key)
-            break
-    return key
+    return line_key(primitive_ray(alpha))
 
 
-def primitive_ray(alpha: Covector) -> Covector:
+def line_key(ray: IntVec) -> IntVec:
+    """The one of +-ray whose first nonzero coordinate is positive."""
+    return ray if next(c for c in ray if c) > 0 else vneg(ray)
+
+
+def primitive_ray(alpha: Covector) -> IntVec:
     """Orientation-preserving primitive form: the positive multiple of alpha with
-    coprime integer coordinates."""
-    if all(a == 0 for a in alpha):
-        raise ZeroCovector("cannot normalize the zero covector")
-    ints, _ = clear_denominators(alpha)
+    coprime integer coordinates, as ints."""
+    return int_primitive(clear_denominators(alpha)[0])
+
+
+def int_primitive(ints: IntVec) -> IntVec:
+    """The primitive integer ray of a nonzero integer covector: its entries
+    divided by their gcd."""
     g = gcd(*ints)
-    return tuple(Rat(v // g) for v in ints)
+    if g == 0:
+        raise ZeroCovector("cannot normalize the zero covector")
+    return tuple(v // g for v in ints)
 
 
 def integer_kernel_basis(alpha: Sequence[int]) -> list[tuple]:

@@ -42,8 +42,8 @@ from .errors import (
 )
 from .exactlin import (
     dual_basis,
+    int_primitive,
     primitive_normalize,
-    primitive_ray,
     rank as mat_rank,
     solve_in_span,
     vdot,
@@ -59,14 +59,14 @@ class Realization:
     graph: CartanGraph
     base: ObjectId
     depth: int
-    bases: dict  # object -> indexed covector basis
+    bases: dict  # object -> indexed covector basis, int tuples
     rays: dict  # object -> dual basis vectors
     edges: dict  # (object, i) -> object
     order: list  # BFS order
     table: RootSystemTable
     complete: bool
     certified: frozenset  # objects with every neighbor generated
-    canon: dict  # object -> canonical chamber key
+    canon: dict  # object -> canonical chamber key, int tuples
     gamma: tuple | None  # derived functional with value 1 on every chamber ray, if one exists
 
     @property
@@ -156,7 +156,7 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
             k, kind = defect
             text = _DEFECT_TEXT[kind].format(obj=fmt_object(obj), coords=fmt_covector(frame.coords(k)))
             raise AxiomViolation(f"root {fmt_covector(table.roots[k])} {text}")
-    gamma = _derive_affine_functional(rank, rays.values())
+    gamma = _derive_affine_functional(rank, frames.values())
     return Realization(
         graph=graph,
         base=base,
@@ -179,17 +179,15 @@ def _anchor(order: list, certified: frozenset, base: ObjectId) -> ObjectId:
     return next((obj for obj in order if obj in certified), base)
 
 
-def _derive_affine_functional(rank: int, ray_families) -> tuple | None:
+def _derive_affine_functional(rank: int, frames) -> tuple | None:
     """A covector h with h(ray) = 1 on every primitive chamber ray, if one exists.
 
     Affine arrangements place all chamber rays on one affine hyperplane, which
     h recovers; spherical data admits no such h.  The rays of one chamber
-    already span, so h is unique when it exists.
+    already span, so h is unique when it exists.  A frame's integer columns
+    are positive multiples of its chamber's rays.
     """
-    points = set()
-    for rays in ray_families:
-        for ray in rays:
-            points.add(primitive_ray(ray))
+    points = {int_primitive(col) for frame in frames for col in frame.cols}
     if len(points) <= rank:
         return None
     rows = sorted(points)

@@ -6,13 +6,15 @@ through a different computational path.  The exceptions are former
 statements of library rules kept as differential references:
 `reference_wall_coefficients` (the wall-crossing rule),
 `reference_extreme_basis` with `reference_kernel_line` (the seed rule),
-`reference_lonely_roots` (the additive rule) and `reference_walls_across`
-(the wall scan).
+`reference_lonely_roots` (the additive rule), `reference_walls_across`
+(the wall scan) and `reference_primitive_ray` (the primitive-ray rule, when
+it still returned Fractions).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction as F
 
 
@@ -399,3 +401,16 @@ def reference_walls_across(table, frame, i):
     if missing:
         raise NotSimplicial(f"no wall found in the plane of indices {i},{missing[0]}")
     return tuple(table.negation[frame.index[i]] if j == i else best[j][2] for j in range(r))
+
+
+def reference_primitive_ray(alpha):
+    """The primitive-ray rule as the library stated it before it returned
+    ints: the positive multiple of alpha with coprime integer coordinates,
+    as Fractions."""
+    values = [_F(c) for c in alpha]
+    if all(c == 0 for c in values):
+        raise ValueError("the zero covector has no primitive ray")
+    m = math.lcm(*(c.denominator for c in values))
+    ints = [int(c * m) for c in values]
+    g = math.gcd(*ints)
+    return tuple(F(v // g) for v in ints)

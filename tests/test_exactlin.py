@@ -27,7 +27,7 @@ from weylgpd.exactlin import (
     vec,
 )
 
-from _oracles import gauss_solve
+from _oracles import gauss_solve, reference_primitive_ray
 
 F4_SIMPLE = (
     vec((0, 1, -1, 0)),
@@ -99,6 +99,20 @@ class TestPrimitiveNormalize:
 
     def test_ray_preserves_orientation(self):
         assert primitive_ray(vec(("-1/2", "1/2"))) == vec((-1, 1))
+
+    @given(st.lists(st.fractions(min_value=F(-50), max_value=F(50), max_denominator=40), min_size=1, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_ray_matches_the_fraction_rule(self, coords):
+        """primitive_ray gives ints, equal and hash-equal to the former
+        Fraction rule; the zero covector has no primitive ray."""
+        alpha = vec(coords)
+        if all(c == 0 for c in coords):
+            with pytest.raises(ZeroCovector):
+                primitive_ray(alpha)
+            return
+        got, expected = primitive_ray(alpha), reference_primitive_ray(alpha)
+        assert got == expected and hash(got) == hash(expected)
+        assert all(type(c) is int for c in got)
 
     @given(
         st.lists(

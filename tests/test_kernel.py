@@ -24,6 +24,7 @@ from weylgpd.arrangement import (
     _extreme_basis,
     _frame_at,
     _frame_rays,
+    _key_at,
     _lonely_roots,
     _positive_lines,
     _verify_chamber_basis,
@@ -69,6 +70,7 @@ from _oracles import (
     gauss_solve,
     reference_extreme_basis,
     reference_lonely_roots,
+    reference_primitive_ray,
     reference_wall_coefficients,
     reference_walls_across,
 )
@@ -252,12 +254,13 @@ def surveyed(name: str) -> tuple:
 def test_carried_frames_and_integer_keys_match_the_elimination(name):
     """Every chamber's frame, carried or eliminated, is the one Bareiss
     elimination gives for its basis, and its integer key is equal and
-    hash-equal to the Fraction key of its basis.  A frame is built for the
-    seed and for each chamber found, not for each crossing."""
+    hash-equal to the Fraction key of its basis, built by the former rule.
+    A frame is built for the seed and for each chamber found, not for each
+    crossing."""
     table, atlas, calls = surveyed(name)
     for chamber in atlas.chambers.values():
         assert frame_data(chamber.frame) == frame_data(_frame_at(table, chamber.frame.index))
-        fraction_key = canonical_basis_key(chamber.basis)
+        fraction_key = tuple(sorted(map(reference_primitive_ray, chamber.basis)))
         assert chamber.key == fraction_key and hash(chamber.key) == hash(fraction_key)
         assert all(type(c) is int for ray in chamber.key for c in ray)
     assert calls["_frame_at"] + calls["_carry_frame"] == len(atlas.order)
@@ -265,6 +268,32 @@ def test_carried_frames_and_integer_keys_match_the_elimination(name):
         assert (calls["_frame_at"], calls["_carry_frame"]) == (1, 1151)
     if name == "aff-a1-rescaled":
         assert calls["_carry_frame"] == 0
+
+
+@pytest.mark.parametrize("name", TABLE_NAMES)
+def test_primitive_ray_matches_the_fraction_rule_on_roots_and_rays(name):
+    """primitive_ray gives ints, equal and hash-equal to the former Fraction
+    rule, on every root and every chamber ray of a builtin table."""
+    table, atlas, _ = surveyed(name)
+    for alpha in [*table.roots, *(ray for chamber in atlas.chambers.values() for ray in chamber.rays)]:
+        got, expected = primitive_ray(alpha), reference_primitive_ray(alpha)
+        assert got == expected and hash(got) == hash(expected)
+        assert all(type(c) is int for c in got)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GCMS))
+def test_realized_graph_side_is_integral_and_keys_agree(name):
+    """realize keeps the graph side on ints: the standard graph's ids, the
+    bases, the canonical keys and the edges hold no Fraction.  On every
+    chamber of a survey of the realized table, canonical_basis_key of the
+    basis is the key read through the table's primitive rays."""
+    re = realize(builtin_graph(name), depth=8)
+    ints = [*re.order, *re.bases.values(), *re.canon.values(), *re.edges.values()]
+    assert all(type(c) is int for covectors in ints for covector in covectors for c in covector)
+    atlas = chamber_bfs(re.table, default_seed_chamber(re.table), 10_000)
+    assert {re.canon[obj] for obj in re.certified} <= set(atlas.chambers)
+    for chamber in atlas.chambers.values():
+        assert canonical_basis_key(chamber.basis) == _key_at(re.table, chamber.frame.index) == chamber.key
 
 
 def discovering_crossing(table: RootSystemTable, atlas, key: tuple) -> tuple:
