@@ -199,17 +199,15 @@ def cmd_realize(args) -> int:
 
 
 def cmd_check(args) -> int:
+    table = _load_spanning_table(args.input, args.depth)
     if args.property == "cryst":
-        report = check_crystallographic(_load_spanning_table(args.input, args.depth), args.budget)
+        report = check_crystallographic(table, args.budget)
     elif args.property == "additive":
-        report = check_additive(_load_spanning_table(args.input, args.depth), args.budget)
-    elif args.property == "k-spherical":
-        table = load_table(args.input, args.depth)
+        report = check_additive(table, args.budget)
+    else:  # k-spherical, the last of the parser's choices
         if not 0 <= args.k <= table.rank:
             raise ParseError(f"--k must be between 0 and the rank {table.rank}, not {args.k}")
         report = check_k_spherical(table, args.k, args.budget)
-    else:
-        raise ParseError(f"unknown property {args.property!r}")
     payload = report.to_json()
     lines = [f"{payload['check']}: {payload['status']}"]
     if report.witnesses:

@@ -49,6 +49,8 @@ def table_from_json(data: dict) -> RootSystemTable:
             cone = Affine(vec(cone_data["affine"]))
         elif isinstance(cone_data, dict) and "truncated" in cone_data:
             cone = Truncated(_integer_entry(cone_data["truncated"]))
+            if cone.depth < 0:
+                raise ParseError(f"truncation depth must be >= 0, not {cone.depth}")
         else:
             raise ParseError(f"unknown cone spec {cone_data!r}")
         roots = [vec(r) for r in data["roots"]]
@@ -116,6 +118,9 @@ def graph_from_json(data: dict) -> CartanGraph:
         }
         edges = {(e["from"], _integer_entry(e["i"])): e["to"] for e in data["edges"]}
         base = data.get("base") or data["objects"][0]["id"]
+        undeclared = [obj for (source, _), target in edges.items() for obj in (source, target) if obj not in matrices]
+        if undeclared:
+            raise ParseError(f"an edge names the undeclared object {undeclared[0]!r}")
         graph = CartanGraph.explicit(matrices, edges, base, truncated=bool(data.get("truncated")))
     except (KeyError, TypeError, ValueError, IndexError, OverflowError, NonSquare) as exc:
         raise ParseError(f"malformed graph JSON: {exc}") from exc

@@ -394,8 +394,12 @@ class TestJsonInputBoundary:
                 {"rank": 2, "objects": [{"id": "0", "cartan": A2_GCM}], "edges": [{"i": 1.5, "from": "0", "to": "0"}]},
                 ("validate", "{}"),
             ),
+            ({"rank": 1, "roots": [["1"], ["-1"]], "cone": {"truncated": -1}}, ("validate", "{}")),
+            ({"rank": 1, "roots": [["1"], ["-1"]], "cone": {"truncated": -1}}, ("check", "{}", "--property", "cryst")),
             (LINE, ("check", "{}", "--property", "cryst")),
             (FLAT, ("check", "{}", "--property", "additive")),
+            (LINE, ("check", "{}", "--property", "k-spherical")),
+            (dict(LINE, cone={"affine": ["1", "1"]}), ("check", "{}", "--property", "k-spherical")),
             (FLAT, ("extract-graph", "{}")),
             (LINE, ("identify-rank2", "{}")),
         ],
@@ -406,6 +410,21 @@ class TestJsonInputBoundary:
         assert code == 2
         assert err.startswith("input error:") and err.count("\n") == 1
         assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("argv", [("validate", "{}"), ("realize", "{}"), ("roundtrip", "{}")])
+    @pytest.mark.parametrize("source,target", [("0", "2"), ("2", "0")], ids=["to", "from"])
+    def test_graph_edge_at_an_undeclared_object_is_an_input_error(self, capsys, tmp_path, argv, source, target):
+        payload = {
+            "rank": 1,
+            "objects": [{"id": "0", "cartan": [[2]]}, {"id": "1", "cartan": [[2]]}],
+            "edges": [{"i": 0, "from": "0", "to": "1"}, {"i": 0, "from": "1", "to": "0"}]
+            + [{"i": 0, "from": source, "to": target}],
+        }
+        path = _write(tmp_path, payload)
+        code, out, err = run(capsys, *(path if a == "{}" else a for a in argv))
+        assert code == 2
+        assert err == "input error: an edge names the undeclared object '2'\n"
+        assert "Traceback" not in out
 
     @pytest.mark.parametrize("argv", [("check", "{}", "--property", "cryst"), ("extract-graph", "{}")])
     @pytest.mark.parametrize(
