@@ -26,7 +26,7 @@ from .arrangement import (
 from .cartan import CartanGraph, GeneralizedCartanMatrix, generate_real_roots
 from .errors import BudgetExceeded, InvalidCartanMatrix, NonSquare, ParseError, RootNotInSystem, Unsupported
 from .errors import WeylgpdError
-from .exactlin import vec
+from .exactlin import line_key, vec
 from .realization import realize, roundtrip_check
 from .subarr import double_restriction, identify_rank2, localize, restrict
 
@@ -110,20 +110,9 @@ def _emit(payload, fmt: str, table_lines=None) -> None:
 
 
 def _pair_table_lines(covectors) -> list[str]:
-    """One line per +/- pair, positive representative first, sorted."""
-    pairs = set()
-    for cov in covectors:
-        rep = cov
-        for c in cov:
-            if c != 0:
-                if c < 0:
-                    rep = tuple(-x for x in cov)
-                break
-        pairs.add(rep)
-    lines = []
-    for rep in sorted(pairs):
-        lines.append("+-" + fmt_covector(rep))
-    return lines
+    """One line per +/- pair of nonzero covectors, the representative with
+    first nonzero entry positive, sorted."""
+    return ["+-" + fmt_covector(rep) for rep in sorted({line_key(cov) for cov in covectors})]
 
 
 def cmd_validate(args) -> int:

@@ -225,9 +225,10 @@ def primitive_normalize(alpha: Covector) -> IntVec:
     return line_key(primitive_ray(alpha))
 
 
-def line_key(ray: IntVec) -> IntVec:
-    """The one of +-ray whose first nonzero coordinate is positive."""
-    return ray if next(c for c in ray if c) > 0 else vneg(ray)
+def line_key(alpha: tuple) -> tuple:
+    """The one of +-alpha, a nonzero tuple, whose first nonzero coordinate is
+    positive: the orientation of line keys."""
+    return alpha if next(c for c in alpha if c) > 0 else vneg(alpha)
 
 
 def primitive_ray(alpha: Covector) -> IntVec:

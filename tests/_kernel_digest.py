@@ -9,11 +9,12 @@ section records the same table digest for every truncated table that
 JSON form, which drops the realization's certified keys: a bare truncation.
 Four more sections cover the analyses built on the kernel: `realize` of every
 builtin graph at depth 8 (object ids in their wire form, `jsonio.key_to_str`,
-so the digest does not depend on the number type of an id), `roundtrip_check` of every builtin graph at depths
-1 to 6 (its outcome and objects compared in clear, beside the hash of the
-whole report), the canonical signatures of the six F4 double restrictions,
-and `local_to_global_check` on a3 and b3.  An analysis that raises is recorded by
-its exception type and message.  `tests/test_kernel.py` recomputes the digest
+so the digest does not depend on the number type of an id),
+`roundtrip_check` of every builtin graph at depths 1 to 6 (its outcome and
+objects compared in clear, beside the hash of the whole report), the
+canonical signatures of the six F4 double restrictions, and
+`local_to_global_check` on a3 and b3.  An analysis that raises is recorded
+by its exception type and message.  `tests/test_kernel.py` recomputes the digest
 and compares it with `tests/golden/kernel_digest.json`.
 
 Regenerate the golden file only when an answer is meant to change:
