@@ -26,6 +26,7 @@ def rat(value) -> "Rat":
                 raise ValueError(f"zero denominator in {value!r}")
             return Rat(p, q)
         return Rat(int(text))
-    if isinstance(value, float):
-        raise TypeError("floating-point input is not accepted; pass a rational")
+    if isinstance(value, (float, bool)):  # a bool would pass as 1/0
+        kind = "floating-point" if isinstance(value, float) else "boolean"
+        raise TypeError(f"{kind} input is not accepted; pass a rational")
     return Rat(value)

@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from operator import mul, sub
 from typing import Iterable, Sequence
 
 from ._rational import ONE, ZERO, Rat, fmt_covector
+from ._record import Record
 from .cartan import CartanGraph, GeneralizedCartanMatrix, canonical_basis_key
 from .errors import (
     BudgetExceeded,
@@ -84,22 +84,19 @@ Vector = tuple
 # Cone specifications
 
 
-@dataclass(frozen=True)
-class Spherical:
+class Spherical(Record):
     def to_json(self):
         return "spherical"
 
 
-@dataclass(frozen=True)
-class Affine:
+class Affine(Record):
     gamma: Covector
 
     def to_json(self):
         return {"affine": [str(c) for c in self.gamma]}
 
 
-@dataclass(frozen=True)
-class Truncated:
+class Truncated(Record):
     depth: int
 
     def to_json(self):
@@ -220,11 +217,8 @@ class Chamber:
     def __init__(self, basis: tuple, rays: tuple, witness: Vector, frame: IntegerFrame | None = None):
         self.__dict__.update(basis=basis, rays=rays, witness=witness, frame=frame)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -258,8 +252,7 @@ class Chamber:
         return f"Chamber(basis={self.basis})"
 
 
-@dataclass(frozen=True, eq=False)
-class IntegerFrame:
+class IntegerFrame(Record, eq=False):
     """A chamber's integer data in one table.
 
     B is the integer basis (the table's int_roots at `index`); the columns
@@ -278,6 +271,14 @@ class IntegerFrame:
     det: int
     num_cols: tuple
     integral: bool
+
+    def __init__(self, table: RootSystemTable, index: tuple, cols: tuple, det: int, num_cols: tuple, integral: bool):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "num_cols", num_cols)
+        object.__setattr__(self, "integral", integral)
 
     @cached_property
     def num(self) -> tuple:
@@ -369,8 +370,7 @@ def _chamber(frame: IntegerFrame, witness: Vector | None = None, crossing: tuple
     return chamber
 
 
-@dataclass(frozen=True)
-class Gallery:
+class Gallery(Record):
     chambers: tuple
     crossings: tuple  # wall indices, len(chambers) - 1
 
@@ -378,8 +378,7 @@ class Gallery:
         return len(self.crossings)
 
 
-@dataclass(frozen=True)
-class CoefficientWitness:
+class CoefficientWitness(Record):
     """A wall-crossing relation beta_j = c * alpha_i + d * alpha_j that is not of
     the crystallographic shape (c a nonnegative integer, d = 1)."""
 
@@ -396,8 +395,7 @@ class CoefficientWitness:
         )
 
 
-@dataclass(frozen=True)
-class IntegralityWitness:
+class IntegralityWitness(Record):
     """A root whose coordinates in a chamber basis are non-integral or sign-mixed."""
 
     chamber_key: tuple
@@ -413,8 +411,7 @@ class IntegralityWitness:
         return f"{fmt_covector(self.root)} = {terms}  [{self.kind}]"
 
 
-@dataclass(frozen=True)
-class ChamberCartanData:
+class ChamberCartanData(Record):
     chamber: Chamber
     matrix: GeneralizedCartanMatrix
     neighbors: tuple  # Chamber per wall index
@@ -718,8 +715,7 @@ def cartan_matrix_at(table: RootSystemTable, chamber: Chamber) -> ChamberCartanD
 # Chamber BFS with certification
 
 
-@dataclass
-class ChamberAtlas:
+class ChamberAtlas(Record, frozen=False):
     seed_key: tuple
     chambers: dict  # key -> Chamber
     edges: dict  # (key, i) -> key
@@ -865,8 +861,7 @@ def default_seed_chamber(table: RootSystemTable) -> Chamber:
 # Reports
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     check: str
     passed: bool
     witnesses: tuple
@@ -956,8 +951,7 @@ def check_crystallographic(table: RootSystemTable, budget: int = 10_000, max_wit
     return _crystallographic_report(table, _survey(table, budget), max_witnesses)
 
 
-@dataclass(frozen=True)
-class AdditiveWitness:
+class AdditiveWitness(Record):
     chamber_key: tuple
     basis: tuple
     root: Covector
@@ -1001,8 +995,7 @@ def _lonely_roots(frame: IntegerFrame) -> list:
 # Cartan-graph extraction
 
 
-@dataclass
-class ExtractionResult:
+class ExtractionResult(Record, frozen=False):
     graph: CartanGraph
     root_sets: dict  # chamber key -> frozenset of integer coordinate vectors
     chambers: dict  # chamber key -> Chamber
@@ -1040,8 +1033,8 @@ def extract_cartan_graph(table: RootSystemTable, budget: int = 10_000) -> Extrac
             raise NotCrystallographicAt(
                 key, IntegralityWitness(key, chamber.basis, table.roots[k], frame.coords(k), kind)
             )
-        det = frame.det
-        root_sets[key] = frozenset(tuple(n // det for n in row) for row in frame.num)
+        # The division is exact: D divides every numerator of an integral frame.
+        root_sets[key] = frozenset(zip(*(map(frame.det.__rfloordiv__, col) for col in frame.num_cols)))
     edges = {
         (a, i): b
         for (a, i), b in atlas.edges.items()
@@ -1129,8 +1122,7 @@ def is_nondegenerate(table: RootSystemTable) -> bool:
     return len(radical(table)) == 0
 
 
-@dataclass(frozen=True)
-class KSphericalWitness:
+class KSphericalWitness(Record):
     chamber_key: tuple
     face_indices: tuple
 
@@ -1171,8 +1163,7 @@ def check_k_spherical(table: RootSystemTable, k: int, budget: int = 10_000) -> C
 # Combinatorial equivalence (verification of a supplied g only)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Record):
     equivalent: bool
     reason: str | None
 

@@ -11,10 +11,10 @@ standard graph's object ids (chamber keys) are int tuples.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from ._rational import fmt_covector
+from ._record import Record
 from .errors import (
     BudgetExceeded,
     InvalidCartanMatrix,
@@ -37,8 +37,7 @@ def fmt_object(obj: ObjectId) -> str:
 # Generalized Cartan matrices
 
 
-@dataclass(frozen=True)
-class GcmViolation:
+class GcmViolation(Record):
     axiom: str  # "M1" or "M2"
     position: tuple[int, int]
     message: str
@@ -47,9 +46,11 @@ class GcmViolation:
         return f"({self.axiom}) at {self.position}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     violations: tuple[GcmViolation, ...]
+
+    def __init__(self, violations: tuple[GcmViolation, ...]):
+        object.__setattr__(self, "violations", violations)
 
     @property
     def valid(self) -> bool:
@@ -81,7 +82,10 @@ def validate_gcm(rows: Sequence[Sequence[int]]) -> ValidationReport:
 def _integer_entry(x) -> int:
     """An integer read from input (a matrix entry, a table rank, a truncation
     depth, an edge label) as an int.  Integer strings are read; a number that
-    is not an integer (2.5, infinity, NaN) is refused, never truncated."""
+    is not an integer (2.5, infinity, NaN) or a boolean is refused, never
+    truncated or read as 1/0."""
+    if isinstance(x, bool):
+        raise ValueError(f"{x!r} is not an integer")
     try:
         n = int(x)
     except (OverflowError, ValueError):
@@ -91,9 +95,11 @@ def _integer_entry(x) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class GeneralizedCartanMatrix:
+class GeneralizedCartanMatrix(Record):
     rows: tuple[tuple[int, ...], ...]
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "GeneralizedCartanMatrix":
@@ -298,8 +304,7 @@ class CartanGraph:
 # Real roots
 
 
-@dataclass(frozen=True)
-class RealRootSet:
+class RealRootSet(Record):
     """Per-object truncated real-root sets from a breadth-first closure."""
 
     base: ObjectId
@@ -370,14 +375,10 @@ def generate_real_roots(graph: CartanGraph, start: ObjectId, depth: int) -> Real
 # m_ij and axiom verification
 
 
-@dataclass(frozen=True)
-class Infinite:
+class Infinite(Record):
     """Heuristic infinity marker: the i,j-cone kept growing at the last layer."""
 
     depth: int
-
-    def __repr__(self) -> str:
-        return f"Infinite(depth={self.depth})"
 
 
 def _cone_roots(roots: Iterable, i: int, j: int) -> set:
@@ -438,16 +439,14 @@ def residue(graph: CartanGraph, base: ObjectId, indices: Sequence[int], budget: 
     return explicit
 
 
-@dataclass(frozen=True)
-class AxiomFinding:
+class AxiomFinding(Record):
     axiom: str  # "R1".."R4"
     obj: ObjectId
     status: str  # "pass" | "fail" | "insufficient_depth"
     witness: object = None
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     findings: tuple[AxiomFinding, ...]
     complete: bool
     skipped_frontier: tuple = ()  # objects excluded from R2/R3 (incomplete data)
@@ -585,8 +584,7 @@ def check_root_system_axioms(
 # Morphisms and simple connectedness
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     """A composed reflection word with its integer matrix acting on Z^I."""
 
     source: ObjectId
@@ -612,8 +610,7 @@ class Morphism:
         return int_det(self.matrix)
 
 
-@dataclass(frozen=True)
-class SimpleConnectivityReport:
+class SimpleConnectivityReport(Record):
     simply_connected: bool
     complete: bool  # True when every edge of the graph was checked (full certificate)
     word_budget: int

@@ -3,6 +3,9 @@
 Exit codes: 0 success / property holds, 1 property fails, 2 input error
 (an unsupported operation too), 3 budget exhausted.  WEYLGPD_BUDGET sets
 the default exploration budget.
+
+Each command imports the modules it runs when it is called, so that a
+process loads only what its command needs.
 """
 
 from __future__ import annotations
@@ -11,24 +14,14 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import builtins as builtin_data
-from . import jsonio
-from ._rational import fmt_covector
-from .arrangement import (
-    RootSystemTable,
-    check_additive,
-    check_crystallographic,
-    check_k_spherical,
-    extract_cartan_graph,
-    is_nondegenerate,
-)
-from .cartan import CartanGraph, GeneralizedCartanMatrix, generate_real_roots
 from .errors import BudgetExceeded, InvalidCartanMatrix, NonSquare, ParseError, RootNotInSystem, Unsupported
 from .errors import WeylgpdError
-from .exactlin import line_key, vec
-from .realization import realize, roundtrip_check
-from .subarr import double_restriction, identify_rank2, localize, restrict
+
+if TYPE_CHECKING:
+    from .arrangement import RootSystemTable
+    from .cartan import CartanGraph, GeneralizedCartanMatrix
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -57,6 +50,10 @@ def _load_json(path: str):
 
 
 def load_graph(spec: str) -> CartanGraph:
+    from . import builtins as builtin_data
+    from . import jsonio
+    from .cartan import CartanGraph
+
     if spec in builtin_data.BUILTIN_GCMS:
         return builtin_data.builtin_graph(spec)
     data = _load_json(spec)
@@ -68,6 +65,8 @@ def load_graph(spec: str) -> CartanGraph:
 def _bare_matrix(data: list) -> GeneralizedCartanMatrix:
     """The GCM of a bare matrix JSON; an empty or ragged matrix or a non-integer
     entry is bad input, and a matrix breaking (M1)/(M2) raises InvalidCartanMatrix."""
+    from .cartan import GeneralizedCartanMatrix
+
     if not data:
         raise ParseError("the matrix is empty")
     try:
@@ -77,6 +76,9 @@ def _bare_matrix(data: list) -> GeneralizedCartanMatrix:
 
 
 def load_table(spec: str, depth: int) -> RootSystemTable:
+    from . import builtins as builtin_data
+    from . import jsonio
+
     if spec in builtin_data.TABLE_NAMES:
         return builtin_data.builtin_table(spec, depth)
     return jsonio.table_from_json(_load_json(spec))
@@ -84,6 +86,8 @@ def load_table(spec: str, depth: int) -> RootSystemTable:
 
 def _load_spanning_table(spec: str, depth: int) -> RootSystemTable:
     """A table for a chamber survey: its roots must span, or it has no chambers."""
+    from .arrangement import is_nondegenerate
+
     table = load_table(spec, depth)
     if not is_nondegenerate(table):
         raise ParseError(f"the roots of {spec} do not span Q^{table.rank}; the table has no chambers")
@@ -92,6 +96,8 @@ def _load_spanning_table(spec: str, depth: int) -> RootSystemTable:
 
 def _parse_covector(text: str, rank: int) -> tuple:
     """Comma-separated rationals ("1/2,-1,0"), exactly `rank` of them."""
+    from .exactlin import vec
+
     try:
         covector = vec(part.strip() for part in text.split(","))
     except ValueError as exc:
@@ -102,20 +108,28 @@ def _parse_covector(text: str, rank: int) -> tuple:
 
 
 def _emit(payload, fmt: str, table_lines=None) -> None:
+    from .jsonio import dumps
+
     if fmt == "json":
-        print(jsonio.dumps(payload))
+        print(dumps(payload))
     else:
-        for line in table_lines or [jsonio.dumps(payload)]:
+        for line in table_lines or [dumps(payload)]:
             print(line)
 
 
 def _pair_table_lines(covectors) -> list[str]:
     """One line per +/- pair of nonzero covectors, the representative with
     first nonzero entry positive, sorted."""
+    from ._rational import fmt_covector
+    from .exactlin import line_key
+
     return ["+-" + fmt_covector(rep) for rep in sorted({line_key(cov) for cov in covectors})]
 
 
 def cmd_validate(args) -> int:
+    from . import builtins as builtin_data
+    from . import jsonio
+
     if args.input in builtin_data.BUILTIN_GCMS:
         data = [list(r) for r in builtin_data.BUILTIN_GCMS[args.input]]
     else:
@@ -155,6 +169,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_roots(args) -> int:
+    from . import jsonio
+    from .cartan import generate_real_roots
+
     graph = load_graph(args.input)
     rrs = generate_real_roots(graph, graph.base, args.depth)
     payload = {
@@ -176,6 +193,10 @@ def cmd_roots(args) -> int:
 
 
 def cmd_realize(args) -> int:
+    from . import jsonio
+    from ._rational import fmt_covector
+    from .realization import realize
+
     graph = load_graph(args.input)
     re = realize(graph, depth=args.depth)
     payload = jsonio.realization_to_json(re)
@@ -188,6 +209,8 @@ def cmd_realize(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .arrangement import check_additive, check_crystallographic, check_k_spherical
+
     table = _load_spanning_table(args.input, args.depth)
     if args.property == "cryst":
         report = check_crystallographic(table, args.budget)
@@ -206,6 +229,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_restrict(args) -> int:
+    from . import jsonio
+    from .subarr import double_restriction, restrict
+
     table = load_table(args.input, args.depth)
     if not args.root:
         raise ParseError("at least one --root is required")
@@ -234,6 +260,9 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_localize(args) -> int:
+    from . import jsonio
+    from .subarr import localize
+
     table = load_table(args.input, args.depth)
     point = _parse_covector(args.point, table.rank)
     loc = localize(table, point)
@@ -250,6 +279,9 @@ def cmd_localize(args) -> int:
 
 
 def cmd_extract_graph(args) -> int:
+    from . import jsonio
+    from .arrangement import extract_cartan_graph
+
     table = _load_spanning_table(args.input, args.depth)
     result = extract_cartan_graph(table, budget=args.budget)
     payload = jsonio.graph_to_json(result.graph)
@@ -261,6 +293,8 @@ def cmd_extract_graph(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    from .realization import roundtrip_check
+
     graph = load_graph(args.input)
     report = roundtrip_check(graph, depth=args.depth, budget=args.budget)
     payload = {
@@ -276,6 +310,8 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_identify_rank2(args) -> int:
+    from .subarr import identify_rank2
+
     table = _load_spanning_table(args.input, args.depth)
     result = identify_rank2(table)
     payload = {"label": result.label, "signature": list(result.signature)}
@@ -284,6 +320,10 @@ def cmd_identify_rank2(args) -> int:
 
 
 def cmd_f4_demo(args) -> int:
+    from . import builtins as builtin_data
+    from . import jsonio
+    from .subarr import double_restriction, identify_rank2
+
     table = builtin_data.f4_table()
     simple = builtin_data.F4_SIMPLE_ROOTS
     results = {}

@@ -8,14 +8,16 @@ covectors by semicolons.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ._rational import fmt_covector
 from .arrangement import Affine, RootSystemTable, Spherical, Truncated
 from .cartan import CartanGraph, GeneralizedCartanMatrix, _integer_entry
 from .errors import InvalidTable, NonSquare, ParseError
 from .exactlin import vdot, vec
-from .realization import Realization
+
+if TYPE_CHECKING:
+    from .realization import Realization
 
 
 def covector_to_json(cov) -> list[str]:

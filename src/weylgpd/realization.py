@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from typing import Hashable
 
 from ._rational import ONE, fmt_covector
+from ._record import Record
 from .arrangement import (
     Chamber,
     RootSystemTable,
@@ -54,8 +54,7 @@ from .exactlin import (
 ObjectId = Hashable
 
 
-@dataclass
-class Realization:
+class Realization(Record, frozen=False):
     graph: CartanGraph
     base: ObjectId
     depth: int
@@ -198,8 +197,7 @@ def _derive_affine_functional(rank: int, frames) -> tuple | None:
 # Separation, adjacency, point location
 
 
-@dataclass(frozen=True)
-class SeparatingSet:
+class SeparatingSet(Record):
     pair: tuple
     keys: frozenset
 
@@ -232,8 +230,7 @@ def gallery_distance(re: Realization, b: ObjectId, b2: ObjectId) -> int:
     raise BudgetExceeded(f"{fmt_object(b2)} not reachable from {fmt_object(b)} in the generated region")
 
 
-@dataclass(frozen=True)
-class AdjacencyEquivalence:
+class AdjacencyEquivalence(Record):
     i_adjacent: bool
     rho_matches: bool
     sandwich: bool | None  # None when the region is incomplete
@@ -290,8 +287,7 @@ def adjacency_equivalences_test(
     return AdjacencyEquivalence(i_adjacent, rho_matches, sandwich, separating_singleton)
 
 
-@dataclass(frozen=True)
-class LocateResult:
+class LocateResult(Record):
     status: str  # "found" | "not_in_cone" | "budget_exceeded"
     obj: ObjectId | None
     steps: int
@@ -329,8 +325,7 @@ def locate_point(re: Realization, x, budget: int = 10_000) -> LocateResult:
             return LocateResult("budget_exceeded", cur, steps)
 
 
-@dataclass
-class LocalGraphResult:
+class LocalGraphResult(Record, frozen=False):
     indices: tuple  # I_x inside the ambient index set
     roots: tuple  # realized roots vanishing at x
     graph: CartanGraph | None  # None when the localization is empty
@@ -381,8 +376,7 @@ def local_cartan_graph_at(re: Realization, x, budget: int = 10_000) -> LocalGrap
 # Round trip
 
 
-@dataclass(frozen=True)
-class RoundTripReport:
+class RoundTripReport(Record):
     equivalent: bool
     objects_compared: int
     index_map: tuple | None  # phi_0 as a tuple: graph index -> chamber index

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass
 from typing import Sequence
 
 from ._rational import ONE, ZERO, Rat, fmt_covector
+from ._record import Record
 from .arrangement import (
     Affine,
     Chamber,
@@ -66,8 +66,7 @@ Vector = tuple
 # Localization
 
 
-@dataclass
-class Localization:
+class Localization(Record, frozen=False):
     point: Vector
     roots: tuple  # ambient covectors vanishing at the point
     support: tuple  # basis of the intersection of their hyperplanes
@@ -110,8 +109,7 @@ def localize(table: RootSystemTable, x) -> Localization:
     return Localization(x, roots, tuple(support), q, tuple(pivots), intrinsic)
 
 
-@dataclass(frozen=True)
-class LocalizationWitness:
+class LocalizationWitness(Record):
     root: Covector
     basis: tuple
     coords: tuple
@@ -196,8 +194,7 @@ def local_to_global_check(table: RootSystemTable, budget: int = 10_000) -> dict:
 # Restriction to a hyperplane
 
 
-@dataclass
-class Restriction:
+class Restriction(Record, frozen=False):
     source: RootSystemTable
     alpha0: Covector
     lattice_basis: tuple  # unimodular basis of H's integer lattice (ambient vectors)
@@ -316,8 +313,7 @@ def double_restriction(table: RootSystemTable, root_a, root_b) -> Restriction:
     )
 
 
-@dataclass(frozen=True)
-class RestrictionIntegralityWitness:
+class RestrictionIntegralityWitness(Record):
     basis_image: Covector
     other: Covector
     ratio: object
@@ -494,8 +490,7 @@ def rank2_reference_signatures() -> dict:
     return signatures
 
 
-@dataclass(frozen=True)
-class Rank2Identification:
+class Rank2Identification(Record):
     label: str | None
     signature: tuple[int, ...]
 
@@ -518,8 +513,7 @@ def identify_rank2(table: RootSystemTable) -> Rank2Identification:
 # Residue correspondence
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(Record):
     equivalent: bool
     objects_compared: int
     index_map: tuple

@@ -8,11 +8,13 @@ statements of library rules kept as differential references:
 `reference_extreme_basis` with `reference_kernel_line` (the seed rule),
 `reference_lonely_roots` (the additive rule), `reference_walls_across`
 (the wall scan) and `reference_primitive_ray` (the primitive-ray rule, when
-it still returned Fractions).
+it still returned Fractions).  `reference_record` builds the dataclass that a
+record class stands in for.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction as F
@@ -414,3 +416,18 @@ def reference_primitive_ray(alpha):
     ints = [int(c * m) for c in values]
     g = math.gcd(*ints)
     return tuple(F(v // g) for v in ints)
+
+
+def reference_record(cls):
+    """The dataclass twin of a record class, by `dataclasses.make_dataclass`:
+    the same name, the fields and defaults read from the class body, and the
+    record's frozen and eq flags (assignable records are not frozen; a record
+    with identity equality has eq=False)."""
+    body = vars(cls)
+    spec = [
+        (name, object, body[name]) if name in body else (name, object)
+        for name in body.get("__annotations__", {})
+    ]
+    frozen = cls.__setattr__ is not object.__setattr__
+    eq = cls.__eq__ is not object.__eq__
+    return dataclasses.make_dataclass(cls.__qualname__, spec, frozen=frozen, eq=eq)

@@ -402,6 +402,14 @@ class TestJsonInputBoundary:
             (dict(LINE, cone={"affine": ["1", "1"]}), ("check", "{}", "--property", "k-spherical")),
             (FLAT, ("extract-graph", "{}")),
             (LINE, ("identify-rank2", "{}")),
+            # JSON booleans are not numbers: true is not read as 1.
+            ({"rank": True, "roots": [["1"], ["-1"]]}, ("validate", "{}")),
+            ([[True, -1], [-1, 2]], ("validate", "{}")),
+            (
+                {"rank": 2, "objects": [{"id": "0", "cartan": A2_GCM}], "edges": [{"i": True, "from": "0", "to": "0"}]},
+                ("validate", "{}"),
+            ),
+            ({"rank": 1, "roots": [[True], ["-1"]]}, ("validate", "{}")),
         ],
     )
     def test_bad_json_is_an_input_error(self, capsys, tmp_path, payload, argv):
