@@ -17,19 +17,25 @@ predicates compare those numerators; Fractions are built only for values that
 leave the kernel.
 
 A seed chamber's walls come from its extreme rays, found by double
-description.  A wall crossing (`_cross`) is a wall scan, which names the
-neighbor's basis, then a frame step that `_wall_coefficients`, the one
-statement of the crystallographic rule, reads: when every coefficient is an
-integer the crossing is the Weyl groupoid's change of object, B' = T . B for
-an integer involution T, and A' = A . T is carried over with one column
-update; otherwise, and at a seed chamber, Bareiss elimination builds A.
-Chamber keys and line keys are tuples of primitive integer rays.
-`chamber_bfs` pays the frame step and its check once per chamber found; a
-crossing into a known chamber costs only the wall scan.  A frame records
-whether every root has integer coordinates in its basis, and a carried frame
-inherits that from its parent, since T is an integer matrix.  A chamber's
-Fraction data, its rays and witness point, is built when it is first read;
-a survey that only decides on integers builds none.
+description.  A wall crossing is one wall step (`_wall_step`), the kernel
+that `_cross` and `chamber_bfs` share.  Crossing wall i of a crystallographic
+arrangement is the Weyl groupoid's change of object: wall j of the neighbor
+is a_j + m_j * a_i, where m_j = -c_ij is how far the a_i-string through a_j
+runs inside the table, and B' = T . B for an integer involution T, so
+A' = A . T is carried over with one column update.  On a frame whose roots
+all have integer coordinates the step reads the strings from the table's
+integer root index and accepts them when the carried column passes the sign
+check.  Otherwise a wall scan names the neighbor's basis, and a frame step
+that `_wall_coefficients`, the one statement of the crystallographic rule,
+reads carries the frame when every coefficient is an integer; else, and at
+a seed chamber, Bareiss elimination builds A.  Chamber keys and line keys
+are tuples of primitive integer rays.  `chamber_bfs` builds and checks a
+frame once per chamber found; a crossing into a known chamber costs only
+the step that names it.  A frame records whether every root has integer
+coordinates in its basis, and a carried frame inherits that from its
+parent, since T is an integer matrix.  A chamber's Fraction data, its rays
+and witness point, is built when it is first read; a survey that only
+decides on integers builds none.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import cached_property
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from ._rational import ONE, ZERO, Rat, fmt_covector
@@ -259,10 +265,12 @@ class IntegerFrame(Record, eq=False):
     `cols` of A and `det` D > 0 satisfy B . A = D * I.  Ray j is
     table.scale * A[:, j] / D, and root k has chamber coordinates
     num[k][j] / D with num[k][j] = int_roots[k] . A[:, j].  The frame holds
-    num by column (`num_cols`); its rows `num` are built on first read.
-    `integral` says whether D divides every entry of num, that is, whether
-    every root has integer coordinates in the basis.  `_frame_at` builds a
-    frame by elimination; `_cross` finds the frame across a wall.
+    num by column (`num_cols`); its rows `num` are built on first read (by a
+    full check, the wall scan, a witness), which a survey of a
+    crystallographic table does only for its seed.  `integral` says whether D
+    divides every entry of num, that is, whether every root has integer
+    coordinates in the basis.  `_frame_at` builds a frame by elimination;
+    `_wall_step` finds the frame across a wall.
     """
 
     table: RootSystemTable
@@ -285,7 +293,7 @@ class IntegerFrame(Record, eq=False):
         return tuple(zip(*self.num_cols))
 
     def coords(self, k: int) -> tuple:
-        return tuple(Rat(n, self.det) for n in self.num[k])
+        return tuple(Rat(col[k], self.det) for col in self.num_cols)
 
 
 def _key_at(table: RootSystemTable, index: tuple) -> tuple:
@@ -323,20 +331,34 @@ def _combine(weights: Sequence[int], vectors: Sequence[tuple]) -> tuple:
     return tuple(acc)
 
 
-def _carry_frame(frame: IntegerFrame, i: int, coeffs: Sequence[int], index: tuple) -> IntegerFrame:
+def _carried_column(columns: tuple, i: int, coeffs: Sequence[int]) -> tuple:
+    """Column i of columns . T for the T of `_carry_frame`:
+    sum_{j != i} coeffs[j] * x_j - x_i."""
+    return _combine(tuple(-1 if j == i else c for j, c in enumerate(coeffs)), columns)
+
+
+def _carry_frame(
+    frame: IntegerFrame, i: int, coeffs: Sequence[int], index: tuple, num_column: tuple | None = None
+) -> IntegerFrame:
     """The frame at `index`, whose integer basis is T . B for the integer T
     with row i = -e_i and row j = e_j + coeffs[j] * e_i (coeffs[i] is unused).
 
     As T^2 = I and det T = -1, the neighbor's A' = A . T with the same D: only
-    column i of A and of num changes, to sum_{j != i} coeffs[j] * x_j - x_i.
-    num' = num . T is integral exactly when num is, so the flag carries over.
+    column i of A and of num changes (`_carried_column`); `num_column` is the
+    new column of num when the caller has built it already.  num' = num . T
+    is integral exactly when num is, so the flag carries over.
     """
-    weights = tuple(-1 if j == i else c for j, c in enumerate(coeffs))
-
-    def across(columns: tuple) -> tuple:
-        return columns[:i] + (_combine(weights, columns),) + columns[i + 1:]
-
-    return IntegerFrame(frame.table, index, across(frame.cols), frame.det, across(frame.num_cols), frame.integral)
+    if num_column is None:
+        num_column = _carried_column(frame.num_cols, i, coeffs)
+    cols, num_cols = frame.cols, frame.num_cols
+    return IntegerFrame(
+        frame.table,
+        index,
+        cols[:i] + (_carried_column(cols, i, coeffs),) + cols[i + 1:],
+        frame.det,
+        num_cols[:i] + (num_column,) + num_cols[i + 1:],
+        frame.integral,
+    )
 
 
 def _frame(table: RootSystemTable, chamber: Chamber) -> IntegerFrame:
@@ -564,14 +586,76 @@ def adjacent_chamber(table: RootSystemTable, chamber: Chamber, i: int) -> Chambe
 
 def _cross(table: RootSystemTable, frame: IntegerFrame, i: int) -> IntegerFrame:
     """The frame of the chamber across wall i, with compatible indexing: the
-    wall scan, the frame step, and the full check of the claimed basis."""
-    across, _ = _frame_across(table, frame, i, _walls_across(table, frame, i))
+    wall step, then the full check of the claimed basis."""
+    _, _, across = _wall_step(table, frame, i)
     _verify_chamber_basis(across)
     return across
 
 
+def _wall_step(table: RootSystemTable, frame: IntegerFrame, i: int, known=()) -> tuple:
+    """The crossing of wall i of a verified frame: (key, index, across) for
+    the neighbor's chamber key and root positions, and its checked frame,
+    or None for `across` when the key is in `known`.
+
+    On an integral frame the root strings (`_string_walls`) guess the
+    neighbor.  A known guessed key is the neighbor: a verified chamber whose
+    basis is -a_i and a_j + m_j * a_i has the facet on wall i in its closure,
+    beyond wall i, and it has one basis element in each plane of a_i and a_j,
+    so its indexing is the compatible one.  A new guessed key is accepted
+    when its new column of num passes the check of a carried column; only
+    then is the frame carried.  Otherwise, and on a frame that is not
+    integral, the wall scan (`_walls_across`) names the neighbor and the
+    frame step (`_frame_across`) builds its frame, which is then checked.
+    """
+    if frame.integral:
+        index, coeffs = _string_walls(table, frame, i)
+        key = _key_at(table, index)
+        if key in known:
+            return key, index, None
+        column = _carried_column(frame.num_cols, i, coeffs)
+        if _column_is_coherent(frame.num_cols, i, column):
+            return key, index, _carry_frame(frame, i, coeffs, index, column)
+    index = _walls_across(table, frame, i)
+    key = _key_at(table, index)
+    if key in known:
+        return key, index, None
+    across, column = _frame_across(table, frame, i, index)
+    _verify_chamber_basis(across, column)
+    return key, index, across
+
+
+def _string_walls(table: RootSystemTable, frame: IntegerFrame, i: int) -> tuple:
+    """(index, coeffs): the neighbor across wall i as the Weyl groupoid's
+    change of object, read from root strings.  Wall i is -a_i; wall j is the
+    last root of the a_i-string a_j, a_j + a_i, a_j + 2*a_i, ... in the table,
+    and coeffs[j] = m_j its step count (-c_ij); coeffs[i] is -2.
+
+    This is the neighbor when the crossing is crystallographic and the
+    table holds the whole string; `_wall_step` checks the guess.
+    """
+    ints, position = table.int_roots, table.int_index
+    alpha = ints[frame.index[i]]
+    index, coeffs = [], []
+    for j, k in enumerate(frame.index):
+        if j == i:
+            index.append(table.negation[k])
+            coeffs.append(-2)
+            continue
+        m, beta = 0, ints[k]
+        while True:
+            beta = tuple(map(add, beta, alpha))
+            longer = position.get(beta)
+            if longer is None:
+                break
+            k, m = longer, m + 1
+        index.append(k)
+        coeffs.append(m)
+    return tuple(index), tuple(coeffs)
+
+
 def _walls_across(table: RootSystemTable, frame: IntegerFrame, i: int) -> tuple:
-    """The root positions of the neighbor's basis across wall i.
+    """The root positions of the neighbor's basis across wall i, by a scan
+    of the frame's rows: the fallback of `_wall_step`.
 
     Index i receives -alpha_i; every other index j receives the unique wall of
     the neighbor inside the plane spanned by alpha_i and alpha_j.
@@ -645,17 +729,22 @@ def _verify_chamber_basis(frame: IntegerFrame, column: int | None = None) -> Non
     A frame carried from a verified one is new in `column` only: a row is
     coherent exactly when that entry does not disagree in sign with the rest.
     """
-    if column is not None:
-        # The sum of the rest of a row has the rest's sign.
-        rest = map(sum, zip(*(col for j, col in enumerate(frame.num_cols) if j != column)))
-        if min(map(mul, frame.num_cols[column], rest), default=0) >= 0:
-            return
+    if column is not None and _column_is_coherent(frame.num_cols, column, frame.num_cols[column]):
+        return
     for k, row in enumerate(frame.num):
         if min(row) < 0 < max(row):
             raise NotSimplicial(
                 f"root {fmt_covector(frame.table.roots[k])} separates the claimed chamber "
                 f"{fmt_covector(_key_at(frame.table, frame.index))}: coords {fmt_covector(frame.coords(k))}"
             )
+
+
+def _column_is_coherent(num_cols: tuple, column: int, new: tuple) -> bool:
+    """Whether every row stays sign-coherent when column `column` of a
+    verified frame's num is replaced by `new`: each new entry agrees in sign
+    with the sum of the row's other entries, which has their sign."""
+    rest = map(sum, zip(*(col for j, col in enumerate(num_cols) if j != column)))
+    return min(map(mul, new, rest), default=0) >= 0
 
 
 def _root_defects(frame: IntegerFrame):
@@ -747,19 +836,20 @@ def chamber_is_true(table: RootSystemTable, chamber: Chamber) -> bool | None:
 def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAtlas:
     """Breadth-first chamber exploration from a seed chamber.
 
-    Frames are kept under chamber keys.  The wall scan (`_walls_across`) gives
-    the neighbor's basis positions and key; a known key only has its indexing
+    Frames are kept under chamber keys.  Each crossing is one wall step
+    (`_wall_step`): on an integral frame the root strings name the
+    neighbor's basis positions and key; otherwise, or when that guess fails
+    its check, the wall scan does.  A known key only has its indexing
     compared (frames on the same positions are equal: A = D * B^-1, and a
-    carry keeps D = |det B|).  A new key gets the frame step (`_frame_across`),
-    its check (in full for the seed, which must be a chamber, and for an
-    eliminated frame; on the new column for a carried one), its Chamber
-    (whose rays and witness are built on first read) and its
-    `chamber_is_true` verdict.  Only chambers not rejected are expanded:
-    inside the cone of an affine table, inside the certified region of a
-    realized truncation (its border is visited but not crossed).  Crossings
-    into non-simplicial frontier regions of bare truncations are recorded as
-    missing edges.  A realized truncation's certified set is its true set; a
-    bare truncation has none.
+    carry keeps D = |det B|).  A new key gets its frame, checked (in full
+    for the seed, which must be a chamber, and for an eliminated frame; on
+    the new column for a carried one), its Chamber (whose rays and witness
+    are built on first read) and its `chamber_is_true` verdict.  Only
+    chambers not rejected are expanded: inside the cone of an affine table,
+    inside the certified region of a realized truncation (its border is
+    visited but not crossed).  Crossings into non-simplicial frontier
+    regions of bare truncations are recorded as missing edges.  A realized
+    truncation's certified set is its true set; a bare truncation has none.
     """
     table.require_reduced()
     spherical = isinstance(table.cone, Spherical)
@@ -784,23 +874,18 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
             if (key, i) in edges or not wall_is_crossable(table, chamber, i):
                 continue
             try:
-                index = _walls_across(table, frame, i)
-                nkey = _key_at(table, index)
-                stored = frames.get(nkey)
-                if stored is None:
-                    across, column = _frame_across(table, frame, i, index)
-                    _verify_chamber_basis(across, column)
+                nkey, index, across = _wall_step(table, frame, i, frames)
             except NotSimplicial:
                 if spherical:
                     raise
                 continue
-            if stored is None:
+            if across is not None:
                 neighbor = _chamber(across, crossing=(frame, i, chamber))
                 chambers[nkey], frames[nkey] = neighbor, across
                 verdict[nkey] = chamber_is_true(table, neighbor)
                 order.append(nkey)
                 queue.append(nkey)
-            elif stored.index != index:
+            elif frames[nkey].index != index:
                 raise NotSimplicial(
                     f"chamber {fmt_covector(nkey)} reached with conflicting compatible indexings"
                 )
@@ -901,9 +986,9 @@ def _survey(table: RootSystemTable, budget: int) -> ChamberAtlas:
 
 
 def _scan_order(frame: IntegerFrame, indices: list) -> list:
-    """Roots smallest first: by l1-size of chamber coordinates, then lexicographically."""
-    num = frame.num
-    return sorted(indices, key=lambda k: (sum(map(abs, num[k])), num[k]))
+    """Roots smallest first: by l1-size of chamber coordinates, then
+    lexicographically; rows of num are read only when there are roots."""
+    return sorted(indices, key=lambda k: (sum(map(abs, frame.num[k])), frame.num[k]))
 
 
 def _report(
@@ -932,10 +1017,13 @@ def _report(
 
 
 def _crystallographic_report(table: RootSystemTable, atlas: ChamberAtlas, max_witnesses: int) -> CheckReport:
-    """The crystallographic check on an atlas already surveyed."""
+    """The crystallographic check on an atlas already surveyed.  The survey
+    verified every chamber's signs, so an integral frame has no defect."""
 
     def witnesses(key, chamber):
         frame = _frame(table, chamber)
+        if frame.integral:
+            return
         kinds = dict(_root_defects(frame))
         for k in _scan_order(frame, list(kinds)):
             root, coords = table.roots[k], frame.coords(k)
@@ -981,7 +1069,8 @@ def _lonely_roots(frame: IntegerFrame) -> list:
     roots: beta - alpha is a positive root for no positive alpha, trying the
     basis elements first."""
     ints, position = frame.table.int_roots, frame.table.int_index
-    positive = [max(row) > 0 for row in frame.num]
+    # A coherent row has the sign of its sum.
+    positive = [s > 0 for s in map(sum, zip(*frame.num_cols))]
     tries = [*frame.index, *(k for k, p in enumerate(positive) if p and k not in frame.index)]
 
     def is_sum(beta: tuple) -> bool:
@@ -1026,8 +1115,8 @@ def extract_cartan_graph(table: RootSystemTable, budget: int = 10_000) -> Extrac
         chambers[key] = chamber
         frame = _frame(table, chamber)
         # A surveyed chamber's roots are sign-coherent, so the first defect,
-        # if any, is one of integrality.
-        defect = next(_root_defects(frame), None)
+        # if any, is one of integrality, which an integral frame has not.
+        defect = None if frame.integral else next(_root_defects(frame), None)
         if defect is not None:
             k, kind = defect
             raise NotCrystallographicAt(

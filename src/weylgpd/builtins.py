@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+from typing import TYPE_CHECKING
 
 from ._rational import ONE, Rat
-from .arrangement import Affine, RootSystemTable, Spherical
 from .cartan import CartanGraph, GeneralizedCartanMatrix
 from .errors import ParseError
 from .exactlin import vec
+
+if TYPE_CHECKING:
+    from .arrangement import RootSystemTable
 
 BUILTIN_GCMS: dict[str, tuple] = {
     "a2": ((2, -1), (-1, 2)),
@@ -51,6 +54,8 @@ def builtin_graph(name: str) -> CartanGraph:
 
 def f4_table() -> RootSystemTable:
     """The 48 rank-4 roots: 24 with two +-1 entries, 8 with one, 16 all-halves."""
+    from .arrangement import RootSystemTable, Spherical
+
     roots = []
     for i, j in itertools.combinations(range(4), 2):
         for si in (1, -1):
@@ -78,6 +83,8 @@ def affine_a1_table(k_max: int = 8, rescaled: bool = False) -> RootSystemTable:
     scale is 1 for the plain family and k+1 for the rescaled one; both share
     the same hyperplanes, but only the plain family is crystallographic.
     """
+    from .arrangement import Affine, RootSystemTable
+
     gamma = (ONE, ONE)
     roots = []
     for k in range(k_max + 1):

@@ -233,7 +233,10 @@ def line_key(alpha: tuple) -> tuple:
 
 def primitive_ray(alpha: Covector) -> IntVec:
     """Orientation-preserving primitive form: the positive multiple of alpha with
-    coprime integer coordinates, as ints."""
+    coprime integer coordinates, as ints.  An int covector (a chamber basis
+    of the graph side) goes straight to `int_primitive`."""
+    if all(type(c) is int for c in alpha):
+        return int_primitive(alpha)
     return int_primitive(clear_denominators(alpha)[0])
 
 

@@ -11,12 +11,12 @@ import json
 from typing import TYPE_CHECKING, Any
 
 from ._rational import fmt_covector
-from .arrangement import Affine, RootSystemTable, Spherical, Truncated
 from .cartan import CartanGraph, GeneralizedCartanMatrix, _integer_entry
 from .errors import InvalidTable, NonSquare, ParseError
 from .exactlin import vdot, vec
 
 if TYPE_CHECKING:
+    from .arrangement import RootSystemTable
     from .realization import Realization
 
 
@@ -40,6 +40,8 @@ def table_to_json(table: RootSystemTable) -> dict:
 
 
 def table_from_json(data: dict) -> RootSystemTable:
+    from .arrangement import Affine, RootSystemTable, Spherical, Truncated
+
     try:
         rank = _integer_entry(data["rank"])
         if rank < 1:
@@ -70,6 +72,8 @@ def table_from_json(data: dict) -> RootSystemTable:
 def _check_seed(table: RootSystemTable) -> None:
     """A table's seed starts its chamber surveys, so it must be a generic point
     of the cone: of the table's rank, on no root hyperplane, gamma positive."""
+    from .arrangement import Affine
+
     seed = table.seed_hint
     if len(seed) != table.rank:
         raise ParseError(f"seed {fmt_covector(seed)} does not have rank {table.rank}")

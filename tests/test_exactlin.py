@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -104,15 +105,20 @@ class TestPrimitiveNormalize:
     @settings(max_examples=300, deadline=None)
     def test_ray_matches_the_fraction_rule(self, coords):
         """primitive_ray gives ints, equal and hash-equal to the former
-        Fraction rule; the zero covector has no primitive ray."""
+        Fraction rule, on a Fraction covector and on its positive multiple
+        with int entries; the zero covector has no primitive ray."""
         alpha = vec(coords)
+        ints = tuple(int(c * math.lcm(*(c.denominator for c in alpha))) for c in alpha)
         if all(c == 0 for c in coords):
-            with pytest.raises(ZeroCovector):
-                primitive_ray(alpha)
+            for zero in (alpha, ints):
+                with pytest.raises(ZeroCovector):
+                    primitive_ray(zero)
             return
-        got, expected = primitive_ray(alpha), reference_primitive_ray(alpha)
-        assert got == expected and hash(got) == hash(expected)
-        assert all(type(c) is int for c in got)
+        expected = reference_primitive_ray(alpha)
+        for covector in (alpha, ints):
+            got = primitive_ray(covector)
+            assert got == expected and hash(got) == hash(expected)
+            assert all(type(c) is int for c in got)
 
     @given(
         st.lists(

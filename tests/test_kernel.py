@@ -29,15 +29,18 @@ from weylgpd.arrangement import (
     _positive_lines,
     _verify_chamber_basis,
     _wall_coefficients,
+    _wall_step,
     _walls_across,
     _witness_across,
     adjacent_chamber,
     cartan_matrix_at,
     chamber_bfs,
     chamber_is_true,
+    check_additive,
     check_crystallographic,
     coords_in_chamber,
     default_seed_chamber,
+    extract_cartan_graph,
     wall_is_crossable,
 )
 from weylgpd.builtins import (
@@ -224,9 +227,12 @@ def counting(calls: dict):
 
 def counted_survey(table: RootSystemTable) -> tuple:
     """chamber_bfs from the default seed, with the calls that it and the seed
-    make to _walls_across, _frame_at, _carry_frame, _witness_across and
-    _frame_rays counted."""
-    calls = dict.fromkeys(["_walls_across", "_frame_at", "_carry_frame", "_witness_across", "_frame_rays"], 0)
+    make to _wall_step, _string_walls, _walls_across, _frame_at,
+    _carry_frame, _witness_across and _frame_rays counted."""
+    calls = dict.fromkeys(
+        ["_wall_step", "_string_walls", "_walls_across", "_frame_at", "_carry_frame", "_witness_across", "_frame_rays"],
+        0,
+    )
     with counting(calls):
         atlas = chamber_bfs(table, default_seed_chamber(table), 10_000)
     return atlas, calls
@@ -242,11 +248,18 @@ DIFFERENTIAL_TABLES = {
     # A bare truncation: a realized table read back without its certified region.
     "b3-bare-truncation": lambda: table_from_json(table_to_json(realize(builtin_graph("b3"), depth=3).table)),
 }
+# A bare truncation that meets frontier regions: at depth 2 the table misses
+# roots of B3, so root strings leave it.  A crossing into a frontier region
+# builds a frame that its check refuses, so the survey builds more frames
+# than it finds chambers.
+FRONTIER_TABLES = {
+    "b3-bare-truncation-2": lambda: table_from_json(table_to_json(realize(builtin_graph("b3"), depth=2).table)),
+}
 
 
 @functools.cache
 def surveyed(name: str) -> tuple:
-    table = DIFFERENTIAL_TABLES[name]()
+    table = {**DIFFERENTIAL_TABLES, **FRONTIER_TABLES}[name]()
     return (table, *counted_survey(table))
 
 
@@ -312,8 +325,8 @@ def discovering_crossing(table: RootSystemTable, atlas, key: tuple) -> tuple:
 def test_survey_builds_each_chambers_fraction_data_once(name):
     """A survey builds no witness point, and rays only where it reads them:
     the affine cone test (`wall_is_crossable`, `chamber_is_true`) does, a
-    spherical or truncated survey does not.  F4 scans the walls of 2,304
-    crossings and builds no rays and no witness.  Reading every chamber's
+    spherical or truncated survey does not.  F4 crosses 2,304 walls by root
+    strings, scans none and builds no rays and no witness.  Reading every chamber's
     rays and witness builds each once; each equals the one built eagerly
     from its frame and from the crossing that found it, and the witness lies
     inside the chamber."""
@@ -323,7 +336,12 @@ def test_survey_builds_each_chambers_fraction_data_once(name):
     assert calls["_frame_rays"] == (len(atlas.order) if affine else 0)
     assert calls["_witness_across"] == 0
     if name == "f4":
-        assert (calls["_walls_across"], calls["_witness_across"], calls["_frame_rays"]) == (2304, 0, 0)
+        assert (calls["_string_walls"], calls["_walls_across"], calls["_witness_across"], calls["_frame_rays"]) == (
+            2304,
+            0,
+            0,
+            0,
+        )
     reads = dict.fromkeys(["_witness_across", "_frame_rays"], 0)
     with counting(reads):
         for _ in range(2):
@@ -366,6 +384,68 @@ def test_wall_scan_matches_the_reference_scan(name):
     for key, i in atlas.edges:
         frame = atlas.chambers[key].frame
         assert _walls_across(table, frame, i) == reference_walls_across(table, frame, i)
+
+
+@pytest.mark.parametrize("name", sorted([*DIFFERENTIAL_TABLES, *FRONTIER_TABLES]))
+def test_wall_step_matches_the_reference_scan(name):
+    """On every directed atlas edge the wall step names the root positions
+    the full scan names, and the key and frame of that basis.  Where the
+    root-string guess is taken and accepted, no wall scan runs and the
+    carried frame is the eliminated one; a survey that never fell back
+    accepts the guess on every edge."""
+    table, atlas, calls = surveyed(name)
+    accepted = 0
+    for key, i in atlas.edges:
+        frame = atlas.chambers[key].frame
+        scans = {"_walls_across": 0}
+        with counting(scans):
+            nkey, index, across = _wall_step(table, frame, i)
+        assert index == reference_walls_across(table, frame, i)
+        assert nkey == _key_at(table, index) and across.index == index
+        if not scans["_walls_across"]:
+            accepted += 1
+            assert frame.integral
+            assert frame_data(across) == frame_data(_frame_at(table, index))
+    if not calls["_walls_across"]:
+        assert accepted == len(atlas.edges)
+    if name == "f4":
+        assert accepted == 4608
+
+
+@pytest.mark.parametrize("name", ["aff-a1", "b3-bare-truncation-2", "aff-a1-rescaled"])
+def test_wall_step_falls_back_to_the_wall_scan(name):
+    """The wall scan runs where the root strings do not name the neighbor:
+    on aff-a1 a string through an imaginary root (a_j + a_i = delta) stops
+    early, and a truncation misses roots.  aff-a1-rescaled has one integral
+    frame, its seed's: the guess is taken on its walls only and accepted on
+    none, so every crossing is scanned and no frame is carried."""
+    table, atlas, calls = surveyed(name)
+    assert calls["_walls_across"] >= 1
+    if name == "aff-a1-rescaled":
+        assert [key for key in atlas.order if atlas.chambers[key].frame.integral] == [atlas.seed_key]
+        assert calls["_string_walls"] == table.rank
+        assert calls["_walls_across"] == calls["_wall_step"]
+        assert calls["_carry_frame"] == 0
+
+
+@pytest.mark.parametrize("check", [check_crystallographic, check_additive, extract_cartan_graph])
+def test_passing_f4_analyses_build_rows_of_num_for_the_seed_only(check):
+    """A passing survey of F4 reads each frame's num by column: only the
+    seed frame, verified in full, builds its rows."""
+    atlases = []
+    survey = arrangement._survey
+
+    def recording(*args):
+        atlases.append(survey(*args))
+        return atlases[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arrangement, "_survey", recording)
+        result = check(f4_table())
+    assert getattr(result, "passed", True)
+    (atlas,) = atlases
+    assert len(atlas.order) == 1152
+    assert [key for key in atlas.order if "num" in vars(atlas.chambers[key].frame)] == [atlas.seed_key]
 
 
 def test_adjacent_chamber_on_affine_a1_matches_the_reference_scan():

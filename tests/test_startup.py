@@ -67,18 +67,39 @@ def test_import_weylgpd_loads_no_submodule():
     assert loaded_after("import weylgpd") == {"weylgpd": [], "dataclasses": False}
 
 
-def test_validate_loads_neither_realization_nor_subarr():
+def loaded_by_cli(*argv: str) -> list:
+    """The `weylgpd` submodules that `python -m weylgpd.cli <argv>` loads; the
+    command must exit 0."""
     code = (
         "import runpy, sys\n"
-        "sys.argv = ['weylgpd', 'validate', 'a2']\n"
+        f"sys.argv = ['weylgpd', *{list(argv)!r}]\n"
         "try:\n"
         "    runpy.run_module('weylgpd.cli', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
     )
-    loaded = loaded_after(code)["weylgpd"]
+    return loaded_after(code)["weylgpd"]
+
+
+def test_validate_loads_neither_realization_nor_subarr():
+    loaded = loaded_by_cli("validate", "a2")
     assert "weylgpd.cartan" in loaded
     assert "weylgpd.realization" not in loaded and "weylgpd.subarr" not in loaded
+
+
+@pytest.mark.parametrize("argv", [("validate", "a2"), ("--depth", "16", "roots", "a2")])
+def test_commands_on_a_graph_leave_the_chamber_geometry_unloaded(argv):
+    """`validate` of a matrix and `roots` run no chamber geometry, so they
+    do not load `arrangement`."""
+    loaded = loaded_by_cli(*argv)
+    assert "weylgpd.builtins" in loaded and "weylgpd.jsonio" in loaded
+    assert "weylgpd.arrangement" not in loaded
+
+
+def test_validate_of_a_table_loads_the_chamber_geometry(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"rank": 1, "roots": [["1"], ["-1"]]}))
+    assert "weylgpd.arrangement" in loaded_by_cli("validate", str(path))
 
 
 def test_no_module_loads_dataclasses():
