@@ -326,22 +326,18 @@ def test_survey_builds_each_chambers_fraction_data_once(name):
     """A survey builds no witness point, and rays only where it reads them:
     the affine cone test (`wall_is_crossable`, `chamber_is_true`) does, a
     spherical or truncated survey does not.  F4 crosses 2,304 walls by root
-    strings, scans none and builds no rays and no witness.  Reading every chamber's
-    rays and witness builds each once; each equals the one built eagerly
-    from its frame and from the crossing that found it, and the witness lies
-    inside the chamber."""
+    strings, scans none and builds no rays and no witness.  Reading every
+    chamber's rays and witness builds each once; each equals the one built
+    eagerly from its frame and from the crossing that found it, and the
+    witness lies inside the chamber."""
     table = DIFFERENTIAL_TABLES[name]()
     atlas, calls = counted_survey(table)
     affine = isinstance(table.cone, Affine)
     assert calls["_frame_rays"] == (len(atlas.order) if affine else 0)
     assert calls["_witness_across"] == 0
     if name == "f4":
-        assert (calls["_string_walls"], calls["_walls_across"], calls["_witness_across"], calls["_frame_rays"]) == (
-            2304,
-            0,
-            0,
-            0,
-        )
+        counts = [calls[n] for n in ("_string_walls", "_walls_across", "_witness_across", "_frame_rays")]
+        assert counts == [2304, 0, 0, 0]
     reads = dict.fromkeys(["_witness_across", "_frame_rays"], 0)
     with counting(reads):
         for _ in range(2):
