@@ -17,33 +17,30 @@ predicates compare those numerators; Fractions are built only for values that
 leave the kernel.
 
 A seed chamber's walls come from its extreme rays, found by double
-description.  A wall crossing is one wall step (`_wall_step`), the kernel
-that `_cross` and `chamber_bfs` share.  Crossing wall i of a crystallographic
-arrangement is the Weyl groupoid's change of object: wall j of the neighbor
-is a_j + m_j * a_i, where m_j = -c_ij is how far the a_i-string through a_j
-runs inside the table, and B' = T . B for an integer involution T, so
-A' = A . T is carried over with one column update.  On a frame whose roots
-all have integer coordinates the step reads the strings from the table's
-integer root index and accepts them when the carried column passes the sign
-check.  Otherwise a wall scan names the neighbor's basis, and a frame step
-that `_wall_coefficients`, the one statement of the crystallographic rule,
-reads carries the frame when every coefficient is an integer; else, and at
-a seed chamber, Bareiss elimination builds A.  Chamber keys and line keys
-are tuples of primitive integer rays.  `chamber_bfs` builds and checks a
-frame once per chamber found; a crossing into a known chamber costs only
-the step that names it.  A frame records whether every root has integer
-coordinates in its basis, and a carried frame inherits that from its
-parent, since T is an integer matrix.  A chamber's Fraction data, its rays
-and witness point, is built when it is first read; a survey that only
-decides on integers builds none.
+description.  A chamber whose roots all have integer coordinates in its
+basis B is an object a of the Weyl groupoid, and the set R^a of those
+coordinate vectors decides what a survey asks of it.  Crossing wall i is
+the change of object: B' = T . B for the integer involution T with rows -e_i
+and e_j + m_j * e_i, m_j = -c_ij the length of the e_i-string through e_j in
+R^a; the neighbor is a chamber exactly when T(R^a) is sign-coherent, and
+its frame A' = A . T is carried with one column update when it is read.
+`chamber_bfs` crosses by these transitions, found once per (object, wall);
+affine cones, frames that are not integral and refused transitions take
+the wall step: a wall scan names the neighbor's basis, and a frame step that
+`_wall_coefficients`, the one statement of the crystallographic rule, reads
+carries the frame when every coefficient is an integer; else, and at a seed
+chamber, Bareiss elimination builds A.  Chamber keys and line keys are
+tuples of primitive integer rays.  A chamber's Fraction data, its rays and
+witness point, is built when it is first read; a survey that only decides
+on integers builds none.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from functools import cached_property
-from operator import add, mul, sub
+from functools import cache, cached_property
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from ._rational import ONE, ZERO, Rat, fmt_covector
@@ -217,7 +214,8 @@ class Chamber:
 
     `Chamber(basis, rays, witness, frame)` holds the values given.  A chamber
     the kernel finds (`_chamber`) builds its rays from its frame, and its
-    witness across the crossing that found it, when they are first read.
+    witness across the crossing that found it, when they are first read; one
+    that an object step finds builds its frame on first read as well.
     """
 
     def __init__(self, basis: tuple, rays: tuple, witness: Vector, frame: IntegerFrame | None = None):
@@ -240,7 +238,16 @@ class Chamber:
 
     @cached_property
     def witness(self) -> Vector:
-        return _witness_across(*self._crossing)
+        frame, i, parent = self._crossing
+        return _witness_across(parent.frame if frame is None else frame, i, parent)
+
+    @cached_property
+    def frame(self) -> IntegerFrame:
+        """An object step's chamber: carried when its parent's frame is built."""
+        frame, i, parent = self._crossing
+        table, index, coeffs = self._step
+        frame = vars(parent).get("frame") if frame is None else frame
+        return _frame_at(table, index) if frame is None else _carry_frame(frame, i, coeffs, index)
 
     @property
     def rank(self) -> int:
@@ -266,11 +273,10 @@ class IntegerFrame(Record, eq=False):
     table.scale * A[:, j] / D, and root k has chamber coordinates
     num[k][j] / D with num[k][j] = int_roots[k] . A[:, j].  The frame holds
     num by column (`num_cols`); its rows `num` are built on first read (by a
-    full check, the wall scan, a witness), which a survey of a
-    crystallographic table does only for its seed.  `integral` says whether D
+    full check, the wall scan, a witness).  `integral` says whether D
     divides every entry of num, that is, whether every root has integer
-    coordinates in the basis.  `_frame_at` builds a frame by elimination;
-    `_wall_step` finds the frame across a wall.
+    coordinates in the basis; num / D is then the object's root set R^a.
+    `_frame_at` builds a frame by elimination, `_carry_frame` across a wall.
     """
 
     table: RootSystemTable
@@ -299,7 +305,7 @@ class IntegerFrame(Record, eq=False):
 def _key_at(table: RootSystemTable, index: tuple) -> tuple:
     """canonical_basis_key of the basis at root positions `index`, read
     through the table's primitive rays."""
-    return tuple(sorted(table.primitive[k] for k in index))
+    return tuple(sorted(map(table.primitive.__getitem__, index)))
 
 
 def _dot(u: tuple, v: tuple) -> int:
@@ -390,6 +396,11 @@ def _chamber(frame: IntegerFrame, witness: Vector | None = None, crossing: tuple
     if witness is not None:
         chamber.__dict__["witness"] = witness
     return chamber
+
+
+def _root_set(frame: IntegerFrame) -> frozenset:
+    """R^a: every root's coordinates in an integral frame's basis."""
+    return frozenset(zip(*(map(frame.det.__rfloordiv__, col) for col in frame.num_cols)))
 
 
 class Gallery(Record):
@@ -576,81 +587,76 @@ def wall_is_crossable(table: RootSystemTable, chamber: Chamber, i: int) -> bool:
 
 
 def adjacent_chamber(table: RootSystemTable, chamber: Chamber, i: int) -> Chamber:
-    """The chamber across wall i, with compatible indexing (see `_cross`)."""
+    """The chamber across wall i, with compatible indexing: the wall step,
+    then the full check of the claimed basis."""
     table.require_reduced()
     if not wall_is_crossable(table, chamber, i):
         raise WallOnBoundary(f"wall {i} of chamber {fmt_covector(chamber.key)} does not meet the cone")
     frame = _frame(table, chamber)
-    return _chamber(_cross(table, frame, i), crossing=(frame, i, chamber))
-
-
-def _cross(table: RootSystemTable, frame: IntegerFrame, i: int) -> IntegerFrame:
-    """The frame of the chamber across wall i, with compatible indexing: the
-    wall step, then the full check of the claimed basis."""
     _, _, across = _wall_step(table, frame, i)
     _verify_chamber_basis(across)
-    return across
+    return _chamber(across, crossing=(frame, i, chamber))
+
+
+def _transition(root_set: frozenset, i: int) -> tuple | None:
+    """The change of object across wall i of the object R^a: (coeffs, T(R^a))
+    for the T of `_carry_frame`, coeffs[j] the number of steps of the
+    e_i-string e_j, e_j + e_i, ... in R^a (-2 at i), or None when T(R^a) is not
+    sign-coherent.  The chamber on T . B then has the facet on wall i in its
+    closure, beyond wall i, and one basis element in each plane of a_i and
+    a_j: it is the neighbor, with the compatible indexing."""
+    rank = len(next(iter(root_set)))
+    coeffs = [-2] * rank
+    for j in range(rank):
+        if j != i:
+            string = [int(t == j) for t in range(rank)]
+            while tuple(string) in root_set:
+                string[i] += 1
+            coeffs[j] = string[i] - 1
+    cols = tuple(zip(*root_set))
+    column = _carried_column(cols, i, coeffs)
+    if not _column_is_coherent(cols, i, column):
+        return None
+    return tuple(coeffs), frozenset(zip(*cols[:i], column, *cols[i + 1:]))
+
+
+def _object_step(table: RootSystemTable, index: tuple, i: int, coeffs: tuple) -> tuple:
+    """(key, index) of the neighbor across wall i of the chamber on root
+    positions `index`, by an accepted transition: wall i is -a_i and wall j
+    is a_j + coeffs[j] * a_i, looked up in the table's integer root index."""
+    ints, position = table.int_roots, table.int_index
+    alpha = ints[index[i]]
+    walls = list(index)
+    walls[i] = table.negation[index[i]]
+    for j, m in enumerate(coeffs):
+        if m > 0:
+            walls[j] = position[tuple([b + m * a for a, b in zip(alpha, ints[index[j]])])]
+    return _key_at(table, tuple(walls)), tuple(walls)
 
 
 def _wall_step(table: RootSystemTable, frame: IntegerFrame, i: int, known=()) -> tuple:
     """The crossing of wall i of a verified frame: (key, index, across) for
-    the neighbor's chamber key and root positions, and its checked frame,
-    or None for `across` when the key is in `known`.
-
-    On an integral frame the root strings (`_string_walls`) guess the
-    neighbor.  A known guessed key is the neighbor: a verified chamber whose
-    basis is -a_i and a_j + m_j * a_i has the facet on wall i in its closure,
-    beyond wall i, and it has one basis element in each plane of a_i and a_j,
-    so its indexing is the compatible one.  A new guessed key is accepted
-    when its new column of num passes the check of a carried column; only
-    then is the frame carried.  Otherwise, and on a frame that is not
-    integral, the wall scan (`_walls_across`) names the neighbor and the
-    frame step (`_frame_across`) builds its frame, which is then checked.
+    the neighbor's chamber key and root positions, and its checked frame, or
+    None for `across` when the key is in `known`.  The wall scan
+    (`_walls_across`) names the neighbor.  A crystallographic crossing
+    (`_wall_coefficients`) has its new column of num checked before the
+    frame is carried, so a refused crossing builds no frame; any other
+    eliminates the frame and checks it in full.
     """
-    if frame.integral:
-        index, coeffs = _string_walls(table, frame, i)
-        key = _key_at(table, index)
-        if key in known:
-            return key, index, None
-        column = _carried_column(frame.num_cols, i, coeffs)
-        if _column_is_coherent(frame.num_cols, i, column):
-            return key, index, _carry_frame(frame, i, coeffs, index, column)
     index = _walls_across(table, frame, i)
     key = _key_at(table, index)
     if key in known:
         return key, index, None
-    across, column = _frame_across(table, frame, i, index)
-    _verify_chamber_basis(across, column)
-    return key, index, across
-
-
-def _string_walls(table: RootSystemTable, frame: IntegerFrame, i: int) -> tuple:
-    """(index, coeffs): the neighbor across wall i as the Weyl groupoid's
-    change of object, read from root strings.  Wall i is -a_i; wall j is the
-    last root of the a_i-string a_j, a_j + a_i, a_j + 2*a_i, ... in the table,
-    and coeffs[j] = m_j its step count (-c_ij); coeffs[i] is -2.
-
-    This is the neighbor when the crossing is crystallographic and the
-    table holds the whole string; `_wall_step` checks the guess.
-    """
-    ints, position = table.int_roots, table.int_index
-    alpha = ints[frame.index[i]]
-    index, coeffs = [], []
-    for j, k in enumerate(frame.index):
-        if j == i:
-            index.append(table.negation[k])
-            coeffs.append(-2)
-            continue
-        m, beta = 0, ints[k]
-        while True:
-            beta = tuple(map(add, beta, alpha))
-            longer = position.get(beta)
-            if longer is None:
-                break
-            k, m = longer, m + 1
-        index.append(k)
-        coeffs.append(m)
-    return tuple(index), tuple(coeffs)
+    coeffs = _wall_coefficients(frame, i, index)
+    if isinstance(coeffs, CoefficientWitness):
+        across = _frame_at(table, index)
+        _verify_chamber_basis(across)
+        return key, index, across
+    cols = frame.num_cols
+    column = _carried_column(cols, i, coeffs)
+    if not _column_is_coherent(cols, i, column):
+        _check_rows(table, index, zip(*cols[:i], column, *cols[i + 1:]), frame.det)
+    return key, index, _carry_frame(frame, i, coeffs, index, column)
 
 
 def _walls_across(table: RootSystemTable, frame: IntegerFrame, i: int) -> tuple:
@@ -681,15 +687,6 @@ def _walls_across(table: RootSystemTable, frame: IntegerFrame, i: int) -> tuple:
     return tuple(walls)
 
 
-def _frame_across(table: RootSystemTable, frame: IntegerFrame, i: int, index: tuple) -> tuple:
-    """(frame at `index`, i), carried across wall i when `_wall_coefficients`
-    reads the crossing as crystallographic, else (eliminated frame, None)."""
-    coeffs = _wall_coefficients(frame, i, index)
-    if isinstance(coeffs, CoefficientWitness):
-        return _frame_at(table, index), None
-    return _carry_frame(frame, i, coeffs, index), i
-
-
 def _witness_across(frame: IntegerFrame, i: int, chamber: Chamber) -> Vector:
     """An interior point of the neighbor across wall i of `chamber`, whose
     frame is `frame`, found exactly.
@@ -718,24 +715,24 @@ def _witness_across(frame: IntegerFrame, i: int, chamber: Chamber) -> Vector:
     )
 
 
-def _verify_chamber_basis(frame: IntegerFrame, column: int | None = None) -> None:
+def _verify_chamber_basis(frame: IntegerFrame) -> None:
     """Every root must have sign-coherent coordinates in the frame's basis.
 
     Together with the basis elements being table roots this pins the claimed
     simplicial cone to an actual chamber of the table's arrangement.  No
     root's coordinates all vanish: its row of num is int_root . A with A
     invertible, and the table has no zero root.
-
-    A frame carried from a verified one is new in `column` only: a row is
-    coherent exactly when that entry does not disagree in sign with the rest.
     """
-    if column is not None and _column_is_coherent(frame.num_cols, column, frame.num_cols[column]):
-        return
-    for k, row in enumerate(frame.num):
+    _check_rows(frame.table, frame.index, frame.num, frame.det)
+
+
+def _check_rows(table: RootSystemTable, index: tuple, rows: Iterable[tuple], det: int) -> None:
+    """NotSimplicial for the first root whose row of num is not coherent."""
+    for k, row in enumerate(rows):
         if min(row) < 0 < max(row):
             raise NotSimplicial(
-                f"root {fmt_covector(frame.table.roots[k])} separates the claimed chamber "
-                f"{fmt_covector(_key_at(frame.table, frame.index))}: coords {fmt_covector(frame.coords(k))}"
+                f"root {fmt_covector(table.roots[k])} separates the claimed chamber "
+                f"{fmt_covector(_key_at(table, index))}: coords {fmt_covector(tuple(Rat(n, det) for n in row))}"
             )
 
 
@@ -815,6 +812,8 @@ class ChamberAtlas(Record, frozen=False):
     # truncation, where nothing is certified and every visited chamber is read.
     checked: set
     budget_exceeded: bool
+    objects: dict  # key -> the chamber's object R^a, for chambers with one (see chamber_bfs)
+    transitions: dict  # (R^a, i) -> (coeffs, R^a') of `_transition`, or None when refused
 
 
 def chamber_is_true(table: RootSystemTable, chamber: Chamber) -> bool | None:
@@ -836,28 +835,38 @@ def chamber_is_true(table: RootSystemTable, chamber: Chamber) -> bool | None:
 def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAtlas:
     """Breadth-first chamber exploration from a seed chamber.
 
-    Frames are kept under chamber keys.  Each crossing is one wall step
-    (`_wall_step`): on an integral frame the root strings name the
-    neighbor's basis positions and key; otherwise, or when that guess fails
-    its check, the wall scan does.  A known key only has its indexing
-    compared (frames on the same positions are equal: A = D * B^-1, and a
-    carry keeps D = |det B|).  A new key gets its frame, checked (in full
-    for the seed, which must be a chamber, and for an eliminated frame; on
-    the new column for a carried one), its Chamber (whose rays and witness
-    are built on first read) and its `chamber_is_true` verdict.  Only
-    chambers not rejected are expanded: inside the cone of an affine table,
-    inside the certified region of a realized truncation (its border is
-    visited but not crossed).  Crossings into non-simplicial frontier
-    regions of bare truncations are recorded as missing edges.  A realized
-    truncation's certified set is its true set; a bare truncation has none.
+    The seed's frame is checked in full.  A chamber on an integral frame of
+    a table that is not affine has an object, its interned root set R^a, and
+    crosses by object steps (`_object_step`) with the transitions of its
+    object, each found once (`_transition`) together with its reverse, as T
+    is an involution; the chamber found builds its frame when it is read.
+    Other crossings, and refused transitions, take the wall step
+    (`_wall_step`).  A known key only has its indexing compared.  Only
+    chambers not rejected by `chamber_is_true` are expanded: inside the cone
+    of an affine table, inside the certified region of a realized truncation
+    (its border is visited but not crossed).  Crossings into non-simplicial
+    frontier regions of bare truncations are recorded as missing edges.  A
+    realized truncation's certified set is its true set; a bare truncation
+    has none.
     """
     table.require_reduced()
-    spherical = isinstance(table.cone, Spherical)
+    spherical, affine = isinstance(table.cone, Spherical), isinstance(table.cone, Affine)
     seed_key = seed.key
+    seed_frame = _frame(table, seed)
+    _verify_chamber_basis(seed_frame)
     chambers = {seed_key: seed}
-    frames = {seed_key: _frame(table, seed)}
-    _verify_chamber_basis(frames[seed_key])
+    indices = {seed_key: seed_frame.index}
     verdict = {seed_key: chamber_is_true(table, seed)}
+    interned: dict = {}
+    objects: dict = {}
+    transitions: dict = {}
+
+    def enter(key: tuple, frame: IntegerFrame) -> None:
+        if frame.integral and not affine:
+            root_set = _root_set(frame)
+            objects[key] = interned.setdefault(root_set, root_set)
+
+    enter(seed_key, seed_frame)
     order = [seed_key]
     edges: dict = {}
     queue = deque([seed_key])
@@ -869,23 +878,47 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
         key = queue.popleft()
         if verdict[key] is False:
             continue
-        chamber, frame = chambers[key], frames[key]
+        chamber, obj = chambers[key], objects.get(key)
         for i in range(table.rank):
-            if (key, i) in edges or not wall_is_crossable(table, chamber, i):
+            if (key, i) in edges or (affine and not wall_is_crossable(table, chamber, i)):
                 continue
-            try:
-                nkey, index, across = _wall_step(table, frame, i, frames)
-            except NotSimplicial:
-                if spherical:
-                    raise
-                continue
-            if across is not None:
-                neighbor = _chamber(across, crossing=(frame, i, chamber))
-                chambers[nkey], frames[nkey] = neighbor, across
+            if obj is not None and (obj, i) not in transitions:
+                step = _transition(obj, i)
+                if step is not None:
+                    coeffs, image = step
+                    step = coeffs, interned.setdefault(image, image)
+                    transitions[(step[1], i)] = coeffs, obj
+                transitions[(obj, i)] = step
+            neighbor = None
+            if obj is not None and transitions[(obj, i)] is not None:
+                coeffs, image = transitions[(obj, i)]
+                nkey, index = _object_step(table, indices[key], i, coeffs)
+                if nkey not in chambers:
+                    neighbor = object.__new__(Chamber)
+                    neighbor.__dict__.update(
+                        basis=tuple(map(table.roots.__getitem__, index)),
+                        _crossing=(seed_frame if key == seed_key else None, i, chamber),
+                        _step=(table, index, coeffs),
+                    )
+                    objects[nkey] = image
+            else:
+                frame = seed_frame if key == seed_key else chamber.frame
+                try:
+                    nkey, index, across = _wall_step(table, frame, i, chambers)
+                except NotSimplicial:
+                    if spherical:
+                        raise
+                    continue
+                if across is not None:
+                    neighbor = _chamber(across, crossing=(frame, i, chamber))
+                    enter(nkey, across)
+            if neighbor is not None:
+                neighbor.__dict__["key"] = nkey
+                chambers[nkey], indices[nkey] = neighbor, index
                 verdict[nkey] = chamber_is_true(table, neighbor)
                 order.append(nkey)
                 queue.append(nkey)
-            elif frames[nkey].index != index:
+            elif indices[nkey] != index:
                 raise NotSimplicial(
                     f"chamber {fmt_covector(nkey)} reached with conflicting compatible indexings"
                 )
@@ -901,7 +934,9 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
         certified, checked = set(true_chambers), set(true_chambers)
     else:
         certified, checked = set(), set(order)
-    return ChamberAtlas(seed_key, chambers, edges, order, true_chambers, certified, checked, budget_exceeded)
+    return ChamberAtlas(
+        seed_key, chambers, edges, order, true_chambers, certified, checked, budget_exceeded, objects, transitions
+    )
 
 
 def interior_point(rays: Sequence) -> Vector:
@@ -1018,9 +1053,12 @@ def _report(
 
 def _crystallographic_report(table: RootSystemTable, atlas: ChamberAtlas, max_witnesses: int) -> CheckReport:
     """The crystallographic check on an atlas already surveyed.  The survey
-    verified every chamber's signs, so an integral frame has no defect."""
+    verified every chamber's signs, so a chamber with an object, or with an
+    integral frame, has no defect."""
 
     def witnesses(key, chamber):
+        if key in atlas.objects:
+            return
         frame = _frame(table, chamber)
         if frame.integral:
             return
@@ -1053,31 +1091,41 @@ class AdditiveWitness(Record):
 
 
 def check_additive(table: RootSystemTable, budget: int = 10_000, max_witnesses: int = 64) -> CheckReport:
-    """Every positive root is a basis element or a sum of two positive roots."""
+    """Every positive root is a basis element or a sum of two positive roots.
+
+    An object is tested once, on R^a; a chamber of an object that fails, or
+    without an object, finds its witnesses through its frame."""
+    atlas = _survey(table, budget)
+    lonely = cache(lambda root_set: _lonely_roots(tuple(root_set), 1))
 
     def witnesses(key, chamber):
+        if key in atlas.objects and not lonely(atlas.objects[key]):
+            return
         frame = _frame(table, chamber)
-        for k in _scan_order(frame, _lonely_roots(frame)):
+        for k in _scan_order(frame, _lonely_roots(frame.num, frame.det)):
             yield AdditiveWitness(key, chamber.basis, table.roots[k], frame.coords(k))
 
-    return _report("additive", table, _survey(table, budget), witnesses, max_witnesses)
+    return _report("additive", table, atlas, witnesses, max_witnesses)
 
 
-def _lonely_roots(frame: IntegerFrame) -> list:
-    """The positive roots of a verified frame (rows of num are sign-coherent
-    and nonzero) that are neither basis elements nor sums of two positive
-    roots: beta - alpha is a positive root for no positive alpha, trying the
-    basis elements first."""
-    ints, position = frame.table.int_roots, frame.table.int_index
-    # A coherent row has the sign of its sum.
-    positive = [s > 0 for s in map(sum, zip(*frame.num_cols))]
-    tries = [*frame.index, *(k for k, p in enumerate(positive) if p and k not in frame.index)]
+def _lonely_roots(vectors: Sequence[tuple], unit: int) -> list:
+    """The positions of the positive roots that are neither basis elements
+    nor sums of two positive roots, from `vectors`, the coordinates of every
+    root in a verified chamber basis times `unit` > 0 (basis element j is
+    unit * e_j): beta - alpha is a positive root for no positive alpha,
+    trying the basis elements first."""
+    position = {v: k for k, v in enumerate(vectors)}
+    rank = len(vectors[0])
+    # A coherent vector has the sign of its sum.
+    positive = [sum(v) > 0 for v in vectors]
+    basis = [position[tuple(unit * (t == j) for t in range(rank))] for j in range(rank)]
+    tries = [*basis, *(k for k, p in enumerate(positive) if p and k not in basis)]
 
     def is_sum(beta: tuple) -> bool:
-        diffs = (position.get(tuple(map(sub, beta, ints[a]))) for a in tries)
+        diffs = (position.get(tuple(map(sub, beta, vectors[a]))) for a in tries)
         return any(m is not None and positive[m] for m in diffs)
 
-    return [k for k in tries[len(frame.index):] if not is_sum(ints[k])]
+    return [k for k in tries[rank:] if not is_sum(vectors[k])]
 
 
 # ---------------------------------------------------------------------------
@@ -1100,19 +1148,27 @@ def extract_cartan_graph(table: RootSystemTable, budget: int = 10_000) -> Extrac
 
     The objects are the atlas's checked chambers: the certified ones (for a
     realized table, the realization's certified region), or every visited
-    chamber of a bare truncation.
+    chamber of a bare truncation.  R^a decides every crossing of a chamber
+    of object R^a, so its matrix is read once per object; a chamber without
+    an object reads its frame.
     """
     atlas = _survey(table, budget)
     checked = atlas.checked
     matrices = {}
     root_sets = {}
     chambers = {}
+    by_object: dict = {}
     for key in atlas.order:
         if key not in checked:
             continue
-        chamber = atlas.chambers[key]
+        chamber = chambers[key] = atlas.chambers[key]
+        root_set = atlas.objects.get(key)
+        if root_set is not None:
+            if root_set not in by_object:
+                by_object[root_set] = _matrix_from_atlas(table, atlas, key)
+            matrices[key], root_sets[key] = by_object[root_set], root_set
+            continue
         matrices[key] = _matrix_from_atlas(table, atlas, key)
-        chambers[key] = chamber
         frame = _frame(table, chamber)
         # A surveyed chamber's roots are sign-coherent, so the first defect,
         # if any, is one of integrality, which an integral frame has not.
@@ -1122,8 +1178,7 @@ def extract_cartan_graph(table: RootSystemTable, budget: int = 10_000) -> Extrac
             raise NotCrystallographicAt(
                 key, IntegralityWitness(key, chamber.basis, table.roots[k], frame.coords(k), kind)
             )
-        # The division is exact: D divides every numerator of an integral frame.
-        root_sets[key] = frozenset(zip(*(map(frame.det.__rfloordiv__, col) for col in frame.num_cols)))
+        root_sets[key] = _root_set(frame)
     edges = {
         (a, i): b
         for (a, i), b in atlas.edges.items()
@@ -1143,17 +1198,25 @@ def extract_cartan_graph(table: RootSystemTable, budget: int = 10_000) -> Extrac
 
 def _matrix_from_atlas(table: RootSystemTable, atlas: ChamberAtlas, key: tuple) -> GeneralizedCartanMatrix:
     """Cartan matrix at a chamber from crossings already discovered by the BFS."""
-    frame = _frame(table, atlas.chambers[key])
-    rows = []
-    for i in range(table.rank):
-        nkey = atlas.edges.get((key, i))
-        if nkey is None:
-            raise BudgetExceeded(f"wall {i} of chamber {fmt_covector(key)} was not crossed", partial=atlas)
-        coeffs = _wall_coefficients(frame, i, _frame(table, atlas.chambers[nkey]).index)
-        if isinstance(coeffs, CoefficientWitness):
-            raise NotCrystallographicAt(key, coeffs)
-        rows.append(tuple(-c for c in coeffs))
-    return GeneralizedCartanMatrix.from_rows(rows)
+    return GeneralizedCartanMatrix.from_rows(
+        [-c for c in _crossing_coefficients(table, atlas, key, i)] for i in range(table.rank)
+    )
+
+
+def _crossing_coefficients(table: RootSystemTable, atlas: ChamberAtlas, key: tuple, i: int) -> tuple:
+    """The coefficients of the atlas's crossing of wall i at chamber `key`:
+    its object's transition, else `_wall_coefficients` on its frame."""
+    nkey = atlas.edges.get((key, i))
+    if nkey is None:
+        raise BudgetExceeded(f"wall {i} of chamber {fmt_covector(key)} was not crossed", partial=atlas)
+    step = atlas.transitions.get((atlas.objects.get(key), i))
+    if step is not None:
+        return step[0]
+    index = tuple(table.index[b] for b in atlas.chambers[nkey].basis)
+    coeffs = _wall_coefficients(_frame(table, atlas.chambers[key]), i, index)
+    if isinstance(coeffs, CoefficientWitness):
+        raise NotCrystallographicAt(key, coeffs)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -156,20 +156,8 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
             text = _DEFECT_TEXT[kind].format(obj=fmt_object(obj), coords=fmt_covector(frame.coords(k)))
             raise AxiomViolation(f"root {fmt_covector(table.roots[k])} {text}")
     gamma = _derive_affine_functional(rank, frames.values())
-    return Realization(
-        graph=graph,
-        base=base,
-        depth=depth,
-        bases=bases,
-        rays=rays,
-        edges=dict(edges),
-        order=order,
-        table=table,
-        complete=closed,
-        certified=certified,
-        canon=canon,
-        gamma=gamma,
-    )
+    # Positional: a record built by keyword pays for matching the names.
+    return Realization(graph, base, depth, bases, rays, dict(edges), order, table, closed, certified, canon, gamma)
 
 
 def _anchor(order: list, certified: frozenset, base: ObjectId) -> ObjectId:

@@ -19,15 +19,14 @@ from .arrangement import (
     Affine,
     Chamber,
     CheckReport,
-    CoefficientWitness,
     RootSystemTable,
     Spherical,
     Truncated,
+    _crossing_coefficients,
     _crystallographic_report,
     _survey,
-    _wall_coefficients,
-    adjacent_chamber,
     cartan_matrix_at,
+    chamber_bfs,
     chamber_from_point,
     check_crystallographic,
     default_seed_chamber,
@@ -36,7 +35,6 @@ from .cartan import CartanGraph, GeneralizedCartanMatrix
 from .errors import (
     BudgetExceeded,
     InvalidTable,
-    NotCrystallographicAt,
     NotReducible,
     OnHyperplane,
     OutsideCone,
@@ -407,8 +405,8 @@ def fan_edge_sequence(table: RootSystemTable) -> tuple[int, ...]:
     """Crossing coefficients read cyclically around a reduced rank-2 fan.
 
     The reading starts at the default seed chamber and crosses walls 0, 1,
-    0, 1, ... once around the fan; entry k is the coefficient c of the k-th
-    crossing, beta_j = c * alpha_i + alpha_j.  Another start or direction
+    0, 1, ... of the fan's chamber survey once around; entry k is the
+    coefficient c of the k-th crossing, beta_j = c * alpha_i + alpha_j.  Another start or direction
     gives a rotation or reversal of the same cycle.
     """
     if table.rank != 2:
@@ -416,17 +414,14 @@ def fan_edge_sequence(table: RootSystemTable) -> tuple[int, ...]:
     if not isinstance(table.cone, Spherical):
         raise Unsupported("fan signatures need a spherical table")
     table.require_reduced()
-    seed = chamber = default_seed_chamber(table)
-    seq = []
+    # A rank-2 fan has one chamber per root.
+    atlas = chamber_bfs(table, default_seed_chamber(table), len(table.roots))
+    key, seq = atlas.seed_key, []
     for step in range(len(table.roots)):
         i = step % 2
-        neighbor = adjacent_chamber(table, chamber, i)
-        coeffs = _wall_coefficients(chamber.frame, i, neighbor.frame.index)
-        if isinstance(coeffs, CoefficientWitness):
-            raise NotCrystallographicAt(chamber.key, coeffs)
-        seq.append(coeffs[1 - i])
-        chamber = neighbor
-        if chamber.key == seed.key:
+        seq.append(_crossing_coefficients(table, atlas, key, i)[1 - i])
+        key = atlas.edges[(key, i)]
+        if key == atlas.seed_key:
             return tuple(seq)
     raise InvalidTable(f"the fan does not close after {len(table.roots)} crossings")
 

@@ -7,8 +7,9 @@ statements of library rules kept as differential references:
 `reference_wall_coefficients` (the wall-crossing rule),
 `reference_extreme_basis` with `reference_kernel_line` (the seed rule),
 `reference_lonely_roots` (the additive rule), `reference_walls_across`
-(the wall scan) and `reference_primitive_ray` (the primitive-ray rule, when
-it still returned Fractions).  `reference_record` builds the dataclass that a
+(the wall scan), `reference_wall_step` (the crossing kernel before objects:
+root strings, else the wall scan) and `reference_primitive_ray` (the
+primitive-ray rule, when it still returned Fractions).  `reference_record` builds the dataclass that a
 record class stands in for.
 """
 
@@ -403,6 +404,60 @@ def reference_walls_across(table, frame, i):
     if missing:
         raise NotSimplicial(f"no wall found in the plane of indices {i},{missing[0]}")
     return tuple(table.negation[frame.index[i]] if j == i else best[j][2] for j in range(r))
+
+
+def reference_wall_step(table, frame, i):
+    """The crossing of wall i of a verified frame as the library stated it
+    before it crossed by objects: (key, index, across) for the neighbor's
+    chamber key, root positions and checked frame.
+
+    On an integral frame wall j is guessed as the last root of the
+    a_i-string a_j, a_j + a_i, ... in the table, with its step count as the
+    coefficient, and the guess is accepted when the carried column passes
+    the sign check.  Otherwise the wall scan names the neighbor, whose frame
+    is carried when the crossing is crystallographic, else eliminated, and
+    then checked.  It reads the library's frames, key rule and checks."""
+    from weylgpd.arrangement import (
+        CoefficientWitness,
+        _carried_column,
+        _carry_frame,
+        _column_is_coherent,
+        _frame_at,
+        _key_at,
+        _verify_chamber_basis,
+        _wall_coefficients,
+        _walls_across,
+    )
+
+    if frame.integral:
+        ints, position = table.int_roots, table.int_index
+        alpha = ints[frame.index[i]]
+        index, coeffs = [], []
+        for j, k in enumerate(frame.index):
+            if j == i:
+                index.append(table.negation[k])
+                coeffs.append(-2)
+                continue
+            m, beta = 0, ints[k]
+            while True:
+                beta = tuple(a + b for a, b in zip(beta, alpha))
+                if beta not in position:
+                    break
+                k, m = position[beta], m + 1
+            index.append(k)
+            coeffs.append(m)
+        index, coeffs = tuple(index), tuple(coeffs)
+        column = _carried_column(frame.num_cols, i, coeffs)
+        if _column_is_coherent(frame.num_cols, i, column):
+            return _key_at(table, index), index, _carry_frame(frame, i, coeffs, index, column)
+    index = _walls_across(table, frame, i)
+    coeffs = _wall_coefficients(frame, i, index)
+    if isinstance(coeffs, CoefficientWitness):
+        across = _frame_at(table, index)
+    else:
+        across = _carry_frame(frame, i, coeffs, index)
+    _verify_chamber_basis(across)
+    return _key_at(table, index), index, across
 
 
 def reference_primitive_ray(alpha):

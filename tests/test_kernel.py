@@ -21,12 +21,16 @@ from weylgpd.arrangement import (
     CoefficientWitness,
     RootSystemTable,
     _carry_frame,
+    _column_is_coherent,
     _extreme_basis,
     _frame_at,
     _frame_rays,
     _key_at,
     _lonely_roots,
+    _object_step,
     _positive_lines,
+    _root_set,
+    _transition,
     _verify_chamber_basis,
     _wall_coefficients,
     _wall_step,
@@ -75,6 +79,7 @@ from _oracles import (
     reference_lonely_roots,
     reference_primitive_ray,
     reference_wall_coefficients,
+    reference_wall_step,
     reference_walls_across,
 )
 
@@ -225,14 +230,22 @@ def counting(calls: dict):
         yield calls
 
 
+SURVEY_CALLS = (
+    "_transition",
+    "_object_step",
+    "_wall_step",
+    "_walls_across",
+    "_frame_at",
+    "_carry_frame",
+    "_witness_across",
+    "_frame_rays",
+)
+
+
 def counted_survey(table: RootSystemTable) -> tuple:
     """chamber_bfs from the default seed, with the calls that it and the seed
-    make to _wall_step, _string_walls, _walls_across, _frame_at,
-    _carry_frame, _witness_across and _frame_rays counted."""
-    calls = dict.fromkeys(
-        ["_wall_step", "_string_walls", "_walls_across", "_frame_at", "_carry_frame", "_witness_across", "_frame_rays"],
-        0,
-    )
+    make to the functions in SURVEY_CALLS counted."""
+    calls = dict.fromkeys(SURVEY_CALLS, 0)
     with counting(calls):
         atlas = chamber_bfs(table, default_seed_chamber(table), 10_000)
     return atlas, calls
@@ -249,9 +262,8 @@ DIFFERENTIAL_TABLES = {
     "b3-bare-truncation": lambda: table_from_json(table_to_json(realize(builtin_graph("b3"), depth=3).table)),
 }
 # A bare truncation that meets frontier regions: at depth 2 the table misses
-# roots of B3, so root strings leave it.  A crossing into a frontier region
-# builds a frame that its check refuses, so the survey builds more frames
-# than it finds chambers.
+# roots of B3, so some transitions are refused, and the wall step then
+# refuses a crossing into a frontier region before it builds a frame.
 FRONTIER_TABLES = {
     "b3-bare-truncation-2": lambda: table_from_json(table_to_json(realize(builtin_graph("b3"), depth=2).table)),
 }
@@ -263,24 +275,59 @@ def surveyed(name: str) -> tuple:
     return (table, *counted_survey(table))
 
 
+def framed_keys(atlas) -> list:
+    """The keys of the atlas's chambers that hold a frame, in BFS order."""
+    return [key for key in atlas.order if "frame" in vars(atlas.chambers[key])]
+
+
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TABLES))
 def test_carried_frames_and_integer_keys_match_the_elimination(name):
-    """Every chamber's frame, carried or eliminated, is the one Bareiss
-    elimination gives for its basis, and its integer key is equal and
-    hash-equal to the Fraction key of its basis, built by the former rule.
-    A frame is built for the seed and for each chamber found, not for each
-    crossing."""
-    table, atlas, calls = surveyed(name)
-    for chamber in atlas.chambers.values():
-        assert frame_data(chamber.frame) == frame_data(_frame_at(table, chamber.frame.index))
+    """Every chamber's frame, carried, eliminated or built on first read, is
+    the one Bareiss elimination gives for its basis, and its integer key is
+    equal and hash-equal to the Fraction key of its basis, built by the
+    former rule.  A survey builds a frame only for a chamber that holds it:
+    the seed, a chamber the wall step finds, and a chamber whose refused
+    transition made it take the wall step; F4 builds the seed's only.
+    Reading every chamber's frame in BFS order carries each of the others
+    once, across the crossing that found it."""
+    table = DIFFERENTIAL_TABLES[name]()
+    atlas, calls = counted_survey(table)
+    framed = framed_keys(atlas)
+    assert calls["_frame_at"] + calls["_carry_frame"] == len(framed)
+    reads = dict.fromkeys(["_frame_at", "_carry_frame"], 0)
+    with counting(reads):
+        frames = [atlas.chambers[key].frame for key in atlas.order]
+    assert reads == {"_frame_at": 0, "_carry_frame": len(atlas.order) - len(framed)}
+    if name == "f4":
+        assert framed == [atlas.seed_key]
+        assert (calls["_frame_at"], calls["_carry_frame"]) == (1, 0)
+    if isinstance(table.cone, Affine):
+        assert len(framed) == len(atlas.order)
+    if name == "aff-a1-rescaled":
+        assert calls["_carry_frame"] == 0
+    for frame, chamber in zip(frames, atlas.chambers.values()):
+        assert frame_data(chamber.frame) == frame_data(_frame_at(table, frame.index))
         fraction_key = tuple(sorted(map(reference_primitive_ray, chamber.basis)))
         assert chamber.key == fraction_key and hash(chamber.key) == hash(fraction_key)
         assert all(type(c) is int for ray in chamber.key for c in ray)
-    assert calls["_frame_at"] + calls["_carry_frame"] == len(atlas.order)
-    if name == "f4":
-        assert (calls["_frame_at"], calls["_carry_frame"]) == (1, 1151)
-    if name == "aff-a1-rescaled":
-        assert calls["_carry_frame"] == 0
+
+
+def test_frontier_crossings_build_no_frame():
+    """On the b3 depth-2 bare truncation the wall step refuses its crossings
+    into frontier regions before it carries or eliminates: the survey builds
+    no frame beyond those its chambers hold, 36 frames for 36 chambers once
+    every frame is read (52 when the refused crossings built theirs)."""
+    table = FRONTIER_TABLES["b3-bare-truncation-2"]()
+    atlas, calls = counted_survey(table)
+    # Every chamber of a bare truncation is expanded, so a wall without an
+    # edge is a refused crossing.
+    assert len(atlas.order) == 36 and table.rank * 36 - len(atlas.edges) == 16
+    framed = framed_keys(atlas)
+    assert calls["_frame_at"] + calls["_carry_frame"] == len(framed)
+    with counting(calls):
+        for key in atlas.order:
+            assert atlas.chambers[key].frame
+    assert calls["_frame_at"] + calls["_carry_frame"] == 36
 
 
 @pytest.mark.parametrize("name", TABLE_NAMES)
@@ -325,8 +372,9 @@ def discovering_crossing(table: RootSystemTable, atlas, key: tuple) -> tuple:
 def test_survey_builds_each_chambers_fraction_data_once(name):
     """A survey builds no witness point, and rays only where it reads them:
     the affine cone test (`wall_is_crossable`, `chamber_is_true`) does, a
-    spherical or truncated survey does not.  F4 crosses 2,304 walls by root
-    strings, scans none and builds no rays and no witness.  Reading every
+    spherical or truncated survey does not.  F4 has one object, computes its
+    4 transitions, crosses 2,304 walls by object steps, scans none and
+    builds no rays and no witness.  Reading every
     chamber's rays and witness builds each once; each equals the one built
     eagerly from its frame and from the crossing that found it, and the
     witness lies inside the chamber."""
@@ -336,8 +384,9 @@ def test_survey_builds_each_chambers_fraction_data_once(name):
     assert calls["_frame_rays"] == (len(atlas.order) if affine else 0)
     assert calls["_witness_across"] == 0
     if name == "f4":
-        counts = [calls[n] for n in ("_string_walls", "_walls_across", "_witness_across", "_frame_rays")]
-        assert counts == [2304, 0, 0, 0]
+        assert len(set(atlas.objects.values())) == 1 and len(atlas.transitions) == 4
+        counts = [calls[n] for n in ("_transition", "_object_step", "_walls_across", "_witness_across", "_frame_rays")]
+        assert counts == [4, 2304, 0, 0, 0]
     reads = dict.fromkeys(["_witness_across", "_frame_rays"], 0)
     with counting(reads):
         for _ in range(2):
@@ -385,49 +434,94 @@ def test_wall_scan_matches_the_reference_scan(name):
 @pytest.mark.parametrize("name", sorted([*DIFFERENTIAL_TABLES, *FRONTIER_TABLES]))
 def test_wall_step_matches_the_reference_scan(name):
     """On every directed atlas edge the wall step names the root positions
-    the full scan names, and the key and frame of that basis.  Where the
-    root-string guess is taken and accepted, no wall scan runs and the
-    carried frame is the eliminated one; a survey that never fell back
-    accepts the guess on every edge."""
-    table, atlas, calls = surveyed(name)
-    accepted = 0
+    the full scan names, and the key and the eliminated frame of that
+    basis, with one scan."""
+    table, atlas, _ = surveyed(name)
     for key, i in atlas.edges:
         frame = atlas.chambers[key].frame
         scans = {"_walls_across": 0}
         with counting(scans):
             nkey, index, across = _wall_step(table, frame, i)
+        assert scans["_walls_across"] == 1
         assert index == reference_walls_across(table, frame, i)
-        assert nkey == _key_at(table, index) and across.index == index
-        if not scans["_walls_across"]:
-            accepted += 1
-            assert frame.integral
-            assert frame_data(across) == frame_data(_frame_at(table, index))
-    if not calls["_walls_across"]:
-        assert accepted == len(atlas.edges)
+        assert nkey == _key_at(table, index) and frame_data(across) == frame_data(_frame_at(table, index))
+
+
+# Distinct objects of the surveys that have other than one: none on affine
+# tables and on tables whose frames are not integral, several on the F4
+# restrictions and on a truncation that misses roots.
+OBJECT_COUNTS = {
+    **{f"f4-restricted-at-{i}": 2 for i in range(4)},
+    "b3-bare-truncation-2": 9,
+    **dict.fromkeys(["aff-a1", "aff-a1-rescaled", "b3-rescaled"], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted([*DIFFERENTIAL_TABLES, *FRONTIER_TABLES]))
+def test_object_step_matches_the_former_wall_step(name):
+    """On every directed atlas edge the crossing the survey made names the
+    root positions and key the former wall step (root strings, else the
+    wall scan) names.  Where the chamber has an object and the transition
+    is accepted, its coefficients are those of the reference rule, its
+    image is the neighbor's object, and the neighbor's frame, built on first
+    read, is the former step's frame and the eliminated one; a refused
+    transition is one the former step could not take either."""
+    table, atlas, calls = surveyed(name)
+    stepped = 0
+    for (key, i), nkey in atlas.edges.items():
+        chamber, neighbor = atlas.chambers[key], atlas.chambers[nkey]
+        ref_key, ref_index, ref_frame = reference_wall_step(table, chamber.frame, i)
+        assert (ref_key, ref_index) == (nkey, neighbor.frame.index)
+        root_set = atlas.objects.get(key)
+        if root_set is None:
+            continue
+        assert root_set == _root_set(chamber.frame)
+        step = _transition(root_set, i)
+        assert step == atlas.transitions.get((root_set, i), step)
+        if step is None:
+            continue
+        stepped += 1
+        coeffs, image = step
+        assert _object_step(table, chamber.frame.index, i, coeffs) == (ref_key, ref_index)
+        assert coeffs == reference_wall_coefficients(table, chamber, neighbor, i)
+        assert image == atlas.objects[nkey] == _root_set(_frame_at(table, ref_index))
+        assert frame_data(neighbor.frame) == frame_data(ref_frame) == frame_data(_frame_at(table, ref_index))
+    objects = len(set(atlas.objects.values()))
+    assert objects == OBJECT_COUNTS.get(name, 1)
+    # An accepted transition is entered with its reverse, once per pair.
+    for (root_set, i), step in atlas.transitions.items():
+        if step is not None:
+            assert atlas.transitions[(step[1], i)] == (step[0], root_set)
+    if name.startswith("f4-restricted"):
+        assert (calls["_transition"], len(atlas.transitions)) == (5, 6)
     if name == "f4":
-        assert accepted == 4608
+        assert stepped == 4608
 
 
 @pytest.mark.parametrize("name", ["aff-a1", "b3-bare-truncation-2", "aff-a1-rescaled"])
 def test_wall_step_falls_back_to_the_wall_scan(name):
-    """The wall scan runs where the root strings do not name the neighbor:
-    on aff-a1 a string through an imaginary root (a_j + a_i = delta) stops
-    early, and a truncation misses roots.  aff-a1-rescaled has one integral
-    frame, its seed's: the guess is taken on its walls only and accepted on
-    none, so every crossing is scanned and no frame is carried."""
+    """The wall scan runs where no transition names the neighbor.  An
+    affine table, whose cone test reads rays, has no objects: each of its
+    crossings is one wall step with one scan (on aff-a1 no root string is
+    tried first, although a_j + a_i = delta is no root).  On a truncation a
+    transition into a frontier region is refused.  aff-a1-rescaled is not
+    crystallographic, so no frame is carried."""
     table, atlas, calls = surveyed(name)
-    assert calls["_walls_across"] >= 1
+    assert calls["_walls_across"] == calls["_wall_step"] >= 1
+    if isinstance(table.cone, Affine):
+        assert not atlas.objects and calls["_transition"] == calls["_object_step"] == 0
+    if name == "aff-a1":
+        assert calls["_wall_step"] == 18
     if name == "aff-a1-rescaled":
-        assert [key for key in atlas.order if atlas.chambers[key].frame.integral] == [atlas.seed_key]
-        assert calls["_string_walls"] == table.rank
-        assert calls["_walls_across"] == calls["_wall_step"]
         assert calls["_carry_frame"] == 0
+    if name == "b3-bare-truncation-2":
+        assert None in atlas.transitions.values()
 
 
 @pytest.mark.parametrize("check", [check_crystallographic, check_additive, extract_cartan_graph])
 def test_passing_f4_analyses_build_rows_of_num_for_the_seed_only(check):
-    """A passing survey of F4 reads each frame's num by column: only the
-    seed frame, verified in full, builds its rows."""
+    """A passing survey of F4 reads its one object, not its frames: only the
+    seed holds a frame, verified in full, with its rows built."""
     atlases = []
     survey = arrangement._survey
 
@@ -441,7 +535,8 @@ def test_passing_f4_analyses_build_rows_of_num_for_the_seed_only(check):
     assert getattr(result, "passed", True)
     (atlas,) = atlases
     assert len(atlas.order) == 1152
-    assert [key for key in atlas.order if "num" in vars(atlas.chambers[key].frame)] == [atlas.seed_key]
+    assert framed_keys(atlas) == [atlas.seed_key]
+    assert "num" in vars(atlas.chambers[atlas.seed_key].frame)
 
 
 def test_adjacent_chamber_on_affine_a1_matches_the_reference_scan():
@@ -667,7 +762,7 @@ def test_lonely_roots_match_the_pair_sum_rule(name):
     for key in atlas.order:
         if key in atlas.checked:
             chamber = atlas.chambers[key]
-            got = _lonely_roots(chamber.frame)
+            got = _lonely_roots(chamber.frame.num, chamber.frame.det)
             assert sorted(got) == sorted(reference_lonely_roots(table, chamber))
             lonely += len(got)
     if name == "affine-a1-5":
@@ -691,9 +786,9 @@ def test_new_column_check_agrees_with_full_verification(name):
         for j in range(table.rank):
             lowered = tuple(c - (t == j != i) for t, c in enumerate(coeffs))
             carried = _carry_frame(frame, i, lowered, index)
-            full = outcome(_verify_chamber_basis, carried)
-            assert outcome(_verify_chamber_basis, carried, i) == full
-            verdicts.append(full is None)
+            full = outcome(_verify_chamber_basis, carried) is None
+            assert _column_is_coherent(frame.num_cols, i, carried.num_cols[i]) == full
+            verdicts.append(full)
     assert any(verdicts) and not all(verdicts)
 
 
@@ -724,21 +819,29 @@ def test_realize_carries_every_frame_but_the_base(monkeypatch, name):
 
 
 def test_chamber_bfs_builds_each_key_once(monkeypatch):
+    """The step that names a chamber builds its key (`_key_at`), once per
+    crossing, and a chamber the survey finds holds the key of the step that
+    found it: only the seed handed in builds its own (`Chamber.key`)."""
     table = realize(builtin_graph("f4"), depth=5).table
     seed = default_seed_chamber(table)
     builds = []
     build = Chamber.__dict__["key"].func
 
-    def counting(chamber):
+    def key_counting(chamber):
         builds.append(chamber)
         return build(chamber)
 
-    key = functools.cached_property(counting)
+    key = functools.cached_property(key_counting)
     key.__set_name__(Chamber, "key")
     monkeypatch.setattr(Chamber, "key", key)
-    atlas = chamber_bfs(table, seed, 10_000)
+    with counting({"_key_at": 0}) as calls:
+        atlas = chamber_bfs(table, seed, 10_000)
     assert len(atlas.order) == 91
-    assert len(builds) == 91
+    assert builds == [seed]
+    assert calls["_key_at"] == 1 + len(atlas.edges) // 2
+    for nkey in atlas.order[1:]:
+        chamber = atlas.chambers[nkey]
+        assert vars(chamber)["key"] == nkey == canonical_basis_key(chamber.basis)
 
 
 def test_zero_root_is_rejected():

@@ -14,8 +14,11 @@ import functools
 
 import pytest
 
+from weylgpd.arrangement import chamber_bfs, default_seed_chamber
 from weylgpd.realization import realize, roundtrip_check
 from weylgpd.subarr import canonical_cycle, identify_rank2, rank2_graph_from_edge_sequence
+
+from _oracles import gauss_solve
 
 SIZES = range(3, 10)
 
@@ -68,3 +71,10 @@ def test_polygon_groupoid_realizes_and_identifies(q):
     report = roundtrip_check(graph, depth=2 * n)
     assert report.equivalent, report.mismatches
     assert identify_rank2(re.table).signature == canonical_cycle(seq)
+    # The survey's objects are the distinct root sets R^a of its chambers,
+    # solved here by Fraction elimination: one for the Weyl groups A2, B2
+    # and G2, several for every other polygon.
+    atlas = chamber_bfs(re.table, default_seed_chamber(re.table), 10_000)
+    root_sets = {frozenset(gauss_solve(c.basis, r) for r in re.table.roots) for c in atlas.chambers.values()}
+    assert set(atlas.objects.values()) == root_sets
+    assert (len(root_sets) == 1) == ("".join(map(str, q)) in {"111", "2121", "313131"})
