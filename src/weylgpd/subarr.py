@@ -405,8 +405,8 @@ def fan_edge_sequence(table: RootSystemTable) -> tuple[int, ...]:
     """Crossing coefficients read cyclically around a reduced rank-2 fan.
 
     The reading starts at the default seed chamber and crosses walls 0, 1,
-    0, 1, ... of the fan's chamber survey once around; entry k is the
-    coefficient c of the k-th crossing, beta_j = c * alpha_i + alpha_j.  Another start or direction
+    0, 1, ... once around the fan; entry k is the coefficient c of the k-th
+    crossing, beta_j = c * alpha_i + alpha_j.  Another start or direction
     gives a rotation or reversal of the same cycle.
     """
     if table.rank != 2:
