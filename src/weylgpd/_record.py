@@ -14,11 +14,10 @@ class Record:
     """Base of the library's records.
 
     A subclass declares its fields as class annotations, in constructor
-    order, with optional class-attribute defaults.  Class keywords:
-    `frozen=False` makes instances assignable and unhashable; `eq=False`
-    keeps identity equality and hash.  A frozen record with equality hashes
-    as the tuple of its fields, as a frozen dataclass does, so sets and
-    dicts of records iterate in the same order.  A hot record may define its
+    order, with optional class-attribute defaults.  Every record is frozen.
+    The class keyword `eq=False` keeps identity equality and hash; a record
+    with equality hashes as the tuple of its fields, as a frozen dataclass
+    does, so sets and dicts of records iterate in the same order.  A hot record may define its
     own field-by-field `__init__`.  Fields are set with `object.__setattr__`,
     as a dataclass sets them: writing `self.__dict__` instead would give each
     instance its own dict, larger and slower to read than the shared-key
@@ -28,18 +27,13 @@ class Record:
     _fields: tuple = ()
     _defaults: dict = {}
 
-    def __init_subclass__(cls, frozen: bool = True, eq: bool = True, **kwargs):
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
         if not eq:
             cls.__eq__ = object.__eq__
             cls.__hash__ = object.__hash__
-        elif not frozen:
-            cls.__hash__ = None
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._fields):

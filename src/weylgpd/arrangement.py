@@ -23,16 +23,19 @@ coordinate vectors decides what a survey asks of it.  Crossing wall i is
 the change of object: B' = T . B for the integer involution T with rows -e_i
 and e_j + m_j * e_i, m_j = -c_ij the length of the e_i-string through e_j in
 R^a; the neighbor is a chamber exactly when T(R^a) is sign-coherent, and
-its frame A' = A . T is carried with one column update when it is read.
-`chamber_bfs` crosses by these transitions, found once per (object, wall);
-affine cones, frames that are not integral and refused transitions take
-the wall step: a wall scan names the neighbor's basis, and a frame step that
-`_wall_coefficients`, the one statement of the crystallographic rule, reads
-carries the frame when every coefficient is an integer; else, and at a seed
-chamber, Bareiss elimination builds A.  Chamber keys and line keys are
-tuples of primitive integer rays.  A chamber's Fraction data, its rays and
-witness point, is built when it is first read; a survey that only decides
-on integers builds none.
+its frame is A' = A . T.  `chamber_bfs` crosses by these transitions,
+found once per (object, wall); affine cones, frames that are not integral
+and refused transitions take the wall step: a wall scan names the
+neighbor's basis, and `_wall_coefficients`, the one statement of the
+crystallographic rule, gives T when every coefficient is an integer, else
+the step eliminates the neighbor's frame.  Either way the neighbor is built
+by `_chamber`, the one constructor of found chambers, and `Chamber.frame`
+builds its frame when it is read: carried with one column update from its
+parent's frame when that is built, else by Bareiss elimination.  A seed
+holds its frame from the start.  Chamber keys and line keys are tuples of
+primitive integer rays.  A chamber's Fraction data, its rays and witness
+point, is built when it is first read; `chamber_bfs` builds none, as the affine
+cone test reads the sign of gamma at the columns of A.
 """
 
 from __future__ import annotations
@@ -213,9 +216,8 @@ class Chamber:
     equal and hash-equal to another exactly when (basis, rays, witness) are.
 
     `Chamber(basis, rays, witness, frame)` holds the values given.  A chamber
-    the kernel finds (`_chamber`) builds its rays from its frame, and its
-    witness across the crossing that found it, when they are first read; one
-    that an object step finds builds its frame on first read as well.
+    the kernel finds (`_chamber`) holds its table and root positions, and
+    builds its frame, rays and witness when they are first read.
     """
 
     def __init__(self, basis: tuple, rays: tuple, witness: Vector, frame: IntegerFrame | None = None):
@@ -238,16 +240,17 @@ class Chamber:
 
     @cached_property
     def witness(self) -> Vector:
-        frame, i, parent = self._crossing
-        return _witness_across(parent.frame if frame is None else frame, i, parent)
+        _, i, parent = self._crossing
+        return _witness_across(parent.frame, i, parent)
 
     @cached_property
     def frame(self) -> IntegerFrame:
-        """An object step's chamber: carried when its parent's frame is built."""
-        frame, i, parent = self._crossing
-        table, index, coeffs = self._step
-        frame = vars(parent).get("frame") if frame is None else frame
-        return _frame_at(table, index) if frame is None else _carry_frame(frame, i, coeffs, index)
+        """The one place a found chamber's frame is built: carried across the
+        crossing that found it when its parent's frame is built, else
+        eliminated."""
+        coeffs, i, parent = self._crossing
+        frame = vars(parent).get("frame")
+        return _frame_at(self._table, self._index) if frame is None else _carry_frame(frame, i, coeffs, self._index)
 
     @property
     def rank(self) -> int:
@@ -343,26 +346,21 @@ def _carried_column(columns: tuple, i: int, coeffs: Sequence[int]) -> tuple:
     return _combine(tuple(-1 if j == i else c for j, c in enumerate(coeffs)), columns)
 
 
-def _carry_frame(
-    frame: IntegerFrame, i: int, coeffs: Sequence[int], index: tuple, num_column: tuple | None = None
-) -> IntegerFrame:
+def _carry_frame(frame: IntegerFrame, i: int, coeffs: Sequence[int], index: tuple) -> IntegerFrame:
     """The frame at `index`, whose integer basis is T . B for the integer T
     with row i = -e_i and row j = e_j + coeffs[j] * e_i (coeffs[i] is unused).
 
     As T^2 = I and det T = -1, the neighbor's A' = A . T with the same D: only
-    column i of A and of num changes (`_carried_column`); `num_column` is the
-    new column of num when the caller has built it already.  num' = num . T
-    is integral exactly when num is, so the flag carries over.
+    column i of A and of num changes (`_carried_column`).  num' = num . T is
+    integral exactly when num is, so the flag carries over.
     """
-    if num_column is None:
-        num_column = _carried_column(frame.num_cols, i, coeffs)
     cols, num_cols = frame.cols, frame.num_cols
     return IntegerFrame(
         frame.table,
         index,
         cols[:i] + (_carried_column(cols, i, coeffs),) + cols[i + 1:],
         frame.det,
-        num_cols[:i] + (num_column,) + num_cols[i + 1:],
+        num_cols[:i] + (_carried_column(num_cols, i, coeffs),) + num_cols[i + 1:],
         frame.integral,
     )
 
@@ -385,14 +383,28 @@ def _frame_rays(frame: IntegerFrame) -> tuple:
     return tuple(tuple(Rat(scale * a, det) for a in col) for col in frame.cols)
 
 
-def _chamber(frame: IntegerFrame, witness: Vector | None = None, crossing: tuple | None = None) -> Chamber:
-    """The chamber on the frame's table roots, with its integer data.  It
-    builds its rays from the frame when they are first read.  Its witness is
-    `witness`, or else `_witness_across(*crossing)`, built on first read:
-    `crossing` is (frame, wall, chamber) of the crossing that found it."""
+def _held(table: RootSystemTable, chamber: Chamber) -> Chamber:
+    """The chamber as the kernel holds it in `table`: itself when `_chamber`
+    built it for `table`, else rebuilt once on `_frame(table, chamber)`
+    with its own witness."""
+    if vars(chamber).get("_table") is table:
+        return chamber
+    frame = _frame(table, chamber)
+    return _chamber(table, frame.index, frame, chamber.witness)
+
+
+def _chamber(table: RootSystemTable, index: tuple, frame=None, witness=None, crossing=None) -> Chamber:
+    """The chamber on the table's roots at positions `index`: the one
+    constructor of the chambers the kernel finds.  It holds `frame` and
+    `witness` when they are given; else `Chamber.frame` builds the frame,
+    and `_witness_across` the witness, on first read, across `crossing`,
+    (coeffs, wall, parent) of the crossing that found it.  Its rays are
+    built from its frame on first read."""
     chamber = object.__new__(Chamber)
-    roots = frame.table.roots
-    chamber.__dict__.update(basis=tuple(roots[k] for k in frame.index), frame=frame, _crossing=crossing)
+    basis = tuple(map(table.roots.__getitem__, index))
+    chamber.__dict__.update(basis=basis, _table=table, _index=index, _crossing=crossing)
+    if frame is not None:
+        chamber.__dict__["frame"] = frame
     if witness is not None:
         chamber.__dict__["witness"] = witness
     return chamber
@@ -478,7 +490,8 @@ def chamber_from_point(table: RootSystemTable, x) -> Chamber:
     if isinstance(table.cone, Affine) and sign_at(table.cone.gamma, x) <= 0:
         raise OutsideCone(f"gamma({fmt_covector(x)}) <= 0")
     positives = _positive_lines(table, x)  # raises OnHyperplane when not generic
-    return _chamber(_frame_at(table, _extreme_basis(table, positives)), x)
+    index = _extreme_basis(table, positives)
+    return _chamber(table, index, _frame_at(table, index), x)
 
 
 def walls_and_root_basis(table: RootSystemTable, x) -> tuple:
@@ -573,29 +586,33 @@ def _extreme_basis(table: RootSystemTable, positives: Sequence[tuple]) -> tuple:
     return tuple(basis)
 
 
-def _rays_in_cone(gamma: Covector, chamber: Chamber) -> list:
-    """For each ray of the chamber, whether it lies inside the open cone gamma > 0."""
-    return [vdot(gamma, ray) > 0 for ray in chamber.rays]
+def _rays_in_cone(table: RootSystemTable, chamber: Chamber) -> list:
+    """For each ray of the chamber, whether it lies inside the open cone
+    gamma > 0: the sign of the integer gamma at the frame's adjugate columns,
+    which are positive multiples of the rays."""
+    gamma, _ = clear_denominators(table.cone.gamma)
+    return [_dot(gamma, col) > 0 for col in _frame(table, chamber).cols]
 
 
 def wall_is_crossable(table: RootSystemTable, chamber: Chamber, i: int) -> bool:
     """Whether the facet on wall i meets the open cone."""
     if not isinstance(table.cone, Affine):
         return True
-    inside = _rays_in_cone(table.cone.gamma, chamber)
+    inside = _rays_in_cone(table, chamber)
     return any(inside[:i] + inside[i + 1:])
 
 
 def adjacent_chamber(table: RootSystemTable, chamber: Chamber, i: int) -> Chamber:
     """The chamber across wall i, with compatible indexing: the wall step,
-    then the full check of the claimed basis."""
+    then the full check of the neighbor's frame."""
     table.require_reduced()
     if not wall_is_crossable(table, chamber, i):
         raise WallOnBoundary(f"wall {i} of chamber {fmt_covector(chamber.key)} does not meet the cone")
-    frame = _frame(table, chamber)
-    _, _, across = _wall_step(table, frame, i)
-    _verify_chamber_basis(across)
-    return _chamber(across, crossing=(frame, i, chamber))
+    parent = _held(table, chamber)
+    _, index, coeffs, frame = _wall_step(table, parent.frame, i)
+    neighbor = _chamber(table, index, frame, crossing=(coeffs, i, parent))
+    _verify_chamber_basis(neighbor.frame)
+    return neighbor
 
 
 def _transition(root_set: frozenset, i: int) -> tuple | None:
@@ -635,28 +652,27 @@ def _object_step(table: RootSystemTable, index: tuple, i: int, coeffs: tuple) ->
 
 
 def _wall_step(table: RootSystemTable, frame: IntegerFrame, i: int, known=()) -> tuple:
-    """The crossing of wall i of a verified frame: (key, index, across) for
-    the neighbor's chamber key and root positions, and its checked frame, or
-    None for `across` when the key is in `known`.  The wall scan
-    (`_walls_across`) names the neighbor.  A crystallographic crossing
-    (`_wall_coefficients`) has its new column of num checked before the
-    frame is carried, so a refused crossing builds no frame; any other
-    eliminates the frame and checks it in full.
-    """
+    """The crossing of wall i of a verified frame: (key, index, coeffs,
+    across) for the neighbor's chamber key and root positions, and its
+    coefficients (`_wall_coefficients`) or else its eliminated frame; both
+    are None when the key is in `known`.  The wall scan (`_walls_across`)
+    names the neighbor.  A crystallographic crossing has its new column of
+    num checked, so a refused crossing builds no frame; any other is
+    eliminated and checked in full."""
     index = _walls_across(table, frame, i)
     key = _key_at(table, index)
     if key in known:
-        return key, index, None
+        return key, index, None, None
     coeffs = _wall_coefficients(frame, i, index)
     if isinstance(coeffs, CoefficientWitness):
         across = _frame_at(table, index)
         _verify_chamber_basis(across)
-        return key, index, across
+        return key, index, None, across
     cols = frame.num_cols
     column = _carried_column(cols, i, coeffs)
     if not _column_is_coherent(cols, i, column):
         _check_rows(table, index, zip(*cols[:i], column, *cols[i + 1:]), frame.det)
-    return key, index, _carry_frame(frame, i, coeffs, index, column)
+    return key, index, coeffs, None
 
 
 def _walls_across(table: RootSystemTable, frame: IntegerFrame, i: int) -> tuple:
@@ -801,7 +817,7 @@ def cartan_matrix_at(table: RootSystemTable, chamber: Chamber) -> ChamberCartanD
 # Chamber BFS with certification
 
 
-class ChamberAtlas(Record, frozen=False):
+class ChamberAtlas(Record):
     seed_key: tuple
     chambers: dict  # key -> Chamber
     edges: dict  # (key, i) -> key
@@ -828,45 +844,39 @@ def chamber_is_true(table: RootSystemTable, chamber: Chamber) -> bool | None:
     if table.certified_keys is not None:
         return chamber.key in table.certified_keys
     if isinstance(table.cone, Affine):
-        return all(_rays_in_cone(table.cone.gamma, chamber))
+        return all(_rays_in_cone(table, chamber))
     return None
 
 
 def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAtlas:
     """Breadth-first chamber exploration from a seed chamber.
 
-    The seed's frame is checked in full.  A chamber on an integral frame of
-    a table that is not affine has an object, its interned root set R^a, and
+    The seed is held like any chamber (`_held`), and its frame is checked
+    in full.  A chamber on an integral frame of a table that is not affine
+    has an object, its interned root set R^a: the image of the transition
+    that found it, else read from its frame when it is expanded.  It
     crosses by object steps (`_object_step`) with the transitions of its
     object, each found once (`_transition`) together with its reverse, as T
-    is an involution; the chamber found builds its frame when it is read.
-    Other crossings, and refused transitions, take the wall step
-    (`_wall_step`).  A known key only has its indexing compared.  Only
-    chambers not rejected by `chamber_is_true` are expanded: inside the cone
-    of an affine table, inside the certified region of a realized truncation
-    (its border is visited but not crossed).  Crossings into non-simplicial
-    frontier regions of bare truncations are recorded as missing edges.  A
-    realized truncation's certified set is its true set; a bare truncation
-    has none.
+    is an involution.  Other crossings, and refused transitions, take the
+    wall step (`_wall_step`).  Every chamber found is built by `_chamber`
+    and builds its frame when it is read.  A known key only has its
+    indexing compared.  Only chambers not rejected by `chamber_is_true` are
+    expanded: inside the cone of an affine table, inside the certified
+    region of a realized truncation (its border is visited but not
+    crossed).  Crossings into non-simplicial frontier regions of bare
+    truncations are recorded as missing edges.  A realized truncation's
+    certified set is its true set; a bare truncation has none.
     """
     table.require_reduced()
     spherical, affine = isinstance(table.cone, Spherical), isinstance(table.cone, Affine)
+    seed = _held(table, seed)
+    _verify_chamber_basis(seed.frame)
     seed_key = seed.key
-    seed_frame = _frame(table, seed)
-    _verify_chamber_basis(seed_frame)
     chambers = {seed_key: seed}
-    indices = {seed_key: seed_frame.index}
     verdict = {seed_key: chamber_is_true(table, seed)}
     interned: dict = {}
     objects: dict = {}
     transitions: dict = {}
-
-    def enter(key: tuple, frame: IntegerFrame) -> None:
-        if frame.integral and not affine:
-            root_set = _root_set(frame)
-            objects[key] = interned.setdefault(root_set, root_set)
-
-    enter(seed_key, seed_frame)
     order = [seed_key]
     edges: dict = {}
     queue = deque([seed_key])
@@ -879,6 +889,9 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
         if verdict[key] is False:
             continue
         chamber, obj = chambers[key], objects.get(key)
+        if obj is None and not affine and chamber.frame.integral:
+            root_set = _root_set(chamber.frame)
+            obj = objects[key] = interned.setdefault(root_set, root_set)
         for i in range(table.rank):
             if (key, i) in edges or (affine and not wall_is_crossable(table, chamber, i)):
                 continue
@@ -889,36 +902,28 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
                     step = coeffs, interned.setdefault(image, image)
                     transitions[(step[1], i)] = coeffs, obj
                 transitions[(obj, i)] = step
-            neighbor = None
-            if obj is not None and transitions[(obj, i)] is not None:
-                coeffs, image = transitions[(obj, i)]
-                nkey, index = _object_step(table, indices[key], i, coeffs)
-                if nkey not in chambers:
-                    neighbor = object.__new__(Chamber)
-                    neighbor.__dict__.update(
-                        basis=tuple(map(table.roots.__getitem__, index)),
-                        _crossing=(seed_frame if key == seed_key else None, i, chamber),
-                        _step=(table, index, coeffs),
-                    )
-                    objects[nkey] = image
+            step = transitions.get((obj, i))
+            if step is not None:
+                coeffs, image = step
+                nkey, index = _object_step(table, chamber._index, i, coeffs)
+                frame = None
             else:
-                frame = seed_frame if key == seed_key else chamber.frame
                 try:
-                    nkey, index, across = _wall_step(table, frame, i, chambers)
+                    nkey, index, coeffs, frame = _wall_step(table, chamber.frame, i, chambers)
                 except NotSimplicial:
                     if spherical:
                         raise
                     continue
-                if across is not None:
-                    neighbor = _chamber(across, crossing=(frame, i, chamber))
-                    enter(nkey, across)
-            if neighbor is not None:
+            known = chambers.get(nkey)
+            if known is None:
+                neighbor = chambers[nkey] = _chamber(table, index, frame, crossing=(coeffs, i, chamber))
                 neighbor.__dict__["key"] = nkey
-                chambers[nkey], indices[nkey] = neighbor, index
+                if step is not None:
+                    objects[nkey] = image
                 verdict[nkey] = chamber_is_true(table, neighbor)
                 order.append(nkey)
                 queue.append(nkey)
-            elif indices[nkey] != index:
+            elif known._index != index:
                 raise NotSimplicial(
                     f"chamber {fmt_covector(nkey)} reached with conflicting compatible indexings"
                 )
@@ -926,9 +931,12 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
             edges[(nkey, i)] = key
     true_chambers = {key for key in order if verdict[key]}
     if not isinstance(table.cone, Truncated):
-        certified = {
-            key for key in true_chambers if all(edges.get((key, i)) in true_chambers for i in range(table.rank))
-        }
+        if len(true_chambers) == len(order) and len(edges) == table.rank * len(order):
+            certified = set(order)
+        else:
+            certified = {
+                key for key in true_chambers if all(edges.get((key, i)) in true_chambers for i in range(table.rank))
+            }
         checked = set(certified)
     elif table.certified_keys is not None:
         certified, checked = set(true_chambers), set(true_chambers)
@@ -1059,7 +1067,7 @@ def _crystallographic_report(table: RootSystemTable, atlas: ChamberAtlas, max_wi
     def witnesses(key, chamber):
         if key in atlas.objects:
             return
-        frame = _frame(table, chamber)
+        frame = chamber.frame
         if frame.integral:
             return
         kinds = dict(_root_defects(frame))
@@ -1101,7 +1109,7 @@ def check_additive(table: RootSystemTable, budget: int = 10_000, max_witnesses: 
     def witnesses(key, chamber):
         if key in atlas.objects and not lonely(atlas.objects[key]):
             return
-        frame = _frame(table, chamber)
+        frame = chamber.frame
         for k in _scan_order(frame, _lonely_roots(frame.num, frame.det)):
             yield AdditiveWitness(key, chamber.basis, table.roots[k], frame.coords(k))
 
@@ -1132,7 +1140,7 @@ def _lonely_roots(vectors: Sequence[tuple], unit: int) -> list:
 # Cartan-graph extraction
 
 
-class ExtractionResult(Record, frozen=False):
+class ExtractionResult(Record):
     graph: CartanGraph
     root_sets: dict  # chamber key -> frozenset of integer coordinate vectors
     chambers: dict  # chamber key -> Chamber
@@ -1169,7 +1177,7 @@ def extract_cartan_graph(table: RootSystemTable, budget: int = 10_000) -> Extrac
             matrices[key], root_sets[key] = by_object[root_set], root_set
             continue
         matrices[key] = _matrix_from_atlas(table, atlas, key)
-        frame = _frame(table, chamber)
+        frame = chamber.frame
         # A surveyed chamber's roots are sign-coherent, so the first defect,
         # if any, is one of integrality, which an integral frame has not.
         defect = None if frame.integral else next(_root_defects(frame), None)
@@ -1199,21 +1207,21 @@ def extract_cartan_graph(table: RootSystemTable, budget: int = 10_000) -> Extrac
 def _matrix_from_atlas(table: RootSystemTable, atlas: ChamberAtlas, key: tuple) -> GeneralizedCartanMatrix:
     """Cartan matrix at a chamber from crossings already discovered by the BFS."""
     return GeneralizedCartanMatrix.from_rows(
-        [-c for c in _crossing_coefficients(table, atlas, key, i)] for i in range(table.rank)
+        [-c for c in _crossing_coefficients(atlas, key, i)] for i in range(table.rank)
     )
 
 
-def _crossing_coefficients(table: RootSystemTable, atlas: ChamberAtlas, key: tuple, i: int) -> tuple:
+def _crossing_coefficients(atlas: ChamberAtlas, key: tuple, i: int) -> tuple:
     """The coefficients of the atlas's crossing of wall i at chamber `key`:
-    its object's transition, else `_wall_coefficients` on its frame."""
+    its object's transition, else `_wall_coefficients` on its frame and the
+    neighbor's root positions."""
     nkey = atlas.edges.get((key, i))
     if nkey is None:
         raise BudgetExceeded(f"wall {i} of chamber {fmt_covector(key)} was not crossed", partial=atlas)
     step = atlas.transitions.get((atlas.objects.get(key), i))
     if step is not None:
         return step[0]
-    index = tuple(table.index[b] for b in atlas.chambers[nkey].basis)
-    coeffs = _wall_coefficients(_frame(table, atlas.chambers[key]), i, index)
+    coeffs = _wall_coefficients(atlas.chambers[key].frame, i, atlas.chambers[nkey]._index)
     if isinstance(coeffs, CoefficientWitness):
         raise NotCrystallographicAt(key, coeffs)
     return coeffs
@@ -1296,7 +1304,7 @@ def check_k_spherical(table: RootSystemTable, k: int, budget: int = 10_000) -> C
     for key in atlas.order:
         if key not in atlas.true_chambers:
             continue
-        inside = _rays_in_cone(table.cone.gamma, atlas.chambers[key])
+        inside = _rays_in_cone(table, atlas.chambers[key])
         for face in itertools.combinations(range(table.rank), k):
             if not any(v for j, v in enumerate(inside) if j not in face):
                 witnesses.append(KSphericalWitness(key, face))

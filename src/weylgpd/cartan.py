@@ -214,16 +214,28 @@ class CartanGraph:
         base: ObjectId,
         truncated: bool = False,
     ) -> "CartanGraph":
-        objs = tuple(matrices.keys())
+        """The finite graph of `matrices` and `edges`, checked for (C1)
+        rho_i^2 = id and (C2) row-i agreement on every present edge, object
+        by object in `matrices` order and wall by wall."""
         rank = matrices[base].rank
         edge_map = dict(edges)
+        for a, Ca in matrices.items():
+            for i in range(rank):
+                b = edge_map.get((a, i))
+                if b is None:
+                    continue
+                back = edge_map.get((b, i))
+                if back != a:
+                    raise NotSimplyConnected(f"(C1) fails: rho_{i}^2({fmt_object(a)}) = {fmt_object(back)}")
+                if Ca.rows[i] != matrices[b].rows[i]:
+                    raise InvalidCartanMatrix(
+                        [GcmViolation("C2", (i, 0), f"row {i} differs across edge {fmt_object(a)} -- {fmt_object(b)}")]
+                    )
 
         def rho(i, obj):
             return edge_map.get((obj, i))
 
-        graph = cls(rank, base, lambda o: matrices[o], rho, objects=objs, truncated=truncated)
-        graph.check_local_axioms()
-        return graph
+        return cls(rank, base, matrices.__getitem__, rho, objects=tuple(matrices), truncated=truncated)
 
     @classmethod
     def standard(cls, gcm: GeneralizedCartanMatrix) -> "CartanGraph":
@@ -247,26 +259,6 @@ class CartanGraph:
             return key
 
         return cls(rank, base, lambda _: gcm, rho, objects=None)
-
-    # -- axiom checks ------------------------------------------------------
-
-    def check_local_axioms(self, objects: Iterable[ObjectId] | None = None) -> None:
-        """Assert (C1) rho_i^2 = id and (C2) row-i agreement on every present edge."""
-        objs = tuple(objects) if objects is not None else (self.objects or ())
-        for a in objs:
-            Ca = self.matrix(a)
-            for i in range(self.rank):
-                b = self.rho(i, a)
-                if b is None:
-                    continue
-                back = self.rho(i, b)
-                if back != a:
-                    raise NotSimplyConnected(f"(C1) fails: rho_{i}^2({fmt_object(a)}) = {fmt_object(back)}")
-                Cb = self.matrix(b)
-                if Ca.rows[i] != Cb.rows[i]:
-                    raise InvalidCartanMatrix(
-                        [GcmViolation("C2", (i, 0), f"row {i} differs across edge {fmt_object(a)} -- {fmt_object(b)}")]
-                    )
 
     # -- traversal ---------------------------------------------------------
 

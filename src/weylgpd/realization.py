@@ -54,7 +54,7 @@ from .exactlin import (
 ObjectId = Hashable
 
 
-class Realization(Record, frozen=False):
+class Realization(Record):
     graph: CartanGraph
     base: ObjectId
     depth: int
@@ -313,7 +313,7 @@ def locate_point(re: Realization, x, budget: int = 10_000) -> LocateResult:
             return LocateResult("budget_exceeded", cur, steps)
 
 
-class LocalGraphResult(Record, frozen=False):
+class LocalGraphResult(Record):
     indices: tuple  # I_x inside the ambient index set
     roots: tuple  # realized roots vanishing at x
     graph: CartanGraph | None  # None when the localization is empty

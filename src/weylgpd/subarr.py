@@ -64,7 +64,7 @@ Vector = tuple
 # Localization
 
 
-class Localization(Record, frozen=False):
+class Localization(Record):
     point: Vector
     roots: tuple  # ambient covectors vanishing at the point
     support: tuple  # basis of the intersection of their hyperplanes
@@ -192,7 +192,7 @@ def local_to_global_check(table: RootSystemTable, budget: int = 10_000) -> dict:
 # Restriction to a hyperplane
 
 
-class Restriction(Record, frozen=False):
+class Restriction(Record):
     source: RootSystemTable
     alpha0: Covector
     lattice_basis: tuple  # unimodular basis of H's integer lattice (ambient vectors)
@@ -419,7 +419,7 @@ def fan_edge_sequence(table: RootSystemTable) -> tuple[int, ...]:
     key, seq = atlas.seed_key, []
     for step in range(len(table.roots)):
         i = step % 2
-        seq.append(_crossing_coefficients(table, atlas, key, i)[1 - i])
+        seq.append(_crossing_coefficients(atlas, key, i)[1 - i])
         key = atlas.edges[(key, i)]
         if key == atlas.seed_key:
             return tuple(seq)

@@ -449,7 +449,7 @@ def reference_wall_step(table, frame, i):
         index, coeffs = tuple(index), tuple(coeffs)
         column = _carried_column(frame.num_cols, i, coeffs)
         if _column_is_coherent(frame.num_cols, i, column):
-            return _key_at(table, index), index, _carry_frame(frame, i, coeffs, index, column)
+            return _key_at(table, index), index, _carry_frame(frame, i, coeffs, index)
     index = _walls_across(table, frame, i)
     coeffs = _wall_coefficients(frame, i, index)
     if isinstance(coeffs, CoefficientWitness):
@@ -475,14 +475,13 @@ def reference_primitive_ray(alpha):
 
 def reference_record(cls):
     """The dataclass twin of a record class, by `dataclasses.make_dataclass`:
-    the same name, the fields and defaults read from the class body, and the
-    record's frozen and eq flags (assignable records are not frozen; a record
-    with identity equality has eq=False)."""
+    the same name, the fields and defaults read from the class body, frozen
+    as every record is, and the record's eq flag (a record with identity
+    equality has eq=False)."""
     body = vars(cls)
     spec = [
         (name, object, body[name]) if name in body else (name, object)
         for name in body.get("__annotations__", {})
     ]
-    frozen = cls.__setattr__ is not object.__setattr__
     eq = cls.__eq__ is not object.__eq__
-    return dataclasses.make_dataclass(cls.__qualname__, spec, frozen=frozen, eq=eq)
+    return dataclasses.make_dataclass(cls.__qualname__, spec, frozen=True, eq=eq)

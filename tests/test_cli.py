@@ -434,6 +434,48 @@ class TestJsonInputBoundary:
         assert err == "input error: an edge names the undeclared object '2'\n"
         assert "Traceback" not in out
 
+    @pytest.mark.parametrize("argv", [("validate", "{}"), ("realize", "{}"), ("roundtrip", "{}"), ("roots", "{}")])
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            (
+                {
+                    "rank": 1,
+                    "objects": [{"id": str(n), "cartan": [[2]]} for n in range(3)],
+                    "edges": [{"i": 0, "from": "0", "to": "1"}, {"i": 0, "from": "1", "to": "2"}],
+                },
+                "(C1) fails: rho_0^2(0) = 2",
+            ),
+            (
+                {
+                    "rank": 2,
+                    "objects": [{"id": "0", "cartan": A2_GCM}, {"id": "1", "cartan": A2_GCM}],
+                    "edges": [
+                        {"i": 0, "from": "0", "to": "0"},
+                        {"i": 1, "from": "0", "to": "1"},
+                        {"i": 0, "from": "1", "to": "1"},
+                    ],
+                },
+                "(C1) fails: rho_1^2(0) = None",
+            ),
+            (
+                {
+                    "rank": 2,
+                    "objects": [{"id": "0", "cartan": A2_GCM}, {"id": "1", "cartan": [[2, -2], [-1, 2]]}],
+                    "edges": [{"i": 0, "from": "0", "to": "1"}, {"i": 0, "from": "1", "to": "0"}],
+                },
+                "(C2) at (0, 0): row 0 differs across edge 0 -- 1",
+            ),
+        ],
+        ids=["c1-other-object", "c1-missing-edge", "c2"],
+    )
+    def test_graph_breaking_a_local_axiom_fails_the_check(self, capsys, tmp_path, argv, payload, message):
+        """A graph that breaks (C1) rho_i^2 = id or (C2) row agreement is
+        refused as a failed check (exit 1), with the axiom's text."""
+        path = _write(tmp_path, payload)
+        code, out, err = run(capsys, *(path if a == "{}" else a for a in argv))
+        assert (code, out, err) == (1, "", f"check failed: {message}\n")
+
     @pytest.mark.parametrize("argv", [("check", "{}", "--property", "cryst"), ("extract-graph", "{}")])
     @pytest.mark.parametrize(
         "table,seed,fragment",

@@ -20,6 +20,8 @@ from weylgpd.arrangement import (
     Chamber,
     CoefficientWitness,
     RootSystemTable,
+    Spherical,
+    Truncated,
     _carry_frame,
     _column_is_coherent,
     _extreme_basis,
@@ -198,17 +200,36 @@ def test_chambers_without_their_tables_integer_data_agree(name):
 
 
 def test_chamber_basis_outside_the_table_is_rejected():
-    table = builtin_table("b3")
-    scaled = rescaled_lines(table, random.Random(4))
-    chamber = default_seed_chamber(scaled)
-    assert not all(table.contains(b) for b in chamber.basis)
-    for fn, args in [
-        (coords_in_chamber, (table, chamber, table.roots[0])),
-        (adjacent_chamber, (table, chamber, 0)),
-        (cartan_matrix_at, (table, chamber)),
-    ]:
-        with pytest.raises(InvalidTable):
-            fn(*args)
+    """Every call that reads a chamber in a table whose roots do not hold
+    its basis raises InvalidTable.  On aff-a1 the cone test
+    (`chamber_is_true`, `wall_is_crossable`) reads the chamber's frame in
+    the table, so it raises too, also before a crossing of a wall that
+    does not meet the cone (which raised WallOnBoundary while the cone test
+    read the chamber's own rays)."""
+    for name in ("b3", "aff-a1"):
+        table = builtin_table(name)
+        affine = isinstance(table.cone, Affine)
+        scaled = rescaled_lines(table, random.Random(4))
+        atlas = chamber_bfs(scaled, default_seed_chamber(scaled), 64)
+        outside = boundary = 0
+        for chamber in atlas.chambers.values():
+            if all(table.contains(b) for b in chamber.basis):
+                continue
+            outside += 1
+            walls = range(table.rank)
+            calls = [
+                (coords_in_chamber, (table, chamber, table.roots[0])),
+                (cartan_matrix_at, (table, chamber)),
+                *((adjacent_chamber, (table, chamber, i)) for i in walls),
+            ]
+            if affine:
+                calls += [(chamber_is_true, (table, chamber)), *((wall_is_crossable, (table, chamber, i)) for i in walls)]
+                boundary += not all(wall_is_crossable(scaled, chamber, i) for i in walls)
+            for fn, args in calls:
+                with pytest.raises(InvalidTable, match="is not a root of the table"):
+                    fn(*args)
+        assert outside
+        assert boundary if affine else not boundary
 
 
 def frame_data(frame) -> tuple:
@@ -286,10 +307,11 @@ def test_carried_frames_and_integer_keys_match_the_elimination(name):
     the one Bareiss elimination gives for its basis, and its integer key is
     equal and hash-equal to the Fraction key of its basis, built by the
     former rule.  A survey builds a frame only for a chamber that holds it:
-    the seed, a chamber the wall step finds, and a chamber whose refused
-    transition made it take the wall step; F4 builds the seed's only.
-    Reading every chamber's frame in BFS order carries each of the others
-    once, across the crossing that found it."""
+    the seed, a chamber the wall step eliminates, and a chamber it reads,
+    in the affine cone test or to expand a chamber without an object or
+    with a refused transition; F4 builds the seed's only.  Reading every
+    chamber's frame in BFS order carries each of the others once, across
+    the crossing that found it."""
     table = DIFFERENTIAL_TABLES[name]()
     atlas, calls = counted_survey(table)
     framed = framed_keys(atlas)
@@ -310,6 +332,44 @@ def test_carried_frames_and_integer_keys_match_the_elimination(name):
         fraction_key = tuple(sorted(map(reference_primitive_ray, chamber.basis)))
         assert chamber.key == fraction_key and hash(chamber.key) == hash(fraction_key)
         assert all(type(c) is int for ray in chamber.key for c in ray)
+
+
+def reference_certified(table: RootSystemTable, atlas) -> tuple:
+    """(true, certified, checked) of an atlas by the per-wall rule: on a
+    table that is not truncated, the true chambers all of whose walls have
+    an edge into a true chamber, and the analyses read those; on a realized
+    truncation, the true chambers; on a bare truncation, none, and the
+    analyses read every visited chamber."""
+    true = {key for key in atlas.order if chamber_is_true(table, atlas.chambers[key])}
+    if not isinstance(table.cone, Truncated):
+        certified = {key for key in true if all(atlas.edges.get((key, i)) in true for i in range(table.rank))}
+        return true, certified, certified
+    if table.certified_keys is not None:
+        return true, true, true
+    return true, set(), set(atlas.order)
+
+
+CERTIFIED_TABLES = {
+    **DIFFERENTIAL_TABLES,
+    **FRONTIER_TABLES,
+    "b3-realized-truncation": lambda: realize(builtin_graph("b3"), depth=3).table,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_TABLES))
+def test_certified_set_matches_the_per_wall_rule(name):
+    """The atlas's true, certified and checked sets are the per-wall rule's,
+    on whole surveys and on a survey the budget cuts short.  A spherical
+    survey has every chamber true and every wall crossed, so both sets are
+    its whole order."""
+    table = CERTIFIED_TABLES[name]()
+    whole = chamber_bfs(table, default_seed_chamber(table), 10_000)
+    cut = chamber_bfs(table, default_seed_chamber(table), len(whole.order) // 2)
+    assert not whole.budget_exceeded and cut.budget_exceeded
+    for atlas in (whole, cut):
+        assert (atlas.true_chambers, atlas.certified, atlas.checked) == reference_certified(table, atlas)
+    if isinstance(table.cone, Spherical):
+        assert whole.certified == whole.checked == set(whole.order)
 
 
 def test_frontier_crossings_build_no_frame():
@@ -370,18 +430,16 @@ def discovering_crossing(table: RootSystemTable, atlas, key: tuple) -> tuple:
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TABLES))
 def test_survey_builds_each_chambers_fraction_data_once(name):
-    """A survey builds no witness point, and rays only where it reads them:
-    the affine cone test (`wall_is_crossable`, `chamber_is_true`) does, a
-    spherical or truncated survey does not.  F4 has one object, computes its
-    4 transitions, crosses 2,304 walls by object steps, scans none and
-    builds no rays and no witness.  Reading every
-    chamber's rays and witness builds each once; each equals the one built
-    eagerly from its frame and from the crossing that found it, and the
-    witness lies inside the chamber."""
+    """A survey builds no witness point and no rays: the affine cone test
+    (`wall_is_crossable`, `chamber_is_true`) reads signs at the frame's
+    adjugate columns.  F4 has one object, computes its 4 transitions,
+    crosses 2,304 walls by object steps, scans none and builds no rays and
+    no witness.  Reading every chamber's rays and witness builds each once;
+    each equals the one built eagerly from its frame and from the crossing
+    that found it, and the witness lies inside the chamber."""
     table = DIFFERENTIAL_TABLES[name]()
     atlas, calls = counted_survey(table)
-    affine = isinstance(table.cone, Affine)
-    assert calls["_frame_rays"] == (len(atlas.order) if affine else 0)
+    assert calls["_frame_rays"] == 0
     assert calls["_witness_across"] == 0
     if name == "f4":
         assert len(set(atlas.objects.values())) == 1 and len(atlas.transitions) == 4
@@ -392,7 +450,7 @@ def test_survey_builds_each_chambers_fraction_data_once(name):
         for _ in range(2):
             for chamber in atlas.chambers.values():
                 assert chamber.rays and chamber.witness
-    assert reads["_frame_rays"] == (0 if affine else len(atlas.order))
+    assert reads["_frame_rays"] == len(atlas.order)
     assert reads["_witness_across"] == len(atlas.order) - 1
     for key in atlas.order:
         chamber = atlas.chambers[key]
@@ -434,17 +492,32 @@ def test_wall_scan_matches_the_reference_scan(name):
 @pytest.mark.parametrize("name", sorted([*DIFFERENTIAL_TABLES, *FRONTIER_TABLES]))
 def test_wall_step_matches_the_reference_scan(name):
     """On every directed atlas edge the wall step names the root positions
-    the full scan names, and the key and the eliminated frame of that
-    basis, with one scan."""
+    the full scan names, and the key of that basis, with one scan.  A
+    crystallographic crossing gives the coefficients `_wall_coefficients`
+    gives, and carrying the frame by them gives the eliminated frame of the
+    basis; any other crossing gives that eliminated frame.  A known key
+    gives neither."""
     table, atlas, _ = surveyed(name)
+    witnesses = 0
     for key, i in atlas.edges:
         frame = atlas.chambers[key].frame
         scans = {"_walls_across": 0}
         with counting(scans):
-            nkey, index, across = _wall_step(table, frame, i)
+            nkey, index, coeffs, across = _wall_step(table, frame, i)
         assert scans["_walls_across"] == 1
         assert index == reference_walls_across(table, frame, i)
-        assert nkey == _key_at(table, index) and frame_data(across) == frame_data(_frame_at(table, index))
+        assert nkey == _key_at(table, index)
+        expected = _wall_coefficients(frame, i, index)
+        if isinstance(expected, CoefficientWitness):
+            witnesses += 1
+            assert coeffs is None
+        else:
+            assert coeffs == expected and across is None
+            across = _carry_frame(frame, i, coeffs, index)
+        assert frame_data(across) == frame_data(_frame_at(table, index))
+        assert _wall_step(table, frame, i, atlas.chambers) == (nkey, index, None, None)
+    if "rescaled" in name:
+        assert witnesses
 
 
 # Distinct objects of the surveys that have other than one: none on affine
@@ -655,12 +728,23 @@ def test_chambers_built_on_read_equal_eager_chambers(name):
 
 @pytest.mark.parametrize("name", ["b3", "aff-a1"])
 def test_realization_chambers_seed_a_survey(name):
-    """realization.chamber_of builds a chamber from its values; a survey
-    from it visits the chambers a survey from the default seed visits."""
+    """realization.chamber_of builds a chamber from its values, without a
+    frame.  A survey from it holds a chamber equal to it as its seed, and
+    gives the atlas that the same chamber handed in with its frame gives;
+    it visits and certifies the chambers a survey from the default seed
+    visits and certifies."""
     re = realize(builtin_graph(name), depth=6)
     seed = re.chamber_of(re.base)
     assert seed.frame is None and seed.rays == re.rays[re.base]
     atlas = chamber_bfs(re.table, seed, 10_000)
+    assert atlas.chambers[atlas.seed_key] == seed
+    index = tuple(re.table.index[b] for b in seed.basis)
+    framed = Chamber(seed.basis, seed.rays, seed.witness, _frame_at(re.table, index))
+    same = chamber_bfs(re.table, framed, 10_000)
+    assert same.chambers[same.seed_key] == framed
+    for field in ("seed_key", "order", "edges", "true_chambers", "certified", "checked", "objects", "transitions"):
+        assert getattr(atlas, field) == getattr(same, field)
+    assert [atlas.chambers[key] for key in atlas.order] == [same.chambers[key] for key in same.order]
     expected = chamber_bfs(re.table, default_seed_chamber(re.table), 10_000)
     assert set(atlas.order) == set(expected.order)
     assert atlas.certified == expected.certified

@@ -12,7 +12,6 @@ from weylgpd._record import Record
 from _oracles import reference_record
 
 RECORDS = sorted(Record.__subclasses__(), key=lambda cls: cls.__qualname__)
-MUTABLE = {"ChamberAtlas", "ExtractionResult", "LocalGraphResult", "Localization", "Realization", "Restriction"}
 IDENTITY = {"IntegerFrame"}
 
 
@@ -31,7 +30,8 @@ def fields_of(cls) -> list:
 
 def test_the_record_classes_and_their_flags():
     assert len(RECORDS) == 35
-    assert {cls.__name__ for cls in RECORDS if cls.__setattr__ is object.__setattr__} == MUTABLE
+    # No record is assignable: every one is frozen.
+    assert [cls.__name__ for cls in RECORDS if cls.__setattr__ is object.__setattr__] == []
     assert {cls.__name__ for cls in RECORDS if cls.__eq__ is object.__eq__} == IDENTITY
 
 
