@@ -17,11 +17,11 @@ class Record:
     order, with optional class-attribute defaults.  Every record is frozen.
     The class keyword `eq=False` keeps identity equality and hash; a record
     with equality hashes as the tuple of its fields, as a frozen dataclass
-    does, so sets and dicts of records iterate in the same order.  A hot record may define its
-    own field-by-field `__init__`.  Fields are set with `object.__setattr__`,
-    as a dataclass sets them: writing `self.__dict__` instead would give each
-    instance its own dict, larger and slower to read than the shared-key
-    attribute storage.
+    does, so sets and dicts of records iterate in the same order.  A hot
+    record may define its own field-by-field `__init__`.  Fields are set
+    with `object.__setattr__`, as a dataclass sets them: writing
+    `self.__dict__` instead would give each instance its own dict, larger
+    and slower to read than the shared-key attribute storage.
     """
 
     _fields: tuple = ()

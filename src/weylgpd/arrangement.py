@@ -828,7 +828,8 @@ class ChamberAtlas(Record):
     # truncation, where nothing is certified and every visited chamber is read.
     checked: set
     budget_exceeded: bool
-    objects: dict  # key -> the chamber's object R^a, for chambers with one (see chamber_bfs)
+    # key -> the chamber's object R^a, for a chamber with one that was expanded or found by an object step
+    objects: dict
     transitions: dict  # (R^a, i) -> (coeffs, R^a') of `_transition`, or None when refused
 
 

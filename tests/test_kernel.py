@@ -31,6 +31,7 @@ from weylgpd.arrangement import (
     _lonely_roots,
     _object_step,
     _positive_lines,
+    _rays_in_cone,
     _root_set,
     _transition,
     _verify_chamber_basis,
@@ -436,7 +437,8 @@ def test_survey_builds_each_chambers_fraction_data_once(name):
     crosses 2,304 walls by object steps, scans none and builds no rays and
     no witness.  Reading every chamber's rays and witness builds each once;
     each equals the one built eagerly from its frame and from the crossing
-    that found it, and the witness lies inside the chamber."""
+    that found it, and the witness lies inside the chamber.  On an affine
+    table the integer cone test agrees with gamma at every ray."""
     table = DIFFERENTIAL_TABLES[name]()
     atlas, calls = counted_survey(table)
     assert calls["_frame_rays"] == 0
@@ -457,6 +459,8 @@ def test_survey_builds_each_chambers_fraction_data_once(name):
         assert chamber.rays == _frame_rays(chamber.frame)
         assert all(vdot(b, ray) == (j == m) for j, b in enumerate(chamber.basis) for m, ray in enumerate(chamber.rays))
         assert all(vdot(b, chamber.witness) > 0 for b in chamber.basis)
+        if isinstance(table.cone, Affine):
+            assert _rays_in_cone(table, chamber) == [vdot(table.cone.gamma, ray) > 0 for ray in chamber.rays]
         if key != atlas.seed_key:
             parent, wall = discovering_crossing(table, atlas, key)
             assert chamber.witness == _witness_across(parent.frame, wall, parent)
