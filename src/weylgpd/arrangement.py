@@ -10,11 +10,13 @@ crystallographic/additive checks are all exact.
 The chamber kernel decides on integers.  Scaling every root by one positive
 integer L (the lcm of the root denominators) moves no hyperplane and changes
 no chamber coordinate, so each table keeps its roots as integer covectors
-L*root.  A chamber's integer data is its integer basis B with an adjugate A and
-determinant D > 0 (B . A = D * I); root k's chamber coordinates are the
-numerators int_root_k . A[:, j] over D.  Sign, integrality and wall-crossing
-predicates compare those numerators; Fractions are built only for values that
-leave the kernel.
+L*root.  It builds them first, and its Fraction roots from them, so the int
+tuples of a realization are never read as Fractions.  A chamber's integer
+data is its integer basis B with an adjugate A and determinant D > 0
+(B . A = D * I); root k's chamber coordinates are the numerators
+int_root_k . A[:, j] over D.  Sign, integrality and wall-crossing
+predicates compare those numerators; Fractions are built only for values
+that leave the kernel.
 
 A seed chamber's walls come from its extreme rays, found by double
 description.  A chamber whose roots all have integer coordinates in its
@@ -123,7 +125,10 @@ class RootSystemTable:
     `scale` L, the integer roots `int_roots` (L*root, in root order), the
     root -> position maps `index` and `int_index` (of the integer roots), the
     positions `negation` of the negated roots, and the primitive rays
-    `primitive` (int tuples), as are line keys.
+    `primitive` (int tuples), as are line keys.  All of it is derived from
+    the sorted integer roots, which give each root's Fractions; the checks
+    and their texts (rank, zero root, negation, a `reduced` claim, and
+    bool or float entries, refused by `vec`) read as on the Fraction roots.
     """
 
     def __init__(
@@ -136,23 +141,25 @@ class RootSystemTable:
         certified_keys: frozenset | None = None,
     ):
         self.rank = int(rank)
-        self.roots = tuple(sorted({vec(r) for r in roots}))
+        # A tuple of ints and Fractions is taken as it is, any other root is
+        # read by `vec`; scaling by L > 0 keeps the order of the roots.
+        given = {r if type(r) is tuple and all(type(c) in (int, Rat) for c in r) else vec(r) for r in roots}
+        self.scale = scale = denominator_lcm(c for r in given for c in r)
+        self.int_roots = ints = tuple(sorted(tuple(c.numerator * (scale // c.denominator) for c in r) for r in given))
+        fraction = {c: Rat(c, scale) for c in set(itertools.chain.from_iterable(ints))}  # one per coordinate value
+        self.roots = tuple(tuple(map(fraction.__getitem__, r)) for r in ints)
         for r in self.roots:
             if len(r) != self.rank:
                 raise InvalidTable(f"root {fmt_covector(r)} does not have rank {self.rank}")
-            if is_zero(r):
+            if not any(r):
                 raise InvalidTable("0 is not a root")
         self.index = {r: k for k, r in enumerate(self.roots)}
-        for r in self.roots:
-            if vneg(r) not in self.index:
-                raise InvalidTable(f"table is not negation-closed: missing {fmt_covector(vneg(r))}")
-        self.negation = tuple(self.index[vneg(r)] for r in self.roots)
-        self.scale = scale = denominator_lcm(c for r in self.roots for c in r)
-        self.int_roots = tuple(
-            tuple(c.numerator * (scale // c.denominator) for c in r) for r in self.roots
-        )
-        self.int_index = {r: k for k, r in enumerate(self.int_roots)}
-        self.primitive = tuple(int_primitive(r) for r in self.int_roots)
+        self.int_index = position = {r: k for k, r in enumerate(ints)}
+        self.negation = tuple(position.get(tuple(-c for c in r)) for r in ints)
+        if None in self.negation:
+            missing = vneg(self.roots[self.negation.index(None)])
+            raise InvalidTable(f"table is not negation-closed: missing {fmt_covector(missing)}")
+        self.primitive = tuple(map(int_primitive, ints))
         lines: dict[Covector, list] = {}
         for r, p in zip(self.roots, self.primitive):
             lines.setdefault(line_key(p), []).append(r)
@@ -241,7 +248,7 @@ class Chamber:
     @cached_property
     def witness(self) -> Vector:
         _, i, parent = self._crossing
-        return _witness_across(parent.frame, i, parent)
+        return _witness_across(parent, i)
 
     @cached_property
     def frame(self) -> IntegerFrame:
@@ -703,15 +710,16 @@ def _walls_across(table: RootSystemTable, frame: IntegerFrame, i: int) -> tuple:
     return tuple(walls)
 
 
-def _witness_across(frame: IntegerFrame, i: int, chamber: Chamber) -> Vector:
-    """An interior point of the neighbor across wall i of `chamber`, whose
-    frame is `frame`, found exactly.
+def _witness_across(chamber: Chamber, i: int) -> Vector:
+    """An interior point of the neighbor across wall i of `chamber`, found
+    exactly from the chamber's frame.
 
     It is the facet point (the sum of the rays other than ray i) minus half
     of the largest step eps along ray i that no root hyperplane interrupts:
     eps is the least |root(facet point)| / |root(ray i)|, a ratio of numerators.
     In rank 1 it is the chamber's own witness point negated.
     """
+    frame = chamber.frame
     if len(frame.index) == 1:
         return vneg(chamber.witness)
     eps = None  # (p, q) for p / q

@@ -20,6 +20,8 @@ from .arrangement import (
     Spherical,
     Truncated,
     _carry_frame,
+    _column_is_coherent,
+    _dot,
     _frame_at,
     _frame_rays,
     _root_defects,
@@ -41,6 +43,7 @@ from .errors import (
     NotSimplyConnected,
 )
 from .exactlin import (
+    clear_denominators,
     dual_basis,
     int_primitive,
     primitive_normalize,
@@ -76,20 +79,15 @@ class Realization(Record):
         return Chamber(self.bases[obj], self.rays[obj], interior_point(self.rays[obj]))
 
 
-# The AxiomViolation text of each kind of `_root_defects`, after "root <root> ".
-_DEFECT_TEXT = {
-    "sign": "is not sign-coherent at {obj}: coords {coords}",
-    "integrality": "has non-integral coordinates at {obj}: coords {coords}",
-}
-
-
 def realize(graph: CartanGraph, depth: int = 8) -> Realization:
     """Generate chambers and roots from `graph.base` to the given depth and
-    assemble the table.
+    assemble the table from the int bases.
 
     Raises NotSimplyConnected when two words reach one object with different
     bases or two objects with the same chamber, and AxiomViolation when a
-    realized root fails to be sign-coherent at some generated chamber.
+    realized root fails to be sign-coherent at some generated chamber: the
+    first in BFS order, found by the full sign test (`_root_defects`) on the
+    base's frame and on a carried frame whose new column fails (`_frames`).
     """
     base = graph.base
     rank = graph.rank
@@ -140,22 +138,17 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
         seed_hint=interior_point(dual_basis(bases[_anchor(order, certified, base)])),
         certified_keys=frozenset(canon[obj] for obj in certified),
     )
-    # Each chamber's rays and root coordinates come from its integer frame.
-    # The base's frame is eliminated; every other one is carried across its
-    # first edge by the same integer reflection that gave its basis.
-    frames = {base: _frame_at(table, tuple(table.index[b] for b in bases[base]))}
-    for nxt, (obj, i) in first_edge.items():
-        coeffs = [-c for c in graph.matrix(obj).rows[i]]
-        frames[nxt] = _carry_frame(frames[obj], i, coeffs, tuple(table.index[b] for b in bases[nxt]))
-    rays = {}
-    for obj, frame in frames.items():
+    frames, rays = [], {}
+    for obj, frame, coherent in _frames(graph, table, bases, first_edge):
+        if not coherent:  # a sign defect: every frame is integral
+            k, _ = next(_root_defects(frame))
+            raise AxiomViolation(
+                f"root {fmt_covector(table.roots[k])} is not sign-coherent at {fmt_object(obj)}: "
+                f"coords {fmt_covector(frame.coords(k))}"
+            )
+        frames.append(frame)
         rays[obj] = _frame_rays(frame)
-        defect = next(_root_defects(frame), None)
-        if defect is not None:
-            k, kind = defect
-            text = _DEFECT_TEXT[kind].format(obj=fmt_object(obj), coords=fmt_covector(frame.coords(k)))
-            raise AxiomViolation(f"root {fmt_covector(table.roots[k])} {text}")
-    gamma = _derive_affine_functional(rank, frames.values())
+    gamma = _derive_affine_functional(rank, frames)
     # Positional: a record built by keyword pays for matching the names.
     return Realization(graph, base, depth, bases, rays, dict(edges), order, table, closed, certified, canon, gamma)
 
@@ -166,19 +159,40 @@ def _anchor(order: list, certified: frozenset, base: ObjectId) -> ObjectId:
     return next((obj for obj in order if obj in certified), base)
 
 
-def _derive_affine_functional(rank: int, frames) -> tuple | None:
-    """A covector h with h(ray) = 1 on every primitive chamber ray, if one exists.
+def _frames(graph: CartanGraph, table: RootSystemTable, bases: dict, first_edge: dict):
+    """(object, frame, coherent) for every realized object in BFS order,
+    `coherent` saying whether every root is sign-coherent in the frame.
+
+    The base's frame, on the standard basis and so integral, is checked in
+    full.  Every other one is carried across its first edge by the integer
+    reflection that gave its basis, and only its new column is checked
+    (`_column_is_coherent`), which decides it as its parent, yielded before
+    it, is coherent.
+    """
+    position, base = table.int_index, graph.base
+    frames = {base: _frame_at(table, tuple(map(position.__getitem__, bases[base])))}
+    yield base, frames[base], next(_root_defects(frames[base]), None) is None
+    for nxt, (obj, i) in first_edge.items():
+        coeffs = [-c for c in graph.matrix(obj).rows[i]]
+        frame = frames[nxt] = _carry_frame(frames[obj], i, coeffs, tuple(map(position.__getitem__, bases[nxt])))
+        yield nxt, frame, _column_is_coherent(frames[obj].num_cols, i, frame.num_cols[i])
+
+
+def _derive_affine_functional(rank: int, frames: list) -> tuple | None:
+    """A covector h with h(ray) = 1 on every primitive chamber ray, if one
+    exists and the frames are of two chambers or more.
 
     Affine arrangements place all chamber rays on one affine hyperplane, which
-    h recovers; spherical data admits no such h.  The rays of one chamber
-    already span, so h is unique when it exists.  A frame's integer columns
-    are positive multiples of its chamber's rays.
+    h recovers; spherical data admits no such h.  A frame's integer columns
+    are positive multiples of its chamber's rays.  The first chamber's rays
+    span, so h is solved on them alone and is unique; every other ray p is
+    then checked on integers, num . p = den for h = num / den.
     """
-    points = {int_primitive(col) for frame in frames for col in frame.cols}
-    if len(points) <= rank:
+    if len(frames) < 2:
         return None
-    rows = sorted(points)
-    return solve_in_span(tuple(zip(*rows)), (ONE,) * len(rows))
+    h = solve_in_span(tuple(zip(*map(int_primitive, frames[0].cols))), (ONE,) * rank)
+    num, den = clear_denominators(h)
+    return h if all(_dot(num, int_primitive(col)) == den for frame in frames[1:] for col in frame.cols) else None
 
 
 # ---------------------------------------------------------------------------

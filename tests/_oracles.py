@@ -8,9 +8,12 @@ statements of library rules kept as differential references:
 `reference_extreme_basis` with `reference_kernel_line` (the seed rule),
 `reference_lonely_roots` (the additive rule), `reference_walls_across`
 (the wall scan), `reference_wall_step` (the crossing kernel before objects:
-root strings, else the wall scan) and `reference_primitive_ray` (the
-primitive-ray rule, when it still returned Fractions).  `reference_record` builds the dataclass that a
-record class stands in for.
+root strings, else the wall scan), `reference_primitive_ray` (the
+primitive-ray rule, when it still returned Fractions), `reference_table`
+(the table constructor, when it read every root as Fractions first) and
+`reference_affine_functional` (the affine functional of a realization by
+one elimination over every ray).  `reference_record` builds the dataclass
+that a record class stands in for.
 """
 
 from __future__ import annotations
@@ -471,6 +474,67 @@ def reference_primitive_ray(alpha):
     ints = [int(c * m) for c in values]
     g = math.gcd(*ints)
     return tuple(F(v // g) for v in ints)
+
+
+def reference_table(rank, roots, reduced=None) -> dict:
+    """The table constructor as the library stated it before it built the
+    integer data first: every root read by `vec`, the Fraction roots sorted
+    and indexed, and the integer data derived from them.  Returns the
+    derived fields by name, or raises what the constructor raised, with
+    the same text."""
+    from weylgpd._rational import fmt_covector
+    from weylgpd.errors import InvalidTable
+    from weylgpd.exactlin import denominator_lcm, int_primitive, is_zero, line_key, vec, vneg
+
+    rank = int(rank)
+    roots = tuple(sorted({vec(r) for r in roots}))
+    for r in roots:
+        if len(r) != rank:
+            raise InvalidTable(f"root {fmt_covector(r)} does not have rank {rank}")
+        if is_zero(r):
+            raise InvalidTable("0 is not a root")
+    index = {r: k for k, r in enumerate(roots)}
+    for r in roots:
+        if vneg(r) not in index:
+            raise InvalidTable(f"table is not negation-closed: missing {fmt_covector(vneg(r))}")
+    negation = tuple(index[vneg(r)] for r in roots)
+    scale = denominator_lcm(c for r in roots for c in r)
+    int_roots = tuple(tuple(c.numerator * (scale // c.denominator) for c in r) for r in roots)
+    primitive = tuple(int_primitive(r) for r in int_roots)
+    lines = {}
+    for r, p in zip(roots, primitive):
+        lines.setdefault(line_key(p), []).append(r)
+    lines = {k: tuple(v) for k, v in lines.items()}
+    derived_reduced = all(len(v) == 2 for v in lines.values())
+    if reduced is not None and bool(reduced) != derived_reduced:
+        raise InvalidTable(
+            f"reduced={reduced} claimed but table is {'reduced' if derived_reduced else 'not reduced'}"
+        )
+    return {
+        "roots": roots,
+        "index": index,
+        "int_roots": int_roots,
+        "int_index": {r: k for k, r in enumerate(int_roots)},
+        "negation": negation,
+        "primitive": primitive,
+        "lines": lines,
+        "scale": scale,
+        "reduced": derived_reduced,
+    }
+
+
+def reference_affine_functional(rank, rays):
+    """The affine functional of a realization as the library derived it
+    before it solved on one chamber: one elimination for h over every
+    distinct primitive ray of the chambers `rays` (a ray tuple each), None
+    when that system has no solution or there are at most `rank` rays."""
+    from weylgpd.exactlin import primitive_ray, solve_in_span
+
+    points = {primitive_ray(ray) for chamber in rays for ray in chamber}
+    if len(points) <= rank:
+        return None
+    rows = sorted(points)
+    return solve_in_span(tuple(zip(*rows)), (F(1),) * len(rows))
 
 
 def reference_record(cls):

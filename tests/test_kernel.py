@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from weylgpd import arrangement, realization
+from weylgpd import arrangement, exactlin, realization
 from weylgpd._rational import fmt_covector
 from weylgpd.arrangement import (
     Affine,
@@ -238,17 +238,17 @@ def frame_data(frame) -> tuple:
 
 
 @contextlib.contextmanager
-def counting(calls: dict):
-    """Count, into `calls`, the calls made to the arrangement functions it names."""
+def counting(calls: dict, module=arrangement):
+    """Count, into `calls`, the calls made to the functions of `module` it names."""
     with pytest.MonkeyPatch.context() as patch:
         for name in calls:
-            original = getattr(arrangement, name)
+            original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original):
                 calls[_name] += 1
                 return _original(*args)
 
-            patch.setattr(arrangement, name, counted)
+            patch.setattr(module, name, counted)
         yield calls
 
 
@@ -463,7 +463,7 @@ def test_survey_builds_each_chambers_fraction_data_once(name):
             assert _rays_in_cone(table, chamber) == [vdot(table.cone.gamma, ray) > 0 for ray in chamber.rays]
         if key != atlas.seed_key:
             parent, wall = discovering_crossing(table, atlas, key)
-            assert chamber.witness == _witness_across(parent.frame, wall, parent)
+            assert chamber.witness == _witness_across(parent, wall)
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TABLES))
@@ -904,6 +904,26 @@ def test_realize_carries_every_frame_but_the_base(monkeypatch, name):
     assert len(carried) == len(realized.bases) - 1
     for frame in carried:
         assert frame_data(frame) == frame_data(_frame_at(frame.table, frame.index))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GCMS))
+def test_passing_realize_checks_the_base_frame_in_full_and_solves_gamma_once(name):
+    """Every carried frame has only its new column checked, and gamma is
+    solved on the rank rays of one chamber."""
+    graph = builtin_graph(name)
+    solved = []
+
+    def solve_in_span(spanning, target):
+        solved.append(len(target))
+        return exactlin.solve_in_span(spanning, target)
+
+    with counting({"_root_defects": 0, "_column_is_coherent": 0}, realization) as calls:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(realization, "solve_in_span", solve_in_span)
+            re = realize(graph, depth=8)
+    assert calls == {"_root_defects": 1, "_column_is_coherent": len(re.bases) - 1}
+    assert solved == [graph.rank]
+    assert (re.gamma is not None) == name.startswith("aff-a1")
 
 
 def test_chamber_bfs_builds_each_key_once(monkeypatch):

@@ -18,7 +18,7 @@ from weylgpd.arrangement import chamber_bfs, default_seed_chamber
 from weylgpd.realization import realize, roundtrip_check
 from weylgpd.subarr import canonical_cycle, identify_rank2, rank2_graph_from_edge_sequence
 
-from _oracles import gauss_solve
+from _oracles import gauss_solve, reference_affine_functional
 
 SIZES = range(3, 10)
 
@@ -68,6 +68,10 @@ def test_polygon_groupoid_realizes_and_identifies(q):
     graph = rank2_graph_from_edge_sequence(seq)
     re = realize(graph, depth=2 * n)
     assert re.complete and len(re.order) == 2 * n
+    assert re.gamma is None
+    for depth in (n // 2, n, 2 * n):
+        re_at = realize(graph, depth=depth)
+        assert re_at.gamma == reference_affine_functional(2, re_at.rays.values())
     report = roundtrip_check(graph, depth=2 * n)
     assert report.equivalent, report.mismatches
     assert identify_rank2(re.table).signature == canonical_cycle(seq)

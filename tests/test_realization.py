@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import pathlib
+import random
+import sys
 
 import pytest
 
 from weylgpd.arrangement import Truncated, check_additive, check_crystallographic
-from weylgpd.builtins import builtin_graph
+from weylgpd.builtins import BUILTIN_GCMS, builtin_graph
 from weylgpd.cartan import CartanGraph, GeneralizedCartanMatrix, generate_real_roots
 from weylgpd.errors import AxiomViolation, NotSimplyConnected
 from weylgpd.exactlin import vec, vneg
 from weylgpd.jsonio import graph_from_json
 from weylgpd.realization import (
+    _frames,
+    _root_defects,
     adjacency_equivalences_test,
     gallery_distance,
     local_cartan_graph_at,
@@ -21,9 +27,20 @@ from weylgpd.realization import (
     roundtrip_check,
     separating_set,
 )
+from weylgpd.subarr import rank2_graph_from_edge_sequence
+
+from _oracles import reference_affine_functional
 
 
 A2 = ((2, -1), (-1, 2))
+#: Standard graphs, and the depths at which their realizations' gamma is
+#: checked against the full solve.
+GAMMA_GRAPHS = {name: (rows, range(1, 9)) for name, rows in BUILTIN_GCMS.items()} | {
+    "A2^(1)": (((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), (4, 6, 8)),
+    "C2^(1)": (((2, -1, 0), (-2, 2, -2), (0, -1, 2)), (4, 6, 8)),
+    "G2^(1)": (((2, -1, 0), (-1, 2, -3), (0, -1, 2)), (4, 6, 8)),
+}
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 #: The A2 path 0 -(0)- 1 -(1)- 2 with base 1, a truncation of the A2 hexagon:
 #: edge 1 at 0 and edge 0 at 2 are missing.
@@ -47,6 +64,34 @@ def a2_path(build: str) -> CartanGraph:
     gcm = GeneralizedCartanMatrix.from_rows(A2)
     edges = {(0, 0): 1, (1, 0): 0, (1, 1): 2, (2, 1): 1}
     return CartanGraph.explicit({k: gcm for k in range(3)}, edges, 1, truncated=True)
+
+
+def rank2_stream_quiddities(seed: int) -> list:
+    """The quiddity cycles of the benchmark's rank2-stream workload, drawn
+    from `seed` as its set-up draws them."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+    rng = random.Random(seed)
+    sizes = [n for n in workloads.RANK2_SIZES for _ in range(workloads.RANK2_PER_SIZE)]
+    rng.shuffle(sizes)
+    return [workloads.quiddity(rng, n) for n in sizes]
+
+
+def assert_coherence_flags(graph: CartanGraph, depth: int) -> None:
+    """The flag that `realize` reads for each frame, rebuilt from the
+    realization's first edge into every object, is the full sign test."""
+    re = realize(graph, depth)
+    first_edge = {}
+    for (obj, i), nxt in re.edges.items():
+        if nxt != re.base:
+            first_edge.setdefault(nxt, (obj, i))
+    frames = list(_frames(graph, re.table, re.bases, first_edge))
+    assert [obj for obj, _, _ in frames] == list(re.bases)
+    for _, frame, coherent in frames:
+        assert coherent == (next(_root_defects(frame), None) is None)
 
 
 class TestRealize:
@@ -82,13 +127,44 @@ class TestRealize:
         assert found == expected
         assert re.gamma == gamma
 
-    def test_sign_incoherent_root_is_an_axiom_violation(self):
-        # (1,1,1,1,1,2) is no quiddity cycle: at depth 2 a realized root has
-        # mixed signs at object 2.
-        from weylgpd.subarr import rank2_graph_from_edge_sequence
+    @pytest.mark.parametrize(
+        "seq, depth, obj, distance, text",
+        [
+            # (1,1,1,1,1,2) is no quiddity cycle: at depth 2 a realized root
+            # has mixed signs at object 2.
+            ((1, 1, 1, 1, 1, 2), 2, 2, 2, "root (-1, -2) is not sign-coherent at 2: coords (-1, 1)"),
+            # Nor is (1,3,1,1,1,1,2,2), whose first defect is 4 edges away.
+            ((1, 3, 1, 1, 1, 1, 2, 2), 16, 4, 4, "root (-1, 0) is not sign-coherent at 4: coords (2, -1)"),
+        ],
+    )
+    def test_sign_incoherent_root_is_an_axiom_violation(self, seq, depth, obj, distance, text):
+        graph = rank2_graph_from_edge_sequence(seq)
+        with pytest.raises(AxiomViolation) as exc:
+            realize(graph, depth=depth)
+        assert str(exc.value) == text
+        assert graph.ball(graph.base, depth)[0][obj] == distance
 
-        with pytest.raises(AxiomViolation, match="not sign-coherent at 2"):
-            realize(rank2_graph_from_edge_sequence((1, 1, 1, 1, 1, 2)), depth=2)
+    @pytest.mark.parametrize("name", sorted(BUILTIN_GCMS))
+    def test_carried_coherence_flag_of_builtin_graphs(self, name):
+        assert_coherence_flags(builtin_graph(name), 8)
+
+    def test_carried_coherence_flag_on_the_rank2_stream(self):
+        quiddities = rank2_stream_quiddities(seed=1)
+        assert len(quiddities) == 200
+        for q in quiddities:
+            assert_coherence_flags(rank2_graph_from_edge_sequence(q * 2), 2 * len(q))
+
+    @pytest.mark.parametrize("name", sorted(GAMMA_GRAPHS))
+    def test_gamma_is_the_full_solve(self, name):
+        rows, depths = GAMMA_GRAPHS[name]
+        graph = CartanGraph.standard(GeneralizedCartanMatrix.from_rows(rows))
+        for depth in depths:
+            re = realize(graph, depth=depth)
+            assert re.gamma == reference_affine_functional(re.rank, re.rays.values())
+
+    def test_gamma_of_affine_a1(self):
+        re = realize(builtin_graph("aff-a1"), depth=8)
+        assert re.gamma == (1, 1) == reference_affine_functional(re.rank, re.rays.values())
 
     @pytest.mark.parametrize("build", ["explicit", "json"])
     def test_missing_edge_leaves_the_region_open(self, build):

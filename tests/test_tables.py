@@ -1,0 +1,156 @@
+"""The table constructor builds its integer data first and derives every
+field as the Fraction-first constructor did (`_oracles.reference_table`),
+for every kind of input the library and its users give it."""
+
+from __future__ import annotations
+
+import contextlib
+import itertools
+from fractions import Fraction as F
+
+import pytest
+
+from weylgpd.arrangement import RootSystemTable, Spherical, default_seed_chamber
+from weylgpd.builtins import BUILTIN_GCMS, TABLE_NAMES, builtin_graph, builtin_table, f4_table
+from weylgpd.exactlin import primitive_ray
+from weylgpd.jsonio import table_from_json
+from weylgpd.realization import realize
+from weylgpd.subarr import localize, restrict
+
+from _oracles import reference_table
+
+FIELDS = ("roots", "index", "int_roots", "int_index", "negation", "primitive", "lines", "scale", "reduced")
+
+
+@contextlib.contextmanager
+def recorded_inputs():
+    """Record (rank, roots, reduced) of every table built inside, with the
+    roots in the form the constructor was given them."""
+    inputs = []
+    original = RootSystemTable.__init__
+
+    def recording(self, rank, roots, cone=Spherical(), reduced=None, **kwargs):
+        roots = list(roots)
+        inputs.append((rank, roots, reduced))
+        original(self, rank, roots, cone, reduced, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RootSystemTable, "__init__", recording)
+        yield inputs
+
+
+def assert_same_table(rank, roots, reduced=None):
+    table = RootSystemTable(rank, roots, reduced=reduced)
+    assert {name: getattr(table, name) for name in FIELDS} == reference_table(rank, roots, reduced)
+    # Equal values are not enough: an int equals its Fraction.
+    assert all(type(c) is F for r in table.roots for c in r)
+    assert all(type(c) is int for r in table.int_roots for c in r)
+
+
+def assert_same_inputs(inputs):
+    assert inputs
+    for rank, roots, reduced in inputs:
+        assert_same_table(rank, roots, reduced)
+
+
+@pytest.mark.parametrize("name", TABLE_NAMES)
+def test_builtin_tables(name):
+    with recorded_inputs() as inputs:
+        builtin_table.__wrapped__(name)
+    assert_same_inputs(inputs)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GCMS))
+def test_realized_tables(name):
+    with recorded_inputs() as inputs:
+        for depth in range(1, 7):
+            realize(builtin_graph(name), depth=depth)
+    assert len(inputs) == 6
+    assert all(type(c) is int for _, roots, _ in inputs for r in roots for c in r)
+    assert_same_inputs(inputs)
+
+
+def test_f4_from_json_strings():
+    data = {"rank": 4, "roots": [[str(c) for c in r] for r in f4_table().roots], "reduced": True}
+    with recorded_inputs() as inputs:
+        table_from_json(data)
+    assert_same_inputs(inputs)
+    assert_same_table(4, data["roots"], True)
+
+
+@pytest.mark.parametrize("name", ["b3", "f4"])
+def test_restrictions_and_localizations(name):
+    table = builtin_table(name)
+    rays = default_seed_chamber(table).rays
+    points = [primitive_ray(ray) for ray in rays]
+    points += [primitive_ray(tuple(map(sum, zip(u, v)))) for u, v in itertools.combinations(rays, 2)]
+    with recorded_inputs() as inputs:
+        for roots in table.lines.values():
+            restrict(table, roots[-1])
+        for x in points:
+            localize(table, x)
+    assert_same_inputs(inputs)
+
+
+def as_ints(root):
+    return tuple(int(c) for c in root)
+
+
+def as_strings(root):
+    return tuple(str(c) for c in root)
+
+
+def as_mix(root):
+    """Every other coordinate a string, the rest Fractions, in a list."""
+    return [str(c) if m % 2 else c for m, c in enumerate(root)]
+
+
+@pytest.mark.parametrize("name", ["a3", "b3", "f4", "aff-a1"])
+def test_forms_of_the_roots(name):
+    table = builtin_table(name)
+    roots, ints = table.roots, table.int_roots
+    assert_same_table(table.rank, ints)
+    assert_same_table(table.rank, roots)
+    assert_same_table(table.rank, [as_strings(r) for r in roots])
+    assert_same_table(table.rank, [as_mix(r) for r in roots])
+    # One root in each form, and duplicates across forms.
+    forms = [tuple, as_strings, as_mix] + ([as_ints] if table.scale == 1 else [])
+    mixed = [form(r) for form, r in zip(itertools.cycle(forms), roots)]
+    assert_same_table(table.rank, mixed + [as_strings(r) for r in roots[::3]])
+    # Int tuples next to Fraction tuples, and ints next to Fractions in one root.
+    assert_same_table(table.rank, [tuple(int(c) if c.denominator == 1 else c for c in r) for r in roots])
+    assert_same_table(table.rank, [tuple(F(c, 3) if k % 2 else c for k, c in enumerate(r)) for r in ints])
+    assert RootSystemTable(table.rank, (as_strings(r) for r in roots)).int_roots == ints
+    assert_same_table(table.rank, [])
+
+
+MALFORMED = {
+    "rank": (2, [(1, 0), (-1, 0), (1, 2, 3), (-1, -2, -3)], None),
+    "rank, fractions": (2, [("1/2", 0), ("-1/2", 0), (F(1, 3),), (F(-1, 3),)], None),
+    "rank one short": (3, [(1, 0, 0), (-1, 0, 0), ("0", "1/2"), (0, F(-1, 2))], None),
+    "zero root": (2, [(0, 0), (1, 0), (-1, 0)], None),
+    "zero root, strings": (2, [("0", "0/5"), ("1/2", "0"), ("-1/2", "0")], None),
+    "negation": (2, [(1, 0), (-1, 0), (F(1, 2), F(1, 3))], None),
+    "negation, strings": (2, [("1", "0"), ("-1", "0"), ("2", "-1/3")], None),
+    "negation, ints": (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (2, 1, -1)], None),
+    "claimed reduced": (2, [(1, 0), (-1, 0), (2, 0), (-2, 0), (0, 1), (0, -1)], True),
+    "claimed not reduced": (2, [(1, 0), (-1, 0), (0, "1/2"), (0, "-1/2")], False),
+    "bool": (2, [(True, 0), (-1, 0), (0, 1), (0, -1)], None),
+    "bool after ints": (2, [(1, 0), (-1, 0), (0, 1), (0, False)], None),
+    "float": (2, [(1.0, 0), (-1, 0), (0, 1), (0, -1)], None),
+    "float in a fraction root": (2, [(F(1, 2), 0.5), (-1, 0)], None),
+    "zero denominator": (2, [("1/0", 0), (1, 0)], None),
+    "bad string": (2, [("x", 0), (1, 0)], None),
+    "rank before zero": (2, [(0, 0), (0, 0, 1), (0, 0, -1)], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_raises_as_before(name):
+    rank, roots, reduced = MALFORMED[name]
+    with pytest.raises(Exception) as got:
+        RootSystemTable(rank, roots, reduced=reduced)
+    with pytest.raises(Exception) as expected:
+        reference_table(rank, roots, reduced)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
