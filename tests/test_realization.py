@@ -136,6 +136,7 @@ class TestRealize:
             # Nor is (1,3,1,1,1,1,2,2), whose first defect is 4 edges away.
             ((1, 3, 1, 1, 1, 1, 2, 2), 16, 4, 4, "root (-1, 0) is not sign-coherent at 4: coords (2, -1)"),
         ],
+        ids=["distance-2", "distance-4"],
     )
     def test_sign_incoherent_root_is_an_axiom_violation(self, seq, depth, obj, distance, text):
         graph = rank2_graph_from_edge_sequence(seq)
@@ -161,10 +162,6 @@ class TestRealize:
         for depth in depths:
             re = realize(graph, depth=depth)
             assert re.gamma == reference_affine_functional(re.rank, re.rays.values())
-
-    def test_gamma_of_affine_a1(self):
-        re = realize(builtin_graph("aff-a1"), depth=8)
-        assert re.gamma == (1, 1) == reference_affine_functional(re.rank, re.rays.values())
 
     @pytest.mark.parametrize("build", ["explicit", "json"])
     def test_missing_edge_leaves_the_region_open(self, build):
