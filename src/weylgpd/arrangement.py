@@ -19,7 +19,8 @@ predicates compare those numerators; Fractions are built only for values
 that leave the kernel.
 
 A seed chamber's walls come from its extreme rays, found by double
-description.  A chamber whose roots all have integer coordinates in its
+description with the lines each lies on: wall m is the one line on all
+rays but ray m.  A chamber whose roots all have integer coordinates in its
 basis B is an object a of the Weyl groupoid, and the set R^a of those
 coordinate vectors decides what a survey asks of it.  Crossing wall i is
 the change of object: B' = T . B for the integer involution T with rows -e_i
@@ -31,11 +32,12 @@ and refused transitions take the wall step: a wall scan names the
 neighbor's basis, and `_wall_coefficients`, the one statement of the
 crystallographic rule, gives T when every coefficient is an integer, else
 the step eliminates the neighbor's frame.  Either way the neighbor is built
-by `_chamber`, the one constructor of found chambers, and `Chamber.frame`
-builds its frame when it is read: carried with one column update from its
-parent's frame when that is built, else by Bareiss elimination.  A seed
-holds its frame from the start.  Chamber keys and line keys are tuples of
-primitive integer rays.  A chamber's Fraction data, its rays and witness
+by `_chamber`, the one constructor of the chambers the library builds (a
+realization's objects too), and `Chamber.frame` builds its frame when it
+is read: carried with one column update from its parent's frame when that
+is built, else by Bareiss elimination.  A seed holds its frame from the
+start; `_held` holds any chamber on a table.  Chamber keys and line keys
+are tuples of primitive integer rays.  A chamber's Fraction data, its rays and witness
 point, is built when it is first read; `chamber_bfs` builds none, as the affine
 cone test reads the sign of gamma at the columns of A.
 """
@@ -372,18 +374,6 @@ def _carry_frame(frame: IntegerFrame, i: int, coeffs: Sequence[int], index: tupl
     )
 
 
-def _frame(table: RootSystemTable, chamber: Chamber) -> IntegerFrame:
-    """The chamber's integer data in `table`, computed from its basis when it
-    carries none for this table object (hand-built chambers, equal rebuilt tables)."""
-    frame = chamber.frame
-    if frame is not None and frame.table is table:
-        return frame
-    missing = [b for b in chamber.basis if b not in table.index]
-    if missing:
-        raise InvalidTable(f"basis element {fmt_covector(missing[0])} is not a root of the table")
-    return _frame_at(table, tuple(table.index[b] for b in chamber.basis))
-
-
 def _frame_rays(frame: IntegerFrame) -> tuple:
     """The chamber's rays, scale * A[:, j] / D: the basis dual to its roots."""
     scale, det = frame.table.scale, frame.det
@@ -392,12 +382,19 @@ def _frame_rays(frame: IntegerFrame) -> tuple:
 
 def _held(table: RootSystemTable, chamber: Chamber) -> Chamber:
     """The chamber as the kernel holds it in `table`: itself when `_chamber`
-    built it for `table`, else rebuilt once on `_frame(table, chamber)`
-    with its own witness."""
+    built it for `table`, else rebuilt once on its frame in `table`,
+    eliminated from its basis unless it carries it (hand-built chambers,
+    chambers of an equal rebuilt table), with its witness or, when that is
+    not built yet, the crossing that builds it."""
     if vars(chamber).get("_table") is table:
         return chamber
-    frame = _frame(table, chamber)
-    return _chamber(table, frame.index, frame, chamber.witness)
+    frame = chamber.frame
+    if frame is None or frame.table is not table:
+        missing = [b for b in chamber.basis if b not in table.index]
+        if missing:
+            raise InvalidTable(f"basis element {fmt_covector(missing[0])} is not a root of the table")
+        frame = _frame_at(table, tuple(table.index[b] for b in chamber.basis))
+    return _chamber(table, frame.index, frame, vars(chamber).get("witness"), vars(chamber).get("_crossing"))
 
 
 def _chamber(table: RootSystemTable, index: tuple, frame=None, witness=None, crossing=None) -> Chamber:
@@ -479,7 +476,7 @@ def coords_in_chamber(table: RootSystemTable, chamber: Chamber, root) -> tuple:
 
     The chamber's basis must consist of roots of `table` (InvalidTable otherwise).
     """
-    frame = _frame(table, chamber)
+    frame = _held(table, chamber).frame
     covector = vec(root)
     if len(covector) != table.rank:
         raise InvalidTable(f"covector {fmt_covector(covector)} does not have rank {table.rank}")
@@ -522,22 +519,24 @@ def _positive_lines(table: RootSystemTable, x: Vector) -> list:
     return out
 
 
-def _cone_rays(reps: Sequence[tuple], rank: int) -> list:
-    """The extreme rays (primitive int tuples) of the cone {reps >= 0}, by
-    double description (Fukuda and Prodon, "Double description method
-    revisited", 1996): one elimination of [reps^T | I] gives the dual rays of
-    the first `rank` independent lines, and each further line keeps the rays
-    on its nonnegative side and joins each adjacent pair on opposite sides.
-    Two rays are adjacent when they share >= rank-2 zero lines (line
-    positions) and no third ray vanishes on all of those.  Lines that do not
-    span leave the kernel line, if the kernel is one, and no ray otherwise."""
+def _cone_rays(reps: Sequence[tuple], rank: int) -> tuple:
+    """The extreme rays (primitive int tuples) of the cone {reps >= 0} and
+    their zero sets, the lines (positions) each lies on, by double
+    description (Fukuda and Prodon, "Double description method revisited",
+    1996): one elimination of [reps^T | I] gives the dual rays of the first
+    `rank` independent lines, and each further line keeps the rays on its
+    nonnegative side and joins each adjacent pair on opposite sides, a
+    positive combination on exactly the lines both lie on and the new one.
+    Two rays are adjacent when they share >= rank-2 zero lines and no third
+    ray vanishes on all of those.  Lines that do not span leave the kernel
+    line, if the kernel is one, and no ray otherwise."""
     n = len(reps)
     reduced, d, pivots = int_row_reduce(
         [[rep[t] for rep in reps] + [int(j == t) for j in range(rank)] for t in range(rank)]
     )
     if pivots[-1] >= n:
         kernel = [row[n:] for row, p in zip(reduced, pivots) if p >= n]
-        return [int_primitive(kernel[0])] if len(kernel) == 1 else []
+        return ([int_primitive(kernel[0])], [frozenset(range(n))]) if len(kernel) == 1 else ([], [])
     # Row j is d times the ray dual to line pivots[j]; it vanishes on the others.
     rays = [int_primitive(row[n:] if d > 0 else [-a for a in row[n:]]) for row in reduced]
     zeros = [frozenset(pivots[:j] + pivots[j + 1:]) for j in range(rank)]
@@ -556,15 +555,16 @@ def _cone_rays(reps: Sequence[tuple], rank: int) -> list:
             new_rays.append(int_primitive(tuple(va * y - vb * x for x, y in zip(rays[a], rays[b]))))
             new_zeros.append(shared | {m})
         rays, zeros = new_rays, new_zeros
-    return rays
+    return rays, zeros
 
 
 def _extreme_basis(table: RootSystemTable, positives: Sequence[tuple]) -> tuple:
     """Facet-defining representatives among positive constraints of a simplicial cone.
 
-    `positives` holds (line key, root index) pairs.  The cone they cut out
-    must have exactly `rank` extreme rays (`_cone_rays`), and each wall is the
-    unique constraint line vanishing on the other rank-1 rays.  Returns root
+    `positives` holds (line key, root index) pairs, one per line.  The cone
+    they cut out must have exactly `rank` independent extreme rays
+    (`_cone_rays`); wall m is then the one line in the zero sets of all the
+    others, which span its facet, and ray m is positive on it.  Returns root
     indices."""
     rank = table.rank
     if len(positives) < rank:
@@ -573,22 +573,13 @@ def _extreme_basis(table: RootSystemTable, positives: Sequence[tuple]) -> tuple:
         if len(positives) != 1:
             raise NotSimplicial("rank-1 tables have a single hyperplane line")
         return (positives[0][1],)
-    keys = [key for key, _ in positives]
-    rays = _cone_rays([table.int_roots[k] for _, k in positives], rank)
+    rays, zeros = _cone_rays([table.int_roots[k] for _, k in positives], rank)
     if len(rays) != rank or int_det(rays) == 0:
         raise NotSimplicial(f"chamber has {len(rays)} extreme rays, expected {rank}")
     basis = []
     for m in range(rank):
-        others = rays[:m] + rays[m + 1:]
-        wall = next(
-            (k for key, (_, k) in zip(keys, positives) if all(_dot(key, d) == 0 for d in others)),
-            None,
-        )
-        if wall is None:
-            raise NotSimplicial("a facet of the chamber lies on no table hyperplane")
-        if _dot(table.int_roots[wall], rays[m]) <= 0:
-            raise NotSimplicial("wall orientation inconsistent with chamber rays")
-        basis.append(wall)
+        (line,) = frozenset.intersection(*zeros[:m], *zeros[m + 1:])
+        basis.append(positives[line][1])
     basis.sort(key=table.primitive.__getitem__)
     return tuple(basis)
 
@@ -598,7 +589,7 @@ def _rays_in_cone(table: RootSystemTable, chamber: Chamber) -> list:
     gamma > 0: the sign of the integer gamma at the frame's adjugate columns,
     which are positive multiples of the rays."""
     gamma, _ = clear_denominators(table.cone.gamma)
-    return [_dot(gamma, col) > 0 for col in _frame(table, chamber).cols]
+    return [_dot(gamma, col) > 0 for col in _held(table, chamber).frame.cols]
 
 
 def wall_is_crossable(table: RootSystemTable, chamber: Chamber, i: int) -> bool:
@@ -808,11 +799,13 @@ def cartan_matrix_at(table: RootSystemTable, chamber: Chamber) -> ChamberCartanD
     Raises NotCrystallographicAt with the offending relation when a transition
     coefficient is non-integral or the j-slot coefficient is not 1.
     """
+    table.require_reduced()
+    held = _held(table, chamber)
     neighbors = []
     coeff_rows = []
     for i in range(chamber.rank):
-        neighbor = adjacent_chamber(table, chamber, i)
-        coeffs = _wall_coefficients(_frame(table, chamber), i, neighbor.frame.index)
+        neighbor = adjacent_chamber(table, held, i)
+        coeffs = _wall_coefficients(held.frame, i, neighbor.frame.index)
         if isinstance(coeffs, CoefficientWitness):
             raise NotCrystallographicAt(chamber.key, coeffs)
         neighbors.append(neighbor)
@@ -1155,10 +1148,6 @@ class ExtractionResult(Record):
     chambers: dict  # chamber key -> Chamber
     atlas: ChamberAtlas
 
-    @property
-    def certified(self) -> set:
-        return set(self.atlas.certified)
-
 
 def extract_cartan_graph(table: RootSystemTable, budget: int = 10_000) -> ExtractionResult:
     """Chambers as objects, wall crossings as edges, Cartan matrix per chamber.
@@ -1350,11 +1339,9 @@ def verify_combinatorial_equivalence(
     if image != set(table_b.roots):
         return EquivalenceReport(False, "g does not map the root set onto the target root set")
     ca, cb = table_a.cone, table_b.cone
-    if isinstance(ca, Spherical) != isinstance(cb, Spherical):
+    if type(ca) is not type(cb):
         return EquivalenceReport(False, "cone types differ")
     if isinstance(ca, Affine):
-        if not isinstance(cb, Affine):
-            return EquivalenceReport(False, "cone types differ")
         gamma_image = tuple(vdot(ca.gamma, col) for col in g_inv)
         if primitive_ray(gamma_image) != primitive_ray(cb.gamma):
             return EquivalenceReport(False, "g does not map the cone onto the target cone")

@@ -4,6 +4,8 @@ Each object b receives an indexed basis B^b of covectors (the base object gets
 the standard dual basis) propagated across edges by the reflection action, the
 chamber K^b is the open cone cut out by B^b, and the realized root table is the
 negation closure of all basis elements found within the generation depth.
+Each K^b is built as a chamber of that table by the kernel's constructor
+(`arrangement._chamber`), so `Chamber.frame` carries its frame.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .arrangement import (
     RootSystemTable,
     Spherical,
     Truncated,
-    _carry_frame,
+    _chamber,
     _column_is_coherent,
     _dot,
     _frame_at,
@@ -58,11 +60,13 @@ ObjectId = Hashable
 
 
 class Realization(Record):
+    """Each realized object's basis and its chamber in `table`, by `realize`."""
+
     graph: CartanGraph
     base: ObjectId
     depth: int
     bases: dict  # object -> indexed covector basis, int tuples
-    rays: dict  # object -> dual basis vectors
+    chambers: dict  # object -> its chamber K^b in the table, in the order of `bases`
     edges: dict  # (object, i) -> object
     order: list  # BFS order
     table: RootSystemTable
@@ -76,18 +80,21 @@ class Realization(Record):
         return self.graph.rank
 
     def chamber_of(self, obj: ObjectId) -> Chamber:
-        return Chamber(self.bases[obj], self.rays[obj], interior_point(self.rays[obj]))
+        return self.chambers[obj]
 
 
 def realize(graph: CartanGraph, depth: int = 8) -> Realization:
     """Generate chambers and roots from `graph.base` to the given depth and
-    assemble the table from the int bases.
+    assemble the table from the int bases.  The base's chamber holds its
+    eliminated frame and the interior point of its rays; every other one is
+    found across the first edge (obj, i) into it, by -row i of obj's matrix.
 
     Raises NotSimplyConnected when two words reach one object with different
     bases or two objects with the same chamber, and AxiomViolation when a
     realized root fails to be sign-coherent at some generated chamber: the
     first in BFS order, found by the full sign test (`_root_defects`) on the
-    base's frame and on a carried frame whose new column fails (`_frames`).
+    base's frame and on a carried frame whose new column fails
+    (`_column_is_coherent`, which decides it as its parent is coherent).
     """
     base = graph.base
     rank = graph.rank
@@ -112,7 +119,7 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
     for obj, basis in bases.items():
         key = canonical_basis_key(basis)
         other = seen_keys.get(key)
-        if other is not None and other != obj:
+        if other is not None:
             raise NotSimplyConnected(
                 f"objects {fmt_object(other)} and {fmt_object(obj)} realize the same chamber"
             )
@@ -138,19 +145,22 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
         seed_hint=interior_point(dual_basis(bases[_anchor(order, certified, base)])),
         certified_keys=frozenset(canon[obj] for obj in certified),
     )
-    frames, rays = [], {}
-    for obj, frame, coherent in _frames(graph, table, bases, first_edge):
-        if not coherent:  # a sign defect: every frame is integral
-            k, _ = next(_root_defects(frame))
-            raise AxiomViolation(
-                f"root {fmt_covector(table.roots[k])} is not sign-coherent at {fmt_object(obj)}: "
-                f"coords {fmt_covector(frame.coords(k))}"
-            )
-        frames.append(frame)
-        rays[obj] = _frame_rays(frame)
-    gamma = _derive_affine_functional(rank, frames)
+    position = table.int_index
+    index = tuple(map(position.__getitem__, bases[base]))
+    frame = _frame_at(table, index)
+    chambers = {base: _chamber(table, index, frame, interior_point(_frame_rays(frame)))}
+    if next(_root_defects(frame), None) is not None:
+        raise _sign_defect(base, frame)
+    for nxt, (obj, i) in first_edge.items():
+        parent = chambers[obj]
+        coeffs = tuple(-c for c in graph.matrix(obj).rows[i])
+        index = tuple(map(position.__getitem__, bases[nxt]))
+        chamber = chambers[nxt] = _chamber(table, index, crossing=(coeffs, i, parent))
+        if not _column_is_coherent(parent.frame.num_cols, i, chamber.frame.num_cols[i]):
+            raise _sign_defect(nxt, chamber.frame)
+    gamma = _derive_affine_functional(rank, [chamber.frame for chamber in chambers.values()])
     # Positional: a record built by keyword pays for matching the names.
-    return Realization(graph, base, depth, bases, rays, dict(edges), order, table, closed, certified, canon, gamma)
+    return Realization(graph, base, depth, bases, chambers, dict(edges), order, table, closed, certified, canon, gamma)
 
 
 def _anchor(order: list, certified: frozenset, base: ObjectId) -> ObjectId:
@@ -159,23 +169,14 @@ def _anchor(order: list, certified: frozenset, base: ObjectId) -> ObjectId:
     return next((obj for obj in order if obj in certified), base)
 
 
-def _frames(graph: CartanGraph, table: RootSystemTable, bases: dict, first_edge: dict):
-    """(object, frame, coherent) for every realized object in BFS order,
-    `coherent` saying whether every root is sign-coherent in the frame.
-
-    The base's frame, on the standard basis and so integral, is checked in
-    full.  Every other one is carried across its first edge by the integer
-    reflection that gave its basis, and only its new column is checked
-    (`_column_is_coherent`), which decides it as its parent, yielded before
-    it, is coherent.
-    """
-    position, base = table.int_index, graph.base
-    frames = {base: _frame_at(table, tuple(map(position.__getitem__, bases[base])))}
-    yield base, frames[base], next(_root_defects(frames[base]), None) is None
-    for nxt, (obj, i) in first_edge.items():
-        coeffs = [-c for c in graph.matrix(obj).rows[i]]
-        frame = frames[nxt] = _carry_frame(frames[obj], i, coeffs, tuple(map(position.__getitem__, bases[nxt])))
-        yield nxt, frame, _column_is_coherent(frames[obj].num_cols, i, frame.num_cols[i])
+def _sign_defect(obj: ObjectId, frame) -> AxiomViolation:
+    """The AxiomViolation of the first root, in root order, that is not
+    sign-coherent in the frame of `obj`: every realized frame is integral."""
+    k, _ = next(_root_defects(frame))
+    return AxiomViolation(
+        f"root {fmt_covector(frame.table.roots[k])} is not sign-coherent at {fmt_object(obj)}: "
+        f"coords {fmt_covector(frame.coords(k))}"
+    )
 
 
 def _derive_affine_functional(rank: int, frames: list) -> tuple | None:
@@ -250,7 +251,7 @@ def adjacency_equivalences_test(
 ) -> AdjacencyEquivalence:
     """Evaluate the four equivalent adjacency characterizations independently."""
     basis_b, basis_b2 = re.bases[b], re.bases[b2]
-    rays_b, rays_b2 = re.rays[b], re.rays[b2]
+    rays_b, rays_b2 = re.chambers[b].rays, re.chambers[b2].rays
     wall = re.bases[b][i]
 
     def in_closure(point, basis) -> bool:
@@ -274,7 +275,7 @@ def adjacency_equivalences_test(
     expected = {b, b2}
     sandwich: bool | None = True
     for obj in re.order:
-        centroid = interior_point(re.rays[obj])
+        centroid = interior_point(re.chambers[obj].rays)
         inside = all(vdot(c, centroid) > 0 for c in constraints)
         if inside != (obj in expected):
             sandwich = False

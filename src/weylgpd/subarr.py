@@ -519,9 +519,7 @@ class CorrespondenceReport(Record):
         return "pass" if self.equivalent else "fail"
 
 
-def residue_correspondence_check(
-    table: RootSystemTable, x, J: Sequence[int] | None = None, budget: int = 10_000
-) -> CorrespondenceReport:
+def residue_correspondence_check(table: RootSystemTable, x, budget: int = 10_000) -> CorrespondenceReport:
     """Localization graph vs. Cartan-graph residue at a face point, anchored.
 
     x must lie on a face of some chamber; the chamber's walls through x give the
@@ -534,8 +532,6 @@ def residue_correspondence_check(
         raise InvalidTable("the localization at x is empty")
     chamber = _chamber_at_face(table, x, loc)
     ambient_J = tuple(i for i in range(table.rank) if vdot(chamber.basis[i], x) == 0)
-    if J is not None and tuple(sorted(J)) != ambient_J:
-        raise InvalidTable(f"walls through x are {ambient_J}, not {tuple(J)}")
 
     seed_intrinsic = chamber_from_point(loc.table, loc.intrinsic_point(chamber.witness))
     phi = []

@@ -125,7 +125,7 @@ def realize_digest(name: str, depth: int = 8) -> str:
         return {
             "order": objects,
             "bases": [_strs(re.bases[obj]) for obj in re.order],
-            "rays": [_strs(re.rays[obj]) for obj in re.order],
+            "rays": [_strs(re.chambers[obj].rays) for obj in re.order],
             "canon": [_strs(re.canon[obj]) for obj in re.order],
             "edges": sorted([key_to_str(a), i, key_to_str(b)] for (a, i), b in re.edges.items()),
             "roots": _strs(re.table.roots),

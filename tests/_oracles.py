@@ -269,12 +269,12 @@ def reference_wall_coefficients(table, chamber, neighbor, i):
     rejects a new wall off the plane of a_i and a_j and a negative c, two
     branches the library dropped as unreachable.
     """
-    from weylgpd.arrangement import _frame
+    from weylgpd.arrangement import _held
 
-    frame = _frame(table, chamber)
+    frame = _held(table, chamber).frame
     det = frame.det
     out = []
-    for j, k in enumerate(_frame(table, neighbor).index):
+    for j, k in enumerate(_held(table, neighbor).frame.index):
         if j == i:
             out.append(-2)
             continue

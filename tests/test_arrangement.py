@@ -341,3 +341,17 @@ class TestCombinatorialEquivalence:
         table = a2_table()
         g = ((0, 1), (1, 0))
         assert verify_combinatorial_equivalence(table, table, g).equivalent
+
+    @pytest.mark.parametrize("order", ["truncated-first", "affine-first"])
+    def test_truncated_and_affine_cones_differ_in_either_order(self, order):
+        affine = affine_a1_table(4)
+        truncated = RootSystemTable(affine.rank, affine.roots, cone=Truncated(4))
+        pair = (truncated, affine) if order == "truncated-first" else (affine, truncated)
+        report = verify_combinatorial_equivalence(*pair, ((1, 0), (0, 1)))
+        assert (report.equivalent, report.reason) == (False, "cone types differ")
+
+    def test_affine_cone_must_map_onto_the_target_cone(self):
+        table = affine_a1_table(4)
+        assert verify_combinatorial_equivalence(table, table, ((0, 1), (1, 0))).equivalent
+        report = verify_combinatorial_equivalence(table, table, ((-1, 0), (0, -1)))
+        assert (report.equivalent, report.reason) == (False, "g does not map the cone onto the target cone")

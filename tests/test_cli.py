@@ -214,6 +214,13 @@ class TestPipelines:
         code, out, _ = run(capsys, "--depth", "16", "roundtrip", "g2")
         assert code == 0 and "pass" in out
 
+    @pytest.mark.parametrize("command", ["realize", "roundtrip"])
+    def test_graph_that_is_not_simply_connected_fails_the_check(self, capsys, tmp_path, command):
+        path = tmp_path / "double_cover.json"
+        path.write_text(json.dumps(graph_to_json(rank2_graph_from_edge_sequence((1,) * 12))))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (1, "", "check failed: objects 3 and 9 realize the same chamber\n")
+
     def test_roots_json_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "--format", "json", "--depth", "4", "roots", "a2")
         code2, out2, _ = run(capsys, "--format", "json", "--depth", "4", "roots", "a2")
@@ -530,6 +537,23 @@ class TestJsonInputBoundary:
         path = _write(tmp_path, FLAT)
         code, out, err = run(capsys, *(path if a == "{}" else a for a in argv))
         assert code == 0 and stdout in out and err == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("check", "{}", "--property", "cryst"), ("check", "{}", "--property", "additive"), ("extract-graph", "{}")],
+    )
+    def test_spherical_table_that_is_not_simplicial_fails_the_check(self, capsys, tmp_path, argv):
+        """The lines of e1, e2, e3 and e1 + e2 + e3 cut the octant opposite the
+        seed's into chambers with four walls: the survey's crossing into one
+        is refused on a spherical table, as a failed check."""
+        units = [[int(j == k) for j in range(3)] for k in range(3)]
+        roots = [[s * c for c in r] for r in (*units, [1, 1, 1]) for s in (1, -1)]
+        path = _write(tmp_path, {"rank": 3, "roots": roots, "seed": ["1", "2", "3"]})
+        code, out, err = run(capsys, *(path if a == "{}" else a for a in argv))
+        message = (
+            "root (-1, -1, -1) separates the claimed chamber ((0, 0, -1), (0, 1, 0), (1, 0, 0)): coords (1, -1, -1)"
+        )
+        assert (code, out, err) == (1, "", f"check failed: {message}\n")
 
 
 ENTRIES = st.sampled_from([0, 0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2)])

@@ -94,8 +94,8 @@ class TestRemainingInvariants:
             # The composed word maps base coordinates to end coordinates of
             # every root exactly.
             for root in re.table.roots:
-                start_coords = tuple(vdot(root, ray) for ray in re.rays[re.base])
-                end_coords = tuple(vdot(root, ray) for ray in re.rays[cur])
+                start_coords = tuple(vdot(root, ray) for ray in re.chambers[re.base].rays)
+                end_coords = tuple(vdot(root, ray) for ray in re.chambers[cur].rays)
                 mapped = tuple(
                     sum(matrix[k][t] * start_coords[t] for t in range(3)) for k in range(3)
                 )

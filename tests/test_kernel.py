@@ -185,11 +185,17 @@ def chamber_answers(table: RootSystemTable, chamber: Chamber) -> tuple:
 @pytest.mark.parametrize("name", ["b3", "aff-a1", "aff-a1-rescaled"])
 def test_chambers_without_their_tables_integer_data_agree(name):
     """Frameless chambers, and chambers handed to an equal but rebuilt table,
-    get the same answers as the chambers the table itself produced."""
+    get the same answers as the chambers the table itself produced; holding
+    a found chamber on the rebuilt table builds no witness."""
     table = builtin_table(name)
     rebuilt = RootSystemTable(table.rank, table.roots, cone=table.cone, seed_hint=table.seed_hint)
     assert rebuilt == table and rebuilt is not table
     atlas = chamber_bfs(table, default_seed_chamber(table), 64)
+    with counting({"_witness_across": 0}) as built:
+        for key in atlas.order:
+            coords_in_chamber(rebuilt, atlas.chambers[key], table.roots[0])
+            wall_is_crossable(rebuilt, atlas.chambers[key], 0)
+    assert built == {"_witness_across": 0}
     for key in atlas.order:
         framed = atlas.chambers[key]
         frameless = Chamber(framed.basis, framed.rays, framed.witness)
@@ -655,8 +661,8 @@ def realized_frames(graph, depth: int) -> list:
         return recorded
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_frame_at", "_carry_frame"):
-            patch.setattr(realization, name, recording(getattr(realization, name)))
+        patch.setattr(realization, "_frame_at", recording(realization._frame_at))
+        patch.setattr(arrangement, "_carry_frame", recording(arrangement._carry_frame))
         realize(graph, depth=depth)
     return frames
 
@@ -732,23 +738,27 @@ def test_chambers_built_on_read_equal_eager_chambers(name):
 
 @pytest.mark.parametrize("name", ["b3", "aff-a1"])
 def test_realization_chambers_seed_a_survey(name):
-    """realization.chamber_of builds a chamber from its values, without a
-    frame.  A survey from it holds a chamber equal to it as its seed, and
-    gives the atlas that the same chamber handed in with its frame gives;
-    it visits and certifies the chambers a survey from the default seed
-    visits and certifies."""
+    """realization.chamber_of is the chamber realize built in its table,
+    with the frame and rays that elimination gives for its basis.  A survey
+    from it holds it as its seed, and gives the atlas that the same values
+    handed in as a chamber with its frame, or without one, give; it visits
+    and certifies the chambers a survey from the default seed visits and
+    certifies."""
     re = realize(builtin_graph(name), depth=6)
     seed = re.chamber_of(re.base)
-    assert seed.frame is None and seed.rays == re.rays[re.base]
-    atlas = chamber_bfs(re.table, seed, 10_000)
-    assert atlas.chambers[atlas.seed_key] == seed
     index = tuple(re.table.index[b] for b in seed.basis)
-    framed = Chamber(seed.basis, seed.rays, seed.witness, _frame_at(re.table, index))
-    same = chamber_bfs(re.table, framed, 10_000)
-    assert same.chambers[same.seed_key] == framed
-    for field in ("seed_key", "order", "edges", "true_chambers", "certified", "checked", "objects", "transitions"):
-        assert getattr(atlas, field) == getattr(same, field)
-    assert [atlas.chambers[key] for key in atlas.order] == [same.chambers[key] for key in same.order]
+    assert seed is re.chambers[re.base] and seed.frame.table is re.table
+    assert frame_data(seed.frame) == frame_data(_frame_at(re.table, index))
+    assert seed.rays == tuple(dual_basis(re.bases[re.base]))
+    atlas = chamber_bfs(re.table, seed, 10_000)
+    assert atlas.chambers[atlas.seed_key] is seed
+    for frame in (_frame_at(re.table, index), None):
+        handed = Chamber(seed.basis, seed.rays, seed.witness, frame)
+        same = chamber_bfs(re.table, handed, 10_000)
+        assert same.chambers[same.seed_key] == handed == seed
+        for field in ("seed_key", "order", "edges", "true_chambers", "certified", "checked", "objects", "transitions"):
+            assert getattr(atlas, field) == getattr(same, field)
+        assert [atlas.chambers[key] for key in atlas.order] == [same.chambers[key] for key in same.order]
     expected = chamber_bfs(re.table, default_seed_chamber(re.table), 10_000)
     assert set(atlas.order) == set(expected.order)
     assert atlas.certified == expected.certified
@@ -899,11 +909,21 @@ def test_realize_carries_every_frame_but_the_base(monkeypatch, name):
         carried.append(_carry_frame(*args))
         return carried[-1]
 
-    monkeypatch.setattr(realization, "_carry_frame", recording)
+    monkeypatch.setattr(arrangement, "_carry_frame", recording)
     realized = realize(builtin_graph(name), depth=8)
     assert len(carried) == len(realized.bases) - 1
     for frame in carried:
         assert frame_data(frame) == frame_data(_frame_at(frame.table, frame.index))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GCMS))
+def test_passing_realize_builds_rays_for_the_base_witness_only(name):
+    """realize builds Fraction rays once, for the base chamber's witness,
+    and carries every other object's frame once, in `Chamber.frame`."""
+    with counting({"_frame_rays": 0}, realization) as realized, counting(dict.fromkeys(SURVEY_CALLS, 0)) as kernel:
+        re = realize(builtin_graph(name), depth=8)
+    assert realized == {"_frame_rays": 1}
+    assert kernel == {**dict.fromkeys(SURVEY_CALLS, 0), "_carry_frame": len(re.chambers) - 1}
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_GCMS))

@@ -71,7 +71,7 @@ def test_polygon_groupoid_realizes_and_identifies(q):
     assert re.gamma is None
     for depth in (n // 2, n, 2 * n):
         re_at = realize(graph, depth=depth)
-        assert re_at.gamma == reference_affine_functional(2, re_at.rays.values())
+        assert re_at.gamma == reference_affine_functional(2, [c.rays for c in re_at.chambers.values()])
     report = roundtrip_check(graph, depth=2 * n)
     assert report.equivalent, report.mismatches
     assert identify_rank2(re.table).signature == canonical_cycle(seq)

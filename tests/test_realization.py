@@ -16,8 +16,8 @@ from weylgpd.cartan import CartanGraph, GeneralizedCartanMatrix, generate_real_r
 from weylgpd.errors import AxiomViolation, NotSimplyConnected
 from weylgpd.exactlin import vec, vneg
 from weylgpd.jsonio import graph_from_json
+from weylgpd.arrangement import _column_is_coherent
 from weylgpd.realization import (
-    _frames,
     _root_defects,
     adjacency_equivalences_test,
     gallery_distance,
@@ -81,16 +81,19 @@ def rank2_stream_quiddities(seed: int) -> list:
 
 
 def assert_coherence_flags(graph: CartanGraph, depth: int) -> None:
-    """The flag that `realize` reads for each frame, rebuilt from the
-    realization's first edge into every object, is the full sign test."""
+    """The check that `realize` makes of each carried frame, on its new
+    column across the realization's first edge into the object, is the full
+    sign test of the frame."""
     re = realize(graph, depth)
     first_edge = {}
     for (obj, i), nxt in re.edges.items():
         if nxt != re.base:
             first_edge.setdefault(nxt, (obj, i))
-    frames = list(_frames(graph, re.table, re.bases, first_edge))
-    assert [obj for obj, _, _ in frames] == list(re.bases)
-    for _, frame, coherent in frames:
+    assert list(re.chambers) == [re.base, *first_edge] == list(re.bases)
+    assert next(_root_defects(re.chambers[re.base].frame), None) is None
+    for nxt, (obj, i) in first_edge.items():
+        parent, frame = re.chambers[obj].frame, re.chambers[nxt].frame
+        coherent = _column_is_coherent(parent.num_cols, i, frame.num_cols[i])
         assert coherent == (next(_root_defects(frame), None) is None)
 
 
@@ -161,7 +164,7 @@ class TestRealize:
         graph = CartanGraph.standard(GeneralizedCartanMatrix.from_rows(rows))
         for depth in depths:
             re = realize(graph, depth=depth)
-            assert re.gamma == reference_affine_functional(re.rank, re.rays.values())
+            assert re.gamma == reference_affine_functional(re.rank, [c.rays for c in re.chambers.values()])
 
     @pytest.mark.parametrize("build", ["explicit", "json"])
     def test_missing_edge_leaves_the_region_open(self, build):
@@ -171,6 +174,13 @@ class TestRealize:
         assert isinstance(re.table.cone, Truncated)
         assert re.certified == {graph.base}
         assert generate_real_roots(graph, graph.base, 8).complete is False
+
+    def test_double_cover_of_the_a2_hexagon_is_not_simply_connected(self):
+        """The edge sequence (1,)*12 goes twice around the A2 hexagon: objects
+        3 and 9 get one basis, so they realize the same chamber."""
+        with pytest.raises(NotSimplyConnected) as exc:
+            realize(rank2_graph_from_edge_sequence((1,) * 12))
+        assert str(exc.value) == "objects 3 and 9 realize the same chamber"
 
     def test_not_simply_connected_detected(self):
         gcm = GeneralizedCartanMatrix.from_rows([[2, -1], [-1, 2]])
