@@ -39,12 +39,15 @@ is built, else by Bareiss elimination.  A seed holds its frame from the
 start; `_held` holds any chamber on a table.  Chamber keys and line keys
 are tuples of primitive integer rays.  A chamber's Fraction data, its rays and witness
 point, is built when it is first read; `chamber_bfs` builds none, as the affine
-cone test reads the sign of gamma at the columns of A.
+cone test reads the sign of gamma at the columns of A.  A check that could only
+pass on a spherical table counts its chambers from the objects instead
+(`_chamber_count`): #objects x |Aut(a)|.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from functools import cache, cached_property
 from operator import mul, sub
@@ -926,6 +929,7 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
                 order.append(nkey)
                 queue.append(nkey)
             elif known._index != index:
+                # Never where every transition is accepted, which `_chamber_count` relies on.
                 raise NotSimplicial(
                     f"chamber {fmt_covector(nkey)} reached with conflicting compatible indexings"
                 )
@@ -947,6 +951,111 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
     return ChamberAtlas(
         seed_key, chambers, edges, order, true_chambers, certified, checked, budget_exceeded, objects, transitions
     )
+
+
+def _chamber_count(table: RootSystemTable, seed: Chamber, budget: int, passes=None) -> int | None:
+    """The number of chambers a survey from the held `seed` would find, when
+    that survey could only report a pass; else None, and the survey runs.
+
+    The count needs a spherical table, an integral seed frame (checked in
+    full, as `chamber_bfs` does) and every transition accepted.  Each chamber
+    is then an object, so the arrangement is crystallographic, and its
+    chambers correspond to the morphisms of its Weyl groupoid that start at
+    the seed's object a.  Each Hom(a, b) is an Aut(a)-torsor, so N = #objects
+    x |Aut(a)|.  A BFS by `_transition` finds the objects, and carries R^a
+    into each along its spanning tree.  Every other transition closes a loop
+    at a: one generator of Aut(a), as a permutation of R^a, which holds the
+    unit vectors.  None as well when an object fails `passes`, or N > budget,
+    when `chamber_bfs` would exceed its budget.  The survey's raise on a
+    chamber reached with two indexings cannot fire here: around each
+    codimension-2 face the compatible indexing comes back to itself, and in
+    a simplicial arrangement those loops generate every loop of chambers."""
+    if not isinstance(table.cone, Spherical):
+        return None
+    _verify_chamber_basis(seed.frame)
+    if not seed.frame.integral:
+        return None
+    base = _root_set(seed.frame)
+    carried = {base: tuple(base)}  # object b -> the points of R^a carried into R^b
+    queue, taken, generators = [base], set(), []
+    for obj in queue:
+        if passes is not None and not passes(obj):
+            return None
+        for i in range(table.rank):
+            if (obj, i) in taken:
+                continue
+            step = _transition(obj, i)
+            if step is None:
+                return None
+            coeffs, image = step
+            taken.add((image, i))
+            # v . T changes coordinate i only, to v_i + sum_j coeffs[j] * v_j.
+            points = tuple(v[:i] + (v[i] + _dot(coeffs, v),) + v[i + 1:] for v in carried[obj])
+            known = carried.get(image)
+            if known is None:
+                carried[image] = points
+                queue.append(image)
+                if len(queue) > budget:
+                    return None
+            else:
+                position = {v: k for k, v in enumerate(known)}
+                generators.append(tuple(map(position.__getitem__, points)))
+    position = {v: k for k, v in enumerate(carried[base])}
+    units = tuple(position[tuple(int(t == j) for t in range(table.rank))] for j in range(table.rank))
+    count = len(queue) * _group_order(generators, units)
+    return count if count <= budget else None
+
+
+def _group_order(generators: list, base: tuple) -> int:
+    """The order of the group that `generators`, permutations of range(n) as
+    tuples (k -> p[k]), generate, by deterministic Schreier-Sims (Á. Seress,
+    *Permutation Group Algorithms*, 2003, ch. 4) on `base`, a sequence of
+    points that only the identity fixes: the product of the basic orbit
+    lengths."""
+    if not generators:
+        return 1
+    identity = tuple(range(len(generators[0])))
+    strong = [g for g in generators if g != identity]
+
+    def level(j: int) -> tuple:
+        """The strong generators fixing base[:j], and the transversal of the
+        orbit of base[j] under them: point -> (u, u^-1), u(base[j]) = point."""
+        gens = [g for g in strong if all(g[b] == b for b in base[:j])]
+        transversal = {base[j]: (identity, identity)}
+        queue = [base[j]]
+        for point in queue:
+            u = transversal[point][0]
+            for g in gens:
+                if g[point] not in transversal:
+                    v = tuple(map(g.__getitem__, u))
+                    inverse = [0] * len(v)
+                    for k, x in enumerate(v):
+                        inverse[x] = k
+                    transversal[g[point]] = v, tuple(inverse)
+                    queue.append(g[point])
+        return gens, transversal
+
+    levels = [level(j) for j in range(len(base))]
+    j = len(base) - 1
+    while j >= 0:
+        gens, transversal = levels[j]
+        for (point, (u, _)), g in itertools.product(transversal.items(), gens):
+            # The Schreier generator u, then g, then u'^-1 fixes base[:j + 1]; sift it.
+            h = tuple(map(transversal[g[point]][1].__getitem__, map(g.__getitem__, u)))
+            stop = j + 1
+            while stop < len(base) and h[base[stop]] in levels[stop][1]:
+                h = tuple(map(levels[stop][1][h[base[stop]]][1].__getitem__, h))
+                stop += 1
+            if h != identity:
+                # h fixes base[:stop], so stop < len(base).
+                strong.append(h)
+                for t in range(j + 1, stop + 1):
+                    levels[t] = level(t)
+                j = stop
+                break
+        else:
+            j -= 1
+    return math.prod(len(transversal) for _, transversal in levels)
 
 
 def interior_point(rays: Sequence) -> Vector:
@@ -992,6 +1101,11 @@ def default_seed_chamber(table: RootSystemTable) -> Chamber:
 
 
 class CheckReport(Record):
+    """A check's verdict and its first witnesses.  `chambers_visited` is the
+    number of chambers the survey found, or, for a passing check counted from
+    its objects (`_chamber_count`), the number it would find; `certified` and
+    `skipped` are the survey's certified and unchecked chambers."""
+
     check: str
     passed: bool
     witnesses: tuple
@@ -1021,10 +1135,10 @@ class CheckReport(Record):
         }
 
 
-def _survey(table: RootSystemTable, budget: int) -> ChamberAtlas:
-    """The chamber atlas an analysis reads: BFS from the default seed chamber,
-    with BudgetExceeded when the budget runs out."""
-    atlas = chamber_bfs(table, default_seed_chamber(table), budget)
+def _survey(table: RootSystemTable, budget: int, seed: Chamber | None = None) -> ChamberAtlas:
+    """The chamber atlas an analysis reads: BFS from `seed`, by default the
+    default seed chamber, with BudgetExceeded when the budget runs out."""
+    atlas = chamber_bfs(table, default_seed_chamber(table) if seed is None else seed, budget)
     if atlas.budget_exceeded:
         raise BudgetExceeded("chamber budget exhausted", partial=atlas)
     return atlas
@@ -1083,8 +1197,16 @@ def _crystallographic_report(table: RootSystemTable, atlas: ChamberAtlas, max_wi
 
 
 def check_crystallographic(table: RootSystemTable, budget: int = 10_000, max_witnesses: int = 64) -> CheckReport:
-    """Integral, sign-coherent coordinates of every root at every certified chamber."""
-    return _crystallographic_report(table, _survey(table, budget), max_witnesses)
+    """Integral, sign-coherent coordinates of every root at every certified chamber.
+
+    A spherical table that passes has its chambers counted from its objects
+    (`_chamber_count`), not surveyed; any other table is surveyed from the
+    same seed."""
+    seed = default_seed_chamber(table)
+    count = _chamber_count(table, seed, budget)
+    if count is not None:
+        return CheckReport("crystallographic", True, (), count, count, 0, False)
+    return _crystallographic_report(table, _survey(table, budget, seed), max_witnesses)
 
 
 class AdditiveWitness(Record):
@@ -1104,9 +1226,16 @@ def check_additive(table: RootSystemTable, budget: int = 10_000, max_witnesses: 
     """Every positive root is a basis element or a sum of two positive roots.
 
     An object is tested once, on R^a; a chamber of an object that fails, or
-    without an object, finds its witnesses through its frame."""
-    atlas = _survey(table, budget)
+    without an object, finds its witnesses through its frame.  A spherical
+    table whose every object passes has its chambers counted from its
+    objects (`_chamber_count`), not surveyed; any other table is surveyed
+    from the same seed."""
+    seed = default_seed_chamber(table)
     lonely = cache(lambda root_set: _lonely_roots(tuple(root_set), 1))
+    count = _chamber_count(table, seed, budget, lambda root_set: not lonely(root_set))
+    if count is not None:
+        return CheckReport("additive", True, (), count, count, 0, False)
+    atlas = _survey(table, budget, seed)
 
     def witnesses(key, chamber):
         if key in atlas.objects and not lonely(atlas.objects[key]):

@@ -110,11 +110,15 @@ def _parse_covector(text: str, rank: int) -> tuple:
 def _emit(payload, fmt: str, table_lines=None) -> None:
     from .jsonio import dumps
 
-    if fmt == "json":
-        print(dumps(payload))
-    else:
-        for line in table_lines or [dumps(payload)]:
+    try:
+        for line in [dumps(payload)] if fmt == "json" else table_lines or [dumps(payload)]:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`weylgpd roots f4 | head -1`): the rest is
+        # dropped and the command keeps its exit code.  Stdout now points at
+        # os.devnull, so the interpreter's last flush has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _pair_table_lines(covectors) -> list[str]:

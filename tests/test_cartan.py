@@ -23,6 +23,7 @@ from weylgpd.cartan import (
     validate_gcm,
 )
 from weylgpd.errors import BudgetExceeded, InvalidCartanMatrix, NonSquare
+from weylgpd.subarr import rank2_graph_from_edge_sequence
 
 from _oracles import brute_real_roots_standard
 
@@ -143,6 +144,20 @@ class TestAxioms:
             rrs = generate_real_roots(graph, graph.base, 16)
             report = check_root_system_axioms(graph, rrs, 16)
             assert report.all_pass, (name, report.failures())
+
+    @pytest.mark.parametrize("depth", [6, 16])
+    def test_double_cover_fails_r4_at_every_object(self, depth):
+        """The edge sequence (1,)*12 goes twice around the A2 hexagon: m_01 = 3
+        at every object, yet (rho_0 rho_1)^3 lands on the object 6 steps on."""
+        graph = rank2_graph_from_edge_sequence((1,) * 12)
+        report = check_root_system_axioms(graph, generate_real_roots(graph, graph.base, depth), depth)
+        assert report.complete
+        assert all(f.status == "pass" for f in report.findings if f.axiom != "R4")
+        r4 = {f.obj: f for f in report.findings if f.axiom == "R4"}
+        assert sorted(r4) == list(range(12))
+        assert all(f.status == "fail" for f in r4.values())
+        assert r4[0].witness == (0, 1, 3, 6)
+        assert r4[1].witness == (0, 1, 3, 7)
 
 
 class TestMij:

@@ -316,6 +316,58 @@ class TestF4Demo:
         assert set(payload) == {"pi_12", "pi_13", "pi_14", "pi_23", "pi_24", "pi_34"}
 
 
+def cli_process(*argv) -> subprocess.Popen:
+    """`python -m weylgpd.cli argv` with piped stdout and stderr."""
+    env = dict(os.environ)
+    src = str(Path(weylgpd.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "weylgpd.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+
+
+class TestClosedStdout:
+    """A reader that stops reading (`weylgpd roots f4 | head -1`) gets no
+    traceback, and the command keeps its own exit code."""
+
+    @pytest.mark.parametrize(
+        "argv, first", [(("roots", "f4"), "complete: False"), (("extract-graph", "f4"), "objects: 1152")]
+    )
+    def test_reader_takes_one_line_of_a_long_output(self, argv, first):
+        # Either output is larger than a pipe and the stdout buffer together,
+        # so the command is still writing when the reader goes.
+        proc = cli_process(*argv)
+        assert proc.stdout.readline() == first + "\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 0
+        assert err == ""
+
+    def test_output_to_a_closed_stdout_is_dropped_in_process(self, monkeypatch, tmp_path):
+        """The same path in this process: a stdout whose writes fail with
+        EPIPE is pointed at os.devnull, and the command's exit code stands."""
+
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return sink.fileno()
+
+        with open(tmp_path / "stdout", "w") as sink:
+            monkeypatch.setattr(sys, "stdout", Closed())
+            assert main(["--depth", "5", "check", "aff-a1-rescaled", "--property", "cryst"]) == 1
+            assert main(["roots", "a2"]) == 0
+
+    @pytest.mark.parametrize("name, code", [("b3", 0), ("aff-a1-rescaled", 1)])
+    def test_check_keeps_its_verdict_when_nothing_is_read(self, name, code):
+        proc = cli_process("check", name, "--property", "cryst")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == code
+        assert err == ""
+
+
 class TestDepthAndK:
     @pytest.mark.parametrize("name", ["g2", "aff-a1"])
     def test_roundtrip_at_depth_zero_is_a_budget_error(self, capsys, name):
