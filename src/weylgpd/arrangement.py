@@ -47,7 +47,6 @@ pass on a spherical table counts its chambers from the objects instead
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
 from functools import cache, cached_property
 from operator import mul, sub
@@ -964,12 +963,13 @@ def _chamber_count(table: RootSystemTable, seed: Chamber, budget: int, passes=No
     the seed's object a.  Each Hom(a, b) is an Aut(a)-torsor, so N = #objects
     x |Aut(a)|.  A BFS by `_transition` finds the objects, and carries R^a
     into each along its spanning tree.  Every other transition closes a loop
-    at a: one generator of Aut(a), as a permutation of R^a, which holds the
-    unit vectors.  None as well when an object fails `passes`, or N > budget,
-    when `chamber_bfs` would exceed its budget.  The survey's raise on a
-    chamber reached with two indexings cannot fire here: around each
-    codimension-2 face the compatible indexing comes back to itself, and in
-    a simplicial arrangement those loops generate every loop of chambers."""
+    at a: one generator of Aut(a), as a permutation of R^a, and |Aut(a)| is
+    the size of the orbit of R^a's unit vectors under them.  None as well
+    when an object fails `passes`, or N > budget, when `chamber_bfs` would
+    exceed its budget.  The survey's raise on a chamber reached with two
+    indexings cannot fire here: around each codimension-2 face the
+    compatible indexing comes back to itself, and in a simplicial
+    arrangement those loops generate every loop of chambers."""
     if not isinstance(table.cone, Spherical):
         return None
     _verify_chamber_basis(seed.frame)
@@ -1000,62 +1000,20 @@ def _chamber_count(table: RootSystemTable, seed: Chamber, budget: int, passes=No
             else:
                 position = {v: k for k, v in enumerate(known)}
                 generators.append(tuple(map(position.__getitem__, points)))
+    # Only the identity fixes R^a's unit vectors, so |Aut(a)| is the size of
+    # the orbit of their positions; past budget // #objects, N > budget.
     position = {v: k for k, v in enumerate(carried[base])}
     units = tuple(position[tuple(int(t == j) for t in range(table.rank))] for j in range(table.rank))
-    count = len(queue) * _group_order(generators, units)
-    return count if count <= budget else None
-
-
-def _group_order(generators: list, base: tuple) -> int:
-    """The order of the group that `generators`, permutations of range(n) as
-    tuples (k -> p[k]), generate, by deterministic Schreier-Sims (Á. Seress,
-    *Permutation Group Algorithms*, 2003, ch. 4) on `base`, a sequence of
-    points that only the identity fixes: the product of the basic orbit
-    lengths."""
-    if not generators:
-        return 1
-    identity = tuple(range(len(generators[0])))
-    strong = [g for g in generators if g != identity]
-
-    def level(j: int) -> tuple:
-        """The strong generators fixing base[:j], and the transversal of the
-        orbit of base[j] under them: point -> (u, u^-1), u(base[j]) = point."""
-        gens = [g for g in strong if all(g[b] == b for b in base[:j])]
-        transversal = {base[j]: (identity, identity)}
-        queue = [base[j]]
-        for point in queue:
-            u = transversal[point][0]
-            for g in gens:
-                if g[point] not in transversal:
-                    v = tuple(map(g.__getitem__, u))
-                    inverse = [0] * len(v)
-                    for k, x in enumerate(v):
-                        inverse[x] = k
-                    transversal[g[point]] = v, tuple(inverse)
-                    queue.append(g[point])
-        return gens, transversal
-
-    levels = [level(j) for j in range(len(base))]
-    j = len(base) - 1
-    while j >= 0:
-        gens, transversal = levels[j]
-        for (point, (u, _)), g in itertools.product(transversal.items(), gens):
-            # The Schreier generator u, then g, then u'^-1 fixes base[:j + 1]; sift it.
-            h = tuple(map(transversal[g[point]][1].__getitem__, map(g.__getitem__, u)))
-            stop = j + 1
-            while stop < len(base) and h[base[stop]] in levels[stop][1]:
-                h = tuple(map(levels[stop][1][h[base[stop]]][1].__getitem__, h))
-                stop += 1
-            if h != identity:
-                # h fixes base[:stop], so stop < len(base).
-                strong.append(h)
-                for t in range(j + 1, stop + 1):
-                    levels[t] = level(t)
-                j = stop
-                break
-        else:
-            j -= 1
-    return math.prod(len(transversal) for _, transversal in levels)
+    orbit, seen, bound = [units], {units}, budget // len(queue)
+    for point in orbit:
+        for g in generators:
+            moved = tuple(map(g.__getitem__, point))
+            if moved not in seen:
+                seen.add(moved)
+                orbit.append(moved)
+                if len(orbit) > bound:
+                    return None
+    return len(queue) * len(orbit)
 
 
 def interior_point(rays: Sequence) -> Vector:

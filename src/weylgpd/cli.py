@@ -118,7 +118,9 @@ def _emit(payload, fmt: str, table_lines=None) -> None:
         # The reader closed stdout (`weylgpd roots f4 | head -1`): the rest is
         # dropped and the command keeps its exit code.  Stdout now points at
         # os.devnull, so the interpreter's last flush has nowhere to fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _pair_table_lines(covectors) -> list[str]:

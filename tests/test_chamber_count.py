@@ -12,7 +12,6 @@ from weylgpd.arrangement import (
     Affine,
     RootSystemTable,
     _chamber_count,
-    _group_order,
     chamber_bfs,
     check_additive,
     check_crystallographic,
@@ -85,14 +84,6 @@ def test_count_equals_the_survey_on_every_single_restriction(name):
         assert count == len(atlas.order), root
         if name == "f4":
             assert count == 96 and len(objects_of(atlas)) == 2
-
-
-def test_group_order_of_known_groups():
-    """S_4 from a 4-cycle and a transposition, on base (0, 1, 2); the
-    trivial group; the Klein four-group on base (0, 1)."""
-    assert _group_order([(1, 2, 3, 0), (1, 0, 2, 3)], (0, 1, 2)) == 24
-    assert _group_order([], (0,)) == 1
-    assert _group_order([(1, 0, 3, 2), (2, 3, 0, 1)], (0, 1)) == 4
 
 
 GUARDED = ("chamber_bfs", "_wall_step", "_object_step", "default_seed_chamber")
