@@ -30,18 +30,19 @@ its frame is A' = A . T.  `chamber_bfs` crosses by these transitions,
 found once per (object, wall); affine cones, frames that are not integral
 and refused transitions take the wall step: a wall scan names the
 neighbor's basis, and `_wall_coefficients`, the one statement of the
-crystallographic rule, gives T when every coefficient is an integer, else
-the step eliminates the neighbor's frame.  Either way the neighbor is built
-by `_chamber`, the one constructor of the chambers the library builds (a
-realization's objects too), and `Chamber.frame` builds its frame when it
-is read: carried with one column update from its parent's frame when that
-is built, else by Bareiss elimination.  A seed holds its frame from the
-start; `_held` holds any chamber on a table.  Chamber keys and line keys
-are tuples of primitive integer rays.  A chamber's Fraction data, its rays and witness
-point, is built when it is first read; `chamber_bfs` builds none, as the affine
-cone test reads the sign of gamma at the columns of A.  A check that could only
-pass on a spherical table counts its chambers from the objects instead
-(`_chamber_count`): #objects x |Aut(a)|.
+crystallographic rule, gives T when every coefficient is an integer; the
+step carries the neighbor's frame by T, else eliminates it.  Either way
+the neighbor is built by `_chamber`, the one constructor of the chambers
+the library builds (a realization's objects too).  One found by a
+transition builds its frame when it is read (`Chamber.frame`): carried
+with one column update from its parent's frame when that is built, else by
+Bareiss elimination.  A seed holds its frame from the start; `_held` holds
+any chamber on a table.  Chamber keys and line keys are tuples of
+primitive integer rays.  A chamber's Fraction data, its rays and witness
+point, is built when it is first read; `chamber_bfs` builds none, as the
+affine cone test reads the sign of gamma at the columns of A.  A check
+that could only pass on a spherical table counts its chambers from the
+objects instead (`_chamber_count`): #objects x |Aut(a)|.
 """
 
 from __future__ import annotations
@@ -357,13 +358,13 @@ def _carried_column(columns: tuple, i: int, coeffs: Sequence[int]) -> tuple:
     return _combine(tuple(-1 if j == i else c for j, c in enumerate(coeffs)), columns)
 
 
-def _carry_frame(frame: IntegerFrame, i: int, coeffs: Sequence[int], index: tuple) -> IntegerFrame:
+def _carry_frame(frame: IntegerFrame, i: int, coeffs: Sequence[int], index: tuple, column=None) -> IntegerFrame:
     """The frame at `index`, whose integer basis is T . B for the integer T
     with row i = -e_i and row j = e_j + coeffs[j] * e_i (coeffs[i] is unused).
 
     As T^2 = I and det T = -1, the neighbor's A' = A . T with the same D: only
-    column i of A and of num changes (`_carried_column`).  num' = num . T is
-    integral exactly when num is, so the flag carries over.
+    column i of A and of num changes (`_carried_column`, or `column` for num).
+    num' = num . T is integral exactly when num is, so the flag carries over.
     """
     cols, num_cols = frame.cols, frame.num_cols
     return IntegerFrame(
@@ -371,7 +372,7 @@ def _carry_frame(frame: IntegerFrame, i: int, coeffs: Sequence[int], index: tupl
         index,
         cols[:i] + (_carried_column(cols, i, coeffs),) + cols[i + 1:],
         frame.det,
-        num_cols[:i] + (_carried_column(num_cols, i, coeffs),) + num_cols[i + 1:],
+        num_cols[:i] + (column or _carried_column(num_cols, i, coeffs),) + num_cols[i + 1:],
         frame.integral,
     )
 
@@ -609,8 +610,8 @@ def adjacent_chamber(table: RootSystemTable, chamber: Chamber, i: int) -> Chambe
     if not wall_is_crossable(table, chamber, i):
         raise WallOnBoundary(f"wall {i} of chamber {fmt_covector(chamber.key)} does not meet the cone")
     parent = _held(table, chamber)
-    _, index, coeffs, frame = _wall_step(table, parent.frame, i)
-    neighbor = _chamber(table, index, frame, crossing=(coeffs, i, parent))
+    index, across = _wall_step(table, parent.frame, i)
+    neighbor = _chamber(table, index, across, crossing=(None, i, parent))
     _verify_chamber_basis(neighbor.frame)
     return neighbor
 
@@ -637,42 +638,44 @@ def _transition(root_set: frozenset, i: int) -> tuple | None:
     return tuple(coeffs), frozenset(zip(*cols[:i], column, *cols[i + 1:]))
 
 
-def _object_step(table: RootSystemTable, index: tuple, i: int, coeffs: tuple) -> tuple:
-    """(key, index) of the neighbor across wall i of the chamber on root
-    positions `index`, by an accepted transition: wall i is -a_i and wall j
-    is a_j + coeffs[j] * a_i, looked up in the table's integer root index."""
-    ints, position = table.int_roots, table.int_index
-    alpha = ints[index[i]]
+def _object_step(table: RootSystemTable, index: tuple, i: int, coeffs: tuple, memo: dict) -> tuple:
+    """The root positions of the neighbor across wall i of the chamber on
+    root positions `index`, by an accepted transition: wall i is -a_i and
+    wall j is a_j + coeffs[j] * a_i, looked up in the table's integer root
+    index, or in `memo` by (position of a_j, position of a_i, coeffs[j])."""
+    ints = table.int_roots
     walls = list(index)
     walls[i] = table.negation[index[i]]
     for j, m in enumerate(coeffs):
         if m > 0:
-            walls[j] = position[tuple([b + m * a for a, b in zip(alpha, ints[index[j]])])]
-    return _key_at(table, tuple(walls)), tuple(walls)
+            step = index[j], index[i], m
+            k = memo.get(step)
+            if k is None:
+                k = memo[step] = table.int_index[tuple([b + m * a for a, b in zip(ints[index[i]], ints[index[j]])])]
+            walls[j] = k
+    return tuple(walls)
 
 
 def _wall_step(table: RootSystemTable, frame: IntegerFrame, i: int, known=()) -> tuple:
-    """The crossing of wall i of a verified frame: (key, index, coeffs,
-    across) for the neighbor's chamber key and root positions, and its
-    coefficients (`_wall_coefficients`) or else its eliminated frame; both
-    are None when the key is in `known`.  The wall scan (`_walls_across`)
-    names the neighbor.  A crystallographic crossing has its new column of
-    num checked, so a refused crossing builds no frame; any other is
-    eliminated and checked in full."""
+    """The crossing of wall i of a verified frame: (index, across), the
+    neighbor's root positions and its frame, or (index, None) when `index`
+    is in `known`.  The wall scan (`_walls_across`) names the neighbor.  A
+    crystallographic crossing (`_wall_coefficients`) has its new column of
+    num checked, so a refused crossing builds no frame, and carries the
+    frame with that column; any other is eliminated and checked in full."""
     index = _walls_across(table, frame, i)
-    key = _key_at(table, index)
-    if key in known:
-        return key, index, None, None
+    if index in known:
+        return index, None
     coeffs = _wall_coefficients(frame, i, index)
     if isinstance(coeffs, CoefficientWitness):
         across = _frame_at(table, index)
         _verify_chamber_basis(across)
-        return key, index, None, across
+        return index, across
     cols = frame.num_cols
     column = _carried_column(cols, i, coeffs)
     if not _column_is_coherent(cols, i, column):
         _check_rows(table, index, zip(*cols[:i], column, *cols[i + 1:]), frame.det)
-    return key, index, coeffs, None
+    return index, _carry_frame(frame, i, coeffs, index, column)
 
 
 def _walls_across(table: RootSystemTable, frame: IntegerFrame, i: int) -> tuple:
@@ -862,14 +865,15 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
     crosses by object steps (`_object_step`) with the transitions of its
     object, each found once (`_transition`) together with its reverse, as T
     is an involution.  Other crossings, and refused transitions, take the
-    wall step (`_wall_step`).  Every chamber found is built by `_chamber`
-    and builds its frame when it is read.  A known key only has its
-    indexing compared.  Only chambers not rejected by `chamber_is_true` are
-    expanded: inside the cone of an affine table, inside the certified
-    region of a realized truncation (its border is visited but not
-    crossed).  Crossings into non-simplicial frontier regions of bare
-    truncations are recorded as missing edges.  A realized truncation's
-    certified set is its true set; a bare truncation has none.
+    wall step (`_wall_step`), which builds the frame.  Every chamber found
+    is built by `_chamber`.  A known chamber is found by its root positions,
+    the compatible indexing; a new one builds its key (`_key_at`), which no
+    chamber may have.  Only chambers not rejected by `chamber_is_true` (not
+    asked on a spherical table) are expanded: inside the cone of an affine
+    table, inside the certified region of a realized truncation (its border
+    is visited but not crossed).  Crossings into non-simplicial frontier
+    regions of bare truncations are recorded as missing edges.  A realized
+    truncation's certified set is its true set; a bare truncation has none.
     """
     table.require_reduced()
     spherical, affine = isinstance(table.cone, Spherical), isinstance(table.cone, Affine)
@@ -877,22 +881,24 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
     _verify_chamber_basis(seed.frame)
     seed_key = seed.key
     chambers = {seed_key: seed}
-    verdict = {seed_key: chamber_is_true(table, seed)}
+    found = {seed._index: seed_key}  # root positions -> key
+    verdict = {} if spherical else {seed_key: chamber_is_true(table, seed)}
     interned: dict = {}
     objects: dict = {}
     transitions: dict = {}
+    memo: dict = {}  # of `_object_step`
     order = [seed_key]
     edges: dict = {}
-    queue = deque([seed_key])
+    queue = deque([(seed, None)])  # (chamber, its object if found by an object step)
     budget_exceeded = False
     while queue:
         if len(order) > budget:
             budget_exceeded = True
             break
-        key = queue.popleft()
-        if verdict[key] is False:
+        chamber, obj = queue.popleft()
+        key = chamber.key
+        if not spherical and verdict[key] is False:
             continue
-        chamber, obj = chambers[key], objects.get(key)
         if obj is None and not affine and chamber.frame.integral:
             root_set = _root_set(chamber.frame)
             obj = objects[key] = interned.setdefault(root_set, root_set)
@@ -909,35 +915,35 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
             step = transitions.get((obj, i))
             if step is not None:
                 coeffs, image = step
-                nkey, index = _object_step(table, chamber._index, i, coeffs)
-                frame = None
+                index, frame = _object_step(table, chamber._index, i, coeffs, memo), None
             else:
+                coeffs = image = None
                 try:
-                    nkey, index, coeffs, frame = _wall_step(table, chamber.frame, i, chambers)
+                    index, frame = _wall_step(table, chamber.frame, i, found)
                 except NotSimplicial:
                     if spherical:
                         raise
                     continue
-            known = chambers.get(nkey)
-            if known is None:
-                neighbor = chambers[nkey] = _chamber(table, index, frame, crossing=(coeffs, i, chamber))
-                neighbor.__dict__["key"] = nkey
-                if step is not None:
+            nkey = found.get(index)
+            if nkey is None:
+                nkey = _key_at(table, index)
+                neighbor = _chamber(table, index, frame, crossing=(coeffs, i, chamber))
+                if chambers.setdefault(nkey, neighbor) is not neighbor:
+                    # Never where every transition is accepted, which `_chamber_count` relies on.
+                    raise NotSimplicial(f"chamber {fmt_covector(nkey)} reached with conflicting compatible indexings")
+                found[index] = neighbor.__dict__["key"] = nkey
+                if image is not None:
                     objects[nkey] = image
-                verdict[nkey] = chamber_is_true(table, neighbor)
+                if not spherical:
+                    verdict[nkey] = chamber_is_true(table, neighbor)
                 order.append(nkey)
-                queue.append(nkey)
-            elif known._index != index:
-                # Never where every transition is accepted, which `_chamber_count` relies on.
-                raise NotSimplicial(
-                    f"chamber {fmt_covector(nkey)} reached with conflicting compatible indexings"
-                )
+                queue.append((neighbor, image))
             edges[(key, i)] = nkey
             edges[(nkey, i)] = key
-    true_chambers = {key for key in order if verdict[key]}
+    true_chambers = set(order) if spherical else {key for key in order if verdict[key]}
     if not isinstance(table.cone, Truncated):
         if len(true_chambers) == len(order) and len(edges) == table.rank * len(order):
-            certified = set(order)
+            certified = set(true_chambers)
         else:
             certified = {
                 key for key in true_chambers if all(edges.get((key, i)) in true_chambers for i in range(table.rank))
@@ -1241,20 +1247,22 @@ def extract_cartan_graph(table: RootSystemTable, budget: int = 10_000) -> Extrac
 
     The objects are the atlas's checked chambers: the certified ones (for a
     realized table, the realization's certified region), or every visited
-    chamber of a bare truncation.  R^a decides every crossing of a chamber
-    of object R^a, so its matrix is read once per object; a chamber without
-    an object reads its frame.
+    chamber of a bare truncation; all of the atlas, as it is, when every
+    chamber is checked.  R^a decides every crossing of a chamber of object
+    R^a, so its matrix is read once per object; a chamber without an object
+    reads its frame.
     """
-    atlas = _survey(table, budget)
-    checked = atlas.checked
-    matrices = {}
-    root_sets = {}
-    chambers = {}
-    by_object: dict = {}
-    for key in atlas.order:
-        if key not in checked:
-            continue
-        chamber = chambers[key] = atlas.chambers[key]
+    return _extract(table, _survey(table, budget))
+
+
+def _extract(table: RootSystemTable, atlas: ChamberAtlas) -> ExtractionResult:
+    """`extract_cartan_graph` of a surveyed atlas."""
+    checked, chambers, edges = atlas.checked, atlas.chambers, atlas.edges
+    if len(checked) < len(atlas.order):
+        chambers = {key: chambers[key] for key in atlas.order if key in checked}
+        edges = {(a, i): b for (a, i), b in edges.items() if a in checked and b in checked}
+    matrices, root_sets, by_object = {}, {}, {}
+    for key, chamber in chambers.items():
         root_set = atlas.objects.get(key)
         if root_set is not None:
             if root_set not in by_object:
@@ -1272,16 +1280,7 @@ def extract_cartan_graph(table: RootSystemTable, budget: int = 10_000) -> Extrac
                 key, IntegralityWitness(key, chamber.basis, table.roots[k], frame.coords(k), kind)
             )
         root_sets[key] = _root_set(frame)
-    edges = {
-        (a, i): b
-        for (a, i), b in atlas.edges.items()
-        if a in checked and b in checked
-    }
-    truncated = any(
-        (key, i) not in edges
-        for key in matrices
-        for i in range(table.rank)
-    )
+    truncated = len(edges) != table.rank * len(matrices)  # every edge kept starts at an object
     if not matrices:
         raise BudgetExceeded("no certified chamber to extract", partial=atlas)
     base = atlas.seed_key if atlas.seed_key in matrices else next(iter(matrices))

@@ -114,9 +114,6 @@ class GeneralizedCartanMatrix(Record):
     def rank(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
     def restrict(self, indices: Sequence[int]) -> "GeneralizedCartanMatrix":
         return GeneralizedCartanMatrix(
             tuple(tuple(self.rows[i][j] for j in indices) for i in indices)
@@ -215,22 +212,27 @@ class CartanGraph:
         truncated: bool = False,
     ) -> "CartanGraph":
         """The finite graph of `matrices` and `edges`, checked for (C1)
-        rho_i^2 = id and (C2) row-i agreement on every present edge, object
-        by object in `matrices` order and wall by wall."""
+        rho_i^2 = id and (C2) row-i agreement on every present edge: in one pass
+        if every edge joins objects, else object by object to name the first failure."""
         rank = matrices[base].rank
         edge_map = dict(edges)
-        for a, Ca in matrices.items():
-            for i in range(rank):
-                b = edge_map.get((a, i))
-                if b is None:
-                    continue
-                back = edge_map.get((b, i))
-                if back != a:
-                    raise NotSimplyConnected(f"(C1) fails: rho_{i}^2({fmt_object(a)}) = {fmt_object(back)}")
-                if Ca.rows[i] != matrices[b].rows[i]:
-                    raise InvalidCartanMatrix(
-                        [GcmViolation("C2", (i, 0), f"row {i} differs across edge {fmt_object(a)} -- {fmt_object(b)}")]
-                    )
+        get, labels = matrices.get, range(rank)
+        if not all(
+            None is not (Ca := get(a)) and None is not (Cb := get(b)) and i in labels and edge_map.get((b, i)) == a
+            and (Ca is Cb or Ca.rows[i] == Cb.rows[i])
+            for (a, i), b in edge_map.items()
+        ):
+            for a, Ca in matrices.items():
+                for i in range(rank):
+                    b = edge_map.get((a, i))
+                    if b is None:
+                        continue
+                    back = edge_map.get((b, i))
+                    if back != a:
+                        raise NotSimplyConnected(f"(C1) fails: rho_{i}^2({fmt_object(a)}) = {fmt_object(back)}")
+                    if Ca.rows[i] != matrices[b].rows[i]:
+                        violation = f"row {i} differs across edge {fmt_object(a)} -- {fmt_object(b)}"
+                        raise InvalidCartanMatrix([GcmViolation("C2", (i, 0), violation)])
 
         def rho(i, obj):
             return edge_map.get((obj, i))

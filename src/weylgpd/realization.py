@@ -18,16 +18,18 @@ from ._rational import ONE, fmt_covector
 from ._record import Record
 from .arrangement import (
     Chamber,
+    IntegerFrame,
     RootSystemTable,
     Spherical,
     Truncated,
     _chamber,
     _column_is_coherent,
     _dot,
+    _extract,
     _frame_at,
     _frame_rays,
     _root_defects,
-    extract_cartan_graph,
+    _survey,
     interior_point,
     separating_keys,
 )
@@ -167,6 +169,16 @@ def _anchor(order: list, certified: frozenset, base: ObjectId) -> ObjectId:
     """The first certified object in BFS order, or the base when none is: the
     realized table's surveys start at its chamber."""
     return next((obj for obj in order if obj in certified), base)
+
+
+def _anchor_seed(re: Realization, anchor: ObjectId) -> Chamber:
+    """The realized table's default seed chamber, without an elimination:
+    the anchor's held chamber, its positions and frame columns ordered by the
+    table's primitive rays (as `_extreme_basis` orders them), at the seed hint."""
+    table, frame = re.table, re.chambers[anchor].frame
+    order = sorted(range(re.rank), key=lambda j: table.primitive[frame.index[j]])
+    index, cols, num_cols = (tuple(map(v.__getitem__, order)) for v in (frame.index, frame.cols, frame.num_cols))
+    return _chamber(table, index, IntegerFrame(table, index, cols, frame.det, num_cols, frame.integral), table.seed_hint)
 
 
 def _sign_defect(obj: ObjectId, frame) -> AxiomViolation:
@@ -394,29 +406,18 @@ def roundtrip_check(graph: CartanGraph, depth: int = 8, budget: int = 10_000) ->
     """realize, re-extract, and compare matrices and edges object-by-object.
 
     Objects are matched through their canonical chamber keys, and indices by
-    matching the basis covectors at the first certified object, where the
-    survey starts, so no combinatorial search is needed.  Comparison is
-    restricted to the certified interior, which the realized table carries
-    as its certified keys.
+    matching the basis covectors at the first certified object, the anchor,
+    where the survey starts (`_anchor_seed`), so no combinatorial search is
+    needed.  Comparison is restricted to the certified interior, which the
+    realized table carries as its certified keys.
     """
     re = realize(graph, depth)
-    # The table's seed hint is the interior point of the anchor's chamber.
-    extraction = extract_cartan_graph(re.table, budget)
-    mismatches = []
-
-    # The anchor is certified, so extracted, or no object is and the
-    # extraction has raised BudgetExceeded.
     anchor = _anchor(re.order, re.certified, re.base)
-    anchor_chamber = extraction.chambers[re.canon[anchor]]
-    phi0 = []
-    for i in range(re.rank):
-        beta = re.bases[anchor][i]
-        matches = [k for k, alpha in enumerate(anchor_chamber.basis) if alpha == beta]
-        if len(matches) != 1:
-            return RoundTripReport(False, 0, None, (f"basis covector {fmt_covector(beta)} unmatched",))
-        phi0.append(matches[0])
-    phi0 = tuple(phi0)
-
+    seed = _anchor_seed(re, anchor)
+    extraction = _extract(re.table, _survey(re.table, budget, seed))
+    # The seed's basis is the anchor's, reordered.
+    phi0 = tuple(map(seed.basis.index, re.bases[anchor]))
+    mismatches = []
     compared = 0
     for obj in re.certified:
         key = re.canon[obj]
@@ -424,9 +425,7 @@ def roundtrip_check(graph: CartanGraph, depth: int = 8, budget: int = 10_000) ->
         if ext_chamber is None:
             mismatches.append(f"chamber {fmt_covector(key)} missing from extraction")
             continue
-        expected_basis = tuple(re.bases[obj][i] for i in range(re.rank))
-        actual_basis = tuple(ext_chamber.basis[phi0[i]] for i in range(re.rank))
-        if expected_basis != actual_basis:
+        if tuple(map(ext_chamber.basis.__getitem__, phi0)) != re.bases[obj]:
             mismatches.append(f"object {fmt_object(obj)}: basis indexing differs")
             continue
         gm, ext = graph.matrix(obj).rows, extraction.graph.matrix(key).rows

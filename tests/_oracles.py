@@ -10,9 +10,12 @@ statements of library rules kept as differential references:
 (the wall scan), `reference_wall_step` (the crossing kernel before objects:
 root strings, else the wall scan), `reference_primitive_ray` (the
 primitive-ray rule, when it still returned Fractions), `reference_table`
-(the table constructor, when it read every root as Fractions first) and
+(the table constructor, when it read every root as Fractions first),
 `reference_affine_functional` (the affine functional of a realization by
-one elimination over every ray).  `reference_record` builds the dataclass
+one elimination over every ray), `reference_explicit_check` (the (C1)/(C2)
+check of an explicit Cartan graph, object by object) and
+`reference_extraction` (Cartan-graph extraction from an atlas, filtering
+and scanning every edge).  `reference_record` builds the dataclass
 that a record class stands in for.
 """
 
@@ -535,6 +538,65 @@ def reference_affine_functional(rank, rays):
         return None
     rows = sorted(points)
     return solve_in_span(tuple(zip(*rows)), (F(1),) * len(rows))
+
+
+def reference_explicit_check(matrices, edges) -> None:
+    """The (C1) rho_i^2 = id and (C2) row-i agreement check of
+    `CartanGraph.explicit` as the library made it on every graph: object by
+    object in `matrices` order and wall by wall, raising on the first
+    violation."""
+    from weylgpd.cartan import GcmViolation, fmt_object
+    from weylgpd.errors import InvalidCartanMatrix, NotSimplyConnected
+
+    rank = next(iter(matrices.values())).rank
+    for a, Ca in matrices.items():
+        for i in range(rank):
+            b = edges.get((a, i))
+            if b is None:
+                continue
+            back = edges.get((b, i))
+            if back != a:
+                raise NotSimplyConnected(f"(C1) fails: rho_{i}^2({fmt_object(a)}) = {fmt_object(back)}")
+            if Ca.rows[i] != matrices[b].rows[i]:
+                raise InvalidCartanMatrix(
+                    [GcmViolation("C2", (i, 0), f"row {i} differs across edge {fmt_object(a)} -- {fmt_object(b)}")]
+                )
+
+
+def reference_extraction(table, atlas) -> tuple:
+    """Cartan-graph extraction from a surveyed atlas as the library made it
+    before it reused the atlas's chambers and edges: (chambers, matrices,
+    edges, truncated, root sets), from the checked chambers in BFS order,
+    each matrix read from the atlas, a filter of every atlas edge, a scan of
+    every (object, wall) for a missing edge, and `reference_explicit_check`.
+    It raises as the library's extraction does."""
+    from weylgpd.arrangement import IntegralityWitness, _matrix_from_atlas, _root_defects, _root_set
+    from weylgpd.errors import BudgetExceeded, NotCrystallographicAt
+
+    checked = atlas.checked
+    chambers, matrices, root_sets = {}, {}, {}
+    for key in atlas.order:
+        if key not in checked:
+            continue
+        chamber = chambers[key] = atlas.chambers[key]
+        matrices[key] = _matrix_from_atlas(table, atlas, key)
+        root_set = atlas.objects.get(key)
+        if root_set is None:
+            frame = chamber.frame
+            defect = None if frame.integral else next(_root_defects(frame), None)
+            if defect is not None:
+                k, kind = defect
+                raise NotCrystallographicAt(
+                    key, IntegralityWitness(key, chamber.basis, table.roots[k], frame.coords(k), kind)
+                )
+            root_set = _root_set(frame)
+        root_sets[key] = root_set
+    edges = {(a, i): b for (a, i), b in atlas.edges.items() if a in checked and b in checked}
+    truncated = any((key, i) not in edges for key in matrices for i in range(table.rank))
+    if not matrices:
+        raise BudgetExceeded("no certified chamber to extract", partial=atlas)
+    reference_explicit_check(matrices, edges)
+    return chambers, matrices, edges, truncated, root_sets
 
 
 def reference_record(cls):

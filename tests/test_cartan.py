@@ -22,10 +22,10 @@ from weylgpd.cartan import (
     residue,
     validate_gcm,
 )
-from weylgpd.errors import BudgetExceeded, InvalidCartanMatrix, NonSquare
+from weylgpd.errors import BudgetExceeded, InvalidCartanMatrix, NonSquare, NotSimplyConnected
 from weylgpd.subarr import rank2_graph_from_edge_sequence
 
-from _oracles import brute_real_roots_standard
+from _oracles import brute_real_roots_standard, reference_explicit_check
 
 A2 = GeneralizedCartanMatrix.from_rows([[2, -1], [-1, 2]])
 
@@ -218,6 +218,33 @@ class TestResidue:
         with pytest.raises(BudgetExceeded) as err:
             residue(graph, graph.base, (0, 1), 5)
         assert err.value.partial is not None
+
+
+class TestExplicit:
+    # Objects 0 and 1 have A2's matrix, object 2 another row 0.  The first
+    # edge, 1 -- 2 by label 0, breaks (C2); rho_1 sends 0 to 1 and 1 to 2,
+    # which breaks (C1) at 0.
+    MATRICES = {0: A2, 1: A2, 2: GeneralizedCartanMatrix.from_rows([[2, -2], [-1, 2]])}
+    EDGES = {(1, 0): 2, (2, 0): 1, (0, 1): 1, (1, 1): 2}
+
+    @pytest.mark.parametrize(
+        "order,error,message",
+        [
+            ((0, 1, 2), NotSimplyConnected, "(C1) fails: rho_1^2(0) = 2"),
+            ((1, 2, 0), InvalidCartanMatrix, "(C2) at (0, 0): row 0 differs across edge 1 -- 2"),
+        ],
+    )
+    def test_first_violation_is_named_object_by_object(self, order, error, message):
+        """A graph that breaks (C1) and (C2) fails the one pass over its
+        edges, which meets the (C2) violation first, and `explicit` names the
+        violation that the object-by-object check, in `matrices` order, meets
+        first, with the reference's text."""
+        matrices = {obj: self.MATRICES[obj] for obj in order}
+        with pytest.raises(error) as raised:
+            CartanGraph.explicit(matrices, self.EDGES, order[0])
+        with pytest.raises(error) as expected:
+            reference_explicit_check(matrices, self.EDGES)
+        assert str(raised.value) == str(expected.value) == message
 
 
 class TestSimplyConnected:

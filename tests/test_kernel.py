@@ -24,6 +24,7 @@ from weylgpd.arrangement import (
     Truncated,
     _carry_frame,
     _column_is_coherent,
+    _extract,
     _extreme_basis,
     _frame_at,
     _frame_rays,
@@ -60,11 +61,11 @@ from weylgpd.builtins import (
     f4_table,
 )
 from weylgpd.cartan import canonical_basis_key
-from weylgpd.errors import InvalidTable, NotSimplicial, WeylgpdError
+from weylgpd.errors import InvalidTable, NotCrystallographicAt, NotSimplicial, WeylgpdError
 from weylgpd.exactlin import dual_basis, primitive_ray, vdot, vec
 from weylgpd.jsonio import table_from_json, table_to_json
 from weylgpd.realization import realize
-from weylgpd.subarr import restrict
+from weylgpd.subarr import rank2_graph_from_edge_sequence, restrict
 
 from _kernel_digest import (
     LOCAL_TO_GLOBAL_TABLES,
@@ -76,8 +77,10 @@ from _kernel_digest import (
     roundtrip_digest,
     table_digest,
 )
+from test_rank2_corpus import CORPUS
 from _oracles import (
     gauss_solve,
+    reference_extraction,
     reference_extreme_basis,
     reference_lonely_roots,
     reference_primitive_ray,
@@ -314,7 +317,7 @@ def test_carried_frames_and_integer_keys_match_the_elimination(name):
     the one Bareiss elimination gives for its basis, and its integer key is
     equal and hash-equal to the Fraction key of its basis, built by the
     former rule.  A survey builds a frame only for a chamber that holds it:
-    the seed, a chamber the wall step eliminates, and a chamber it reads,
+    the seed, a chamber a wall step finds, and a chamber it reads,
     in the affine cone test or to expand a chamber without an object or
     with a refused transition; F4 builds the seed's only.  Reading every
     chamber's frame in BFS order carries each of the others once, across
@@ -502,30 +505,31 @@ def test_wall_scan_matches_the_reference_scan(name):
 @pytest.mark.parametrize("name", sorted([*DIFFERENTIAL_TABLES, *FRONTIER_TABLES]))
 def test_wall_step_matches_the_reference_scan(name):
     """On every directed atlas edge the wall step names the root positions
-    the full scan names, and the key of that basis, with one scan.  A
-    crystallographic crossing gives the coefficients `_wall_coefficients`
-    gives, and carrying the frame by them gives the eliminated frame of the
-    basis; any other crossing gives that eliminated frame.  A known key
-    gives neither."""
+    the full scan names, with one scan: those of the atlas's neighbor, whose
+    key is the key of that basis.  A crystallographic crossing carries the
+    frame by the coefficients `_wall_coefficients` gives, with one new
+    column of num and one of A; any other crossing eliminates it.  Either
+    way it is the eliminated frame of the basis.  Known root positions give
+    no frame."""
     table, atlas, _ = surveyed(name)
     witnesses = 0
-    for key, i in atlas.edges:
+    for (key, i), nkey in atlas.edges.items():
         frame = atlas.chambers[key].frame
-        scans = {"_walls_across": 0}
-        with counting(scans):
-            nkey, index, coeffs, across = _wall_step(table, frame, i)
-        assert scans["_walls_across"] == 1
+        calls = dict.fromkeys(["_walls_across", "_frame_at", "_carried_column"], 0)
+        with counting(calls):
+            index, across = _wall_step(table, frame, i)
+        assert calls["_walls_across"] == 1
         assert index == reference_walls_across(table, frame, i)
-        assert nkey == _key_at(table, index)
-        expected = _wall_coefficients(frame, i, index)
-        if isinstance(expected, CoefficientWitness):
+        assert atlas.chambers[nkey].frame.index == index and nkey == _key_at(table, index)
+        coeffs = _wall_coefficients(frame, i, index)
+        if isinstance(coeffs, CoefficientWitness):
             witnesses += 1
-            assert coeffs is None
+            assert (calls["_frame_at"], calls["_carried_column"]) == (1, 0)
         else:
-            assert coeffs == expected and across is None
-            across = _carry_frame(frame, i, coeffs, index)
+            assert (calls["_frame_at"], calls["_carried_column"]) == (0, 2)
+            assert frame_data(across) == frame_data(_carry_frame(frame, i, coeffs, index))
         assert frame_data(across) == frame_data(_frame_at(table, index))
-        assert _wall_step(table, frame, i, atlas.chambers) == (nkey, index, None, None)
+        assert _wall_step(table, frame, i, {index: nkey}) == (index, None)
     if "rescaled" in name:
         assert witnesses
 
@@ -551,6 +555,7 @@ def test_object_step_matches_the_former_wall_step(name):
     transition is one the former step could not take either."""
     table, atlas, calls = surveyed(name)
     stepped = 0
+    memo: dict = {}
     for (key, i), nkey in atlas.edges.items():
         chamber, neighbor = atlas.chambers[key], atlas.chambers[nkey]
         ref_key, ref_index, ref_frame = reference_wall_step(table, chamber.frame, i)
@@ -565,7 +570,7 @@ def test_object_step_matches_the_former_wall_step(name):
             continue
         stepped += 1
         coeffs, image = step
-        assert _object_step(table, chamber.frame.index, i, coeffs) == (ref_key, ref_index)
+        assert _object_step(table, chamber.frame.index, i, coeffs, memo) == ref_index
         assert coeffs == reference_wall_coefficients(table, chamber, neighbor, i)
         assert image == atlas.objects[nkey] == _root_set(_frame_at(table, ref_index))
         assert frame_data(neighbor.frame) == frame_data(ref_frame) == frame_data(_frame_at(table, ref_index))
@@ -599,6 +604,21 @@ def test_wall_step_falls_back_to_the_wall_scan(name):
         assert calls["_carry_frame"] == 0
     if name == "b3-bare-truncation-2":
         assert None in atlas.transitions.values()
+
+
+def test_wall_step_carries_the_frame_with_its_checked_column():
+    """A crystallographic wall step checks the new column of num and carries
+    the neighbor's frame with it, building only the new column of A besides.
+    On aff-a1 18 wall steps carry 16 frames with 32 `_carried_column` calls,
+    and reading every frame after the survey builds none."""
+    table = builtin_table("aff-a1")
+    calls = dict.fromkeys(["_wall_step", "_carry_frame", "_carried_column"], 0)
+    with counting(calls):
+        atlas = chamber_bfs(table, default_seed_chamber(table), 10_000)
+        surveyed_calls = dict(calls)
+        for chamber in atlas.chambers.values():
+            assert chamber.frame
+    assert surveyed_calls == calls == {"_wall_step": 18, "_carry_frame": 16, "_carried_column": 32}
 
 
 @pytest.mark.parametrize("check", [check_crystallographic, check_additive, extract_cartan_graph])
@@ -708,8 +728,7 @@ def test_carried_frames_keep_a_false_integral_flag():
     """A3 in simple-root coordinates with the line of its highest root
     halved: some crossings stay crystallographic and carry a frame in which
     the halved root has coordinates 1/2, and the flag stays false there."""
-    a3 = closure_table([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
-    table = RootSystemTable(3, [tuple(c / F(2) if abs(sum(r)) == 3 else c for c in r) for r in a3.roots])
+    table = EXTRACTION_TABLES["a3-highest-root-halved"]()
     carried = []
 
     def recording(*args):
@@ -774,6 +793,9 @@ def test_realization_chambers_seed_a_survey(name):
     expected = chamber_bfs(re.table, default_seed_chamber(re.table), 10_000)
     assert set(atlas.order) == set(expected.order)
     assert atlas.certified == expected.certified
+
+
+A3_GCM = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 
 
 def closure_table(gcm: list) -> RootSystemTable:
@@ -961,9 +983,10 @@ def test_passing_realize_checks_the_base_frame_in_full_and_solves_gamma_once(nam
 
 
 def test_chamber_bfs_builds_each_key_once(monkeypatch):
-    """The step that names a chamber builds its key (`_key_at`), once per
-    crossing, and a chamber the survey finds holds the key of the step that
-    found it: only the seed handed in builds its own (`Chamber.key`)."""
+    """A survey builds each chamber's key (`_key_at`) once: a crossing finds
+    a known chamber by its root positions, and only a new one builds its
+    key.  A chamber the survey finds holds the key of the step that found
+    it: only the seed handed in builds its own (`Chamber.key`)."""
     table = realize(builtin_graph("f4"), depth=5).table
     seed = default_seed_chamber(table)
     builds = []
@@ -980,10 +1003,71 @@ def test_chamber_bfs_builds_each_key_once(monkeypatch):
         atlas = chamber_bfs(table, seed, 10_000)
     assert len(atlas.order) == 91
     assert builds == [seed]
-    assert calls["_key_at"] == 1 + len(atlas.edges) // 2
+    assert calls["_key_at"] == len(atlas.order)
     for nkey in atlas.order[1:]:
         chamber = atlas.chambers[nkey]
         assert vars(chamber)["key"] == nkey == canonical_basis_key(chamber.basis)
+
+
+EXTRACTION_TABLES = {
+    **DIFFERENTIAL_TABLES,
+    **FRONTIER_TABLES,
+    # Realized truncations: their survey reaches chambers outside the
+    # certified region, so the extraction filters the atlas's edges.
+    **{
+        f"{name}-realized-{depth}": lambda name=name, depth=depth: realize(builtin_graph(name), depth=depth).table
+        for name in sorted(BUILTIN_GCMS)
+        for depth in (2, 3)
+    },
+    **{
+        "polygon-" + "".join(map(str, q)): lambda q=q: realize(rank2_graph_from_edge_sequence(q * 2), depth=2 * len(q)).table
+        for q in CORPUS
+    },
+    # The line of A3's highest root halved: a chamber whose crossings are
+    # all crystallographic has a frame that is not integral.
+    "a3-highest-root-halved": lambda: RootSystemTable(
+        3, [tuple(c / F(2) if abs(sum(r)) == 3 else c for c in r) for r in closure_table(A3_GCM).roots]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTRACTION_TABLES))
+def test_extraction_matches_the_reference(name):
+    """Extraction keeps the atlas's chambers and edges when every chamber is
+    checked, reads `truncated` from the number of edges and checks (C1)/(C2)
+    in one pass: its chambers, objects, matrices, edges, truncated flag and
+    root sets are those of the reference (`reference_extraction`), which
+    filters every edge, scans every wall and checks object by object, in
+    the same order, or both raise alike."""
+    table = EXTRACTION_TABLES[name]()
+    atlas = chamber_bfs(table, default_seed_chamber(table), 10_000)
+    try:
+        chambers, matrices, edges, truncated, root_sets = reference_extraction(table, atlas)
+    except WeylgpdError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            _extract(table, atlas)
+        return
+    result = _extract(table, atlas)
+    graph = result.graph
+    assert list(result.chambers.items()) == list(chambers.items())
+    assert graph.objects == tuple(matrices)
+    assert [graph.matrix(key) for key in graph.objects] == list(matrices.values())
+    assert {(a, i): graph.rho(i, a) for a in graph.objects for i in range(table.rank)} == {
+        (a, i): edges.get((a, i)) for a in matrices for i in range(table.rank)
+    }
+    assert graph.truncated == truncated
+    assert list(result.root_sets.items()) == list(root_sets.items())
+
+
+def test_extraction_names_a_chamber_whose_frame_is_not_integral():
+    """Every crossing of this chamber is crystallographic, so extraction
+    reads the defect from its frame: the first root, with its kind."""
+    with pytest.raises(NotCrystallographicAt) as raised:
+        extract_cartan_graph(EXTRACTION_TABLES["a3-highest-root-halved"]())
+    assert str(raised.value) == (
+        "at chamber ((-1, -1, 0), (0, -1, -1), (0, 1, 0)): (-1/2, -1/2, -1/2) = "
+        "(1/2)*(-1, -1, 0) + (1/2)*(0, -1, -1) + (1/2)*(0, 1, 0)  [integrality]"
+    )
 
 
 def test_zero_root_is_rejected():

@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from weylgpd.arrangement import Truncated, check_additive, check_crystallographic
+from weylgpd import realization
+from weylgpd.arrangement import Truncated, check_additive, check_crystallographic, default_seed_chamber
 from weylgpd.builtins import BUILTIN_GCMS, builtin_graph
 from weylgpd.cartan import CartanGraph, GeneralizedCartanMatrix, generate_real_roots
 from weylgpd.errors import AxiomViolation, NotSimplyConnected
@@ -29,6 +30,8 @@ from weylgpd.realization import (
 )
 from weylgpd.subarr import rank2_graph_from_edge_sequence
 
+from test_kernel import counting
+from test_rank2_corpus import CORPUS
 from _oracles import reference_affine_functional
 
 
@@ -339,3 +342,33 @@ class TestRoundTrip:
         report = roundtrip_check(builtin_graph("aff-a1"), depth=8)
         assert report.equivalent, report.mismatches[:3]
         assert report.objects_compared == 15  # 17 generated, 2 frontier objects excluded
+
+    @pytest.mark.parametrize(
+        "graph,depth",
+        [
+            *((builtin_graph(name), depth) for name in sorted(BUILTIN_GCMS) for depth in (2, 4, 8)),
+            *((rank2_graph_from_edge_sequence(q * 2), 2 * len(q)) for q in CORPUS),
+        ],
+        ids=[
+            *(f"{name}-{depth}" for name in sorted(BUILTIN_GCMS) for depth in (2, 4, 8)),
+            *("polygon-" + "".join(map(str, q)) for q in CORPUS),
+        ],
+    )
+    def test_survey_starts_at_the_anchors_held_chamber(self, graph, depth):
+        """The round trip surveys from the anchor's held chamber, indexed as
+        a default seed: it equals `default_seed_chamber` of the realized
+        table, with the same frame.  No seed is eliminated
+        (`_extreme_basis`), and the report, index map included, is the one a
+        survey from the default seed gives."""
+        realized = realize(graph, depth)
+        anchor = realization._anchor(realized.order, realized.certified, realized.base)
+        seed, default = realization._anchor_seed(realized, anchor), default_seed_chamber(realized.table)
+        assert seed == default
+        fields = ("table", "index", "cols", "det", "num_cols", "integral")
+        assert [getattr(seed.frame, f) for f in fields] == [getattr(default.frame, f) for f in fields]
+        with counting({"_extreme_basis": 0}) as calls:
+            report = roundtrip_check(graph, depth)
+        assert calls["_extreme_basis"] == 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(realization, "_anchor_seed", lambda realized, anchor: default_seed_chamber(realized.table))
+            assert roundtrip_check(graph, depth) == report
