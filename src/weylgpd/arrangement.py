@@ -606,14 +606,20 @@ def wall_is_crossable(table: RootSystemTable, chamber: Chamber, i: int) -> bool:
 def adjacent_chamber(table: RootSystemTable, chamber: Chamber, i: int) -> Chamber:
     """The chamber across wall i, with compatible indexing: the wall step,
     then the full check of the neighbor's frame."""
+    return _adjacent(table, chamber, i)[0]
+
+
+def _adjacent(table: RootSystemTable, chamber: Chamber, i: int) -> tuple:
+    """`adjacent_chamber` with the coefficients of its crossing: (neighbor,
+    the wall step's `_wall_coefficients` or CoefficientWitness)."""
     table.require_reduced()
     if not wall_is_crossable(table, chamber, i):
         raise WallOnBoundary(f"wall {i} of chamber {fmt_covector(chamber.key)} does not meet the cone")
     parent = _held(table, chamber)
-    index, across = _wall_step(table, parent.frame, i)
+    index, across, coeffs = _wall_step(table, parent.frame, i)
     neighbor = _chamber(table, index, across, crossing=(None, i, parent))
     _verify_chamber_basis(neighbor.frame)
-    return neighbor
+    return neighbor, coeffs
 
 
 def _transition(root_set: frozenset, i: int) -> tuple | None:
@@ -657,25 +663,26 @@ def _object_step(table: RootSystemTable, index: tuple, i: int, coeffs: tuple, me
 
 
 def _wall_step(table: RootSystemTable, frame: IntegerFrame, i: int, known=()) -> tuple:
-    """The crossing of wall i of a verified frame: (index, across), the
-    neighbor's root positions and its frame, or (index, None) when `index`
-    is in `known`.  The wall scan (`_walls_across`) names the neighbor.  A
-    crystallographic crossing (`_wall_coefficients`) has its new column of
-    num checked, so a refused crossing builds no frame, and carries the
-    frame with that column; any other is eliminated and checked in full."""
+    """The crossing of wall i of a verified frame: (index, across, coeffs),
+    the neighbor's root positions, its frame and the crossing's
+    `_wall_coefficients` (or CoefficientWitness), or (index, None, None) when
+    `index` is in `known`.  The wall scan (`_walls_across`) names the
+    neighbor.  A crystallographic crossing has its new column of num
+    checked, so a refused crossing builds no frame, and carries the frame
+    with that column; any other is eliminated and checked in full."""
     index = _walls_across(table, frame, i)
     if index in known:
-        return index, None
+        return index, None, None
     coeffs = _wall_coefficients(frame, i, index)
     if isinstance(coeffs, CoefficientWitness):
         across = _frame_at(table, index)
         _verify_chamber_basis(across)
-        return index, across
+        return index, across, coeffs
     cols = frame.num_cols
     column = _carried_column(cols, i, coeffs)
     if not _column_is_coherent(cols, i, column):
         _check_rows(table, index, zip(*cols[:i], column, *cols[i + 1:]), frame.det)
-    return index, _carry_frame(frame, i, coeffs, index, column)
+    return index, _carry_frame(frame, i, coeffs, index, column), coeffs
 
 
 def _walls_across(table: RootSystemTable, frame: IntegerFrame, i: int) -> tuple:
@@ -799,7 +806,8 @@ def _wall_coefficients(frame: IntegerFrame, i: int, index: tuple) -> tuple | Coe
 
 
 def cartan_matrix_at(table: RootSystemTable, chamber: Chamber) -> ChamberCartanData:
-    """The generalized Cartan matrix read off from all wall crossings at a chamber.
+    """The generalized Cartan matrix read off from all wall crossings at a chamber,
+    each coefficient row from the wall step that finds the neighbor.
 
     Raises NotCrystallographicAt with the offending relation when a transition
     coefficient is non-integral or the j-slot coefficient is not 1.
@@ -809,8 +817,7 @@ def cartan_matrix_at(table: RootSystemTable, chamber: Chamber) -> ChamberCartanD
     neighbors = []
     coeff_rows = []
     for i in range(chamber.rank):
-        neighbor = adjacent_chamber(table, held, i)
-        coeffs = _wall_coefficients(held.frame, i, neighbor.frame.index)
+        neighbor, coeffs = _adjacent(table, held, i)
         if isinstance(coeffs, CoefficientWitness):
             raise NotCrystallographicAt(chamber.key, coeffs)
         neighbors.append(neighbor)
@@ -919,7 +926,7 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
             else:
                 coeffs = image = None
                 try:
-                    index, frame = _wall_step(table, chamber.frame, i, found)
+                    index, frame, _ = _wall_step(table, chamber.frame, i, found)
                 except NotSimplicial:
                     if spherical:
                         raise
@@ -967,59 +974,95 @@ def _chamber_count(table: RootSystemTable, seed: Chamber, budget: int, passes=No
     is then an object, so the arrangement is crystallographic, and its
     chambers correspond to the morphisms of its Weyl groupoid that start at
     the seed's object a.  Each Hom(a, b) is an Aut(a)-torsor, so N = #objects
-    x |Aut(a)|.  A BFS by `_transition` finds the objects, and carries R^a
-    into each along its spanning tree.  Every other transition closes a loop
-    at a: one generator of Aut(a), as a permutation of R^a, and |Aut(a)| is
-    the size of the orbit of R^a's unit vectors under them.  None as well
+    x |Aut(a)|.  A BFS by `_transition` finds the objects.  None as well
     when an object fails `passes`, or N > budget, when `chamber_bfs` would
     exceed its budget.  The survey's raise on a chamber reached with two
     indexings cannot fire here: around each codimension-2 face the
     compatible indexing comes back to itself, and in a simplicial
-    arrangement those loops generate every loop of chambers."""
+    arrangement those loops generate every loop of chambers.
+
+    |Aut(a)| is counted down a flag of parabolic subgroupoids, as
+    |W| = |W / W_J| x |W_J| for a Weyl group.  Let Aut_J(a) be the loops at a
+    that cross only walls in J.  As crossing wall i keeps every ray but ray
+    i, they are the chambers of object a that hold the seed's rays outside
+    J.  For J = {0..k}, a BFS by the walls in J carries into each object b
+    along its spanning tree the matrix P_b of v -> v . T (the T of
+    `_carry_frame`) from R^a to R^b, and its inverse Q_b; every other
+    transition, from b across wall i to c, gives the generator P_b . T . Q_c
+    of Aut_J(a).  A loop P moves the seed's ray k, e_k in the coordinates of
+    the seed's rays, to P e_k, ray k of the loop's last chamber.  That
+    chamber holds rays k+1..r-1, and it holds ray k too exactly when the
+    loop is in Aut_{J - {k}}(a): the stabilizer.  So |Aut_J(a)| is the size
+    of the orbit of e_k under the generators times |Aut_{J - {k}}(a)|, and
+    |Aut(a)| is the product of the r orbit sizes, k = r-1 down to 0.  Past
+    budget // #objects, N > budget."""
     if not isinstance(table.cone, Spherical):
         return None
     _verify_chamber_basis(seed.frame)
     if not seed.frame.integral:
         return None
     base = _root_set(seed.frame)
-    carried = {base: tuple(base)}  # object b -> the points of R^a carried into R^b
-    queue, taken, generators = [base], set(), []
+    steps: dict = {}  # (object, i) -> (coeffs, image) of `_transition`, with its reverse
+    queue, seen = [base], {base}
     for obj in queue:
         if passes is not None and not passes(obj):
             return None
         for i in range(table.rank):
-            if (obj, i) in taken:
+            if (obj, i) in steps:
                 continue
             step = _transition(obj, i)
             if step is None:
                 return None
             coeffs, image = step
-            taken.add((image, i))
-            # v . T changes coordinate i only, to v_i + sum_j coeffs[j] * v_j.
-            points = tuple(v[:i] + (v[i] + _dot(coeffs, v),) + v[i + 1:] for v in carried[obj])
-            known = carried.get(image)
-            if known is None:
-                carried[image] = points
+            steps[(obj, i)], steps[(image, i)] = step, (coeffs, obj)
+            if image not in seen:
+                seen.add(image)
                 queue.append(image)
                 if len(queue) > budget:
                     return None
-            else:
-                position = {v: k for k, v in enumerate(known)}
-                generators.append(tuple(map(position.__getitem__, points)))
-    # Only the identity fixes R^a's unit vectors, so |Aut(a)| is the size of
-    # the orbit of their positions; past budget // #objects, N > budget.
-    position = {v: k for k, v in enumerate(carried[base])}
-    units = tuple(position[tuple(int(t == j) for t in range(table.rank))] for j in range(table.rank))
-    orbit, seen, bound = [units], {units}, budget // len(queue)
-    for point in orbit:
-        for g in generators:
-            moved = tuple(map(g.__getitem__, point))
-            if moved not in seen:
-                seen.add(moved)
-                orbit.append(moved)
-                if len(orbit) > bound:
-                    return None
-    return len(queue) * len(orbit)
+    bound, order = budget // len(queue), 1
+    identity = tuple(tuple(int(s == t) for t in range(table.rank)) for s in range(table.rank))
+    for k in reversed(range(table.rank)):
+        carried = {base: (identity, identity)}  # object b -> (P_b by columns, Q_b by rows)
+        tree, taken, generators = [base], set(), set()  # generators by columns
+        for obj in tree:
+            p, q = carried[obj]
+            for i in range(k + 1):
+                if (obj, i) in taken:
+                    continue
+                coeffs, image = steps[(obj, i)]
+                taken.add((image, i))
+                moved = p[:i] + (_carried_column(p, i, coeffs),) + p[i + 1:]
+                known = carried.get(image)
+                if known is None:
+                    carried[image] = moved, _reflected_rows(q, i, coeffs)
+                    tree.append(image)
+                    continue
+                generator = tuple(_combine(column, moved) for column in zip(*known[1]))
+                if generator != identity:
+                    generators.add(generator)
+        orbit = [identity[k]]
+        on_orbit = set(orbit)
+        for x in orbit:
+            for generator in generators:
+                moved = _combine(x, generator)
+                if moved not in on_orbit:
+                    on_orbit.add(moved)
+                    orbit.append(moved)
+                    if order * len(orbit) > bound:
+                        return None
+        order *= len(orbit)
+    return len(queue) * order
+
+
+def _reflected_rows(rows: tuple, i: int, coeffs: Sequence[int]) -> tuple:
+    """T . M for the T of `_carry_frame` and M given by rows: row i negated,
+    and coeffs[j] times row i added to row j."""
+    pivot = rows[i]
+    return tuple(
+        tuple(-x for x in pivot) if j == i else tuple(x + c * y for x, y in zip(row, pivot)) if c else row
+        for j, (row, c) in enumerate(zip(rows, coeffs))
+    )
 
 
 def interior_point(rays: Sequence) -> Vector:
@@ -1142,7 +1185,10 @@ def _report(
 def _crystallographic_report(table: RootSystemTable, atlas: ChamberAtlas, max_witnesses: int) -> CheckReport:
     """The crystallographic check on an atlas already surveyed.  The survey
     verified every chamber's signs, so a chamber with an object, or with an
-    integral frame, has no defect."""
+    integral frame, has no defect, and a defect is one of integrality, which
+    a root and its negation share.  Each defective line gives one witness,
+    by its positive root, where the first of its two roots comes in scan
+    order."""
 
     def witnesses(key, chamber):
         if key in atlas.objects:
@@ -1151,7 +1197,11 @@ def _crystallographic_report(table: RootSystemTable, atlas: ChamberAtlas, max_wi
         if frame.integral:
             return
         kinds = dict(_root_defects(frame))
+        scanned = set()
         for k in _scan_order(frame, list(kinds)):
+            scanned.add(k)
+            if table.negation[k] in scanned:
+                continue
             root, coords = table.roots[k], frame.coords(k)
             if all(c <= 0 for c in coords):
                 root, coords = vneg(root), vneg(coords)

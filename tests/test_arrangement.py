@@ -41,6 +41,16 @@ def a2_table() -> RootSystemTable:
     return RootSystemTable(2, A2_ROOTS)
 
 
+HALF = Rat(1, 2)
+DEFECTIVE_TABLES = {
+    "aff-a1-rescaled": lambda: builtin_table("aff-a1-rescaled"),
+    "lonely-root": lambda: RootSystemTable(2, [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 2), (-1, -2)]),
+    "two-lines-of-l1-size-2": lambda: RootSystemTable(
+        2, [(1, 0), (-1, 0), (0, 1), (0, -1), (HALF, 3 * HALF), (-HALF, -3 * HALF), (3 * HALF, HALF), (-3 * HALF, -HALF)]
+    ),
+}
+
+
 class TestChamberFromPoint:
     def test_a2_standard_chamber(self):
         chamber = chamber_from_point(a2_table(), (2, 1))
@@ -184,6 +194,27 @@ class TestChecks:
         assert len(full.witnesses) > 1
         assert not report.passed
         assert report.witnesses == full.witnesses[:1]
+
+    @pytest.mark.parametrize(
+        "name, count, first",
+        [
+            ("aff-a1-rescaled", 64, "(1, 0) = (2)*(0, -1) + (1/2)*(2, 4)  [integrality]"),
+            ("lonely-root", 2, "(0, 1) = (1/2)*(1, 2) + (1/2)*(-1, 0)  [integrality]"),
+            ("two-lines-of-l1-size-2", 8, "(-1, 0) = (3/4)*(-3/2, -1/2) + (1/4)*(1/2, 3/2)  [integrality]"),
+        ],
+    )
+    def test_one_witness_per_defective_line(self, name, count, first):
+        """A root and its negation have the same integrality defect; the
+        report names each defective line of a chamber once, at the first of
+        its two roots in scan order, by its positive root.  On the last table
+        the first defective chamber's two lines have coordinates of the same
+        size, and the line whose negative root sorts first is named first."""
+        report = check_crystallographic(DEFECTIVE_TABLES[name]())
+        assert not report.passed
+        assert len(report.witnesses) == len(set(report.witnesses)) == count
+        assert str(report.first_witness) == first
+        named = {(w.chamber_key, w.root) for w in report.witnesses}
+        assert not any((key, vneg(root)) in named for key, root in named)
 
     def test_a2_additive(self):
         report = check_additive(a2_table())

@@ -12,6 +12,8 @@ from weylgpd.arrangement import (
     Affine,
     RootSystemTable,
     _chamber_count,
+    _root_set,
+    _transition,
     chamber_bfs,
     check_additive,
     check_crystallographic,
@@ -29,6 +31,24 @@ from test_rank2_corpus import CORPUS
 D_GCMS = {
     "d4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
     "d5": [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1], [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]],
+}
+# Rank 6 and 7, beyond the default budget: (GCM, number of chambers |W|).
+LARGE_GCMS = {
+    "d6": (
+        [[2, -1, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0], [0, -1, 2, -1, 0, 0],
+         [0, 0, -1, 2, -1, -1], [0, 0, 0, -1, 2, 0], [0, 0, 0, -1, 0, 2]],
+        23_040,
+    ),
+    "e6": (
+        [[2, -1, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0], [0, -1, 2, -1, 0, -1],
+         [0, 0, -1, 2, -1, 0], [0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 2]],
+        51_840,
+    ),
+    "e7": (
+        [[2, -1, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0], [0, -1, 2, -1, 0, 0, -1], [0, 0, -1, 2, -1, 0, 0],
+         [0, 0, 0, -1, 2, -1, 0], [0, 0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 0, 2]],
+        2_903_040,
+    ),
 }
 SPHERICAL_BUILTINS = [name for name in TABLE_NAMES if not name.startswith("aff")]
 CHAMBERS = {"a2": 6, "b2": 8, "g2": 12, "a3": 24, "b3": 48, "f4": 1152, "d4": 192, "d5": 1920}
@@ -86,6 +106,21 @@ def test_count_equals_the_survey_on_every_single_restriction(name):
             assert count == 96 and len(objects_of(atlas)) == 2
 
 
+@pytest.mark.parametrize("name", sorted(LARGE_GCMS))
+def test_count_reaches_the_orders_of_d6_e6_and_e7(name):
+    """One object each, so N = |Aut(a)| = |W|, counted down the flag of
+    parabolic subgroupoids.  Below N, as at the default budget, the count
+    gives up."""
+    gcm, order = LARGE_GCMS[name]
+    table = closure_table(gcm)
+    seed = default_seed_chamber(table)
+    obj = _root_set(seed.frame)
+    assert all(_transition(obj, i)[1] == obj for i in range(table.rank))
+    assert _chamber_count(table, seed, order + 1) == _chamber_count(table, seed, order) == order
+    assert _chamber_count(table, seed, order - 1) is None
+    assert _chamber_count(table, seed, 10_000) is None
+
+
 GUARDED = ("chamber_bfs", "_wall_step", "_object_step", "default_seed_chamber")
 
 
@@ -106,6 +141,14 @@ def test_passing_spherical_check_makes_no_survey(check, name):
     report, calls = guarded_calls(check, builtin_table(name))
     assert report.passed and report.chambers_visited == report.certified == CHAMBERS[name]
     assert (report.skipped, report.budget_exceeded) == (0, False)
+    assert calls == {**dict.fromkeys(GUARDED, 0), "default_seed_chamber": 1}
+
+
+@pytest.mark.parametrize("check", [check_crystallographic, check_additive])
+def test_passing_e6_check_counts_above_the_default_budget(check):
+    table = closure_table(LARGE_GCMS["e6"][0])
+    report, calls = guarded_calls(check, table, 60_000)
+    assert report.passed and report.chambers_visited == report.certified == 51_840
     assert calls == {**dict.fromkeys(GUARDED, 0), "default_seed_chamber": 1}
 
 

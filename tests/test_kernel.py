@@ -509,19 +509,19 @@ def test_wall_step_matches_the_reference_scan(name):
     key is the key of that basis.  A crystallographic crossing carries the
     frame by the coefficients `_wall_coefficients` gives, with one new
     column of num and one of A; any other crossing eliminates it.  Either
-    way it is the eliminated frame of the basis.  Known root positions give
-    no frame."""
+    way it is the eliminated frame of the basis, and the step returns those
+    coefficients, or their witness.  Known root positions give no frame."""
     table, atlas, _ = surveyed(name)
     witnesses = 0
     for (key, i), nkey in atlas.edges.items():
         frame = atlas.chambers[key].frame
         calls = dict.fromkeys(["_walls_across", "_frame_at", "_carried_column"], 0)
         with counting(calls):
-            index, across = _wall_step(table, frame, i)
+            index, across, coeffs = _wall_step(table, frame, i)
         assert calls["_walls_across"] == 1
         assert index == reference_walls_across(table, frame, i)
         assert atlas.chambers[nkey].frame.index == index and nkey == _key_at(table, index)
-        coeffs = _wall_coefficients(frame, i, index)
+        assert coeffs == _wall_coefficients(frame, i, index)
         if isinstance(coeffs, CoefficientWitness):
             witnesses += 1
             assert (calls["_frame_at"], calls["_carried_column"]) == (1, 0)
@@ -529,7 +529,7 @@ def test_wall_step_matches_the_reference_scan(name):
             assert (calls["_frame_at"], calls["_carried_column"]) == (0, 2)
             assert frame_data(across) == frame_data(_carry_frame(frame, i, coeffs, index))
         assert frame_data(across) == frame_data(_frame_at(table, index))
-        assert _wall_step(table, frame, i, {index: nkey}) == (index, None)
+        assert _wall_step(table, frame, i, {index: nkey}) == (index, None, None)
     if "rescaled" in name:
         assert witnesses
 
@@ -619,6 +619,47 @@ def test_wall_step_carries_the_frame_with_its_checked_column():
         for chamber in atlas.chambers.values():
             assert chamber.frame
     assert surveyed_calls == calls == {"_wall_step": 18, "_carry_frame": 16, "_carried_column": 32}
+
+
+def reference_cartan_data(table: RootSystemTable, chamber: Chamber) -> tuple:
+    """cartan_matrix_at's answer computed crossing by crossing: each
+    neighbor by adjacent_chamber, then its coefficients by a second
+    `_wall_coefficients` call."""
+    neighbors, rows = [], []
+    for i in range(chamber.rank):
+        neighbor = adjacent_chamber(table, chamber, i)
+        coeffs = _wall_coefficients(chamber.frame, i, neighbor.frame.index)
+        if isinstance(coeffs, CoefficientWitness):
+            raise NotCrystallographicAt(chamber.key, coeffs)
+        neighbors.append(neighbor)
+        rows.append(coeffs)
+    return chamber, tuple(tuple(-c for c in row) for row in rows), tuple(neighbors), tuple(rows)
+
+
+@pytest.mark.parametrize("name", TABLE_NAMES)
+def test_cartan_matrix_at_reads_each_walls_coefficients_once(name):
+    """At every builtin's seed chamber, and at each chamber of aff-a1-rescaled
+    that is not crystallographic, cartan_matrix_at gives the answer of the
+    crossing-by-crossing reference with one `_wall_coefficients` call per
+    wall crossed: 4 at F4's seed."""
+    table = builtin_table(name)
+    chambers, failed = [default_seed_chamber(table)], False
+    if name == "aff-a1-rescaled":
+        atlas = chamber_bfs(table, chambers[0], 64)
+        chambers += [atlas.chambers[key] for key in atlas.order if key not in atlas.objects][:4]
+    for chamber in chambers:
+        expected = outcome(reference_cartan_data, table, chamber)
+        calls = {"_wall_coefficients": 0}
+        with counting(calls):
+            data = outcome(cartan_matrix_at, table, chamber)
+        if isinstance(data, tuple):
+            failed = data[0] is NotCrystallographicAt
+            assert data == expected and failed
+            assert calls["_wall_coefficients"] <= table.rank
+        else:
+            assert (data.chamber, data.matrix.rows, data.neighbors, data.coefficients) == expected
+            assert calls["_wall_coefficients"] == table.rank
+    assert failed == (name == "aff-a1-rescaled")
 
 
 @pytest.mark.parametrize("check", [check_crystallographic, check_additive, extract_cartan_graph])

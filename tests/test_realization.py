@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from weylgpd import realization
+from weylgpd import arrangement, realization
 from weylgpd.arrangement import Truncated, check_additive, check_crystallographic, default_seed_chamber
 from weylgpd.builtins import BUILTIN_GCMS, builtin_graph
 from weylgpd.cartan import CartanGraph, GeneralizedCartanMatrix, generate_real_roots
@@ -328,6 +328,22 @@ class TestRoundTrip:
         for report in (check_crystallographic(table), check_additive(table)):
             assert report.passed
             assert (report.certified, report.chambers_visited) == (certified, visited)
+
+    def test_a_wrong_extracted_entry_is_reported(self, monkeypatch):
+        """Extraction that reads G2's -3 as -2 still gives a GCM, shared by
+        the one object, so (C2) holds and the round trip compares every
+        object: each of the 12 reports the entry."""
+        extracted = arrangement._matrix_from_atlas
+
+        def misread(*args):
+            rows = extracted(*args).rows
+            return GeneralizedCartanMatrix.from_rows([[-2 if a == -3 else a for a in row] for row in rows])
+
+        monkeypatch.setattr(arrangement, "_matrix_from_atlas", misread)
+        report = roundtrip_check(builtin_graph("g2"), depth=16)
+        assert not report.equivalent and report.objects_compared == len(report.mismatches) == 12
+        assert report.mismatches[0] == "object ((-1, 0), (1, 1)): matrix entry (1,0) is -3 in the graph, -2 extracted"
+        assert all("matrix entry (1,0) is -3 in the graph, -2 extracted" in m for m in report.mismatches)
 
     def test_survey_starts_at_the_first_certified_object(self):
         # The base object 0 of this path has a missing edge, so only object 1
