@@ -202,6 +202,7 @@ class TestChecks:
             ("lonely-root", 2, "(0, 1) = (1/2)*(1, 2) + (1/2)*(-1, 0)  [integrality]"),
             ("two-lines-of-l1-size-2", 8, "(-1, 0) = (3/4)*(-3/2, -1/2) + (1/4)*(1/2, 3/2)  [integrality]"),
         ],
+        ids=sorted(DEFECTIVE_TABLES),
     )
     def test_one_witness_per_defective_line(self, name, count, first):
         """A root and its negation have the same integrality defect; the

@@ -638,23 +638,23 @@ def reference_cartan_data(table: RootSystemTable, chamber: Chamber) -> tuple:
 
 @pytest.mark.parametrize("name", TABLE_NAMES)
 def test_cartan_matrix_at_reads_each_walls_coefficients_once(name):
-    """At every builtin's seed chamber, and at each chamber of aff-a1-rescaled
-    that is not crystallographic, cartan_matrix_at gives the answer of the
-    crossing-by-crossing reference with one `_wall_coefficients` call per
-    wall crossed: 4 at F4's seed."""
+    """At every builtin's seed chamber, and at the next four chambers of
+    aff-a1-rescaled's survey, some not crystallographic, cartan_matrix_at
+    gives the answer of the crossing-by-crossing reference with one
+    `_wall_coefficients` call per wall crossed: 4 at F4's seed."""
     table = builtin_table(name)
     chambers, failed = [default_seed_chamber(table)], False
     if name == "aff-a1-rescaled":
         atlas = chamber_bfs(table, chambers[0], 64)
-        chambers += [atlas.chambers[key] for key in atlas.order if key not in atlas.objects][:4]
+        chambers += [atlas.chambers[key] for key in atlas.order[1:5]]
     for chamber in chambers:
         expected = outcome(reference_cartan_data, table, chamber)
         calls = {"_wall_coefficients": 0}
         with counting(calls):
             data = outcome(cartan_matrix_at, table, chamber)
         if isinstance(data, tuple):
-            failed = data[0] is NotCrystallographicAt
-            assert data == expected and failed
+            assert data == expected and data[0] is NotCrystallographicAt
+            failed = True
             assert calls["_wall_coefficients"] <= table.rank
         else:
             assert (data.chamber, data.matrix.rows, data.neighbors, data.coefficients) == expected
