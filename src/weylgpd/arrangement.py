@@ -23,10 +23,10 @@ description with the lines each lies on: wall m is the one line on all
 rays but ray m.  A chamber whose roots all have integer coordinates in its
 basis B is an object a of the Weyl groupoid, and the set R^a of those
 coordinate vectors decides what a survey asks of it.  Crossing wall i is
-the change of object: B' = T . B for the integer involution T with rows -e_i
-and e_j + m_j * e_i, m_j = -c_ij the length of the e_i-string through e_j in
-R^a; the neighbor is a chamber exactly when T(R^a) is sign-coherent, and
-its frame is A' = A . T.  `chamber_bfs` crosses by these transitions,
+the change of object: B' = T . B for the simple reflection T of `cartan`,
+m_j the length of the e_i-string through e_j in R^a; the neighbor is a
+chamber exactly when T(R^a) is sign-coherent, and its frame is
+A' = A . T.  `chamber_bfs` crosses by these transitions,
 found once per (object, wall); affine cones, frames that are not integral
 and refused transitions take the wall step: a wall scan names the
 neighbor's basis, and `_wall_coefficients`, the one statement of the
@@ -56,6 +56,7 @@ from typing import Iterable, Sequence
 from ._rational import ONE, ZERO, Rat, fmt_covector
 from ._record import Record
 from .cartan import CartanGraph, GeneralizedCartanMatrix, canonical_basis_key
+from .cartan import _carried_column, _combine, _reflected_rows, standard_dual_basis
 from .errors import (
     BudgetExceeded,
     InvalidTable,
@@ -342,25 +343,9 @@ def _frame_at(table: RootSystemTable, index: tuple) -> IntegerFrame:
     return IntegerFrame(table, index, cols, det, num_cols, integral)
 
 
-def _combine(weights: Sequence[int], vectors: Sequence[tuple]) -> tuple:
-    """sum_j weights[j] * vectors[j] on integers, skipping zero weights; at
-    least one weight is nonzero."""
-    acc = None
-    for w, v in zip(weights, vectors):
-        if w:
-            acc = [w * x for x in v] if acc is None else [s + w * x for s, x in zip(acc, v)]
-    return tuple(acc)
-
-
-def _carried_column(columns: tuple, i: int, coeffs: Sequence[int]) -> tuple:
-    """Column i of columns . T for the T of `_carry_frame`:
-    sum_{j != i} coeffs[j] * x_j - x_i."""
-    return _combine(tuple(-1 if j == i else c for j, c in enumerate(coeffs)), columns)
-
-
 def _carry_frame(frame: IntegerFrame, i: int, coeffs: Sequence[int], index: tuple, column=None) -> IntegerFrame:
-    """The frame at `index`, whose integer basis is T . B for the integer T
-    with row i = -e_i and row j = e_j + coeffs[j] * e_i (coeffs[i] is unused).
+    """The frame at `index`, whose integer basis is T . B for the simple
+    reflection T of `cartan` with m = coeffs (coeffs[i] is unused).
 
     As T^2 = I and det T = -1, the neighbor's A' = A . T with the same D: only
     column i of A and of num changes (`_carried_column`, or `column` for num).
@@ -624,7 +609,7 @@ def _adjacent(table: RootSystemTable, chamber: Chamber, i: int) -> tuple:
 
 def _transition(root_set: frozenset, i: int) -> tuple | None:
     """The change of object across wall i of the object R^a: (coeffs, T(R^a))
-    for the T of `_carry_frame`, coeffs[j] the number of steps of the
+    for the T of `cartan` with m = coeffs, coeffs[j] the number of steps of the
     e_i-string e_j, e_j + e_i, ... in R^a (-2 at i), or None when T(R^a) is not
     sign-coherent.  The chamber on T . B then has the facet on wall i in its
     closure, beyond wall i, and one basis element in each plane of a_i and
@@ -987,7 +972,7 @@ def _chamber_count(table: RootSystemTable, seed: Chamber, budget: int, passes=No
     i, they are the chambers of object a that hold the seed's rays outside
     J.  For J = {0..k}, a BFS by the walls in J carries into each object b
     along its spanning tree the matrix P_b of v -> v . T (the T of
-    `_carry_frame`) from R^a to R^b, and its inverse Q_b; every other
+    `cartan`) from R^a to R^b, and its inverse Q_b; every other
     transition, from b across wall i to c, gives the generator P_b . T . Q_c
     of Aut_J(a).  A loop P moves the seed's ray k, e_k in the coordinates of
     the seed's rays, to P e_k, ray k of the loop's last chamber.  That
@@ -1021,10 +1006,10 @@ def _chamber_count(table: RootSystemTable, seed: Chamber, budget: int, passes=No
                 if len(queue) > budget:
                     return None
     bound, order = budget // len(queue), 1
-    identity = tuple(tuple(int(s == t) for t in range(table.rank)) for s in range(table.rank))
+    identity = standard_dual_basis(table.rank)
     for k in reversed(range(table.rank)):
         carried = {base: (identity, identity)}  # object b -> (P_b by columns, Q_b by rows)
-        tree, taken, generators = [base], set(), set()  # generators by columns
+        tree, taken, generators = [base], set(), set()  # generators by rows
         for obj in tree:
             p, q = carried[obj]
             for i in range(k + 1):
@@ -1038,14 +1023,14 @@ def _chamber_count(table: RootSystemTable, seed: Chamber, budget: int, passes=No
                     carried[image] = moved, _reflected_rows(q, i, coeffs)
                     tree.append(image)
                     continue
-                generator = tuple(_combine(column, moved) for column in zip(*known[1]))
+                generator = tuple(_combine(row, known[1]) for row in zip(*moved))
                 if generator != identity:
                     generators.add(generator)
         orbit = [identity[k]]
         on_orbit = set(orbit)
         for x in orbit:
             for generator in generators:
-                moved = _combine(x, generator)
+                moved = tuple([sum(map(mul, row, x)) for row in generator])
                 if moved not in on_orbit:
                     on_orbit.add(moved)
                     orbit.append(moved)
@@ -1053,16 +1038,6 @@ def _chamber_count(table: RootSystemTable, seed: Chamber, budget: int, passes=No
                         return None
         order *= len(orbit)
     return len(queue) * order
-
-
-def _reflected_rows(rows: tuple, i: int, coeffs: Sequence[int]) -> tuple:
-    """T . M for the T of `_carry_frame` and M given by rows: row i negated,
-    and coeffs[j] times row i added to row j."""
-    pivot = rows[i]
-    return tuple(
-        tuple(-x for x in pivot) if j == i else tuple(x + c * y for x, y in zip(row, pivot)) if c else row
-        for j, (row, c) in enumerate(zip(rows, coeffs))
-    )
 
 
 def interior_point(rays: Sequence) -> Vector:

@@ -2,10 +2,13 @@
 
 A Cartan graph is a set of objects with involutions rho_i and one generalized
 Cartan matrix per object; its reflections sigma_i act on Z^I by
-sigma_i(alpha_j) = alpha_j - c_ij * alpha_i.  Real roots at an object are the
-images of the standard basis under composed reflections ending there.  The
-graph side is integral: bases, real roots, reflection matrices and the
-standard graph's object ids (chamber keys) are int tuples.
+sigma_i(alpha_j) = alpha_j + m_j * alpha_i, m_j = -c_ij: row j of the integer
+involution T that also crosses the walls of `arrangement`, written once here
+by its two actions, x . T (`_carried_column`) and T . M (`_reflected_rows`).
+Real roots at an object are the images of the standard basis under composed
+reflections ending there.  The graph side is integral: bases, real roots,
+morphism matrices and the standard graph's object ids (chamber keys) are
+int tuples.
 """
 
 from __future__ import annotations
@@ -121,24 +124,41 @@ class GeneralizedCartanMatrix(Record):
 
 
 def reflect(C: GeneralizedCartanMatrix, i: int, v: IntVec) -> IntVec:
-    """sigma_i applied to v in Z^I: v - v_i' ... extended linearly from
-    alpha_j |-> alpha_j - c_ij alpha_i."""
-    coeff = sum(C.rows[i][j] * v[j] for j in range(C.rank))
-    return tuple(v[j] - coeff if j == i else v[j] for j in range(C.rank))
+    """sigma_i applied to v in Z^I: alpha_j |-> alpha_j - c_ij alpha_i, extended linearly."""
+    return _reflected(C, i, (v,)).pop()
 
 
-def reflection_matrix(C: GeneralizedCartanMatrix, i: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix of sigma_i with columns the images of the standard basis."""
-    n = C.rank
+def _reflected(C: GeneralizedCartanMatrix, i: int, vectors) -> set:
+    """{sigma_i(v) for v in vectors}, by one right action on their columns."""
+    if not vectors:
+        return set()
+    cols = tuple(zip(*vectors))
+    return set(zip(*cols[:i], _carried_column(cols, i, [-c for c in C.rows[i]]), *cols[i + 1:]))
+
+
+def _combine(weights: Sequence[int], vectors: Sequence[tuple]) -> tuple:
+    """sum_j weights[j] * vectors[j] on integers, skipping zero weights (one is nonzero)."""
+    acc = None
+    for w, v in zip(weights, vectors):
+        if w:
+            acc = [w * x for x in v] if acc is None else [s + w * x for s, x in zip(acc, v)]
+    return tuple(acc)
+
+
+def _carried_column(columns: tuple, i: int, coeffs: Sequence[int]) -> tuple:
+    """T on the right, m = coeffs (coeffs[i] is unused): column i of M . T for
+    M given by columns, sum_{j != i} coeffs[j] * x_j - x_i; the rest is M's."""
+    return _combine([*coeffs[:i], -1, *coeffs[i + 1:]], columns)
+
+
+def _reflected_rows(rows: tuple, i: int, coeffs: Sequence[int]) -> tuple:
+    """T on the left, m = coeffs: T . M for M given by rows, row i negated and
+    coeffs[j] times row i added to row j."""
+    pivot = rows[i]
     return tuple(
-        tuple((1 if k == j else 0) - (C.rows[i][j] if k == i else 0) for j in range(n))
-        for k in range(n)
+        tuple(-x for x in pivot) if j == i else tuple(x + c * y for x, y in zip(row, pivot)) if c else row
+        for j, (row, c) in enumerate(zip(rows, coeffs))
     )
-
-
-def int_mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +169,6 @@ def standard_dual_basis(rank: int) -> tuple:
     """The standard basis of Z^I as int rows: the base object's covectors, the
     simple roots, and the rows of the identity matrix."""
     return tuple(tuple(int(j == i) for j in range(rank)) for i in range(rank))
-
-
-def apply_reflection_to_basis(basis: Sequence, C: GeneralizedCartanMatrix, i: int) -> tuple:
-    """Indexed basis of the object across edge i: beta_j' = beta_j - c_ij beta_i."""
-    return tuple(
-        tuple(basis[j][k] - C.rows[i][j] * basis[i][k] for k in range(len(basis[j])))
-        for j in range(len(basis))
-    )
 
 
 def canonical_basis_key(basis: Sequence) -> tuple:
@@ -241,23 +253,20 @@ class CartanGraph:
 
     @classmethod
     def standard(cls, gcm: GeneralizedCartanMatrix) -> "CartanGraph":
-        """Lazy graph with one matrix everywhere, objects keyed by realized basis."""
+        """Lazy graph with one matrix everywhere, objects keyed by realized basis.
+        Word w reaches the basis (w(alpha_j))_j, keyed by the set w(Pi) as real roots are
+        primitive.  Equal keys mean w_2^-1 w_1 permutes Pi, so it sends every simple root
+        to a positive root, and w_1 = w_2 (Kac, *Infinite-dimensional Lie algebras*, Lemma
+        3.11): one basis per key."""
         rank = gcm.rank
         base_basis = standard_dual_basis(rank)
         base = canonical_basis_key(base_basis)
         bases: dict[ObjectId, tuple] = {base: base_basis}
 
         def rho(i, obj):
-            basis = bases[obj]
-            new_basis = apply_reflection_to_basis(basis, gcm, i)
+            new_basis = _reflected_rows(bases[obj], i, [-c for c in gcm.rows[i]])
             key = canonical_basis_key(new_basis)
-            stored = bases.get(key)
-            if stored is None:
-                bases[key] = new_basis
-            elif stored != new_basis:
-                raise NotSimplyConnected(
-                    f"object {fmt_covector(key)} reached with conflicting indexed bases"
-                )
+            bases.setdefault(key, new_basis)
             return key
 
         return cls(rank, base, lambda _: gcm, rho, objects=None)
@@ -336,22 +345,17 @@ def generate_real_roots(graph: CartanGraph, start: ObjectId, depth: int) -> Real
     def one_round() -> dict[ObjectId, set]:
         added: dict[ObjectId, set] = {obj: set() for obj in dist}
         for (a, i), b in edges.items():
-            Ca = graph.matrix(a)
-            news = {reflect(Ca, i, v) for v in fresh[a]}
-            added[b] |= news - sets[b]
+            added[b] |= _reflected(graph.matrix(a), i, fresh[a]) - sets[b]
         return added
 
     last: dict[ObjectId, set] = {obj: set() for obj in dist}
     for _ in range(depth):
         added = one_round()
-        if not any(added.values()):
-            fresh = {obj: set() for obj in dist}
-            last = added
-            break
         for obj, news in added.items():
             sets[obj] |= news
-        fresh = added
-        last = added
+        fresh = last = added
+        if not any(added.values()):
+            break
 
     extra = one_round() if any(fresh.values()) else {obj: set() for obj in dist}
     complete = closed and not any(extra.values())
@@ -532,12 +536,11 @@ def check_root_system_axioms(
                         r3_status = "insufficient_depth"
                     continue
                 safe = rset if complete else rset - last_layer.get(obj, set())
-                image = {reflect(C, i, v) for v in safe}
-                missing = image - per_object[nb]
+                missing = _reflected(C, i, safe) - per_object[nb]
                 if missing:
                     r3_status, r3_witness = "fail", (i, next(iter(missing)))
                     break
-                if complete and {reflect(C, i, v) for v in rset} != per_object[nb]:
+                if complete and _reflected(C, i, rset) != per_object[nb]:
                     r3_status, r3_witness = "fail", (i, "image differs from neighbor set")
                     break
         findings.append(AxiomFinding("R3", obj, r3_status, r3_witness))
@@ -588,12 +591,11 @@ class Morphism(Record):
 
     @classmethod
     def from_word(cls, graph: CartanGraph, start: ObjectId, word: Sequence[int]) -> "Morphism":
-        """Cross edges in word order starting at `start`; matrices compose left to right."""
+        """Cross edges in word order from `start`; matrices compose left to right: sigma_i . M = (M^t . T)^t."""
         cur = start
         mat = standard_dual_basis(graph.rank)
         for i in word:
-            step = reflection_matrix(graph.matrix(cur), i)
-            mat = int_mat_mul(step, mat)
+            mat = mat[:i] + (_carried_column(mat, i, [-c for c in graph.matrix(cur).rows[i]]),) + mat[i + 1:]
             nxt = graph.rho(i, cur)
             if nxt is None:
                 raise BudgetExceeded(f"edge {i} missing at {fmt_object(cur)}")
@@ -642,8 +644,7 @@ def check_simply_connected(graph: CartanGraph, word_budget: int) -> SimpleConnec
                 b = graph.rho(i, a)
                 if b is None:
                     continue
-                step = reflection_matrix(graph.matrix(a), i)
-                mat_b = int_mat_mul(step, mat_a)
+                mat_b = mat_a[:i] + (_carried_column(mat_a, i, [-c for c in graph.matrix(a).rows[i]]),) + mat_a[i + 1:]
                 if b in seen:
                     if seen[b] != mat_b:
                         word = parent_word[a] + (i,)

@@ -35,7 +35,7 @@ from .arrangement import (
 )
 from .cartan import (
     CartanGraph,
-    apply_reflection_to_basis,
+    _reflected_rows,
     canonical_basis_key,
     fmt_object,
     residue as graph_residue,
@@ -103,15 +103,16 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
     dist, edges, closed = graph.ball(base, depth)
     order = sorted(dist, key=lambda o: (dist[o], str(o)))
     bases: dict = {base: standard_dual_basis(rank)}
-    first_edge: dict = {}  # object other than the base -> the edge that set its basis
+    first_edge: dict = {}  # object other than the base -> the edge that set its basis, with its coeffs
     # The ball lists edges in BFS order, so each edge's source already has its
     # basis.  The first edge into an object sets its basis; every later one
     # must reproduce it: loops act trivially.
     for (obj, i), nxt in edges.items():
-        image = apply_reflection_to_basis(bases[obj], graph.matrix(obj), i)
+        coeffs = tuple(-c for c in graph.matrix(obj).rows[i])
+        image = _reflected_rows(bases[obj], i, coeffs)
         if nxt not in bases:
             bases[nxt] = image
-            first_edge[nxt] = (obj, i)
+            first_edge[nxt] = (obj, i, coeffs)
         elif bases[nxt] != image:
             raise NotSimplyConnected(
                 f"edge {i} at {fmt_object(obj)} reaches {fmt_object(nxt)} with a conflicting basis"
@@ -153,9 +154,8 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
     chambers = {base: _chamber(table, index, frame, interior_point(_frame_rays(frame)))}
     if next(_root_defects(frame), None) is not None:
         raise _sign_defect(base, frame)
-    for nxt, (obj, i) in first_edge.items():
+    for nxt, (obj, i, coeffs) in first_edge.items():
         parent = chambers[obj]
-        coeffs = tuple(-c for c in graph.matrix(obj).rows[i])
         index = tuple(map(position.__getitem__, bases[nxt]))
         chamber = chambers[nxt] = _chamber(table, index, crossing=(coeffs, i, parent))
         if not _column_is_coherent(parent.frame.num_cols, i, chamber.frame.num_cols[i]):
@@ -371,9 +371,8 @@ def local_cartan_graph_at(re: Realization, x, budget: int = 10_000) -> LocalGrap
         for k, amb_i in enumerate(indices):
             nxt = sub.rho(k, cur)
             if nxt not in local_bases:
-                local_bases[nxt] = apply_reflection_to_basis(
-                    local_bases[cur], re.graph.matrix(cur), amb_i
-                )
+                coeffs = [-c for c in re.graph.matrix(cur).rows[amb_i]]
+                local_bases[nxt] = _reflected_rows(local_bases[cur], amb_i, coeffs)
     integer_roots = {}
     for obj in sub.objects:
         rays = dual_basis(local_bases[obj])

@@ -13,10 +13,11 @@ primitive-ray rule, when it still returned Fractions), `reference_table`
 (the table constructor, when it read every root as Fractions first),
 `reference_affine_functional` (the affine functional of a realization by
 one elimination over every ray), `reference_explicit_check` (the (C1)/(C2)
-check of an explicit Cartan graph, object by object) and
+check of an explicit Cartan graph, object by object),
 `reference_extraction` (Cartan-graph extraction from an atlas, filtering
-and scanning every edge).  `reference_record` builds the dataclass
-that a record class stands in for.
+and scanning every edge) and `reflection_matrix` with `int_mat_mul` (the
+simple reflection as a full matrix, and matrix products).
+`reference_record` builds the dataclass that a record class stands in for.
 """
 
 from __future__ import annotations
@@ -185,6 +186,22 @@ def brute_real_roots_standard(gcm_rows, depth: int) -> set:
                 collect(nm)
         frontier = new_frontier
     return roots
+
+
+def reflection_matrix(C, i: int) -> tuple:
+    """Matrix of sigma_i with columns the images of the standard basis, for
+    a GeneralizedCartanMatrix C: alpha_j |-> alpha_j - c_ij alpha_i."""
+    n = C.rank
+    return tuple(
+        tuple((1 if k == j else 0) - (C.rows[i][j] if k == i else 0) for j in range(n))
+        for k in range(n)
+    )
+
+
+def int_mat_mul(a, b):
+    """The product of integer matrices given by rows."""
+    n, k, m = len(a), len(b), len(b[0])
+    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)) for i in range(n))
 
 
 def irredundant_constraints(positives, witness) -> set:

@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from weylgpd.builtins import builtin_graph
+from weylgpd.builtins import BUILTIN_GCMS, builtin_graph
 from weylgpd.cartan import (
     CartanGraph,
     GeneralizedCartanMatrix,
     Infinite,
     Morphism,
+    _carried_column,
+    _reflected_rows,
     check_root_system_axioms,
     check_simply_connected,
     generate_real_roots,
@@ -25,7 +27,7 @@ from weylgpd.cartan import (
 from weylgpd.errors import BudgetExceeded, InvalidCartanMatrix, NonSquare, NotSimplyConnected
 from weylgpd.subarr import rank2_graph_from_edge_sequence
 
-from _oracles import brute_real_roots_standard, reference_explicit_check
+from _oracles import brute_real_roots_standard, int_mat_mul, reference_explicit_check, reflection_matrix
 
 A2 = GeneralizedCartanMatrix.from_rows([[2, -1], [-1, 2]])
 
@@ -80,6 +82,54 @@ class TestReflect:
                 assert reflect(A2, i, reflect(A2, i, v)) == v
 
 
+# Indefinite matrices whose standard graphs `weylgpd roundtrip` passes at
+# depths 3 and 5.
+INDEFINITE = {
+    "indef-2": [[2, -3], [-3, 2]],
+    "indef-3a": [[2, -2, 0], [-2, 2, -1], [0, -1, 2]],
+    "indef-3b": [[2, -1, -1], [-1, 2, -1], [-2, -1, 2]],
+}
+
+
+def transpose(matrix):
+    return tuple(zip(*matrix))
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_GCMS, *INDEFINITE])
+def test_simple_reflection_matches_the_reference(name):
+    """The library's one statement of the simple reflection, T with row
+    j = e_j - c_ij e_i, against the full matrix S = T^t of sigma_i and its
+    products: `reflect` is S . v, the right action x . T and the left action
+    T . M are M . S^t and S^t . M on seeded random integer matrices,
+    `Morphism.from_word` is the product of the S along the word, and T is an
+    involution."""
+    C = GeneralizedCartanMatrix.from_rows(BUILTIN_GCMS.get(name) or INDEFINITE[name])
+    r = C.rank
+    rng = random.Random(name)
+    identity = tuple(tuple(int(j == k) for k in range(r)) for j in range(r))
+    for i in range(r):
+        S, m = reflection_matrix(C, i), [-c for c in C.rows[i]]
+        for _ in range(20):
+            v = tuple(rng.randint(-9, 9) for _ in range(r))
+            assert reflect(C, i, v) == tuple(row[0] for row in int_mat_mul(S, transpose([v])))
+            n = rng.randint(1, 6)
+            M = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(r))
+            assert _reflected_rows(M, i, m) == int_mat_mul(transpose(S), M)
+            # M's rows are the columns of the n x r matrix M^t.
+            assert _carried_column(M, i, m) == transpose(int_mat_mul(transpose(M), transpose(S)))[i]
+        assert _reflected_rows(_reflected_rows(identity, i, m), i, m) == identity
+        # I . T by columns is T by columns, the rows of S.
+        once = identity[:i] + (_carried_column(identity, i, m),) + identity[i + 1:]
+        assert once == S and once[:i] + (_carried_column(once, i, m),) + once[i + 1:] == identity
+    graph = CartanGraph.standard(C)
+    for _ in range(20):
+        word = [rng.randrange(r) for _ in range(rng.randint(0, 10))]
+        product = identity
+        for i in word:
+            product = int_mat_mul(reflection_matrix(C, i), product)
+        assert Morphism.from_word(graph, graph.base, word).matrix == product
+
+
 class TestGenerateRealRoots:
     def test_a2_single_object(self):
         graph = one_object_graph(A2)
@@ -128,6 +178,31 @@ class TestAxioms:
         finding = next(f for f in report.findings if f.axiom == "R2")
         assert finding.status == "fail"
         assert finding.witness == (2, 0)
+
+    def test_r2_missing_negation_fails(self):
+        """An interior object of a complete set that holds alpha_0's multiples
+        only as -alpha_0's absence fails (R2), with -alpha_0 as its witness."""
+        graph = builtin_graph("a2")
+        roots = {graph.base: {(1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)}}
+        report = check_root_system_axioms(graph, roots, 4)
+        assert [(f.status, f.witness) for f in report.findings if f.axiom == "R2"] == [("fail", (-1, 0))]
+
+    def test_r3_failures_name_the_wall_and_the_root(self):
+        """On the square graph of edge sequence (0, 0, 0, 0), every object
+        holding +-e_1 and +-e_2, and rho_0(base) +-(1, 1) as well: sigma_0
+        carries (1, 1) out of object 1's neighbor set, and the images into
+        object 1 cannot cover it, which (R3) names at objects 0 and 2."""
+        graph = rank2_graph_from_edge_sequence((0, 0, 0, 0))
+        roots = {obj: {(1, 0), (-1, 0), (0, 1), (0, -1)} for obj in graph.objects}
+        roots[graph.rho(0, graph.base)] |= {(1, 1), (-1, -1)}
+        report = check_root_system_axioms(graph, roots, 4)
+        r3 = {f.obj: (f.status, f.witness) for f in report.findings if f.axiom == "R3"}
+        assert r3 == {
+            0: ("fail", (0, "image differs from neighbor set")),
+            1: ("fail", (0, (-1, 1))),
+            2: ("fail", (1, "image differs from neighbor set")),
+            3: ("pass", None),
+        }
 
     def test_affine_truncation_statuses(self):
         graph = builtin_graph("aff-a1")

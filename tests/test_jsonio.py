@@ -7,9 +7,11 @@ import random
 from weylgpd import jsonio
 from weylgpd.arrangement import Affine, Truncated, chamber_bfs, default_seed_chamber
 from weylgpd.builtins import affine_a1_table, builtin_graph, builtin_table
-from weylgpd.cartan import generate_real_roots, reflection_matrix, int_mat_mul
+from weylgpd.cartan import generate_real_roots
 from weylgpd.exactlin import vneg, vdot
 from weylgpd.realization import realize
+
+from _oracles import int_mat_mul, reflection_matrix
 
 
 class TestTableJson:
