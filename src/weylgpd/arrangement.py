@@ -48,7 +48,6 @@ objects instead (`_chamber_count`): #objects x |Aut(a)|.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from functools import cache, cached_property
 from operator import mul, sub
 from typing import Iterable, Sequence
@@ -56,7 +55,7 @@ from typing import Iterable, Sequence
 from ._rational import ONE, ZERO, Rat, fmt_covector
 from ._record import Record
 from .cartan import CartanGraph, GeneralizedCartanMatrix, canonical_basis_key
-from .cartan import _carried_column, _combine, _reflected_rows, standard_dual_basis
+from .cartan import _carried_column, _check_edge, _combine, _reflected_rows, standard_dual_basis
 from .errors import (
     BudgetExceeded,
     InvalidTable,
@@ -816,19 +815,22 @@ def cartan_matrix_at(table: RootSystemTable, chamber: Chamber) -> ChamberCartanD
 
 
 class ChamberAtlas(Record):
-    seed_key: tuple
-    chambers: dict  # key -> Chamber
-    edges: dict  # (key, i) -> key
-    order: list  # BFS order of keys
-    true_chambers: set  # keys that chamber_is_true accepts
-    certified: set  # true chambers all of whose neighbors are true
-    # The chambers analyses read: the certified set, except on a bare
-    # truncation, where nothing is certified and every visited chamber is read.
+    """A survey's chambers by id, n for the n-th found (the seed is 0); its
+    lists grow per chamber.  Readers work by id, and reports name chambers
+    by key, `order[n]`."""
+
+    order: list  # chamber keys by id
+    chambers: list  # Chamber by id
+    id_of: dict  # chamber key -> id
+    edges: list  # edges[n * rank + i]: the id across wall i of chamber n, or -1 if not crossed
+    objects: list  # R^a by id, where expanded or found by an object step, else None
+    transitions: dict  # (R^a, i) -> (coeffs, R^a') of `_transition`, or None when refused
+    true_chambers: set  # ids that chamber_is_true accepts
+    certified: set  # ids of true chambers all of whose neighbors are true
+    # The ids analyses read: the certified set, except on a bare truncation,
+    # where nothing is certified and every visited chamber is read.
     checked: set
     budget_exceeded: bool
-    # key -> the chamber's object R^a, for a chamber with one that was expanded or found by an object step
-    objects: dict
-    transitions: dict  # (R^a, i) -> (coeffs, R^a') of `_transition`, or None when refused
 
 
 def chamber_is_true(table: RootSystemTable, chamber: Chamber) -> bool | None:
@@ -859,43 +861,40 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
     is an involution.  Other crossings, and refused transitions, take the
     wall step (`_wall_step`), which builds the frame.  Every chamber found
     is built by `_chamber`.  A known chamber is found by its root positions,
-    the compatible indexing; a new one builds its key (`_key_at`), which no
-    chamber may have.  Only chambers not rejected by `chamber_is_true` (not
-    asked on a spherical table) are expanded: inside the cone of an affine
-    table, inside the certified region of a realized truncation (its border
-    is visited but not crossed).  Crossings into non-simplicial frontier
-    regions of bare truncations are recorded as missing edges.  A realized
-    truncation's certified set is its true set; a bare truncation has none.
+    the compatible indexing; a new one takes the next id and builds its key
+    (`_key_at`), which no chamber may have: `id_of`, key -> id, is the one
+    dict of the survey keyed by chamber keys.  Only chambers not rejected
+    by `chamber_is_true` (not asked on a spherical table) are expanded:
+    inside the cone of an affine table, inside the certified region of a
+    realized truncation (its border is visited but not crossed).  Crossings
+    into non-simplicial frontier regions of bare truncations are recorded as
+    missing edges.  A realized truncation's certified set is its true set; a
+    bare truncation has none.
     """
     table.require_reduced()
+    rank = table.rank
     spherical, affine = isinstance(table.cone, Spherical), isinstance(table.cone, Affine)
     seed = _held(table, seed)
     _verify_chamber_basis(seed.frame)
-    seed_key = seed.key
-    chambers = {seed_key: seed}
-    found = {seed._index: seed_key}  # root positions -> key
-    verdict = {} if spherical else {seed_key: chamber_is_true(table, seed)}
-    interned: dict = {}
-    objects: dict = {}
-    transitions: dict = {}
-    memo: dict = {}  # of `_object_step`
-    order = [seed_key]
-    edges: dict = {}
-    queue = deque([(seed, None)])  # (chamber, its object if found by an object step)
+    order, chambers, objects = [seed.key], [seed], [None]
+    id_of, found = {seed.key: 0}, {seed._index: 0}
+    edges = [-1] * rank
+    verdict = None if spherical else [chamber_is_true(table, seed)]
+    interned, transitions, memo = {}, {}, {}  # memo: of `_object_step`
     budget_exceeded = False
-    while queue:
+    for n, chamber in enumerate(chambers):  # the queue: `chambers` grows as it is read
         if len(order) > budget:
             budget_exceeded = True
             break
-        chamber, obj = queue.popleft()
-        key = chamber.key
-        if not spherical and verdict[key] is False:
+        if not spherical and verdict[n] is False:
             continue
+        obj = objects[n]
         if obj is None and not affine and chamber.frame.integral:
             root_set = _root_set(chamber.frame)
-            obj = objects[key] = interned.setdefault(root_set, root_set)
-        for i in range(table.rank):
-            if (key, i) in edges or (affine and not wall_is_crossable(table, chamber, i)):
+            obj = objects[n] = interned.setdefault(root_set, root_set)
+        row = n * rank
+        for i in range(rank):
+            if edges[row + i] >= 0 or (affine and not wall_is_crossable(table, chamber, i)):
                 continue
             if obj is not None and (obj, i) not in transitions:
                 step = _transition(obj, i)
@@ -916,37 +915,36 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
                     if spherical:
                         raise
                     continue
-            nkey = found.get(index)
-            if nkey is None:
+            m = found.get(index)
+            if m is None:
+                m = len(order)
                 nkey = _key_at(table, index)
-                neighbor = _chamber(table, index, frame, crossing=(coeffs, i, chamber))
-                if chambers.setdefault(nkey, neighbor) is not neighbor:
+                if id_of.setdefault(nkey, m) != m:
                     # Never where every transition is accepted, which `_chamber_count` relies on.
                     raise NotSimplicial(f"chamber {fmt_covector(nkey)} reached with conflicting compatible indexings")
-                found[index] = neighbor.__dict__["key"] = nkey
-                if image is not None:
-                    objects[nkey] = image
-                if not spherical:
-                    verdict[nkey] = chamber_is_true(table, neighbor)
+                neighbor = _chamber(table, index, frame, crossing=(coeffs, i, chamber))
+                found[index], neighbor.__dict__["key"] = m, nkey
                 order.append(nkey)
-                queue.append((neighbor, image))
-            edges[(key, i)] = nkey
-            edges[(nkey, i)] = key
-    true_chambers = set(order) if spherical else {key for key in order if verdict[key]}
+                chambers.append(neighbor)
+                objects.append(image)
+                edges += [-1] * rank
+                if not spherical:
+                    verdict.append(chamber_is_true(table, neighbor))
+            edges[row + i] = m
+            edges[m * rank + i] = n
+    true_chambers = set(range(len(order))) if spherical else {n for n, v in enumerate(verdict) if v}
     if not isinstance(table.cone, Truncated):
-        if len(true_chambers) == len(order) and len(edges) == table.rank * len(order):
+        if len(true_chambers) == len(order) and -1 not in edges:
             certified = set(true_chambers)
         else:
-            certified = {
-                key for key in true_chambers if all(edges.get((key, i)) in true_chambers for i in range(table.rank))
-            }
+            certified = {n for n in true_chambers if true_chambers.issuperset(edges[n * rank:(n + 1) * rank])}
         checked = set(certified)
     elif table.certified_keys is not None:
         certified, checked = set(true_chambers), set(true_chambers)
     else:
-        certified, checked = set(), set(order)
+        certified, checked = set(), set(range(len(order)))
     return ChamberAtlas(
-        seed_key, chambers, edges, order, true_chambers, certified, checked, budget_exceeded, objects, transitions
+        order, chambers, id_of, edges, objects, transitions, true_chambers, certified, checked, budget_exceeded
     )
 
 
@@ -1135,26 +1133,13 @@ def _scan_order(frame: IntegerFrame, indices: list) -> list:
 def _report(
     check: str, table: RootSystemTable, atlas: ChamberAtlas, chamber_witnesses, max_witnesses: int
 ) -> CheckReport:
-    """The report of `chamber_witnesses(key, chamber)` over the checked
+    """The report of `chamber_witnesses(n)` over the ids n of the checked
     chambers in BFS order, keeping the first max_witnesses witnesses; even
     max_witnesses <= 0 keeps the first one, so a failure is never a pass."""
-    checked = atlas.checked
-    found = (
-        witness
-        for key in atlas.order
-        if key in checked
-        for witness in chamber_witnesses(key, atlas.chambers[key])
-    )
+    found = (witness for n in sorted(atlas.checked) for witness in chamber_witnesses(n))
     witnesses = list(itertools.islice(found, max(max_witnesses, 1)))
-    return CheckReport(
-        check,
-        not witnesses,
-        tuple(witnesses),
-        len(atlas.order),
-        len(atlas.certified),
-        len(atlas.order) - len(checked),
-        False,
-    )
+    skipped = len(atlas.order) - len(atlas.checked)
+    return CheckReport(check, not witnesses, tuple(witnesses), len(atlas.order), len(atlas.certified), skipped, False)
 
 
 def _crystallographic_report(table: RootSystemTable, atlas: ChamberAtlas, max_witnesses: int) -> CheckReport:
@@ -1165,9 +1150,10 @@ def _crystallographic_report(table: RootSystemTable, atlas: ChamberAtlas, max_wi
     by its positive root, where the first of its two roots comes in scan
     order."""
 
-    def witnesses(key, chamber):
-        if key in atlas.objects:
+    def witnesses(n):
+        if atlas.objects[n] is not None:
             return
+        chamber = atlas.chambers[n]
         frame = chamber.frame
         if frame.integral:
             return
@@ -1180,7 +1166,7 @@ def _crystallographic_report(table: RootSystemTable, atlas: ChamberAtlas, max_wi
             root, coords = table.roots[k], frame.coords(k)
             if all(c <= 0 for c in coords):
                 root, coords = vneg(root), vneg(coords)
-            yield IntegralityWitness(key, chamber.basis, root, coords, kinds[k])
+            yield IntegralityWitness(atlas.order[n], chamber.basis, root, coords, kinds[k])
 
     return _report("crystallographic", table, atlas, witnesses, max_witnesses)
 
@@ -1226,12 +1212,13 @@ def check_additive(table: RootSystemTable, budget: int = 10_000, max_witnesses: 
         return CheckReport("additive", True, (), count, count, 0, False)
     atlas = _survey(table, budget, seed)
 
-    def witnesses(key, chamber):
-        if key in atlas.objects and not lonely(atlas.objects[key]):
+    def witnesses(n):
+        obj, chamber = atlas.objects[n], atlas.chambers[n]
+        if obj is not None and not lonely(obj):
             return
         frame = chamber.frame
         for k in _scan_order(frame, _lonely_roots(frame.num, frame.det)):
-            yield AdditiveWitness(key, chamber.basis, table.roots[k], frame.coords(k))
+            yield AdditiveWitness(atlas.order[n], chamber.basis, table.roots[k], frame.coords(k))
 
     return _report("additive", table, atlas, witnesses, max_witnesses)
 
@@ -1281,20 +1268,23 @@ def extract_cartan_graph(table: RootSystemTable, budget: int = 10_000) -> Extrac
 
 
 def _extract(table: RootSystemTable, atlas: ChamberAtlas) -> ExtractionResult:
-    """`extract_cartan_graph` of a surveyed atlas."""
-    checked, chambers, edges = atlas.checked, atlas.chambers, atlas.edges
-    if len(checked) < len(atlas.order):
-        chambers = {key: chambers[key] for key in atlas.order if key in checked}
-        edges = {(a, i): b for (a, i), b in edges.items() if a in checked and b in checked}
-    matrices, root_sets, by_object = {}, {}, {}
-    for key, chamber in chambers.items():
-        root_set = atlas.objects.get(key)
+    """`extract_cartan_graph` of a surveyed atlas, by id: (C1) and (C2) are checked
+    once on its edges, object by object to name the first failure, and the graph
+    reads its matrices and edges through the key -> id dict of its objects."""
+    rank, order, chambers, edges = table.rank, atlas.order, atlas.chambers, atlas.edges
+    ids = sorted(atlas.checked)
+    matrices = [None] * len(order)  # by id, None off the graph
+    root_sets, by_object = [], {}
+    for n in ids:
+        root_set = atlas.objects[n]
         if root_set is not None:
             if root_set not in by_object:
-                by_object[root_set] = _matrix_from_atlas(table, atlas, key)
-            matrices[key], root_sets[key] = by_object[root_set], root_set
+                by_object[root_set] = _matrix_from_atlas(table, atlas, n)
+            matrices[n] = by_object[root_set]
+            root_sets.append(root_set)
             continue
-        matrices[key] = _matrix_from_atlas(table, atlas, key)
+        matrices[n] = _matrix_from_atlas(table, atlas, n)
+        chamber = chambers[n]
         frame = chamber.frame
         # A surveyed chamber's roots are sign-coherent, so the first defect,
         # if any, is one of integrality, which an integral frame has not.
@@ -1302,37 +1292,57 @@ def _extract(table: RootSystemTable, atlas: ChamberAtlas) -> ExtractionResult:
         if defect is not None:
             k, kind = defect
             raise NotCrystallographicAt(
-                key, IntegralityWitness(key, chamber.basis, table.roots[k], frame.coords(k), kind)
+                order[n], IntegralityWitness(order[n], chamber.basis, table.roots[k], frame.coords(k), kind)
             )
-        root_sets[key] = _root_set(frame)
-    truncated = len(edges) != table.rank * len(matrices)  # every edge kept starts at an object
-    if not matrices:
+        root_sets.append(_root_set(frame))
+    if not ids:
         raise BudgetExceeded("no certified chamber to extract", partial=atlas)
-    base = atlas.seed_key if atlas.seed_key in matrices else next(iter(matrices))
-    graph = CartanGraph.explicit(matrices, edges, base, truncated=truncated)
-    return ExtractionResult(graph, root_sets, chambers, atlas)
+    kept = 0  # edges between objects
+    for a in ids:
+        matrix, row = matrices[a], a * rank
+        for i in range(rank):
+            b = edges[row + i]
+            if b < 0 or matrices[b] is None:
+                continue
+            kept += 1
+            back = edges[b * rank + i]
+            if back != a or (matrices[b] is not matrix and matrices[b].rows[i] != matrix.rows[i]):
+                back = order[back] if back >= 0 and matrices[back] is not None else None
+                _check_edge(order[a], i, order[b], back, matrix, matrices[b])
+    keys = [order[n] for n in ids]
+    position = atlas.id_of if len(ids) == len(order) else dict(zip(keys, ids))
+
+    def rho(i, key):
+        n = position.get(key)
+        b = -1 if n is None else edges[n * rank + i]
+        return None if b < 0 or matrices[b] is None else order[b]
+
+    graph = CartanGraph(
+        rank, keys[0], lambda key: matrices[position[key]], rho, objects=tuple(keys), truncated=kept != rank * len(ids)
+    )
+    return ExtractionResult(graph, dict(zip(keys, root_sets)), dict(zip(keys, map(chambers.__getitem__, ids))), atlas)
 
 
-def _matrix_from_atlas(table: RootSystemTable, atlas: ChamberAtlas, key: tuple) -> GeneralizedCartanMatrix:
-    """Cartan matrix at a chamber from crossings already discovered by the BFS."""
+def _matrix_from_atlas(table: RootSystemTable, atlas: ChamberAtlas, n: int) -> GeneralizedCartanMatrix:
+    """Cartan matrix at chamber n from crossings already discovered by the BFS."""
     return GeneralizedCartanMatrix.from_rows(
-        [-c for c in _crossing_coefficients(atlas, key, i)] for i in range(table.rank)
+        [-c for c in _crossing_coefficients(table, atlas, n, i)] for i in range(table.rank)
     )
 
 
-def _crossing_coefficients(atlas: ChamberAtlas, key: tuple, i: int) -> tuple:
-    """The coefficients of the atlas's crossing of wall i at chamber `key`:
-    its object's transition, else `_wall_coefficients` on its frame and the
+def _crossing_coefficients(table: RootSystemTable, atlas: ChamberAtlas, n: int, i: int) -> tuple:
+    """The coefficients of the atlas's crossing of wall i at chamber n: its
+    object's transition, else `_wall_coefficients` on its frame and the
     neighbor's root positions."""
-    nkey = atlas.edges.get((key, i))
-    if nkey is None:
-        raise BudgetExceeded(f"wall {i} of chamber {fmt_covector(key)} was not crossed", partial=atlas)
-    step = atlas.transitions.get((atlas.objects.get(key), i))
+    m = atlas.edges[n * table.rank + i]
+    if m < 0:
+        raise BudgetExceeded(f"wall {i} of chamber {fmt_covector(atlas.order[n])} was not crossed", partial=atlas)
+    step = atlas.transitions.get((atlas.objects[n], i))
     if step is not None:
         return step[0]
-    coeffs = _wall_coefficients(atlas.chambers[key].frame, i, atlas.chambers[nkey]._index)
+    coeffs = _wall_coefficients(atlas.chambers[n].frame, i, atlas.chambers[m]._index)
     if isinstance(coeffs, CoefficientWitness):
-        raise NotCrystallographicAt(key, coeffs)
+        raise NotCrystallographicAt(atlas.order[n], coeffs)
     return coeffs
 
 
@@ -1410,22 +1420,12 @@ def check_k_spherical(table: RootSystemTable, k: int, budget: int = 10_000) -> C
         return CheckReport("k-spherical", True, (), 0, 0, 0, False)
     atlas = _survey(table, budget)
     witnesses = []
-    for key in atlas.order:
-        if key not in atlas.true_chambers:
-            continue
-        inside = _rays_in_cone(table, atlas.chambers[key])
+    for n in sorted(atlas.true_chambers):
+        inside = _rays_in_cone(table, atlas.chambers[n])
         for face in itertools.combinations(range(table.rank), k):
             if not any(v for j, v in enumerate(inside) if j not in face):
-                witnesses.append(KSphericalWitness(key, face))
-    return CheckReport(
-        "k-spherical",
-        not witnesses,
-        tuple(witnesses),
-        len(atlas.order),
-        len(atlas.certified),
-        0,
-        False,
-    )
+                witnesses.append(KSphericalWitness(atlas.order[n], face))
+    return CheckReport("k-spherical", not witnesses, tuple(witnesses), len(atlas.order), len(atlas.certified), 0, False)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,16 @@ def canonical_basis_key(basis: Sequence) -> tuple:
     return tuple(sorted(primitive_ray(b) for b in basis))
 
 
+def _check_edge(a: ObjectId, i: int, b: ObjectId, back, matrix_a, matrix_b) -> None:
+    """The (C1)/(C2) check of an edge rho_i(a) = b of a finite graph, where
+    rho_i(b) = back: (C1) back is a, and (C2) the two matrices agree in row i."""
+    if back != a:
+        raise NotSimplyConnected(f"(C1) fails: rho_{i}^2({fmt_object(a)}) = {fmt_object(back)}")
+    if matrix_a is not matrix_b and matrix_a.rows[i] != matrix_b.rows[i]:
+        violation = f"row {i} differs across edge {fmt_object(a)} -- {fmt_object(b)}"
+        raise InvalidCartanMatrix([GcmViolation("C2", (i, 0), violation)])
+
+
 class CartanGraph:
     """Objects with involutions rho_i and a generalized Cartan matrix per object.
 
@@ -237,14 +247,8 @@ class CartanGraph:
             for a, Ca in matrices.items():
                 for i in range(rank):
                     b = edge_map.get((a, i))
-                    if b is None:
-                        continue
-                    back = edge_map.get((b, i))
-                    if back != a:
-                        raise NotSimplyConnected(f"(C1) fails: rho_{i}^2({fmt_object(a)}) = {fmt_object(back)}")
-                    if Ca.rows[i] != matrices[b].rows[i]:
-                        violation = f"row {i} differs across edge {fmt_object(a)} -- {fmt_object(b)}"
-                        raise InvalidCartanMatrix([GcmViolation("C2", (i, 0), violation)])
+                    if b is not None:
+                        _check_edge(a, i, b, edge_map.get((b, i)), Ca, matrices[b])
 
         def rho(i, obj):
             return edge_map.get((obj, i))
@@ -536,11 +540,12 @@ def check_root_system_axioms(
                         r3_status = "insufficient_depth"
                     continue
                 safe = rset if complete else rset - last_layer.get(obj, set())
-                missing = _reflected(C, i, safe) - per_object[nb]
+                image = _reflected(C, i, safe)  # of all of rset when complete
+                missing = image - per_object[nb]
                 if missing:
                     r3_status, r3_witness = "fail", (i, next(iter(missing)))
                     break
-                if complete and _reflected(C, i, rset) != per_object[nb]:
+                if complete and image != per_object[nb]:
                     r3_status, r3_witness = "fail", (i, "image differs from neighbor set")
                     break
         findings.append(AxiomFinding("R3", obj, r3_status, r3_witness))

@@ -159,10 +159,8 @@ def local_to_global_check(table: RootSystemTable, budget: int = 10_000) -> dict:
     local_witnesses = []
     points_checked = 0
     seen_points = set()
-    for key in atlas.order:
-        if key not in atlas.checked:  # the chambers the global report reads
-            continue
-        chamber = atlas.chambers[key]
+    for n in sorted(atlas.checked):  # the chambers the global report reads
+        chamber = atlas.chambers[n]
         for ray in chamber.rays:
             p = primitive_ray(ray)
             if p in seen_points:
@@ -416,12 +414,12 @@ def fan_edge_sequence(table: RootSystemTable) -> tuple[int, ...]:
     table.require_reduced()
     # A rank-2 fan has one chamber per root.
     atlas = chamber_bfs(table, default_seed_chamber(table), len(table.roots))
-    key, seq = atlas.seed_key, []
+    n, seq = 0, []  # the seed's id
     for step in range(len(table.roots)):
         i = step % 2
-        seq.append(_crossing_coefficients(atlas, key, i)[1 - i])
-        key = atlas.edges[(key, i)]
-        if key == atlas.seed_key:
+        seq.append(_crossing_coefficients(table, atlas, n, i)[1 - i])
+        n = atlas.edges[2 * n + i]
+        if n == 0:
             return tuple(seq)
     raise InvalidTable(f"the fan does not close after {len(table.roots)} crossings")
 

@@ -74,16 +74,15 @@ def _guarded(fn):
 def table_digest(table) -> dict:
     seed = default_seed_chamber(table)
     atlas = chamber_bfs(table, seed, 10_000)
-    index = {key: n for n, key in enumerate(atlas.order)}
-    chambers = [atlas.chambers[key] for key in atlas.order]
+    index, chambers, rank = atlas.id_of, atlas.chambers, table.rank
     atlas_payload = {
         "order": [_strs(key) for key in atlas.order],
         "bases": [_strs(c.basis) for c in chambers],
         "rays": [_strs(c.rays) for c in chambers],
         "witnesses": [[str(x) for x in c.witness] for c in chambers],
-        "edges": sorted([index[a], i, index[b]] for (a, i), b in atlas.edges.items()),
-        "true": sorted(index[k] for k in atlas.true_chambers),
-        "certified": sorted(index[k] for k in atlas.certified),
+        "edges": sorted([p // rank, p % rank, b] for p, b in enumerate(atlas.edges) if b >= 0),
+        "true": sorted(atlas.true_chambers),
+        "certified": sorted(atlas.certified),
         "budget_exceeded": atlas.budget_exceeded,
     }
 

@@ -15,8 +15,11 @@ primitive-ray rule, when it still returned Fractions), `reference_table`
 one elimination over every ray), `reference_explicit_check` (the (C1)/(C2)
 check of an explicit Cartan graph, object by object),
 `reference_extraction` (Cartan-graph extraction from an atlas, filtering
-and scanning every edge) and `reflection_matrix` with `int_mat_mul` (the
-simple reflection as a full matrix, and matrix products).
+and scanning every edge), `reference_keyed_extraction` with
+`reference_explicit_graph` (extraction on chamber keys through the explicit
+graph constructor, read from `keyed_atlas`, the atlas by key) and
+`reflection_matrix` with `int_mat_mul` (the simple reflection as a full
+matrix, and matrix products).
 `reference_record` builds the dataclass that a record class stands in for.
 """
 
@@ -580,23 +583,146 @@ def reference_explicit_check(matrices, edges) -> None:
                 )
 
 
+def keyed_atlas(atlas):
+    """The survey's atlas by chamber key, as the library kept it before it
+    numbered its chambers: `seed_key`, `order`, `chambers` (key -> Chamber),
+    `edges` ((key, i) -> key, in the order of the ids), `objects` (key ->
+    R^a, for the chambers that have one), `transitions`, and the true,
+    certified and checked sets of keys."""
+    from types import SimpleNamespace
+
+    order = atlas.order
+    rank = len(atlas.edges) // len(order)
+    return SimpleNamespace(
+        seed_key=order[0],
+        order=order,
+        chambers=dict(zip(order, atlas.chambers)),
+        edges={(order[p // rank], p % rank): order[b] for p, b in enumerate(atlas.edges) if b >= 0},
+        objects={key: obj for key, obj in zip(order, atlas.objects) if obj is not None},
+        transitions=atlas.transitions,
+        true_chambers={order[n] for n in atlas.true_chambers},
+        certified={order[n] for n in atlas.certified},
+        checked={order[n] for n in atlas.checked},
+        budget_exceeded=atlas.budget_exceeded,
+    )
+
+
+def reference_keyed_crossing(atlas, key, i) -> tuple:
+    """`_crossing_coefficients` on a keyed atlas (`keyed_atlas`)."""
+    from weylgpd._rational import fmt_covector
+    from weylgpd.arrangement import CoefficientWitness, _wall_coefficients
+    from weylgpd.errors import BudgetExceeded, NotCrystallographicAt
+
+    nkey = atlas.edges.get((key, i))
+    if nkey is None:
+        raise BudgetExceeded(f"wall {i} of chamber {fmt_covector(key)} was not crossed", partial=atlas)
+    step = atlas.transitions.get((atlas.objects.get(key), i))
+    if step is not None:
+        return step[0]
+    coeffs = _wall_coefficients(atlas.chambers[key].frame, i, atlas.chambers[nkey]._index)
+    if isinstance(coeffs, CoefficientWitness):
+        raise NotCrystallographicAt(key, coeffs)
+    return coeffs
+
+
+def reference_keyed_matrix(table, atlas, key):
+    """`_matrix_from_atlas` on a keyed atlas."""
+    from weylgpd.cartan import GeneralizedCartanMatrix
+
+    return GeneralizedCartanMatrix.from_rows(
+        [-c for c in reference_keyed_crossing(atlas, key, i)] for i in range(table.rank)
+    )
+
+
+def reference_explicit_graph(matrices, edges, base, truncated=False):
+    """`CartanGraph.explicit` as extraction called it on chamber keys: the
+    (C1)/(C2) check in one pass when every edge joins objects, else object
+    by object to name the first failure, and the graph of the two dicts."""
+    from weylgpd.cartan import CartanGraph, GcmViolation, fmt_object
+    from weylgpd.errors import InvalidCartanMatrix, NotSimplyConnected
+
+    rank = matrices[base].rank
+    edge_map = dict(edges)
+    get, labels = matrices.get, range(rank)
+    if not all(
+        None is not (Ca := get(a)) and None is not (Cb := get(b)) and i in labels and edge_map.get((b, i)) == a
+        and (Ca is Cb or Ca.rows[i] == Cb.rows[i])
+        for (a, i), b in edge_map.items()
+    ):
+        for a, Ca in matrices.items():
+            for i in range(rank):
+                b = edge_map.get((a, i))
+                if b is None:
+                    continue
+                back = edge_map.get((b, i))
+                if back != a:
+                    raise NotSimplyConnected(f"(C1) fails: rho_{i}^2({fmt_object(a)}) = {fmt_object(back)}")
+                if Ca.rows[i] != matrices[b].rows[i]:
+                    violation = f"row {i} differs across edge {fmt_object(a)} -- {fmt_object(b)}"
+                    raise InvalidCartanMatrix([GcmViolation("C2", (i, 0), violation)])
+
+    def rho(i, obj):
+        return edge_map.get((obj, i))
+
+    return CartanGraph(rank, base, matrices.__getitem__, rho, objects=tuple(matrices), truncated=truncated)
+
+
+def reference_keyed_extraction(table, atlas) -> tuple:
+    """Extraction as the library made it on chamber keys, read from the
+    keyed view of an atlas: (graph, root sets, chambers), each matrix read
+    once per object, the edges filtered when some chamber is not checked,
+    and the graph built by `reference_explicit_graph`.  It raises as the
+    library's extraction does."""
+    from weylgpd.arrangement import IntegralityWitness, _root_defects, _root_set
+    from weylgpd.errors import BudgetExceeded, NotCrystallographicAt
+
+    atlas = keyed_atlas(atlas)
+    checked, chambers, edges = atlas.checked, atlas.chambers, atlas.edges
+    if len(checked) < len(atlas.order):
+        chambers = {key: chambers[key] for key in atlas.order if key in checked}
+        edges = {(a, i): b for (a, i), b in edges.items() if a in checked and b in checked}
+    matrices, root_sets, by_object = {}, {}, {}
+    for key, chamber in chambers.items():
+        root_set = atlas.objects.get(key)
+        if root_set is not None:
+            if root_set not in by_object:
+                by_object[root_set] = reference_keyed_matrix(table, atlas, key)
+            matrices[key], root_sets[key] = by_object[root_set], root_set
+            continue
+        matrices[key] = reference_keyed_matrix(table, atlas, key)
+        frame = chamber.frame
+        defect = None if frame.integral else next(_root_defects(frame), None)
+        if defect is not None:
+            k, kind = defect
+            raise NotCrystallographicAt(
+                key, IntegralityWitness(key, chamber.basis, table.roots[k], frame.coords(k), kind)
+            )
+        root_sets[key] = _root_set(frame)
+    truncated = len(edges) != table.rank * len(matrices)
+    if not matrices:
+        raise BudgetExceeded("no certified chamber to extract", partial=atlas)
+    base = atlas.seed_key if atlas.seed_key in matrices else next(iter(matrices))
+    return reference_explicit_graph(matrices, edges, base, truncated=truncated), root_sets, chambers
+
+
 def reference_extraction(table, atlas) -> tuple:
     """Cartan-graph extraction from a surveyed atlas as the library made it
     before it reused the atlas's chambers and edges: (chambers, matrices,
     edges, truncated, root sets), from the checked chambers in BFS order,
-    each matrix read from the atlas, a filter of every atlas edge, a scan of
-    every (object, wall) for a missing edge, and `reference_explicit_check`.
-    It raises as the library's extraction does."""
-    from weylgpd.arrangement import IntegralityWitness, _matrix_from_atlas, _root_defects, _root_set
+    each matrix read from the keyed view of the atlas, a filter of every
+    atlas edge, a scan of every (object, wall) for a missing edge, and
+    `reference_explicit_check`.  It raises as the library's extraction does."""
+    from weylgpd.arrangement import IntegralityWitness, _root_defects, _root_set
     from weylgpd.errors import BudgetExceeded, NotCrystallographicAt
 
+    atlas = keyed_atlas(atlas)
     checked = atlas.checked
     chambers, matrices, root_sets = {}, {}, {}
     for key in atlas.order:
         if key not in checked:
             continue
         chamber = chambers[key] = atlas.chambers[key]
-        matrices[key] = _matrix_from_atlas(table, atlas, key)
+        matrices[key] = reference_keyed_matrix(table, atlas, key)
         root_set = atlas.objects.get(key)
         if root_set is None:
             frame = chamber.frame

@@ -114,8 +114,7 @@ class TestAdjacency:
             table = builtin_table(name)
             seed = default_seed_chamber(table)
             atlas = chamber_bfs(table, seed, 1000)
-            for key in atlas.order:
-                chamber = atlas.chambers[key]
+            for chamber in atlas.chambers:
                 for i in range(chamber.rank):
                     back = adjacent_chamber(table, adjacent_chamber(table, chamber, i), i)
                     assert back.key == chamber.key
@@ -300,9 +299,8 @@ class TestDistanceAndGallery:
         table = builtin_table("a3")
         seed = default_seed_chamber(table)
         atlas = chamber_bfs(table, seed, 100)
-        keys = list(atlas.order)
-        for key in keys[::5]:
-            a, b = atlas.chambers[keys[0]], atlas.chambers[key]
+        for b in atlas.chambers[::5]:
+            a = atlas.chambers[0]
             d, gallery = distance_and_gallery(table, a, b)
             crossed = []
             for step, i in enumerate(gallery.crossings):
@@ -350,8 +348,8 @@ class TestBfsAgainstSignVectorEnumeration:
         seed = default_seed_chamber(table)
         atlas = chamber_bfs(table, seed, 10_000)
         got = set()
-        for key in atlas.order:
-            witness = atlas.chambers[key].witness
+        for chamber in atlas.chambers:
+            witness = chamber.witness
             got.add(tuple((k, sign_at(k, witness)) for k in sorted(table.lines)))
         expected = {tuple(sorted(sv)) for sv in realizable_sign_vectors(table.roots)}
         normalized_got = {tuple(sorted(sv)) for sv in got}

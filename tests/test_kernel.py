@@ -18,6 +18,7 @@ from weylgpd._rational import fmt_covector
 from weylgpd.arrangement import (
     Affine,
     Chamber,
+    ChamberAtlas,
     CoefficientWitness,
     RootSystemTable,
     Spherical,
@@ -60,8 +61,15 @@ from weylgpd.builtins import (
     builtin_table,
     f4_table,
 )
-from weylgpd.cartan import canonical_basis_key
-from weylgpd.errors import InvalidTable, NotCrystallographicAt, NotSimplicial, WeylgpdError
+from weylgpd.cartan import GeneralizedCartanMatrix, canonical_basis_key
+from weylgpd.errors import (
+    InvalidCartanMatrix,
+    InvalidTable,
+    NotCrystallographicAt,
+    NotSimplicial,
+    NotSimplyConnected,
+    WeylgpdError,
+)
 from weylgpd.exactlin import dual_basis, primitive_ray, vdot, vec
 from weylgpd.jsonio import table_from_json, table_to_json
 from weylgpd.realization import realize
@@ -82,6 +90,7 @@ from _oracles import (
     gauss_solve,
     reference_extraction,
     reference_extreme_basis,
+    reference_keyed_extraction,
     reference_lonely_roots,
     reference_primitive_ray,
     reference_wall_coefficients,
@@ -153,12 +162,11 @@ def test_rescaled_lines_keep_chambers_and_match_oracle(name, seed, sampled):
     assert got.order == atlas.order
     assert got.edges == atlas.edges
     assert got.certified == atlas.certified
-    for key in atlas.order:
-        chamber = got.chambers[key]
+    for n, key in enumerate(atlas.order):
+        chamber = got.chambers[n]
         assert chamber.key == key
-        assert tuple(map(primitive_ray, chamber.basis)) == tuple(map(primitive_ray, atlas.chambers[key].basis))
-    for key in rng.sample(got.order, min(sampled, len(got.order))):
-        chamber = got.chambers[key]
+        assert tuple(map(primitive_ray, chamber.basis)) == tuple(map(primitive_ray, atlas.chambers[n].basis))
+    for chamber in rng.sample(got.chambers, min(sampled, len(got.chambers))):
         for root in scaled.roots:
             expected = gauss_solve(chamber.basis, root)
             assert coords_in_chamber(scaled, chamber, root) == expected
@@ -195,12 +203,11 @@ def test_chambers_without_their_tables_integer_data_agree(name):
     assert rebuilt == table and rebuilt is not table
     atlas = chamber_bfs(table, default_seed_chamber(table), 64)
     with counting({"_witness_across": 0}) as built:
-        for key in atlas.order:
-            coords_in_chamber(rebuilt, atlas.chambers[key], table.roots[0])
-            wall_is_crossable(rebuilt, atlas.chambers[key], 0)
+        for chamber in atlas.chambers:
+            coords_in_chamber(rebuilt, chamber, table.roots[0])
+            wall_is_crossable(rebuilt, chamber, 0)
     assert built == {"_witness_across": 0}
-    for key in atlas.order:
-        framed = atlas.chambers[key]
+    for key, framed in zip(atlas.order, atlas.chambers):
         frameless = Chamber(framed.basis, framed.rays, framed.witness)
         assert frameless.frame is None and frameless.key == key
         expected = chamber_answers(table, framed)
@@ -222,7 +229,7 @@ def test_chamber_basis_outside_the_table_is_rejected():
         scaled = rescaled_lines(table, random.Random(4))
         atlas = chamber_bfs(scaled, default_seed_chamber(scaled), 64)
         outside = boundary = 0
-        for chamber in atlas.chambers.values():
+        for chamber in atlas.chambers:
             if all(table.contains(b) for b in chamber.basis):
                 continue
             outside += 1
@@ -308,7 +315,13 @@ def surveyed(name: str) -> tuple:
 
 def framed_keys(atlas) -> list:
     """The keys of the atlas's chambers that hold a frame, in BFS order."""
-    return [key for key in atlas.order if "frame" in vars(atlas.chambers[key])]
+    return [key for key, chamber in zip(atlas.order, atlas.chambers) if "frame" in vars(chamber)]
+
+
+def atlas_edges(atlas) -> list:
+    """(n, i, m) for every edge of an atlas: wall i of chamber n leads to chamber m."""
+    rank = atlas.chambers[0].rank
+    return [(n, i, m) for n in range(len(atlas.order)) for i in range(rank) if (m := atlas.edges[n * rank + i]) >= 0]
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TABLES))
@@ -328,16 +341,16 @@ def test_carried_frames_and_integer_keys_match_the_elimination(name):
     assert calls["_frame_at"] + calls["_carry_frame"] == len(framed)
     reads = dict.fromkeys(["_frame_at", "_carry_frame"], 0)
     with counting(reads):
-        frames = [atlas.chambers[key].frame for key in atlas.order]
+        frames = [chamber.frame for chamber in atlas.chambers]
     assert reads == {"_frame_at": 0, "_carry_frame": len(atlas.order) - len(framed)}
     if name == "f4":
-        assert framed == [atlas.seed_key]
+        assert framed == [atlas.order[0]]
         assert (calls["_frame_at"], calls["_carry_frame"]) == (1, 0)
     if isinstance(table.cone, Affine):
         assert len(framed) == len(atlas.order)
     if name == "aff-a1-rescaled":
         assert calls["_carry_frame"] == 0
-    for frame, chamber in zip(frames, atlas.chambers.values()):
+    for frame, chamber in zip(frames, atlas.chambers):
         assert frame_data(chamber.frame) == frame_data(_frame_at(table, frame.index))
         fraction_key = tuple(sorted(map(reference_primitive_ray, chamber.basis)))
         assert chamber.key == fraction_key and hash(chamber.key) == hash(fraction_key)
@@ -350,13 +363,13 @@ def reference_certified(table: RootSystemTable, atlas) -> tuple:
     an edge into a true chamber, and the analyses read those; on a realized
     truncation, the true chambers; on a bare truncation, none, and the
     analyses read every visited chamber."""
-    true = {key for key in atlas.order if chamber_is_true(table, atlas.chambers[key])}
+    true = {n for n, chamber in enumerate(atlas.chambers) if chamber_is_true(table, chamber)}
     if not isinstance(table.cone, Truncated):
-        certified = {key for key in true if all(atlas.edges.get((key, i)) in true for i in range(table.rank))}
+        certified = {n for n in true if all(atlas.edges[n * table.rank + i] in true for i in range(table.rank))}
         return true, certified, certified
     if table.certified_keys is not None:
         return true, true, true
-    return true, set(), set(atlas.order)
+    return true, set(), set(range(len(atlas.order)))
 
 
 CERTIFIED_TABLES = {
@@ -379,7 +392,7 @@ def test_certified_set_matches_the_per_wall_rule(name):
     for atlas in (whole, cut):
         assert (atlas.true_chambers, atlas.certified, atlas.checked) == reference_certified(table, atlas)
     if isinstance(table.cone, Spherical):
-        assert whole.certified == whole.checked == set(whole.order)
+        assert whole.certified == whole.checked == set(range(len(whole.order)))
 
 
 def test_frontier_crossings_build_no_frame():
@@ -391,12 +404,12 @@ def test_frontier_crossings_build_no_frame():
     atlas, calls = counted_survey(table)
     # Every chamber of a bare truncation is expanded, so a wall without an
     # edge is a refused crossing.
-    assert len(atlas.order) == 36 and table.rank * 36 - len(atlas.edges) == 16
+    assert len(atlas.order) == 36 and atlas.edges.count(-1) == 16
     framed = framed_keys(atlas)
     assert calls["_frame_at"] + calls["_carry_frame"] == len(framed)
     with counting(calls):
-        for key in atlas.order:
-            assert atlas.chambers[key].frame
+        for chamber in atlas.chambers:
+            assert chamber.frame
     assert calls["_frame_at"] + calls["_carry_frame"] == 36
 
 
@@ -405,7 +418,7 @@ def test_primitive_ray_matches_the_fraction_rule_on_roots_and_rays(name):
     """primitive_ray gives ints, equal and hash-equal to the former Fraction
     rule, on every root and every chamber ray of a builtin table."""
     table, atlas, _ = surveyed(name)
-    for alpha in [*table.roots, *(ray for chamber in atlas.chambers.values() for ray in chamber.rays)]:
+    for alpha in [*table.roots, *(ray for chamber in atlas.chambers for ray in chamber.rays)]:
         got, expected = primitive_ray(alpha), reference_primitive_ray(alpha)
         assert got == expected and hash(got) == hash(expected)
         assert all(type(c) is int for c in got)
@@ -421,21 +434,20 @@ def test_realized_graph_side_is_integral_and_keys_agree(name):
     ints = [*re.order, *re.bases.values(), *re.canon.values(), *re.edges.values()]
     assert all(type(c) is int for covectors in ints for covector in covectors for c in covector)
     atlas = chamber_bfs(re.table, default_seed_chamber(re.table), 10_000)
-    assert {re.canon[obj] for obj in re.certified} <= set(atlas.chambers)
-    for chamber in atlas.chambers.values():
+    assert {re.canon[obj] for obj in re.certified} <= atlas.id_of.keys()
+    for chamber in atlas.chambers:
         assert canonical_basis_key(chamber.basis) == _key_at(re.table, chamber.frame.index) == chamber.key
 
 
-def discovering_crossing(table: RootSystemTable, atlas, key: tuple) -> tuple:
-    """(chamber, wall) of the crossing that found the chamber at `key`: the
-    first chamber in BFS order that was expanded and has an edge to it."""
-    for parent in atlas.order:
-        chamber = atlas.chambers[parent]
+def discovering_crossing(table: RootSystemTable, atlas, n: int) -> tuple:
+    """(chamber, wall) of the crossing that found chamber n: the first
+    chamber in BFS order that was expanded and has an edge to it."""
+    for parent, chamber in enumerate(atlas.chambers):
         if chamber_is_true(table, chamber) is not False:
-            wall = next((i for i in range(table.rank) if atlas.edges.get((parent, i)) == key), None)
+            wall = next((i for i in range(table.rank) if atlas.edges[parent * table.rank + i] == n), None)
             if wall is not None:
                 return chamber, wall
-    raise AssertionError(f"no crossing found {key}")
+    raise AssertionError(f"no crossing found {atlas.order[n]}")
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TABLES))
@@ -453,25 +465,24 @@ def test_survey_builds_each_chambers_fraction_data_once(name):
     assert calls["_frame_rays"] == 0
     assert calls["_witness_across"] == 0
     if name == "f4":
-        assert len(set(atlas.objects.values())) == 1 and len(atlas.transitions) == 4
+        assert len(set(atlas.objects)) == 1 and len(atlas.transitions) == 4
         counts = [calls[n] for n in ("_transition", "_object_step", "_walls_across", "_witness_across", "_frame_rays")]
         assert counts == [4, 2304, 0, 0, 0]
     reads = dict.fromkeys(["_witness_across", "_frame_rays"], 0)
     with counting(reads):
         for _ in range(2):
-            for chamber in atlas.chambers.values():
+            for chamber in atlas.chambers:
                 assert chamber.rays and chamber.witness
     assert reads["_frame_rays"] == len(atlas.order)
     assert reads["_witness_across"] == len(atlas.order) - 1
-    for key in atlas.order:
-        chamber = atlas.chambers[key]
+    for n, chamber in enumerate(atlas.chambers):
         assert chamber.rays == _frame_rays(chamber.frame)
         assert all(vdot(b, ray) == (j == m) for j, b in enumerate(chamber.basis) for m, ray in enumerate(chamber.rays))
         assert all(vdot(b, chamber.witness) > 0 for b in chamber.basis)
         if isinstance(table.cone, Affine):
             assert _rays_in_cone(table, chamber) == [vdot(table.cone.gamma, ray) > 0 for ray in chamber.rays]
-        if key != atlas.seed_key:
-            parent, wall = discovering_crossing(table, atlas, key)
+        if n:
+            parent, wall = discovering_crossing(table, atlas, n)
             assert chamber.witness == _witness_across(parent, wall)
 
 
@@ -481,8 +492,8 @@ def test_wall_coefficients_match_the_reference_rule(name):
     coefficients, or the witness, that the former rule gives."""
     table, atlas, _ = surveyed(name)
     witnesses = 0
-    for (key, i), nkey in atlas.edges.items():
-        chamber, neighbor = atlas.chambers[key], atlas.chambers[nkey]
+    for n, i, m in atlas_edges(atlas):
+        chamber, neighbor = atlas.chambers[n], atlas.chambers[m]
         got = _wall_coefficients(chamber.frame, i, neighbor.frame.index)
         if isinstance(got, CoefficientWitness):
             witnesses += 1
@@ -497,8 +508,8 @@ def test_wall_scan_matches_the_reference_scan(name):
     """On every directed atlas edge the scan that starts each plane at the
     basis element gives the root positions the full scan gives."""
     table, atlas, _ = surveyed(name)
-    for key, i in atlas.edges:
-        frame = atlas.chambers[key].frame
+    for n, i, _ in atlas_edges(atlas):
+        frame = atlas.chambers[n].frame
         assert _walls_across(table, frame, i) == reference_walls_across(table, frame, i)
 
 
@@ -513,14 +524,14 @@ def test_wall_step_matches_the_reference_scan(name):
     coefficients, or their witness.  Known root positions give no frame."""
     table, atlas, _ = surveyed(name)
     witnesses = 0
-    for (key, i), nkey in atlas.edges.items():
-        frame = atlas.chambers[key].frame
+    for n, i, m in atlas_edges(atlas):
+        frame = atlas.chambers[n].frame
         calls = dict.fromkeys(["_walls_across", "_frame_at", "_carried_column"], 0)
         with counting(calls):
             index, across, coeffs = _wall_step(table, frame, i)
         assert calls["_walls_across"] == 1
         assert index == reference_walls_across(table, frame, i)
-        assert atlas.chambers[nkey].frame.index == index and nkey == _key_at(table, index)
+        assert atlas.chambers[m].frame.index == index and atlas.order[m] == _key_at(table, index)
         assert coeffs == _wall_coefficients(frame, i, index)
         if isinstance(coeffs, CoefficientWitness):
             witnesses += 1
@@ -529,7 +540,7 @@ def test_wall_step_matches_the_reference_scan(name):
             assert (calls["_frame_at"], calls["_carried_column"]) == (0, 2)
             assert frame_data(across) == frame_data(_carry_frame(frame, i, coeffs, index))
         assert frame_data(across) == frame_data(_frame_at(table, index))
-        assert _wall_step(table, frame, i, {index: nkey}) == (index, None, None)
+        assert _wall_step(table, frame, i, {index: m}) == (index, None, None)
     if "rescaled" in name:
         assert witnesses
 
@@ -556,11 +567,11 @@ def test_object_step_matches_the_former_wall_step(name):
     table, atlas, calls = surveyed(name)
     stepped = 0
     memo: dict = {}
-    for (key, i), nkey in atlas.edges.items():
-        chamber, neighbor = atlas.chambers[key], atlas.chambers[nkey]
+    for n, i, m in atlas_edges(atlas):
+        chamber, neighbor = atlas.chambers[n], atlas.chambers[m]
         ref_key, ref_index, ref_frame = reference_wall_step(table, chamber.frame, i)
-        assert (ref_key, ref_index) == (nkey, neighbor.frame.index)
-        root_set = atlas.objects.get(key)
+        assert (ref_key, ref_index) == (atlas.order[m], neighbor.frame.index)
+        root_set = atlas.objects[n]
         if root_set is None:
             continue
         assert root_set == _root_set(chamber.frame)
@@ -572,9 +583,9 @@ def test_object_step_matches_the_former_wall_step(name):
         coeffs, image = step
         assert _object_step(table, chamber.frame.index, i, coeffs, memo) == ref_index
         assert coeffs == reference_wall_coefficients(table, chamber, neighbor, i)
-        assert image == atlas.objects[nkey] == _root_set(_frame_at(table, ref_index))
+        assert image == atlas.objects[m] == _root_set(_frame_at(table, ref_index))
         assert frame_data(neighbor.frame) == frame_data(ref_frame) == frame_data(_frame_at(table, ref_index))
-    objects = len(set(atlas.objects.values()))
+    objects = len(set(atlas.objects) - {None})
     assert objects == OBJECT_COUNTS.get(name, 1)
     # An accepted transition is entered with its reverse, once per pair.
     for (root_set, i), step in atlas.transitions.items():
@@ -597,7 +608,7 @@ def test_wall_step_falls_back_to_the_wall_scan(name):
     table, atlas, calls = surveyed(name)
     assert calls["_walls_across"] == calls["_wall_step"] >= 1
     if isinstance(table.cone, Affine):
-        assert not atlas.objects and calls["_transition"] == calls["_object_step"] == 0
+        assert not any(atlas.objects) and calls["_transition"] == calls["_object_step"] == 0
     if name == "aff-a1":
         assert calls["_wall_step"] == 18
     if name == "aff-a1-rescaled":
@@ -616,7 +627,7 @@ def test_wall_step_carries_the_frame_with_its_checked_column():
     with counting(calls):
         atlas = chamber_bfs(table, default_seed_chamber(table), 10_000)
         surveyed_calls = dict(calls)
-        for chamber in atlas.chambers.values():
+        for chamber in atlas.chambers:
             assert chamber.frame
     assert surveyed_calls == calls == {"_wall_step": 18, "_carry_frame": 16, "_carried_column": 32}
 
@@ -646,7 +657,7 @@ def test_cartan_matrix_at_reads_each_walls_coefficients_once(name):
     chambers, failed = [default_seed_chamber(table)], False
     if name == "aff-a1-rescaled":
         atlas = chamber_bfs(table, chambers[0], 64)
-        chambers += [atlas.chambers[key] for key in atlas.order[1:5]]
+        chambers += atlas.chambers[1:5]
     for chamber in chambers:
         expected = outcome(reference_cartan_data, table, chamber)
         calls = {"_wall_coefficients": 0}
@@ -689,8 +700,8 @@ def test_passing_f4_analyses_build_rows_of_num_for_the_seed_only(check):
     if check is extract_cartan_graph:
         (atlas,) = atlases
         assert len(atlas.order) == 1152
-        assert framed_keys(atlas) == [atlas.seed_key]
-        assert atlas.chambers[atlas.seed_key] is seed
+        assert framed_keys(atlas) == [atlas.order[0]]
+        assert atlas.chambers[0] is seed
     else:
         assert atlases == [] and result.chambers_visited == 1152
 
@@ -702,8 +713,7 @@ def test_adjacent_chamber_on_affine_a1_matches_the_reference_scan():
     table = builtin_table("aff-a1")
     atlas = chamber_bfs(table, default_seed_chamber(table), 64)
     crossed = 0
-    for key in atlas.order:
-        framed = atlas.chambers[key]
+    for framed in atlas.chambers:
         frameless = Chamber(framed.basis, framed.rays, framed.witness)
         for i in range(table.rank):
             expected = reference_walls_across(table, framed.frame, i)
@@ -747,8 +757,8 @@ def test_integral_flag_matches_a_full_scan_on_surveys(name):
     eliminated frames that are not integral, and its crystallographic report
     still names integrality witnesses."""
     table, atlas, _ = surveyed(name)
-    flags = [chamber.frame.integral for chamber in atlas.chambers.values()]
-    assert flags == [integral_by_scan(chamber.frame) for chamber in atlas.chambers.values()]
+    flags = [chamber.frame.integral for chamber in atlas.chambers]
+    assert flags == [integral_by_scan(chamber.frame) for chamber in atlas.chambers]
     if name == "aff-a1-rescaled":
         assert not all(flags)
         report = check_crystallographic(table)
@@ -779,7 +789,7 @@ def test_carried_frames_keep_a_false_integral_flag():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(arrangement, "_carry_frame", recording)
         atlas = chamber_bfs(table, default_seed_chamber(table), 10_000)
-    frames = [chamber.frame for chamber in atlas.chambers.values()]
+    frames = [chamber.frame for chamber in atlas.chambers]
     assert not all(frame.integral for frame in carried)
     assert [frame.integral for frame in frames] == [integral_by_scan(frame) for frame in frames]
     report = check_crystallographic(table)
@@ -792,16 +802,15 @@ def test_chambers_built_on_read_equal_eager_chambers(name):
     read, equals and hashes like Chamber(basis, rays, witness) built from the
     same values, with or without its frame; chambers are immutable."""
     table, atlas, _ = surveyed(name)
-    for chamber in atlas.chambers.values():
+    for chamber in atlas.chambers:
         eager = Chamber(chamber.basis, chamber.rays, chamber.witness)
         framed = Chamber(chamber.basis, chamber.rays, chamber.witness, chamber.frame)
         assert chamber == eager == framed and eager == chamber
         assert hash(chamber) == hash(eager) == hash(framed)
         assert chamber.key == eager.key
-    seed = atlas.chambers[atlas.seed_key]
-    other = atlas.chambers[atlas.order[1]]
+    seed, other = atlas.chambers[:2]
     assert seed != other and Chamber(seed.basis, seed.rays, other.witness) != seed
-    assert len({*atlas.chambers.values(), *(Chamber(c.basis, c.rays, c.witness) for c in atlas.chambers.values())}) == len(atlas.order)
+    assert len({*atlas.chambers, *(Chamber(c.basis, c.rays, c.witness) for c in atlas.chambers)}) == len(atlas.order)
     with pytest.raises(dataclasses.FrozenInstanceError):
         seed.witness = other.witness
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -823,17 +832,17 @@ def test_realization_chambers_seed_a_survey(name):
     assert frame_data(seed.frame) == frame_data(_frame_at(re.table, index))
     assert seed.rays == tuple(dual_basis(re.bases[re.base]))
     atlas = chamber_bfs(re.table, seed, 10_000)
-    assert atlas.chambers[atlas.seed_key] is seed
+    assert atlas.chambers[0] is seed
     for frame in (_frame_at(re.table, index), None):
         handed = Chamber(seed.basis, seed.rays, seed.witness, frame)
         same = chamber_bfs(re.table, handed, 10_000)
-        assert same.chambers[same.seed_key] == handed == seed
-        for field in ("seed_key", "order", "edges", "true_chambers", "certified", "checked", "objects", "transitions"):
+        assert same.chambers[0] == handed == seed
+        for field in ("order", "id_of", "edges", "true_chambers", "certified", "checked", "objects", "transitions"):
             assert getattr(atlas, field) == getattr(same, field)
-        assert [atlas.chambers[key] for key in atlas.order] == [same.chambers[key] for key in same.order]
+        assert atlas.chambers == same.chambers
     expected = chamber_bfs(re.table, default_seed_chamber(re.table), 10_000)
     assert set(atlas.order) == set(expected.order)
-    assert atlas.certified == expected.certified
+    assert {atlas.order[n] for n in atlas.certified} == {expected.order[n] for n in expected.certified}
 
 
 A3_GCM = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
@@ -934,12 +943,11 @@ def test_lonely_roots_match_the_pair_sum_rule(name):
     else:
         table, atlas, _ = surveyed(name)
     lonely = 0
-    for key in atlas.order:
-        if key in atlas.checked:
-            chamber = atlas.chambers[key]
-            got = _lonely_roots(chamber.frame.num, chamber.frame.det)
-            assert sorted(got) == sorted(reference_lonely_roots(table, chamber))
-            lonely += len(got)
+    for n in sorted(atlas.checked):
+        chamber = atlas.chambers[n]
+        got = _lonely_roots(chamber.frame.num, chamber.frame.det)
+        assert sorted(got) == sorted(reference_lonely_roots(table, chamber))
+        lonely += len(got)
     if name == "affine-a1-5":
         assert lonely
 
@@ -952,8 +960,8 @@ def test_new_column_check_agrees_with_full_verification(name):
     verification."""
     table, atlas, _ = surveyed(name)
     verdicts = []
-    for (key, i) in atlas.edges:
-        frame = atlas.chambers[key].frame
+    for n, i, _ in atlas_edges(atlas):
+        frame = atlas.chambers[n].frame
         index = _walls_across(table, frame, i)
         coeffs = _wall_coefficients(frame, i, index)
         if isinstance(coeffs, CoefficientWitness):
@@ -1045,10 +1053,40 @@ def test_chamber_bfs_builds_each_key_once(monkeypatch):
     assert len(atlas.order) == 91
     assert builds == [seed]
     assert calls["_key_at"] == len(atlas.order)
-    for nkey in atlas.order[1:]:
-        chamber = atlas.chambers[nkey]
+    for nkey, chamber in zip(atlas.order[1:], atlas.chambers[1:]):
         assert vars(chamber)["key"] == nkey == canonical_basis_key(chamber.basis)
 
+
+
+def test_a_chamber_reached_with_two_indexings_is_refused(monkeypatch):
+    """A2's first object step, with its root positions swapped, builds the
+    neighbor with the other indexing; crossing back from it reaches the seed's
+    key at positions that are not the seed's, and the survey refuses it."""
+    table = builtin_table("a2")
+    step, swapped = arrangement._object_step, []
+
+    def swapping_once(*args):
+        index = step(*args)
+        if swapped:
+            return index
+        swapped.append(index)
+        return index[::-1]
+
+    monkeypatch.setattr(arrangement, "_object_step", swapping_once)
+    with pytest.raises(NotSimplicial) as raised:
+        chamber_bfs(table, default_seed_chamber(table), 10_000)
+    assert str(raised.value) == "chamber ((0, 1), (1, 0)) reached with conflicting compatible indexings"
+
+
+def test_a_bare_truncation_can_reach_a_chamber_with_two_indexings():
+    """A3's realization at depth 1, read back without its certified region:
+    the survey crosses past the four realized chambers, where the table's
+    arrangement is not simplicial, and reaches a chamber again with another
+    indexing."""
+    table = table_from_json(table_to_json(realize(builtin_graph("a3"), depth=1).table))
+    with pytest.raises(NotSimplicial) as raised:
+        chamber_bfs(table, default_seed_chamber(table), 10_000)
+    assert str(raised.value) == "chamber ((0, 0, 1), (0, 1, 0), (1, 0, 0)) reached with conflicting compatible indexings"
 
 EXTRACTION_TABLES = {
     **DIFFERENTIAL_TABLES,
@@ -1099,6 +1137,114 @@ def test_extraction_matches_the_reference(name):
     assert graph.truncated == truncated
     assert list(result.root_sets.items()) == list(root_sets.items())
 
+
+
+def closure_of(name: str) -> RootSystemTable:
+    """`closure_table` of D5 or D6."""
+    from test_chamber_count import D_GCMS, LARGE_GCMS  # that module imports this one
+
+    return closure_table(D_GCMS[name] if name in D_GCMS else LARGE_GCMS[name][0])
+
+
+ID_PATH_TABLES = {
+    **{name: lambda name=name: builtin_table(name) for name in TABLE_NAMES},
+    **{
+        f"{name}-realized-{depth}": lambda name=name, depth=depth: realize(builtin_graph(name), depth=depth).table
+        for name in sorted(BUILTIN_GCMS)
+        for depth in range(1, 5)
+    },
+    **{
+        f"{name}-bare-{depth}": lambda name=name, depth=depth: table_from_json(
+            table_to_json(realize(builtin_graph(name), depth=depth).table)
+        )
+        for name in sorted(BUILTIN_GCMS)
+        for depth in range(1, 5)
+    },
+    **{
+        f"f4-restricted-at-line-{k}": lambda k=k: restrict(f4_table(), sorted(f4_table().lines.values())[k][0]).reduced_table
+        for k in range(24)
+    },
+    "d5": lambda: closure_of("d5"),
+    "d6": lambda: closure_of("d6"),
+    **{
+        f"aff-a1-{k}{'-rescaled' * rescaled}": lambda k=k, rescaled=rescaled: affine_a1_table(k, rescaled=rescaled)
+        for k in (3, 5, 8)
+        for rescaled in (False, True)
+    },
+}
+
+
+def extraction_answers(extract, table: RootSystemTable, atlas) -> tuple:
+    """What an extraction of the atlas says: the graph's objects, base,
+    truncated flag and matrices, rho at every chamber of the atlas for every
+    wall (None off the graph), the root sets and the chambers by key; or the
+    type and text of the error it raises."""
+    try:
+        graph, root_sets, chambers = extract(table, atlas)
+    except WeylgpdError as exc:
+        return type(exc), str(exc)
+    return (
+        graph.objects,
+        graph.base,
+        graph.truncated,
+        [graph.matrix(key).rows for key in graph.objects],
+        [graph.rho(i, key) for key in atlas.order for i in range(table.rank)],
+        list(root_sets.items()),
+        [(key, id(chamber)) for key, chamber in chambers.items()],
+    )
+
+
+def id_extraction(table: RootSystemTable, atlas) -> tuple:
+    result = _extract(table, atlas)
+    return result.graph, result.root_sets, result.chambers
+
+
+@pytest.mark.parametrize("name", sorted(ID_PATH_TABLES))
+def test_id_extraction_matches_the_keyed_extraction(name):
+    """Extraction on chamber ids says what extraction on chamber keys, through
+    the explicit graph constructor (`reference_keyed_extraction`), says of the
+    same atlas, or raises the same error with the same text: on a whole
+    survey, and on one cut short at budget 5."""
+    table = ID_PATH_TABLES[name]()
+    for budget in (5, 30_000):
+        try:
+            atlas = chamber_bfs(table, default_seed_chamber(table), budget)
+        except NotSimplicial:  # a bare truncation's seed region, or a chamber it reaches, can refuse
+            continue
+        expected = extraction_answers(reference_keyed_extraction, table, atlas)
+        assert extraction_answers(id_extraction, table, atlas) == expected
+
+
+def test_extraction_names_the_first_edge_that_breaks_c1_or_c2(monkeypatch):
+    """Extraction checks (C1) and (C2) on the atlas's edge ids.  B3's atlas
+    with the seed's neighbor across wall 0 led back to chamber 5 breaks
+    (C1) at the seed, as the keyed extraction names it; aff-a1, whose
+    chambers have no objects, with chamber 1's matrix read as (2, -3) in
+    row 0 breaks (C2) across its edge to the seed."""
+    table = builtin_table("b3")
+    atlas = chamber_bfs(table, default_seed_chamber(table), 10_000)
+    neighbor = atlas.edges[0]
+    edges = list(atlas.edges)
+    edges[neighbor * table.rank] = 5
+    broken = ChamberAtlas(**{field: getattr(atlas, field) for field in ChamberAtlas._fields} | {"edges": edges})
+    expected = extraction_answers(reference_keyed_extraction, table, broken)
+    assert extraction_answers(id_extraction, table, broken) == expected == (
+        NotSimplyConnected,
+        "(C1) fails: rho_0^2(((0, 0, 1), (0, 1, 0), (1, 0, 0))) = ((-1, 0, 0), (0, 0, -1), (1, 1, 2))",
+    )
+    table = builtin_table("aff-a1")
+    read = arrangement._matrix_from_atlas
+
+    def misread(table, atlas, n):
+        matrix = read(table, atlas, n)
+        return GeneralizedCartanMatrix.from_rows([(2, -3), matrix.rows[1]]) if n == 1 else matrix
+
+    monkeypatch.setattr(arrangement, "_matrix_from_atlas", misread)
+    atlas = chamber_bfs(table, default_seed_chamber(table), 10_000)
+    assert atlas.objects[:2] == [None, None] and atlas.edges[0] == 1
+    with pytest.raises(InvalidCartanMatrix) as raised:
+        _extract(table, atlas)
+    assert str(raised.value) == "(C2) at (0, 0): row 0 differs across edge ((0, 1), (1, 0)) -- ((0, -1), (1, 2))"
 
 def test_extraction_names_a_chamber_whose_frame_is_not_integral():
     """Every crossing of this chamber is crystallographic, so extraction

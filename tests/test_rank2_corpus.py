@@ -79,6 +79,6 @@ def test_polygon_groupoid_realizes_and_identifies(q):
     # solved here by Fraction elimination: one for the Weyl groups A2, B2
     # and G2, several for every other polygon.
     atlas = chamber_bfs(re.table, default_seed_chamber(re.table), 10_000)
-    root_sets = {frozenset(gauss_solve(c.basis, r) for r in re.table.roots) for c in atlas.chambers.values()}
-    assert set(atlas.objects.values()) == root_sets
+    root_sets = {frozenset(gauss_solve(c.basis, r) for r in re.table.roots) for c in atlas.chambers}
+    assert {obj for obj in atlas.objects if obj is not None} == root_sets
     assert (len(root_sets) == 1) == ("".join(map(str, q)) in {"111", "2121", "313131"})

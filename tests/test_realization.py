@@ -13,7 +13,7 @@ import pytest
 from weylgpd import arrangement, realization
 from weylgpd.arrangement import Truncated, check_additive, check_crystallographic, default_seed_chamber
 from weylgpd.builtins import BUILTIN_GCMS, builtin_graph
-from weylgpd.cartan import CartanGraph, GeneralizedCartanMatrix, generate_real_roots
+from weylgpd.cartan import CartanGraph, GeneralizedCartanMatrix, canonical_basis_key, generate_real_roots
 from weylgpd.errors import AxiomViolation, NotSimplyConnected
 from weylgpd.exactlin import vec, vneg
 from weylgpd.jsonio import graph_from_json
@@ -344,6 +344,55 @@ class TestRoundTrip:
         assert not report.equivalent and report.objects_compared == len(report.mismatches) == 12
         assert report.mismatches[0] == "object ((-1, 0), (1, 1)): matrix entry (1,0) is -3 in the graph, -2 extracted"
         assert all("matrix entry (1,0) is -3 in the graph, -2 extracted" in m for m in report.mismatches)
+
+    def test_a_chamber_missing_from_the_extraction_is_reported(self, monkeypatch):
+        """The survey of B3's realization at depth 3 takes its last certified
+        chamber for one outside the certified region: that chamber is not
+        extracted, and the other 8 compare equal."""
+        realized = realize(builtin_graph("b3"), depth=3)
+        last = realized.canon[[obj for obj in realized.order if obj in realized.certified][-1]]
+        is_true = arrangement.chamber_is_true
+        monkeypatch.setattr(
+            arrangement, "chamber_is_true", lambda table, chamber: chamber.key != last and is_true(table, chamber)
+        )
+        report = roundtrip_check(builtin_graph("b3"), depth=3)
+        assert not report.equivalent and report.objects_compared == 8
+        assert report.mismatches == ("chamber ((0, -1, -2), (0, 1, 1), (1, 1, 2)) missing from extraction",)
+
+    def test_a_differently_indexed_chamber_is_reported(self, monkeypatch):
+        """The survey builds G2's last realized chamber with its basis
+        reversed: that object's indexing differs, and the other 11 compare
+        equal."""
+        realized = realize(builtin_graph("g2"), depth=16)
+        last = realized.canon[realized.order[-1]]
+        build = arrangement._chamber
+
+        def reversed_at_last(*args, **kwargs):
+            chamber = build(*args, **kwargs)
+            if canonical_basis_key(chamber.basis) == last:
+                chamber.__dict__["basis"] = chamber.basis[::-1]
+            return chamber
+
+        monkeypatch.setattr(arrangement, "_chamber", reversed_at_last)
+        report = roundtrip_check(builtin_graph("g2"), depth=16)
+        assert not report.equivalent and report.objects_compared == 11
+        assert report.mismatches == ("object ((-1, 0), (0, -1)): basis indexing differs",)
+
+    def test_a_disagreeing_edge_is_reported(self, monkeypatch):
+        """The extracted graph of G2's realization leads one edge of its
+        second object to its last: the round trip names that edge, by the
+        graph's index 1, which the index map sends to the chamber's 0."""
+        realized = realize(builtin_graph("g2"), depth=16)
+        second, last = realized.canon[realized.order[1]], realized.canon[realized.order[-1]]
+
+        class Misread(CartanGraph):
+            def rho(self, i, obj):
+                return last if (i, obj) == (0, second) else super().rho(i, obj)
+
+        monkeypatch.setattr(arrangement, "CartanGraph", Misread)
+        report = roundtrip_check(builtin_graph("g2"), depth=16)
+        assert not report.equivalent and report.objects_compared == 12
+        assert report.mismatches == ("object ((-1, 0), (1, 1)): edge 1 disagrees",)
 
     def test_survey_starts_at_the_first_certified_object(self):
         # The base object 0 of this path has a missing edge, so only object 1

@@ -86,8 +86,7 @@ class TestLocalizationCrystallographic:
     def test_a3_every_vertex(self):
         table = builtin_table("a3")
         atlas = chamber_bfs(table, default_seed_chamber(table), 100)
-        for key in atlas.order:
-            chamber = atlas.chambers[key]
+        for chamber in atlas.chambers:
             for ray in chamber.rays:
                 loc = localize(table, primitive_ray(ray))
                 if loc.empty:
@@ -100,8 +99,8 @@ class TestLocalizationCrystallographic:
         # localization is integral.
         table = affine_a1_table(5, rescaled=True)
         atlas = chamber_bfs(table, default_seed_chamber(table), 100)
-        for key in atlas.certified:
-            chamber = atlas.chambers[key]
+        for n in atlas.certified:
+            chamber = atlas.chambers[n]
             for ray in chamber.rays:
                 loc = localize(table, primitive_ray(ray))
                 if loc.empty:
@@ -374,7 +373,7 @@ class TestIdentifyRank2:
         with pytest.raises(NotCrystallographicAt) as err:
             fan_edge_sequence(table)
         atlas = chamber_bfs(table, default_seed_chamber(table), 100)
-        assert err.value.chamber_id in atlas.chambers
+        assert err.value.chamber_id in atlas.id_of
         witness = err.value.witness
         assert isinstance(witness, CoefficientWitness)
         assert rat("1/2") in (witness.c, witness.d)
