@@ -551,14 +551,13 @@ def _extreme_basis(table: RootSystemTable, positives: Sequence[tuple]) -> tuple:
     `positives` holds (line key, root index) pairs, one per line.  The cone
     they cut out must have exactly `rank` independent extreme rays
     (`_cone_rays`); wall m is then the one line in the zero sets of all the
-    others, which span its facet, and ray m is positive on it.  Returns root
-    indices."""
+    others, which span its facet, and ray m is positive on it.  In rank 1
+    every root is a multiple of every other, so the one line is the wall.
+    Returns root indices."""
     rank = table.rank
     if len(positives) < rank:
         raise NotSimplicial(f"only {len(positives)} lines in rank {rank}")
     if rank == 1:
-        if len(positives) != 1:
-            raise NotSimplicial("rank-1 tables have a single hyperplane line")
         return (positives[0][1],)
     rays, zeros = _cone_rays([table.int_roots[k] for _, k in positives], rank)
     if len(rays) != rank or int_det(rays) == 0:
@@ -866,7 +865,8 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
     dict of the survey keyed by chamber keys.  Only chambers not rejected
     by `chamber_is_true` (not asked on a spherical table) are expanded:
     inside the cone of an affine table, inside the certified region of a
-    realized truncation (its border is visited but not crossed).  Crossings
+    realized truncation (its border is visited but not crossed); an affine
+    chamber's verdict and walls read one `_rays_in_cone`.  Crossings
     into non-simplicial frontier regions of bare truncations are recorded as
     missing edges.  A realized truncation's certified set is its true set; a
     bare truncation has none.
@@ -879,7 +879,14 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
     order, chambers, objects = [seed.key], [seed], [None]
     id_of, found = {seed.key: 0}, {seed._index: 0}
     edges = [-1] * rank
-    verdict = None if spherical else [chamber_is_true(table, seed)]
+    inside = []  # affine: by id, whether each ray of the chamber lies inside the cone
+
+    def is_true(chamber):  # `chamber_is_true`; an affine chamber's ray test is kept for its walls
+        if affine:
+            inside.append(_rays_in_cone(table, chamber))
+        return all(inside[-1]) if affine else chamber_is_true(table, chamber)
+
+    verdict = None if spherical else [is_true(seed)]
     interned, transitions, memo = {}, {}, {}  # memo: of `_object_step`
     budget_exceeded = False
     for n, chamber in enumerate(chambers):  # the queue: `chambers` grows as it is read
@@ -894,7 +901,7 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
             obj = objects[n] = interned.setdefault(root_set, root_set)
         row = n * rank
         for i in range(rank):
-            if edges[row + i] >= 0 or (affine and not wall_is_crossable(table, chamber, i)):
+            if edges[row + i] >= 0 or (affine and not any(inside[n][:i] + inside[n][i + 1:])):
                 continue
             if obj is not None and (obj, i) not in transitions:
                 step = _transition(obj, i)
@@ -929,7 +936,7 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
                 objects.append(image)
                 edges += [-1] * rank
                 if not spherical:
-                    verdict.append(chamber_is_true(table, neighbor))
+                    verdict.append(is_true(neighbor))
             edges[row + i] = m
             edges[m * rank + i] = n
     true_chambers = set(range(len(order))) if spherical else {n for n, v in enumerate(verdict) if v}

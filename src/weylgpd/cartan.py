@@ -234,21 +234,15 @@ class CartanGraph:
         truncated: bool = False,
     ) -> "CartanGraph":
         """The finite graph of `matrices` and `edges`, checked for (C1)
-        rho_i^2 = id and (C2) row-i agreement on every present edge: in one pass
-        if every edge joins objects, else object by object to name the first failure."""
+        rho_i^2 = id and (C2) row-i agreement on every present edge, object by
+        object in `matrices` order, so the first failure met is the one named."""
         rank = matrices[base].rank
         edge_map = dict(edges)
-        get, labels = matrices.get, range(rank)
-        if not all(
-            None is not (Ca := get(a)) and None is not (Cb := get(b)) and i in labels and edge_map.get((b, i)) == a
-            and (Ca is Cb or Ca.rows[i] == Cb.rows[i])
-            for (a, i), b in edge_map.items()
-        ):
-            for a, Ca in matrices.items():
-                for i in range(rank):
-                    b = edge_map.get((a, i))
-                    if b is not None:
-                        _check_edge(a, i, b, edge_map.get((b, i)), Ca, matrices[b])
+        for a, Ca in matrices.items():
+            for i in range(rank):
+                b = edge_map.get((a, i))
+                if b is not None:
+                    _check_edge(a, i, b, edge_map.get((b, i)), Ca, matrices[b])
 
         def rho(i, obj):
             return edge_map.get((obj, i))
@@ -478,7 +472,9 @@ def check_root_system_axioms(
     """Verify (R1)-(R4) per visited object on the given (possibly truncated) sets.
 
     (R4) is asserted only when the rank-2 residue closure certifies m_ij finite;
-    otherwise it is reported as insufficient_depth rather than a failure.
+    otherwise it is reported as insufficient_depth rather than a failure.  A
+    certified m_ij closed the {i,j}-residue, so the walk (rho_i rho_j)^m_ij
+    never meets a missing edge.
     """
     if isinstance(roots, RealRootSet):
         per_object = {obj: set(s) for obj, s in roots.roots.items()}
@@ -562,20 +558,9 @@ def check_root_system_axioms(
                     r4_status, r4_witness = "insufficient_depth", (i, j)
                     continue
                 cur = obj
-                ok = True
                 for _ in range(m):
-                    cur = graph.rho(i, cur)
-                    if cur is None:
-                        ok = False
-                        break
-                    cur = graph.rho(j, cur)
-                    if cur is None:
-                        ok = False
-                        break
-                if not ok:
-                    if r4_status != "fail":
-                        r4_status, r4_witness = "insufficient_depth", (i, j)
-                elif cur != obj:
+                    cur = graph.rho(j, graph.rho(i, cur))
+                if cur != obj:
                     r4_status, r4_witness = "fail", (i, j, m, cur)
         findings.append(AxiomFinding("R4", obj, r4_status, r4_witness))
 
@@ -624,9 +609,11 @@ def check_simply_connected(graph: CartanGraph, word_budget: int) -> SimpleConnec
 
     Every object reachable from a seed carries the matrix of one witness path;
     each further edge must reproduce the stored matrix at its far end, otherwise
-    the discrepancy is a nonidentity loop.  When every edge gets checked this
-    certifies simple connectedness outright; if the budget truncates the walk,
-    the certificate only covers words up to that length.
+    the discrepancy is a nonidentity loop.  An edge is compared only within
+    one seed's walk: a walk cut by the budget leaves objects that a later seed
+    reaches with matrices from another base point.  When every edge gets
+    checked this certifies simple connectedness outright; if the budget
+    truncates the walk, the certificate only covers words up to that length.
     """
     ident = standard_dual_basis(graph.rank)
     seen: dict[ObjectId, tuple] = {}
@@ -638,6 +625,7 @@ def check_simply_connected(graph: CartanGraph, word_budget: int) -> SimpleConnec
             continue
         seen[seed] = ident
         parent_word[seed] = ()
+        walk = {seed}  # the objects this seed's walk reached
         queue = deque([(seed, 0)])
         while queue:
             a, d = queue.popleft()
@@ -650,12 +638,13 @@ def check_simply_connected(graph: CartanGraph, word_budget: int) -> SimpleConnec
                 if b is None:
                     continue
                 mat_b = mat_a[:i] + (_carried_column(mat_a, i, [-c for c in graph.matrix(a).rows[i]]),) + mat_a[i + 1:]
-                if b in seen:
+                if b in walk:
                     if seen[b] != mat_b:
                         word = parent_word[a] + (i,)
                         return SimpleConnectivityReport(False, False, word_budget, (b, word), len(seen))
-                else:
+                elif b not in seen:
                     seen[b] = mat_b
                     parent_word[b] = parent_word[a] + (i,)
+                    walk.add(b)
                     queue.append((b, d + 1))
     return SimpleConnectivityReport(True, not truncated, word_budget, None, len(seen))

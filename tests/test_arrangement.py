@@ -25,6 +25,7 @@ from weylgpd.arrangement import (
 )
 from weylgpd.builtins import F4_SIMPLE_ROOTS, affine_a1_table, builtin_table, f4_table
 from weylgpd.errors import (
+    NonReducedTable,
     NotCrystallographicAt,
     OnHyperplane,
     OutsideCone,
@@ -81,6 +82,11 @@ class TestChamberFromPoint:
     def test_outside_affine_cone(self):
         with pytest.raises(OutsideCone):
             chamber_from_point(affine_a1_table(4), (1, -2))
+
+    def test_non_reduced_table(self):
+        table = RootSystemTable(2, A2_ROOTS + [(2, 0), (-2, 0)])
+        with pytest.raises(NonReducedTable, match=r"^chamber geometry needs a reduced table; call subarr.reduce first$"):
+            chamber_from_point(table, (2, 1))
 
 
 class TestWalls:

@@ -9,10 +9,12 @@ import pytest
 
 from weylgpd.builtins import BUILTIN_GCMS, builtin_graph
 from weylgpd.cartan import (
+    AxiomFinding,
     CartanGraph,
     GeneralizedCartanMatrix,
     Infinite,
     Morphism,
+    SimpleConnectivityReport,
     _carried_column,
     _reflected_rows,
     check_root_system_axioms,
@@ -37,10 +39,24 @@ def one_object_graph(gcm: GeneralizedCartanMatrix) -> CartanGraph:
     return CartanGraph.explicit({0: gcm}, edges, 0)
 
 
+def cut_hexagon() -> CartanGraph:
+    """A2's hexagon of objects (edge sequence (1,)*6) with the edge pair at
+    object 0, wall 1 removed, built as a truncation: the path 0 - 1 - ... - 5."""
+    hexagon = rank2_graph_from_edge_sequence((1,) * 6)
+    matrices = {obj: hexagon.matrix(obj) for obj in hexagon.objects}
+    cut = ((0, 1), (5, 1))
+    edges = {(obj, i): hexagon.rho(i, obj) for obj in hexagon.objects for i in range(2) if (obj, i) not in cut}
+    return CartanGraph.explicit(matrices, edges, 0, truncated=True)
+
+
 class TestValidateGcm:
     def test_valid(self):
         assert validate_gcm([[2, -1], [-1, 2]]).valid
         assert validate_gcm([[2, -3], [-1, 2]]).valid
+
+    def test_positive_off_diagonal_violation(self):
+        report = validate_gcm([[2, 1], [-1, 2]])
+        assert [str(v) for v in report.violations] == ["(M1) at (0, 1): off-diagonal entry 1 > 0"]
 
     def test_zero_symmetry_violation(self):
         report = validate_gcm([[2, 0], [-1, 2]])
@@ -220,6 +236,20 @@ class TestAxioms:
             report = check_root_system_axioms(graph, rrs, 16)
             assert report.all_pass, (name, report.failures())
 
+    def test_cut_hexagon_at_depth_one_lacks_depth(self):
+        """On the cut hexagon at depth 1, object 0 is the one interior
+        object: -alpha_1 reaches it only across the missing edge, so (R2) and
+        (R3) lack depth there, and so does (R4), whose residue is not closed."""
+        graph = cut_hexagon()
+        report = check_root_system_axioms(graph, generate_real_roots(graph, 0, 1), 1)
+        assert not report.complete and report.skipped_frontier == (1,)
+        assert [f for f in report.findings if f.status != "pass"] == [
+            AxiomFinding("R2", 0, "insufficient_depth", (0, -1)),
+            AxiomFinding("R3", 0, "insufficient_depth", None),
+            AxiomFinding("R4", 0, "insufficient_depth", (0, 1)),
+        ]
+        assert report.status("R2") == report.status("R3") == "insufficient_depth"
+
     @pytest.mark.parametrize("depth", [6, 16])
     def test_double_cover_fails_r4_at_every_object(self, depth):
         """The edge sequence (1,)*12 goes twice around the A2 hexagon: m_01 = 3
@@ -341,6 +371,38 @@ class TestSimplyConnected:
         report = check_simply_connected(result.graph, 30)
         assert report.simply_connected and report.complete
 
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_a_cut_walk_finds_no_loop_across_seeds(self, budget):
+        """The A2 hexagon's walk from object 0, cut by the budget, leaves an
+        object unseen; the walk from that object starts at the identity, and
+        its edges into the first walk's objects are not compared."""
+        report = check_simply_connected(rank2_graph_from_edge_sequence((1,) * 6), budget)
+        assert report == SimpleConnectivityReport(True, False, budget, None, 6)
+
+    def test_b3_extracted_graph_is_at_every_budget(self):
+        from weylgpd.builtins import builtin_table
+        from weylgpd.arrangement import extract_cartan_graph
+
+        graph = extract_cartan_graph(builtin_table("b3")).graph
+        for budget in range(1, 6):
+            assert check_simply_connected(graph, budget) == SimpleConnectivityReport(True, False, budget, None, 48)
+        assert check_simply_connected(graph, 20) == SimpleConnectivityReport(True, True, 20, None, 48)
+
+    @pytest.mark.parametrize("budget", [1, 2, 10])
+    def test_one_object_graph_loops_at_every_budget(self, budget):
+        report = check_simply_connected(one_object_graph(A2), budget)
+        assert report == SimpleConnectivityReport(False, False, budget, (0, (0,)), 1)
+
+    @pytest.mark.parametrize("budget", [3, 20])
+    def test_double_cover_has_no_loop(self, budget):
+        """The edge sequence (1,)*12 fails (R4), not simple connectedness: its
+        one cycle's morphism is (sigma_0 sigma_1)^6 = id."""
+        report = check_simply_connected(rank2_graph_from_edge_sequence((1,) * 12), budget)
+        assert report == SimpleConnectivityReport(True, budget > 6, budget, None, 12)
+
+    def test_cut_hexagon_is_with_its_missing_edge_skipped(self):
+        assert check_simply_connected(cut_hexagon(), 10) == SimpleConnectivityReport(True, True, 10, None, 6)
+
 
 class TestMorphism:
     def test_words_act_unimodularly(self):
@@ -350,6 +412,10 @@ class TestMorphism:
             word = [rng.randrange(3) for _ in range(rng.randint(0, 8))]
             morphism = Morphism.from_word(graph, graph.base, word)
             assert morphism.det() in (1, -1)
+
+    def test_word_across_a_missing_edge(self):
+        with pytest.raises(BudgetExceeded, match=r"^edge 1 missing at 0$"):
+            Morphism.from_word(cut_hexagon(), 0, (0, 0, 1))
 
     def test_involution_words_are_identity(self):
         graph = builtin_graph("g2")

@@ -632,6 +632,23 @@ def test_wall_step_carries_the_frame_with_its_checked_column():
     assert surveyed_calls == calls == {"_wall_step": 18, "_carry_frame": 16, "_carried_column": 32}
 
 
+def test_affine_survey_tests_each_chambers_rays_once():
+    """An affine survey reads a chamber's verdict and the crossability of
+    each of its walls from one `_rays_in_cone`: affine_a1_table(8) surveys
+    19 chambers with 19 calls, and crosses exactly the walls of its true
+    chambers that `wall_is_crossable` accepts."""
+    table = affine_a1_table(8)
+    seed = default_seed_chamber(table)
+    calls = {"_rays_in_cone": 0}
+    with counting(calls):
+        atlas = chamber_bfs(table, seed, 10_000)
+    assert len(atlas.order) == calls["_rays_in_cone"] == 19
+    assert len(atlas.true_chambers) == 17
+    for n in atlas.true_chambers:
+        for i in range(2):
+            assert (atlas.edges[2 * n + i] >= 0) == wall_is_crossable(table, atlas.chambers[n], i)
+
+
 def reference_cartan_data(table: RootSystemTable, chamber: Chamber) -> tuple:
     """cartan_matrix_at's answer computed crossing by crossing: each
     neighbor by adjacent_chamber, then its coefficients by a second

@@ -14,7 +14,7 @@ from weylgpd import arrangement, realization
 from weylgpd.arrangement import Truncated, check_additive, check_crystallographic, default_seed_chamber
 from weylgpd.builtins import BUILTIN_GCMS, builtin_graph
 from weylgpd.cartan import CartanGraph, GeneralizedCartanMatrix, canonical_basis_key, generate_real_roots
-from weylgpd.errors import AxiomViolation, NotSimplyConnected
+from weylgpd.errors import AxiomViolation, BudgetExceeded, NotSimplyConnected
 from weylgpd.exactlin import vec, vneg
 from weylgpd.jsonio import graph_from_json
 from weylgpd.arrangement import _column_is_coherent
@@ -280,8 +280,23 @@ class TestLocatePoint:
         with pytest.raises(ValueError):
             locate_point(re, (0, 0))
 
+    def test_step_budget(self):
+        re = realize(builtin_graph("a2"), depth=8)
+        result = locate_point(re, (-2, -1), budget=0)
+        assert (result.status, result.obj, result.steps) == ("budget_exceeded", ((-1, 0), (1, 1)), 1)
+
+    def test_walk_leaves_the_generated_region(self):
+        re = realize(builtin_graph("a2"), depth=1)
+        result = locate_point(re, (-2, -1))
+        assert (result.status, result.obj, result.steps) == ("budget_exceeded", ((-1, 0), (1, 1)), 1)
+
 
 class TestLocalCartanGraph:
+    def test_point_location_failure(self):
+        re = realize(builtin_graph("a2"), depth=8)
+        with pytest.raises(BudgetExceeded, match="^point location failed: budget_exceeded$"):
+            local_cartan_graph_at(re, (-2, -1), budget=0)
+
     def test_interior_point_empty(self):
         re = realize(builtin_graph("a2"), depth=8)
         local = local_cartan_graph_at(re, (2, 1))

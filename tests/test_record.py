@@ -29,7 +29,7 @@ def fields_of(cls) -> list:
 
 
 def test_the_record_classes_and_their_flags():
-    assert len(RECORDS) == 35
+    assert len(RECORDS) == 34
     # No record is assignable: every one is frozen.
     assert [cls.__name__ for cls in RECORDS if cls.__setattr__ is object.__setattr__] == []
     assert {cls.__name__ for cls in RECORDS if cls.__eq__ is object.__eq__} == IDENTITY

@@ -11,18 +11,28 @@ import pytest
 from weylgpd._rational import rat
 from weylgpd.arrangement import (
     Affine,
+    CheckReport,
     CoefficientWitness,
     RootSystemTable,
+    Truncated,
     chamber_bfs,
     chamber_from_point,
     check_crystallographic,
     default_seed_chamber,
     extract_cartan_graph,
 )
-from weylgpd.builtins import F4_SIMPLE_ROOTS, affine_a1_table, builtin_table, f4_table
+from weylgpd.builtins import F4_SIMPLE_ROOTS, affine_a1_table, builtin_graph, builtin_table, f4_table
 from weylgpd.cartan import CartanGraph, GeneralizedCartanMatrix
-from weylgpd.errors import NotCrystallographicAt, NotReducible, OutsideCone, RootNotInSystem, Unsupported
-from weylgpd.exactlin import primitive_normalize, primitive_ray, vec, vneg
+from weylgpd.errors import (
+    BudgetExceeded,
+    InvalidTable,
+    NotCrystallographicAt,
+    NotReducible,
+    OutsideCone,
+    RootNotInSystem,
+    Unsupported,
+)
+from weylgpd.exactlin import primitive_normalize, primitive_ray, solve_in_span, vec, vneg
 from weylgpd.realization import realize, roundtrip_check
 from weylgpd.subarr import (
     canonical_cycle,
@@ -67,6 +77,34 @@ class TestLocalize:
         loc = localize(affine_a1_table(5), (1, 0))
         assert set(loc.roots) == {vec((0, 1)), vec((0, -1))}
         assert loc.quotient_rank == 1
+
+    @pytest.mark.parametrize("name", ["a3", "b3", "g2", "f4"])
+    def test_intrinsic_point_solves_over_the_support_and_the_pivot_units(self, name):
+        """At every ray of the first 24 chambers of the survey, the
+        closed-form image of each chamber witness and ray is the solution
+        over the support and the unit vectors at the pivots."""
+        table = f4_table() if name == "f4" else builtin_table(name)
+        atlas = chamber_bfs(table, default_seed_chamber(table), 24 if name == "f4" else 100)
+        compared = 0
+        for chamber in atlas.chambers[:24]:
+            for ray in chamber.rays:
+                loc = localize(table, primitive_ray(ray))
+                units = [tuple(int(k == c) for k in range(table.rank)) for c in loc.pivot_columns]
+                for y in (chamber.witness, *chamber.rays):
+                    coeffs = solve_in_span((*loc.support, *units), y)
+                    assert loc.intrinsic_point(y) == coeffs[len(loc.support):]
+                    compared += 1
+        assert compared > 0
+
+    def test_intrinsic_point_refuses_a_point_of_another_rank(self):
+        loc = localize(f4_table(), (1, 1, 0, 0))
+        with pytest.raises(InvalidTable, match=r"^point \(1, 2, 3\) does not have rank 4$"):
+            loc.intrinsic_point((1, 2, 3))
+        with pytest.raises(InvalidTable, match=r"^point \(1, 2, 3, 4, 5\) does not have rank 4$"):
+            loc.intrinsic_point((1, 2, 3, 4, 5))
+
+    def test_intrinsic_point_of_an_empty_localization(self):
+        assert localize(builtin_table("a3"), (7, 4, 2)).intrinsic_point((1, 2, 3)) == ()
 
     def test_f4_codim2_face(self):
         table = f4_table()
@@ -127,6 +165,28 @@ class TestLocalizationCrystallographic:
         )
         report = check_localization_crystallographic(bad, chamber)
         assert not report.passed
+        assert [str(w) for w in report.witnesses] == ["(-1/2, -1/2, 0) = (-1/2)*(0, 1, 0) + (-1/2)*(1, 0, 0)"]
+
+    def test_empty_localization_passes(self):
+        table = builtin_table("a3")
+        report = check_localization_crystallographic(localize(table, (7, 4, 2)), default_seed_chamber(table))
+        assert report == CheckReport("localization-crystallographic", True, (), 0, 0, 0, False)
+
+    def test_chamber_without_a_wall_through_the_point(self):
+        table = builtin_table("a3")
+        loc = localize(table, (1, -1, 1))  # no wall of the seed chamber, e1, e2 and e3, vanishes
+        assert not loc.empty
+        with pytest.raises(InvalidTable, match="^the chamber has no wall through the localization point$"):
+            check_localization_crystallographic(loc, default_seed_chamber(table))
+
+    def test_root_outside_the_span_of_the_walls_through_the_point(self):
+        """The seed chamber's closure misses (-1, 0, 1), where only its wall e2
+        vanishes: the roots +-(1, 1, 1) vanish there too, out of e2's span."""
+        table = builtin_table("a3")
+        report = check_localization_crystallographic(localize(table, (-1, 0, 1)), default_seed_chamber(table))
+        assert not report.passed
+        assert [w.coords for w in report.witnesses] == [(), ()]
+        assert [str(w) for w in report.witnesses] == ["(-1, -1, -1) = ", "(1, 1, 1) = "]
 
 
 class TestLocalToGlobal:
@@ -138,6 +198,20 @@ class TestLocalToGlobal:
     def test_rank2_unsupported(self):
         with pytest.raises(Unsupported):
             local_to_global_check(affine_a1_table(4, rescaled=True))
+
+    def test_rank1_has_no_vertex_to_localize(self):
+        """A rank-1 table's chamber rays are on no hyperplane: every
+        localization is empty, and no point is checked."""
+        result = local_to_global_check(RootSystemTable(1, [(1,), (-1,)]))
+        assert result == {
+            "rank": 1,
+            "points_checked": 0,
+            "local_passed": True,
+            "local_witnesses": (),
+            "global_passed": True,
+            "global_report": CheckReport("crystallographic", True, (), 2, 2, 0, False),
+            "consistent": True,
+        }
 
     def test_truncated_realization_reads_certified_chambers_on_both_sides(self):
         # Affine A2 at depth 2: the BFS visits 22 chambers, 4 of them certified.
@@ -181,6 +255,13 @@ class TestRestrict:
             one = double_restriction(table, F4_SIMPLE_ROOTS[i], F4_SIMPLE_ROOTS[j])
             two = double_restriction(table, F4_SIMPLE_ROOTS[j], F4_SIMPLE_ROOTS[i])
             assert one.ambient_table() == two.ambient_table()
+
+    def test_realized_truncation_restricts_to_a_truncation(self):
+        table = realize(builtin_graph("a3"), depth=1).table
+        assert table.cone == Truncated(1)
+        rst = restrict(table, table.roots[0])
+        assert rst.table.cone == rst.reduced_table.cone == Truncated(1)
+        assert (rst.rank, len(rst.table.roots), rst.dropped) == (2, 6, ())
 
     def test_affine_rank2_restriction_is_empty(self):
         # Restricted kernels inside a 1-dimensional hyperplane are {0}, which
@@ -246,6 +327,15 @@ class TestRestrictionCrystallographic:
         report = check_restriction_crystallographic(restrict(table, table.roots[0]))
         assert report.passed
 
+    def test_non_integral_multiple_is_refused_before_any_check(self):
+        """A line of the restriction holding (2, 0) and (3, 0) has no common
+        divisor among its elements: `restrict` raises NotReducible, so no
+        Restriction, and no check of one, ever holds a non-integral multiple."""
+        roots = [vec(r) for r in ((2, 0, 1), (3, 0, 0), (0, 1, 0), (0, 0, 1))]
+        table = RootSystemTable(3, roots + [vneg(r) for r in roots])
+        with pytest.raises(NotReducible):
+            restrict(table, (0, 0, 1))
+
     @pytest.mark.parametrize("name,label,count", [("a3", "A2", 6), ("b3", "B2", 9)])
     def test_single_restrictions_identify_and_round_trip(self, name, label, count):
         # Each restriction at a positive root (the larger root of each line)
@@ -297,7 +387,6 @@ class TestProjectedBasisStructure:
         # integral multiple of the projected basis element, and the projected
         # basis equals the wall basis of the restricted boundary chamber.
         from weylgpd.arrangement import walls_and_root_basis
-        from weylgpd.exactlin import solve_in_span
 
         table = f4_table() if source == "f4" else builtin_table(source)
         candidates = F4_SIMPLE_ROOTS if source == "f4" else table.roots[:3]
@@ -326,6 +415,12 @@ class TestProjectedBasisStructure:
             assert coeffs is not None
             walls = walls_and_root_basis(rst.reduced_table, coeffs)
             assert set(walls) == set(images)
+
+    def test_chamber_off_the_hyperplane_is_refused(self):
+        table = builtin_table("a3")
+        rst = restrict(table, (1, 1, 1))
+        with pytest.raises(InvalidTable, match="^the chamber does not have the restriction hyperplane as a wall$"):
+            projected_chamber_basis(table, rst, default_seed_chamber(table))
 
 
 class TestIdentifyRank2:
@@ -420,6 +515,17 @@ class TestResidueCorrespondence:
         report = residue_correspondence_check(table, x)
         assert report.equivalent
         assert report.objects_compared == 8  # B2-type residue
+
+    def test_empty_localization_is_refused(self):
+        with pytest.raises(InvalidTable, match="^the localization at x is empty$"):
+            residue_correspondence_check(builtin_table("a3"), (7, 4, 2))
+
+    def test_walk_budget(self):
+        table = builtin_table("a3")
+        chamber = default_seed_chamber(table)
+        x = tuple(chamber.rays[0][k] + chamber.rays[1][k] for k in range(3))
+        with pytest.raises(BudgetExceeded, match="^correspondence walk budget exhausted$"):
+            residue_correspondence_check(table, x, budget=0)
 
     def test_affine_rays(self):
         table = builtin_table("aff-a1")
