@@ -1366,31 +1366,31 @@ def separating_keys(table: RootSystemTable, a: Chamber, b: Chamber) -> set:
 
 
 def distance_and_gallery(table: RootSystemTable, start: Chamber, goal: Chamber) -> tuple[int, Gallery]:
-    """Separating-hyperplane count and a greedy minimal gallery realizing it."""
+    """Separating-hyperplane count and a greedy minimal gallery realizing it.
+
+    Each step crosses a wall negative at the goal's witness.  Adjacent
+    chambers are separated only by the line of their common wall, so each
+    crossing lowers the count by one: the gallery has `total` steps.  A
+    chamber that meets the open cone (every one after the start, found across
+    a crossable wall) and is not the goal has such a wall that is crossable,
+    where the segment from a generic point of it to a goal witness in the
+    cone leaves it.  So Unreachable is raised only on an affine table, for a
+    start chamber or a goal witness outside the cone.
+    """
     table.require_reduced()
     total = len(separating_keys(table, start, goal))
     chambers = [start]
     crossings = []
     cur = start
-    remaining = total
     while cur.key != goal.key:
-        moved = False
         for i in range(cur.rank):
             if sign_at(cur.basis[i], goal.witness) < 0 and wall_is_crossable(table, cur, i):
-                nxt = adjacent_chamber(table, cur, i)
-                now = len(separating_keys(table, nxt, goal))
-                if now != remaining - 1:
-                    raise Unreachable(
-                        f"crossing wall {i} changed separation {remaining} -> {now}"
-                    )
-                cur = nxt
-                remaining = now
-                chambers.append(cur)
-                crossings.append(i)
-                moved = True
                 break
-        if not moved:
+        else:
             raise Unreachable(f"no crossable separating wall at {fmt_covector(cur.key)}")
+        cur = adjacent_chamber(table, cur, i)
+        chambers.append(cur)
+        crossings.append(i)
     return total, Gallery(tuple(chambers), tuple(crossings))
 
 

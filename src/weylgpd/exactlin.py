@@ -7,9 +7,9 @@ operations are pure and exact, so every downstream predicate is decidable.
 There is one elimination, on integers: `int_row_reduce`, Bareiss's
 fraction-free Gauss-Jordan.  `int_det` reads its determinant, `int_adjugate`
 is it applied to [M | I], and every rational solver (`rank`,
-`solve_coordinates`, `solve_in_span`, `dual_basis`, `nullspace`) clears each
-row's denominators, calls it (directly or through `int_adjugate`), and reads
-its Fraction answers off the integer result.  Primitive rays are int tuples,
+`solve_coordinates`, `dual_basis`, `nullspace`) clears each row's
+denominators, calls it (directly or through `int_adjugate`), and reads its
+Fraction answers off the integer result.  Primitive rays are int tuples,
 built by one rule, `int_primitive`.
 """
 
@@ -167,23 +167,6 @@ def solve_coordinates(basis: Sequence[Covector], target: Covector) -> tuple:
         raise SingularBasis(f"need {r} basis covectors, got {len(basis)}")
     # target(C_j) = lam_j for the dual basis C.
     return tuple(vdot(target, c) for c in dual_basis(basis))
-
-
-def solve_in_span(spanning: Sequence[tuple], target: tuple) -> tuple | None:
-    """Coefficients expressing target over a (not necessarily square) independent
-    family, or None when target lies outside the span."""
-    m = len(spanning)
-    if m == 0:
-        return () if is_zero(target) else None
-    # Row k of [spanning | target] is coordinate k of the system, denominators cleared.
-    aug = [clear_denominators([s[k] for s in spanning] + [target[k]])[0] for k in range(len(target))]
-    reduced, den, pivots = int_row_reduce(aug)
-    if pivots and pivots[-1] == m:
-        return None  # inconsistent
-    coeffs = [ZERO] * m
-    for i, p in enumerate(pivots):
-        coeffs[p] = Rat(reduced[i][m], den)
-    return tuple(coeffs)
 
 
 def dual_basis(basis: Sequence[Covector]) -> list[Vector]:

@@ -14,7 +14,7 @@ import itertools
 from collections import deque
 from typing import Hashable
 
-from ._rational import ONE, fmt_covector
+from ._rational import Rat, fmt_covector
 from ._record import Record
 from .arrangement import (
     Chamber,
@@ -47,12 +47,11 @@ from .errors import (
     NotSimplyConnected,
 )
 from .exactlin import (
-    clear_denominators,
     dual_basis,
+    int_adjugate,
     int_primitive,
     primitive_normalize,
     rank as mat_rank,
-    solve_in_span,
     vdot,
     vec,
     vneg,
@@ -160,7 +159,7 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
         chamber = chambers[nxt] = _chamber(table, index, crossing=(coeffs, i, parent))
         if not _column_is_coherent(parent.frame.num_cols, i, chamber.frame.num_cols[i]):
             raise _sign_defect(nxt, chamber.frame)
-    gamma = _derive_affine_functional(rank, [chamber.frame for chamber in chambers.values()])
+    gamma = _derive_affine_functional([chamber.frame for chamber in chambers.values()])
     # Positional: a record built by keyword pays for matching the names.
     return Realization(graph, base, depth, bases, chambers, dict(edges), order, table, closed, certified, canon, gamma)
 
@@ -191,21 +190,24 @@ def _sign_defect(obj: ObjectId, frame) -> AxiomViolation:
     )
 
 
-def _derive_affine_functional(rank: int, frames: list) -> tuple | None:
+def _derive_affine_functional(frames: list) -> tuple | None:
     """A covector h with h(ray) = 1 on every primitive chamber ray, if one
     exists and the frames are of two chambers or more.
 
     Affine arrangements place all chamber rays on one affine hyperplane, which
     h recovers; spherical data admits no such h.  A frame's integer columns
-    are positive multiples of its chamber's rays.  The first chamber's rays
-    span, so h is solved on them alone and is unique; every other ray p is
-    then checked on integers, num . p = den for h = num / den.
+    are positive multiples of its chamber's rays.  The first chamber's
+    primitive rays p_i, the rows of P, span: as P . adj = det * I, the unique
+    h with h(p_i) = 1 is num / det for num the row sums of adj.  Every other
+    ray p is then checked on integers, num . p = det.
     """
     if len(frames) < 2:
         return None
-    h = solve_in_span(tuple(zip(*map(int_primitive, frames[0].cols))), (ONE,) * rank)
-    num, den = clear_denominators(h)
-    return h if all(_dot(num, int_primitive(col)) == den for frame in frames[1:] for col in frame.cols) else None
+    adj, det = int_adjugate([int_primitive(col) for col in frames[0].cols])
+    num = tuple(map(sum, adj))
+    if all(_dot(num, int_primitive(col)) == det for frame in frames[1:] for col in frame.cols):
+        return tuple(Rat(n, det) for n in num)
+    return None
 
 
 # ---------------------------------------------------------------------------

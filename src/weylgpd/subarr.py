@@ -43,11 +43,10 @@ from .errors import (
 from .exactlin import (
     combination,
     dual_basis,
+    int_primitive,
     integer_kernel_basis,
     nullspace_and_pivots,
     primitive_normalize,
-    primitive_ray,
-    solve_in_span,
     vdot,
     vec,
     vneg,
@@ -114,34 +113,55 @@ class LocalizationWitness(Record):
         return f"{fmt_covector(self.root)} = {terms}"
 
 
+def _localization_witnesses(basis: tuple, through: tuple, coordinates) -> list:
+    """The witness rule of both localization checks.  `coordinates` holds
+    (root, coords) pairs, coords the root's coordinates in the chamber basis
+    `basis`, and `through` the positions of the walls through the point.  A
+    nonzero coordinate off those walls gives a witness with empty
+    coordinates; else a wall coordinate that is not an integer gives one
+    with the wall coordinates."""
+    walls = tuple(basis[j] for j in through)
+    witnesses = []
+    for root, coords in coordinates:
+        wall_coords = tuple(coords[j] for j in through)
+        if any(c for j, c in enumerate(coords) if j not in through):
+            witnesses.append(LocalizationWitness(root, walls, ()))
+        elif any(c.denominator != 1 for c in wall_coords):
+            witnesses.append(LocalizationWitness(root, walls, wall_coords))
+    return witnesses
+
+
 def check_localization_crystallographic(loc: Localization, chamber: Chamber) -> CheckReport:
-    """Integrality of every localized root over the chamber's vanishing basis."""
+    """Integrality of every localized root in the chamber's walls through the point.
+
+    InvalidTable when no wall of the chamber goes through the point x, else
+    when its closure misses x.  A root's coordinates c_j are its values at
+    the rays (alpha_i(rays[j]) = delta_ij).  A root of the chamber's table
+    vanishing at x has sign-coherent c_j with sum_j c_j b_j(x) = 0 and
+    b_j(x) >= 0, so c_j = 0 wherever b_j(x) > 0: only a covector that is no
+    root of the table gets the empty-coordinate witness.
+    """
     if loc.empty:
         return CheckReport("localization-crystallographic", True, (), 0, 0, 0, False)
-    basis_x = tuple(b for b in chamber.basis if vdot(b, loc.point) == 0)
-    if not basis_x:
+    values = [vdot(b, loc.point) for b in chamber.basis]
+    through = tuple(j for j, v in enumerate(values) if v == 0)
+    if not through:
         raise InvalidTable("the chamber has no wall through the localization point")
-    witnesses = []
-    for root in loc.roots:
-        coeffs = solve_in_span(basis_x, root)
-        if coeffs is None:
-            witnesses.append(LocalizationWitness(root, basis_x, ()))
-            continue
-        if any(c.denominator != 1 for c in coeffs):
-            witnesses.append(LocalizationWitness(root, basis_x, coeffs))
-    return CheckReport(
-        "localization-crystallographic",
-        not witnesses,
-        tuple(witnesses),
-        1,
-        1,
-        0,
-        False,
-    )
+    if any(v < 0 for v in values):
+        raise InvalidTable("the chamber's closure does not contain the localization point")
+    coordinates = ((root, [vdot(root, ray) for ray in chamber.rays]) for root in loc.roots)
+    witnesses = _localization_witnesses(chamber.basis, through, coordinates)
+    return CheckReport("localization-crystallographic", not witnesses, tuple(witnesses), 1, 1, 0, False)
 
 
 def local_to_global_check(table: RootSystemTable, budget: int = 10_000) -> dict:
     """All vertex localizations crystallographic vs. the global check, rank != 2.
+
+    The vertices are the rays of the checked chambers, each read once off
+    the first chamber's integer frame.  At ray k the point is the primitive
+    column k, the localized roots are the rows of `num` with 0 in column k,
+    and such a row over `det` holds the root's coordinates: every wall but k
+    goes through the point.
 
     Rank 2 is rejected: a rank-2 table can have crystallographic localizations
     at every point of the cone while failing the global check (scaling each
@@ -158,28 +178,25 @@ def local_to_global_check(table: RootSystemTable, budget: int = 10_000) -> dict:
     seen_points = set()
     for n in sorted(atlas.checked):  # the chambers the global report reads
         chamber = atlas.chambers[n]
-        for ray in chamber.rays:
-            p = primitive_ray(ray)
+        frame, det = chamber.frame, chamber.frame.det
+        for k, col in enumerate(frame.cols):
+            p = int_primitive(col)
             if p in seen_points:
                 continue
             seen_points.add(p)
-            loc = localize(table, p)
-            if loc.empty:
-                continue
-            points_checked += 1
-            report = check_localization_crystallographic(loc, chamber)
-            local_witnesses.extend(report.witnesses)
+            localized = [(table.roots[r], [Rat(c, det) for c in row]) for r, row in enumerate(frame.num) if row[k] == 0]
+            points_checked += bool(localized)
+            through = tuple(j for j in range(table.rank) if j != k)
+            local_witnesses += _localization_witnesses(chamber.basis, through, localized)
     global_report = _crystallographic_report(table, atlas, max_witnesses=64)
-    locally_ok = not local_witnesses
-    consistent = (not locally_ok) or global_report.passed
     return {
         "rank": table.rank,
         "points_checked": points_checked,
-        "local_passed": locally_ok,
+        "local_passed": not local_witnesses,
         "local_witnesses": tuple(local_witnesses),
         "global_passed": global_report.passed,
         "global_report": global_report,
-        "consistent": consistent,
+        "consistent": bool(local_witnesses) or global_report.passed,
     }
 
 
@@ -378,22 +395,23 @@ def fan_edge_sequence(table: RootSystemTable) -> tuple[int, ...]:
     0, 1, ... once around the fan; entry k is the coefficient c of the k-th
     crossing, beta_j = c * alpha_i + alpha_j.  Another start or direction
     gives a rotation or reversal of the same cycle.
+
+    A reduced spherical rank-2 table with 2n roots has 2n chambers.  With
+    the compatible indexing each crossing moves on in one sense of rotation,
+    so the walk visits each chamber once and is back at the seed after 2n.
     """
     if table.rank != 2:
         raise Unsupported("fan signatures are defined for rank-2 tables")
     if not isinstance(table.cone, Spherical):
         raise Unsupported("fan signatures need a spherical table")
     table.require_reduced()
-    # A rank-2 fan has one chamber per root.
     atlas = chamber_bfs(table, default_seed_chamber(table), len(table.roots))
     n, seq = 0, []  # the seed's id
     for step in range(len(table.roots)):
         i = step % 2
         seq.append(_crossing_coefficients(table, atlas, n, i)[1 - i])
         n = atlas.edges[2 * n + i]
-        if n == 0:
-            return tuple(seq)
-    raise InvalidTable(f"the fan does not close after {len(table.roots)} crossings")
+    return tuple(seq)
 
 
 def canonical_cycle(seq: Sequence[int]) -> tuple[int, ...]:
@@ -439,7 +457,9 @@ _REFERENCE_SEQUENCES = {
 
 @functools.lru_cache(maxsize=1)
 def rank2_reference_signatures() -> dict:
-    """Signatures of the reference rank-2 systems, generated by realization."""
+    """Signatures of the reference rank-2 systems, generated by realization:
+    each constant reference realizes complete, hence spherical, at depth 16
+    (a test pins this)."""
     from .realization import realize
 
     signatures = {}
@@ -448,10 +468,7 @@ def rank2_reference_signatures() -> dict:
             graph = CartanGraph.standard(GeneralizedCartanMatrix.from_rows(data))
         else:
             graph = rank2_graph_from_edge_sequence(data)
-        re = realize(graph, depth=16)
-        if not re.complete:
-            raise InvalidTable(f"reference {label} did not stabilize")
-        signatures[canonical_cycle(fan_edge_sequence(re.table))] = label
+        signatures[canonical_cycle(fan_edge_sequence(realize(graph, depth=16).table))] = label
     return signatures
 
 
@@ -493,8 +510,12 @@ def residue_correspondence_check(table: RootSystemTable, x, budget: int = 10_000
     """Localization graph vs. Cartan-graph residue at a face point, anchored.
 
     x must lie on a face of some chamber; the chamber's walls through x give the
-    index subset.  The walk crosses matching walls on both sides in lock-step
-    and compares restricted Cartan matrices entry by entry.
+    index subset J.  Near x the chamber is its tangent cone {b_j >= 0, j in J},
+    a chamber of the localization whose walls are the images of the b_j, and
+    `intrinsic_covector` is injective on the span of the localized roots: wall
+    j in J has exactly one counterpart in the localized chamber's basis.  The
+    walk crosses matching walls on both sides in lock-step and compares
+    restricted Cartan matrices entry by entry.
     """
     x = vec(x)
     loc = localize(table, x)
@@ -504,14 +525,7 @@ def residue_correspondence_check(table: RootSystemTable, x, budget: int = 10_000
     ambient_J = tuple(i for i in range(table.rank) if vdot(chamber.basis[i], x) == 0)
 
     seed_intrinsic = chamber_from_point(loc.table, loc.intrinsic_point(chamber.witness))
-    phi = []
-    for i in ambient_J:
-        image = loc.intrinsic_covector(chamber.basis[i])
-        matches = [k for k, b in enumerate(seed_intrinsic.basis) if b == image]
-        if len(matches) != 1:
-            raise InvalidTable(f"wall {i} has no unique localized counterpart")
-        phi.append(matches[0])
-    phi = tuple(phi)
+    phi = tuple(seed_intrinsic.basis.index(loc.intrinsic_covector(chamber.basis[i])) for i in ambient_J)
 
     mismatches = []
     compared = 0

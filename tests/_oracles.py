@@ -19,7 +19,8 @@ and scanning every edge), `reference_keyed_extraction` with
 `reference_explicit_graph` (extraction on chamber keys through the explicit
 graph constructor, read from `keyed_atlas`, the atlas by key) and
 `reflection_matrix` with `int_mat_mul` (the simple reflection as a full
-matrix, and matrix products).
+matrix, and matrix products) and `solve_in_span` (the span solver of
+`exactlin`, by its fraction-free elimination).
 `reference_record` builds the dataclass that a record class stands in for.
 """
 
@@ -199,6 +200,27 @@ def reflection_matrix(C, i: int) -> tuple:
         tuple((1 if k == j else 0) - (C.rows[i][j] if k == i else 0) for j in range(n))
         for k in range(n)
     )
+
+
+def solve_in_span(spanning, target):
+    """Coefficients expressing target over a (not necessarily square)
+    independent family, or None when target lies outside the span: the
+    library's fraction-free elimination of [spanning | target], denominators
+    cleared row by row."""
+    from weylgpd.exactlin import clear_denominators, int_row_reduce
+
+    m = len(spanning)
+    if m == 0:
+        return () if all(c == 0 for c in target) else None
+    # Row k of [spanning | target] is coordinate k of the system, denominators cleared.
+    aug = [clear_denominators([s[k] for s in spanning] + [target[k]])[0] for k in range(len(target))]
+    reduced, den, pivots = int_row_reduce(aug)
+    if pivots and pivots[-1] == m:
+        return None  # inconsistent
+    coeffs = [F(0)] * m
+    for i, p in enumerate(pivots):
+        coeffs[p] = F(reduced[i][m], den)
+    return tuple(coeffs)
 
 
 def int_mat_mul(a, b):
@@ -551,7 +573,7 @@ def reference_affine_functional(rank, rays):
     before it solved on one chamber: one elimination for h over every
     distinct primitive ray of the chambers `rays` (a ray tuple each), None
     when that system has no solution or there are at most `rank` rays."""
-    from weylgpd.exactlin import primitive_ray, solve_in_span
+    from weylgpd.exactlin import primitive_ray
 
     points = {primitive_ray(ray) for chamber in rays for ray in chamber}
     if len(points) <= rank:

@@ -45,7 +45,6 @@ from weylgpd.exactlin import (
     primitive_ray,
     sign_at,
     solve_coordinates,
-    solve_in_span,
     vdot,
     vec,
     vneg,
@@ -59,7 +58,7 @@ from weylgpd.subarr import (
     restrict,
 )
 
-from _oracles import brute_real_roots_standard, realizable_sign_vectors
+from _oracles import brute_real_roots_standard, realizable_sign_vectors, solve_in_span
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "f4_projection_tables.json").read_text()

@@ -6,6 +6,7 @@ import pytest
 
 from weylgpd._rational import Rat
 from weylgpd.arrangement import (
+    Chamber,
     RootSystemTable,
     Truncated,
     adjacent_chamber,
@@ -15,20 +16,24 @@ from weylgpd.arrangement import (
     check_additive,
     check_crystallographic,
     check_k_spherical,
+    coords_in_chamber,
     default_seed_chamber,
     distance_and_gallery,
     extract_cartan_graph,
     is_nondegenerate,
     radical,
+    separating_keys,
     verify_combinatorial_equivalence,
     walls_and_root_basis,
 )
 from weylgpd.builtins import F4_SIMPLE_ROOTS, affine_a1_table, builtin_table, f4_table
 from weylgpd.errors import (
+    InvalidTable,
     NonReducedTable,
     NotCrystallographicAt,
     OnHyperplane,
     OutsideCone,
+    Unreachable,
     Unsupported,
 )
 from weylgpd.exactlin import dual_basis, primitive_normalize, sign_at, vdot, vec, vneg
@@ -83,6 +88,10 @@ class TestChamberFromPoint:
         with pytest.raises(OutsideCone):
             chamber_from_point(affine_a1_table(4), (1, -2))
 
+    def test_point_of_another_rank(self):
+        with pytest.raises(InvalidTable, match=r"^point \(1, 2, 3\) does not have rank 2$"):
+            chamber_from_point(a2_table(), (1, 2, 3))
+
     def test_non_reduced_table(self):
         table = RootSystemTable(2, A2_ROOTS + [(2, 0), (-2, 0)])
         with pytest.raises(NonReducedTable, match=r"^chamber geometry needs a reduced table; call subarr.reduce first$"):
@@ -99,6 +108,17 @@ class TestWalls:
         table = RootSystemTable(2, [(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)])
         for point in ((2, 1), (1, 2), (-1, 1), (1, -2)):
             assert len(walls_and_root_basis(table, point)) == 2
+
+    def test_point_of_another_rank(self):
+        table = a2_table()
+        for read in (walls_and_root_basis, RootSystemTable.positive_on):
+            with pytest.raises(InvalidTable, match=r"^point \(1, 2, 3\) does not have rank 2$"):
+                read(table, (1, 2, 3))
+
+    def test_coordinates_of_a_covector_of_another_rank(self):
+        table = a2_table()
+        with pytest.raises(InvalidTable, match=r"^covector \(1, 2, 3\) does not have rank 2$"):
+            coords_in_chamber(table, chamber_from_point(table, (2, 1)), (1, 2, 3))
 
     def test_non_spanning_is_degenerate(self):
         table = RootSystemTable(2, [(1, 0), (-1, 0)])
@@ -314,6 +334,32 @@ class TestDistanceAndGallery:
             assert len(crossed) == len(set(crossed)) == d
 
 
+    def test_every_affine_pair_crosses_once_per_separating_line(self):
+        """Every ordered pair of the affine A1 survey's chambers, the two
+        that straddle the cone's boundary included: the gallery has one
+        step per separating line and crosses each of them once."""
+        table = affine_a1_table(8)
+        atlas = chamber_bfs(table, default_seed_chamber(table), 100)
+        assert len(atlas.chambers) == 19
+        for a in atlas.chambers:
+            for b in atlas.chambers:
+                d, gallery = distance_and_gallery(table, a, b)
+                crossed = {primitive_normalize(c.basis[i]) for c, i in zip(gallery.chambers, gallery.crossings)}
+                assert len(gallery) == d and crossed == separating_keys(table, a, b)
+
+    def test_chamber_outside_the_affine_cone_is_unreachable(self):
+        """The seed's negation lies in gamma < 0: as a start none of its
+        walls is crossable, and as a goal the walk stops at the chamber on
+        the cone's boundary."""
+        table = affine_a1_table(8)
+        seed = default_seed_chamber(table)
+        outside = Chamber(tuple(map(vneg, seed.basis)), tuple(map(vneg, seed.rays)), vneg(seed.witness))
+        with pytest.raises(Unreachable, match=r"^no crossable separating wall at \(\(-1, 0\), \(0, -1\)\)$"):
+            distance_and_gallery(table, outside, seed)
+        with pytest.raises(Unreachable, match=r"^no crossable separating wall at \(\(-8, -9\), \(9, 8\)\)$"):
+            distance_and_gallery(table, seed, outside)
+
+
 class TestRadical:
     def test_a2_nondegenerate(self):
         assert radical(a2_table()) == ()
@@ -339,6 +385,11 @@ class TestKSpherical:
         assert check_k_spherical(table, 1).passed
         report = check_k_spherical(table, 2)
         assert not report.passed  # the codim-2 face {0} misses the open halfspace
+
+    def test_k_out_of_range(self):
+        for k in (-1, 3):
+            with pytest.raises(ValueError, match="^k must be between 0 and 2$"):
+                check_k_spherical(a2_table(), k)
 
     def test_truncated_unsupported(self):
         table = RootSystemTable(2, A2_ROOTS, cone=Truncated(3))

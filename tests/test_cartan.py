@@ -153,6 +153,10 @@ class TestGenerateRealRoots:
         assert rrs.complete
         assert rrs.at(0) == {(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)}
 
+    def test_negative_depth(self):
+        with pytest.raises(ValueError, match="^depth must be >= 0$"):
+            generate_real_roots(one_object_graph(A2), 0, -1)
+
     def test_rank_one(self):
         graph = CartanGraph.standard(GeneralizedCartanMatrix.from_rows([[2]]))
         rrs = generate_real_roots(graph, graph.base, 1)
@@ -271,6 +275,11 @@ class TestMij:
         rrs = generate_real_roots(graph, 0, 4)
         assert m_ij(rrs, 0, 0, 1) == 3
 
+    def test_equal_indices(self):
+        rrs = generate_real_roots(one_object_graph(A2), 0, 4)
+        with pytest.raises(ValueError, match="^m_ij needs distinct indices$"):
+            m_ij(rrs, 0, 1, 1)
+
     def test_b2_type(self):
         graph = builtin_graph("b2")
         rrs = generate_real_roots(graph, graph.base, 10)
@@ -317,6 +326,11 @@ class TestResidue:
         graph = builtin_graph("a2")
         sub = residue(graph, graph.base, (0, 1), 20)
         assert len(sub.objects) == 6
+
+    def test_empty_index_set(self):
+        graph = builtin_graph("a2")
+        with pytest.raises(ValueError, match="^the index subset must be nonempty$"):
+            residue(graph, graph.base, (), 10)
 
     def test_budget_exceeded_partial(self):
         graph = builtin_graph("aff-a1")

@@ -23,12 +23,11 @@ from weylgpd.exactlin import (
     rank,
     sign_at,
     solve_coordinates,
-    solve_in_span,
     vdot,
     vec,
 )
 
-from _oracles import gauss_solve, reference_primitive_ray
+from _oracles import gauss_solve, reference_primitive_ray, solve_in_span
 
 F4_SIMPLE = (
     vec((0, 1, -1, 0)),

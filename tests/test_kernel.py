@@ -1035,13 +1035,13 @@ def test_passing_realize_checks_the_base_frame_in_full_and_solves_gamma_once(nam
     graph = builtin_graph(name)
     solved = []
 
-    def solve_in_span(spanning, target):
-        solved.append(len(target))
-        return exactlin.solve_in_span(spanning, target)
+    def int_adjugate(matrix):
+        solved.append(len(matrix))
+        return exactlin.int_adjugate(matrix)
 
     with counting({"_root_defects": 0, "_column_is_coherent": 0}, realization) as calls:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(realization, "solve_in_span", solve_in_span)
+            patch.setattr(realization, "int_adjugate", int_adjugate)
             re = realize(graph, depth=8)
     assert calls == {"_root_defects": 1, "_column_is_coherent": len(re.bases) - 1}
     assert solved == [graph.rank]

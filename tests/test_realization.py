@@ -141,8 +141,11 @@ class TestRealize:
             ((1, 1, 1, 1, 1, 2), 2, 2, 2, "root (-1, -2) is not sign-coherent at 2: coords (-1, 1)"),
             # Nor is (1,3,1,1,1,1,2,2), whose first defect is 4 edges away.
             ((1, 3, 1, 1, 1, 1, 2, 2), 16, 4, 4, "root (-1, 0) is not sign-coherent at 4: coords (2, -1)"),
+            # Nor is (1,1,2,1,2,2,1,2): at depth 3 a root of object 3's basis
+            # has mixed signs at the base, whose frame is checked first.
+            ((1, 1, 2, 1, 2, 2, 1, 2), 3, 0, 0, "root (-1, 1) is not sign-coherent at 0: coords (-1, 1)"),
         ],
-        ids=["distance-2", "distance-4"],
+        ids=["distance-2", "distance-4", "base"],
     )
     def test_sign_incoherent_root_is_an_axiom_violation(self, seq, depth, obj, distance, text):
         graph = rank2_graph_from_edge_sequence(seq)
@@ -214,6 +217,11 @@ class TestSeparatingSet:
         opposite = next(o for o in re.order if gallery_distance(re, re.base, o) == 3)
         assert len(separating_set(re, re.base, opposite)) == 3
 
+    def test_object_outside_the_generated_region(self):
+        re = realize(builtin_graph("a2"), depth=8)
+        with pytest.raises(BudgetExceeded, match=r"^x not reachable from \(\(0, 1\), \(1, 0\)\) in the generated region$"):
+            gallery_distance(re, re.base, "x")
+
     def test_distance_equals_separation_everywhere(self):
         for name, depth in (("a2", 16), ("b2", 16), ("g2", 16), ("a3", 16), ("aff-a1", 8)):
             re = realize(builtin_graph(name), depth=depth)
@@ -233,6 +241,17 @@ class TestAdjacencyEquivalences:
     def test_same_object_all_false(self):
         re = realize(builtin_graph("a2"), depth=8)
         result = adjacency_equivalences_test(re, re.base, re.base, 0)
+        assert result == result.__class__(False, False, False, False)
+
+    def test_same_object_at_the_edge_of_a_truncation(self):
+        """A2 at depth 1: across wall 1 of ((-1, 0), (1, 1)) nothing is
+        generated, and no other chamber meets the region of its wall 0, so
+        the sandwich holds on the truncation; an object is not adjacent to
+        itself, and the sandwich is False."""
+        re = realize(builtin_graph("a2"), depth=1)
+        b = ((-1, 0), (1, 1))
+        assert (b, 1) not in re.edges and not re.complete
+        result = adjacency_equivalences_test(re, b, b, 1)
         assert result == result.__class__(False, False, False, False)
 
     def test_opposite_pair_all_false(self):

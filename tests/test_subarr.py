@@ -8,12 +8,15 @@ import pathlib
 
 import pytest
 
+from weylgpd import subarr
 from weylgpd._rational import rat
 from weylgpd.arrangement import (
     Affine,
+    ChamberCartanData,
     CheckReport,
     CoefficientWitness,
     RootSystemTable,
+    Spherical,
     Truncated,
     chamber_bfs,
     chamber_from_point,
@@ -32,9 +35,10 @@ from weylgpd.errors import (
     RootNotInSystem,
     Unsupported,
 )
-from weylgpd.exactlin import primitive_normalize, primitive_ray, solve_in_span, vec, vneg
+from weylgpd.exactlin import primitive_normalize, primitive_ray, vec, vneg
 from weylgpd.realization import realize, roundtrip_check
 from weylgpd.subarr import (
+    _REFERENCE_SEQUENCES,
     canonical_cycle,
     chamber_with_wall,
     check_localization_crystallographic,
@@ -52,7 +56,7 @@ from weylgpd.subarr import (
     restrict,
 )
 
-from _oracles import zaslavsky_chamber_count
+from _oracles import solve_in_span, zaslavsky_chamber_count
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "f4_projection_tables.json").read_text()
@@ -181,12 +185,27 @@ class TestLocalizationCrystallographic:
 
     def test_root_outside_the_span_of_the_walls_through_the_point(self):
         """The seed chamber's closure misses (-1, 0, 1), where only its wall e2
-        vanishes: the roots +-(1, 1, 1) vanish there too, out of e2's span."""
+        vanishes (the roots +-(1, 1, 1) vanish there too, out of e2's span):
+        the chamber is refused."""
         table = builtin_table("a3")
-        report = check_localization_crystallographic(localize(table, (-1, 0, 1)), default_seed_chamber(table))
+        loc = localize(table, (-1, 0, 1))
+        with pytest.raises(InvalidTable, match=r"^the chamber's closure does not contain the localization point$"):
+            check_localization_crystallographic(loc, default_seed_chamber(table))
+
+    def test_hand_built_covector_outside_the_span_of_the_walls(self):
+        """(0, 1, 1) is in the seed chamber's closure, on its wall e1 only.  A
+        hand-built localization that adds e2 - e3, which vanishes there but is
+        not sign-coherent in the chamber, has a nonzero coordinate off e1:
+        its witness has empty coordinates."""
+        table = builtin_table("a3")
+        loc = localize(table, (0, 1, 1))
+        bad = loc.__class__(
+            loc.point, loc.roots + (vec((0, 1, -1)),), loc.support, loc.quotient_rank, loc.pivot_columns, loc.table
+        )
+        report = check_localization_crystallographic(bad, default_seed_chamber(table))
         assert not report.passed
-        assert [w.coords for w in report.witnesses] == [(), ()]
-        assert [str(w) for w in report.witnesses] == ["(-1, -1, -1) = ", "(1, 1, 1) = "]
+        assert [w.coords for w in report.witnesses] == [()]
+        assert [str(w) for w in report.witnesses] == ["(0, 1, -1) = "]
 
 
 class TestLocalToGlobal:
@@ -220,6 +239,27 @@ class TestLocalToGlobal:
         assert result["points_checked"] == 6
         assert result["global_report"].certified == 4
         assert result["consistent"] and result["local_passed"] and result["global_passed"]
+
+    def test_a3_with_its_highest_root_halved(self):
+        """+-(1/2, 1/2, 1/2) in place of A3's +-(1, 1, 1): the localizations
+        at four rays have half-integral wall coordinates, and the global
+        check fails too."""
+        table = builtin_table("a3")
+        halved = RootSystemTable(3, [tuple(c / 2 for c in r) if abs(sum(r)) == 3 else r for r in table.roots])
+        result = local_to_global_check(halved)
+        assert (result["points_checked"], result["local_passed"], result["global_passed"], result["consistent"]) == (
+            14, False, False, True,
+        )
+        assert [str(w) for w in result["local_witnesses"]] == [
+            "(-1/2, -1/2, -1/2) = (1/2)*(0, -1, -1) + (1/2)*(-1, 0, 0)",
+            "(1/2, 1/2, 1/2) = (-1/2)*(0, -1, -1) + (-1/2)*(-1, 0, 0)",
+            "(-1/2, -1/2, -1/2) = (1/2)*(-1, -1, 0) + (1/2)*(0, 0, -1)",
+            "(1/2, 1/2, 1/2) = (-1/2)*(-1, -1, 0) + (-1/2)*(0, 0, -1)",
+            "(-1/2, -1/2, -1/2) = (1/2)*(0, 0, -1) + (1/2)*(-1, -1, 0)",
+            "(1/2, 1/2, 1/2) = (-1/2)*(0, 0, -1) + (-1/2)*(-1, -1, 0)",
+            "(-1/2, -1/2, -1/2) = (1/2)*(-1, 0, 0) + (1/2)*(0, -1, -1)",
+            "(1/2, 1/2, 1/2) = (-1/2)*(-1, 0, 0) + (-1/2)*(0, -1, -1)",
+        ]
 
 
 class TestRestrict:
@@ -271,6 +311,12 @@ class TestRestrict:
         assert rst.rank == 1
         assert rst.table.roots == ()
         assert len(rst.dropped) > 0
+
+    def test_affine_cone_functional_parallel_to_the_root(self):
+        # gamma = (1, 1) is a root: it vanishes on its own hyperplane.
+        table = RootSystemTable(2, [(1, 1), (-1, -1), (1, 0), (-1, 0)], cone=Affine(vec((1, 1))))
+        with pytest.raises(Unsupported, match="^the cone functional vanishes on the hyperplane$"):
+            restrict(table, (1, 1))
 
 
 class TestReduce:
@@ -473,6 +519,21 @@ class TestIdentifyRank2:
         assert isinstance(witness, CoefficientWitness)
         assert rat("1/2") in (witness.c, witness.d)
 
+    def test_references_realize_complete_at_depth_16(self):
+        """`rank2_reference_signatures` reads each reference's table at depth
+        16 and relies on its being complete, hence spherical."""
+        for label, (kind, data) in _REFERENCE_SEQUENCES.items():
+            if kind == "standard":
+                graph = CartanGraph.standard(GeneralizedCartanMatrix.from_rows(data))
+            else:
+                graph = rank2_graph_from_edge_sequence(data)
+            re = realize(graph, depth=16)
+            assert re.complete and re.table.cone == Spherical(), label
+
+    def test_edge_sequence_of_odd_length_is_refused(self):
+        with pytest.raises(InvalidTable, match="^edge sequences of rank-2 fans have even length$"):
+            rank2_graph_from_edge_sequence((1, 2, 3))
+
     def test_canonical_cycle(self):
         assert canonical_cycle((2, 1, 3)) == canonical_cycle((3, 2, 1)) == canonical_cycle((1, 2, 3))
         assert canonical_cycle((1, 2, 2)) == (1, 2, 2)
@@ -515,6 +576,32 @@ class TestResidueCorrespondence:
         report = residue_correspondence_check(table, x)
         assert report.equivalent
         assert report.objects_compared == 8  # B2-type residue
+
+    def test_mismatched_entry_is_reported_per_chamber(self, monkeypatch):
+        """A tests-only patch makes `cartan_matrix_at` read entry (0, 1) one
+        lower on the localization's rank-2 table only: the A2 residue at
+        A3's seed ray then mismatches at each of its six chambers."""
+        read = subarr.cartan_matrix_at
+
+        def patched(table, chamber):
+            data = read(table, chamber)
+            if table.rank != 2:
+                return data
+            rows = [list(row) for row in data.matrix.rows]
+            rows[0][1] -= 1
+            return ChamberCartanData(
+                data.chamber, GeneralizedCartanMatrix.from_rows(rows), data.neighbors, data.coefficients
+            )
+
+        monkeypatch.setattr(subarr, "cartan_matrix_at", patched)
+        table = builtin_table("a3")
+        report = residue_correspondence_check(table, default_seed_chamber(table).rays[0])
+        assert (report.equivalent, report.objects_compared, report.index_map) == (False, 6, (0, 1))
+        assert report.mismatches[0] == (
+            "chamber ((0, 0, 1), (0, 1, 0), (1, 0, 0)): restricted entry (1,2) is -1, localized -2"
+        )
+        assert {m.split(": ")[1] for m in report.mismatches} == {"restricted entry (1,2) is -1, localized -2"}
+        assert len(report.mismatches) == 6
 
     def test_empty_localization_is_refused(self):
         with pytest.raises(InvalidTable, match="^the localization at x is empty$"):
