@@ -36,13 +36,14 @@ the neighbor is built by `_chamber`, the one constructor of the chambers
 the library builds (a realization's objects too).  One found by a
 transition builds its frame when it is read (`Chamber.frame`): carried
 with one column update from its parent's frame when that is built, else by
-Bareiss elimination.  A seed holds its frame from the start; `_held` holds
-any chamber on a table.  Chamber keys and line keys are tuples of
-primitive integer rays.  A chamber's Fraction data, its rays and witness
-point, is built when it is first read; `chamber_bfs` builds none, as the
-affine cone test reads the sign of gamma at the columns of A.  A check
-that could only pass on a spherical table counts its chambers from the
-objects instead (`_chamber_count`): #objects x |Aut(a)|.
+Bareiss elimination.  A seed holds its frame from the start.  The kernel
+trusts the chambers it builds; `_held` holds any chamber on a table and
+checks one the kernel did not build for it.  Chamber keys and line keys
+are tuples of primitive integer rays.  A chamber's Fraction data, its rays
+and witness point, is built when it is first read; `chamber_bfs` builds
+none, as the affine cone test reads the sign of gamma at the columns of A.
+A check that could only pass on a spherical table counts its chambers from
+the objects instead (`_chamber_count`): #objects x |Aut(a)|.
 """
 
 from __future__ import annotations
@@ -227,13 +228,13 @@ class Chamber:
     the chamber (see IntegerFrame), or None.  A chamber is immutable, and
     equal and hash-equal to another exactly when (basis, rays, witness) are.
 
-    `Chamber(basis, rays, witness, frame)` holds the values given.  A chamber
-    the kernel finds (`_chamber`) holds its table and root positions, and
-    builds its frame, rays and witness when they are first read.
+    `Chamber(basis, rays, witness)` holds the values given and no frame.  A
+    chamber the kernel finds (`_chamber`) holds its table and root
+    positions, and builds its frame, rays and witness when they are first read.
     """
 
-    def __init__(self, basis: tuple, rays: tuple, witness: Vector, frame: IntegerFrame | None = None):
-        self.__dict__.update(basis=basis, rays=rays, witness=witness, frame=frame)
+    def __init__(self, basis: tuple, rays: tuple, witness: Vector):
+        self.__dict__.update(basis=basis, rays=rays, witness=witness, frame=None)
 
     __setattr__ = Record.__setattr__
     __delattr__ = Record.__delattr__
@@ -369,19 +370,25 @@ def _frame_rays(frame: IntegerFrame) -> tuple:
 
 def _held(table: RootSystemTable, chamber: Chamber) -> Chamber:
     """The chamber as the kernel holds it in `table`: itself when `_chamber`
-    built it for `table`, else rebuilt once on its frame in `table`,
-    eliminated from its basis unless it carries it (hand-built chambers,
-    chambers of an equal rebuilt table), with its witness or, when that is
-    not built yet, the crossing that builds it."""
+    built it for `table`, else rebuilt from its basis and checked, the one
+    check of a chamber from outside: its basis must be independent roots of
+    the table (InvalidTable, SingularBasis), every root sign-coherent on it
+    (NotSimplicial), and a witness it holds strictly inside it
+    (InvalidTable); it keeps that witness, or the crossing that builds one."""
     if vars(chamber).get("_table") is table:
         return chamber
-    frame = chamber.frame
-    if frame is None or frame.table is not table:
-        missing = [b for b in chamber.basis if b not in table.index]
-        if missing:
-            raise InvalidTable(f"basis element {fmt_covector(missing[0])} is not a root of the table")
-        frame = _frame_at(table, tuple(table.index[b] for b in chamber.basis))
-    return _chamber(table, frame.index, frame, vars(chamber).get("witness"), vars(chamber).get("_crossing"))
+    index = tuple(map(table.index.get, chamber.basis))
+    if None in index:
+        raise InvalidTable(f"basis element {fmt_covector(chamber.basis[index.index(None)])} is not a root of the table")
+    frame = _frame_at(table, index)
+    _verify_chamber_basis(frame)
+    witness = vars(chamber).get("witness")
+    if witness is not None:
+        xs, _ = clear_denominators(witness)
+        if len(xs) != table.rank or any(_dot(table.int_roots[k], xs) <= 0 for k in index):
+            key = fmt_covector(_key_at(table, index))
+            raise InvalidTable(f"witness {fmt_covector(witness)} is not inside the claimed chamber {key}")
+    return _chamber(table, index, frame, witness, vars(chamber).get("_crossing"))
 
 
 def _chamber(table: RootSystemTable, index: tuple, frame=None, witness=None, crossing=None) -> Chamber:
@@ -459,10 +466,8 @@ class ChamberCartanData(Record):
 
 
 def coords_in_chamber(table: RootSystemTable, chamber: Chamber, root) -> tuple:
-    """Coordinates of a covector in the chamber's basis, exactly.
-
-    The chamber's basis must consist of roots of `table` (InvalidTable otherwise).
-    """
+    """Coordinates of a covector in the chamber's basis, exactly; the
+    chamber is held (`_held`) first."""
     frame = _held(table, chamber).frame
     covector = vec(root)
     if len(covector) != table.rank:
@@ -571,38 +576,37 @@ def _extreme_basis(table: RootSystemTable, positives: Sequence[tuple]) -> tuple:
 
 
 def _rays_in_cone(table: RootSystemTable, chamber: Chamber) -> list:
-    """For each ray of the chamber, whether it lies inside the open cone
+    """For each ray of a held chamber, whether it lies inside the open cone
     gamma > 0: the sign of the integer gamma at the frame's adjugate columns,
     which are positive multiples of the rays."""
     gamma, _ = clear_denominators(table.cone.gamma)
-    return [_dot(gamma, col) > 0 for col in _held(table, chamber).frame.cols]
+    return [_dot(gamma, col) > 0 for col in chamber.frame.cols]
 
 
 def wall_is_crossable(table: RootSystemTable, chamber: Chamber, i: int) -> bool:
     """Whether the facet on wall i meets the open cone."""
+    held = _held(table, chamber)
     if not isinstance(table.cone, Affine):
         return True
-    inside = _rays_in_cone(table, chamber)
+    inside = _rays_in_cone(table, held)
     return any(inside[:i] + inside[i + 1:])
 
 
 def adjacent_chamber(table: RootSystemTable, chamber: Chamber, i: int) -> Chamber:
-    """The chamber across wall i, with compatible indexing: the wall step,
-    then the full check of the neighbor's frame."""
+    """The chamber across wall i, with compatible indexing, by the wall step."""
     return _adjacent(table, chamber, i)[0]
 
 
 def _adjacent(table: RootSystemTable, chamber: Chamber, i: int) -> tuple:
     """`adjacent_chamber` with the coefficients of its crossing: (neighbor,
-    the wall step's `_wall_coefficients` or CoefficientWitness)."""
-    table.require_reduced()
-    if not wall_is_crossable(table, chamber, i):
-        raise WallOnBoundary(f"wall {i} of chamber {fmt_covector(chamber.key)} does not meet the cone")
+    the wall step's `_wall_coefficients` or CoefficientWitness), which
+    checks the neighbor against the held chamber."""
     parent = _held(table, chamber)
+    table.require_reduced()
+    if not wall_is_crossable(table, parent, i):
+        raise WallOnBoundary(f"wall {i} of chamber {fmt_covector(parent.key)} does not meet the cone")
     index, across, coeffs = _wall_step(table, parent.frame, i)
-    neighbor = _chamber(table, index, across, crossing=(None, i, parent))
-    _verify_chamber_basis(neighbor.frame)
-    return neighbor, coeffs
+    return _chamber(table, index, across, crossing=(None, i, parent)), coeffs
 
 
 def _transition(root_set: frozenset, i: int) -> tuple | None:
@@ -795,14 +799,13 @@ def cartan_matrix_at(table: RootSystemTable, chamber: Chamber) -> ChamberCartanD
     Raises NotCrystallographicAt with the offending relation when a transition
     coefficient is non-integral or the j-slot coefficient is not 1.
     """
-    table.require_reduced()
     held = _held(table, chamber)
-    neighbors = []
-    coeff_rows = []
-    for i in range(chamber.rank):
+    table.require_reduced()
+    neighbors, coeff_rows = [], []
+    for i in range(held.rank):
         neighbor, coeffs = _adjacent(table, held, i)
         if isinstance(coeffs, CoefficientWitness):
-            raise NotCrystallographicAt(chamber.key, coeffs)
+            raise NotCrystallographicAt(held.key, coeffs)
         neighbors.append(neighbor)
         coeff_rows.append(coeffs)
     matrix = GeneralizedCartanMatrix.from_rows(tuple(-c for c in row) for row in coeff_rows)
@@ -839,22 +842,23 @@ def chamber_is_true(table: RootSystemTable, chamber: Chamber) -> bool | None:
     when the chamber's key is certified.  Affine: when all its rays lie
     strictly inside the cone.  None for a bare truncation, which cannot tell.
     """
+    held = _held(table, chamber)
     if isinstance(table.cone, Spherical):
         return True
     if table.certified_keys is not None:
-        return chamber.key in table.certified_keys
+        return held.key in table.certified_keys
     if isinstance(table.cone, Affine):
-        return all(_rays_in_cone(table, chamber))
+        return all(_rays_in_cone(table, held))
     return None
 
 
 def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAtlas:
     """Breadth-first chamber exploration from a seed chamber.
 
-    The seed is held like any chamber (`_held`), and its frame is checked
-    in full.  A chamber on an integral frame of a table that is not affine
-    has an object, its interned root set R^a: the image of the transition
-    that found it, else read from its frame when it is expanded.  It
+    The seed is held like any chamber (`_held`); the crossing that finds a
+    chamber checks it.  A chamber on an integral frame of a table that is
+    not affine has an object, its interned root set R^a: the image of the
+    transition that found it, else read from its frame when it is expanded.  It
     crosses by object steps (`_object_step`) with the transitions of its
     object, each found once (`_transition`) together with its reverse, as T
     is an involution.  Other crossings, and refused transitions, take the
@@ -871,11 +875,10 @@ def chamber_bfs(table: RootSystemTable, seed: Chamber, budget: int) -> ChamberAt
     missing edges.  A realized truncation's certified set is its true set; a
     bare truncation has none.
     """
+    seed = _held(table, seed)
     table.require_reduced()
     rank = table.rank
     spherical, affine = isinstance(table.cone, Spherical), isinstance(table.cone, Affine)
-    seed = _held(table, seed)
-    _verify_chamber_basis(seed.frame)
     order, chambers, objects = [seed.key], [seed], [None]
     id_of, found = {seed.key: 0}, {seed._index: 0}
     edges = [-1] * rank
@@ -959,16 +962,16 @@ def _chamber_count(table: RootSystemTable, seed: Chamber, budget: int, passes=No
     """The number of chambers a survey from the held `seed` would find, when
     that survey could only report a pass; else None, and the survey runs.
 
-    The count needs a spherical table, an integral seed frame (checked in
-    full, as `chamber_bfs` does) and every transition accepted.  Each chamber
-    is then an object, so the arrangement is crystallographic, and its
-    chambers correspond to the morphisms of its Weyl groupoid that start at
-    the seed's object a.  Each Hom(a, b) is an Aut(a)-torsor, so N = #objects
-    x |Aut(a)|.  A BFS by `_transition` finds the objects.  None as well
-    when an object fails `passes`, or N > budget, when `chamber_bfs` would
-    exceed its budget.  The survey's raise on a chamber reached with two
-    indexings cannot fire here: around each codimension-2 face the
-    compatible indexing comes back to itself, and in a simplicial
+    The count needs a spherical table, an integral frame at the seed the
+    kernel built (`default_seed_chamber`) and every transition accepted.
+    Each chamber is then an object, so the arrangement is crystallographic,
+    and its chambers correspond to the morphisms of its Weyl groupoid that
+    start at the seed's object a.  Each Hom(a, b) is an Aut(a)-torsor, so
+    N = #objects x |Aut(a)|.  A BFS by `_transition` finds the objects.
+    None as well when an object fails `passes`, or N > budget, when
+    `chamber_bfs` would exceed its budget.  The survey's raise on a chamber
+    reached with two indexings cannot fire here: around each codimension-2
+    face the compatible indexing comes back to itself, and in a simplicial
     arrangement those loops generate every loop of chambers.
 
     |Aut(a)| is counted down a flag of parabolic subgroupoids, as
@@ -988,7 +991,6 @@ def _chamber_count(table: RootSystemTable, seed: Chamber, budget: int, passes=No
     budget // #objects, N > budget."""
     if not isinstance(table.cone, Spherical):
         return None
-    _verify_chamber_basis(seed.frame)
     if not seed.frame.integral:
         return None
     base = _root_set(seed.frame)
@@ -1358,30 +1360,27 @@ def _crossing_coefficients(table: RootSystemTable, atlas: ChamberAtlas, n: int, 
 
 
 def separating_keys(table: RootSystemTable, a: Chamber, b: Chamber) -> set:
-    return {
-        key
-        for key in table.lines
-        if sign_at(key, a.witness) != sign_at(key, b.witness)
-    }
+    a, b = _held(table, a), _held(table, b)
+    return {key for key in table.lines if sign_at(key, a.witness) != sign_at(key, b.witness)}
 
 
 def distance_and_gallery(table: RootSystemTable, start: Chamber, goal: Chamber) -> tuple[int, Gallery]:
     """Separating-hyperplane count and a greedy minimal gallery realizing it.
 
-    Each step crosses a wall negative at the goal's witness.  Adjacent
-    chambers are separated only by the line of their common wall, so each
-    crossing lowers the count by one: the gallery has `total` steps.  A
-    chamber that meets the open cone (every one after the start, found across
-    a crossable wall) and is not the goal has such a wall that is crossable,
-    where the segment from a generic point of it to a goal witness in the
-    cone leaves it.  So Unreachable is raised only on an affine table, for a
-    start chamber or a goal witness outside the cone.
+    Start and goal are held (`_held`).  Each step crosses a wall negative
+    at the goal's witness.  Adjacent chambers are separated only by the
+    line of their common wall, so each crossing lowers the count by one:
+    the gallery has `total` steps.  A chamber that meets the open cone
+    (every one after the start, found across a crossable wall) and is not
+    the goal has such a wall that is crossable, where the segment from a
+    generic point of it to a goal witness in the cone leaves it.  So
+    Unreachable is raised only on an affine table, for a start chamber or
+    a goal witness outside the cone.
     """
+    start, goal = _held(table, start), _held(table, goal)
     table.require_reduced()
     total = len(separating_keys(table, start, goal))
-    chambers = [start]
-    crossings = []
-    cur = start
+    chambers, crossings, cur = [start], [], start
     while cur.key != goal.key:
         for i in range(cur.rank):
             if sign_at(cur.basis[i], goal.witness) < 0 and wall_is_crossable(table, cur, i):

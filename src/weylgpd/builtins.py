@@ -101,6 +101,9 @@ def affine_a1_table(k_max: int = 8, rescaled: bool = False) -> RootSystemTable:
 
 @functools.lru_cache(maxsize=None)
 def builtin_table(name: str, depth: int = 8) -> RootSystemTable:
+    """The builtin table `name` (`depth`: the affine tables' k_max).  a2,
+    b2, g2, a3 and b3 are of finite type, their longest words of lengths 3,
+    4, 6, 6 and 9, so their realizations at depth 32 are complete."""
     if name == "f4":
         return f4_table()
     if name == "aff-a1":
@@ -110,8 +113,5 @@ def builtin_table(name: str, depth: int = 8) -> RootSystemTable:
     if name in ("a2", "b2", "g2", "a3", "b3"):
         from .realization import realize
 
-        re = realize(builtin_graph(name), depth=32)
-        if not re.complete:
-            raise ParseError(f"builtin {name} did not stabilize")
-        return re.table
+        return realize(builtin_graph(name), depth=32).table
     raise ParseError(f"unknown builtin table {name!r}; choose from {TABLE_NAMES}")

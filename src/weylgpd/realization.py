@@ -229,22 +229,23 @@ def separating_set(re: Realization, b: ObjectId, b2: ObjectId) -> SeparatingSet:
 
 
 def gallery_distance(re: Realization, b: ObjectId, b2: ObjectId) -> int:
-    """Graph distance between the two objects inside the generated region."""
-    if b == b2:
-        return 0
+    """Graph distance between the two objects inside the generated region;
+    ValueError when either is not an object of the realization.  The walk
+    from b reaches b2: the ball is connected from the base, and its edge set
+    is symmetric, as rho is an involution wherever it is defined."""
+    for obj in (b, b2):
+        if obj not in re.bases:
+            raise ValueError(f"{fmt_object(obj)} is not an object of the realization")
     seen = {b: 0}
     queue = deque([b])
-    while queue:
+    while b2 not in seen:
         cur = queue.popleft()
         for i in range(re.rank):
             nxt = re.edges.get((cur, i))
-            if nxt is None or nxt in seen:
-                continue
-            seen[nxt] = seen[cur] + 1
-            if nxt == b2:
-                return seen[nxt]
-            queue.append(nxt)
-    raise BudgetExceeded(f"{fmt_object(b2)} not reachable from {fmt_object(b)} in the generated region")
+            if nxt is not None and nxt not in seen:
+                seen[nxt] = seen[cur] + 1
+                queue.append(nxt)
+    return seen[b2]
 
 
 class AdjacencyEquivalence(Record):

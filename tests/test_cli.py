@@ -299,6 +299,23 @@ class TestPipelines:
         assert err == f"input error: {message}\n"
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("validate", "{}"), "input is neither a matrix, a graph, nor a table"),
+            (("restrict", "b3"), "at least one --root is required"),
+            (
+                ("restrict", "b3", "--root=1,0,0", "--root=0,1,0", "--root=0,0,1"),
+                "at most two --root arguments are supported",
+            ),
+        ],
+        ids=["validate-other-json", "restrict-no-root", "restrict-three-roots"],
+    )
+    def test_command_argument_errors_are_input_errors(self, capsys, tmp_path, argv, message):
+        path = _write(tmp_path, {"rank": 2})
+        code, out, err = run(capsys, *(path if a == "{}" else a for a in argv))
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
+
 
 class TestF4Demo:
     def test_labels_line_up(self, capsys):

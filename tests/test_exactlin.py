@@ -17,7 +17,9 @@ from weylgpd.exactlin import (
     dual_basis,
     int_adjugate,
     int_det,
+    integer_kernel_basis,
     nullspace,
+    nullspace_and_pivots,
     primitive_normalize,
     primitive_ray,
     rank,
@@ -56,6 +58,23 @@ class TestSolveCoordinates:
     def test_dependent_basis_raises(self):
         with pytest.raises(SingularBasis):
             solve_coordinates((vec((1, 0)), vec((2, 0))), vec((1, 1)))
+
+
+class TestDegenerateArguments:
+    def test_rank_of_no_vectors_is_zero(self):
+        assert rank([]) == 0
+
+    def test_solve_coordinates_needs_one_basis_covector_per_coordinate(self):
+        with pytest.raises(SingularBasis, match=r"^need 2 basis covectors, got 1$"):
+            solve_coordinates([vec((1, 0))], vec((1, 2)))
+
+    def test_nullspace_of_no_rows_is_refused(self):
+        with pytest.raises(ValueError, match=r"^nullspace needs the ambient dimension; pass at least one row$"):
+            nullspace_and_pivots([])
+
+    def test_kernel_basis_of_zero_is_refused(self):
+        with pytest.raises(ZeroCovector, match=r"^kernel basis of the zero covector is the whole lattice$"):
+            integer_kernel_basis((0, 0))
 
 
 class TestDualBasis:

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from weylgpd import jsonio
 from weylgpd.arrangement import Affine, Truncated, chamber_bfs, default_seed_chamber
 from weylgpd.builtins import affine_a1_table, builtin_graph, builtin_table
 from weylgpd.cartan import generate_real_roots
+from weylgpd.errors import ParseError
 from weylgpd.exactlin import vneg, vdot
 from weylgpd.realization import realize
 
@@ -26,6 +29,10 @@ class TestTableJson:
         assert data["cone"] == {"affine": ["1", "1"]}
         back = jsonio.table_from_json(data)
         assert back.roots == table.roots and back.cone == table.cone
+
+    def test_unknown_cone_is_refused(self):
+        with pytest.raises(ParseError, match=r"^unknown cone spec 'conical'$"):
+            jsonio.table_from_json({"rank": 1, "cone": "conical", "roots": [["1"], ["-1"]]})
 
     def test_truncated_cone(self):
         table = jsonio.table_from_json(
@@ -48,6 +55,12 @@ class TestGraphJson:
         data = jsonio.graph_to_json(builtin_graph("aff-a1"), depth=4)
         assert data.get("truncated") is True
         assert all(obj["cartan"] == [[2, -2], [-2, 2]] for obj in data["objects"])
+
+    def test_lazy_graph_is_written_to_depth_8_by_default(self):
+        graph = builtin_graph("aff-a1")
+        data = jsonio.graph_to_json(graph)
+        assert data == jsonio.graph_to_json(graph, depth=8) != jsonio.graph_to_json(graph, depth=7)
+        assert len(data["objects"]) == 17
 
     def test_lazy_finite_not_flagged(self):
         data = jsonio.graph_to_json(builtin_graph("a2"), depth=8)

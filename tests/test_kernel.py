@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import pathlib
 import random
@@ -44,11 +45,13 @@ from weylgpd.arrangement import (
     adjacent_chamber,
     cartan_matrix_at,
     chamber_bfs,
+    chamber_from_point,
     chamber_is_true,
     check_additive,
     check_crystallographic,
     coords_in_chamber,
     default_seed_chamber,
+    distance_and_gallery,
     extract_cartan_graph,
     wall_is_crossable,
 )
@@ -68,6 +71,7 @@ from weylgpd.errors import (
     NotCrystallographicAt,
     NotSimplicial,
     NotSimplyConnected,
+    SingularBasis,
     WeylgpdError,
 )
 from weylgpd.exactlin import dual_basis, primitive_ray, vdot, vec
@@ -218,11 +222,10 @@ def test_chambers_without_their_tables_integer_data_agree(name):
 
 def test_chamber_basis_outside_the_table_is_rejected():
     """Every call that reads a chamber in a table whose roots do not hold
-    its basis raises InvalidTable.  On aff-a1 the cone test
-    (`chamber_is_true`, `wall_is_crossable`) reads the chamber's frame in
-    the table, so it raises too, also before a crossing of a wall that
-    does not meet the cone (which raised WallOnBoundary while the cone test
-    read the chamber's own rays)."""
+    its basis raises InvalidTable, as each holds the chamber first: the
+    cone test (`chamber_is_true`, `wall_is_crossable`) too, on b3 where it
+    reads nothing of the chamber, and on aff-a1 also before a crossing of
+    a wall that does not meet the cone."""
     for name in ("b3", "aff-a1"):
         table = builtin_table(name)
         affine = isinstance(table.cone, Affine)
@@ -238,9 +241,10 @@ def test_chamber_basis_outside_the_table_is_rejected():
                 (coords_in_chamber, (table, chamber, table.roots[0])),
                 (cartan_matrix_at, (table, chamber)),
                 *((adjacent_chamber, (table, chamber, i)) for i in walls),
+                (chamber_is_true, (table, chamber)),
+                *((wall_is_crossable, (table, chamber, i)) for i in walls),
             ]
             if affine:
-                calls += [(chamber_is_true, (table, chamber)), *((wall_is_crossable, (table, chamber, i)) for i in walls)]
                 boundary += not all(wall_is_crossable(scaled, chamber, i) for i in walls)
             for fn, args in calls:
                 with pytest.raises(InvalidTable, match="is not a root of the table"):
@@ -693,8 +697,9 @@ def test_cartan_matrix_at_reads_each_walls_coefficients_once(name):
 @pytest.mark.parametrize("check", [check_crystallographic, check_additive, extract_cartan_graph])
 def test_passing_f4_analyses_build_rows_of_num_for_the_seed_only(check):
     """A passing analysis of F4 reads its one object, not its frames: only
-    the seed holds a frame, verified in full, with its rows built.  The
-    checks count their chambers from the object and survey none; extraction
+    the seed holds a frame, and no rows of num are built, not even the
+    seed's, as a seed the kernel built is not checked again.  The checks
+    count their chambers from the object and survey none; extraction
     surveys from the seed."""
     seeds, atlases = [], []
     seed_chamber, survey = arrangement.default_seed_chamber, arrangement._survey
@@ -713,7 +718,7 @@ def test_passing_f4_analyses_build_rows_of_num_for_the_seed_only(check):
         result = check(f4_table())
     assert getattr(result, "passed", True)
     (seed,) = seeds
-    assert "num" in vars(seed.frame)
+    assert "num" not in vars(seed.frame)
     if check is extract_cartan_graph:
         (atlas,) = atlases
         assert len(atlas.order) == 1152
@@ -817,13 +822,12 @@ def test_carried_frames_keep_a_false_integral_flag():
 def test_chambers_built_on_read_equal_eager_chambers(name):
     """A chamber the survey found, whose rays and witness are built on first
     read, equals and hashes like Chamber(basis, rays, witness) built from the
-    same values, with or without its frame; chambers are immutable."""
+    same values; chambers are immutable."""
     table, atlas, _ = surveyed(name)
     for chamber in atlas.chambers:
         eager = Chamber(chamber.basis, chamber.rays, chamber.witness)
-        framed = Chamber(chamber.basis, chamber.rays, chamber.witness, chamber.frame)
-        assert chamber == eager == framed and eager == chamber
-        assert hash(chamber) == hash(eager) == hash(framed)
+        assert chamber == eager and eager == chamber
+        assert hash(chamber) == hash(eager)
         assert chamber.key == eager.key
     seed, other = atlas.chambers[:2]
     assert seed != other and Chamber(seed.basis, seed.rays, other.witness) != seed
@@ -839,9 +843,8 @@ def test_realization_chambers_seed_a_survey(name):
     """realization.chamber_of is the chamber realize built in its table,
     with the frame and rays that elimination gives for its basis.  A survey
     from it holds it as its seed, and gives the atlas that the same values
-    handed in as a chamber with its frame, or without one, give; it visits
-    and certifies the chambers a survey from the default seed visits and
-    certifies."""
+    handed in as a chamber give; it visits and certifies the chambers a
+    survey from the default seed visits and certifies."""
     re = realize(builtin_graph(name), depth=6)
     seed = re.chamber_of(re.base)
     index = tuple(re.table.index[b] for b in seed.basis)
@@ -850,13 +853,12 @@ def test_realization_chambers_seed_a_survey(name):
     assert seed.rays == tuple(dual_basis(re.bases[re.base]))
     atlas = chamber_bfs(re.table, seed, 10_000)
     assert atlas.chambers[0] is seed
-    for frame in (_frame_at(re.table, index), None):
-        handed = Chamber(seed.basis, seed.rays, seed.witness, frame)
-        same = chamber_bfs(re.table, handed, 10_000)
-        assert same.chambers[0] == handed == seed
-        for field in ("order", "id_of", "edges", "true_chambers", "certified", "checked", "objects", "transitions"):
-            assert getattr(atlas, field) == getattr(same, field)
-        assert atlas.chambers == same.chambers
+    handed = Chamber(seed.basis, seed.rays, seed.witness)
+    same = chamber_bfs(re.table, handed, 10_000)
+    assert same.chambers[0] == handed == seed
+    for field in ("order", "id_of", "edges", "true_chambers", "certified", "checked", "objects", "transitions"):
+        assert getattr(atlas, field) == getattr(same, field)
+    assert atlas.chambers == same.chambers
     expected = chamber_bfs(re.table, default_seed_chamber(re.table), 10_000)
     assert set(atlas.order) == set(expected.order)
     assert {atlas.order[n] for n in atlas.certified} == {expected.order[n] for n in expected.certified}
@@ -993,14 +995,142 @@ def test_new_column_check_agrees_with_full_verification(name):
 
 
 def test_chamber_bfs_rejects_a_seed_that_is_not_a_chamber():
-    """The seed frame is verified in full before the first crossing: the
-    root a_2 = (a_1 + a_2) - a_1 separates the cone on a_1, a_1 + a_2, a_3."""
+    """A hand-built seed is checked in full when it is held, before the
+    first crossing: the root a_2 = (a_1 + a_2) - a_1 separates the cone on
+    a_1, a_1 + a_2, a_3."""
     table = builtin_table("b3")
     basis = tuple(vec(b) for b in [(1, 0, 0), (1, 1, 0), (0, 0, 1)])
     rays = dual_basis(basis)
     seed = Chamber(basis, rays, tuple(sum(c) for c in zip(*rays)))
     with pytest.raises(NotSimplicial, match=f"separates the claimed chamber {re.escape(fmt_covector(seed.key))}"):
         chamber_bfs(table, seed, 10_000)
+
+
+def hand_built(basis) -> Chamber:
+    """The chamber a caller builds on an ordered basis: the dual basis as
+    rays and their sum as witness."""
+    rays = tuple(dual_basis(basis))
+    return Chamber(tuple(basis), rays, tuple(map(sum, zip(*rays))))
+
+
+def separation_text(table: RootSystemTable, basis) -> str | None:
+    """The NotSimplicial text for a basis that is not a chamber's, read off
+    Fraction coordinates: the first root, in table order, with coordinates
+    of both signs; None for a chamber's basis."""
+    rays = dual_basis(basis)
+    for root in table.roots:
+        coords = tuple(vdot(root, ray) for ray in rays)
+        if min(coords) < 0 < max(coords):
+            key = fmt_covector(canonical_basis_key(basis))
+            return f"root {fmt_covector(root)} separates the claimed chamber {key}: coords {fmt_covector(coords)}"
+    return None
+
+
+def ordered_bases(table: RootSystemTable) -> list:
+    """Every ordered basis of independent roots of the table."""
+    return [b for b in itertools.permutations(table.roots, table.rank) if exactlin.rank(b) == table.rank]
+
+
+@pytest.mark.parametrize("name,chambers,others", [("a2", 12, 12), ("b2", 16, 32), ("g2", 24, 96)])
+def test_hand_built_rank2_chambers_are_checked_when_held(name, chambers, others):
+    """A chamber built by hand on an ordered pair of independent roots gets
+    the survey's answers, in its own indexing, when the pair is a chamber's
+    basis; when it is not, cartan_matrix_at and adjacent_chamber refuse it
+    with NotSimplicial.  While only the neighbors were checked,
+    cartan_matrix_at answered 12, 24 and 48 of those without a word, and
+    adjacent_chamber every wall of each."""
+    table = builtin_table(name)
+    atlas = chamber_bfs(table, default_seed_chamber(table), 10_000)
+    counts = {"chambers": 0, "others": 0}
+    for basis in ordered_bases(table):
+        hand = hand_built(basis)
+        text = separation_text(table, basis)
+        if text is not None:
+            counts["others"] += 1
+            assert outcome(cartan_matrix_at, table, hand) == (NotSimplicial, text)
+            for i in range(2):
+                assert outcome(adjacent_chamber, table, hand, i) == (NotSimplicial, text)
+            continue
+        counts["chambers"] += 1
+        n = atlas.id_of[canonical_basis_key(basis)]
+        found = atlas.chambers[n]
+        perm = [found.basis.index(b) for b in basis]  # wall i of `hand` is wall perm[i] of `found`
+        data, expected = cartan_matrix_at(table, hand), cartan_matrix_at(table, found)
+        assert data.chamber is hand
+        for i, p in enumerate(perm):
+            assert data.matrix.rows[i] == tuple(expected.matrix.rows[p][q] for q in perm)
+            assert data.coefficients[i] == tuple(expected.coefficients[p][q] for q in perm)
+            neighbor, across = adjacent_chamber(table, hand, i), expected.neighbors[p]
+            assert neighbor == data.neighbors[i]
+            assert neighbor.basis == tuple(across.basis[q] for q in perm)
+            assert neighbor.rays == tuple(across.rays[q] for q in perm)
+            assert neighbor.witness == across.witness
+            assert atlas.id_of[neighbor.key] == atlas.edges[n * 2 + p]
+    assert counts == {"chambers": chambers, "others": others}
+
+
+@pytest.mark.parametrize("name", ["a3", "b3"])
+def test_hand_built_rank3_bases_that_are_not_chambers_are_refused(name):
+    """Every ordered basis of independent roots that is not a chamber's is
+    refused by cartan_matrix_at and adjacent_chamber with its text (the
+    latter answered 720 (basis, wall) pairs of a3 and 2,304 of b3 while
+    only the neighbors were checked); the others are the survey's
+    chambers, six orderings each."""
+    table = builtin_table(name)
+    atlas = chamber_bfs(table, default_seed_chamber(table), 10_000)
+    chambers = 0
+    for basis in ordered_bases(table):
+        text = separation_text(table, basis)
+        if text is None:
+            chambers += 1
+            assert canonical_basis_key(basis) in atlas.id_of
+            continue
+        hand = hand_built(basis)
+        assert outcome(cartan_matrix_at, table, hand) == (NotSimplicial, text)
+        for i in range(3):
+            assert outcome(adjacent_chamber, table, hand, i) == (NotSimplicial, text)
+    assert chambers == 6 * len(atlas.order)
+
+
+def test_distance_and_gallery_refuses_a_start_or_goal_that_is_not_a_chamber():
+    """distance_and_gallery holds its start and its goal: a basis that is
+    not a chamber's, and a surveyed chamber's basis holding another
+    chamber's witness, are refused at either end (they got a count and a
+    gallery of different lengths without a word)."""
+    table = builtin_table("a2")
+    goal = chamber_from_point(table, (-1, -3))
+    start = hand_built(tuple(vec(b) for b in [(-1, 0), (0, 1)]))
+    expected = (NotSimplicial, "root (-1, -1) separates the claimed chamber ((-1, 0), (0, 1)): coords (1, -1)")
+    assert outcome(distance_and_gallery, table, start, goal) == expected
+    assert outcome(distance_and_gallery, table, goal, start) == expected
+    atlas = chamber_bfs(table, default_seed_chamber(table), 10_000)
+    seed, other = atlas.chambers[:2]
+    stolen = Chamber(seed.basis, seed.rays, other.witness)
+    expected = (InvalidTable, "witness (1, -1/2) is not inside the claimed chamber ((0, 1), (1, 0))")
+    assert outcome(distance_and_gallery, table, stolen, goal) == expected
+    assert outcome(distance_and_gallery, table, goal, stolen) == expected
+
+
+def test_a_hand_built_chamber_on_parallel_roots_is_singular():
+    """A hand-built basis of two parallel roots reaches the elimination of
+    its frame when it is held, which finds no inverse."""
+    table = builtin_table("a2")
+    chamber = Chamber((vec((1, 0)), vec((-1, 0))), (), vec((0, 1)))
+    assert outcome(coords_in_chamber, table, chamber, table.roots[0]) == (SingularBasis, "matrix is singular")
+
+
+def test_a_point_among_lines_that_do_not_span_has_no_chamber():
+    table = RootSystemTable(2, [(1, 0), (-1, 0)])
+    assert outcome(chamber_from_point, table, (1, 1)) == (NotSimplicial, "only 1 lines in rank 2")
+
+
+def test_rank1_neighbor_witness_is_the_negated_witness():
+    """In rank 1 the neighbor across the one wall is the other half-line,
+    and its witness the chamber's witness negated."""
+    table = RootSystemTable(1, [(1,), (-1,)])
+    atlas = chamber_bfs(table, default_seed_chamber(table), 10)
+    assert atlas.order == [((-1,),), ((1,),)]
+    assert [chamber.witness for chamber in atlas.chambers] == [(F(-3, 2),), (F(3, 2),)]
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_GCMS))

@@ -218,9 +218,12 @@ class TestSeparatingSet:
         assert len(separating_set(re, re.base, opposite)) == 3
 
     def test_object_outside_the_generated_region(self):
+        """An object the realization does not hold is a bad argument, at
+        either end and also when both ends are it."""
         re = realize(builtin_graph("a2"), depth=8)
-        with pytest.raises(BudgetExceeded, match=r"^x not reachable from \(\(0, 1\), \(1, 0\)\) in the generated region$"):
-            gallery_distance(re, re.base, "x")
+        for args in ((re.base, "x"), ("x", re.base), ("x", "x")):
+            with pytest.raises(ValueError, match=r"^x is not an object of the realization$"):
+                gallery_distance(re, *args)
 
     def test_distance_equals_separation_everywhere(self):
         for name, depth in (("a2", 16), ("b2", 16), ("g2", 16), ("a3", 16), ("aff-a1", 8)):

@@ -6,12 +6,14 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from weylgpd.arrangement import RootSystemTable, Spherical, default_seed_chamber
 from weylgpd.builtins import BUILTIN_GCMS, TABLE_NAMES, builtin_graph, builtin_table, f4_table
+from weylgpd.errors import ParseError
 from weylgpd.exactlin import primitive_ray
 from weylgpd.jsonio import table_from_json
 from weylgpd.realization import realize
@@ -68,6 +70,29 @@ def test_realized_tables(name):
     assert len(inputs) == 6
     assert all(type(c) is int for _, roots, _ in inputs for r in roots for c in r)
     assert_same_inputs(inputs)
+
+
+LONGEST_WORDS = {"a2": 3, "b2": 4, "g2": 6, "a3": 6, "b3": 9}
+
+
+@pytest.mark.parametrize("name", sorted(LONGEST_WORDS))
+def test_realized_builtin_tables_are_complete_at_depth_32(name):
+    """builtin_table realizes these five at depth 32, which their longest
+    words, the radii of their balls, stay below: the realization is complete."""
+    graph = builtin_graph(name)
+    dist, _, closed = graph.ball(graph.base, 32)
+    assert closed and max(dist.values()) == LONGEST_WORDS[name]
+    re = realize(graph, depth=32)
+    assert re.complete and re.table == builtin_table(name)
+
+
+def test_unknown_builtin_names_are_refused():
+    message = f"unknown builtin graph 'e9'; choose from {sorted(BUILTIN_GCMS)}"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        builtin_graph("e9")
+    message = f"unknown builtin table 'e9'; choose from {TABLE_NAMES}"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        builtin_table("e9")
 
 
 def test_f4_from_json_strings():
