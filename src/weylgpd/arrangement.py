@@ -374,21 +374,26 @@ def _held(table: RootSystemTable, chamber: Chamber) -> Chamber:
     check of a chamber from outside: its basis must be independent roots of
     the table (InvalidTable, SingularBasis), every root sign-coherent on it
     (NotSimplicial), and a witness it holds strictly inside it
-    (InvalidTable); it keeps that witness, or the crossing that builds one."""
+    (InvalidTable); it keeps that witness, or the crossing that builds one,
+    and a chamber with neither gets the interior point of its rays."""
     if vars(chamber).get("_table") is table:
         return chamber
+    if len(chamber.basis) != table.rank:
+        raise InvalidTable(f"chamber basis of length {len(chamber.basis)} for a table of rank {table.rank}")
     index = tuple(map(table.index.get, chamber.basis))
     if None in index:
         raise InvalidTable(f"basis element {fmt_covector(chamber.basis[index.index(None)])} is not a root of the table")
     frame = _frame_at(table, index)
     _verify_chamber_basis(frame)
-    witness = vars(chamber).get("witness")
+    witness, crossing = vars(chamber).get("witness"), vars(chamber).get("_crossing")
     if witness is not None:
         xs, _ = clear_denominators(witness)
         if len(xs) != table.rank or any(_dot(table.int_roots[k], xs) <= 0 for k in index):
             key = fmt_covector(_key_at(table, index))
             raise InvalidTable(f"witness {fmt_covector(witness)} is not inside the claimed chamber {key}")
-    return _chamber(table, index, frame, witness, vars(chamber).get("_crossing"))
+    elif crossing is None:
+        witness = interior_point(_frame_rays(frame))
+    return _chamber(table, index, frame, witness, crossing)
 
 
 def _chamber(table: RootSystemTable, index: tuple, frame=None, witness=None, crossing=None) -> Chamber:
@@ -1441,10 +1446,6 @@ def check_k_spherical(table: RootSystemTable, k: int, budget: int = 10_000) -> C
 class EquivalenceReport(Record):
     equivalent: bool
     reason: str | None
-
-    @property
-    def status(self) -> str:
-        return "pass" if self.equivalent else "fail"
 
 
 def verify_combinatorial_equivalence(

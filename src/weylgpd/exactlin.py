@@ -233,7 +233,8 @@ def int_primitive(ints: IntVec) -> IntVec:
 
 
 def integer_kernel_basis(alpha: Sequence[int]) -> list[tuple]:
-    """Unimodular basis of {x in Z^n : alpha . x = 0} for a primitive integer alpha.
+    """Unimodular basis of {x in Z^n : alpha . x = 0} for a primitive integer
+    alpha, as int tuples.
 
     Built by column operations bringing alpha to (g, 0, ..., 0); deterministic.
     """
@@ -270,7 +271,7 @@ def integer_kernel_basis(alpha: Sequence[int]) -> list[tuple]:
         g = gg
     if g == 0:
         raise ZeroCovector("kernel basis of the zero covector is the whole lattice")
-    return [tuple(Rat(u[i][j]) for i in range(n)) for j in range(1, n)]
+    return [tuple(u[i][j] for i in range(n)) for j in range(1, n)]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

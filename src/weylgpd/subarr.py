@@ -24,6 +24,7 @@ from .arrangement import (
     Truncated,
     _crossing_coefficients,
     _crystallographic_report,
+    _dot,
     _survey,
     cartan_matrix_at,
     chamber_bfs,
@@ -31,7 +32,7 @@ from .arrangement import (
     check_crystallographic,
     default_seed_chamber,
 )
-from .cartan import CartanGraph, GeneralizedCartanMatrix
+from .cartan import CartanGraph, GeneralizedCartanMatrix, _combine
 from .errors import (
     BudgetExceeded,
     InvalidTable,
@@ -41,10 +42,12 @@ from .errors import (
     Unsupported,
 )
 from .exactlin import (
+    clear_denominators,
     combination,
     dual_basis,
     int_primitive,
     integer_kernel_basis,
+    line_key,
     nullspace_and_pivots,
     primitive_normalize,
     vdot,
@@ -90,13 +93,19 @@ class Localization(Record):
 
 
 def localize(table: RootSystemTable, x) -> Localization:
-    """Parabolic subtable at x: roots vanishing at x, with quotient coordinates."""
+    """Parabolic subtable at x: roots vanishing at x, with quotient coordinates.
+    The vanishing roots are read off the integer roots; the pivot columns and
+    the support of their matrix do not depend on the scaling of its rows."""
     x = vec(x)
-    roots = tuple(r for r in table.roots if vdot(r, x) == 0)
-    if not roots:
+    if len(x) != table.rank:
+        raise InvalidTable(f"point {fmt_covector(x)} does not have rank {table.rank}")
+    xs, _ = clear_denominators(x)
+    vanishing = [k for k, r in enumerate(table.int_roots) if _dot(r, xs) == 0]
+    if not vanishing:
         return Localization(x, (), (), 0, (), None)
+    roots = tuple(map(table.roots.__getitem__, vanishing))
     # Pivot columns of the root matrix give a complement of the support.
-    support, pivots = nullspace_and_pivots(roots)
+    support, pivots = nullspace_and_pivots([table.int_roots[k] for k in vanishing])
     q = len(pivots)
     intrinsic_roots = [tuple(r[c] for c in pivots) for r in roots]
     intrinsic = RootSystemTable(q, intrinsic_roots, cone=Spherical())
@@ -113,21 +122,20 @@ class LocalizationWitness(Record):
         return f"{fmt_covector(self.root)} = {terms}"
 
 
-def _localization_witnesses(basis: tuple, through: tuple, coordinates) -> list:
+def _localization_witnesses(basis: tuple, through: tuple, coordinates, den) -> list:
     """The witness rule of both localization checks.  `coordinates` holds
-    (root, coords) pairs, coords the root's coordinates in the chamber basis
-    `basis`, and `through` the positions of the walls through the point.  A
-    nonzero coordinate off those walls gives a witness with empty
+    (root, nums) pairs, nums / den the root's coordinates in the chamber
+    basis `basis`, and `through` the positions of the walls through the
+    point.  A nonzero coordinate off those walls gives a witness with empty
     coordinates; else a wall coordinate that is not an integer gives one
     with the wall coordinates."""
     walls = tuple(basis[j] for j in through)
     witnesses = []
-    for root, coords in coordinates:
-        wall_coords = tuple(coords[j] for j in through)
-        if any(c for j, c in enumerate(coords) if j not in through):
+    for root, nums in coordinates:
+        if any(n for j, n in enumerate(nums) if j not in through):
             witnesses.append(LocalizationWitness(root, walls, ()))
-        elif any(c.denominator != 1 for c in wall_coords):
-            witnesses.append(LocalizationWitness(root, walls, wall_coords))
+        elif any(nums[j] % den for j in through):
+            witnesses.append(LocalizationWitness(root, walls, tuple(Rat(nums[j], den) for j in through)))
     return witnesses
 
 
@@ -150,7 +158,7 @@ def check_localization_crystallographic(loc: Localization, chamber: Chamber) -> 
     if any(v < 0 for v in values):
         raise InvalidTable("the chamber's closure does not contain the localization point")
     coordinates = ((root, [vdot(root, ray) for ray in chamber.rays]) for root in loc.roots)
-    witnesses = _localization_witnesses(chamber.basis, through, coordinates)
+    witnesses = _localization_witnesses(chamber.basis, through, coordinates, 1)
     return CheckReport("localization-crystallographic", not witnesses, tuple(witnesses), 1, 1, 0, False)
 
 
@@ -184,10 +192,10 @@ def local_to_global_check(table: RootSystemTable, budget: int = 10_000) -> dict:
             if p in seen_points:
                 continue
             seen_points.add(p)
-            localized = [(table.roots[r], [Rat(c, det) for c in row]) for r, row in enumerate(frame.num) if row[k] == 0]
+            localized = [(table.roots[r], row) for r, row in enumerate(frame.num) if row[k] == 0]
             points_checked += bool(localized)
             through = tuple(j for j in range(table.rank) if j != k)
-            local_witnesses += _localization_witnesses(chamber.basis, through, localized)
+            local_witnesses += _localization_witnesses(chamber.basis, through, localized, det)
     global_report = _crystallographic_report(table, atlas, max_witnesses=64)
     return {
         "rank": table.rank,
@@ -207,7 +215,7 @@ def local_to_global_check(table: RootSystemTable, budget: int = 10_000) -> dict:
 class Restriction(Record):
     source: RootSystemTable
     alpha0: Covector
-    lattice_basis: tuple  # unimodular basis of H's integer lattice (ambient vectors)
+    lattice_basis: tuple  # unimodular basis of H's integer lattice (ambient int vectors)
     table: RootSystemTable  # intrinsic coordinates; generally non-reduced
     reduced_table: RootSystemTable
     dropped: tuple  # intrinsic covectors removed by the cone filter
@@ -244,60 +252,48 @@ def restrict(table: RootSystemTable, alpha0) -> Restriction:
 
     Roots are restricted to H = ker(alpha0); the roots on alpha0's line, the
     only ones with the zero form as image, are skipped, and for affine tables
-    so are forms whose hyperplane-within-H misses the cone.
+    so are forms whose hyperplane-within-H misses the cone.  A root's image
+    on the integer lattice basis b of H is int_root . b over the table's
+    scale.
     """
     alpha0 = vec(alpha0)
-    if not table.contains(alpha0):
+    position = table.index.get(alpha0)
+    if position is None:
         raise RootNotInSystem(f"{fmt_covector(alpha0)} is not in the table")
-    key = primitive_normalize(alpha0)
+    key = line_key(table.primitive[position])
     lattice = tuple(integer_kernel_basis(key))
-    intrinsic_gamma = None
-    if isinstance(table.cone, Affine):
-        intrinsic_gamma = tuple(vdot(table.cone.gamma, b) for b in lattice)
-        if all(c == 0 for c in intrinsic_gamma):
+    images = dict.fromkeys(
+        tuple(_dot(r, b) for b in lattice) for r, p in zip(table.int_roots, table.primitive) if line_key(p) != key
+    )
+    cone, off_cone = table.cone, set()
+    if isinstance(cone, Affine):
+        gamma = tuple(vdot(cone.gamma, b) for b in lattice)
+        if not any(gamma):
             raise Unsupported("the cone functional vanishes on the hyperplane")
-    images = (tuple(vdot(root, b) for b in lattice) for root in table.roots if primitive_normalize(root) != key)
-    projected = dict.fromkeys(images)
-    kept = []
-    dropped = []
-    # ker(image) meets gamma > 0 unless gamma vanishes on it, i.e. is parallel to image.
-    gamma_line = primitive_normalize(intrinsic_gamma) if intrinsic_gamma is not None else None
-    for image in projected:
-        if primitive_normalize(image) == gamma_line:
-            dropped.append(image)
-        else:
-            kept.append(image)
-    if isinstance(table.cone, Spherical):
-        cone = Spherical()
-    elif isinstance(table.cone, Affine):
-        cone = Affine(intrinsic_gamma)
-    else:
-        cone = Truncated(table.cone.depth)
+        # ker(image) meets gamma > 0 unless gamma vanishes on it, i.e. is parallel to image.
+        cone, gamma_line = Affine(gamma), primitive_normalize(gamma)
+        off_cone = {image for image in images if primitive_normalize(image) == gamma_line}
+    kept = [tuple(Rat(c, table.scale) for c in image) for image in images if image not in off_cone]
+    dropped = tuple(tuple(Rat(c, table.scale) for c in image) for image in sorted(off_cone))
     sub = RootSystemTable(len(lattice), kept, cone=cone)
-    return Restriction(table, alpha0, lattice, sub, reduce(sub), tuple(sorted(dropped)))
+    return Restriction(table, alpha0, lattice, sub, reduce(sub), dropped)
 
 
 def reduce(table: RootSystemTable) -> RootSystemTable:
     """Keep per line the +/- pair of the minimal element (the common divisor);
-    NotReducible when an element of a line is not an integral multiple of it."""
+    NotReducible when an element of a line is not an integral multiple of it.
+
+    An element's integer root is c * key, c read at the key's first nonzero
+    coordinate."""
     kept = []
     for key, elems in sorted(table.lines.items()):
-        lambdas = [_multiple(e, key) for e in elems]
-        positive = sorted(lam for lam in lambdas if lam > 0)
-        lam_min = positive[0]
-        for lam in lambdas:
-            ratio = lam / lam_min
-            if ratio.denominator != 1:
-                raise NotReducible(key, elems)
-        kept.append(vscale(lam_min, key))
-        kept.append(vscale(-lam_min, key))
+        j = next(j for j, c in enumerate(key) if c)
+        cs = [table.int_roots[table.index[e]][j] // key[j] for e in elems]
+        c_min = min(c for c in cs if c > 0)
+        if any(c % c_min for c in cs):
+            raise NotReducible(key, elems)
+        kept += (tuple(Rat(sign * c_min * k, table.scale) for k in key) for sign in (1, -1))
     return RootSystemTable(table.rank, kept, cone=table.cone, seed_hint=table.seed_hint)
-
-
-def _multiple(e: Covector, base: Covector):
-    """The c with e = c * base, for e on the line of base."""
-    k = next(k for k, b in enumerate(base) if b != 0)
-    return e[k] / base[k]
 
 
 def double_restriction(table: RootSystemTable, root_a, root_b) -> Restriction:
@@ -308,7 +304,7 @@ def double_restriction(table: RootSystemTable, root_a, root_b) -> Restriction:
     if not first.table.contains(image_b):
         raise RootNotInSystem(f"{fmt_covector(vec(root_b))} does not survive the first restriction")
     second = restrict(first.table, image_b)
-    composed = tuple(combination(inner, first.lattice_basis) for inner in second.lattice_basis)
+    composed = tuple(_combine(inner, first.lattice_basis) for inner in second.lattice_basis)
     return Restriction(
         source=table,
         alpha0=vec(root_a),
@@ -350,21 +346,20 @@ def chamber_with_wall(table: RootSystemTable, alpha0) -> Chamber:
     alpha0 = vec(alpha0)
     key = primitive_normalize(alpha0)
     lattice = integer_kernel_basis(key)
-    q = len(lattice)
     # A direction with alpha0 = 1 on it, along a coordinate axis.
     first = next(j for j, a in enumerate(alpha0) if a != 0)
     direction = tuple(ONE / a if j == first else ZERO for j, a in enumerate(alpha0))
     # A generic point of H, then a small push to the positive side of alpha0.
     for m in (2, 3, 5, 7, 11, 13, 17):
-        z = combination([Rat(m) ** t for t in range(q)], lattice)
-        if any(vdot(r, z) == 0 and primitive_normalize(r) != key for r in table.roots):
+        z = _combine([m**t for t in range(len(lattice))], lattice)
+        if any(_dot(r, z) == 0 and line_key(p) != key for r, p in zip(table.int_roots, table.primitive)):
             continue
         if isinstance(table.cone, Affine) and vdot(table.cone.gamma, z) <= 0:
             z = vneg(z)
             if vdot(table.cone.gamma, z) <= 0:
                 continue
         chamber = _push_chamber(table, z, direction, table.roots)
-        if any(primitive_normalize(b) == key for b in chamber.basis):
+        if key in map(line_key, chamber.key):
             return chamber
     raise InvalidTable(f"no chamber with wall {fmt_covector(alpha0)} found")
 
@@ -500,10 +495,6 @@ class CorrespondenceReport(Record):
     objects_compared: int
     index_map: tuple
     mismatches: tuple
-
-    @property
-    def status(self) -> str:
-        return "pass" if self.equivalent else "fail"
 
 
 def residue_correspondence_check(table: RootSystemTable, x, budget: int = 10_000) -> CorrespondenceReport:

@@ -19,8 +19,11 @@ and scanning every edge), `reference_keyed_extraction` with
 `reference_explicit_graph` (extraction on chamber keys through the explicit
 graph constructor, read from `keyed_atlas`, the atlas by key) and
 `reflection_matrix` with `int_mat_mul` (the simple reflection as a full
-matrix, and matrix products) and `solve_in_span` (the span solver of
-`exactlin`, by its fraction-free elimination).
+matrix, and matrix products), `solve_in_span` (the span solver of
+`exactlin`, by its fraction-free elimination) and `reference_restrict`,
+`reference_double_restriction`, `reference_reduce` and `reference_localize`
+(restriction, reduction and localization read in Fractions, line keys by
+`primitive_normalize` of every root).
 `reference_record` builds the dataclass that a record class stands in for.
 """
 
@@ -221,6 +224,93 @@ def solve_in_span(spanning, target):
     for i, p in enumerate(pivots):
         coeffs[p] = F(reduced[i][m], den)
     return tuple(coeffs)
+
+
+def reference_restrict(table, alpha0):
+    """`subarr.restrict` by Fraction dot products: each root's image on the
+    lattice basis of ker(alpha0), for every root whose `primitive_normalize`
+    is not alpha0's, reduced by `reference_reduce`."""
+    from weylgpd._rational import fmt_covector
+    from weylgpd.arrangement import Affine, RootSystemTable, Spherical, Truncated
+    from weylgpd.errors import RootNotInSystem, Unsupported
+    from weylgpd.exactlin import integer_kernel_basis, primitive_normalize, vdot, vec
+    from weylgpd.subarr import Restriction
+
+    alpha0 = vec(alpha0)
+    if not table.contains(alpha0):
+        raise RootNotInSystem(f"{fmt_covector(alpha0)} is not in the table")
+    key = primitive_normalize(alpha0)
+    lattice = tuple(tuple(F(c) for c in b) for b in integer_kernel_basis(key))
+    intrinsic_gamma = None
+    if isinstance(table.cone, Affine):
+        intrinsic_gamma = tuple(vdot(table.cone.gamma, b) for b in lattice)
+        if all(c == 0 for c in intrinsic_gamma):
+            raise Unsupported("the cone functional vanishes on the hyperplane")
+    images = (tuple(vdot(root, b) for b in lattice) for root in table.roots if primitive_normalize(root) != key)
+    gamma_line = primitive_normalize(intrinsic_gamma) if intrinsic_gamma is not None else None
+    kept, dropped = [], []
+    for image in dict.fromkeys(images):
+        (dropped if primitive_normalize(image) == gamma_line else kept).append(image)
+    if isinstance(table.cone, Spherical):
+        cone = Spherical()
+    elif isinstance(table.cone, Affine):
+        cone = Affine(intrinsic_gamma)
+    else:
+        cone = Truncated(table.cone.depth)
+    sub = RootSystemTable(len(lattice), kept, cone=cone)
+    return Restriction(table, alpha0, lattice, sub, reference_reduce(sub), tuple(sorted(dropped)))
+
+
+def reference_double_restriction(table, root_a, root_b):
+    """`subarr.double_restriction` on `reference_restrict`, the lattice maps
+    composed in Fractions."""
+    from weylgpd._rational import fmt_covector
+    from weylgpd.errors import RootNotInSystem
+    from weylgpd.exactlin import combination, vec
+    from weylgpd.subarr import Restriction
+
+    first = reference_restrict(table, root_a)
+    image_b = first.intrinsic_of(root_b)
+    if not first.table.contains(image_b):
+        raise RootNotInSystem(f"{fmt_covector(vec(root_b))} does not survive the first restriction")
+    second = reference_restrict(first.table, image_b)
+    composed = tuple(combination(inner, first.lattice_basis) for inner in second.lattice_basis)
+    return Restriction(table, vec(root_a), composed, second.table, second.reduced_table, second.dropped)
+
+
+def reference_reduce(table):
+    """`subarr.reduce` by Fraction multiples: each element of a line over
+    the line key, at the key's first nonzero coordinate; NotReducible on the
+    first line, by key, with a multiple that is no integral multiple of the
+    least positive one."""
+    from weylgpd.arrangement import RootSystemTable
+    from weylgpd.errors import NotReducible
+
+    kept = []
+    for key, elems in sorted(table.lines.items()):
+        j = next(j for j, b in enumerate(key) if b != 0)
+        lambdas = [F(e[j]) / key[j] for e in elems]
+        lam_min = min(lam for lam in lambdas if lam > 0)
+        if any((lam / lam_min).denominator != 1 for lam in lambdas):
+            raise NotReducible(key, elems)
+        kept += [tuple(lam_min * k for k in key), tuple(-lam_min * k for k in key)]
+    return RootSystemTable(table.rank, kept, cone=table.cone, seed_hint=table.seed_hint)
+
+
+def reference_localize(table, x):
+    """`subarr.localize` by Fraction dot products: the roots vanishing at x
+    and `nullspace_and_pivots` of their Fraction rows."""
+    from weylgpd.arrangement import RootSystemTable, Spherical
+    from weylgpd.exactlin import nullspace_and_pivots, vdot, vec
+    from weylgpd.subarr import Localization
+
+    x = vec(x)
+    roots = tuple(r for r in table.roots if vdot(r, x) == 0)
+    if not roots:
+        return Localization(x, (), (), 0, (), None)
+    support, pivots = nullspace_and_pivots(roots)
+    intrinsic = RootSystemTable(len(pivots), [tuple(r[c] for c in pivots) for r in roots], cone=Spherical())
+    return Localization(x, roots, tuple(support), len(pivots), tuple(pivots), intrinsic)
 
 
 def int_mat_mul(a, b):

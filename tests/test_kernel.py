@@ -53,6 +53,8 @@ from weylgpd.arrangement import (
     default_seed_chamber,
     distance_and_gallery,
     extract_cartan_graph,
+    interior_point,
+    separating_keys,
     wall_is_crossable,
 )
 from weylgpd.builtins import (
@@ -1117,6 +1119,29 @@ def test_a_hand_built_chamber_on_parallel_roots_is_singular():
     table = builtin_table("a2")
     chamber = Chamber((vec((1, 0)), vec((-1, 0))), (), vec((0, 1)))
     assert outcome(coords_in_chamber, table, chamber, table.roots[0]) == (SingularBasis, "matrix is singular")
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_a_hand_built_basis_whose_length_is_not_the_rank_is_refused(size):
+    """Refused when held, before its frame is eliminated: one root of A2
+    gave `matrix is singular`, three a bare StopIteration."""
+    table = builtin_table("a2")
+    seed = default_seed_chamber(table)
+    chamber = Chamber((seed.basis * 2)[:size], seed.rays, seed.witness)
+    expected = (InvalidTable, f"chamber basis of length {size} for a table of rank 2")
+    assert outcome(cartan_matrix_at, table, chamber) == expected
+
+
+def test_a_held_chamber_without_a_witness_gets_the_interior_point_of_its_rays():
+    """As `realize` gives its base chamber (a TypeError before, for want of
+    a witness or a crossing to build one)."""
+    table = builtin_table("a2")
+    seed = default_seed_chamber(table)
+    bare = Chamber(seed.basis, seed.rays, None)
+    assert arrangement._held(table, bare).witness == interior_point(seed.rays)
+    assert separating_keys(table, bare, seed) == set()
+    total, gallery = distance_and_gallery(table, bare, seed)
+    assert (total, len(gallery), gallery.chambers[0].basis) == (0, 0, seed.basis)
 
 
 def test_a_point_among_lines_that_do_not_span_has_no_chamber():

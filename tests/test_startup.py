@@ -102,6 +102,25 @@ def test_validate_of_a_table_loads_the_chamber_geometry(tmp_path):
     assert "weylgpd.arrangement" in loaded_by_cli("validate", str(path))
 
 
+LAYER4_MODULES = ["_rational", "_record", "arrangement", "builtins", "cartan", "errors", "exactlin", "jsonio", "subarr"]
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (("restrict", "f4", "--root", "0,1,-1,0"), []),
+        (("restrict", "f4", "--root", "0,1,-1,0", "--root", "0,0,1,-1"), []),
+        (("localize", "f4", "--point", "1,1,0,0"), []),
+        (("f4-demo",), ["realization"]),
+    ],
+)
+def test_restriction_and_localization_commands_load_their_modules(argv, extra):
+    """`restrict` and `localize` on F4 load the chamber geometry and
+    `subarr`, not `realization`; `f4-demo` loads `realization` too, for its
+    rank-2 references."""
+    assert loaded_by_cli(*argv) == [f"weylgpd.{name}" for name in sorted(LAYER4_MODULES + extra)]
+
+
 def test_no_module_loads_dataclasses():
     assert "cli" in SUBMODULES and "realization" in SUBMODULES
     loaded = loaded_after("\n".join(f"import weylgpd.{name}" for name in SUBMODULES))

@@ -9,7 +9,7 @@ import pathlib
 import pytest
 
 from weylgpd import subarr
-from weylgpd._rational import rat
+from weylgpd._rational import fmt_covector, rat
 from weylgpd.arrangement import (
     Affine,
     ChamberCartanData,
@@ -24,7 +24,7 @@ from weylgpd.arrangement import (
     default_seed_chamber,
     extract_cartan_graph,
 )
-from weylgpd.builtins import F4_SIMPLE_ROOTS, affine_a1_table, builtin_graph, builtin_table, f4_table
+from weylgpd.builtins import F4_SIMPLE_ROOTS, TABLE_NAMES, affine_a1_table, builtin_graph, builtin_table, f4_table
 from weylgpd.cartan import CartanGraph, GeneralizedCartanMatrix
 from weylgpd.errors import (
     BudgetExceeded,
@@ -35,7 +35,7 @@ from weylgpd.errors import (
     RootNotInSystem,
     Unsupported,
 )
-from weylgpd.exactlin import primitive_normalize, primitive_ray, vec, vneg
+from weylgpd.exactlin import primitive_normalize, primitive_ray, vdot, vec, vneg
 from weylgpd.realization import realize, roundtrip_check
 from weylgpd.subarr import (
     _REFERENCE_SEQUENCES,
@@ -56,7 +56,16 @@ from weylgpd.subarr import (
     restrict,
 )
 
-from _oracles import solve_in_span, zaslavsky_chamber_count
+from _oracles import (
+    reference_double_restriction,
+    reference_localize,
+    reference_reduce,
+    reference_restrict,
+    solve_in_span,
+    zaslavsky_chamber_count,
+)
+from test_chamber_count import LARGE_GCMS
+from test_kernel import closure_table, counting
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "f4_projection_tables.json").read_text()
@@ -106,6 +115,12 @@ class TestLocalize:
             loc.intrinsic_point((1, 2, 3))
         with pytest.raises(InvalidTable, match=r"^point \(1, 2, 3, 4, 5\) does not have rank 4$"):
             loc.intrinsic_point((1, 2, 3, 4, 5))
+
+    def test_a_point_of_another_rank_is_refused(self):
+        """Refused as `_positive_lines` refuses it (a Fraction dot product
+        raised `zip() argument 2 is shorter than argument 1`)."""
+        with pytest.raises(InvalidTable, match=r"^point \(1, 1\) does not have rank 3$"):
+            localize(builtin_table("a3"), (1, 1))
 
     def test_intrinsic_point_of_an_empty_localization(self):
         assert localize(builtin_table("a3"), (7, 4, 2)).intrinsic_point((1, 2, 3)) == ()
@@ -350,6 +365,82 @@ class TestReduce:
         assert set(once.lines) == set(rst.table.lines)
 
 
+def restriction_outcome(fn, *args):
+    """A restriction or table with its hash (and a restriction's ambient
+    tables), or the type, text and attributes of the error it raises."""
+    try:
+        out = fn(*args)
+    except (NotReducible, RootNotInSystem, Unsupported) as exc:
+        return type(exc), str(exc), vars(exc)
+    if isinstance(out, RootSystemTable):
+        return out, hash(out), out.seed_hint
+    return out, hash(out), out.ambient_table(), out.ambient_table(reduced=True)
+
+
+class TestAgainstTheFractionReference:
+    """restrict, double_restriction, reduce and localize agree with their
+    statements in Fractions (`_oracles`): equal results, equal hashes, and
+    the same refusals with the same arguments."""
+
+    @pytest.mark.parametrize("name", [*TABLE_NAMES, "a3 at depth 1"])
+    def test_every_root_and_a_non_root(self, name):
+        """Every builtin table, and a3's truncation at depth 1."""
+        table = realize(builtin_graph("a3"), depth=1).table if name == "a3 at depth 1" else builtin_table(name)
+        for alpha0 in (*table.roots, tuple(range(1, table.rank + 1))):
+            assert restriction_outcome(restrict, table, alpha0) == restriction_outcome(reference_restrict, table, alpha0)
+
+    @pytest.mark.parametrize("name", ["a3", "b3", "f4"])
+    def test_ordered_root_pairs(self, name):
+        """Every ordered pair of a3 and b3; every F4 root against every
+        fifth root."""
+        table = builtin_table(name)
+        seconds = table.roots[::5] if name == "f4" else table.roots
+        for a, b in itertools.product(table.roots, seconds):
+            expected = restriction_outcome(reference_double_restriction, table, a, b)
+            assert restriction_outcome(double_restriction, table, a, b) == expected
+
+    def test_e6_two_step_chains(self):
+        """Every ninth root of E6, then every fourth root of its reduced
+        restriction."""
+        e6 = closure_table(LARGE_GCMS["e6"][0])
+        chains = 0
+        for alpha0 in e6.roots[::9]:
+            reduced = restrict(e6, alpha0).reduced_table
+            assert reduced == reference_restrict(e6, alpha0).reduced_table
+            for beta in reduced.roots[::4]:
+                assert restriction_outcome(restrict, reduced, beta) == restriction_outcome(reference_restrict, reduced, beta)
+                chains += 1
+        assert chains == 104
+
+    @pytest.mark.parametrize("name", TABLE_NAMES)
+    def test_reduce_and_its_refusal(self, name):
+        """The table, and for each line the table with the line's multiples
+        by 3/2 or by 2 added, or by 3/2 on it and the next line by key (the
+        first of the two is named)."""
+        table = builtin_table(name)
+        lines = [table.lines[key] for key in sorted(table.lines)]
+        cases = [table]
+        for t, line in enumerate(lines):
+            for scale, added in ((rat("3/2"), line), (2, line), (rat("3/2"), line + lines[(t + 1) % len(lines)])):
+                extra = [tuple(scale * c for c in root) for root in added]
+                cases.append(RootSystemTable(table.rank, [*table.roots, *extra], cone=table.cone))
+        refused = 0
+        for case in cases:
+            expected = restriction_outcome(reference_reduce, case)
+            assert restriction_outcome(reduce, case) == expected
+            refused += expected[0] is NotReducible
+        assert refused == 2 * len(lines)
+
+    @pytest.mark.parametrize("name", TABLE_NAMES)
+    def test_localize_on_the_cube(self, name):
+        """Every point of {-1, 0, 1}^r, and its half."""
+        table = builtin_table(name)
+        for point in itertools.product((-1, 0, 1), repeat=table.rank):
+            for x in (point, tuple(rat(c) / 2 for c in point)):
+                loc, expected = localize(table, x), reference_localize(table, x)
+                assert (loc, hash(loc)) == (expected, hash(expected))
+
+
 class TestRestrictionCrystallographic:
     def test_f4_all_single_restrictions(self):
         table = f4_table()
@@ -467,6 +558,32 @@ class TestProjectedBasisStructure:
         rst = restrict(table, (1, 1, 1))
         with pytest.raises(InvalidTable, match="^the chamber does not have the restriction hyperplane as a wall$"):
             projected_chamber_basis(table, rst, default_seed_chamber(table))
+
+
+class TestChamberWithWall:
+    def test_a_point_off_the_affine_cone_is_negated(self):
+        """Under gamma = (-1, -1) the generic point of half of aff-a1's root
+        hyperplanes is off the cone, and its negation is on it."""
+        table = RootSystemTable(2, affine_a1_table().roots, cone=Affine((-1, -1)))
+        with counting({"vneg": 0}, subarr) as calls:
+            chambers = [chamber_with_wall(table, root) for root in table.roots]
+        assert calls == {"vneg": 18}
+        for root, chamber in zip(table.roots, chambers):
+            assert primitive_normalize(root) in map(primitive_normalize, chamber.basis)
+            assert vdot(table.cone.gamma, chamber.witness) > 0
+        chamber = chamber_with_wall(table, (1, 0))
+        assert (fmt_covector(chamber.key), fmt_covector(chamber.witness)) == ("((-2, -1), (1, 0))", "(1/4, -1)")
+
+    def test_a_covector_that_is_no_wall_is_refused(self):
+        with pytest.raises(InvalidTable, match=r"^no chamber with wall \(1, 2, 5\) found$"):
+            chamber_with_wall(builtin_table("a3"), (1, 2, 5))
+
+    def test_a_hyperplane_on_which_gamma_vanishes_is_refused(self):
+        """In rank 2 the generic point of the hyperplane is the same for
+        every m; gamma = alpha0 vanishes at it and at its negation."""
+        table = RootSystemTable(2, [(1, 1), (-1, -1), (1, 0), (-1, 0)], cone=Affine((1, 1)))
+        with pytest.raises(InvalidTable, match=r"^no chamber with wall \(1, 1\) found$"):
+            chamber_with_wall(table, (1, 1))
 
 
 class TestIdentifyRank2:
