@@ -83,7 +83,6 @@ from .exactlin import (
     line_key,
     nullspace,
     primitive_ray,
-    rank as mat_rank,
     sign_at,
     vdot,
     vec,
@@ -705,25 +704,29 @@ def _walls_across(table: RootSystemTable, frame: IntegerFrame, i: int) -> tuple:
     return tuple(walls)
 
 
+def _half_step(values: Iterable[tuple]) -> tuple:
+    """The push rule: the step p / q along d from z, half the least |g(z)| / |g(d)|
+    over the integer pairs (g(z), g(d)) vanishing at neither, or (1, 1) if none
+    is left.  z + (p / q) d is on no hyperplane of a guard not zero at both."""
+    eps = None
+    for gz, gd in values:
+        p, q = abs(gz), abs(gd)
+        if p and q and (eps is None or p * eps[1] < eps[0] * q):
+            eps = (p, q)
+    return (eps[0], 2 * eps[1]) if eps is not None else (1, 1)
+
+
 def _witness_across(chamber: Chamber, i: int) -> Vector:
     """An interior point of the neighbor across wall i of `chamber`, found
-    exactly from the chamber's frame.
-
-    It is the facet point (the sum of the rays other than ray i) minus half
-    of the largest step eps along ray i that no root hyperplane interrupts:
-    eps is the least |root(facet point)| / |root(ray i)|, a ratio of numerators.
+    exactly from the chamber's frame: the `_half_step` push from the facet
+    point (the sum of the rays other than ray i) along minus ray i, whose
+    values at root k are the row sum of num without entry i, and entry i.
     In rank 1 it is the chamber's own witness point negated.
     """
     frame = chamber.frame
     if len(frame.index) == 1:
         return vneg(chamber.witness)
-    eps = None  # (p, q) for p / q
-    for row in frame.num:
-        q = abs(row[i])
-        p = abs(sum(row) - row[i])
-        if p and q and (eps is None or p * eps[1] < eps[0] * q):
-            eps = (p, q)
-    sp, sq = (eps[0], 2 * eps[1]) if eps is not None else (1, 1)
+    sp, sq = _half_step((sum(row) - row[i], row[i]) for row in frame.num)
     ray_i = frame.cols[i]
     others = [col for j, col in enumerate(frame.cols) if j != i]
     den = sq * frame.det
@@ -1059,6 +1062,12 @@ def interior_point(rays: Sequence) -> Vector:
     return combination([ONE + Rat(i + 1, r + 1) for i in range(r)], rays)
 
 
+def _independent_roots(table: RootSystemTable) -> list:
+    """The first independent roots in root order, by position: the pivot
+    columns of the integer roots, eliminated as columns."""
+    return int_row_reduce([list(coordinate) for coordinate in zip(*table.int_roots)])[2]
+
+
 def default_seed_chamber(table: RootSystemTable) -> Chamber:
     """Deterministic seed: `interior_point` of the dual basis of the first
     independent root subset.
@@ -1069,15 +1078,10 @@ def default_seed_chamber(table: RootSystemTable) -> Chamber:
     if table.seed_hint is not None:
         return chamber_from_point(table, table.seed_hint)
     r = table.rank
-    subset: list = []
-    for root in table.roots:
-        if mat_rank(subset + [root]) > len(subset):
-            subset.append(root)
-        if len(subset) == r:
-            break
+    subset = _independent_roots(table)
     if len(subset) < r:
         raise InvalidTable("table does not span; chamber geometry is degenerate")
-    duals = dual_basis(subset)
+    duals = dual_basis([table.roots[k] for k in subset])
     candidates = [interior_point(duals)]
     for m in (2, 3, 5, 7, 11, 13):
         candidates.append(combination([Rat(m) ** i for i in range(r)], duals))
@@ -1365,16 +1369,18 @@ def _crossing_coefficients(table: RootSystemTable, atlas: ChamberAtlas, n: int, 
 
 
 def separating_keys(table: RootSystemTable, a: Chamber, b: Chamber) -> set:
-    a, b = _held(table, a), _held(table, b)
-    return {key for key in table.lines if sign_at(key, a.witness) != sign_at(key, b.witness)}
+    """The line keys of the roots on different sides of the two held chambers:
+    a root's side of a held chamber is the sign of its (coherent) row of num."""
+    rows = zip(_held(table, a).frame.num, _held(table, b).frame.num)
+    return {line_key(p) for p, (u, v) in zip(table.primitive, rows) if (sum(u) > 0) != (sum(v) > 0)}
 
 
 def distance_and_gallery(table: RootSystemTable, start: Chamber, goal: Chamber) -> tuple[int, Gallery]:
     """Separating-hyperplane count and a greedy minimal gallery realizing it.
 
     Start and goal are held (`_held`).  Each step crosses a wall negative
-    at the goal's witness.  Adjacent chambers are separated only by the
-    line of their common wall, so each crossing lowers the count by one:
+    on the goal.  Adjacent chambers are separated only by the line of
+    their common wall, so each crossing lowers the count by one:
     the gallery has `total` steps.  A chamber that meets the open cone
     (every one after the start, found across a crossable wall) and is not
     the goal has such a wall that is crossable, where the segment from a
@@ -1385,10 +1391,11 @@ def distance_and_gallery(table: RootSystemTable, start: Chamber, goal: Chamber) 
     start, goal = _held(table, start), _held(table, goal)
     table.require_reduced()
     total = len(separating_keys(table, start, goal))
+    side = goal.frame.num
     chambers, crossings, cur = [start], [], start
     while cur.key != goal.key:
-        for i in range(cur.rank):
-            if sign_at(cur.basis[i], goal.witness) < 0 and wall_is_crossable(table, cur, i):
+        for i, k in enumerate(cur._index):
+            if sum(side[k]) < 0 and wall_is_crossable(table, cur, i):
                 break
         else:
             raise Unreachable(f"no crossable separating wall at {fmt_covector(cur.key)}")
@@ -1409,7 +1416,8 @@ def radical(table: RootSystemTable) -> tuple:
 
 
 def is_nondegenerate(table: RootSystemTable) -> bool:
-    return len(radical(table)) == 0
+    """Whether the roots span, that is, the radical is zero."""
+    return len(_independent_roots(table)) == table.rank
 
 
 class KSphericalWitness(Record):

@@ -33,17 +33,8 @@ def vec(entries: Iterable) -> tuple:
     return tuple(rat(e) for e in entries)
 
 
-def vadd(u: tuple, v: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vneg(u: tuple) -> tuple:
     return tuple(-a for a in u)
-
-
-def vscale(c, u: tuple) -> tuple:
-    c = rat(c)
-    return tuple(c * a for a in u)
 
 
 def vdot(alpha: tuple, x: tuple):

@@ -35,6 +35,7 @@ from .arrangement import (
 )
 from .cartan import (
     CartanGraph,
+    _reflected,
     _reflected_rows,
     canonical_basis_key,
     fmt_object,
@@ -47,12 +48,12 @@ from .errors import (
     NotSimplyConnected,
 )
 from .exactlin import (
+    clear_denominators,
     dual_basis,
     int_adjugate,
     int_primitive,
+    int_row_reduce,
     primitive_normalize,
-    rank as mat_rank,
-    vdot,
     vec,
     vneg,
 )
@@ -264,23 +265,24 @@ class AdjacencyEquivalence(Record):
 def adjacency_equivalences_test(
     re: Realization, b: ObjectId, b2: ObjectId, i: int
 ) -> AdjacencyEquivalence:
-    """Evaluate the four equivalent adjacency characterizations independently."""
+    """Evaluate the four equivalent adjacency characterizations independently,
+    on the frames' primitive columns (the rays); the sandwich reads each
+    chamber at its column sum, as every constraint is a root."""
     basis_b, basis_b2 = re.bases[b], re.bases[b2]
-    rays_b, rays_b2 = re.chambers[b].rays, re.chambers[b2].rays
     wall = re.bases[b][i]
 
-    def in_closure(point, basis) -> bool:
-        return all(vdot(beta, point) >= 0 for beta in basis)
+    def rays_in_closure(obj, basis) -> set:
+        rays = map(int_primitive, re.chambers[obj].frame.cols)
+        return {ray for ray in rays if all(_dot(beta, ray) >= 0 for beta in basis)}
 
-    shared = [ray for ray in rays_b if in_closure(ray, basis_b2)]
-    shared += [ray for ray in rays_b2 if in_closure(ray, basis_b) and ray not in shared]
+    shared = rays_in_closure(b, basis_b2) | rays_in_closure(b2, basis_b)
     if b == b2:
         i_adjacent = False
     else:
         i_adjacent = (
             len(shared) >= 1
-            and mat_rank(shared) == re.rank - 1
-            and all(vdot(wall, s) == 0 for s in shared)
+            and len(int_row_reduce(list(shared))[2]) == re.rank - 1
+            and all(_dot(wall, s) == 0 for s in shared)
         )
 
     rho_matches = re.edges.get((b, i)) == b2 and b != b2
@@ -290,8 +292,8 @@ def adjacency_equivalences_test(
     expected = {b, b2}
     sandwich: bool | None = True
     for obj in re.order:
-        centroid = interior_point(re.chambers[obj].rays)
-        inside = all(vdot(c, centroid) > 0 for c in constraints)
+        point = tuple(map(sum, zip(*re.chambers[obj].frame.cols)))
+        inside = all(_dot(c, point) > 0 for c in constraints)
         if inside != (obj in expected):
             sandwich = False
             break
@@ -322,18 +324,19 @@ def locate_point(re: Realization, x, budget: int = 10_000) -> LocateResult:
     that is 1 on every chamber ray and nonpositive at x.
     """
     x = vec(x)
-    if all(c == 0 for c in x):
+    if len(x) != re.rank:
+        raise ValueError(f"point {fmt_covector(x)} does not have rank {re.rank}")
+    xs, _ = clear_denominators(x)
+    if not any(xs):
         raise ValueError("cannot locate the zero vector")
-    if re.gamma is not None and vdot(re.gamma, x) <= 0:
+    if re.gamma is not None and _dot(clear_denominators(re.gamma)[0], xs) <= 0:
         return LocateResult("not_in_cone", None, 0)
     cur = re.base
     steps = 0
     while True:
-        values = [vdot(beta, x) for beta in re.bases[cur]]
-        violated = [j for j, v in enumerate(values) if v < 0]
-        if not violated:
+        j = next((j for j, beta in enumerate(re.bases[cur]) if _dot(beta, xs) < 0), None)
+        if j is None:
             return LocateResult("found", cur, steps)
-        j = violated[0]
         nxt = re.edges.get((cur, j))
         if nxt is None:
             return LocateResult("budget_exceeded", cur, steps)
@@ -354,34 +357,28 @@ class LocalGraphResult(Record):
 def local_cartan_graph_at(re: Realization, x, budget: int = 10_000) -> LocalGraphResult:
     """The finite local Cartan graph at a point of the closed cone.  As
     `realize` checked every root sign-coherent at every generated chamber,
-    roots vanish at x only where a wall of x's chamber does; and each local
-    basis, a product of integer involutions, is unimodular, so every root is
-    integral in it."""
-    x = vec(x)
+    roots vanish at x only where a wall J of x's chamber b does.  Their
+    J-coordinates are read off b's frame rows (its basis is unimodular, D = 1)
+    and carried along the residue's edges by the (R3) action of its matrix."""
+    xs, _ = clear_denominators(vec(x))
     located = locate_point(re, x, budget)
     if not located.found:
         raise BudgetExceeded(f"point location failed: {located.status}")
     b = located.obj
-    basis = re.bases[b]
-    indices = tuple(i for i in range(re.rank) if vdot(basis[i], x) == 0)
-    roots_x = tuple(r for r in re.table.roots if vdot(r, x) == 0)
+    table = re.table
+    indices = tuple(i for i, beta in enumerate(re.bases[b]) if _dot(beta, xs) == 0)
+    vanishing = [k for k, root in enumerate(table.int_roots) if _dot(root, xs) == 0]
+    roots_x = tuple(map(table.roots.__getitem__, vanishing))
     if not indices:
         return LocalGraphResult((), (), None, b, {})
     sub = graph_residue(re.graph, b, indices, budget)
-    # Bases of residue objects, propagated from b along residue edges so that
-    # they stay consistent with the ambient realization even past its depth;
-    # the residue lists its objects in BFS order from b.
-    local_bases = {b: re.bases[b]}
+    num = re.chambers[b].frame.num
+    integer_roots = {b: frozenset(tuple(num[k][i] for i in indices) for k in vanishing)}
     for cur in sub.objects:
-        for k, amb_i in enumerate(indices):
+        for k in range(len(indices)):
             nxt = sub.rho(k, cur)
-            if nxt not in local_bases:
-                coeffs = [-c for c in re.graph.matrix(cur).rows[amb_i]]
-                local_bases[nxt] = _reflected_rows(local_bases[cur], amb_i, coeffs)
-    integer_roots = {}
-    for obj in sub.objects:
-        rays = dual_basis(local_bases[obj])
-        integer_roots[obj] = frozenset(tuple(int(vdot(root, rays[i])) for i in indices) for root in roots_x)
+            if nxt not in integer_roots:
+                integer_roots[nxt] = frozenset(_reflected(sub.matrix(cur), k, integer_roots[cur]))
     return LocalGraphResult(indices, roots_x, sub, b, integer_roots)
 
 

@@ -25,6 +25,7 @@ from .arrangement import (
     _crossing_coefficients,
     _crystallographic_report,
     _dot,
+    _half_step,
     _survey,
     cartan_matrix_at,
     chamber_bfs,
@@ -53,8 +54,6 @@ from .exactlin import (
     vdot,
     vec,
     vneg,
-    vscale,
-    vadd,
 )
 
 Covector = tuple
@@ -342,41 +341,36 @@ def projected_chamber_basis(table: RootSystemTable, rst: Restriction, chamber: C
 
 
 def chamber_with_wall(table: RootSystemTable, alpha0) -> Chamber:
-    """Some chamber having the hyperplane of alpha0 among its walls."""
+    """Some chamber having the hyperplane of alpha0 among its walls.  In rank
+    1 the hyperplane is 0; a spherical table's chamber is alpha0's positive side."""
     alpha0 = vec(alpha0)
     key = primitive_normalize(alpha0)
     lattice = integer_kernel_basis(key)
     # A direction with alpha0 = 1 on it, along a coordinate axis.
     first = next(j for j, a in enumerate(alpha0) if a != 0)
     direction = tuple(ONE / a if j == first else ZERO for j, a in enumerate(alpha0))
+    gamma = clear_denominators(table.cone.gamma)[0] if isinstance(table.cone, Affine) else None
     # A generic point of H, then a small push to the positive side of alpha0.
     for m in (2, 3, 5, 7, 11, 13, 17):
-        z = _combine([m**t for t in range(len(lattice))], lattice)
+        z = _combine([m**t for t in range(len(lattice))], lattice) if lattice else (0,) * len(alpha0)
         if any(_dot(r, z) == 0 and line_key(p) != key for r, p in zip(table.int_roots, table.primitive)):
             continue
-        if isinstance(table.cone, Affine) and vdot(table.cone.gamma, z) <= 0:
+        if gamma is not None and _dot(gamma, z) <= 0:
             z = vneg(z)
-            if vdot(table.cone.gamma, z) <= 0:
+            if _dot(gamma, z) <= 0:
                 continue
-        chamber = _push_chamber(table, z, direction, table.roots)
+        chamber = _push_chamber(table, z, direction, table.int_roots)
         if key in map(line_key, chamber.key):
             return chamber
     raise InvalidTable(f"no chamber with wall {fmt_covector(alpha0)} found")
 
 
 def _push_chamber(table: RootSystemTable, z, d, guards) -> Chamber:
-    """The chamber containing z + (eps/2) d, where eps is the least |g(z)|/|g(d)|
-    over the guards g vanishing at neither z nor d (a unit step when none is
-    left).  The guards hold every root, none vanishing at both z and d, so
-    that point is on no hyperplane: a root vanishing at z does not there, and
-    any other moves by at most half its value at z."""
-    bounds = []
-    for g in guards:
-        gz, gd = vdot(g, z), vdot(g, d)
-        if gz != 0 and gd != 0:
-            bounds.append(abs(gz) / abs(gd))
-    step = min(bounds) / 2 if bounds else ONE
-    return chamber_from_point(table, vadd(z, vscale(step, d)))
+    """The chamber at the `_half_step` push from z along d over integer guards,
+    read on zs and ds for z = zs / mz and d = ds / md: (q zs + p ds) / (q mz)."""
+    (zs, mz), (ds, _) = clear_denominators(z), clear_denominators(d)
+    p, q = _half_step((_dot(g, zs), _dot(g, ds)) for g in guards)
+    return chamber_from_point(table, tuple(Rat(q * a + p * b, q * mz) for a, b in zip(zs, ds)))
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +506,9 @@ def residue_correspondence_check(table: RootSystemTable, x, budget: int = 10_000
     loc = localize(table, x)
     if loc.empty:
         raise InvalidTable("the localization at x is empty")
-    chamber = _chamber_at_face(table, x, loc)
-    ambient_J = tuple(i for i in range(table.rank) if vdot(chamber.basis[i], x) == 0)
+    chamber = _chamber_at_face(table, x)
+    xs, _ = clear_denominators(x)
+    ambient_J = tuple(i for i, k in enumerate(chamber._index) if _dot(table.int_roots[k], xs) == 0)
 
     seed_intrinsic = chamber_from_point(loc.table, loc.intrinsic_point(chamber.witness))
     phi = tuple(seed_intrinsic.basis.index(loc.intrinsic_covector(chamber.basis[i])) for i in ambient_J)
@@ -546,15 +541,19 @@ def residue_correspondence_check(table: RootSystemTable, x, budget: int = 10_000
     return CorrespondenceReport(not mismatches, compared, phi, tuple(mismatches))
 
 
-def _chamber_at_face(table: RootSystemTable, x, loc: Localization) -> Chamber:
-    """A chamber whose closure contains x, found by an exact generic push."""
-    guards = list(table.roots)
+def _chamber_at_face(table: RootSystemTable, x) -> Chamber:
+    """A chamber whose closure contains x, found by an exact generic push
+    along a direction on which no root vanishing at x vanishes."""
+    xs, _ = clear_denominators(x)
+    guards = table.int_roots
     if isinstance(table.cone, Affine):
-        if vdot(table.cone.gamma, x) == 0:  # x is on the boundary of the cone
+        gamma = clear_denominators(table.cone.gamma)[0]
+        if _dot(gamma, xs) == 0:  # x is on the boundary of the cone
             raise OutsideCone(f"gamma({fmt_covector(x)}) <= 0")
-        guards.append(table.cone.gamma)
+        guards += (gamma,)
+    vanishing = [r for r in table.int_roots if _dot(r, xs) == 0]
     for m in (2, 3, 5, 7, 11, 13):
-        w = tuple(Rat(m) ** k for k in range(table.rank))
-        if not any(vdot(r, w) == 0 for r in loc.roots):  # loc.roots: the roots vanishing at x
+        w = tuple(m**k for k in range(table.rank))
+        if not any(_dot(r, w) == 0 for r in vanishing):
             return _push_chamber(table, x, w, guards)
     raise InvalidTable("no generic push direction found at the face point")

@@ -97,6 +97,15 @@ class TestChamberFromPoint:
         with pytest.raises(NonReducedTable, match=r"^chamber geometry needs a reduced table; call subarr.reduce first$"):
             chamber_from_point(table, (2, 1))
 
+    def test_repr_names_the_basis(self):
+        chamber = chamber_from_point(a2_table(), (2, 1))
+        assert repr(chamber) == "Chamber(basis=((Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 1), Fraction(0, 1))))"
+
+    def test_a_chamber_is_not_equal_to_another_kind_of_value(self):
+        chamber = chamber_from_point(a2_table(), (2, 1))
+        assert chamber.__eq__(chamber.basis) is NotImplemented
+        assert chamber != chamber.basis
+
 
 class TestWalls:
     def test_reducible_rank2(self):

@@ -224,6 +224,15 @@ class TestAxioms:
             3: ("pass", None),
         }
 
+    def test_a_root_whose_coordinates_mix_signs_fails_r1(self):
+        """(1, -1) in the base object of A2 is not sign-coherent: (R1) fails
+        with it as the witness, and the report's status for R1 is "fail"."""
+        graph = builtin_graph("a2")
+        roots = {graph.base: {(1, -1), (1, 0), (-1, 0), (0, 1), (0, -1)}}
+        report = check_root_system_axioms(graph, roots, 1)
+        assert [(f.status, f.witness) for f in report.findings if f.axiom == "R1"] == [("fail", (1, -1))]
+        assert report.status("R1") == "fail"
+
     def test_affine_truncation_statuses(self):
         graph = builtin_graph("aff-a1")
         rrs = generate_real_roots(graph, graph.base, 6)
@@ -274,6 +283,15 @@ class TestMij:
         graph = one_object_graph(A2)
         rrs = generate_real_roots(graph, 0, 4)
         assert m_ij(rrs, 0, 0, 1) == 3
+
+    def test_a_truncation_without_last_layer_growth_counts(self):
+        """A2's standard graph at depth 2 is not complete, and its last layer
+        adds only -(a_0 + a_1) at the base, outside the cone of a_0 and a_1:
+        the truncated count is the finite m_01."""
+        graph = builtin_graph("a2")
+        rrs = generate_real_roots(graph, graph.base, 2)
+        assert not rrs.complete and rrs.last_layer[graph.base] == {(-1, -1)}
+        assert m_ij(rrs, graph.base, 0, 1) == 3
 
     def test_equal_indices(self):
         rrs = generate_real_roots(one_object_graph(A2), 0, 4)

@@ -87,6 +87,7 @@ from _kernel_digest import (
     ROUNDTRIP_DEPTHS,
     f4_signatures,
     local_to_global_digest,
+    query_digests,
     realize_digest,
     roundtrip_digest,
     table_digest,
@@ -141,6 +142,12 @@ def test_f4_double_restriction_signatures_match_golden():
 @pytest.mark.parametrize("name", LOCAL_TO_GLOBAL_TABLES)
 def test_local_to_global_matches_golden(name):
     assert local_to_global_digest(name) == GOLDEN["local-to-global"][name]
+
+
+def test_queries_match_golden():
+    """The chamber and realization queries give the answers recorded when
+    they still decided sides with Fraction dot products."""
+    assert query_digests() == GOLDEN["queries"]
 
 
 def rescaled_lines(table: RootSystemTable, rng: random.Random) -> RootSystemTable:

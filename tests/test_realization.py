@@ -302,6 +302,14 @@ class TestLocatePoint:
         with pytest.raises(ValueError):
             locate_point(re, (0, 0))
 
+    @pytest.mark.parametrize("x, text", [((1, 2, 3), r"\(1, 2, 3\)"), ((1,), r"\(1\)")])
+    def test_a_point_of_another_rank_is_refused(self, x, text):
+        """The walk's integer dot products would read only the shorter of the
+        point and a basis covector: the rank is checked up front."""
+        re = realize(builtin_graph("a2"), depth=8)
+        with pytest.raises(ValueError, match=rf"^point {text} does not have rank 2$"):
+            locate_point(re, x)
+
     def test_step_budget(self):
         re = realize(builtin_graph("a2"), depth=8)
         result = locate_point(re, (-2, -1), budget=0)

@@ -140,3 +140,7 @@ def test_every_former_export_resolves_to_its_submodule_object():
     assert arrangement is sys.modules["weylgpd.arrangement"] is weylgpd.arrangement
     with pytest.raises(AttributeError, match="no_such_name"):
         weylgpd.no_such_name
+
+
+def test_a_submodule_resolves_through_the_module_getattr():
+    assert weylgpd.__getattr__("jsonio") is importlib.import_module("weylgpd.jsonio")

@@ -35,7 +35,7 @@ from weylgpd.errors import (
     RootNotInSystem,
     Unsupported,
 )
-from weylgpd.exactlin import primitive_normalize, primitive_ray, vdot, vec, vneg
+from weylgpd.exactlin import int_primitive, primitive_normalize, primitive_ray, vdot, vec, vneg
 from weylgpd.realization import realize, roundtrip_check
 from weylgpd.subarr import (
     _REFERENCE_SEQUENCES,
@@ -585,6 +585,22 @@ class TestChamberWithWall:
         with pytest.raises(InvalidTable, match=r"^no chamber with wall \(1, 1\) found$"):
             chamber_with_wall(table, (1, 1))
 
+    @pytest.mark.parametrize(
+        "roots, alpha0, basis, witness",
+        [([(1,), (-1,)], (1,), "((1))", "(1)"), ([(2,), (-2,)], (-2,), "((-2))", "(-1)")],
+    )
+    def test_rank_one_gives_the_chamber_on_the_positive_side(self, roots, alpha0, basis, witness):
+        """In rank 1 the hyperplane is the point 0, and the push from it is a
+        unit step of the cleared direction, on alpha0's positive side."""
+        chamber = chamber_with_wall(RootSystemTable(1, roots), alpha0)
+        assert (fmt_covector(chamber.basis), fmt_covector(chamber.witness)) == (basis, witness)
+
+    def test_rank_one_affine_has_no_chamber_with_the_wall(self):
+        """gamma vanishes at 0, the one point of the hyperplane."""
+        table = RootSystemTable(1, [(1,), (-1,)], cone=Affine((1,)))
+        with pytest.raises(InvalidTable, match=r"^no chamber with wall \(1\) found$"):
+            chamber_with_wall(table, (1,))
+
 
 class TestIdentifyRank2:
     def test_reference_signatures_distinct(self):
@@ -742,3 +758,16 @@ class TestResidueCorrespondence:
         table = RootSystemTable(3, roots + [vneg(r) for r in roots], cone=Affine(vec((1, 1, 1))))
         with pytest.raises(OutsideCone):
             residue_correspondence_check(table, (1, 1, -2))  # gamma = 0 and (1,-1,0) = 0 there
+
+    def test_a_face_point_with_no_generic_push_direction_is_refused(self):
+        """The roots x × (1, m, m^2), m = 2, 3, 5, 7, 11, 13, vanish at x = (1, 1, 2)
+        and at the push direction (1, m, m^2) of each m tried."""
+        x = (1, 1, 2)
+        roots = [(1, 0, 0)]
+        for m in (2, 3, 5, 7, 11, 13):
+            w = (1, m, m * m)
+            roots.append(int_primitive([x[j - 2] * w[j - 1] - x[j - 1] * w[j - 2] for j in range(3)]))
+        table = RootSystemTable(3, roots + [vneg(r) for r in roots])
+        assert (len(table.roots), table.reduced, table.cone) == (14, True, Spherical())
+        with pytest.raises(InvalidTable, match="^no generic push direction found at the face point$"):
+            residue_correspondence_check(table, x)
