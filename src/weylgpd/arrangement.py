@@ -39,9 +39,12 @@ with one column update from its parent's frame when that is built, else by
 Bareiss elimination.  A seed holds its frame from the start.  The kernel
 trusts the chambers it builds; `_held` holds any chamber on a table and
 checks one the kernel did not build for it.  Chamber keys and line keys
-are tuples of primitive integer rays.  A chamber's Fraction data, its rays
-and witness point, is built when it is first read; `chamber_bfs` builds
-none, as the affine cone test reads the sign of gamma at the columns of A.
+are tuples of primitive integer rays.  A point or covector from outside
+is checked and cleared once, at one door (`_cleared`), and the kernel
+decides on its integers and on the table's `int_gamma`.  A chamber's
+Fraction data, its rays and witness point, is built when it is first read;
+`chamber_bfs` builds none, as the affine cone test reads the sign of gamma
+at the columns of A.
 A check that could only pass on a spherical table counts its chambers from
 the objects instead (`_chamber_count`): #objects x |Aut(a)|.
 """
@@ -83,7 +86,6 @@ from .exactlin import (
     line_key,
     nullspace,
     primitive_ray,
-    sign_at,
     vdot,
     vec,
     vneg,
@@ -134,6 +136,8 @@ class RootSystemTable:
     the sorted integer roots, which give each root's Fractions; the checks
     and their texts (rank, zero root, negation, a `reduced` claim, and
     bool or float entries, refused by `vec`) read as on the Fraction roots.
+    `int_gamma` is the least integer multiple of an affine cone's gamma,
+    which every cone test reads (None off affine tables).
     """
 
     def __init__(
@@ -181,6 +185,7 @@ class RootSystemTable:
                 raise InvalidTable("affine cone needs a nonzero rank-length gamma")
             cone = Affine(gamma)
         self.cone = cone
+        self.int_gamma = clear_denominators(cone.gamma)[0] if isinstance(cone, Affine) else None
         self.seed_hint = vec(seed_hint) if seed_hint is not None else None
         # For truncated tables produced by a realization: the chamber keys known
         # to be interior (in-memory metadata, not part of the wire format).
@@ -205,7 +210,7 @@ class RootSystemTable:
 
     def positive_on(self, x: Vector) -> list:
         """One representative per line, the element positive at x (reduced tables)."""
-        return [(key, self.roots[k]) for key, k in _positive_lines(self, vec(x))]
+        return [(key, self.roots[k]) for key, k in _positive_lines(self, _cleared(self, x, "point"))]
 
     def require_reduced(self) -> None:
         if not self.reduced:
@@ -325,6 +330,17 @@ def _key_at(table: RootSystemTable, index: tuple) -> tuple:
 
 def _dot(u: tuple, v: tuple) -> int:
     return sum(map(mul, u, v))
+
+
+def _cleared(table: RootSystemTable, x, what: str) -> tuple:
+    """The door of a point or covector x from outside, named `what` in the
+    rank error (`_dot` would read only the shorter tuple): (x, xs, m), x
+    read by `vec` and xs = m * x its least integer multiple."""
+    x = vec(x)
+    if len(x) != table.rank:
+        raise InvalidTable(f"{what} {fmt_covector(x)} does not have rank {table.rank}")
+    xs, m = clear_denominators(x)
+    return x, xs, m
 
 
 def _frame_at(table: RootSystemTable, index: tuple) -> IntegerFrame:
@@ -473,10 +489,7 @@ def coords_in_chamber(table: RootSystemTable, chamber: Chamber, root) -> tuple:
     """Coordinates of a covector in the chamber's basis, exactly; the
     chamber is held (`_held`) first."""
     frame = _held(table, chamber).frame
-    covector = vec(root)
-    if len(covector) != table.rank:
-        raise InvalidTable(f"covector {fmt_covector(covector)} does not have rank {table.rank}")
-    ints, m = clear_denominators(covector)
+    _, ints, m = _cleared(table, root, "covector")
     den = m * frame.det
     return tuple(Rat(table.scale * _dot(ints, col), den) for col in frame.cols)
 
@@ -484,12 +497,15 @@ def coords_in_chamber(table: RootSystemTable, chamber: Chamber, root) -> tuple:
 def chamber_from_point(table: RootSystemTable, x) -> Chamber:
     """The chamber containing x; x must be generic and inside the cone."""
     table.require_reduced()
-    x = vec(x)
-    if len(x) != table.rank:
-        raise InvalidTable(f"point {fmt_covector(x)} does not have rank {table.rank}")
-    if isinstance(table.cone, Affine) and sign_at(table.cone.gamma, x) <= 0:
+    return _chamber_at(table, _cleared(table, x, "point"))
+
+
+def _chamber_at(table: RootSystemTable, point: tuple) -> Chamber:
+    """`chamber_from_point` on a reduced table at a cleared point (x, xs, m)."""
+    x, xs, _ = point
+    if table.int_gamma is not None and _dot(table.int_gamma, xs) <= 0:
         raise OutsideCone(f"gamma({fmt_covector(x)}) <= 0")
-    positives = _positive_lines(table, x)  # raises OnHyperplane when not generic
+    positives = _positive_lines(table, point)  # raises OnHyperplane when not generic
     index = _extreme_basis(table, positives)
     return _chamber(table, index, _frame_at(table, index), x)
 
@@ -497,14 +513,12 @@ def chamber_from_point(table: RootSystemTable, x) -> Chamber:
 def walls_and_root_basis(table: RootSystemTable, x) -> tuple:
     """The indexed root basis (irredundant positive constraints) at a generic x."""
     table.require_reduced()
-    return tuple(table.roots[k] for k in _extreme_basis(table, _positive_lines(table, vec(x))))
+    return tuple(table.roots[k] for k in _extreme_basis(table, _positive_lines(table, _cleared(table, x, "point"))))
 
 
-def _positive_lines(table: RootSystemTable, x: Vector) -> list:
+def _positive_lines(table: RootSystemTable, point: tuple) -> list:
     """(line key, index of the line's root positive at x) per line, by key."""
-    if len(x) != table.rank:
-        raise InvalidTable(f"point {fmt_covector(x)} does not have rank {table.rank}")
-    xs, _ = clear_denominators(x)
+    x, xs, _ = point
     out = []
     for key, elems in sorted(table.lines.items()):
         k = table.index[elems[0]]
@@ -583,13 +597,14 @@ def _rays_in_cone(table: RootSystemTable, chamber: Chamber) -> list:
     """For each ray of a held chamber, whether it lies inside the open cone
     gamma > 0: the sign of the integer gamma at the frame's adjugate columns,
     which are positive multiples of the rays."""
-    gamma, _ = clear_denominators(table.cone.gamma)
-    return [_dot(gamma, col) > 0 for col in chamber.frame.cols]
+    return [_dot(table.int_gamma, col) > 0 for col in chamber.frame.cols]
 
 
 def wall_is_crossable(table: RootSystemTable, chamber: Chamber, i: int) -> bool:
-    """Whether the facet on wall i meets the open cone."""
+    """Whether the facet on wall i (one of 0..r-1) meets the open cone."""
     held = _held(table, chamber)
+    if not 0 <= i < table.rank:
+        raise InvalidTable(f"wall {i} is outside 0..{table.rank - 1}")
     if not isinstance(table.cone, Affine):
         return True
     inside = _rays_in_cone(table, held)

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Any
 from ._rational import fmt_covector
 from .cartan import CartanGraph, GeneralizedCartanMatrix, _integer_entry
 from .errors import InvalidTable, NonSquare, ParseError
-from .exactlin import vdot, vec
+from .exactlin import vec
 
 if TYPE_CHECKING:
     from .arrangement import RootSystemTable
@@ -71,18 +71,20 @@ def table_from_json(data: dict) -> RootSystemTable:
 
 def _check_seed(table: RootSystemTable) -> None:
     """A table's seed starts its chamber surveys, so it must be a generic point
-    of the cone: of the table's rank, on no root hyperplane, gamma positive."""
-    from .arrangement import Affine
+    of the cone: of the table's rank, on no root hyperplane, gamma positive;
+    it enters by the kernel's door and is decided on its integers."""
+    from .arrangement import _cleared, _dot
 
-    seed = table.seed_hint
-    if len(seed) != table.rank:
-        raise ParseError(f"seed {fmt_covector(seed)} does not have rank {table.rank}")
-    if isinstance(table.cone, Affine) and vdot(table.cone.gamma, seed) <= 0:
+    try:
+        seed, xs, _ = _cleared(table, table.seed_hint, "seed")
+    except InvalidTable as exc:
+        raise ParseError(str(exc)) from None
+    if table.int_gamma is not None and _dot(table.int_gamma, xs) <= 0:
         raise ParseError(
             f"seed {fmt_covector(seed)} is outside the cone of gamma = {fmt_covector(table.cone.gamma)}"
         )
     for line in table.lines:
-        if vdot(line, seed) == 0:
+        if _dot(line, xs) == 0:
             raise ParseError(f"seed {fmt_covector(seed)} lies on the hyperplane of {fmt_covector(line)}")
 
 

@@ -22,6 +22,8 @@ from .arrangement import (
     RootSystemTable,
     Spherical,
     Truncated,
+    _chamber_at,
+    _cleared,
     _crossing_coefficients,
     _crystallographic_report,
     _dot,
@@ -95,10 +97,12 @@ def localize(table: RootSystemTable, x) -> Localization:
     """Parabolic subtable at x: roots vanishing at x, with quotient coordinates.
     The vanishing roots are read off the integer roots; the pivot columns and
     the support of their matrix do not depend on the scaling of its rows."""
-    x = vec(x)
-    if len(x) != table.rank:
-        raise InvalidTable(f"point {fmt_covector(x)} does not have rank {table.rank}")
-    xs, _ = clear_denominators(x)
+    return _localize(table, _cleared(table, x, "point"))
+
+
+def _localize(table: RootSystemTable, point: tuple) -> Localization:
+    """`localize` at a cleared point (x, xs, m)."""
+    x, xs, _ = point
     vanishing = [k for k, r in enumerate(table.int_roots) if _dot(r, xs) == 0]
     if not vanishing:
         return Localization(x, (), (), 0, (), None)
@@ -150,6 +154,8 @@ def check_localization_crystallographic(loc: Localization, chamber: Chamber) -> 
     """
     if loc.empty:
         return CheckReport("localization-crystallographic", True, (), 0, 0, 0, False)
+    if len(chamber.basis) != len(loc.point):
+        raise InvalidTable(f"point {fmt_covector(loc.point)} does not have rank {len(chamber.basis)}")
     values = [vdot(b, loc.point) for b in chamber.basis]
     through = tuple(j for j, v in enumerate(values) if v == 0)
     if not through:
@@ -225,8 +231,8 @@ class Restriction(Record):
 
     def intrinsic_of(self, alpha) -> tuple:
         """The restriction of a covector to H, in intrinsic coordinates."""
-        alpha = vec(alpha)
-        return tuple(vdot(alpha, b) for b in self.lattice_basis)
+        _, ints, m = _cleared(self.source, alpha, "covector")
+        return tuple(Rat(_dot(ints, b), m) for b in self.lattice_basis)
 
     @functools.cached_property
     def _ambient_units(self) -> tuple:
@@ -343,34 +349,34 @@ def projected_chamber_basis(table: RootSystemTable, rst: Restriction, chamber: C
 def chamber_with_wall(table: RootSystemTable, alpha0) -> Chamber:
     """Some chamber having the hyperplane of alpha0 among its walls.  In rank
     1 the hyperplane is 0; a spherical table's chamber is alpha0's positive side."""
-    alpha0 = vec(alpha0)
-    key = primitive_normalize(alpha0)
+    alpha0, ints, _ = _cleared(table, alpha0, "covector")
+    key = line_key(int_primitive(ints))
     lattice = integer_kernel_basis(key)
-    # A direction with alpha0 = 1 on it, along a coordinate axis.
+    # A direction with alpha0 = 1 on it, along a coordinate axis, cleared.
     first = next(j for j, a in enumerate(alpha0) if a != 0)
-    direction = tuple(ONE / a if j == first else ZERO for j, a in enumerate(alpha0))
-    gamma = clear_denominators(table.cone.gamma)[0] if isinstance(table.cone, Affine) else None
+    direction, _ = clear_denominators(ONE / a if j == first else ZERO for j, a in enumerate(alpha0))
     # A generic point of H, then a small push to the positive side of alpha0.
     for m in (2, 3, 5, 7, 11, 13, 17):
         z = _combine([m**t for t in range(len(lattice))], lattice) if lattice else (0,) * len(alpha0)
         if any(_dot(r, z) == 0 and line_key(p) != key for r, p in zip(table.int_roots, table.primitive)):
             continue
-        if gamma is not None and _dot(gamma, z) <= 0:
+        if table.int_gamma is not None and _dot(table.int_gamma, z) <= 0:
             z = vneg(z)
-            if _dot(gamma, z) <= 0:
+            if _dot(table.int_gamma, z) <= 0:
                 continue
-        chamber = _push_chamber(table, z, direction, table.int_roots)
+        chamber = _push_chamber(table, z, 1, direction, table.int_roots)
         if key in map(line_key, chamber.key):
             return chamber
     raise InvalidTable(f"no chamber with wall {fmt_covector(alpha0)} found")
 
 
-def _push_chamber(table: RootSystemTable, z, d, guards) -> Chamber:
-    """The chamber at the `_half_step` push from z along d over integer guards,
-    read on zs and ds for z = zs / mz and d = ds / md: (q zs + p ds) / (q mz)."""
-    (zs, mz), (ds, _) = clear_denominators(z), clear_denominators(d)
+def _push_chamber(table: RootSystemTable, zs: tuple, mz: int, ds: tuple, guards) -> Chamber:
+    """The chamber at the `_half_step` push from z = zs / mz along the integer
+    direction ds over integer guards: the cleared point (q zs + p ds) / (q mz)."""
     p, q = _half_step((_dot(g, zs), _dot(g, ds)) for g in guards)
-    return chamber_from_point(table, tuple(Rat(q * a + p * b, q * mz) for a, b in zip(zs, ds)))
+    xs, m = tuple(q * a + p * b for a, b in zip(zs, ds)), q * mz
+    table.require_reduced()
+    return _chamber_at(table, (tuple(Rat(a, m) for a in xs), xs, m))
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +508,12 @@ def residue_correspondence_check(table: RootSystemTable, x, budget: int = 10_000
     walk crosses matching walls on both sides in lock-step and compares
     restricted Cartan matrices entry by entry.
     """
-    x = vec(x)
-    loc = localize(table, x)
+    point = _cleared(table, x, "point")
+    loc = _localize(table, point)
     if loc.empty:
         raise InvalidTable("the localization at x is empty")
-    chamber = _chamber_at_face(table, x)
-    xs, _ = clear_denominators(x)
+    chamber = _chamber_at_face(table, point)
+    xs = point[1]
     ambient_J = tuple(i for i, k in enumerate(chamber._index) if _dot(table.int_roots[k], xs) == 0)
 
     seed_intrinsic = chamber_from_point(loc.table, loc.intrinsic_point(chamber.witness))
@@ -541,19 +547,18 @@ def residue_correspondence_check(table: RootSystemTable, x, budget: int = 10_000
     return CorrespondenceReport(not mismatches, compared, phi, tuple(mismatches))
 
 
-def _chamber_at_face(table: RootSystemTable, x) -> Chamber:
-    """A chamber whose closure contains x, found by an exact generic push
-    along a direction on which no root vanishing at x vanishes."""
-    xs, _ = clear_denominators(x)
+def _chamber_at_face(table: RootSystemTable, point: tuple) -> Chamber:
+    """A chamber whose closure contains the cleared point (x, xs, mx), found by
+    an exact generic push along a direction on which no root vanishing at x vanishes."""
+    x, xs, mx = point
     guards = table.int_roots
-    if isinstance(table.cone, Affine):
-        gamma = clear_denominators(table.cone.gamma)[0]
-        if _dot(gamma, xs) == 0:  # x is on the boundary of the cone
+    if table.int_gamma is not None:
+        if _dot(table.int_gamma, xs) == 0:  # x is on the boundary of the cone
             raise OutsideCone(f"gamma({fmt_covector(x)}) <= 0")
-        guards += (gamma,)
+        guards += (table.int_gamma,)
     vanishing = [r for r in table.int_roots if _dot(r, xs) == 0]
     for m in (2, 3, 5, 7, 11, 13):
         w = tuple(m**k for k in range(table.rank))
         if not any(_dot(r, w) == 0 for r in vanishing):
-            return _push_chamber(table, x, w, guards)
+            return _push_chamber(table, xs, mx, w, guards)
     raise InvalidTable("no generic push direction found at the face point")

@@ -6,10 +6,11 @@ Runs pytest in this process (on the tests directory when no argument is
 given) under a `sys.settrace` hook that records each line executed in
 src/weylgpd.  It then prints every line of a function body (a function,
 lambda or comprehension, nested or in a class; not the `def` line) that
-never ran, as `path:line: source`, and their count.  Processes that the
-tests start, such as the CLI subprocesses, are not traced.  Tracing makes
-the run about three times slower.  Standard library only; the file name has
-no `test_` prefix, so pytest does not collect it.
+never ran, as `path:line: source`, and their count.  It exits with 1 when
+any such line is left, and with pytest's status otherwise.  Processes that
+the tests start, such as the CLI subprocesses, are not traced.  Tracing
+makes the run about three times slower.  Standard library only; the file
+name has no `test_` prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def main(argv: list) -> int:
         for line in unrun:
             print(f"{path.relative_to(TESTS.parent)}:{line}: {source[line - 1].strip()}")
     print(f"unexecuted function-body lines: {missed} of {total}")
-    return int(status)
+    return 1 if missed else int(status)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from weylgpd.arrangement import (
     radical,
     separating_keys,
     verify_combinatorial_equivalence,
+    wall_is_crossable,
     walls_and_root_basis,
 )
 from weylgpd.builtins import F4_SIMPLE_ROOTS, affine_a1_table, builtin_table, f4_table
@@ -55,6 +56,11 @@ DEFECTIVE_TABLES = {
         2, [(1, 0), (-1, 0), (0, 1), (0, -1), (HALF, 3 * HALF), (-HALF, -3 * HALF), (3 * HALF, HALF), (-3 * HALF, -HALF)]
     ),
 }
+
+
+# A reduced rank-2 table with a root on each of default_seed_chamber's candidates.
+NO_SEED_LINES = [(-100, 0), (-100, 100), (1, 4), (1, 1), (2, 1), (4, 1), (6, 1), (10, 1), (12, 1)]
+NO_SEED_ROOTS = [tuple(s * c for c in r) for r in NO_SEED_LINES for s in (1, -1)]
 
 
 class TestChamberFromPoint:
@@ -129,6 +135,12 @@ class TestWalls:
         with pytest.raises(InvalidTable, match=r"^covector \(1, 2, 3\) does not have rank 2$"):
             coords_in_chamber(table, chamber_from_point(table, (2, 1)), (1, 2, 3))
 
+    def test_no_generic_seed_point(self):
+        """Each of the 14 candidate points (7 weightings of the dual basis of
+        the first independent roots, both signs) lies on a root hyperplane."""
+        with pytest.raises(InvalidTable, match=r"^no generic seed point found$"):
+            default_seed_chamber(RootSystemTable(2, NO_SEED_ROOTS))
+
     def test_non_spanning_is_degenerate(self):
         table = RootSystemTable(2, [(1, 0), (-1, 0)])
         with pytest.raises(Exception):
@@ -162,6 +174,16 @@ class TestAdjacency:
         neighbor = adjacent_chamber(table, k0, i)
         # Across the e1 wall: basis {-(e1), e1 + gamma} = {(-1,0), (2,1)}.
         assert set(neighbor.basis) == {vec((-1, 0)), vec((2, 1))}
+
+    @pytest.mark.parametrize("name,i", [("a3", -1), ("a3", 3), ("aff-a1", -1), ("aff-a1", 2)])
+    def test_a_wall_index_outside_the_rank_is_refused(self, name, i):
+        """On a3, wall -1 crossed wall 2 and wall 3 raised a bare IndexError,
+        and `wall_is_crossable` said True for both, as for wall 2 of aff-a1."""
+        table = builtin_table(name)
+        seed = default_seed_chamber(table)
+        for read in (adjacent_chamber, wall_is_crossable):
+            with pytest.raises(InvalidTable, match=rf"^wall {i} is outside 0\.\.{table.rank - 1}$"):
+                read(table, seed, i)
 
     def test_chain_of_bases_matches_closed_form(self):
         table = affine_a1_table(6)

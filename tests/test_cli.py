@@ -607,6 +607,15 @@ class TestJsonInputBoundary:
         code, out, err = run(capsys, *(path if a == "{}" else a for a in argv))
         assert code == 0 and stdout in out and err == ""
 
+    def test_table_without_a_generic_seed_point_fails_the_check(self, capsys, tmp_path):
+        """Every candidate seed point of this reduced rank-2 table lies on a
+        root hyperplane."""
+        lines = [(-100, 0), (-100, 100), (1, 4), (1, 1), (2, 1), (4, 1), (6, 1), (10, 1), (12, 1)]
+        roots = [[str(s * c) for c in r] for r in lines for s in (1, -1)]
+        path = _write(tmp_path, {"rank": 2, "roots": roots})
+        code, out, err = run(capsys, "check", path, "--property", "cryst")
+        assert (code, out, err) == (1, "", "check failed: no generic seed point found\n")
+
     @pytest.mark.parametrize(
         "argv",
         [("check", "{}", "--property", "cryst"), ("check", "{}", "--property", "additive"), ("extract-graph", "{}")],

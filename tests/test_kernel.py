@@ -25,6 +25,7 @@ from weylgpd.arrangement import (
     Spherical,
     Truncated,
     _carry_frame,
+    _cleared,
     _column_is_coherent,
     _extract,
     _extreme_basis,
@@ -944,7 +945,7 @@ def test_seed_walls_match_the_former_rule(name):
         while len(positives) <= RANDOM_SEED_POINTS[name]:
             x = vec(F(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(table.rank))
             if all(sum(a * b for a, b in zip(key, x)) for key in table.lines):
-                positives.append(_positive_lines(table, x))
+                positives.append(_positive_lines(table, _cleared(table, x, "point")))
     for pos in positives:
         assert outcome(_extreme_basis, table, pos) == outcome(reference_extreme_basis, table, pos)
     if name == "f4-bare-truncation-3":
@@ -955,7 +956,7 @@ def test_seed_walls_match_the_former_rule(name):
 @pytest.mark.parametrize("rank,rays", [(3, 1), (4, 0)])
 def test_seed_walls_of_planar_roots_match_the_former_rule(rank, rays):
     table = PLANAR_TABLES[rank]
-    positives = _positive_lines(table, vec(range(1, rank + 1)))
+    positives = _positive_lines(table, _cleared(table, range(1, rank + 1), "point"))
     expected = (NotSimplicial, f"chamber has {rays} extreme rays, expected {rank}")
     assert outcome(_extreme_basis, table, positives) == expected
     assert outcome(reference_extreme_basis, table, positives) == expected

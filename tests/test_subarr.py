@@ -186,6 +186,13 @@ class TestLocalizationCrystallographic:
         assert not report.passed
         assert [str(w) for w in report.witnesses] == ["(-1/2, -1/2, 0) = (-1/2)*(0, 1, 0) + (-1/2)*(1, 0, 0)"]
 
+    def test_a_chamber_of_another_rank_is_refused(self):
+        """A dot product of the chamber's basis with the point raised zip's
+        `argument 2 is longer than argument 1`."""
+        loc = localize(f4_table(), (1, 1, 0, 0))
+        with pytest.raises(InvalidTable, match=r"^point \(1, 1, 0, 0\) does not have rank 3$"):
+            check_localization_crystallographic(loc, default_seed_chamber(builtin_table("a3")))
+
     def test_empty_localization_passes(self):
         table = builtin_table("a3")
         report = check_localization_crystallographic(localize(table, (7, 4, 2)), default_seed_chamber(table))
@@ -281,6 +288,13 @@ class TestRestrict:
     def test_root_must_be_in_table(self):
         with pytest.raises(RootNotInSystem):
             restrict(builtin_table("a3"), (5, 5, 5))
+
+    def test_intrinsic_of_a_covector_of_another_rank_is_refused(self):
+        """Refused at the door, where zip raised `argument 2 is longer than argument 1`."""
+        table = f4_table()
+        rst = restrict(table, table.roots[0])
+        with pytest.raises(InvalidTable, match=r"^covector \(1, 0\) does not have rank 4$"):
+            rst.intrinsic_of((1, 0))
 
     def test_rank2_restriction_is_rank1(self):
         table = builtin_table("b2")
@@ -573,6 +587,15 @@ class TestChamberWithWall:
             assert vdot(table.cone.gamma, chamber.witness) > 0
         chamber = chamber_with_wall(table, (1, 0))
         assert (fmt_covector(chamber.key), fmt_covector(chamber.witness)) == ("((-2, -1), (1, 0))", "(1/4, -1)")
+
+    @pytest.mark.parametrize("name,alpha0", [("a3", (1,)), ("a3", (1, 0)), ("a3", (1, 0, 0, 0)), ("aff-a1", (1, 0, 0))])
+    def test_a_covector_of_another_rank_is_refused(self, name, alpha0):
+        """Refused at the door: the integer dots read only the shorter tuple,
+        so a3 with (1, 0) gave `no chamber with wall (1, 0) found`."""
+        table = builtin_table(name)
+        message = rf"^covector \({', '.join(map(str, alpha0))}\) does not have rank {table.rank}$"
+        with pytest.raises(InvalidTable, match=message):
+            chamber_with_wall(table, alpha0)
 
     def test_a_covector_that_is_no_wall_is_refused(self):
         with pytest.raises(InvalidTable, match=r"^no chamber with wall \(1, 2, 5\) found$"):
