@@ -10,13 +10,13 @@ crystallographic/additive checks are all exact.
 The chamber kernel decides on integers.  Scaling every root by one positive
 integer L (the lcm of the root denominators) moves no hyperplane and changes
 no chamber coordinate, so each table keeps its roots as integer covectors
-L*root.  It builds them first, and its Fraction roots from them, so the int
-tuples of a realization are never read as Fractions.  A chamber's integer
-data is its integer basis B with an adjugate A and determinant D > 0
-(B . A = D * I); root k's chamber coordinates are the numerators
-int_root_k . A[:, j] over D.  Sign, integrality and wall-crossing
-predicates compare those numerators; Fractions are built only for values
-that leave the kernel.
+L*root.  A table is derived once, from its sorted distinct integer roots,
+and its Fraction roots from them; the kernel finds a root's position by its
+integers, never by a Fraction.  A chamber's integer data is its integer
+basis B with an adjugate A and determinant D > 0 (B . A = D * I); root k's
+chamber coordinates are the numerators int_root_k . A[:, j] over D.  Sign,
+integrality and wall-crossing predicates compare those numerators;
+Fractions are built only for values that leave the kernel.
 
 A seed chamber's walls come from its extreme rays, found by double
 description with the lines each lies on: wall m is the one line on all
@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache, cached_property
+from math import gcd
 from operator import mul, sub
 from typing import Iterable, Sequence
 
@@ -128,16 +129,17 @@ ConeSpec = Spherical | Affine | Truncated
 class RootSystemTable:
     """Finite set of roots with cone data; immutable after construction.
 
-    Besides the roots (sorted), it keeps only data derived from them once:
-    `scale` L, the integer roots `int_roots` (L*root, in root order), the
-    root -> position maps `index` and `int_index` (of the integer roots), the
-    positions `negation` of the negated roots, and the primitive rays
-    `primitive` (int tuples), as are line keys.  All of it is derived from
-    the sorted integer roots, which give each root's Fractions; the checks
-    and their texts (rank, zero root, negation, a `reduced` claim, and
-    bool or float entries, refused by `vec`) read as on the Fraction roots.
-    `int_gamma` is the least integer multiple of an affine cone's gamma,
-    which every cone test reads (None off affine tables).
+    A table is derived once, by `_of_ints`, from its sorted distinct integer
+    roots `int_roots` (L*root, in root order) over their `scale` L: the
+    root -> position map `int_index`, the positions `negation` of the negated
+    roots, the primitive rays `primitive` (int tuples), as are line keys, each
+    line's root positions `line_positions`, and each root's Fractions.  The
+    kernel finds a root's position by its integers, `int_index` at L*root.
+    The constructor reads its roots once (a root given twice is one root) and
+    clears them; the checks and their texts (rank, zero root, negation, a
+    `reduced` claim, and bool or float entries, refused by `vec`) read as on
+    the Fraction roots.  `int_gamma` is the least integer multiple of an
+    affine cone's gamma, which every cone test reads (None off affine tables).
     """
 
     def __init__(
@@ -149,47 +151,59 @@ class RootSystemTable:
         seed_hint: Vector | None = None,
         certified_keys: frozenset | None = None,
     ):
-        self.rank = int(rank)
         # A tuple of ints and Fractions is taken as it is, any other root is
-        # read by `vec`; scaling by L > 0 keeps the order of the roots.
+        # read by `vec`; the set merges a root given twice.
         given = {r if type(r) is tuple and all(type(c) in (int, Rat) for c in r) else vec(r) for r in roots}
-        self.scale = scale = denominator_lcm(c for r in given for c in r)
-        self.int_roots = ints = tuple(sorted(tuple(c.numerator * (scale // c.denominator) for c in r) for r in given))
+        scale = denominator_lcm(c for r in given for c in r)
+        ints = [tuple(c.numerator * (scale // c.denominator) for c in r) for r in given]
+        vars(self).update(vars(self._of_ints(rank, ints, scale, cone, seed_hint, certified_keys, reduced)))
+
+    @classmethod
+    def _of_ints(cls, rank: int, ints: Sequence[tuple], scale: int, cone: ConeSpec = Spherical(),
+                 seed_hint: Vector | None = None, certified_keys=None, reduced=None) -> RootSystemTable:
+        """The table of the distinct integer roots `ints` over a positive
+        `scale`: the one place a table is derived.  The common divisor of the
+        scale and every entry is divided out, so the scale is the least one."""
+        table = object.__new__(cls)
+        table.rank = rank = int(rank)
+        g = gcd(scale, *itertools.chain.from_iterable(ints))
+        table.scale = scale = scale // g
+        table.int_roots = ints = tuple(sorted(ints if g == 1 else (tuple(c // g for c in r) for r in ints)))
         fraction = {c: Rat(c, scale) for c in set(itertools.chain.from_iterable(ints))}  # one per coordinate value
-        self.roots = tuple(tuple(map(fraction.__getitem__, r)) for r in ints)
-        for r in self.roots:
-            if len(r) != self.rank:
-                raise InvalidTable(f"root {fmt_covector(r)} does not have rank {self.rank}")
+        table.roots = roots = tuple(tuple(map(fraction.__getitem__, r)) for r in ints)
+        for r in roots:
+            if len(r) != rank:
+                raise InvalidTable(f"root {fmt_covector(r)} does not have rank {rank}")
             if not any(r):
                 raise InvalidTable("0 is not a root")
-        self.index = {r: k for k, r in enumerate(self.roots)}
-        self.int_index = position = {r: k for k, r in enumerate(ints)}
-        self.negation = tuple(position.get(tuple(-c for c in r)) for r in ints)
-        if None in self.negation:
-            missing = vneg(self.roots[self.negation.index(None)])
+        table.int_index = position = {r: k for k, r in enumerate(ints)}
+        table.negation = tuple(position.get(tuple(-c for c in r)) for r in ints)
+        if None in table.negation:
+            missing = vneg(roots[table.negation.index(None)])
             raise InvalidTable(f"table is not negation-closed: missing {fmt_covector(missing)}")
-        self.primitive = tuple(map(int_primitive, ints))
+        table.primitive = tuple(map(int_primitive, ints))
         lines: dict[Covector, list] = {}
-        for r, p in zip(self.roots, self.primitive):
-            lines.setdefault(line_key(p), []).append(r)
-        self.lines: dict[Covector, tuple] = {k: tuple(v) for k, v in lines.items()}
-        derived_reduced = all(len(v) == 2 for v in self.lines.values())
-        if reduced is not None and bool(reduced) != derived_reduced:
+        for k, p in enumerate(table.primitive):
+            lines.setdefault(line_key(p), []).append(k)
+        table.line_positions = {key: tuple(ks) for key, ks in lines.items()}
+        table.lines = {key: tuple(map(roots.__getitem__, ks)) for key, ks in lines.items()}
+        table.reduced = all(len(ks) == 2 for ks in lines.values())
+        if reduced is not None and bool(reduced) != table.reduced:
             raise InvalidTable(
-                f"reduced={reduced} claimed but table is {'reduced' if derived_reduced else 'not reduced'}"
+                f"reduced={reduced} claimed but table is {'reduced' if table.reduced else 'not reduced'}"
             )
-        self.reduced = derived_reduced
         if isinstance(cone, Affine):
             gamma = vec(cone.gamma)
-            if len(gamma) != self.rank or is_zero(gamma):
+            if len(gamma) != rank or is_zero(gamma):
                 raise InvalidTable("affine cone needs a nonzero rank-length gamma")
             cone = Affine(gamma)
-        self.cone = cone
-        self.int_gamma = clear_denominators(cone.gamma)[0] if isinstance(cone, Affine) else None
-        self.seed_hint = vec(seed_hint) if seed_hint is not None else None
+        table.cone = cone
+        table.int_gamma = clear_denominators(cone.gamma)[0] if isinstance(cone, Affine) else None
+        table.seed_hint = vec(seed_hint) if seed_hint is not None else None
         # For truncated tables produced by a realization: the chamber keys known
         # to be interior (in-memory metadata, not part of the wire format).
-        self.certified_keys = certified_keys
+        table.certified_keys = certified_keys
+        return table
 
     def __repr__(self) -> str:
         return f"RootSystemTable(rank={self.rank}, n_roots={len(self.roots)}, cone={self.cone})"
@@ -206,7 +220,7 @@ class RootSystemTable:
         return hash((self.rank, self.roots, self.cone))
 
     def contains(self, root) -> bool:
-        return vec(root) in self.index
+        return tuple(c * self.scale for c in vec(root)) in self.int_index
 
     def positive_on(self, x: Vector) -> list:
         """One representative per line, the element positive at x (reduced tables)."""
@@ -395,7 +409,7 @@ def _held(table: RootSystemTable, chamber: Chamber) -> Chamber:
         return chamber
     if len(chamber.basis) != table.rank:
         raise InvalidTable(f"chamber basis of length {len(chamber.basis)} for a table of rank {table.rank}")
-    index = tuple(map(table.index.get, chamber.basis))
+    index = tuple(table.int_index.get(tuple(c * table.scale for c in b)) for b in chamber.basis)
     if None in index:
         raise InvalidTable(f"basis element {fmt_covector(chamber.basis[index.index(None)])} is not a root of the table")
     frame = _frame_at(table, index)
@@ -520,11 +534,10 @@ def _positive_lines(table: RootSystemTable, point: tuple) -> list:
     """(line key, index of the line's root positive at x) per line, by key."""
     x, xs, _ = point
     out = []
-    for key, elems in sorted(table.lines.items()):
-        k = table.index[elems[0]]
+    for key, (k, *_) in sorted(table.line_positions.items()):
         s = _dot(table.int_roots[k], xs)
         if s == 0:
-            raise OnHyperplane(elems[0], x)
+            raise OnHyperplane(table.roots[k], x)
         out.append((key, k if s > 0 else table.negation[k]))
     return out
 

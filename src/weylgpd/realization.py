@@ -45,6 +45,7 @@ from .cartan import (
 from .errors import (
     AxiomViolation,
     BudgetExceeded,
+    InvalidTable,
     NotSimplyConnected,
 )
 from .exactlin import (
@@ -129,11 +130,7 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
         seen_keys[key] = obj
         canon[obj] = key
 
-    roots = set()
-    for basis in bases.values():
-        for beta in basis:
-            roots.add(beta)
-            roots.add(vneg(beta))
+    roots = {root for basis in bases.values() for beta in basis for root in (beta, vneg(beta))}
     cone = Spherical() if closed else Truncated(depth)
 
     certified = frozenset(
@@ -141,13 +138,8 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
         for obj in order
         if all(edges.get((obj, i)) is not None for i in range(rank))
     )
-    table = RootSystemTable(
-        rank,
-        roots,
-        cone=cone,
-        seed_hint=interior_point(dual_basis(bases[_anchor(order, certified, base)])),
-        certified_keys=frozenset(canon[obj] for obj in certified),
-    )
+    seed_hint = interior_point(dual_basis(bases[_anchor(order, certified, base)]))
+    table = RootSystemTable._of_ints(rank, roots, 1, cone, seed_hint, frozenset(canon[obj] for obj in certified))
     position = table.int_index
     index = tuple(map(position.__getitem__, bases[base]))
     frame = _frame_at(table, index)
@@ -268,6 +260,8 @@ def adjacency_equivalences_test(
     """Evaluate the four equivalent adjacency characterizations independently,
     on the frames' primitive columns (the rays); the sandwich reads each
     chamber at its column sum, as every constraint is a root."""
+    if not 0 <= i < re.rank:
+        raise InvalidTable(f"wall {i} is outside 0..{re.rank - 1}")
     basis_b, basis_b2 = re.bases[b], re.bases[b2]
     wall = re.bases[b][i]
 

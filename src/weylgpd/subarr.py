@@ -79,7 +79,10 @@ class Localization(Record):
         return not self.roots
 
     def intrinsic_covector(self, alpha) -> tuple:
-        return tuple(vec(alpha)[c] for c in self.pivot_columns)
+        alpha = vec(alpha)
+        if len(alpha) != len(self.point):
+            raise InvalidTable(f"covector {fmt_covector(alpha)} does not have rank {len(self.point)}")
+        return tuple(alpha[c] for c in self.pivot_columns)
 
     def intrinsic_point(self, y) -> tuple:
         """Image of y in the quotient, in the chosen complement coordinates: the
@@ -107,11 +110,11 @@ def _localize(table: RootSystemTable, point: tuple) -> Localization:
     if not vanishing:
         return Localization(x, (), (), 0, (), None)
     roots = tuple(map(table.roots.__getitem__, vanishing))
-    # Pivot columns of the root matrix give a complement of the support.
-    support, pivots = nullspace_and_pivots([table.int_roots[k] for k in vanishing])
+    ints = [table.int_roots[k] for k in vanishing]
+    # Pivot columns of the root matrix give a complement of the support; the roots' images there are distinct.
+    support, pivots = nullspace_and_pivots(ints)
     q = len(pivots)
-    intrinsic_roots = [tuple(r[c] for c in pivots) for r in roots]
-    intrinsic = RootSystemTable(q, intrinsic_roots, cone=Spherical())
+    intrinsic = RootSystemTable._of_ints(q, [tuple(r[c] for c in pivots) for r in ints], table.scale)
     return Localization(x, roots, tuple(support), q, tuple(pivots), intrinsic)
 
 
@@ -262,7 +265,7 @@ def restrict(table: RootSystemTable, alpha0) -> Restriction:
     scale.
     """
     alpha0 = vec(alpha0)
-    position = table.index.get(alpha0)
+    position = table.int_index.get(tuple(c * table.scale for c in alpha0))
     if position is None:
         raise RootNotInSystem(f"{fmt_covector(alpha0)} is not in the table")
     key = line_key(table.primitive[position])
@@ -278,9 +281,9 @@ def restrict(table: RootSystemTable, alpha0) -> Restriction:
         # ker(image) meets gamma > 0 unless gamma vanishes on it, i.e. is parallel to image.
         cone, gamma_line = Affine(gamma), primitive_normalize(gamma)
         off_cone = {image for image in images if primitive_normalize(image) == gamma_line}
-    kept = [tuple(Rat(c, table.scale) for c in image) for image in images if image not in off_cone]
+    kept = [image for image in images if image not in off_cone]
     dropped = tuple(tuple(Rat(c, table.scale) for c in image) for image in sorted(off_cone))
-    sub = RootSystemTable(len(lattice), kept, cone=cone)
+    sub = RootSystemTable._of_ints(len(lattice), kept, table.scale, cone)
     return Restriction(table, alpha0, lattice, sub, reduce(sub), dropped)
 
 
@@ -291,14 +294,14 @@ def reduce(table: RootSystemTable) -> RootSystemTable:
     An element's integer root is c * key, c read at the key's first nonzero
     coordinate."""
     kept = []
-    for key, elems in sorted(table.lines.items()):
+    for key, positions in sorted(table.line_positions.items()):
         j = next(j for j, c in enumerate(key) if c)
-        cs = [table.int_roots[table.index[e]][j] // key[j] for e in elems]
+        cs = [table.int_roots[k][j] // key[j] for k in positions]
         c_min = min(c for c in cs if c > 0)
         if any(c % c_min for c in cs):
-            raise NotReducible(key, elems)
-        kept += (tuple(Rat(sign * c_min * k, table.scale) for k in key) for sign in (1, -1))
-    return RootSystemTable(table.rank, kept, cone=table.cone, seed_hint=table.seed_hint)
+            raise NotReducible(key, table.lines[key])
+        kept += (tuple(sign * c_min * k for k in key) for sign in (1, -1))
+    return RootSystemTable._of_ints(table.rank, kept, table.scale, table.cone, table.seed_hint)
 
 
 def double_restriction(table: RootSystemTable, root_a, root_b) -> Restriction:

@@ -514,7 +514,7 @@ def reference_lonely_roots(table, chamber):
     positives = [k for k, root in enumerate(table.int_roots) if sum(a * x for a, x in zip(root, point)) > 0]
     ints = [table.int_roots[k] for k in positives]
     sums = {tuple(a + b for a, b in zip(u, v)) for u, v in itertools.combinations_with_replacement(ints, 2)}
-    basis = {table.index[b] for b in chamber.basis}
+    basis = {table.int_index[tuple(c * table.scale for c in b)] for b in chamber.basis}
     return [k for k in positives if k not in basis and table.int_roots[k] not in sums]
 
 
@@ -647,12 +647,12 @@ def reference_table(rank, roots, reduced=None) -> dict:
         )
     return {
         "roots": roots,
-        "index": index,
         "int_roots": int_roots,
         "int_index": {r: k for k, r in enumerate(int_roots)},
         "negation": negation,
         "primitive": primitive,
         "lines": lines,
+        "line_positions": {k: tuple(index[r] for r in v) for k, v in lines.items()},
         "scale": scale,
         "reduced": derived_reduced,
     }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from weylgpd import jsonio
 from weylgpd.arrangement import Affine, Truncated, chamber_bfs, default_seed_chamber
 from weylgpd.builtins import affine_a1_table, builtin_graph, builtin_table
 from weylgpd.cartan import generate_real_roots
+from weylgpd.cli import main
 from weylgpd.errors import ParseError
 from weylgpd.exactlin import vneg, vdot
 from weylgpd.realization import realize
@@ -33,6 +35,22 @@ class TestTableJson:
     def test_unknown_cone_is_refused(self):
         with pytest.raises(ParseError, match=r"^unknown cone spec 'conical'$"):
             jsonio.table_from_json({"rank": 1, "cone": "conical", "roots": [["1"], ["-1"]]})
+
+    @pytest.mark.parametrize("name", ["b2", "f4", "aff-a1"])
+    def test_a_repeated_root_is_read_once(self, name, tmp_path, capsys):
+        """A root listed twice is one root: the table reads as the table
+        without the repeat, and `weylgpd check` prints the same bytes."""
+        data = jsonio.table_to_json(builtin_table(name))
+        repeated = dict(data, roots=data["roots"] + data["roots"][1::3])
+        assert jsonio.table_from_json(repeated) == jsonio.table_from_json(data)
+        outputs = []
+        for table in (data, repeated):
+            path = tmp_path / f"{len(outputs)}.json"
+            path.write_text(json.dumps(table))
+            for argv in (["check", str(path)], ["--format", "json", "check", str(path)]):
+                for prop in ("cryst", "additive"):
+                    outputs.append((main(argv + ["--property", prop]), capsys.readouterr()))
+        assert outputs[:4] == outputs[4:] and outputs[0][0] == 0 and all(out.err == "" for _, out in outputs)
 
     def test_truncated_cone(self):
         table = jsonio.table_from_json(

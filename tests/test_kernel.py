@@ -857,7 +857,7 @@ def test_realization_chambers_seed_a_survey(name):
     survey from the default seed visits and certifies."""
     re = realize(builtin_graph(name), depth=6)
     seed = re.chamber_of(re.base)
-    index = tuple(re.table.index[b] for b in seed.basis)
+    index = tuple(re.table.int_index[b] for b in re.bases[re.base])
     assert seed is re.chambers[re.base] and seed.frame.table is re.table
     assert frame_data(seed.frame) == frame_data(_frame_at(re.table, index))
     assert seed.rays == tuple(dual_basis(re.bases[re.base]))

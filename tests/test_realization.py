@@ -14,7 +14,7 @@ from weylgpd import arrangement, realization
 from weylgpd.arrangement import Truncated, check_additive, check_crystallographic, default_seed_chamber
 from weylgpd.builtins import BUILTIN_GCMS, builtin_graph
 from weylgpd.cartan import CartanGraph, GeneralizedCartanMatrix, canonical_basis_key, generate_real_roots
-from weylgpd.errors import AxiomViolation, BudgetExceeded, NotSimplyConnected
+from weylgpd.errors import AxiomViolation, BudgetExceeded, InvalidTable, NotSimplyConnected
 from weylgpd.exactlin import vec, vneg
 from weylgpd.jsonio import graph_from_json
 from weylgpd.arrangement import _column_is_coherent
@@ -256,6 +256,15 @@ class TestAdjacencyEquivalences:
         assert (b, 1) not in re.edges and not re.complete
         result = adjacency_equivalences_test(re, b, b, 1)
         assert result == result.__class__(False, False, False, False)
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_a_wall_outside_the_rank_is_refused(self, i):
+        """Refused with `wall_is_crossable`'s text (-1 read the last wall,
+        and 2 raised a bare IndexError)."""
+        re = realize(builtin_graph("a2"), depth=8)
+        b2 = re.edges[(re.base, 1)]
+        with pytest.raises(InvalidTable, match=rf"^wall {i} is outside 0\.\.1$"):
+            adjacency_equivalences_test(re, re.base, b2, i)
 
     def test_opposite_pair_all_false(self):
         re = realize(builtin_graph("a2"), depth=8)

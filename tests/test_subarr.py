@@ -116,6 +116,16 @@ class TestLocalize:
         with pytest.raises(InvalidTable, match=r"^point \(1, 2, 3, 4, 5\) does not have rank 4$"):
             loc.intrinsic_point((1, 2, 3, 4, 5))
 
+    def test_intrinsic_covector_refuses_a_covector_of_another_rank(self):
+        """Refused with `intrinsic_point`'s text (a longer covector was cut
+        to the pivot columns, a shorter one raised a bare IndexError)."""
+        loc = localize(f4_table(), (1, 1, 0, 0))
+        with pytest.raises(InvalidTable, match=r"^covector \(1, 2, 3, 4, 5\) does not have rank 4$"):
+            loc.intrinsic_covector((1, 2, 3, 4, 5))
+        with pytest.raises(InvalidTable, match=r"^covector \(1, 0\) does not have rank 4$"):
+            loc.intrinsic_covector((1, 0))
+        assert loc.pivot_columns == (0, 2, 3) and loc.intrinsic_covector((1, 2, 3, 4)) == (1, 3, 4)
+
     def test_a_point_of_another_rank_is_refused(self):
         """Refused as `_positive_lines` refuses it (a Fraction dot product
         raised `zip() argument 2 is shorter than argument 1`)."""

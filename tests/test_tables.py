@@ -1,6 +1,8 @@
-"""The table constructor builds its integer data first and derives every
-field as the Fraction-first constructor did (`_oracles.reference_table`),
-for every kind of input the library and its users give it."""
+"""Every table is derived by `RootSystemTable._of_ints` from its integer
+roots, every field as the Fraction-first constructor did
+(`_oracles.reference_table`), for every kind of input the library and its
+users give it; the library's builders hand it the integers they hold, and
+the constructor derives the same table from their Fraction roots."""
 
 from __future__ import annotations
 
@@ -21,38 +23,57 @@ from weylgpd.subarr import localize, restrict
 
 from _oracles import reference_table
 
-FIELDS = ("roots", "index", "int_roots", "int_index", "negation", "primitive", "lines", "scale", "reduced")
+FIELDS = ("roots", "int_roots", "int_index", "negation", "primitive", "lines", "line_positions", "scale", "reduced")
 
 
 @contextlib.contextmanager
 def recorded_inputs():
-    """Record (rank, roots, reduced) of every table built inside, with the
-    roots in the form the constructor was given them."""
+    """Record (rank, ints, scale, reduced, table) of every table derived
+    inside: the integer roots `_of_ints` was given, in the form given, and
+    the table it derived from them."""
     inputs = []
-    original = RootSystemTable.__init__
+    original = RootSystemTable._of_ints.__func__
 
-    def recording(self, rank, roots, cone=Spherical(), reduced=None, **kwargs):
-        roots = list(roots)
-        inputs.append((rank, roots, reduced))
-        original(self, rank, roots, cone, reduced, **kwargs)
+    def recording(cls, rank, ints, scale, cone=Spherical(), seed_hint=None, certified_keys=None, reduced=None):
+        ints = list(ints)
+        table = original(cls, rank, ints, scale, cone, seed_hint, certified_keys, reduced)
+        inputs.append((rank, ints, scale, reduced, table))
+        return table
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(RootSystemTable, "__init__", recording)
+        patch.setattr(RootSystemTable, "_of_ints", classmethod(recording))
         yield inputs
+
+
+def derived_fields(table):
+    return {name: getattr(table, name) for name in FIELDS}
 
 
 def assert_same_table(rank, roots, reduced=None):
     table = RootSystemTable(rank, roots, reduced=reduced)
-    assert {name: getattr(table, name) for name in FIELDS} == reference_table(rank, roots, reduced)
+    assert derived_fields(table) == reference_table(rank, roots, reduced)
     # Equal values are not enough: an int equals its Fraction.
     assert all(type(c) is F for r in table.roots for c in r)
     assert all(type(c) is int for r in table.int_roots for c in r)
 
 
 def assert_same_inputs(inputs):
+    """Each table `_of_ints` derived from distinct integer roots is the
+    reference table of ints / scale, and the constructor, handed its
+    Fraction roots, cone, seed hint and certified keys, derives an equal,
+    hash-equal table with the same fields."""
     assert inputs
-    for rank, roots, reduced in inputs:
-        assert_same_table(rank, roots, reduced)
+    for rank, ints, scale, reduced, table in inputs:
+        assert all(type(c) is int for r in ints for c in r) and len(set(ints)) == len(ints) and scale > 0
+        assert derived_fields(table) == reference_table(rank, [tuple(F(c, scale) for c in r) for r in ints], reduced)
+        rebuilt = RootSystemTable(
+            rank, table.roots, table.cone, reduced, seed_hint=table.seed_hint, certified_keys=table.certified_keys
+        )
+        assert derived_fields(rebuilt) == derived_fields(table)
+        assert (rebuilt.cone, rebuilt.int_gamma, rebuilt.seed_hint) == (table.cone, table.int_gamma, table.seed_hint)
+        assert rebuilt.certified_keys == table.certified_keys
+        assert rebuilt == table and hash(rebuilt) == hash(table)
+        assert all(type(c) is F for r in table.roots for c in r)
 
 
 @pytest.mark.parametrize("name", TABLE_NAMES)
@@ -65,10 +86,10 @@ def test_builtin_tables(name):
 @pytest.mark.parametrize("name", sorted(BUILTIN_GCMS))
 def test_realized_tables(name):
     with recorded_inputs() as inputs:
-        for depth in range(1, 7):
+        for depth in range(1, 9):
             realize(builtin_graph(name), depth=depth)
-    assert len(inputs) == 6
-    assert all(type(c) is int for _, roots, _ in inputs for r in roots for c in r)
+    assert len(inputs) == 8
+    assert all(scale == 1 for _, _, scale, _, _ in inputs)
     assert_same_inputs(inputs)
 
 
@@ -103,18 +124,54 @@ def test_f4_from_json_strings():
     assert_same_table(4, data["roots"], True)
 
 
-@pytest.mark.parametrize("name", ["b3", "f4"])
-def test_restrictions_and_localizations(name):
-    table = builtin_table(name)
+def seed_points(table):
+    """The seed chamber's rays and their pairwise sums, as primitive points."""
     rays = default_seed_chamber(table).rays
     points = [primitive_ray(ray) for ray in rays]
-    points += [primitive_ray(tuple(map(sum, zip(u, v)))) for u, v in itertools.combinations(rays, 2)]
+    return points + [primitive_ray(tuple(map(sum, zip(u, v)))) for u, v in itertools.combinations(rays, 2)]
+
+
+@pytest.mark.parametrize("name", TABLE_NAMES)
+def test_restrictions_and_localizations(name):
+    """Every single restriction and its reduction, and the localizations at
+    the seed chamber's rays and their pairwise sums."""
+    table = builtin_table(name)
     with recorded_inputs() as inputs:
         for roots in table.lines.values():
             restrict(table, roots[-1])
-        for x in points:
+        for x in seed_points(table):
             localize(table, x)
+    assert len(inputs) >= 2 * len(table.lines)
     assert_same_inputs(inputs)
+
+
+def test_f4_double_restrictions():
+    """Every two-step restriction of F4, and its reduction.  Restricting to
+    the root (1/2, 1/2, 1/2, 1/2) lowers the scale from 2 to 1, as every
+    integer image is even; so do the other seven of its kind."""
+    f4 = f4_table()
+    firsts = [restrict(f4, roots[-1]) for roots in f4.lines.values()]
+    lowered = restrict(f4, (F(1, 2),) * 4)
+    assert f4.scale == 2 and lowered.table.scale == lowered.reduced_table.scale == 1
+    assert sum(first.table.scale == 1 for first in firsts) == 8
+    with recorded_inputs() as inputs:
+        for first in firsts:
+            for roots in first.table.lines.values():
+                restrict(first.table, roots[-1])
+    assert_same_inputs(inputs)
+
+
+def test_of_ints_divides_out_the_common_divisor():
+    """The scale over the gcd of the scale and every entry: 2 over 4 is the
+    table of 1/2, and a scale that divides no further is kept."""
+    ints = [(2, 0), (-2, 0), (0, 4), (0, -4), (2, 4), (-2, -4)]
+    table = RootSystemTable._of_ints(2, ints, 4)
+    assert table.scale == 2 and table.int_roots == tuple(sorted((a // 2, b // 2) for a, b in ints))
+    assert derived_fields(table) == reference_table(2, [(F(a, 4), F(b, 4)) for a, b in ints])
+    kept = RootSystemTable._of_ints(2, [(1, 0), (-1, 0), (0, 3), (0, -3)], 2)
+    assert kept.scale == 2 and kept.int_roots == ((-1, 0), (0, -3), (0, 3), (1, 0))
+    assert kept.roots == ((F(-1, 2), 0), (0, F(-3, 2)), (0, F(3, 2)), (F(1, 2), 0))
+    assert RootSystemTable._of_ints(3, [], 1).roots == () and RootSystemTable(3, []).scale == 1
 
 
 def as_ints(root):
