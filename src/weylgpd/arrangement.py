@@ -40,8 +40,8 @@ Bareiss elimination.  A seed holds its frame from the start.  The kernel
 trusts the chambers it builds; `_held` holds any chamber on a table and
 checks one the kernel did not build for it.  Chamber keys and line keys
 are tuples of primitive integer rays.  A point or covector from outside
-is checked and cleared once, at one door (`_cleared`), and the kernel
-decides on its integers and on the table's `int_gamma`.  A chamber's
+is checked and cleared once, at one door (`exactlin._cleared`), and the
+kernel decides on its integers and on the table's `int_gamma`.  A chamber's
 Fraction data, its rays and witness point, is built when it is first read;
 `chamber_bfs` builds none, as the affine cone test reads the sign of gamma
 at the columns of A.
@@ -60,7 +60,7 @@ from typing import Iterable, Sequence
 from ._rational import ONE, ZERO, Rat, fmt_covector
 from ._record import Record
 from .cartan import CartanGraph, GeneralizedCartanMatrix, canonical_basis_key
-from .cartan import _carried_column, _check_edge, _combine, _reflected_rows, standard_dual_basis
+from .cartan import _carried_column, _check_edge, _combine, _reflected_rows, _wall_index, standard_dual_basis
 from .errors import (
     BudgetExceeded,
     InvalidTable,
@@ -75,6 +75,7 @@ from .errors import (
     WallOnBoundary,
 )
 from .exactlin import (
+    _cleared,
     clear_denominators,
     combination,
     denominator_lcm,
@@ -220,11 +221,11 @@ class RootSystemTable:
         return hash((self.rank, self.roots, self.cone))
 
     def contains(self, root) -> bool:
-        return tuple(c * self.scale for c in vec(root)) in self.int_index
+        return tuple(c * self.scale for c in _cleared(self.rank, root, "covector")[0]) in self.int_index
 
     def positive_on(self, x: Vector) -> list:
         """One representative per line, the element positive at x (reduced tables)."""
-        return [(key, self.roots[k]) for key, k in _positive_lines(self, _cleared(self, x, "point"))]
+        return [(key, self.roots[k]) for key, k in _positive_lines(self, _cleared(self.rank, x, "point"))]
 
     def require_reduced(self) -> None:
         if not self.reduced:
@@ -344,17 +345,6 @@ def _key_at(table: RootSystemTable, index: tuple) -> tuple:
 
 def _dot(u: tuple, v: tuple) -> int:
     return sum(map(mul, u, v))
-
-
-def _cleared(table: RootSystemTable, x, what: str) -> tuple:
-    """The door of a point or covector x from outside, named `what` in the
-    rank error (`_dot` would read only the shorter tuple): (x, xs, m), x
-    read by `vec` and xs = m * x its least integer multiple."""
-    x = vec(x)
-    if len(x) != table.rank:
-        raise InvalidTable(f"{what} {fmt_covector(x)} does not have rank {table.rank}")
-    xs, m = clear_denominators(x)
-    return x, xs, m
 
 
 def _frame_at(table: RootSystemTable, index: tuple) -> IntegerFrame:
@@ -503,7 +493,7 @@ def coords_in_chamber(table: RootSystemTable, chamber: Chamber, root) -> tuple:
     """Coordinates of a covector in the chamber's basis, exactly; the
     chamber is held (`_held`) first."""
     frame = _held(table, chamber).frame
-    _, ints, m = _cleared(table, root, "covector")
+    _, ints, m = _cleared(table.rank, root, "covector")
     den = m * frame.det
     return tuple(Rat(table.scale * _dot(ints, col), den) for col in frame.cols)
 
@@ -511,7 +501,7 @@ def coords_in_chamber(table: RootSystemTable, chamber: Chamber, root) -> tuple:
 def chamber_from_point(table: RootSystemTable, x) -> Chamber:
     """The chamber containing x; x must be generic and inside the cone."""
     table.require_reduced()
-    return _chamber_at(table, _cleared(table, x, "point"))
+    return _chamber_at(table, _cleared(table.rank, x, "point"))
 
 
 def _chamber_at(table: RootSystemTable, point: tuple) -> Chamber:
@@ -527,7 +517,7 @@ def _chamber_at(table: RootSystemTable, point: tuple) -> Chamber:
 def walls_and_root_basis(table: RootSystemTable, x) -> tuple:
     """The indexed root basis (irredundant positive constraints) at a generic x."""
     table.require_reduced()
-    return tuple(table.roots[k] for k in _extreme_basis(table, _positive_lines(table, _cleared(table, x, "point"))))
+    return tuple(table.roots[k] for k in _extreme_basis(table, _positive_lines(table, _cleared(table.rank, x, "point"))))
 
 
 def _positive_lines(table: RootSystemTable, point: tuple) -> list:
@@ -616,8 +606,7 @@ def _rays_in_cone(table: RootSystemTable, chamber: Chamber) -> list:
 def wall_is_crossable(table: RootSystemTable, chamber: Chamber, i: int) -> bool:
     """Whether the facet on wall i (one of 0..r-1) meets the open cone."""
     held = _held(table, chamber)
-    if not 0 <= i < table.rank:
-        raise InvalidTable(f"wall {i} is outside 0..{table.rank - 1}")
+    _wall_index(table.rank, i)
     if not isinstance(table.cone, Affine):
         return True
     inside = _rays_in_cone(table, held)
@@ -1462,7 +1451,7 @@ def check_k_spherical(table: RootSystemTable, k: int, budget: int = 10_000) -> C
     if isinstance(table.cone, Truncated):
         raise Unsupported("k-sphericity is undefined for truncated tables (no cone)")
     if not 0 <= k <= table.rank:
-        raise ValueError(f"k must be between 0 and {table.rank}")
+        raise InvalidTable(f"k must be between 0 and {table.rank}")
     if isinstance(table.cone, Spherical):
         return CheckReport("k-spherical", True, (), 0, 0, 0, False)
     atlas = _survey(table, budget)
@@ -1488,7 +1477,7 @@ def verify_combinatorial_equivalence(
     table_a: RootSystemTable, table_b: RootSystemTable, g: Sequence[Sequence]
 ) -> EquivalenceReport:
     """Check that the linear map g sends table_a's data onto table_b's exactly."""
-    g_inv = dual_basis(tuple(vec(row) for row in g))  # the columns of g^-1
+    g_inv = dual_basis([_cleared(table_a.rank, row, "row of g")[0] for row in g])  # the columns of g^-1
     image = {tuple(vdot(alpha, col) for col in g_inv) for alpha in table_a.roots}
     if image != set(table_b.roots):
         return EquivalenceReport(False, "g does not map the root set onto the target root set")

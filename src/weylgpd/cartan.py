@@ -21,10 +21,11 @@ from ._record import Record
 from .errors import (
     BudgetExceeded,
     InvalidCartanMatrix,
+    InvalidTable,
     NonSquare,
     NotSimplyConnected,
 )
-from .exactlin import int_det, primitive_ray
+from .exactlin import _cleared, int_det, primitive_ray
 
 IntVec = tuple  # tuple of ints
 ObjectId = Hashable
@@ -34,6 +35,23 @@ def fmt_object(obj: ObjectId) -> str:
     """An object id for messages: ids that are chamber keys (the standard
     graph's) print through fmt_covector, any other id through str."""
     return fmt_covector(obj) if isinstance(obj, tuple) else str(obj)
+
+
+def _wall_index(rank: int, i) -> int:
+    """The one check of a wall index from outside: an int (not a bool) in 0..rank-1."""
+    if type(i) is not int or not 0 <= i < rank:
+        raise InvalidTable(f"wall {i!r} is outside 0..{rank - 1}")
+    return i
+
+
+def _held_object(objects, obj, holder: str) -> ObjectId:
+    """The one check of an object id from outside: obj, if `objects` of `holder` holds it."""
+    try:
+        if obj in objects:
+            return obj
+    except TypeError:  # an unhashable id is no object
+        pass
+    raise InvalidTable(f"{fmt_object(obj)} is not an object of the {holder}")
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +136,7 @@ class GeneralizedCartanMatrix(Record):
         return len(self.rows)
 
     def restrict(self, indices: Sequence[int]) -> "GeneralizedCartanMatrix":
+        indices = [_wall_index(self.rank, i) for i in indices]
         return GeneralizedCartanMatrix(
             tuple(tuple(self.rows[i][j] for j in indices) for i in indices)
         )
@@ -125,7 +144,8 @@ class GeneralizedCartanMatrix(Record):
 
 def reflect(C: GeneralizedCartanMatrix, i: int, v: IntVec) -> IntVec:
     """sigma_i applied to v in Z^I: alpha_j |-> alpha_j - c_ij alpha_i, extended linearly."""
-    return _reflected(C, i, (v,)).pop()
+    v, vs, m = _cleared(C.rank, v, "vector")
+    return _reflected(C, _wall_index(C.rank, i), (vs if m == 1 else v,)).pop()
 
 
 def _reflected(C: GeneralizedCartanMatrix, i: int, vectors) -> set:
@@ -204,6 +224,7 @@ class CartanGraph:
         rho: Callable[[int, ObjectId], ObjectId | None],
         objects: tuple[ObjectId, ...] | None = None,
         truncated: bool = False,
+        holds=None,
     ):
         self.rank = rank
         self.base = base
@@ -211,17 +232,22 @@ class CartanGraph:
         self._rho = rho
         self.objects = objects
         self.truncated = truncated
+        self._holds = frozenset(objects) if holds is None and objects is not None else holds
 
     @property
     def is_explicit(self) -> bool:
         return self.objects is not None
 
+    def _held(self, obj: ObjectId) -> ObjectId:
+        """The one check of an object from outside, against `holds` (default `objects`), if any."""
+        return obj if self._holds is None else _held_object(self._holds, obj, "graph")
+
     def matrix(self, obj: ObjectId) -> GeneralizedCartanMatrix:
-        return self._matrix_of(obj)
+        return self._matrix_of(self._held(obj))
 
     def rho(self, i: int, obj: ObjectId) -> ObjectId | None:
         """The i-neighbor, or None when that edge is outside a truncated table."""
-        return self._rho(i, obj)
+        return self._rho(_wall_index(self.rank, i), self._held(obj))
 
     # -- constructors ------------------------------------------------------
 
@@ -236,7 +262,7 @@ class CartanGraph:
         """The finite graph of `matrices` and `edges`, checked for (C1)
         rho_i^2 = id and (C2) row-i agreement on every present edge, object by
         object in `matrices` order, so the first failure met is the one named."""
-        rank = matrices[base].rank
+        rank = matrices[_held_object(matrices, base, "graph")].rank
         edge_map = dict(edges)
         for a, Ca in matrices.items():
             for i in range(rank):
@@ -267,7 +293,7 @@ class CartanGraph:
             bases.setdefault(key, new_basis)
             return key
 
-        return cls(rank, base, lambda _: gcm, rho, objects=None)
+        return cls(rank, base, lambda _: gcm, rho, holds=bases)
 
     # -- traversal ---------------------------------------------------------
 
@@ -280,7 +306,7 @@ class CartanGraph:
         and stays in the visited set.  A missing edge (rho is None, as in a
         truncated graph) is frontier: the region past it is unknown.
         """
-        dist = {start: 0}
+        dist = {self._held(start): 0}
         edges: dict[tuple[ObjectId, int], ObjectId] = {}
         queue = deque([start])
         frontier_open = False
@@ -288,7 +314,7 @@ class CartanGraph:
             a = queue.popleft()
             d = dist[a]
             for i in range(self.rank):
-                b = self.rho(i, a)
+                b = self._rho(i, a)
                 if b in dist:
                     edges[(a, i)] = b
                     continue
@@ -316,7 +342,7 @@ class RealRootSet(Record):
     distances: Mapping[ObjectId, int]
 
     def at(self, obj: ObjectId) -> frozenset:
-        return self.roots[obj]
+        return self.roots[_held_object(self.roots, obj, "real-root set")]
 
     def interior_objects(self) -> set:
         """Objects whose whole neighborhood was generated."""
@@ -334,7 +360,7 @@ def generate_real_roots(graph: CartanGraph, start: ObjectId, depth: int) -> Real
     extra round adds nothing anywhere.
     """
     if depth < 0:
-        raise ValueError("depth must be >= 0")
+        raise InvalidTable("depth must be >= 0")
     dist, edges, closed = graph.ball(start, depth)
     basis = standard_dual_basis(graph.rank)
     sets: dict[ObjectId, set] = {obj: set(basis) for obj in dist}
@@ -343,7 +369,7 @@ def generate_real_roots(graph: CartanGraph, start: ObjectId, depth: int) -> Real
     def one_round() -> dict[ObjectId, set]:
         added: dict[ObjectId, set] = {obj: set() for obj in dist}
         for (a, i), b in edges.items():
-            added[b] |= _reflected(graph.matrix(a), i, fresh[a]) - sets[b]
+            added[b] |= _reflected(graph._matrix_of(a), i, fresh[a]) - sets[b]
         return added
 
     last: dict[ObjectId, set] = {obj: set() for obj in dist}
@@ -388,9 +414,9 @@ def _cone_roots(roots: Iterable, i: int, j: int) -> set:
 
 def m_ij(rrs: RealRootSet, obj: ObjectId, i: int, j: int):
     """|R^a cap (N0 a_i + N0 a_j)| on the truncation; Infinite when still growing."""
-    if i == j:
-        raise ValueError("m_ij needs distinct indices")
-    cone = _cone_roots(rrs.at(obj), i, j)
+    roots = rrs.at(obj)
+    _index_pair(len(next(iter(roots))), i, j)  # every object holds the simple roots
+    cone = _cone_roots(roots, i, j)
     if rrs.complete:
         return len(cone)
     if _cone_roots(rrs.last_layer.get(obj, ()), i, j):
@@ -402,6 +428,7 @@ def m_ij_certified(
     graph: CartanGraph, obj: ObjectId, i: int, j: int, budget: int
 ) -> tuple[int | Infinite, bool]:
     """m_ij computed on the rank-2 residue closure; certified iff it stabilizes."""
+    _index_pair(graph.rank, i, j)
     sub = _residue_view(graph, obj, (i, j))
     rrs = generate_real_roots(sub, obj, budget)
     if rrs.complete:
@@ -409,23 +436,29 @@ def m_ij_certified(
     return Infinite(budget), False
 
 
+def _index_pair(rank: int, i, j) -> None:
+    """The check of m_ij's indices: two distinct walls."""
+    if _wall_index(rank, i) == _wall_index(rank, j):
+        raise InvalidTable("m_ij needs distinct indices")
+
+
 def _residue_view(graph: CartanGraph, base: ObjectId, indices: Sequence[int]) -> CartanGraph:
     """Lazy J-residue: same objects, edges restricted to J, matrices restricted."""
-    idx = tuple(indices)
+    idx = tuple(_wall_index(graph.rank, i) for i in indices)
 
     def matrix_of(obj):
-        return graph.matrix(obj).restrict(idx)
+        return graph._matrix_of(obj).restrict(idx)
 
     def rho(k, obj):
-        return graph.rho(idx[k], obj)
+        return graph._rho(idx[k], obj)
 
-    return CartanGraph(len(idx), base, matrix_of, rho, objects=None, truncated=graph.truncated)
+    return CartanGraph(len(idx), base, matrix_of, rho, truncated=graph.truncated, holds=graph._holds)
 
 
 def residue(graph: CartanGraph, base: ObjectId, indices: Sequence[int], budget: int) -> CartanGraph:
     """Explicit J-residue containing `base`, generated by closure within budget."""
     if not indices:
-        raise ValueError("the index subset must be nonempty")
+        raise InvalidTable("the index subset must be nonempty")
     view = _residue_view(graph, base, indices)
     dist, edges, closed = view.ball(base, budget)
     matrices = {obj: view.matrix(obj) for obj in dist}
@@ -582,11 +615,11 @@ class Morphism(Record):
     @classmethod
     def from_word(cls, graph: CartanGraph, start: ObjectId, word: Sequence[int]) -> "Morphism":
         """Cross edges in word order from `start`; matrices compose left to right: sigma_i . M = (M^t . T)^t."""
-        cur = start
+        cur = graph._held(start)
         mat = standard_dual_basis(graph.rank)
         for i in word:
-            mat = mat[:i] + (_carried_column(mat, i, [-c for c in graph.matrix(cur).rows[i]]),) + mat[i + 1:]
             nxt = graph.rho(i, cur)
+            mat = mat[:i] + (_carried_column(mat, i, [-c for c in graph.matrix(cur).rows[i]]),) + mat[i + 1:]
             if nxt is None:
                 raise BudgetExceeded(f"edge {i} missing at {fmt_object(cur)}")
             cur = nxt

@@ -30,7 +30,8 @@ class InvalidCartanMatrix(WeylgpdError):
 
 
 class InvalidTable(WeylgpdError):
-    """A root-system table violating its structural invariants."""
+    """A table, or an argument it refuses: a table violating its structural
+    invariants, or a point, covector, wall index or object a query cannot take."""
 
 
 class NonReducedTable(WeylgpdError):

@@ -19,8 +19,8 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from ._rational import ONE, ZERO, Rat, rat
-from .errors import SingularBasis, ZeroCovector
+from ._rational import ONE, ZERO, Rat, fmt_covector, rat
+from .errors import InvalidTable, SingularBasis, ZeroCovector
 
 Covector = tuple  # length-r tuple of Rat
 Vector = tuple  # length-r tuple of Rat
@@ -31,6 +31,19 @@ Matrix = tuple  # tuple of row tuples of Rat
 def vec(entries: Iterable) -> tuple:
     """Build a rational tuple from ints, strings, or rationals."""
     return tuple(rat(e) for e in entries)
+
+
+def _cleared(rank: int | None, x, what: str) -> tuple:
+    """The one door of a point or covector x from outside, named `what`: (x, xs, m),
+    x read by `vec`, of length `rank` (any if None), and xs = m * x on integers."""
+    try:
+        v = vec(x)
+    except (TypeError, ValueError):
+        raise InvalidTable(f"{what} {x!r} is not a vector of rationals") from None
+    if rank is not None and len(v) != rank:
+        raise InvalidTable(f"{what} {fmt_covector(v)} does not have rank {rank}")
+    xs, m = clear_denominators(v)
+    return v, xs, m
 
 
 def vneg(u: tuple) -> tuple:
@@ -55,8 +68,9 @@ def is_zero(u: tuple) -> bool:
 
 
 def sign_at(alpha: Covector, x: Vector) -> int:
-    """Sign of alpha(x): +1, 0, or -1, exactly."""
-    value = vdot(alpha, x)
+    """Sign of alpha(x): +1, 0, or -1, exactly; x must have alpha's rank."""
+    alpha = _cleared(None, alpha, "covector")[0]
+    value = vdot(alpha, _cleared(len(alpha), x, "point")[0])
     if value > 0:
         return 1
     if value < 0:
@@ -153,6 +167,7 @@ def solve_coordinates(basis: Sequence[Covector], target: Covector) -> tuple:
 
     Raises SingularBasis when the claimed basis is dependent.
     """
+    target = _cleared(None, target, "covector")[0]
     r = len(target)
     if len(basis) != r:
         raise SingularBasis(f"need {r} basis covectors, got {len(basis)}")
@@ -163,7 +178,7 @@ def solve_coordinates(basis: Sequence[Covector], target: Covector) -> tuple:
 def dual_basis(basis: Sequence[Covector]) -> list[Vector]:
     """Vectors C with basis_i(C_j) = delta_ij; raises SingularBasis if dependent."""
     # Rows scaled by their denominators m_i: B^-1 = (M B)^-1 M, column j scaled by m_j.
-    cleared = [clear_denominators(b) for b in basis]
+    cleared = [_cleared(len(basis), b, "covector")[1:] for b in basis]
     adj, det = int_adjugate([row for row, _ in cleared])
     if adj is None:
         raise SingularBasis("matrix is singular")

@@ -76,7 +76,7 @@ def _check_seed(table: RootSystemTable) -> None:
     from .arrangement import _cleared, _dot
 
     try:
-        seed, xs, _ = _cleared(table, table.seed_hint, "seed")
+        seed, xs, _ = _cleared(table.rank, table.seed_hint, "seed")
     except InvalidTable as exc:
         raise ParseError(str(exc)) from None
     if table.int_gamma is not None and _dot(table.int_gamma, xs) <= 0:
@@ -130,7 +130,7 @@ def graph_from_json(data: dict) -> CartanGraph:
         if undeclared:
             raise ParseError(f"an edge names the undeclared object {undeclared[0]!r}")
         graph = CartanGraph.explicit(matrices, edges, base, truncated=bool(data.get("truncated")))
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError, NonSquare) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, NonSquare, InvalidTable) as exc:
         raise ParseError(f"malformed graph JSON: {exc}") from exc
     if graph.rank < 1:
         raise ParseError("a Cartan graph needs rank >= 1")

@@ -5,7 +5,8 @@ the standard dual basis) propagated across edges by the reflection action, the
 chamber K^b is the open cone cut out by B^b, and the realized root table is the
 negation closure of all basis elements found within the generation depth.
 Each K^b is built as a chamber of that table by the kernel's constructor
-(`arrangement._chamber`), so `Chamber.frame` carries its frame.
+(`arrangement._chamber`), so `Chamber.frame` carries its frame.  Each kind of
+argument has one door: `_cleared`, `_wall_index` and `Realization.chamber_of`.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ from .arrangement import (
 )
 from .cartan import (
     CartanGraph,
+    _held_object,
     _reflected,
     _reflected_rows,
+    _wall_index,
     canonical_basis_key,
     fmt_object,
     residue as graph_residue,
@@ -49,13 +52,13 @@ from .errors import (
     NotSimplyConnected,
 )
 from .exactlin import (
+    _cleared,
     clear_denominators,
     dual_basis,
     int_adjugate,
     int_primitive,
     int_row_reduce,
     primitive_normalize,
-    vec,
     vneg,
 )
 
@@ -83,7 +86,7 @@ class Realization(Record):
         return self.graph.rank
 
     def chamber_of(self, obj: ObjectId) -> Chamber:
-        return self.chambers[obj]
+        return self.chambers[_held_object(self.chambers, obj, "realization")]
 
 
 def realize(graph: CartanGraph, depth: int = 8) -> Realization:
@@ -109,7 +112,7 @@ def realize(graph: CartanGraph, depth: int = 8) -> Realization:
     # basis.  The first edge into an object sets its basis; every later one
     # must reproduce it: loops act trivially.
     for (obj, i), nxt in edges.items():
-        coeffs = tuple(-c for c in graph.matrix(obj).rows[i])
+        coeffs = tuple(-c for c in graph._matrix_of(obj).rows[i])
         image = _reflected_rows(bases[obj], i, coeffs)
         if nxt not in bases:
             bases[nxt] = image
@@ -223,12 +226,11 @@ def separating_set(re: Realization, b: ObjectId, b2: ObjectId) -> SeparatingSet:
 
 def gallery_distance(re: Realization, b: ObjectId, b2: ObjectId) -> int:
     """Graph distance between the two objects inside the generated region;
-    ValueError when either is not an object of the realization.  The walk
+    InvalidTable when either is not an object of the realization.  The walk
     from b reaches b2: the ball is connected from the base, and its edge set
     is symmetric, as rho is an involution wherever it is defined."""
     for obj in (b, b2):
-        if obj not in re.bases:
-            raise ValueError(f"{fmt_object(obj)} is not an object of the realization")
+        re.chamber_of(obj)
     seen = {b: 0}
     queue = deque([b])
     while b2 not in seen:
@@ -260,8 +262,8 @@ def adjacency_equivalences_test(
     """Evaluate the four equivalent adjacency characterizations independently,
     on the frames' primitive columns (the rays); the sandwich reads each
     chamber at its column sum, as every constraint is a root."""
-    if not 0 <= i < re.rank:
-        raise InvalidTable(f"wall {i} is outside 0..{re.rank - 1}")
+    _wall_index(re.rank, i)
+    sep = separating_set(re, b, b2)
     basis_b, basis_b2 = re.bases[b], re.bases[b2]
     wall = re.bases[b][i]
 
@@ -296,7 +298,6 @@ def adjacency_equivalences_test(
     if b == b2 and sandwich is not False:
         sandwich = False
 
-    sep = separating_set(re, b, b2)
     separating_singleton = sep.keys == {primitive_normalize(wall)}
     return AdjacencyEquivalence(i_adjacent, rho_matches, sandwich, separating_singleton)
 
@@ -317,12 +318,13 @@ def locate_point(re: Realization, x, budget: int = 10_000) -> LocateResult:
     Returns not_in_cone only with a certificate: a derived affine functional
     that is 1 on every chamber ray and nonpositive at x.
     """
-    x = vec(x)
-    if len(x) != re.rank:
-        raise ValueError(f"point {fmt_covector(x)} does not have rank {re.rank}")
-    xs, _ = clear_denominators(x)
+    return _locate(re, _cleared(re.rank, x, "point")[1], budget)
+
+
+def _locate(re: Realization, xs: tuple, budget: int) -> LocateResult:
+    """`locate_point` at the cleared point xs."""
     if not any(xs):
-        raise ValueError("cannot locate the zero vector")
+        raise InvalidTable("cannot locate the zero vector")
     if re.gamma is not None and _dot(clear_denominators(re.gamma)[0], xs) <= 0:
         return LocateResult("not_in_cone", None, 0)
     cur = re.base
@@ -354,8 +356,8 @@ def local_cartan_graph_at(re: Realization, x, budget: int = 10_000) -> LocalGrap
     roots vanish at x only where a wall J of x's chamber b does.  Their
     J-coordinates are read off b's frame rows (its basis is unimodular, D = 1)
     and carried along the residue's edges by the (R3) action of its matrix."""
-    xs, _ = clear_denominators(vec(x))
-    located = locate_point(re, x, budget)
+    xs = _cleared(re.rank, x, "point")[1]
+    located = _locate(re, xs, budget)
     if not located.found:
         raise BudgetExceeded(f"point location failed: {located.status}")
     b = located.obj

@@ -5,6 +5,7 @@ subarrangement, viewed in the quotient by its support); restricting to a root
 hyperplane H projects every other root onto H, which is generally non-reduced.
 Both inherit the crystallographic property under the documented hypotheses,
 and restricted rank-2 systems are identified against generated references.
+A point or covector enters by one door, `_cleared`, at the rank it lives in.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .arrangement import (
     Spherical,
     Truncated,
     _chamber_at,
-    _cleared,
     _crossing_coefficients,
     _crystallographic_report,
     _dot,
@@ -45,6 +45,7 @@ from .errors import (
     Unsupported,
 )
 from .exactlin import (
+    _cleared,
     clear_denominators,
     combination,
     dual_basis,
@@ -79,9 +80,7 @@ class Localization(Record):
         return not self.roots
 
     def intrinsic_covector(self, alpha) -> tuple:
-        alpha = vec(alpha)
-        if len(alpha) != len(self.point):
-            raise InvalidTable(f"covector {fmt_covector(alpha)} does not have rank {len(self.point)}")
+        alpha = _cleared(len(self.point), alpha, "covector")[0]
         return tuple(alpha[c] for c in self.pivot_columns)
 
     def intrinsic_point(self, y) -> tuple:
@@ -89,9 +88,7 @@ class Localization(Record):
         support vector s_f of free column f is 1 at f and 0 at the other free
         columns, so y = sum_f y[f] s_f + sum_j c_j e_{p_j} over the pivot
         columns p_j, with c_j = y[p_j] - sum_f y[f] s_f[p_j], the image."""
-        y = vec(y)
-        if len(y) != len(self.point):
-            raise InvalidTable(f"point {fmt_covector(y)} does not have rank {len(self.point)}")
+        y = _cleared(len(self.point), y, "point")[0]
         free = [c for c in range(len(y)) if c not in self.pivot_columns]
         return tuple(y[p] - sum(y[f] * s[p] for f, s in zip(free, self.support)) for p in self.pivot_columns)
 
@@ -100,7 +97,7 @@ def localize(table: RootSystemTable, x) -> Localization:
     """Parabolic subtable at x: roots vanishing at x, with quotient coordinates.
     The vanishing roots are read off the integer roots; the pivot columns and
     the support of their matrix do not depend on the scaling of its rows."""
-    return _localize(table, _cleared(table, x, "point"))
+    return _localize(table, _cleared(table.rank, x, "point"))
 
 
 def _localize(table: RootSystemTable, point: tuple) -> Localization:
@@ -157,8 +154,7 @@ def check_localization_crystallographic(loc: Localization, chamber: Chamber) -> 
     """
     if loc.empty:
         return CheckReport("localization-crystallographic", True, (), 0, 0, 0, False)
-    if len(chamber.basis) != len(loc.point):
-        raise InvalidTable(f"point {fmt_covector(loc.point)} does not have rank {len(chamber.basis)}")
+    _cleared(len(chamber.basis), loc.point, "point")
     values = [vdot(b, loc.point) for b in chamber.basis]
     through = tuple(j for j, v in enumerate(values) if v == 0)
     if not through:
@@ -234,7 +230,7 @@ class Restriction(Record):
 
     def intrinsic_of(self, alpha) -> tuple:
         """The restriction of a covector to H, in intrinsic coordinates."""
-        _, ints, m = _cleared(self.source, alpha, "covector")
+        _, ints, m = _cleared(self.source.rank, alpha, "covector")
         return tuple(Rat(_dot(ints, b), m) for b in self.lattice_basis)
 
     @functools.cached_property
@@ -248,7 +244,7 @@ class Restriction(Record):
     def ambient_of(self, intrinsic) -> tuple:
         """Orthogonal-projection representative (standard inner product) of an
         intrinsic covector, as an ambient tuple."""
-        return combination(vec(intrinsic), self._ambient_units)
+        return combination(_cleared(self.rank, intrinsic, "covector")[0], self._ambient_units)
 
     def ambient_table(self, reduced: bool = False) -> frozenset:
         src = self.reduced_table if reduced else self.table
@@ -264,7 +260,7 @@ def restrict(table: RootSystemTable, alpha0) -> Restriction:
     on the integer lattice basis b of H is int_root . b over the table's
     scale.
     """
-    alpha0 = vec(alpha0)
+    alpha0 = _cleared(table.rank, alpha0, "covector")[0]
     position = table.int_index.get(tuple(c * table.scale for c in alpha0))
     if position is None:
         raise RootNotInSystem(f"{fmt_covector(alpha0)} is not in the table")
@@ -352,7 +348,7 @@ def projected_chamber_basis(table: RootSystemTable, rst: Restriction, chamber: C
 def chamber_with_wall(table: RootSystemTable, alpha0) -> Chamber:
     """Some chamber having the hyperplane of alpha0 among its walls.  In rank
     1 the hyperplane is 0; a spherical table's chamber is alpha0's positive side."""
-    alpha0, ints, _ = _cleared(table, alpha0, "covector")
+    alpha0, ints, _ = _cleared(table.rank, alpha0, "covector")
     key = line_key(int_primitive(ints))
     lattice = integer_kernel_basis(key)
     # A direction with alpha0 = 1 on it, along a coordinate axis, cleared.
@@ -511,7 +507,7 @@ def residue_correspondence_check(table: RootSystemTable, x, budget: int = 10_000
     walk crosses matching walls on both sides in lock-step and compares
     restricted Cartan matrices entry by entry.
     """
-    point = _cleared(table, x, "point")
+    point = _cleared(table.rank, x, "point")
     loc = _localize(table, point)
     if loc.empty:
         raise InvalidTable("the localization at x is empty")

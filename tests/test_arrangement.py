@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from weylgpd._rational import Rat
@@ -97,6 +99,12 @@ class TestChamberFromPoint:
     def test_point_of_another_rank(self):
         with pytest.raises(InvalidTable, match=r"^point \(1, 2, 3\) does not have rank 2$"):
             chamber_from_point(a2_table(), (1, 2, 3))
+
+    @pytest.mark.parametrize("x", [(True, 1), (1.5, 1), ("x", 1)])
+    def test_a_point_vec_refuses_is_refused_at_the_door(self, x):
+        """vec raised its TypeError or ValueError here before."""
+        with pytest.raises(InvalidTable, match=rf"^point {re.escape(repr(x))} is not a vector of rationals$"):
+            chamber_from_point(a2_table(), x)
 
     def test_non_reduced_table(self):
         table = RootSystemTable(2, A2_ROOTS + [(2, 0), (-2, 0)])
@@ -419,7 +427,7 @@ class TestKSpherical:
 
     def test_k_out_of_range(self):
         for k in (-1, 3):
-            with pytest.raises(ValueError, match="^k must be between 0 and 2$"):
+            with pytest.raises(InvalidTable, match="^k must be between 0 and 2$"):
                 check_k_spherical(a2_table(), k)
 
     def test_truncated_unsupported(self):

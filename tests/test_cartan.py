@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from weylgpd.cartan import (
     residue,
     validate_gcm,
 )
-from weylgpd.errors import BudgetExceeded, InvalidCartanMatrix, NonSquare, NotSimplyConnected
+from weylgpd.errors import BudgetExceeded, InvalidCartanMatrix, InvalidTable, NonSquare, NotSimplyConnected
 from weylgpd.subarr import rank2_graph_from_edge_sequence
 
 from _oracles import brute_real_roots_standard, int_mat_mul, reference_explicit_check, reflection_matrix
@@ -97,6 +98,36 @@ class TestReflect:
             for i in (0, 1):
                 assert reflect(A2, i, reflect(A2, i, v)) == v
 
+    def test_a_rational_vector_is_reflected_on_its_rationals(self):
+        assert reflect(A2, 0, (Fraction(1, 2), 0)) == (Fraction(-1, 2), 0)
+        assert reflect(A2, 0, (Fraction(1, 2), 1)) == (Fraction(1, 2), 1)
+
+
+def a2_standard():
+    graph = CartanGraph.standard(A2)
+    return graph, graph.base
+
+
+# Each of these answered, or raised IndexError or KeyError, before its argument was checked.
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda g, b: reflect(A2, -1, (1, 0)), "wall -1 is outside 0..1"),
+        (lambda g, b: reflect(A2, 0, (1,)), "vector (1) does not have rank 2"),
+        (lambda g, b: Morphism.from_word(g, b, (-1,)), "wall -1 is outside 0..1"),
+        (lambda g, b: m_ij(generate_real_roots(g, b, 3), b, -1, 0), "wall -1 is outside 0..1"),
+        (lambda g, b: residue(g, b, (-1,), 10), "wall -1 is outside 0..1"),
+        (lambda g, b: m_ij_certified(g, b, 0, 5, 10), "wall 5 is outside 0..1"),
+        (lambda g, b: m_ij_certified(g, b, 1, 1, 10), "m_ij needs distinct indices"),
+        (lambda g, b: g.rho(0, (9, 9)), "(9, 9) is not an object of the graph"),
+    ],
+    ids=["reflect-wall", "reflect-vector", "from_word", "m_ij", "residue", "m_ij_certified", "m_ij_certified-equal",
+         "rho"],
+)
+def test_a_bad_index_or_object_is_refused_on_the_graph_side(call, text):
+    with pytest.raises(InvalidTable, match=f"^{re.escape(text)}$"):
+        call(*a2_standard())
+
 
 # Indefinite matrices whose standard graphs `weylgpd roundtrip` passes at
 # depths 3 and 5.
@@ -154,7 +185,7 @@ class TestGenerateRealRoots:
         assert rrs.at(0) == {(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)}
 
     def test_negative_depth(self):
-        with pytest.raises(ValueError, match="^depth must be >= 0$"):
+        with pytest.raises(InvalidTable, match="^depth must be >= 0$"):
             generate_real_roots(one_object_graph(A2), 0, -1)
 
     def test_rank_one(self):
@@ -295,7 +326,7 @@ class TestMij:
 
     def test_equal_indices(self):
         rrs = generate_real_roots(one_object_graph(A2), 0, 4)
-        with pytest.raises(ValueError, match="^m_ij needs distinct indices$"):
+        with pytest.raises(InvalidTable, match="^m_ij needs distinct indices$"):
             m_ij(rrs, 0, 1, 1)
 
     def test_b2_type(self):
@@ -347,7 +378,7 @@ class TestResidue:
 
     def test_empty_index_set(self):
         graph = builtin_graph("a2")
-        with pytest.raises(ValueError, match="^the index subset must be nonempty$"):
+        with pytest.raises(InvalidTable, match="^the index subset must be nonempty$"):
             residue(graph, graph.base, (), 10)
 
     def test_budget_exceeded_partial(self):

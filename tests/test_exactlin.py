@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylgpd._rational import rat
-from weylgpd.errors import SingularBasis, ZeroCovector
+from weylgpd.errors import InvalidTable, SingularBasis, ZeroCovector
 from weylgpd.exactlin import (
     dual_basis,
     int_adjugate,
@@ -161,6 +161,11 @@ class TestSignAt:
         assert sign_at(vec((1, 0)), vec((3, 5))) == 1
         assert sign_at(vec((1, -1)), vec((2, 2))) == 0
         assert sign_at(vec(("1/2", "-1")), vec((1, 1))) == -1
+
+    def test_a_point_of_another_rank_is_refused(self):
+        """zip raised `argument 2 is shorter than argument 1` here before."""
+        with pytest.raises(InvalidTable, match=r"^point \(1\) does not have rank 2$"):
+            sign_at((1, 0), (1,))
 
 
 class TestSolveRoundtrip:

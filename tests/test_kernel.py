@@ -945,7 +945,7 @@ def test_seed_walls_match_the_former_rule(name):
         while len(positives) <= RANDOM_SEED_POINTS[name]:
             x = vec(F(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(table.rank))
             if all(sum(a * b for a, b in zip(key, x)) for key in table.lines):
-                positives.append(_positive_lines(table, _cleared(table, x, "point")))
+                positives.append(_positive_lines(table, _cleared(table.rank, x, "point")))
     for pos in positives:
         assert outcome(_extreme_basis, table, pos) == outcome(reference_extreme_basis, table, pos)
     if name == "f4-bare-truncation-3":
@@ -956,7 +956,7 @@ def test_seed_walls_match_the_former_rule(name):
 @pytest.mark.parametrize("rank,rays", [(3, 1), (4, 0)])
 def test_seed_walls_of_planar_roots_match_the_former_rule(rank, rays):
     table = PLANAR_TABLES[rank]
-    positives = _positive_lines(table, _cleared(table, range(1, rank + 1), "point"))
+    positives = _positive_lines(table, _cleared(table.rank, range(1, rank + 1), "point"))
     expected = (NotSimplicial, f"chamber has {rays} extreme rays, expected {rank}")
     assert outcome(_extreme_basis, table, positives) == expected
     assert outcome(reference_extreme_basis, table, positives) == expected
@@ -1357,7 +1357,7 @@ ID_PATH_TABLES = {
 def extraction_answers(extract, table: RootSystemTable, atlas) -> tuple:
     """What an extraction of the atlas says: the graph's objects, base,
     truncated flag and matrices, rho at every chamber of the atlas for every
-    wall (None off the graph), the root sets and the chambers by key; or the
+    wall (refused off the graph), the root sets and the chambers by key; or the
     type and text of the error it raises."""
     try:
         graph, root_sets, chambers = extract(table, atlas)
@@ -1368,7 +1368,7 @@ def extraction_answers(extract, table: RootSystemTable, atlas) -> tuple:
         graph.base,
         graph.truncated,
         [graph.matrix(key).rows for key in graph.objects],
-        [graph.rho(i, key) for key in atlas.order for i in range(table.rank)],
+        [outcome(graph.rho, i, key) for key in atlas.order for i in range(table.rank)],
         list(root_sets.items()),
         [(key, id(chamber)) for key, chamber in chambers.items()],
     )

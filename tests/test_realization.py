@@ -222,7 +222,7 @@ class TestSeparatingSet:
         either end and also when both ends are it."""
         re = realize(builtin_graph("a2"), depth=8)
         for args in ((re.base, "x"), ("x", re.base), ("x", "x")):
-            with pytest.raises(ValueError, match=r"^x is not an object of the realization$"):
+            with pytest.raises(InvalidTable, match=r"^x is not an object of the realization$"):
                 gallery_distance(re, *args)
 
     def test_distance_equals_separation_everywhere(self):
@@ -308,7 +308,7 @@ class TestLocatePoint:
 
     def test_zero_rejected(self):
         re = realize(builtin_graph("a2"), depth=8)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidTable, match=r"^cannot locate the zero vector$"):
             locate_point(re, (0, 0))
 
     @pytest.mark.parametrize("x, text", [((1, 2, 3), r"\(1, 2, 3\)"), ((1,), r"\(1\)")])
@@ -316,8 +316,14 @@ class TestLocatePoint:
         """The walk's integer dot products would read only the shorter of the
         point and a basis covector: the rank is checked up front."""
         re = realize(builtin_graph("a2"), depth=8)
-        with pytest.raises(ValueError, match=rf"^point {text} does not have rank 2$"):
+        with pytest.raises(InvalidTable, match=rf"^point {text} does not have rank 2$"):
             locate_point(re, x)
+
+    def test_a_point_vec_refuses_is_refused_at_the_door(self):
+        """vec raised a bare TypeError here before."""
+        re = realize(builtin_graph("a2"), depth=8)
+        with pytest.raises(InvalidTable, match=r"^point None is not a vector of rationals$"):
+            locate_point(re, None)
 
     def test_step_budget(self):
         re = realize(builtin_graph("a2"), depth=8)

@@ -306,6 +306,16 @@ class TestRestrict:
         with pytest.raises(InvalidTable, match=r"^covector \(1, 0\) does not have rank 4$"):
             rst.intrinsic_of((1, 0))
 
+    @pytest.mark.parametrize("x, text", [((1, 2, 3, 4, 5), r"\(1, 2, 3, 4, 5\)"), ((1,), r"\(1\)")])
+    def test_ambient_of_a_covector_of_another_rank_is_refused(self, x, text):
+        """Refused at the door, where the combination was cut to the shorter
+        of x and the three intrinsic units."""
+        table = f4_table()
+        rst = restrict(table, table.roots[0])
+        with pytest.raises(InvalidTable, match=rf"^covector {text} does not have rank 3$"):
+            rst.ambient_of(x)
+        assert len(rst.ambient_of((1, 2, 3))) == 4
+
     def test_rank2_restriction_is_rank1(self):
         table = builtin_table("b2")
         root = table.roots[0]
